@@ -36,17 +36,17 @@ let slab_mask grid ~first ~last =
       let phys_z = (first && k = 1) || (last && k = grid.Grid.nz - 2) in
       if phys_x || phys_y || halo || phys_z then 0.0 else 1.0)
 
-(* One face of the slab (all i, j at layer k), read from a u plane. *)
-let read_face node ~plane ~grid ~k =
-  let face = Array.make (grid.Grid.nx * grid.Grid.ny) 0.0 in
-  Grid.iter grid (fun ~i ~j ~k:kk ->
-      if kk = k then
-        face.((grid.Grid.nx * j) + i) <-
-          Node.read_plane node ~plane ~addr:(Grid.index grid ~i ~j ~k));
-  face
-
 (* Base address of layer k within the padded field. *)
 let layer_base grid ~k = Grid.index grid ~i:0 ~j:0 ~k
+
+(* Layers [k, k + layers) of the slab (all i, j), read from a u plane:
+   consecutive words in the padded layout, one face at index nx·j + i. *)
+let read_layers node ~plane ~grid ~k ~layers =
+  Node.dump_array node ~plane ~base:(layer_base grid ~k)
+    ~len:(grid.Grid.nx * grid.Grid.ny * layers)
+
+(* One face of the slab (all i, j at layer k). *)
+let read_face node ~plane ~grid ~k = read_layers node ~plane ~grid ~k ~layers:1
 
 (* The halo messages of one iteration: every rank sends its outermost
    interior layers to the chain neighbours' halo layers (n² words each
@@ -242,17 +242,12 @@ let run_field ?domains ?overlap (p : Params.t) ~n ~iters ~dim :
   | Error e -> Error e
   | Ok (_, machine, b, grid) ->
       let nodes = Multinode.n_nodes machine in
-      let layer_words = grid.Grid.nx * grid.Grid.ny in
-      let global = Array.make (layer_words * n * nodes) 0.0 in
-      List.iter
-        (fun rank ->
-          let node = Multinode.node machine (Router.chain_to_node ~dim rank) in
-          for k = 1 to n do
-            let face = read_face node ~plane:b.Jacobi.layout.Jacobi.center ~grid ~k in
-            Array.blit face 0 global (layer_words * ((rank * n) + k - 1)) layer_words
-          done)
-        (List.init nodes (fun r -> r));
-      Ok global
+      (* each rank's n interior layers, in rank order *)
+      Ok
+        (Array.concat
+           (List.init nodes (fun rank ->
+                let node = Multinode.node machine (Router.chain_to_node ~dim rank) in
+                read_layers node ~plane:b.Jacobi.layout.Jacobi.center ~grid ~k:1 ~layers:n)))
 
 (** Weak-scaling sweep over hypercube dimensions, with efficiency relative
     to the single-node machine.  [overlap] runs every point with the
@@ -376,28 +371,21 @@ let solve ?(domains = 1) (p : Params.t) ~n ~tol ~max_iters ~dim :
       let iterations = ref 0 in
       let global = ref Float.infinity in
       while !iterations < max_iters && !global > tol do
-        (* one local iteration per node, collecting the captured residual;
-           counters accumulate in node order after the fan-in so a
-           domain-parallel run is bit-identical to a sequential one *)
-        let per_node =
-          Multinode.parallel_iter ~domains machine (fun id node ->
-              match Sequencer.run node ~plan_cache:caches.(id) ~kernel_cache:kcaches.(id) c_iter with
-              | Ok o ->
-                  let st = o.Sequencer.stats in
-                  ( st.Sequencer.total_cycles,
-                    st.Sequencer.total_flops,
-                    Option.value ~default:Float.infinity
-                      (List.assoc_opt b.Jacobi.residual_unit o.Sequencer.last_values) )
-              | Error _ -> (0, 0, Float.infinity))
-        in
-        let worst = ref 0 in
-        Array.iteri
-          (fun id (cycles, flops, residual) ->
-            if cycles > !worst then worst := cycles;
-            machine.Multinode.flops <- machine.Multinode.flops + flops;
-            residuals.(id) <- residual)
-          per_node;
-        machine.Multinode.cycles <- machine.Multinode.cycles + !worst;
+        (* one machine step: every node runs its local iteration and
+           fills its own residual slot; [compute_step] accumulates the
+           counters in node order after the fan-in, so a domain-parallel
+           run is bit-identical to a sequential one *)
+        Multinode.compute_step ~domains machine (fun id node ->
+            match Sequencer.run node ~plan_cache:caches.(id) ~kernel_cache:kcaches.(id) c_iter with
+            | Ok o ->
+                residuals.(id) <-
+                  Option.value ~default:Float.infinity
+                    (List.assoc_opt b.Jacobi.residual_unit o.Sequencer.last_values);
+                (o.Sequencer.stats.Sequencer.total_cycles,
+                 o.Sequencer.stats.Sequencer.total_flops)
+            | Error _ ->
+                residuals.(id) <- Float.infinity;
+                (0, 0));
         halo_exchange ();
         global := allreduce_max machine residuals;
         incr iterations

@@ -3,167 +3,153 @@
     Decoding is the inverse of {!Encode.encode} up to
     {!Encode.normalize}; the round trip is enforced by property tests and
     gives confidence that the generated machine code means what the diagram
-    said. *)
+    said.  Every field is read through the layout's section tables, so a
+    decode formats no names and hashes no strings. *)
 
 open Nsc_arch
 open Nsc_diagram
 
-let decode_binding (layout : Fields.t) word ~g ~port_name : Fu_config.input_binding =
-  let f name = Printf.sprintf "fu%d.%s" g name in
-  let src = Fields.get layout word (f ("src_" ^ port_name)) in
-  if src = Fields.src_unbound then Fu_config.Unbound
-  else if src = Fields.src_switch then Fu_config.From_switch
-  else if src = Fields.src_chain then Fu_config.From_chain
-  else if src = Fields.src_const then
-    Fu_config.From_constant (Fields.get_float layout word (f "const_val"))
-  else if src = Fields.src_feedback then
-    Fu_config.From_feedback (Fields.get layout word (f ("fb_" ^ port_name)))
+(* [f i a.(i)] for every [i] in order, keeping the [Some] results *)
+let filter_mapi f a =
+  let acc = ref [] in
+  for i = 0 to Array.length a - 1 do
+    match f i a.(i) with Some y -> acc := y :: !acc | None -> ()
+  done;
+  List.rev !acc
+
+let decode_binding word (u : Fields.unit_fields) ~src ~fb : Fu_config.input_binding =
+  let code = Fields.read word src in
+  if code = Fields.src_unbound then Fu_config.Unbound
+  else if code = Fields.src_switch then Fu_config.From_switch
+  else if code = Fields.src_chain then Fu_config.From_chain
+  else if code = Fields.src_const then
+    Fu_config.From_constant (Fields.read_float word u.Fields.const_val)
+  else if code = Fields.src_feedback then Fu_config.From_feedback (Fields.read word fb)
   else Fu_config.Unbound
 
-(** Decode a microinstruction.  Fails with [Error] on a bad magic number or
-    an opcode the machine does not define. *)
+(** Decode a microinstruction.  Fails with [Error] on a bad magic number,
+    or on an opcode, bypass, source or shift/delay mode code the machine
+    does not define (the last such field in layout order is reported). *)
 let decode (layout : Fields.t) (word : Word.t) : (Semantic.t, string) result =
   let p = layout.Fields.params in
-  if Fields.get layout word "hdr.magic" <> Encode.magic then
+  let get = Fields.read word in
+  let hdr = layout.Fields.header in
+  if get hdr.Fields.magic <> Encode.magic then
     Error "bad magic number: not an NSC microinstruction"
   else begin
-    let index = Fields.get layout word "hdr.index" in
-    let vlen = Fields.get layout word "hdr.vlen" in
-    let errors = ref [] in
+    let error = ref None in
+    let fail msg =
+      error := Some msg;
+      None
+    in
     (* units *)
     let units =
-      List.filter_map
-        (fun fu ->
-          let g = Resource.fu_global_index p fu in
-          let f name = Printf.sprintf "fu%d.%s" g name in
-          match Fields.get layout word (f "op") with
+      filter_mapi
+        (fun g (u : Fields.unit_fields) ->
+          match get u.Fields.op with
           | 0 -> None
           | code -> (
               match Opcode.of_code code with
-              | None ->
-                  errors := Printf.sprintf "unit %d: undefined opcode %d" g code :: !errors;
-                  None
+              | None -> fail (Printf.sprintf "unit %d: undefined opcode %d" g code)
               | Some op ->
                   Some
                     {
-                      Semantic.fu;
+                      Semantic.fu = u.Fields.fu;
                       op;
-                      a = decode_binding layout word ~g ~port_name:"a";
-                      b = decode_binding layout word ~g ~port_name:"b";
-                      delay_a = Fields.get layout word (f "delay_a");
-                      delay_b = Fields.get layout word (f "delay_b");
+                      a = decode_binding word u ~src:u.Fields.src_a ~fb:u.Fields.fb_a;
+                      b = decode_binding word u ~src:u.Fields.src_b ~fb:u.Fields.fb_b;
+                      delay_a = get u.Fields.delay_a;
+                      delay_b = get u.Fields.delay_b;
                     }))
-        (Resource.all_fus p)
+        layout.Fields.units
     in
     (* bypasses: engaged ALSs plus any ALS with an explicit bypass *)
+    let engaged = Array.make (Array.length layout.Fields.bypass) false in
+    List.iter
+      (fun (u : Semantic.unit_program) -> engaged.(u.Semantic.fu.Resource.als) <- true)
+      units;
     let bypasses =
-      List.filter_map
-        (fun als ->
-          let code = Fields.get layout word (Printf.sprintf "als%d.bypass" als) in
+      filter_mapi
+        (fun als f ->
+          let code = get f in
           match Fields.bypass_of_code code with
-          | None ->
-              errors := Printf.sprintf "ALS%d: undefined bypass code %d" als code :: !errors;
-              None
+          | None -> fail (Printf.sprintf "ALS%d: undefined bypass code %d" als code)
           | Some bypass ->
-              let engaged =
-                List.exists
-                  (fun (u : Semantic.unit_program) -> u.Semantic.fu.Resource.als = als)
-                  units
-              in
-              if engaged || not (Als.equal_bypass bypass Als.No_bypass) then
+              if engaged.(als) || not (Als.equal_bypass bypass Als.No_bypass) then
                 Some (als, bypass)
               else None)
-        (Resource.all_als p)
+        layout.Fields.bypass
     in
     (* switch section *)
-    let kb = Knowledge.make_exn p in
     let routes =
-      List.filter_map
-        (fun snk ->
-          let code = Fields.get layout word ("snk." ^ Resource.sink_to_string snk) in
+      filter_mapi
+        (fun _ (snk, f) ->
+          let code = get f in
           if code = 0 then None
           else
             match Resource.source_of_code p code with
             | Some src -> Some { Switch.src; snk }
             | None ->
-                errors :=
-                  Printf.sprintf "sink %s: undefined source code %d"
-                    (Resource.sink_to_string snk) code
-                  :: !errors;
-                None)
-        (Knowledge.all_sinks kb)
+                fail
+                  (Printf.sprintf "sink %s: undefined source code %d"
+                     (Resource.sink_to_string snk) code))
+        layout.Fields.sinks
     in
-    (* DMA section *)
-    let streams =
-      let of_engine tag channel slot =
-        let f name = Printf.sprintf "dma.%s.e%d.%s" tag slot name in
-        if Fields.get layout word (f "active") = 0 then None
-        else begin
-          let direction = if Fields.get layout word (f "dir") = 0 then Dma.Read else Dma.Write in
-          let transfer =
-            {
-              Dma.channel;
-              direction;
-              base = Fields.get layout word (f "base");
-              stride = Fields.get_signed layout word (f "stride");
-              count = Fields.get layout word (f "count");
-            }
-          in
-          let engine =
-            match (direction, channel) with
-            | Dma.Read, Dma.Plane pl -> `Read (Resource.Src_memory (pl, slot))
-            | Dma.Read, Dma.Cache_chan c -> `Read (Resource.Src_cache (c, slot))
-            | Dma.Write, Dma.Plane pl -> `Write (Resource.Snk_memory (pl, slot))
-            | Dma.Write, Dma.Cache_chan c -> `Write (Resource.Snk_cache (c, slot))
-          in
-          Some { Semantic.transfer; engine }
-        end
-      in
-      List.concat_map
-        (fun pl ->
-          List.filter_map
-            (fun slot -> of_engine (Printf.sprintf "plane%d" pl) (Dma.Plane pl) slot)
-            (List.init p.plane_dma_slots (fun e -> e)))
-        (List.init p.n_memory_planes (fun i -> i))
-      @ List.concat_map
-          (fun c ->
-            List.filter_map
-              (fun slot -> of_engine (Printf.sprintf "cache%d" c) (Dma.Cache_chan c) slot)
-              (List.init p.cache_dma_slots (fun e -> e)))
-          (List.init p.n_caches (fun i -> i))
+    (* DMA section: every active engine *)
+    let streams = ref [] in
+    let stream (e : Fields.dma_fields) =
+      if get e.Fields.active <> 0 then begin
+        let direction = if get e.Fields.dir = 0 then Dma.Read else Dma.Write in
+        let transfer =
+          {
+            Dma.channel = e.Fields.channel;
+            direction;
+            base = get e.Fields.base;
+            stride = Fields.read_signed word e.Fields.stride;
+            count = get e.Fields.count;
+          }
+        in
+        let slot = e.Fields.slot in
+        let engine =
+          match (direction, e.Fields.channel) with
+          | Dma.Read, Dma.Plane pl -> `Read (Resource.Src_memory (pl, slot))
+          | Dma.Read, Dma.Cache_chan c -> `Read (Resource.Src_cache (c, slot))
+          | Dma.Write, Dma.Plane pl -> `Write (Resource.Snk_memory (pl, slot))
+          | Dma.Write, Dma.Cache_chan c -> `Write (Resource.Snk_cache (c, slot))
+        in
+        streams := { Semantic.transfer; engine } :: !streams
+      end
     in
+    Array.iter (Array.iter stream) layout.Fields.plane_dma;
+    Array.iter (Array.iter stream) layout.Fields.cache_dma;
     (* shift/delay section *)
     let sds =
-      List.filter_map
-        (fun s ->
-          let f name = Printf.sprintf "sd%d.%s" s name in
-          let mode = Fields.get layout word (f "mode") in
+      filter_mapi
+        (fun s (sd : Fields.sd_fields) ->
+          let mode = get sd.Fields.mode in
           if mode = Fields.sd_off then None
           else
-            let amount = Fields.get_signed layout word (f "amount") in
+            let amount = Fields.read_signed word sd.Fields.amount in
             if mode = Fields.sd_delay then
               Some { Semantic.sd = s; mode = Shift_delay.Delay amount }
             else if mode = Fields.sd_shift then
               Some { Semantic.sd = s; mode = Shift_delay.Shift amount }
-            else begin
-              errors := Printf.sprintf "sd%d: undefined mode %d" s mode :: !errors;
-              None
-            end)
-        (List.init p.n_shift_delay (fun s -> s))
+            else fail (Printf.sprintf "sd%d: undefined mode %d" s mode))
+        layout.Fields.sds
     in
-    match !errors with
-    | e :: _ -> Error e
-    | [] ->
+    match !error with
+    | Some e -> Error e
+    | None ->
         Ok
           (Encode.normalize
              {
-               Semantic.index;
+               Semantic.index = get hdr.Fields.index;
                label = "";
-               vector_length = vlen;
+               vector_length = get hdr.Fields.vlen;
                bypasses;
                units;
                sds;
                routes;
-               streams;
+               streams = List.rev !streams;
              })
   end

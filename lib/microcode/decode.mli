@@ -5,15 +5,10 @@
     gives confidence that the generated machine code means what the diagram
     said. *)
 
-(* Interface generated from the implementation; detailed
-   documentation lives on the items in the .ml file. *)
-
-(** Disassemble a word back to (normalised) semantic structures; fails
-    on a bad magic number or undefined opcodes. *)
-val decode_binding :
-  Fields.t ->
-  Word.t ->
-  g:int -> port_name:string -> Nsc_diagram.Fu_config.input_binding
+(** Disassemble a word back to (normalised) semantic structures through
+    the layout's section tables.  Fails on a bad magic number, or on an
+    undefined opcode, bypass, switch source or shift/delay mode code (the
+    last such field in layout order is the one reported). *)
 val decode :
   Fields.t ->
   Word.t -> (Nsc_diagram.Semantic.t, string) result

@@ -21,70 +21,66 @@ type instruction = { index : int; word : Word.t }
 let encode (layout : Fields.t) (sem : Semantic.t) : (instruction, string) result =
   let p = layout.Fields.params in
   let word = Fields.fresh_word layout in
+  let set = Fields.write word and get = Fields.read word in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  Fields.set layout word "hdr.magic" magic;
+  let hdr = layout.Fields.header in
+  set hdr.Fields.magic magic;
   (if sem.Semantic.index < 0 || sem.Semantic.index >= 1 lsl 16 then
      err "instruction number %d does not fit the header" sem.Semantic.index
-   else Fields.set layout word "hdr.index" sem.Semantic.index);
+   else set hdr.Fields.index sem.Semantic.index);
   (if sem.Semantic.vector_length < 0 || sem.Semantic.vector_length >= 1 lsl 24 then
      err "vector length %d does not fit the header" sem.Semantic.vector_length
-   else Fields.set layout word "hdr.vlen" sem.Semantic.vector_length);
+   else set hdr.Fields.vlen sem.Semantic.vector_length);
   (* ALS bypasses *)
   List.iter
-    (fun (als, bypass) ->
-      Fields.set layout word
-        (Printf.sprintf "als%d.bypass" als)
-        (Fields.bypass_code bypass))
+    (fun (als, bypass) -> set layout.Fields.bypass.(als) (Fields.bypass_code bypass))
     sem.Semantic.bypasses;
   (* per-unit control *)
   List.iter
     (fun (u : Semantic.unit_program) ->
-      let g = Resource.fu_global_index p u.Semantic.fu in
-      let f name = Printf.sprintf "fu%d.%s" g name in
-      Fields.set layout word (f "op") (Opcode.to_code u.Semantic.op);
-      let encode_binding port_name = function
-        | Fu_config.Unbound -> Fields.set layout word (f ("src_" ^ port_name)) Fields.src_unbound
-        | Fu_config.From_switch -> Fields.set layout word (f ("src_" ^ port_name)) Fields.src_switch
-        | Fu_config.From_chain -> Fields.set layout word (f ("src_" ^ port_name)) Fields.src_chain
+      let f = layout.Fields.units.(Resource.fu_global_index p u.Semantic.fu) in
+      set f.Fields.op (Opcode.to_code u.Semantic.op);
+      let encode_binding ~src ~fb ~port_code = function
+        | Fu_config.Unbound -> set src Fields.src_unbound
+        | Fu_config.From_switch -> set src Fields.src_switch
+        | Fu_config.From_chain -> set src Fields.src_chain
         | Fu_config.From_constant c ->
-            Fields.set layout word (f ("src_" ^ port_name)) Fields.src_const;
-            let port_code = if port_name = "a" then Fields.const_a else Fields.const_b in
-            let existing = Fields.get layout word (f "const_port") in
-            if existing <> Fields.const_none then
+            set src Fields.src_const;
+            if get f.Fields.const_port <> Fields.const_none then
               err
                 "unit %s binds constants on both operands; the register file exposes \
                  one inline constant per instruction"
                 (Resource.fu_to_string u.Semantic.fu)
             else begin
-              Fields.set layout word (f "const_port") port_code;
-              Fields.set_float layout word (f "const_val") c
+              set f.Fields.const_port port_code;
+              Fields.write_float word f.Fields.const_val c
             end
         | Fu_config.From_feedback n ->
-            Fields.set layout word (f ("src_" ^ port_name)) Fields.src_feedback;
+            set src Fields.src_feedback;
             if n > p.rf_max_delay then
               err "feedback depth %d on %s exceeds the encodable maximum %d" n
                 (Resource.fu_to_string u.Semantic.fu)
                 p.rf_max_delay
-            else Fields.set layout word (f ("fb_" ^ port_name)) n
+            else set fb n
       in
-      encode_binding "a" u.Semantic.a;
-      encode_binding "b" u.Semantic.b;
+      encode_binding ~src:f.Fields.src_a ~fb:f.Fields.fb_a ~port_code:Fields.const_a
+        u.Semantic.a;
+      encode_binding ~src:f.Fields.src_b ~fb:f.Fields.fb_b ~port_code:Fields.const_b
+        u.Semantic.b;
       if u.Semantic.delay_a > p.rf_max_delay || u.Semantic.delay_b > p.rf_max_delay then
         err "alignment delay on %s exceeds the encodable maximum %d"
           (Resource.fu_to_string u.Semantic.fu)
           p.rf_max_delay
       else begin
-        Fields.set layout word (f "delay_a") u.Semantic.delay_a;
-        Fields.set layout word (f "delay_b") u.Semantic.delay_b
+        set f.Fields.delay_a u.Semantic.delay_a;
+        set f.Fields.delay_b u.Semantic.delay_b
       end)
     sem.Semantic.units;
   (* switch section *)
   List.iter
     (fun (r : Switch.route) ->
-      Fields.set layout word
-        ("snk." ^ Resource.sink_to_string r.Switch.snk)
-        (Resource.source_code p r.Switch.src))
+      set (Fields.sink_field layout r.Switch.snk) (Resource.source_code p r.Switch.src))
     sem.Semantic.routes;
   (* DMA section *)
   List.iter
@@ -102,27 +98,26 @@ let encode (layout : Fields.t) (sem : Semantic.t) : (instruction, string) result
           err "stream on %s is not bound to a DMA engine"
             (Dma.channel_to_string t.Dma.channel)
       | Some slot ->
-          let slots, tag =
+          let engines, tag =
             match t.Dma.channel with
-            | Dma.Plane pl -> (p.plane_dma_slots, Printf.sprintf "plane%d" pl)
-            | Dma.Cache_chan c -> (p.cache_dma_slots, Printf.sprintf "cache%d" c)
+            | Dma.Plane pl -> (layout.Fields.plane_dma.(pl), "plane" ^ string_of_int pl)
+            | Dma.Cache_chan c -> (layout.Fields.cache_dma.(c), "cache" ^ string_of_int c)
           in
-          if slot >= slots then
+          if slot >= Array.length engines then
             err "channel %s needs engine %d but has only %d"
               (Dma.channel_to_string t.Dma.channel)
-              slot slots
+              slot (Array.length engines)
           else begin
-            let f name = Printf.sprintf "dma.%s.e%d.%s" tag slot name in
-            if Fields.get layout word (f "active") = 1 then
+            let e = engines.(slot) in
+            if get e.Fields.active = 1 then
               err "two transfers programme DMA engine %s.e%d in one instruction" tag slot
             else begin
-              Fields.set layout word (f "active") 1;
-              Fields.set layout word (f "dir")
-                (match t.Dma.direction with Dma.Read -> 0 | Dma.Write -> 1);
+              set e.Fields.active 1;
+              set e.Fields.dir (match t.Dma.direction with Dma.Read -> 0 | Dma.Write -> 1);
               try
-                Fields.set layout word (f "base") t.Dma.base;
-                Fields.set_signed layout word (f "stride") t.Dma.stride;
-                Fields.set layout word (f "count")
+                set e.Fields.base t.Dma.base;
+                Fields.write_signed word e.Fields.stride t.Dma.stride;
+                set e.Fields.count
                   (if t.Dma.count = 0 then sem.Semantic.vector_length else t.Dma.count)
               with Invalid_argument m -> err "DMA engine %s.e%d: %s" tag slot m
             end
@@ -131,14 +126,14 @@ let encode (layout : Fields.t) (sem : Semantic.t) : (instruction, string) result
   (* shift/delay section *)
   List.iter
     (fun (s : Semantic.sd_program) ->
-      let f name = Printf.sprintf "sd%d.%s" s.Semantic.sd name in
+      let f = layout.Fields.sds.(s.Semantic.sd) in
       match s.Semantic.mode with
       | Shift_delay.Delay d ->
-          Fields.set layout word (f "mode") Fields.sd_delay;
-          Fields.set_signed layout word (f "amount") d
+          set f.Fields.mode Fields.sd_delay;
+          Fields.write_signed word f.Fields.amount d
       | Shift_delay.Shift o ->
-          Fields.set layout word (f "mode") Fields.sd_shift;
-          Fields.set_signed layout word (f "amount") o)
+          set f.Fields.mode Fields.sd_shift;
+          Fields.write_signed word f.Fields.amount o)
     sem.Semantic.sds;
   match List.rev !errors with
   | [] -> Ok { index = sem.Semantic.index; word }

@@ -21,11 +21,46 @@
    documentation lives on the items in the .ml file. *)
 
 type field = { name : string; offset : int; width : int; }
+
+(** The layout resolved into one typed table per section, built in the
+    same pass as the named fields: the encoder and decoder index these
+    directly, with no name formatting or hashing per instruction. *)
+type header = { magic : field; index : field; vlen : field; }
+type unit_fields = {
+  fu : Nsc_arch.Resource.fu_id;
+  op : field;
+  src_a : field;
+  src_b : field;
+  delay_a : field;
+  delay_b : field;
+  fb_a : field;
+  fb_b : field;
+  const_port : field;
+  const_val : field;
+}
+type dma_fields = {
+  channel : Nsc_arch.Dma.channel;
+  slot : int;
+  active : field;
+  dir : field;
+  base : field;
+  stride : field;
+  count : field;
+}
+type sd_fields = { mode : field; amount : field; }
 type t = {
   params : Nsc_arch.Params.t;
   total_bits : int;
-  fields : field list;
+  fields : field list;  (** in layout order *)
   by_name : (string, field) Hashtbl.t;
+  header : header;
+  bypass : field array;  (** by ALS id *)
+  units : unit_fields array;  (** by global unit index *)
+  sinks : (Nsc_arch.Resource.sink * field) array;
+      (** in {!Nsc_arch.Knowledge.all_sinks} order *)
+  plane_dma : dma_fields array array;  (** by plane, then engine slot *)
+  cache_dma : dma_fields array array;  (** by cache, then engine slot *)
+  sds : sd_fields array;  (** by shift/delay unit *)
 }
 val src_unbound : int
 val src_switch : int
@@ -45,6 +80,9 @@ val bits_for : int -> int
     hundreds of field instances of ~30 kinds, derived entirely from the
     parameters. *)
 val make : Nsc_arch.Params.t -> t
+(** The selector field of a switch sink; raises [Invalid_argument] for a
+    sink the machine does not have. *)
+val sink_field : t -> Nsc_arch.Resource.sink -> field
 val find : t -> string -> field
 val mem : t -> string -> bool
 (** Number of field instances in the layout. *)
@@ -52,6 +90,14 @@ val field_count : t -> int
 (** Number of distinct field kinds (names with indices stripped) — the
     paper's "dozens of separate fields". *)
 val kind_count : t -> int
+(** Field access through a resolved table entry. *)
+val read : Word.t -> field -> int
+val write : Word.t -> field -> int -> unit
+val read_signed : Word.t -> field -> int
+val write_signed : Word.t -> field -> int -> unit
+val read_float : Word.t -> field -> float
+val write_float : Word.t -> field -> float -> unit
+(** Field access by name, for listings, disassembly and tests. *)
 val get : t -> Word.t -> string -> int
 val set : t -> Word.t -> string -> int -> unit
 val get_signed : t -> Word.t -> string -> int

@@ -27,35 +27,76 @@ let set_bit t i v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set t.bytes (i lsr 3) (Char.chr byte)
 
+(* Fields of up to [small] bits are read and written as one native int:
+   the bytes spanning the field (at most 7, since the field may start 7
+   bits into its first byte) are gathered little-endian, shifted and
+   masked.  Wider fields go through two halves of at most 32 bits. *)
+let small = 48
+
+let check name t ~offset ~width =
+  if width < 1 || width > 64 then invalid_arg (name ^ ": width");
+  if offset < 0 || offset + width > t.bits then invalid_arg (name ^ ": range")
+
+let get_small t ~offset ~width =
+  let first = offset lsr 3 in
+  let v = ref 0 in
+  for b = (offset + width - 1) lsr 3 downto first do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get t.bytes b)
+  done;
+  (!v lsr (offset land 7)) land ((1 lsl width) - 1)
+
+let set_small t ~offset ~width v =
+  let shift = offset land 7 and first = offset lsr 3 in
+  let mask = ((1 lsl width) - 1) lsl shift and v = v lsl shift in
+  for b = first to (offset + width - 1) lsr 3 do
+    let k = (b - first) * 8 in
+    let m = (mask lsr k) land 0xff in
+    let old = Char.code (Bytes.unsafe_get t.bytes b) in
+    Bytes.unsafe_set t.bytes b
+      (Char.unsafe_chr ((old land lnot m) lor ((v lsr k) land m)))
+  done
+
 (** Read [width] bits starting at [offset] as an unsigned Int64
     (little-endian bit order within the word). *)
 let get t ~offset ~width : int64 =
-  if width < 1 || width > 64 then invalid_arg "Word.get: width";
-  if offset < 0 || offset + width > t.bits then invalid_arg "Word.get: range";
-  let v = ref 0L in
-  for i = width - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int (get_bit t (offset + i)))
-  done;
-  !v
+  check "Word.get" t ~offset ~width;
+  if width <= small then Int64.of_int (get_small t ~offset ~width)
+  else
+    let lo = get_small t ~offset ~width:32 in
+    let hi = get_small t ~offset:(offset + 32) ~width:(width - 32) in
+    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
 (** Write [width] bits of [v] at [offset]; excess high bits of [v] must be
     zero. *)
 let set t ~offset ~width (v : int64) =
-  if width < 1 || width > 64 then invalid_arg "Word.set: width";
-  if offset < 0 || offset + width > t.bits then invalid_arg "Word.set: range";
+  check "Word.set" t ~offset ~width;
   if width < 64 && Int64.shift_right_logical v width <> 0L then
     invalid_arg
       (Printf.sprintf "Word.set: value %Ld does not fit in %d bits" v width);
-  for i = 0 to width - 1 do
-    set_bit t (offset + i)
-      (Int64.logand (Int64.shift_right_logical v i) 1L = 1L)
-  done
+  if width <= small then set_small t ~offset ~width (Int64.to_int v)
+  else begin
+    set_small t ~offset ~width:32 (Int64.to_int (Int64.logand v 0xFFFF_FFFFL));
+    set_small t ~offset:(offset + 32) ~width:(width - 32)
+      (Int64.to_int (Int64.shift_right_logical v 32))
+  end
 
-let get_int t ~offset ~width = Int64.to_int (get t ~offset ~width)
+let get_int t ~offset ~width =
+  if width <= small then begin
+    check "Word.get" t ~offset ~width;
+    get_small t ~offset ~width
+  end
+  else Int64.to_int (get t ~offset ~width)
 
 let set_int t ~offset ~width v =
   if v < 0 then invalid_arg "Word.set_int: negative";
-  set t ~offset ~width (Int64.of_int v)
+  if width <= small then begin
+    check "Word.set" t ~offset ~width;
+    if v lsr width <> 0 then
+      invalid_arg
+        (Printf.sprintf "Word.set: value %d does not fit in %d bits" v width);
+    set_small t ~offset ~width v
+  end
+  else set t ~offset ~width (Int64.of_int v)
 
 (** Signed access with excess-2^(w-1) bias (used for strides/offsets). *)
 let get_signed t ~offset ~width =

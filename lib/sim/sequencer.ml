@@ -45,6 +45,29 @@ let h_reconfig_cycles =
   Metrics.histogram ~name:"hist.reconfig_cycles" ~units:"cycles"
     ~desc:"per-instruction switch reconfiguration latency"
 
+(* The program's instructions by number, decoded once per run from the
+   machine words or taken from the retained semantics; the first word
+   that fails to decode is reported. *)
+let instruction_table ~from_microcode (c : Codegen.compiled) :
+    ((int, Semantic.t) Hashtbl.t, string) result =
+  let table = Hashtbl.create 16 in
+  let rec load = function
+    | [] -> Ok table
+    | (i : Encode.instruction) :: rest -> (
+        match Decode.decode c.Codegen.layout i.Encode.word with
+        | Ok sem ->
+            Hashtbl.replace table i.Encode.index sem;
+            load rest
+        | Error e -> Error (Printf.sprintf "instruction %d: %s" i.Encode.index e))
+  in
+  if from_microcode then load c.Codegen.instructions
+  else begin
+    List.iter
+      (fun (sem : Semantic.t) -> Hashtbl.replace table sem.Semantic.index sem)
+      c.Codegen.semantics;
+    Ok table
+  end
+
 (** Execute a compiled program on [node].
 
     By default the machine words themselves are decoded and executed
@@ -68,25 +91,9 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
     ?(on_instruction = fun (_ : Semantic.t) (_ : Engine.result) -> ())
     (c : Codegen.compiled) : (outcome, string) result =
   let p = node.Node.params in
-  (* instruction table, decoded once *)
-  let table : (int, Semantic.t) Hashtbl.t = Hashtbl.create 16 in
-  let load_error = ref None in
-  (if from_microcode then
-     List.iter
-       (fun (i : Encode.instruction) ->
-         match Decode.decode c.Codegen.layout i.Encode.word with
-         | Ok sem -> Hashtbl.replace table i.Encode.index sem
-         | Error e ->
-             if !load_error = None then
-               load_error := Some (Printf.sprintf "instruction %d: %s" i.Encode.index e))
-       c.Codegen.instructions
-   else
-     List.iter
-       (fun (sem : Semantic.t) -> Hashtbl.replace table sem.Semantic.index sem)
-       c.Codegen.semantics);
-  match !load_error with
-  | Some e -> Error e
-  | None ->
+  match instruction_table ~from_microcode c with
+  | Error e -> Error e
+  | Ok table ->
       let cycles = ref 0 and flops = ref 0 and writes = ref 0 in
       let executed = ref 0 in
       let events = ref [] and n_events = ref 0 in
@@ -238,25 +245,9 @@ let run_batch (nodes : Node.t array) ?(from_microcode = true)
   if krep = 0 then Ok [||]
   else begin
     let p = nodes.(0).Node.params in
-    let table : (int, Semantic.t) Hashtbl.t = Hashtbl.create 16 in
-    let load_error = ref None in
-    (if from_microcode then
-       List.iter
-         (fun (i : Encode.instruction) ->
-           match Decode.decode c.Codegen.layout i.Encode.word with
-           | Ok sem -> Hashtbl.replace table i.Encode.index sem
-           | Error e ->
-               if !load_error = None then
-                 load_error :=
-                   Some (Printf.sprintf "instruction %d: %s" i.Encode.index e))
-         c.Codegen.instructions
-     else
-       List.iter
-         (fun (sem : Semantic.t) -> Hashtbl.replace table sem.Semantic.index sem)
-         c.Codegen.semantics);
-    match !load_error with
-    | Some e -> Error e
-    | None ->
+    match instruction_table ~from_microcode c with
+    | Error e -> Error e
+    | Ok table ->
         let cycles = Array.make krep 0
         and flops = Array.make krep 0
         and writes = Array.make krep 0

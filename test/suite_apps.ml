@@ -390,3 +390,41 @@ let overlap_tests =
   ]
 
 let suite = suite @ [ ("apps:overlap", overlap_tests) ]
+
+(* appended: the convergent hypercube solve, pinned, and its machine-step
+   accounting *)
+let hypercube_solve_tests =
+  [
+    case "the n=9 8-node solve converges in 216 iterations, bit-exactly" (fun () ->
+        match Parallel.solve params ~n:9 ~tol:1e-6 ~max_iters:1000 ~dim:3 with
+        | Error e -> Alcotest.fail e
+        | Ok o ->
+            check_int "iterations" 216 o.Parallel.iterations;
+            check_bool
+              (Printf.sprintf "residual %.17g" o.Parallel.final_residual)
+              true
+              (Int64.bits_of_float o.Parallel.final_residual
+              = Int64.bits_of_float 9.81777504405201284e-07));
+    case "every solve iteration is booked as one machine step" (fun () ->
+        let module Metrics = Nsc_metrics.Metrics in
+        let ctx = Metrics.create ~label:"solve" () in
+        Metrics.enable ctx;
+        let value name =
+          Metrics.value ctx (Option.get (Metrics.find_counter name))
+        in
+        let o =
+          Metrics.with_ctx ctx (fun () ->
+              Result.get_ok
+                (Parallel.solve params ~n:5 ~tol:1e-4 ~max_iters:500 ~dim:2))
+        in
+        (* the setup step, then one step and one exchange per iteration *)
+        check_int "steps" (o.Parallel.iterations + 1) (value "machine.steps");
+        check_int "exchanges" o.Parallel.iterations (value "machine.exchanges");
+        let plain =
+          Result.get_ok (Parallel.solve params ~n:5 ~tol:1e-4 ~max_iters:500 ~dim:2)
+        in
+        check_float "cycles unchanged" plain.Parallel.point.Parallel.cycles_per_iter
+          o.Parallel.point.Parallel.cycles_per_iter);
+  ]
+
+let suite = suite @ [ ("apps:hypercube-solve", hypercube_solve_tests) ]

@@ -46,6 +46,72 @@ let word_tests =
         Word.get_int w ~offset ~width = v);
   ]
 
+(* The bit-by-bit reference read the byte-wise field access is checked
+   against. *)
+let reference_get w ~offset ~width =
+  let v = ref 0L in
+  for i = width - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int (Word.get_bit w (offset + i)))
+  done;
+  !v
+
+(* A word of 8·nbytes + r bits (never a whole number of bytes, at least
+   65 bits) with contents [fill], a field of [width] bits at any offset
+   that fits, and a value [v] to write. *)
+let word_case_gen =
+  QCheck2.Gen.(
+    let* nbytes = int_range 8 40 in
+    let* r = int_range 1 7 in
+    let bits = (8 * nbytes) + r in
+    let* width = int_range 1 64 in
+    let* offset = int_range 0 (bits - width) in
+    let* fill = string_size ~gen:char (return (nbytes + 1)) in
+    let* v = int64 in
+    return (bits, width, offset, fill, v))
+
+let word_of_fill bits fill =
+  let w = Word.create bits in
+  for i = 0 to bits - 1 do
+    Word.set_bit w i ((Char.code fill.[i lsr 3] lsr (i land 7)) land 1 = 1)
+  done;
+  w
+
+let word_access_tests =
+  [
+    qcheck ~count:1000 "field reads equal a bit-by-bit reference" word_case_gen
+      (fun (bits, width, offset, fill, _) ->
+        let w = word_of_fill bits fill in
+        let expect = reference_get w ~offset ~width in
+        Word.get w ~offset ~width = expect
+        && Word.get_int w ~offset ~width = Int64.to_int expect
+        && Word.get_signed w ~offset ~width
+           = Int64.to_int expect - (1 lsl (width - 1))
+        && (width <> 64
+           || Int64.bits_of_float (Word.get_float w ~offset) = expect));
+    qcheck ~count:1000 "field writes change exactly the field's bits" word_case_gen
+      (fun (bits, width, offset, fill, v) ->
+        let w = word_of_fill bits fill in
+        let v =
+          if width = 64 then v
+          else Int64.logand v (Int64.pred (Int64.shift_left 1L width))
+        in
+        Word.set w ~offset ~width v;
+        let before = word_of_fill bits fill in
+        let inside i = i >= offset && i < offset + width in
+        reference_get w ~offset ~width = v
+        && List.for_all
+             (fun i -> inside i || Word.get_bit w i = Word.get_bit before i)
+             (List.init bits Fun.id));
+    case "access outside the word is refused" (fun () ->
+        let w = Word.create 70 in
+        Alcotest.check_raises "range" (Invalid_argument "Word.get: range") (fun () ->
+            ignore (Word.get_int w ~offset:60 ~width:11));
+        Alcotest.check_raises "width" (Invalid_argument "Word.get: width") (fun () ->
+            ignore (Word.get w ~offset:0 ~width:65));
+        Alcotest.check_raises "set range" (Invalid_argument "Word.set: range") (fun () ->
+            Word.set_int w ~offset:64 ~width:7 1));
+  ]
+
 let fields_tests =
   [
     case "the instruction is a few thousand bits in hundreds of fields" (fun () ->
@@ -180,9 +246,195 @@ let codegen_tests =
           > String.length (Listing.compiled_to_string c)));
   ]
 
+(* A word of [layout] that decodes cleanly, with one field then
+   overwritten by name. *)
+let corrupted layout name v =
+  let prog, _ = vecadd_program () in
+  let sem, _ = semantic_of_program prog 1 in
+  let instr = Result.get_ok (Encode.encode layout sem) in
+  Fields.set layout instr.Encode.word name v;
+  instr.Encode.word
+
+let check_decode_error ?(layout = layout) msg word =
+  match Decode.decode layout word with
+  | Error e -> check_string "message" msg e
+  | Ok _ -> Alcotest.fail "decoded a word with an undefined code"
+
+let decode_error_tests =
+  [
+    case "a word without the magic number is refused" (fun () ->
+        check_decode_error "bad magic number: not an NSC microinstruction"
+          (Fields.fresh_word layout));
+    case "an undefined opcode is refused" (fun () ->
+        let code =
+          List.find (fun c -> Opcode.of_code c = None) (List.init 63 (fun c -> c + 1))
+        in
+        check_decode_error
+          (Printf.sprintf "unit 5: undefined opcode %d" code)
+          (corrupted layout "fu5.op" code));
+    case "an undefined bypass code is refused" (fun () ->
+        check_decode_error "ALS3: undefined bypass code 3"
+          (corrupted layout "als3.bypass" 3));
+    case "an undefined switch source is refused" (fun () ->
+        (* one plane and no caches leave the selector codes to spare *)
+        let p = { params with Params.n_memory_planes = 1; n_caches = 0 } in
+        let layout = Fields.make p in
+        let snk, f = layout.Fields.sinks.(0) in
+        let code =
+          List.find
+            (fun c -> Resource.source_of_code p c = None)
+            (List.init ((1 lsl f.Fields.width) - 1) (fun c -> c + 1))
+        in
+        let w = Fields.fresh_word layout in
+        Fields.set layout w "hdr.magic" Encode.magic;
+        Fields.set layout w f.Fields.name code;
+        check_decode_error ~layout
+          (Printf.sprintf "sink %s: undefined source code %d" (Resource.sink_to_string snk) code)
+          w);
+    case "an undefined shift/delay mode is refused" (fun () ->
+        check_decode_error "sd1: undefined mode 3" (corrupted layout "sd1.mode" 3));
+    case "the sequencer names the instruction that fails to decode" (fun () ->
+        let prog, _ = vecadd_program () in
+        let c = Result.get_ok (Codegen.compile kb prog) in
+        let bad = { (List.hd c.Codegen.instructions) with Encode.word = Fields.fresh_word layout } in
+        match
+          Nsc_sim.Sequencer.run (Nsc_sim.Node.create params)
+            { c with Codegen.instructions = [ bad ] }
+        with
+        | Error e ->
+            check_string "message" "instruction 1: bad magic number: not an NSC microinstruction" e
+        | Ok _ -> Alcotest.fail "ran an undecodable word");
+  ]
+
+(* One instruction touching every section of the subset machine: a
+   doublet with a constant and a feedback operand, an explicit bypass,
+   plane and cache streams on non-zero engines, and a shift/delay. *)
+let subset_semantic : Semantic.t =
+  let head = { Resource.als = 8; slot = 0 } and tail = { Resource.als = 8; slot = 1 } in
+  {
+    Semantic.index = 7;
+    label = "";
+    vector_length = 40;
+    bypasses = [ (8, Als.No_bypass); (9, Als.Keep_tail) ];
+    units =
+      [
+        { Semantic.fu = head; op = Opcode.Fmul; a = Fu_config.From_switch;
+          b = Fu_config.From_constant 0.25; delay_a = 3; delay_b = 0 };
+        { Semantic.fu = tail; op = Opcode.Fadd; a = Fu_config.From_chain;
+          b = Fu_config.From_feedback 2; delay_a = 0; delay_b = 1 };
+      ];
+    sds = [ { Semantic.sd = 1; mode = Shift_delay.Delay (-4) } ];
+    routes =
+      [
+        { Switch.src = Resource.Src_memory (5, 1); snk = Resource.Snk_fu (head, Resource.A) };
+        { Switch.src = Resource.Src_fu tail; snk = Resource.Snk_cache (6, 1) };
+        { Switch.src = Resource.Src_fu tail; snk = Resource.Snk_shift_delay 1 };
+      ];
+    streams =
+      [
+        { Semantic.transfer =
+            { Dma.channel = Dma.Plane 5; direction = Dma.Read; base = 100; stride = -3; count = 0 };
+          engine = `Read (Resource.Src_memory (5, 1)) };
+        { Semantic.transfer =
+            { Dma.channel = Dma.Cache_chan 6; direction = Dma.Write; base = 7; stride = 1; count = 40 };
+          engine = `Write (Resource.Snk_cache (6, 1)) };
+      ];
+  }
+
+let layout_tests =
+  [
+    case "every section round-trips on the subset machine's layout" (fun () ->
+        let small = Fields.make Params.subset_model in
+        match Encode.encode small subset_semantic with
+        | Error e -> Alcotest.fail ("encode: " ^ e)
+        | Ok instr -> (
+            match Decode.decode small instr.Encode.word with
+            | Error e -> Alcotest.fail ("decode: " ^ e)
+            | Ok sem ->
+                check_bool "round trip" true
+                  (Semantic.equal (Encode.normalize subset_semantic) sem)));
+    case "programs compiled for the subset machine round-trip" (fun () ->
+        let kb' = Knowledge.subset in
+        match
+          Nsc_lang.Compile.compile kb'
+            "array a[16] plane 0\narray b[16] plane 1\narray c[16] plane 2\n\
+             b = (a[-1] + a[+1]) * 0.5\nc = abs(b - a) + 2.0"
+        with
+        | Error e -> Alcotest.fail e.Nsc_lang.Compile.message
+        | Ok lc ->
+            let c = Result.get_ok (Codegen.compile kb' lc.Nsc_lang.Compile.program) in
+            check_bool "subset layout" true
+              (c.Codegen.layout.Fields.total_bits < layout.Fields.total_bits);
+            List.iter2
+              (fun (i : Encode.instruction) sem ->
+                match Decode.decode c.Codegen.layout i.Encode.word with
+                | Ok sem' ->
+                    check_bool "round trip" true (Semantic.equal (Encode.normalize sem) sem')
+                | Error e -> Alcotest.fail e)
+              c.Codegen.instructions c.Codegen.semantics);
+    case "the section tables hold every named field once, in layout order" (fun () ->
+        let l = layout in
+        let u = l.Fields.units.(3) in
+        let tabled =
+          [ l.Fields.header.Fields.magic; l.Fields.header.Fields.index; l.Fields.header.Fields.vlen ]
+          @ Array.to_list l.Fields.bypass
+          @ List.concat_map
+              (fun (u : Fields.unit_fields) ->
+                Fields.[ u.op; u.src_a; u.src_b; u.delay_a; u.delay_b; u.fb_a; u.fb_b;
+                         u.const_port; u.const_val ])
+              (Array.to_list l.Fields.units)
+          @ List.map snd (Array.to_list l.Fields.sinks)
+          @ List.concat_map
+              (fun engines ->
+                List.concat_map
+                  (fun (e : Fields.dma_fields) ->
+                    Fields.[ e.active; e.dir; e.base; e.stride; e.count ])
+                  (Array.to_list engines))
+              (Array.to_list l.Fields.plane_dma @ Array.to_list l.Fields.cache_dma)
+          @ List.concat_map
+              (fun (sd : Fields.sd_fields) -> Fields.[ sd.mode; sd.amount ])
+              (Array.to_list l.Fields.sds)
+        in
+        check_bool "same fields" true (tabled = l.Fields.fields);
+        check_string "unit 3 op" "fu3.op" u.Fields.op.Fields.name;
+        check_bool "unit 3 id" true
+          (Resource.equal_fu_id u.Fields.fu (Resource.fu_of_global_index params 3));
+        Array.iter
+          (fun (snk, f) -> check_bool "sink lookup" true (Fields.sink_field l snk == f))
+          l.Fields.sinks;
+        Alcotest.check_raises "unknown sink"
+          (Invalid_argument "Fields.sink_field: no sink mem0.e9") (fun () ->
+            ignore (Fields.sink_field l (Resource.Snk_memory (0, 9)))));
+    case "decoding the n=9 Jacobi program allocates under 4k words per instruction"
+      (fun () ->
+        let b = Nsc_apps.Jacobi.build kb (Nsc_apps.Grid.cube 9) ~tol:1e-6 ~max_iters:1000 in
+        let c = Result.get_ok (Codegen.compile kb b.Nsc_apps.Jacobi.program) in
+        let decode_all () =
+          List.iter
+            (fun (i : Encode.instruction) ->
+              ignore (Result.get_ok (Decode.decode c.Codegen.layout i.Encode.word)))
+            c.Codegen.instructions
+        in
+        decode_all ();
+        let reps = 10 in
+        let before = Gc.minor_words () in
+        for _ = 1 to reps do
+          decode_all ()
+        done;
+        let per_instruction =
+          (Gc.minor_words () -. before)
+          /. float_of_int (reps * List.length c.Codegen.instructions)
+        in
+        if per_instruction > 4000.0 then
+          Alcotest.failf "decode allocated %.0f words per instruction" per_instruction);
+  ]
+
 let suite =
   [
     ("microcode:word", word_tests);
+    ("microcode:word-access", word_access_tests);
+    ("microcode:decode-errors", decode_error_tests);
+    ("microcode:layout", layout_tests);
     ("microcode:fields", fields_tests);
     ("microcode:roundtrip", encode_tests);
     ("microcode:codegen", codegen_tests);
