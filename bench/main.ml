@@ -41,23 +41,14 @@ let record_mflops name mflops = mflops_results := (name, mflops) :: !mflops_resu
    actually pays — rather than one cold compile. *)
 let timing_reps = 5
 
-type engine_perf = {
-  legacy_seconds : float;
-  plan_seconds : float;
-  perf_sweeps : int;
-  perf_final_change : float;
-  perf_plan_compiles : int;
-  perf_plan_cache_hits : int;
-}
-
-let engine_perf_result : engine_perf option ref = ref None
-
 type kernel_perf = {
   kernel_seconds : float;
-  kernel_v2_seconds : float;
-  kernel_plan_seconds : float;
+  reference_seconds : float;
+  faulted_reference_seconds : float;
   kernel_sweeps : int;
   kernel_final_change : float;
+  faulted_sweeps : int;
+  faulted_final_change : float;
   kernel_compiles : int;
   kernel_cache_hits : int;
   kernel_pool_hits : int;
@@ -67,22 +58,6 @@ type kernel_perf = {
 }
 
 let kernel_perf_result : kernel_perf option ref = ref None
-
-type throughput_perf = {
-  tp_batch : int;  (** replica count K *)
-  tp_domains : int;
-  tp_batch_seconds : float;
-  tp_problems_per_sec : float;
-  tp_single_seconds : float;  (** K independent [solve] calls *)
-  tp_batch_runs : int;
-  tp_batch_replicas : int;
-  tp_batch_fallbacks : int;
-  tp_pool_hits : int;
-  tp_pool_misses : int;
-  tp_residual_match : bool;
-}
-
-let throughput_perf_result : throughput_perf option ref = ref None
 
 type trace_perf = {
   trace_disabled_seconds : float;
@@ -191,55 +166,26 @@ let write_bench_json path =
         (if i = List.length exps - 1 then "" else ","))
     exps;
   out "  ]";
-  (match !engine_perf_result with
-  | None -> ()
-  | Some p ->
-      out ",\n  \"jacobi_n9\": {\n";
-      out "    \"timing_reps\": %d,\n" timing_reps;
-      out "    \"legacy_seconds\": %.4f,\n" p.legacy_seconds;
-      out "    \"plan_seconds\": %.4f,\n" p.plan_seconds;
-      out "    \"speedup\": %.2f,\n" (p.legacy_seconds /. p.plan_seconds);
-      out "    \"sweeps\": %d,\n" p.perf_sweeps;
-      out "    \"final_change\": %.17e,\n" p.perf_final_change;
-      out "    \"plan_compiles\": %d,\n" p.perf_plan_compiles;
-      out "    \"plan_cache_hits\": %d\n" p.perf_plan_cache_hits;
-      out "  }");
   (match !kernel_perf_result with
   | None -> ()
   | Some k ->
       out ",\n  \"kernel\": {\n";
       out "    \"timing_reps\": %d,\n" timing_reps;
       out "    \"kernel_seconds\": %.4f,\n" k.kernel_seconds;
-      out "    \"v2_seconds\": %.4f,\n" k.kernel_v2_seconds;
-      out "    \"plan_seconds\": %.4f,\n" k.kernel_plan_seconds;
-      out "    \"speedup\": %.2f,\n" (k.kernel_plan_seconds /. k.kernel_seconds);
-      out "    \"speedup_vs_v2\": %.2f,\n" (k.kernel_v2_seconds /. k.kernel_seconds);
+      out "    \"reference_seconds\": %.4f,\n" k.reference_seconds;
+      out "    \"faulted_reference_seconds\": %.4f,\n" k.faulted_reference_seconds;
+      out "    \"speedup_vs_reference\": %.1f,\n"
+        (k.reference_seconds /. k.kernel_seconds);
       out "    \"sweeps\": %d,\n" k.kernel_sweeps;
       out "    \"final_change\": %.17e,\n" k.kernel_final_change;
+      out "    \"faulted_sweeps\": %d,\n" k.faulted_sweeps;
+      out "    \"faulted_final_change\": %.17e,\n" k.faulted_final_change;
       out "    \"kernel_compiles\": %d,\n" k.kernel_compiles;
       out "    \"kernel_cache_hits\": %d,\n" k.kernel_cache_hits;
       out "    \"pool_hits\": %d,\n" k.kernel_pool_hits;
       out "    \"pool_misses\": %d,\n" k.kernel_pool_misses;
       out "    \"residual_match\": %b,\n" k.kernel_residual_match;
       out "    \"faulted_residual_match\": %b\n" k.kernel_faulted_match;
-      out "  }");
-  (match !throughput_perf_result with
-  | None -> ()
-  | Some t ->
-      out ",\n  \"throughput\": {\n";
-      out "    \"batch\": %d,\n" t.tp_batch;
-      out "    \"domains\": %d,\n" t.tp_domains;
-      out "    \"batch_seconds\": %.4f,\n" t.tp_batch_seconds;
-      out "    \"problems_per_sec\": %.2f,\n" t.tp_problems_per_sec;
-      out "    \"single_seconds\": %.4f,\n" t.tp_single_seconds;
-      out "    \"speedup_vs_sequential\": %.2f,\n"
-        (t.tp_single_seconds /. t.tp_batch_seconds);
-      out "    \"batch_runs\": %d,\n" t.tp_batch_runs;
-      out "    \"batch_replicas\": %d,\n" t.tp_batch_replicas;
-      out "    \"batch_fallbacks\": %d,\n" t.tp_batch_fallbacks;
-      out "    \"pool_hits\": %d,\n" t.tp_pool_hits;
-      out "    \"pool_misses\": %d,\n" t.tp_pool_misses;
-      out "    \"residual_match\": %b\n" t.tp_residual_match;
       out "  }");
   (match !trace_perf_result with
   | None -> ()
@@ -1024,8 +970,7 @@ let a2_sor () =
 (* ------------------------------------------------------------------ *)
 
 let perf_engine () =
-  section "PERF"
-    "simulator host time: v3 kernels vs. v2 kernels vs. plans vs. legacy dispatch";
+  section "PERF" "simulator host time: the fused kernel vs. the reference evaluator";
   let prob = Poisson.manufactured 9 in
   let tol = 1e-6 and max_iters = 4000 in
   let b = Jacobi.build kb prob.Poisson.grid ~tol ~max_iters in
@@ -1041,7 +986,8 @@ let perf_engine () =
     Option.value ~default:Float.nan
       (List.assoc_opt b.Jacobi.residual_unit o.Sequencer.last_values)
   in
-  let run_once ~engine ~plan_cache ~kernel_cache () =
+  let run_once ?(plan_cache = Plan.make_cache ())
+      ?(kernel_cache = Kernel.make_cache ()) engine =
     let node = Node.create params in
     Jacobi.load node b prob;
     let t0 = Unix.gettimeofday () in
@@ -1049,48 +995,41 @@ let perf_engine () =
     | Error e -> failwith ("PERF: " ^ e)
     | Ok o -> (Unix.gettimeofday () -. t0, o)
   in
-  (* warm-up pays every plan/kernel compile into the shared caches, then
-     best-of-[timing_reps] with a fresh node reloaded outside each timed
-     window: the repetitions measure execution, not compilation *)
-  let time_engine engine =
-    let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
-    let _, warm = run_once ~engine ~plan_cache ~kernel_cache () in
-    let best = ref infinity in
-    for _ = 1 to timing_reps do
-      let dt, o = run_once ~engine ~plan_cache ~kernel_cache () in
-      if sweeps_of o <> sweeps_of warm || change_of o <> change_of warm then
-        failwith "PERF: a timing repetition diverged from its warm-up run";
-      if dt < !best then best := dt
-    done;
-    (!best, warm)
-  in
-  let legacy_seconds, legacy_o = time_engine `Legacy in
-  Stats.reset_plan_counters ();
-  let plan_seconds, plan_o = time_engine `Plan in
-  let compiles = Stats.plan_compiles () and hits = Stats.plan_cache_hits () in
-  let v2_seconds, v2_o = time_engine `Kernel_v2 in
+  (* the kernel: the warm-up pays every plan/kernel compile into shared
+     caches, then best-of-[timing_reps] with a fresh node reloaded outside
+     each timed window, so the repetitions measure execution and must not
+     allocate a single pool buffer *)
   Stats.reset_kernel_counters ();
-  let kernel_seconds, kernel_o = time_engine `Kernel in
+  let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
+  let _, kernel_o = run_once ~plan_cache ~kernel_cache `Kernel in
+  let hits0 = Stats.kernel_pool_hits () and misses0 = Stats.kernel_pool_misses () in
+  let kernel_seconds = ref infinity in
+  for _ = 1 to timing_reps do
+    let dt, o = run_once ~plan_cache ~kernel_cache `Kernel in
+    if sweeps_of o <> sweeps_of kernel_o || change_of o <> change_of kernel_o then
+      failwith "PERF: a timing repetition diverged from its warm-up run";
+    if dt < !kernel_seconds then kernel_seconds := dt
+  done;
+  let kernel_seconds = !kernel_seconds in
   let kcompiles = Stats.kernel_compiles ()
   and khits = Stats.kernel_cache_hits ()
-  and kpool_hits = Stats.kernel_pool_hits ()
-  and kpool_misses = Stats.kernel_pool_misses () in
+  and kpool_hits = Stats.kernel_pool_hits () - hits0
+  and kpool_misses = Stats.kernel_pool_misses () - misses0 in
+  (* the oracle: one run, a few seconds *)
+  let reference_seconds, reference_o = run_once `Reference in
   (* bit equality on the residual: a faulted run can legitimately end on
      NaN, which [=] would call unequal to itself *)
   let agrees a b =
     sweeps_of a = sweeps_of b
     && Int64.bits_of_float (change_of a) = Int64.bits_of_float (change_of b)
   in
-  if not (agrees legacy_o plan_o) then failwith "PERF: plan and legacy engines disagree";
-  if not (agrees v2_o plan_o) then failwith "PERF: v2 kernel and plan engines disagree";
-  let residual_match = agrees kernel_o plan_o in
-  if not residual_match then failwith "PERF: kernel and plan engines disagree";
-  (* the same four paths must also agree instruction-for-instruction under
-     a seeded fault model: faults draw from one deterministic stream, so a
-     freshly installed same-seed model must yield one bit-identical
-     outcome whichever engine executes it (this exercises the latch
-     materialisation of elided pass-through units too) *)
-  let faulted_outcome engine =
+  let residual_match = agrees kernel_o reference_o in
+  if not residual_match then failwith "PERF: kernel and reference engines disagree";
+  (* the same two paths under a seeded fault model: faults draw from one
+     deterministic stream and both paths corrupt the victim's latch the
+     same way, so a freshly installed same-seed model must yield one
+     bit-identical outcome whichever engine executes it *)
+  let faulted engine =
     let module F = Nsc_fault.Fault in
     let spec =
       match F.parse "fu-fault:p=0.02" with
@@ -1098,158 +1037,53 @@ let perf_engine () =
       | Error e -> failwith ("PERF: " ^ e)
     in
     F.install (F.make ~seed:1234 spec);
-    let node = Node.create params in
-    Jacobi.load node b prob;
-    let r = Sequencer.run node ~engine compiled in
-    F.clear ();
-    match r with Error e -> failwith ("PERF: " ^ e) | Ok o -> o
+    Fun.protect ~finally:F.clear (fun () -> run_once engine)
   in
-  let f_kernel = faulted_outcome `Kernel in
-  let faulted_match =
-    agrees (faulted_outcome `Legacy) f_kernel
-    && agrees (faulted_outcome `Plan) f_kernel
-    && agrees (faulted_outcome `Kernel_v2) f_kernel
-  in
+  let _, f_kernel = faulted `Kernel in
+  let faulted_reference_seconds, f_reference = faulted `Reference in
+  let faulted_match = agrees f_kernel f_reference in
   if not faulted_match then
-    failwith "PERF: engines disagree under a seeded fault model";
-  let kernel_speedup = plan_seconds /. kernel_seconds in
-  let v2_speedup = v2_seconds /. kernel_seconds in
+    failwith "PERF: kernel and reference engines disagree under a seeded fault model";
+  let speedup = reference_seconds /. kernel_seconds in
   row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps, final change %.3e):\n"
-    (sweeps_of plan_o) (change_of plan_o);
-  row "compiled once, caches shared; best of %d runs per engine:\n" timing_reps;
-  row "  legacy per-dispatch engine : %8.3f s host time\n" legacy_seconds;
-  row "  compiled-plan engine       : %8.3f s host time\n" plan_seconds;
-  row "  v2 float-array kernels     : %8.3f s host time\n" v2_seconds;
-  row "  v3 fused-kernel engine     : %8.3f s host time\n" kernel_seconds;
-  row "  plan over legacy           : %8.1fx\n" (legacy_seconds /. plan_seconds);
-  row "  v3 over plan               : %8.1fx\n" kernel_speedup;
-  row "  v3 over v2                 : %8.1fx\n" v2_speedup;
-  row "  plan compiles / cache hits : %d / %d\n" compiles hits;
-  row "  kernel compiles / hits     : %d / %d\n" kcompiles khits;
-  row "  buffer pool hits / misses  : %d / %d\n" kpool_hits kpool_misses;
-  row "  four-path residual match   : clean %b, seeded faults %b\n" residual_match
-    faulted_match;
-  row "shape: three compiles serve the whole solve; the v3 stage gathers each\n";
+    (sweeps_of kernel_o) (change_of kernel_o);
+  row "  fused kernel, caches shared, best of %d : %8.4f s host time\n" timing_reps
+    kernel_seconds;
+  row "  reference evaluator, one run          : %8.3f s host time\n" reference_seconds;
+  row "  reference under seeded FU faults      : %8.3f s host time (%d sweeps)\n"
+    faulted_reference_seconds (sweeps_of f_reference);
+  row "  kernel over reference                 : %8.0fx\n" speedup;
+  row "  kernel compiles / hits                : %d / %d\n" kcompiles khits;
+  row "  buffer pool hits / misses (timed)     : %d / %d\n" kpool_hits kpool_misses;
+  row "  residual bits match                   : clean %b, seeded faults %b\n"
+    residual_match faulted_match;
+  row "shape: three compiles serve the whole solve; the kernel gathers each\n";
   row "stream once, runs opcode-specialised fused loops over pooled buffers\n";
   row "and elides pass-through copies entirely\n";
-  if kernel_speedup < 10.0 then
+  if speedup < 100.0 then
     failwith
-      (Printf.sprintf "PERF: v3 kernels only %.2fx over the plan engine (need >= 10x)"
-         kernel_speedup);
-  if v2_speedup < 2.0 then
-    failwith
-      (Printf.sprintf "PERF: v3 kernels only %.2fx over the v2 backend (need >= 2x)"
-         v2_speedup);
-  engine_perf_result :=
-    Some
-      {
-        legacy_seconds;
-        plan_seconds;
-        perf_sweeps = sweeps_of plan_o;
-        perf_final_change = change_of plan_o;
-        perf_plan_compiles = compiles;
-        perf_plan_cache_hits = hits;
-      };
+      (Printf.sprintf "PERF: the kernel is only %.0fx over the reference (need >= 100x)"
+         speedup);
+  if kcompiles <> 3 then
+    failwith (Printf.sprintf "PERF: %d kernel compiles on the warm solve (expected 3)" kcompiles);
+  if kpool_misses <> 0 then
+    failwith (Printf.sprintf "PERF: %d pool misses on the warm solve" kpool_misses);
   kernel_perf_result :=
     Some
       {
         kernel_seconds;
-        kernel_v2_seconds = v2_seconds;
-        kernel_plan_seconds = plan_seconds;
+        reference_seconds;
+        faulted_reference_seconds;
         kernel_sweeps = sweeps_of kernel_o;
         kernel_final_change = change_of kernel_o;
+        faulted_sweeps = sweeps_of f_kernel;
+        faulted_final_change = change_of f_kernel;
         kernel_compiles = kcompiles;
         kernel_cache_hits = khits;
         kernel_pool_hits = kpool_hits;
         kernel_pool_misses = kpool_misses;
         kernel_residual_match = residual_match;
         kernel_faulted_match = faulted_match;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* THROUGHPUT: batched K-replica execution vs. one-at-a-time solves    *)
-(* ------------------------------------------------------------------ *)
-
-let perf_throughput () =
-  section "THROUGHPUT" "batched K-replica kernels vs. sequential solves";
-  let k = 64 in
-  let prob = Poisson.manufactured 9 in
-  let tol = 1e-6 and max_iters = 4000 in
-  let probs = Array.make k prob in
-  let single =
-    match Jacobi.solve kb prob ~tol ~max_iters with
-    | Error e -> failwith ("THROUGHPUT: " ^ e)
-    | Ok o -> o
-  in
-  (* one domain: batching pays off through shared compiles and interleaved
-     slabs even without parallelism, and this host may be single-core —
-     worker-domain fan-out is covered by the property tests *)
-  let domains = 1 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  (* warm the buffer pool and domain state before either measurement *)
-  ignore (Jacobi.solve_batch kb ~domains probs ~tol ~max_iters);
-  Stats.reset_batch_counters ();
-  Stats.reset_kernel_counters ();
-  let batch_seconds, outcomes =
-    time (fun () ->
-        match Jacobi.solve_batch kb ~domains probs ~tol ~max_iters with
-        | Error e -> failwith ("THROUGHPUT: " ^ e)
-        | Ok os -> os)
-  in
-  let batch_runs = Stats.batch_runs ()
-  and batch_replicas = Stats.batch_replicas ()
-  and batch_fallbacks = Stats.batch_fallbacks ()
-  and pool_hits = Stats.kernel_pool_hits ()
-  and pool_misses = Stats.kernel_pool_misses () in
-  let single_seconds, _ =
-    time (fun () ->
-        Array.iter
-          (fun p ->
-            match Jacobi.solve kb p ~tol ~max_iters with
-            | Error e -> failwith ("THROUGHPUT: " ^ e)
-            | Ok _ -> ())
-          probs)
-  in
-  let residual_match =
-    Array.for_all
-      (fun (o : Jacobi.outcome) ->
-        o.Jacobi.sweeps = single.Jacobi.sweeps
-        && o.Jacobi.final_change = single.Jacobi.final_change)
-      outcomes
-  in
-  if not residual_match then
-    failwith "THROUGHPUT: a batched replica diverged from the single solve";
-  let problems_per_sec = float_of_int k /. batch_seconds in
-  row "K = %d replicas of the n=9 Jacobi solve, %d worker domain(s):\n" k domains;
-  row "  batched (one compile, interleaved slabs): %8.3f s  (%.1f problems/s)\n"
-    batch_seconds problems_per_sec;
-  row "  sequential independent solves           : %8.3f s  (%.1f problems/s)\n"
-    single_seconds
-    (float_of_int k /. single_seconds);
-  row "  batch over sequential                   : %8.2fx\n"
-    (single_seconds /. batch_seconds);
-  row "  batch runs / replicas / fallbacks       : %d / %d / %d\n" batch_runs
-    batch_replicas batch_fallbacks;
-  row "  buffer pool hits / misses               : %d / %d\n" pool_hits pool_misses;
-  row "  replica residuals match the single solve: %b\n" residual_match;
-  throughput_perf_result :=
-    Some
-      {
-        tp_batch = k;
-        tp_domains = domains;
-        tp_batch_seconds = batch_seconds;
-        tp_problems_per_sec = problems_per_sec;
-        tp_single_seconds = single_seconds;
-        tp_batch_runs = batch_runs;
-        tp_batch_replicas = batch_replicas;
-        tp_batch_fallbacks = batch_fallbacks;
-        tp_pool_hits = pool_hits;
-        tp_pool_misses = pool_misses;
-        tp_residual_match = residual_match;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -1976,7 +1810,6 @@ let () =
   a1_reconfig ();
   a2_sor ();
   perf_engine ();
-  perf_throughput ();
   trace_overhead ();
   profile_hotspots ();
   fault_injection ();

@@ -262,19 +262,14 @@ let fault_report () =
 (* -- engine selection --------------------------------------------------- *)
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [ ("kernel", `Kernel); ("kernel-v2", `Kernel_v2); ("plan", `Plan);
-        ("legacy", `Legacy) ]
-  in
+  let engine_conv = Arg.enum [ ("kernel", `Kernel); ("reference", `Reference) ] in
   Arg.(value & opt engine_conv `Kernel
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Simulator path: $(b,kernel) (specialised vector kernels \
-                 over pooled buffers, the default), $(b,kernel-v2) (the \
-                 previous float-array kernel backend), $(b,plan) (the plan \
-                 interpreter) or $(b,legacy) (the per-dispatch seed path).  \
-                 All four are bit-identical wherever the fused body applies \
-                 — the slower paths are kept for benchmarking and \
+                 over pooled buffers, the default) or $(b,reference) (the \
+                 general memoized evaluator, the oracle the kernel is \
+                 checked against).  The two are bit-identical; the \
+                 reference is a few hundred times slower and serves \
                  differential debugging.")
 
 (* -- Domain fan-out ----------------------------------------------------- *)
@@ -345,17 +340,7 @@ let run_cmd =
            ~doc:"Print a memory range after the run.")
   in
   let events = Arg.(value & flag & info [ "events" ] ~doc:"Print the interrupt log.") in
-  let batch_arg =
-    Arg.(value & opt int 1
-         & info [ "batch" ] ~docv:"K"
-             ~doc:"Run $(docv) replicas of the program in lock-step through \
-                   the batched kernel executor: one compiled kernel per \
-                   instruction shared across replicas, over interleaved \
-                   buffer slabs.  Combine with $(b,--domains) to fan clean \
-                   replicas across worker domains.  Replicas are checked \
-                   bit-identical and replica 0 is reported.")
-  in
-  let run subset path loads dumps events trace faults seed domains engine batch =
+  let run subset path loads dumps events trace faults seed domains engine =
     guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
@@ -381,28 +366,11 @@ let run_cmd =
       end
       else domains
     in
-    if batch > 1 && engine <> `Kernel then
-      print_endline "note: --batch always runs the batched kernel executor";
     let node = ref (Nsc_sim.Node.create p) in
-    if batch <= 1 && domains <= 1 then apply_loads !node;
+    if domains <= 1 then apply_loads !node;
     with_trace trace (fun () ->
         let result =
-          if batch > 1 then begin
-            let nodes = Array.init batch (fun _ -> Nsc_sim.Node.create p) in
-            Array.iter apply_loads nodes;
-            node := nodes.(0);
-            match Nsc_sim.Sequencer.run_batch nodes ~domains c with
-            | Error e -> Error e
-            | Ok outs ->
-                let agree = Array.for_all (fun o -> compare outs.(0) o = 0) outs in
-                Printf.printf "batched %d replica(s) across %d domain(s): %s\n"
-                  batch domains
-                  (if faulted then "fault draws interleave across replicas"
-                   else if agree then "replicas bit-identical"
-                   else "REPLICA MISMATCH");
-                Ok outs.(0)
-          end
-          else if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine c
+          if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine c
           else begin
             let n0, r =
               run_replicated p ~domains ~prepare:apply_loads
@@ -449,7 +417,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a program on the simulated node.")
     Term.(const run $ subset_flag $ program_arg $ loads $ dumps $ events $ trace_out
-          $ faults_opt $ fault_seed_arg $ domains_arg $ engine_arg $ batch_arg)
+          $ faults_opt $ fault_seed_arg $ domains_arg $ engine_arg)
 
 (* -- render ------------------------------------------------------------- *)
 
@@ -923,7 +891,7 @@ let serve_cmd =
          & info [ "degraded" ]
              ~doc:"After the retries are exhausted, make one degraded-mode \
                    attempt — a quartered Jacobi sweep budget, or the \
-                   kernel-v2 engine for source jobs — before failing the \
+                   reference engine for source jobs — before failing the \
                    job permanently.")
   in
   let shed_at_arg =

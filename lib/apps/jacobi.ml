@@ -310,10 +310,9 @@ type outcome = {
 }
 
 (** Compile and execute the Jacobi program for [prob] on a fresh node.
-    [engine] selects the simulator path (specialised fused-kernel by
-    default; [`Kernel_v2] the previous float-array kernel, [`Plan] the
-    plan interpreter, [`Legacy] the per-dispatch seed path, all kept for
-    benchmarking — the four are bit-identical). *)
+    [engine] selects the simulator path: the fused kernel by default, or
+    [`Reference] for the general memoized evaluator (the oracle, a few
+    hundred times slower; the two are bit-identical). *)
 let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
     ?kernel_cache ?budget (prob : Poisson.problem) ~tol ~max_iters :
     (outcome, string) result =
@@ -359,65 +358,6 @@ let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
               final_change;
               stats;
             })
-
-(** Compile once and execute the Jacobi program for K problems on K fresh
-    nodes through the lock-step batched sequencer ({!Nsc_sim.Sequencer.run_batch}):
-    one decode pass, one compiled plan and kernel per instruction shared
-    by every replica, clean replicas fanned across [domains] worker
-    domains.  Replicas converge independently — each watches its own
-    residual — so the problems may take different sweep counts.  All
-    problems must share one grid shape (the program is built from
-    [probs.(0)]'s grid); [outcomes.(r)] is bit-identical to [solve] of
-    [probs.(r)] with the default engine. *)
-let solve_batch (kb : Knowledge.t) ?layout ?(domains = 1) ?budget
-    (probs : Poisson.problem array) ~tol ~max_iters :
-    (outcome array, string) result =
-  if Array.length probs = 0 then Ok [||]
-  else begin
-    let grid = probs.(0).Poisson.grid in
-    if Array.exists (fun (p : Poisson.problem) -> p.Poisson.grid <> grid) probs
-    then Error "solve_batch: all problems must share one grid"
-    else
-      let b = build kb ?layout ~strategy:`Refresh grid ~tol ~max_iters in
-      match Nsc_microcode.Codegen.compile kb b.program with
-      | Error ds ->
-          Error
-            (String.concat "; "
-               (List.map Diagnostic.to_string (Diagnostic.errors ds)))
-      | Ok compiled -> (
-          let nodes =
-            Array.map
-              (fun prob ->
-                let node = Nsc_sim.Node.create (Knowledge.params kb) in
-                load node b prob;
-                node)
-              probs
-          in
-          match Nsc_sim.Sequencer.run_batch nodes ~domains ?budget compiled with
-          | Error e -> Error e
-          | Ok outs ->
-              Ok
-                (Array.mapi
-                   (fun r (o : Nsc_sim.Sequencer.outcome) ->
-                     let stats = o.Nsc_sim.Sequencer.stats in
-                     let sweeps =
-                       (stats.Nsc_sim.Sequencer.instructions_executed - 1) / 2
-                     in
-                     let final_change =
-                       List.assoc_opt b.residual_unit
-                         o.Nsc_sim.Sequencer.last_values
-                       |> Option.value ~default:Float.nan
-                     in
-                     {
-                       u =
-                         Nsc_sim.Node.dump_array nodes.(r) ~plane:b.layout.unew
-                           ~base:0 ~len:(Grid.padded_words grid);
-                       sweeps;
-                       final_change;
-                       stats;
-                     })
-                   outs))
-  end
 
 (* --- the fault-tolerant solver ------------------------------------------ *)
 

@@ -89,14 +89,14 @@ type outcome = {
   stats : Nsc_sim.Sequencer.stats;
 }
 (** Compile and execute the program for a problem on a fresh node.
-    [engine] selects the simulator path (fused-kernel by default;
-    [`Plan] stops at the plan interpreter, [`Legacy] is the per-dispatch
-    seed path — both kept for benchmarking, all three bit-identical). *)
+    [engine] selects the simulator path (the fused kernel by default;
+    [`Reference] runs the general memoized evaluator, the oracle — the
+    two are bit-identical). *)
 val solve :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->
   ?strategy:[< `Ping_pong | `Refresh > `Refresh ] ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
+  ?engine:[ `Kernel | `Reference ] ->
   ?plan_cache:Nsc_sim.Plan.cache ->
   ?kernel_cache:Nsc_sim.Kernel.cache ->
   ?budget:Nsc_guard.Guard.Budget.t ->
@@ -107,19 +107,6 @@ val solve :
     solves; fresh per-run caches are used when omitted.  [budget] arms a
     deadline/cancellation token checked at every sweep boundary, which
     unwinds with [Nsc_guard.Guard.Budget.Deadline_exceeded]. *)
-
-(** Compile once, solve K problems on K fresh nodes through the
-    lock-step batched sequencer (one shared plan/kernel per instruction;
-    clean replicas fan across [domains] worker domains).  Replicas
-    converge independently; all problems must share one grid shape.
-    [outcomes.(r)] is bit-identical to {!solve} of [probs.(r)]. *)
-val solve_batch :
-  Nsc_arch.Knowledge.t ->
-  ?layout:layout ->
-  ?domains:int ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  Poisson.problem array ->
-  tol:float -> max_iters:int -> (outcome array, string) result
 
 type ft_outcome = {
   outcome : outcome;

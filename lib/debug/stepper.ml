@@ -32,8 +32,9 @@ type run = {
 
 (** Execute [compiled] with full tracing.  [limit] caps the recorded frames
     (long convergence loops would otherwise hold thousands of traces);
-    [engine] selects the simulator path — all three are bit-identical, so
-    the annotated frames can confirm it on any suspect instruction. *)
+    [engine] selects the simulator path — the fused kernel or the
+    reference evaluator, which are bit-identical, so the annotated frames
+    can confirm it on any suspect instruction. *)
 let run (node : Node.t) ?(limit = 256) ?(engine = `Kernel)
     (compiled : Nsc_microcode.Codegen.compiled) (program : Program.t) :
     (run, string) result =

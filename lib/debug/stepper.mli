@@ -28,11 +28,11 @@ type run = {
 }
 
 (** Execute with full tracing; [limit] caps recorded frames and [engine]
-    selects the simulator path (all three are bit-identical). *)
+    selects the simulator path (the two are bit-identical). *)
 val run :
   Nsc_sim.Node.t ->
   ?limit:int ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
+  ?engine:[ `Kernel | `Reference ] ->
   Nsc_microcode.Codegen.compiled ->
   Nsc_diagram.Program.t -> (run, string) result
 val frame : run -> ordinal:int -> frame option

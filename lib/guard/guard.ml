@@ -211,7 +211,7 @@ let c_retries =
 
 let c_degraded_runs =
   Metrics.counter ~name:"guard.degraded_runs" ~units:"attempts"
-    ~desc:"degraded-mode escalation attempts (reduced budget or kernel-v2)"
+    ~desc:"degraded-mode escalation attempts (reduced budget or reference engine)"
 
 let c_permanent_failures =
   Metrics.counter ~name:"guard.permanent_failures" ~units:"jobs"

@@ -11,7 +11,7 @@
 
 (** {1 Budgets: deadlines and cancellation}
 
-    A budget is a token threaded through [Sequencer.run]/[run_batch],
+    A budget is a token threaded through [Sequencer.run],
     the kernel engine and [Jacobi.solve*].  The sequencer charges each
     dispatched instruction's cycles to it and checks it at every
     instruction boundary (which includes every sweep boundary); the
@@ -72,7 +72,7 @@ end
     Escalation policy for failed or deadline-killed jobs: up to
     [max_retries] identical re-runs with exponential backoff and
     seed-deterministic jitter, then (when [degraded] is set) one
-    degraded-mode attempt — reduced iteration budget or the [kernel-v2]
+    degraded-mode attempt — reduced iteration budget or the reference
     engine — and finally a typed permanent failure.  The ladder itself
     is host-policy glue; [Nsc_serve] wires it around job dispatch. *)
 module Retry : sig

@@ -5,20 +5,14 @@
 module Json = Nsc_metrics.Json
 module Fault = Nsc_fault.Fault
 
-type engine = [ `Kernel | `Kernel_v2 | `Plan | `Legacy ]
+type engine = [ `Kernel | `Reference ]
 
 let engine_of_string = function
   | "kernel" -> Some `Kernel
-  | "kernel-v2" -> Some `Kernel_v2
-  | "plan" -> Some `Plan
-  | "legacy" -> Some `Legacy
+  | "reference" -> Some `Reference
   | _ -> None
 
-let engine_to_string = function
-  | `Kernel -> "kernel"
-  | `Kernel_v2 -> "kernel-v2"
-  | `Plan -> "plan"
-  | `Legacy -> "legacy"
+let engine_to_string = function `Kernel -> "kernel" | `Reference -> "reference"
 
 type workload =
   | Jacobi of { n : int; tol : float; max_iters : int }

@@ -8,10 +8,10 @@
     ever raises. *)
 
 (** Simulator path a job runs on (the CLI's [--engine] values). *)
-type engine = [ `Kernel | `Kernel_v2 | `Plan | `Legacy ]
+type engine = [ `Kernel | `Reference ]
 
 val engine_of_string : string -> engine option
-(** ["kernel"], ["kernel-v2"], ["plan"] or ["legacy"]. *)
+(** ["kernel"] or ["reference"]. *)
 
 val engine_to_string : engine -> string
 

@@ -161,9 +161,9 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
               ("flops", num st.Nsc_sim.Sequencer.total_flops);
             ])
   | Protocol.Source { text } -> (
-      (* degraded escalation for source jobs: the v2 kernel backend —
-         bit-identical results on a slower, simpler path *)
-      let engine = if degraded then `Kernel_v2 else engine in
+      (* degraded escalation for source jobs: the reference evaluator —
+         bit-identical results on the independent, slower oracle path *)
+      let engine = if degraded then `Reference else engine in
       match Nsc_lang.Compile.compile t.kb ~name:job.Protocol.id text with
       | Error e ->
           let where =

@@ -36,7 +36,7 @@ type config = {
           seed-deterministic jitter (default 0: no sleep) *)
   degraded : bool;
       (** escalate an exhausted ladder to one degraded-mode attempt —
-          quartered Jacobi sweep budget, or the [kernel-v2] engine for
+          quartered Jacobi sweep budget, or the reference evaluator for
           source jobs — before failing permanently (default false) *)
   journal : string option;
       (** write-ahead journal path; every admission is journalled (and

@@ -10,7 +10,15 @@
     paired exactly as the synchronous hardware would pair them — element
     [e] of the late stream meets element [e + skew] of the early one — so a
     diagram with a missing delay queue computes visibly wrong results, which
-    is what the paper's proposed visual debugger is for. *)
+    is what the paper's proposed visual debugger is for.
+
+    Two evaluators implement this: {!run_general}, the memoized reference
+    that serves as the oracle, and {!run_kernel}, the fused fast path for
+    aligned, acyclic pipelines, which falls back to the reference for
+    everything else.  Both model an injected functional-unit fault the
+    same way: the victim's output latch reads NaN at its write sinks, in
+    [last_values] and in the trace, while consumers in the same
+    instruction have already latched the clean value. *)
 
 open Nsc_arch
 open Nsc_diagram
@@ -70,10 +78,6 @@ module Metrics = Nsc_metrics.Metrics
 let h_exec_cycles =
   Metrics.histogram ~name:"hist.exec_cycles" ~units:"cycles"
     ~desc:"per-instruction pipeline execution latency"
-
-let h_batch_step =
-  Metrics.histogram ~name:"hist.batch_step_cycles" ~units:"cycles"
-    ~desc:"per-replica instruction latency inside batched kernel runs"
 
 (* Apportion the instruction's cycles across its engaged units for the
    hotspot table: FLOP units weigh in at one flop per streamed element,
@@ -136,7 +140,6 @@ let note_run ~kind (sem : Semantic.t) (r : result) =
     Trace.add c_elements r.elements;
     if traps > 0 then Trace.add c_traps traps;
     Metrics.observe ctx h_exec_cycles r.cycles;
-    if String.equal kind "batch" then Metrics.observe ctx h_batch_step r.cycles;
     note_attribution ctx sem r
   end
 
@@ -152,13 +155,16 @@ let note_read_streams ~vlen streams =
 
 (* Fault injection (both helpers cost one atomic flag check when no model
    is installed).  The FU draw picks a victim (unit index in programme
-   order, element) whose output latch the evaluators corrupt to NaN —
-   detection is the interrupt scheme trapping [Invalid_operand].  The
-   stream draw adds recovered retry/stall cycles for the instruction's
-   transfer descriptors (transient FLONET-link glitches and DMA stalls);
-   it perturbs only the cycle count, never the data, and both derive the
-   descriptor count from [sem] so every evaluator path consumes the
-   seeded stream identically. *)
+   order, element) whose output latch both evaluators corrupt to NaN
+   after compute: the write sinks, [last_values] and the trace see the
+   NaN, while consumers in the same instruction have already latched the
+   clean value.  Detection is the interrupt scheme trapping
+   [Invalid_operand].  The stream draw adds recovered retry/stall cycles
+   for the instruction's transfer descriptors (transient FLONET-link
+   glitches and DMA stalls); it perturbs only the cycle count, never the
+   data.  Both derive their counts from [sem] and are drawn FU first,
+   streams second, so the two evaluators consume the seeded stream
+   identically. *)
 let fault_fu_draw (sem : Semantic.t) =
   match Fault.active () with
   | None -> None
@@ -176,12 +182,13 @@ let fault_stream_cycles (sem : Semantic.t) =
       in
       if streams = 0 then 0 else Fault.streams_overhead f ~streams
 
-(* The general evaluator: memoized recursion over (unit, element).  Handles
-   arbitrary element skew (misaligned streams), guarded switch cycles, and
-   shift/delay units fed by computed streams.  The fast path below covers
-   the common case — aligned, acyclic pipelines — an order of magnitude
-   quicker; [run] picks automatically and both must agree wherever the fast
-   path applies (property-tested). *)
+(* The general evaluator, and the oracle: memoized recursion over (unit,
+   element).  Handles arbitrary element skew (misaligned streams), guarded
+   switch cycles, and shift/delay units fed by computed streams.  The
+   fused kernel below covers the common case — aligned, acyclic pipelines
+   — a few hundred times quicker, falls back here for everything else,
+   and must agree with it wherever its body applies (property-tested,
+   clean and under seeded faults). *)
 let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
     ?analysis (sem : Semantic.t) : result =
   let p = node.Node.params in
@@ -323,27 +330,19 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
             v
           end
   in
-  (* --- fault injection: corrupt one output latch ---------------------- *)
-  (* Pre-seeding the memo makes everything fed from the victim unit see
-     the corrupted element — the general evaluator models full
-     propagation through the datapath. *)
-  (match fault_fu_draw sem with
-  | None -> ()
-  | Some (k, e) -> (
-      match List.nth_opt sem.Semantic.units k with
-      | None -> ()
-      | Some u ->
-          let fu = u.Semantic.fu in
-          Hashtbl.replace memo (fu, e) Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1));
+  (* --- fault injection: the victim latch ------------------------------ *)
+  (* Drawn before anything streams; the value stays clean in the memo, so
+     consumers see it unchanged, and is corrupted only where the latch
+     drains: at the write sinks the victim feeds directly, and (once
+     everything is evaluated) in [last_values] and the trace. *)
+  let victim =
+    match fault_fu_draw sem with
+    | None -> None
+    | Some (k, e) ->
+        Option.map
+          (fun (u : Semantic.unit_program) -> (u.Semantic.fu, e))
+          (List.nth_opt sem.Semantic.units k)
+  in
   (* --- drive the pipeline: writes ------------------------------------ *)
   let writes = ref 0 in
   List.iter
@@ -354,7 +353,14 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
           let count = if t.Dma.count = 0 then vlen else t.Dma.count in
           Dma.note_write ~words:count;
           for e = 0 to count - 1 do
+            (* evaluate first, so the clean run's evaluation order (which
+               decides guarded switch cycles) is kept under a fault *)
             let v = source_value src e in
+            let v =
+              match (src, victim) with
+              | Resource.Src_fu fu, Some (vfu, ve) when e = ve && fu = vfu -> Float.nan
+              | _ -> v
+            in
             let addr = t.Dma.base + (e * t.Dma.stride) in
             (match t.Dma.channel with
             | Dma.Plane pl -> Node.write_plane node ~plane:pl ~addr v
@@ -370,6 +376,19 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
         ignore (unit_out u.Semantic.fu e)
       done)
     sem.Semantic.units;
+  (match victim with
+  | None -> ()
+  | Some (fu, e) ->
+      Hashtbl.replace memo (fu, e) Float.nan;
+      record
+        (Interrupt.Exception_trapped
+           {
+             instruction = sem.Semantic.index;
+             unit_ = fu;
+             kind = Interrupt.Invalid_operand;
+             element = e;
+           });
+      Fault.note_fu_detected 1);
   let last_values =
     List.map
       (fun (u : Semantic.unit_program) -> (u.Semantic.fu, unit_out u.Semantic.fu (vlen - 1)))
@@ -392,555 +411,9 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
   note_run ~kind:"general" sem r;
   r
 
-(* --- the fast path ---------------------------------------------------- *)
+(* --- the fused kernel: specialised steps over pooled Bigarray buffers --- *)
 
-(* Dense per-unit output arrays, filled element-major in topological order.
-   Preconditions (checked by [run]): no operand skew, no switch cycles, and
-   every shift/delay unit fed by a DMA stream. *)
-let run_fast (node : Node.t) ~record_trace (sem : Semantic.t) : result =
-  let p = node.Node.params in
-  let vlen = sem.Semantic.vector_length in
-  let units = Array.of_list sem.Semantic.units in
-  let n_units = Array.length units in
-  let index_of : (Resource.fu_id, int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri (fun k (u : Semantic.unit_program) -> Hashtbl.replace index_of u.Semantic.fu k) units;
-  let route_into = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Switch.route) -> Hashtbl.replace route_into r.Switch.snk r.Switch.src)
-    sem.Semantic.routes;
-  let read_transfer : (Resource.source, Dma.transfer) Hashtbl.t = Hashtbl.create 8 in
-  let read_streams = Semantic.read_streams sem in
-  List.iter (fun (src, t) -> Hashtbl.replace read_transfer src t) read_streams;
-  note_read_streams ~vlen read_streams;
-  let sd_of = Hashtbl.create 4 in
-  List.iter
-    (fun (s : Semantic.sd_program) -> Hashtbl.replace sd_of s.Semantic.sd s.Semantic.mode)
-    sem.Semantic.sds;
-  let bypass_of als =
-    Option.value ~default:Als.No_bypass (List.assoc_opt als sem.Semantic.bypasses)
-  in
-  let stream_read src e =
-    match Hashtbl.find_opt read_transfer src with
-    | None -> 0.0
-    | Some t ->
-        let count = if t.Dma.count = 0 then vlen else t.Dma.count in
-        if e < 0 || e >= count then 0.0
-        else begin
-          let addr = t.Dma.base + (e * t.Dma.stride) in
-          match t.Dma.channel with
-          | Dma.Plane pl -> Node.read_plane node ~plane:pl ~addr
-          | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-        end
-  in
-  (* unit-level dependencies (same-element): chain predecessor and switch
-     sources that are functional units *)
-  let deps k =
-    let u = units.(k) in
-    let fu = u.Semantic.fu in
-    let of_binding port = function
-      | Fu_config.From_chain -> (
-          let size = Resource.als_size p fu.Resource.als in
-          match
-            Als.chain_predecessor ~size (bypass_of fu.Resource.als) ~slot:fu.Resource.slot
-          with
-          | Some pred ->
-              Option.to_list
-                (Hashtbl.find_opt index_of { Resource.als = fu.Resource.als; slot = pred })
-          | None -> [])
-      | Fu_config.From_switch -> (
-          match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
-          | Some (Resource.Src_fu f) -> Option.to_list (Hashtbl.find_opt index_of f)
-          | _ -> [])
-      | Fu_config.From_constant _ | Fu_config.From_feedback _ | Fu_config.Unbound -> []
-    in
-    of_binding Resource.A u.Semantic.a
-    @ (if Opcode.arity u.Semantic.op = 2 then of_binding Resource.B u.Semantic.b else [])
-  in
-  (* topological order (deps are acyclic by precondition) *)
-  let order = Array.make n_units 0 in
-  let mark = Array.make n_units 0 in
-  let pos = ref 0 in
-  let rec visit k =
-    if mark.(k) = 0 then begin
-      mark.(k) <- 1;
-      List.iter visit (deps k);
-      order.(!pos) <- k;
-      incr pos
-    end
-  in
-  for k = 0 to n_units - 1 do
-    visit k
-  done;
-  let out = Array.init n_units (fun _ -> Array.make (max vlen 1) 0.0) in
-  let events = ref [] and n_events = ref 0 in
-  let record ev =
-    if !n_events < max_recorded_events then begin
-      events := ev :: !events;
-      incr n_events
-    end
-  in
-  let source_value src e =
-    match src with
-    | Resource.Src_memory _ | Resource.Src_cache _ -> stream_read src e
-    | Resource.Src_shift_delay sd -> (
-        let input e' =
-          if e' < 0 || e' >= vlen then 0.0
-          else
-            match Hashtbl.find_opt route_into (Resource.Snk_shift_delay sd) with
-            | Some src' -> stream_read src' e' (* DMA-fed by precondition *)
-            | None -> 0.0
-        in
-        match Hashtbl.find_opt sd_of sd with
-        | Some (Shift_delay.Delay d) -> input (e - d)
-        | Some (Shift_delay.Shift o) -> input (e + o)
-        | None -> input e)
-    | Resource.Src_fu f -> (
-        match Hashtbl.find_opt index_of f with
-        | Some k -> out.(k).(e)
-        | None -> 0.0)
-  in
-  for e = 0 to vlen - 1 do
-    Array.iter
-      (fun k ->
-        let u = units.(k) in
-        let fu = u.Semantic.fu in
-        let port_value port binding =
-          match binding with
-          | Fu_config.Unbound -> 0.0
-          | Fu_config.From_constant c -> c
-          | Fu_config.From_feedback n -> if e - n >= 0 && n >= 1 then out.(k).(e - n) else 0.0
-          | Fu_config.From_chain -> (
-              let size = Resource.als_size p fu.Resource.als in
-              match
-                Als.chain_predecessor ~size (bypass_of fu.Resource.als)
-                  ~slot:fu.Resource.slot
-              with
-              | Some pred -> (
-                  match
-                    Hashtbl.find_opt index_of { Resource.als = fu.Resource.als; slot = pred }
-                  with
-                  | Some pk -> out.(pk).(e)
-                  | None -> 0.0)
-              | None -> 0.0)
-          | Fu_config.From_switch -> (
-              match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
-              | Some src -> source_value src e
-              | None -> 0.0)
-        in
-        let a = port_value Resource.A u.Semantic.a in
-        let b =
-          if Opcode.arity u.Semantic.op = 2 then port_value Resource.B u.Semantic.b
-          else 0.0
-        in
-        let v = Fu_exec.apply u.Semantic.op a b in
-        (match Fu_exec.trapped u.Semantic.op a b v with
-        | Some kind ->
-            record
-              (Interrupt.Exception_trapped
-                 { instruction = sem.Semantic.index; unit_ = fu; kind; element = e })
-        | None -> ());
-        out.(k).(e) <- v)
-      order
-  done;
-  (* fault injection: corrupt one output latch (post-compute — the dense
-     paths model the fault at the latch, so the writes drain the NaN but
-     same-instruction consumers have already latched clean values) *)
-  (match fault_fu_draw sem with
-  | None -> ()
-  | Some (k, e) ->
-      out.(k).(e) <- Float.nan;
-      record
-        (Interrupt.Exception_trapped
-           {
-             instruction = sem.Semantic.index;
-             unit_ = units.(k).Semantic.fu;
-             kind = Interrupt.Invalid_operand;
-             element = e;
-           });
-      Fault.note_fu_detected 1);
-  (* writes *)
-  let writes = ref 0 in
-  List.iter
-    (fun (snk, (t : Dma.transfer)) ->
-      match Hashtbl.find_opt route_into snk with
-      | None -> ()
-      | Some src ->
-          let count = if t.Dma.count = 0 then vlen else t.Dma.count in
-          Dma.note_write ~words:count;
-          for e = 0 to count - 1 do
-            let v = if e < vlen then source_value src e else 0.0 in
-            let addr = t.Dma.base + (e * t.Dma.stride) in
-            (match t.Dma.channel with
-            | Dma.Plane pl -> Node.write_plane node ~plane:pl ~addr v
-            | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v);
-            incr writes
-          done)
-    (Semantic.write_streams sem);
-  let last_values =
-    Array.to_list
-      (Array.mapi
-         (fun k (u : Semantic.unit_program) ->
-           (u.Semantic.fu, if vlen > 0 then out.(k).(vlen - 1) else 0.0))
-         units)
-  in
-  let analysis = Timing.analyse p sem in
-  let cycles = Timing.estimated_cycles p sem analysis ~vlen + fault_stream_cycles sem in
-  record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-  let trace =
-    if record_trace then begin
-      let unit_values = Hashtbl.create (n_units * vlen) in
-      Array.iteri
-        (fun k (u : Semantic.unit_program) ->
-          for e = 0 to vlen - 1 do
-            Hashtbl.replace unit_values (u.Semantic.fu, e) out.(k).(e)
-          done)
-        units;
-      Some { unit_values; vlen }
-    end
-    else None
-  in
-  let r =
-    {
-      cycles;
-      flops = Semantic.flops_per_element sem * vlen;
-      elements = vlen;
-      writes = !writes;
-      events = List.rev !events;
-      last_values;
-      trace;
-    }
-  in
-  note_run ~kind:"fast" sem r;
-  r
-
-(* Does the fast path apply?  All operand streams aligned (or timing not
-   honoured), no combinational cycles, every shift/delay unit DMA-fed. *)
-let fast_path_applies (p : Params.t) ~honor_timing (sem : Semantic.t) =
-  let analysis = Timing.analyse p sem in
-  let aligned =
-    (not honor_timing)
-    || List.for_all
-         (fun (ut : Timing.unit_timing) -> ut.Timing.misaligned = None)
-         analysis.Timing.units
-  in
-  let sd_pure =
-    List.for_all
-      (fun (s : Semantic.sd_program) ->
-        match Semantic.source_feeding sem (Resource.Snk_shift_delay s.Semantic.sd) with
-        | None | Some (Resource.Src_memory _ | Resource.Src_cache _) -> true
-        | Some (Resource.Src_fu _ | Resource.Src_shift_delay _) -> false)
-      sem.Semantic.sds
-  in
-  aligned && analysis.Timing.cyclic = [] && sd_pure
-
-(** The seed dispatch, preserved verbatim for benchmarking against the
-    plan-based path: analyses timing on dispatch (and again inside the
-    evaluator) and rebuilds every lookup table per call. *)
-let run_legacy (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?(force_general = false) (sem : Semantic.t) : result =
-  if (not force_general) && fast_path_applies node.Node.params ~honor_timing sem then
-    run_fast node ~record_trace sem
-  else run_general node ~record_trace ~honor_timing sem
-
-(* --- the plan executor ------------------------------------------------- *)
-
-(** Execute a compiled {!Plan.t}.  The dense body prefetches every read
-    stream with one bulk strided transfer, then runs a pure array-indexing
-    inner loop — no hashtable lookups, no timing re-analysis (the plan
-    carries its analysis and cycle estimate).  Plans without a dense body
-    fall back to the general evaluator, reusing the cached analysis. *)
-let run_plan (node : Node.t) ?(record_trace = false) (pl : Plan.t) : result =
-  match pl.Plan.fast with
-  | None ->
-      run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
-  | Some f ->
-      let vlen = pl.Plan.vlen in
-      let sem = pl.Plan.sem in
-      let units = f.Plan.units in
-      let n_units = Array.length units in
-      (* prefetch read streams into dense element-indexed buffers;
-         elements beyond the stream's count read as 0.0, as on the wire *)
-      let rbuf =
-        Array.map
-          (fun (r : Plan.read_stream) ->
-            let t = r.Plan.transfer in
-            let n = min r.Plan.count vlen in
-            let buf = Array.make (max vlen 1) 0.0 in
-            if n > 0 then begin
-              let data =
-                match t.Dma.channel with
-                | Dma.Plane plid ->
-                    Memory.read_strided (Node.plane node plid) ~base:t.Dma.base
-                      ~stride:t.Dma.stride ~count:n
-                | Dma.Cache_chan c ->
-                    Cache.read_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-                      ~stride:t.Dma.stride ~count:n
-              in
-              Array.blit data 0 buf 0 n;
-              Dma.note_read ~words:n
-            end;
-            buf)
-          f.Plan.reads
-      in
-      let out = Array.init n_units (fun _ -> Array.make (max vlen 1) 0.0) in
-      let events = ref [] and n_events = ref 0 in
-      let record ev =
-        if !n_events < max_recorded_events then begin
-          events := ev :: !events;
-          incr n_events
-        end
-      in
-      for e = 0 to vlen - 1 do
-        for k = 0 to n_units - 1 do
-          let u = units.(k) in
-          let operand = function
-            | Plan.Zero -> 0.0
-            | Plan.Const c -> c
-            | Plan.Unit j -> out.(j).(e)
-            | Plan.Self n -> if e >= n then out.(k).(e - n) else 0.0
-            | Plan.Stream s -> rbuf.(s).(e)
-            | Plan.Stream_at (s, off) ->
-                let e' = e + off in
-                if e' >= 0 && e' < vlen then rbuf.(s).(e') else 0.0
-          in
-          let a = operand u.Plan.a in
-          let b = if u.Plan.binary then operand u.Plan.b else 0.0 in
-          let v = Fu_exec.apply u.Plan.op a b in
-          (match Fu_exec.trapped u.Plan.op a b v with
-          | Some kind ->
-              record
-                (Interrupt.Exception_trapped
-                   { instruction = sem.Semantic.index; unit_ = u.Plan.fu; kind; element = e })
-          | None -> ());
-          out.(k).(e) <- v
-        done
-      done;
-      (* fault injection: corrupt one output latch (latch model, as in the
-         fast path; the draw indexes programme order, mapped through the
-         plan's topological permutation) *)
-      (match fault_fu_draw sem with
-      | None -> ()
-      | Some (i, e) ->
-          let k = f.Plan.order_of_sem.(i) in
-          out.(k).(e) <- Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = units.(k).Plan.fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1);
-      (* writes, stream-major in programme order; unit-fed streams drain in
-         one bulk transfer, direct memory-to-memory routes re-read live *)
-      let write_bulk (t : Dma.transfer) (vals : float array) =
-        match t.Dma.channel with
-        | Dma.Plane plid ->
-            Memory.write_strided (Node.plane node plid) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-        | Dma.Cache_chan c ->
-            Cache.write_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-      in
-      let writes = ref 0 in
-      Array.iter
-        (fun (w : Plan.write_stream) ->
-          let t = w.Plan.transfer in
-          let count = w.Plan.count in
-          if count > 0 then begin
-            Dma.note_write ~words:count;
-            (match w.Plan.wsrc with
-            | Plan.W_unit k ->
-                let vals = Array.make count 0.0 in
-                Array.blit out.(k) 0 vals 0 (min count vlen);
-                write_bulk t vals
-            | Plan.W_zero -> write_bulk t (Array.make count 0.0)
-            | Plan.W_live { transfer = rt; count = rcount; offset } ->
-                for e = 0 to count - 1 do
-                  let v =
-                    if e >= vlen then 0.0
-                    else
-                      let e' = e + offset in
-                      if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                      else begin
-                        let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                        match rt.Dma.channel with
-                        | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                        | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-                      end
-                  in
-                  let addr = t.Dma.base + (e * t.Dma.stride) in
-                  match t.Dma.channel with
-                  | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-                  | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-                done);
-            writes := !writes + count
-          end)
-        f.Plan.writes;
-      let last_values =
-        List.mapi
-          (fun i (u : Semantic.unit_program) ->
-            let k = f.Plan.order_of_sem.(i) in
-            (u.Semantic.fu, if vlen > 0 then out.(k).(vlen - 1) else 0.0))
-          sem.Semantic.units
-      in
-      let cycles = pl.Plan.cycles + fault_stream_cycles sem in
-      record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-      let trace =
-        if record_trace then begin
-          let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
-          List.iteri
-            (fun i (u : Semantic.unit_program) ->
-              let k = f.Plan.order_of_sem.(i) in
-              for e = 0 to vlen - 1 do
-                Hashtbl.replace unit_values (u.Semantic.fu, e) out.(k).(e)
-              done)
-            sem.Semantic.units;
-          Some { unit_values; vlen }
-        end
-        else None
-      in
-      let r =
-        {
-          cycles;
-          flops = pl.Plan.flops;
-          elements = vlen;
-          writes = !writes;
-          events = List.rev !events;
-          last_values;
-          trace;
-        }
-      in
-      note_run ~kind:"plan" sem r;
-      r
-
-(* --- the kernel executor ------------------------------------------------ *)
-
-(* One fused block: the opcode is resolved to a direct float operation
-   exactly once, then applied over [e0, e1) with pure array indexing.
-   The unsafe accesses are justified by the kernel's buffer invariant:
-   every buffer is [blen = pad + max vlen 1 + pad] long with
-   [pad >= |off|] for every operand offset, so [base + e] with
-   [base = pad + off] and [e < vlen] is always in bounds. *)
-let[@inline] exec_block (op : Opcode.t) (dst : float array) (a : float array)
-    (b : float array) ~di ~ai ~bi ~e0 ~e1 =
-  let open Array in
-  let i64 x = Int64.of_float x and f64 i = Int64.to_float i in
-  match op with
-  | Opcode.Pass ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e))
-      done
-  | Opcode.Fadd ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) +. unsafe_get b (bi + e))
-      done
-  | Opcode.Fsub ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) -. unsafe_get b (bi + e))
-      done
-  | Opcode.Fmul ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) *. unsafe_get b (bi + e))
-      done
-  | Opcode.Fdiv ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) /. unsafe_get b (bi + e))
-      done
-  | Opcode.Fneg ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (-.unsafe_get a (ai + e))
-      done
-  | Opcode.Fabs ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.abs (unsafe_get a (ai + e)))
-      done
-  | Opcode.Fcmp Opcode.Lt ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) < unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Le ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) <= unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Eq ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) = unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Ne ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) <> unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Ge ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) >= unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Gt ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) > unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Iadd ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.add (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Isub ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.sub (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Imul ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.mul (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Iand ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logand (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ior ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logor (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ixor ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logxor (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ishl ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64
-             (Int64.shift_left
-                (i64 (unsafe_get a (ai + e)))
-                (Int64.to_int (i64 (unsafe_get b (bi + e))) land 63)))
-      done
-  | Opcode.Ishr ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64
-             (Int64.shift_right
-                (i64 (unsafe_get a (ai + e)))
-                (Int64.to_int (i64 (unsafe_get b (bi + e))) land 63)))
-      done
-  | Opcode.Max ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.max (unsafe_get a (ai + e)) (unsafe_get b (bi + e)))
-      done
-  | Opcode.Min ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.min (unsafe_get a (ai + e)) (unsafe_get b (bi + e)))
-      done
+module A1 = Bigarray.Array1
 
 (* Block size of the fused element loops: big enough to amortise the
    per-unit loop-entry cost (and to run typical grid planes in a single
@@ -948,215 +421,12 @@ let[@inline] exec_block (op : Opcode.t) (dst : float array) (a : float array)
    cache-resident — ~20 live buffers at 8 KB each sit comfortably in L2. *)
 let kernel_block = 1024
 
-(** Execute a compiled {!Kernel.t} the v2 way: fresh [float array]
-    buffers per execution, one opcode dispatch per unit per 256-element
-    block ({!exec_block}), and a separate non-finite scan pass.  Kept —
-    like {!run_legacy} — as the measured baseline for the bench
-    regression gate, which asserts {!run_kernel} at ≥2x over this path
-    on the n=9 Jacobi solve.  Bit-identical to {!run_kernel} and
-    {!run_plan}. *)
-let run_kernel_v2 (node : Node.t) ?(record_trace = false) (kn : Kernel.t) : result =
-  let pl = kn.Kernel.plan in
-  match kn.Kernel.body with
-  | None ->
-      run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
-  | Some b ->
-      let sem = pl.Plan.sem in
-      let vlen = b.Kernel.vlen in
-      let pad = b.Kernel.pad in
-      let blen = b.Kernel.blen in
-      let units = b.Kernel.units in
-      let n_units = Array.length units in
-      let unit_base = b.Kernel.unit_base in
-      (* buffer pool: the read-only static prefix is shared; stream and
-         output buffers are fresh per execution (memory changes between
-         sweeps, and a cached kernel may run on several domains) *)
-      let bufs = Array.make (max b.Kernel.n_buffers 1) [||] in
-      Array.iteri (fun i buf -> bufs.(i) <- buf) b.Kernel.static_v2;
-      Array.iteri
-        (fun s (r : Plan.read_stream) ->
-          let t = r.Plan.transfer in
-          let n = min r.Plan.count vlen in
-          let buf = Array.make blen 0.0 in
-          if n > 0 then begin
-            let data =
-              match t.Dma.channel with
-              | Dma.Plane plid ->
-                  Memory.read_strided (Node.plane node plid) ~base:t.Dma.base
-                    ~stride:t.Dma.stride ~count:n
-              | Dma.Cache_chan c ->
-                  Cache.read_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-                    ~stride:t.Dma.stride ~count:n
-            in
-            Array.blit data 0 buf pad n;
-            Dma.note_read ~words:n
-          end;
-          bufs.(b.Kernel.stream_base + s) <- buf)
-        b.Kernel.reads;
-      for k = 0 to n_units - 1 do
-        bufs.(unit_base + k) <- Array.make blen 0.0
-      done;
-      (* blocked, unit-major compute: within a block every unit's inputs
-         are already final (same-element deps are earlier in topological
-         order; feedback deps are the unit's own output >= 1 element
-         back), so unit-major blocks equal the plan's element-major loop *)
-      let any_nonfinite = ref false in
-      let e0 = ref 0 in
-      while !e0 < vlen do
-        let e1 = min vlen (!e0 + kernel_block) in
-        for k = 0 to n_units - 1 do
-          let u = units.(k) in
-          let dst = bufs.(u.Kernel.out) in
-          exec_block u.Kernel.op dst bufs.(u.Kernel.a_buf) bufs.(u.Kernel.b_buf)
-            ~di:pad ~ai:(pad + u.Kernel.a_off) ~bi:(pad + u.Kernel.b_off) ~e0:!e0
-            ~e1;
-          (* cache-hot trap scan: a computation traps exactly when its
-             result is non-finite (divide-by-zero yields an infinity or
-             NaN; integer and compare units always produce finite
-             values), so the per-element classification of the
-             interpreted paths reduces to this branch-predictable test *)
-          for e = !e0 to e1 - 1 do
-            let v = Array.unsafe_get dst (pad + e) in
-            if v -. v <> 0.0 then any_nonfinite := true
-          done
-        done;
-        e0 := e1
-      done;
-      let events = ref [] and n_events = ref 0 in
-      let record ev =
-        if !n_events < max_recorded_events then begin
-          events := ev :: !events;
-          incr n_events
-        end
-      in
-      (* trap events, replayed in the interpreters' element-major order *)
-      if !any_nonfinite then
-        for e = 0 to vlen - 1 do
-          for k = 0 to n_units - 1 do
-            let u = units.(k) in
-            let v = bufs.(u.Kernel.out).(pad + e) in
-            if v -. v <> 0.0 then begin
-              let a = bufs.(u.Kernel.a_buf).(pad + u.Kernel.a_off + e) in
-              let bv = bufs.(u.Kernel.b_buf).(pad + u.Kernel.b_off + e) in
-              match Fu_exec.trapped u.Kernel.op a bv v with
-              | Some kind ->
-                  record
-                    (Interrupt.Exception_trapped
-                       { instruction = sem.Semantic.index; unit_ = u.Kernel.fu; kind; element = e })
-              | None -> ()
-            end
-          done
-        done;
-      (* fault injection: corrupt one output latch (latch model, as in
-         the plan path) *)
-      (match fault_fu_draw sem with
-      | None -> ()
-      | Some (i, e) ->
-          let k = b.Kernel.order_of_sem.(i) in
-          bufs.(unit_base + k).(pad + e) <- Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = units.(k).Kernel.fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1);
-      (* writes: one bulk strided transfer per unit-fed sink; direct
-         memory-to-memory routes re-read live, exactly as the plan path *)
-      let write_bulk (t : Dma.transfer) (vals : float array) =
-        match t.Dma.channel with
-        | Dma.Plane plid ->
-            Memory.write_strided (Node.plane node plid) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-        | Dma.Cache_chan c ->
-            Cache.write_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-      in
-      let writes = ref 0 in
-      Array.iter
-        (fun (w : Plan.write_stream) ->
-          let t = w.Plan.transfer in
-          let count = w.Plan.count in
-          if count > 0 then begin
-            Dma.note_write ~words:count;
-            (match w.Plan.wsrc with
-            | Plan.W_unit k ->
-                let vals = Array.make count 0.0 in
-                Array.blit bufs.(unit_base + k) pad vals 0 (min count vlen);
-                write_bulk t vals
-            | Plan.W_zero -> write_bulk t (Array.make count 0.0)
-            | Plan.W_live { transfer = rt; count = rcount; offset } ->
-                for e = 0 to count - 1 do
-                  let v =
-                    if e >= vlen then 0.0
-                    else
-                      let e' = e + offset in
-                      if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                      else begin
-                        let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                        match rt.Dma.channel with
-                        | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                        | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-                      end
-                  in
-                  let addr = t.Dma.base + (e * t.Dma.stride) in
-                  match t.Dma.channel with
-                  | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-                  | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-                done);
-            writes := !writes + count
-          end)
-        b.Kernel.writes;
-      let last_values =
-        List.mapi
-          (fun i (u : Semantic.unit_program) ->
-            let k = b.Kernel.order_of_sem.(i) in
-            (u.Semantic.fu, if vlen > 0 then bufs.(unit_base + k).(pad + vlen - 1) else 0.0))
-          sem.Semantic.units
-      in
-      let cycles = pl.Plan.cycles + fault_stream_cycles sem in
-      record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-      let trace =
-        if record_trace then begin
-          let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
-          List.iteri
-            (fun i (u : Semantic.unit_program) ->
-              let k = b.Kernel.order_of_sem.(i) in
-              for e = 0 to vlen - 1 do
-                Hashtbl.replace unit_values (u.Semantic.fu, e) bufs.(unit_base + k).(pad + e)
-              done)
-            sem.Semantic.units;
-          Some { unit_values; vlen }
-        end
-        else None
-      in
-      let r =
-        {
-          cycles;
-          flops = pl.Plan.flops;
-          elements = vlen;
-          writes = !writes;
-          events = List.rev !events;
-          last_values;
-          trace;
-        }
-      in
-      note_run ~kind:"kernel" sem r;
-      r
-
-(* --- kernel v3: specialised steps over pooled Bigarray buffers ---------- *)
-
-module A1 = Bigarray.Array1
-
 (* Zero [len] elements of [b] from [pos] (no-op on an empty range).
    Pooled buffers come back dirty; the executor scrubs exactly the
-   regions it relies on reading as 0.0. *)
-(* Small ranges (the pads, typically 1-2 elements) are zeroed with a
-   direct loop: [A1.sub] allocates a fresh bigarray handle per call,
-   which dominates the cost of tiny fills. *)
+   regions it relies on reading as 0.0.  Small ranges (the pads,
+   typically 1-2 elements) are zeroed with a direct loop: [A1.sub]
+   allocates a fresh bigarray handle per call, which dominates the cost
+   of tiny fills. *)
 let zero_range (b : Kernel.buf) pos len =
   if len > 0 then
     if len <= 32 then
@@ -1166,27 +436,24 @@ let zero_range (b : Kernel.buf) pos len =
     else A1.fill (A1.sub b pos len) 0.0
 
 (* Gather one read stream into its buffer: the live prefix
-   [pos0 + pad, pos0 + pad + n) comes straight from memory or cache in
-   one Bigarray-direct bulk transfer, the pads and the slack beyond the
-   stream's count are zeroed.  [pos0] is the buffer index of the
-   replica's first pad element (0 for a single run, [r * blen] in a
-   batched slab). *)
-let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf)
-    ~pos0 =
+   [pad, pad + n) comes straight from memory or cache in one
+   Bigarray-direct bulk transfer, the pads and the slack beyond the
+   stream's count are zeroed. *)
+let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf) =
   let t = r.Plan.transfer in
   let n = min r.Plan.count vlen in
   if n > 0 then begin
     (match t.Dma.channel with
     | Dma.Plane plid ->
         Memory.read_strided_into (Node.plane node plid) ~base:t.Dma.base
-          ~stride:t.Dma.stride ~count:n buf ~pos:(pos0 + pad)
+          ~stride:t.Dma.stride ~count:n buf ~pos:pad
     | Dma.Cache_chan c ->
         Cache.read_pipeline_strided_into (Node.cache node c) ~base:t.Dma.base
-          ~stride:t.Dma.stride ~count:n buf ~pos:(pos0 + pad));
+          ~stride:t.Dma.stride ~count:n buf ~pos:pad);
     Dma.note_read ~words:n
   end;
-  zero_range buf pos0 pad;
-  zero_range buf (pos0 + pad + n) (blen - pad - n)
+  zero_range buf 0 pad;
+  zero_range buf (pad + n) (blen - pad - n)
 
 (* Flush [count] elements of a unit's output buffer, starting at [pos],
    to a write sink in one Bigarray-direct bulk transfer. *)
@@ -1208,15 +475,29 @@ let write_bulk_arr node (t : Dma.transfer) ~from (vals : float array) =
   | Dma.Cache_chan c ->
       Cache.write_pipeline_strided (Node.cache node c) ~base ~stride:t.Dma.stride vals
 
-(* Execute the fused body for one replica of [node], with every buffer's
-   first pad element at [pos0] inside [bufs] (element 0 at [pos0 + pad]).
-   Shared verbatim by {!run_kernel} (one replica at [pos0 = 0]) and
-   {!run_batched} (replica [r] at [pos0 = r * blen]), so the single and
-   batched paths cannot diverge.  Touches only node state and the
-   replica's own buffer slice, which is what lets clean batched replicas
-   run on worker domains. *)
-let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
-    (b : Kernel.body) (bufs : Kernel.buf array) ~pos0 : result =
+(* Corrupt the victim latch [(k, e)] and return the value slots the
+   drains read from.  Only unit [k]'s latch may change: if [k] is an
+   elided pass-through, its values move into its own buffer before the
+   NaN lands there; if other elided pass-throughs alias [k]'s buffer,
+   each of them moves into its own buffer first.  Runs only under a
+   fault, so the clean path allocates nothing. *)
+let corrupt_latch (b : Kernel.body) (bufs : Kernel.buf array) ~k ~e =
+  let unit_base = b.Kernel.unit_base in
+  let val_slot = Array.copy b.Kernel.val_slot in
+  let shared = val_slot.(k) in
+  let materialise j =
+    A1.blit bufs.(shared) bufs.(unit_base + j);
+    val_slot.(j) <- unit_base + j
+  in
+  if shared <> unit_base + k then materialise k
+  else Array.iteri (fun j s -> if j <> k && s = shared then materialise j) b.Kernel.val_slot;
+  A1.set bufs.(unit_base + k) (b.Kernel.pad + e) Float.nan;
+  val_slot
+
+(* Execute the fused body on [node] over the slots [bufs]: element 0 of
+   every buffer sits at index [pad]. *)
+let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
+    (b : Kernel.body) (bufs : Kernel.buf array) : result =
   let sem = pl.Plan.sem in
   let vlen = b.Kernel.vlen in
   let pad = b.Kernel.pad in
@@ -1225,32 +506,29 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
   let steps = b.Kernel.steps in
   let n_units = Array.length units in
   let unit_base = b.Kernel.unit_base in
-  let val_slot = b.Kernel.val_slot in
-  let base = pos0 + pad in
   (* gather read streams; scrub the unit output buffers (a unit operand
      may legitimately read an element its producer has not reached yet —
-     the interpreters see 0.0 there, so dirty pool bytes must not leak) *)
+     the reference sees 0.0 there, so dirty pool bytes must not leak) *)
   Array.iteri
-    (fun s r ->
-      gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s) ~pos0)
+    (fun s r -> gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s))
     b.Kernel.reads;
   (* every step writes its full live range in order before anything reads
      it (cross-unit operands are offset 0, self-feedback reads are
      delays), so dirty pool bytes can only leak through the pads — except
      for a look-ahead self-read, which needs the live range zero too *)
   if pad > 0 then begin
-    let tail = pos0 + pad + vlen in
+    let tail = pad + vlen in
     for k = 0 to n_units - 1 do
       (* an elided pass-through unit's buffer is never read at all *)
-      if Array.unsafe_get val_slot k = unit_base + k then begin
+      if Array.unsafe_get b.Kernel.val_slot k = unit_base + k then begin
         let b = bufs.(unit_base + k) in
-        zero_range b pos0 pad;
+        zero_range b 0 pad;
         zero_range b tail (blen - pad - vlen)
       end
     done
   end;
   Array.iteri
-    (fun k full -> if full then zero_range bufs.(unit_base + k) pos0 blen)
+    (fun k full -> if full then zero_range bufs.(unit_base + k) 0 blen)
     b.Kernel.full_zero;
   (* blocked, unit-major compute through the compile-time-specialised
      step closures: no opcode dispatch anywhere in the hot path.  Each
@@ -1264,7 +542,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
     Nsc_guard.Guard.Budget.poll_opt budget;
     let e1 = min vlen (!e0 + kernel_block) in
     for k = 0 to n_units - 1 do
-      if (Array.unsafe_get steps k) bufs base !e0 e1 <> 0.0 then
+      if (Array.unsafe_get steps k) bufs pad !e0 e1 <> 0.0 then
         any_nonfinite := true
     done;
     e0 := e1
@@ -1276,15 +554,15 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
       incr n_events
     end
   in
-  (* trap events, replayed in the interpreters' element-major order *)
+  (* trap events, replayed in element-major topological order *)
   if !any_nonfinite then
     for e = 0 to vlen - 1 do
       for k = 0 to n_units - 1 do
         let u = units.(k) in
-        let v = A1.get bufs.(Array.unsafe_get val_slot k) (base + e) in
+        let v = A1.get bufs.(Array.unsafe_get b.Kernel.val_slot k) (pad + e) in
         if v -. v <> 0.0 then begin
-          let a = A1.get bufs.(u.Kernel.a_buf) (base + u.Kernel.a_off + e) in
-          let bv = A1.get bufs.(u.Kernel.b_buf) (base + u.Kernel.b_off + e) in
+          let a = A1.get bufs.(u.Kernel.a_buf) (pad + u.Kernel.a_off + e) in
+          let bv = A1.get bufs.(u.Kernel.b_buf) (pad + u.Kernel.b_off + e) in
           match Fu_exec.trapped u.Kernel.op a bv v with
           | Some kind ->
               record
@@ -1299,40 +577,27 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
         end
       done
     done;
-  (* fault injection: corrupt one output latch (latch model, as in the
-     plan path).  When the draw lands on an elided pass-through unit the
-     corruption must stay on that unit's latch, not on the shared source
-     slot other readers see — materialise the latch as a private copy and
-     route this unit's downstream reads to it for the rest of the run. *)
-  let fault_slot = ref (-1) in
-  (match fault_fu_draw sem with
-  | None -> ()
-  | Some (i, e) ->
-      let k = b.Kernel.order_of_sem.(i) in
-      if Array.unsafe_get val_slot k <> unit_base + k then begin
-        A1.blit
-          (A1.sub bufs.(val_slot.(k)) pos0 blen)
-          (A1.sub bufs.(unit_base + k) pos0 blen);
-        fault_slot := k
-      end;
-      A1.set bufs.(unit_base + k) (base + e) Float.nan;
-      record
-        (Interrupt.Exception_trapped
-           {
-             instruction = sem.Semantic.index;
-             unit_ = units.(k).Kernel.fu;
-             kind = Interrupt.Invalid_operand;
-             element = e;
-           });
-      Fault.note_fu_detected 1);
-  (* downstream reads of unit [k]'s values: the value slot, unless the
-     fault materialised a private corrupted latch for it *)
-  let out_slot k =
-    if !fault_slot = k then unit_base + k else Array.unsafe_get val_slot k
+  (* fault injection: corrupt one output latch after compute, so the
+     drains below see the NaN and same-instruction consumers do not *)
+  let val_slot =
+    match fault_fu_draw sem with
+    | None -> b.Kernel.val_slot
+    | Some (i, e) ->
+        let k = b.Kernel.order_of_sem.(i) in
+        record
+          (Interrupt.Exception_trapped
+             {
+               instruction = sem.Semantic.index;
+               unit_ = units.(k).Kernel.fu;
+               kind = Interrupt.Invalid_operand;
+               element = e;
+             });
+        Fault.note_fu_detected 1;
+        corrupt_latch b bufs ~k ~e
   in
   (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
      zero tail when the sink outruns the vector length); direct
-     memory-to-memory routes re-read live, exactly as the plan path *)
+     memory-to-memory routes re-read live, exactly as the reference *)
   let writes = ref 0 in
   Array.iter
     (fun (w : Plan.write_stream) ->
@@ -1343,7 +608,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
         (match w.Plan.wsrc with
         | Plan.W_unit k ->
             let n = min count vlen in
-            if n > 0 then write_vec node t bufs.(out_slot k) ~pos:base ~count:n;
+            if n > 0 then write_vec node t bufs.(val_slot.(k)) ~pos:pad ~count:n;
             if count > n then
               write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
         | Plan.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
@@ -1375,7 +640,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
       (fun i (u : Semantic.unit_program) ->
         let k = b.Kernel.order_of_sem.(i) in
         ( u.Semantic.fu,
-          if vlen > 0 then A1.get bufs.(out_slot k) (base + vlen - 1) else 0.0 ))
+          if vlen > 0 then A1.get bufs.(val_slot.(k)) (pad + vlen - 1) else 0.0 ))
       sem.Semantic.units
   in
   let cycles = pl.Plan.cycles + fault_stream_cycles sem in
@@ -1388,7 +653,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
           let k = b.Kernel.order_of_sem.(i) in
           for e = 0 to vlen - 1 do
             Hashtbl.replace unit_values (u.Semantic.fu, e)
-              (A1.get bufs.(out_slot k) (base + e))
+              (A1.get bufs.(val_slot.(k)) (pad + e))
           done)
         sem.Semantic.units;
       Some { unit_values; vlen }
@@ -1406,20 +671,18 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
       trace;
     }
   in
-  note_run ~kind sem r;
+  note_run ~kind:"kernel" sem r;
   r
 
 (** Execute a compiled {!Kernel.t}: buffers drawn from the domain-local
     {!Kernel.acquire} pool (no per-run allocation once warm), read
     streams gathered with Bigarray-direct bulk transfers, a blocked
     element loop through compile-time-specialised {!Kernel.step}
-    closures — the opcode dispatch of the v2 backend is hoisted entirely
-    out of the hot path — with the non-finite trap pre-scan fused into
-    the compute pass, and one bulk transfer per write sink.  Kernels
-    without a fused body fall back to the general evaluator with the
-    plan's cached analysis.  Results — values, cycle estimates,
-    interrupt events and their order — are bit-identical to
-    {!run_kernel_v2}, {!run_plan} and {!run_legacy}. *)
+    closures with the non-finite trap pre-scan fused into the compute
+    pass, and one bulk transfer per write sink.  Kernels without a fused
+    body fall back to the general evaluator with the plan's cached
+    analysis.  Values, cycle estimates and interrupt events are
+    bit-identical to {!run_general}. *)
 let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
     result =
   let pl = kn.Kernel.plan in
@@ -1428,8 +691,7 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
       run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
         ~analysis:pl.Plan.analysis pl.Plan.sem
   | Some b ->
-      let n_slots = b.Kernel.n_buffers in
-      let bufs = Array.make n_slots b.Kernel.static.(0) in
+      let bufs = Array.make b.Kernel.n_buffers b.Kernel.static.(0) in
       Array.blit b.Kernel.static 0 bufs 0 (Array.length b.Kernel.static);
       Kernel.acquire_into b.Kernel.blen bufs ~from:b.Kernel.stream_base;
       (* a budget poll may unwind mid-body; the pooled buffers must go
@@ -1437,115 +699,7 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
       Fun.protect
         ~finally:(fun () ->
           Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen)
-        (fun () ->
-          exec_body_replica node ~record_trace ~kind:"kernel" ?budget pl b bufs
-            ~pos0:0)
-
-(* --- batched execution --------------------------------------------------- *)
-
-let batch_runs = Atomic.make 0
-let batch_replicas = Atomic.make 0
-let batch_fallbacks = Atomic.make 0
-let batch_run_count () = Atomic.get batch_runs
-let batch_replica_count () = Atomic.get batch_replicas
-let batch_fallback_count () = Atomic.get batch_fallbacks
-
-let reset_batch_counters () =
-  Atomic.set batch_runs 0;
-  Atomic.set batch_replicas 0;
-  Atomic.set batch_fallbacks 0
-
-let c_batch_runs =
-  Trace.counter ~name:"kernel.batch_runs" ~units:"batches"
-    ~desc:"batched kernel executions (one compiled kernel, K replicas)"
-
-let c_batch_replicas =
-  Trace.counter ~name:"kernel.batch_replicas" ~units:"replicas"
-    ~desc:"replica instructions executed through batched kernels"
-
-let c_batch_fallbacks =
-  Trace.counter ~name:"kernel.batch_fallbacks" ~units:"replicas"
-    ~desc:"batched replicas executed by the general evaluator (no fused body)"
-
-(** Run K independent replicas of one compiled kernel, replica [r] on
-    [nodes.(r)], over interleaved buffer slabs: each buffer slot is one
-    pooled slab of [K * blen] elements, replica [r]'s element 0 at
-    [r * blen + pad], so a replica's pads isolate its operand-offset
-    reads from its neighbours.  Clean replicas fan out across the
-    process-wide persistent domain pool ({!Multinode.parallel_for});
-    under an installed fault model execution is replica-major sequential
-    so the seeded draw stream stays reproducible.  [results.(r)] is
-    bit-identical to [run_kernel nodes.(r) kn] on a clean machine for
-    every K, and under faults for K = 1 (the draw stream interleaves
-    differently for K > 1).  Kernels without a fused body fall back to
-    the general evaluator per replica (counted by
-    [kernel.batch_fallbacks]). *)
-let run_batched (nodes : Node.t array) ?(record_trace = false) ?(domains = 1)
-    (kn : Kernel.t) : result array =
-  let krep = Array.length nodes in
-  if krep = 0 then [||]
-  else begin
-    Atomic.incr batch_runs;
-    ignore (Atomic.fetch_and_add batch_replicas krep);
-    if Trace.enabled () then begin
-      Trace.add c_batch_runs 1;
-      Trace.add c_batch_replicas krep
-    end;
-    let pl = kn.Kernel.plan in
-    match kn.Kernel.body with
-    | None ->
-        ignore (Atomic.fetch_and_add batch_fallbacks krep);
-        if Trace.enabled () then Trace.add c_batch_fallbacks krep;
-        Array.map
-          (fun node ->
-            run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-              ~analysis:pl.Plan.analysis pl.Plan.sem)
-          nodes
-    | Some b ->
-        let blen = b.Kernel.blen in
-        let slab_len = krep * blen in
-        let n_slots = b.Kernel.n_buffers in
-        (* static slots become constant-filled slabs: slot 0 all zeros,
-           constant slot c filled with its interned value (a static
-           buffer holds one value everywhere, pads included).  They are
-           read-only, so the replication is memoized on the body — a
-           cached kernel replayed at a fixed batch width refills
-           nothing.  Working slots come from the pool in bulk. *)
-        let static_slabs =
-          match b.Kernel.static_slabs with
-          | Some (k, s) when k = krep -> s
-          | _ ->
-              let s =
-                Array.init b.Kernel.stream_base (fun i ->
-                    let sl = A1.create Bigarray.float64 Bigarray.c_layout slab_len in
-                    A1.fill sl (A1.get b.Kernel.static.(i) 0);
-                    sl)
-              in
-              b.Kernel.static_slabs <- Some (krep, s);
-              s
-        in
-        let slabs = Array.make n_slots static_slabs.(0) in
-        Array.blit static_slabs 0 slabs 0 b.Kernel.stream_base;
-        Kernel.acquire_into slab_len slabs ~from:b.Kernel.stream_base;
-        let exec_replica r =
-          exec_body_replica nodes.(r) ~record_trace ~kind:"batch" pl b slabs
-            ~pos0:(r * blen)
-        in
-        let sequential =
-          domains <= 1 || krep = 1 || Option.is_some (Fault.active ())
-        in
-        let r0 = exec_replica 0 in
-        let results = Array.make krep r0 in
-        if sequential then
-          for r = 1 to krep - 1 do
-            results.(r) <- exec_replica r
-          done
-        else
-          Multinode.parallel_for ~domains ~n:(krep - 1) (fun i ->
-              results.(i + 1) <- exec_replica (i + 1));
-        Kernel.release_from slabs ~from:b.Kernel.stream_base slab_len;
-        results
-  end
+        (fun () -> exec_body node ~record_trace ?budget pl b bufs)
 
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused
@@ -1575,21 +729,8 @@ let run_general node ?record_trace ?honor_timing ?analysis ?metrics sem =
   in_ctx metrics (fun () ->
       run_general node ?record_trace ?honor_timing ?analysis sem)
 
-let run_legacy node ?record_trace ?honor_timing ?force_general ?metrics sem =
-  in_ctx metrics (fun () ->
-      run_legacy node ?record_trace ?honor_timing ?force_general sem)
-
-let run_plan node ?record_trace ?metrics pl =
-  in_ctx metrics (fun () -> run_plan node ?record_trace pl)
-
 let run_kernel node ?record_trace ?budget ?metrics kn =
   in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
-
-let run_kernel_v2 node ?record_trace ?metrics kn =
-  in_ctx metrics (fun () -> run_kernel_v2 node ?record_trace kn)
-
-let run_batched nodes ?record_trace ?domains ?metrics kn =
-  in_ctx metrics (fun () -> run_batched nodes ?record_trace ?domains kn)
 
 let run node ?record_trace ?honor_timing ?force_general ?metrics sem =
   in_ctx metrics (fun () ->

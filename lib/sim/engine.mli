@@ -12,6 +12,14 @@
     diagram with a missing delay queue computes visibly wrong results, which
     is what the paper's proposed visual debugger is for.
 
+    Two evaluators implement this: {!run_general}, the memoized reference
+    that serves as the oracle, and {!run_kernel}, the fused fast path for
+    aligned, acyclic pipelines, which falls back to the reference for
+    everything else.  Both model an injected functional-unit fault the
+    same way: the victim's output latch reads NaN at its write sinks, in
+    [last_values] and in the trace, while consumers in the same
+    instruction have already latched the clean value.
+
     Every entry point takes an optional [?metrics] context; when given,
     all instrumentation (counters, spans, the clock, latency histograms
     and per-unit cycle attribution) lands in that
@@ -49,8 +57,9 @@ type result = {
 (** Cap on the interrupt events retained in a {!result}. *)
 val max_recorded_events : int
 
-(** The general memoized evaluator.  [analysis] supplies a precomputed
-    timing analysis (from a compiled plan) so none is recomputed here. *)
+(** The general memoized evaluator: the reference every other path is
+    checked against.  [analysis] supplies a precomputed timing analysis
+    (from a compiled plan) so none is recomputed here. *)
 val run_general :
   Node.t ->
   ?record_trace:bool ->
@@ -58,34 +67,17 @@ val run_general :
   ?analysis:Nsc_checker.Timing.t ->
   ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
 
-(** The seed dispatch, preserved for benchmarking against the plan-based
-    path: re-analyses timing on every call and rebuilds every lookup
-    table per dispatch. *)
-val run_legacy :
-  Node.t ->
-  ?record_trace:bool ->
-  ?honor_timing:bool ->
-  ?force_general:bool ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
-
-(** Execute a compiled {!Plan.t}: bulk-prefetched read streams, a pure
-    array-indexing inner loop, no timing re-analysis.  Plans without a
-    dense body fall back to the general evaluator with the plan's cached
-    analysis. *)
-val run_plan :
-  Node.t ->
-  ?record_trace:bool -> ?metrics:Nsc_metrics.Metrics.ctx -> Plan.t -> result
-
-(** Execute a fused {!Kernel.t} (the v3 backend): buffers drawn from the
-    domain-local {!Kernel.acquire} pool, read streams gathered with
+(** Execute a fused {!Kernel.t}, the single fast path: buffers drawn from
+    the domain-local {!Kernel.acquire} pool, read streams gathered with
     Bigarray-direct bulk transfers, a blocked element loop through
     compile-time-specialised {!Kernel.step} closures (no opcode dispatch
     in the hot path) with the non-finite trap pre-scan fused into the
     compute pass, and one bulk transfer per write sink.  Kernels without
-    a fused body fall back to the general evaluator.  Results — values,
-    cycles, interrupt events and their order — are bit-identical to
-    {!run_plan} (property-tested).  [budget] is polled at every kernel
-    block boundary, so a wall deadline or a cancellation unwinds with
+    a fused body fall back to the general evaluator.  Memory, values,
+    cycles and the interrupt events (as a set) are bit-identical to
+    {!run_general}, clean and under seeded faults (property-tested).
+    [budget] is polled at every kernel block boundary, so a wall
+    deadline or a cancellation unwinds with
     [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction (pooled
     buffers are released on the way out). *)
 val run_kernel :
@@ -95,47 +87,6 @@ val run_kernel :
   ?metrics:Nsc_metrics.Metrics.ctx ->
   Kernel.t ->
   result
-
-(** The retained v2 kernel backend: fresh [float array] buffers per
-    execution, one opcode dispatch per unit per 256-element block, a
-    separate trap-scan pass.  Kept — like {!run_legacy} — as the
-    measured baseline for the bench regression gate ({!run_kernel} must
-    hold ≥2x over this path on the n=9 Jacobi solve).  Bit-identical to
-    {!run_kernel}. *)
-val run_kernel_v2 :
-  Node.t ->
-  ?record_trace:bool -> ?metrics:Nsc_metrics.Metrics.ctx -> Kernel.t -> result
-
-(** Run K independent replicas of one compiled kernel, replica [r] on
-    [nodes.(r)], over interleaved pooled buffer slabs (replica [r]'s
-    element 0 at [r * blen + pad]; per-replica pads isolate operand-offset
-    reads).  Clean replicas fan out across the process-wide persistent
-    domain pool ({!Multinode.parallel_for}) when [domains > 1]; under an
-    installed fault model execution is replica-major sequential so the
-    seeded draw stream stays reproducible.  [results.(r)] is
-    bit-identical to [run_kernel nodes.(r)] on a clean machine for every
-    K, and under faults for K = 1.  Kernels without a fused body fall
-    back to the general evaluator per replica. *)
-val run_batched :
-  Node.t array ->
-  ?record_trace:bool ->
-  ?domains:int -> ?metrics:Nsc_metrics.Metrics.ctx -> Kernel.t -> result array
-
-(** {2 Batch counters} — atomic, shared across domains; mirrored on the
-    [kernel.batch_*] trace counters when tracing is enabled. *)
-
-(** Batched executions started ([kernel.batch_runs]). *)
-val batch_run_count : unit -> int
-
-(** Replica instructions executed through batches ([kernel.batch_replicas]). *)
-val batch_replica_count : unit -> int
-
-(** Batched replicas that fell back to the general evaluator
-    ([kernel.batch_fallbacks]). *)
-val batch_fallback_count : unit -> int
-
-(** Zero the three batch counters (trace counters are untouched). *)
-val reset_batch_counters : unit -> unit
 
 (** Execute one pipeline instruction: compile a plan, lower it to a fused
     kernel, run it.  Callers replaying an instruction should use a

@@ -1,11 +1,10 @@
 (** Fused vector kernels: the second compilation stage.
 
-    A {!Plan.t} still pays per-element, per-unit interpretation costs in
-    its inner loop: an operand-variant match, a closure over the element
-    index, an opcode dispatch and an exception classification for every
-    unit at every element.  This module lowers a plan once more, into a
-    {!t} whose execution ({!Engine.run_kernel}) is a handful of fused,
-    closure-free float loops:
+    Interpreting a {!Plan.t} directly would pay per-element, per-unit
+    costs: an operand-variant match, an opcode dispatch and an exception
+    classification for every unit at every element.  This module lowers
+    a plan once more, into a {!t} whose execution ({!Engine.run_kernel})
+    is a handful of fused, closure-free float loops:
 
     - every operand is pre-resolved to a [(buffer, offset)] pair into a
       uniform pool of padded {!buf} vectors ([Bigarray.Array1] float64,
@@ -28,7 +27,8 @@
       solve allocates nothing in its hot path.
 
     Plans without a dense body compile to a kernel without a body; the
-    engine falls back to the general evaluator, exactly as {!Plan} does. *)
+    engine falls back to the general evaluator with the plan's cached
+    timing analysis. *)
 
 open Nsc_arch
 open Nsc_diagram
@@ -78,8 +78,7 @@ type kunit = {
 
 (** One compile-time-specialised unit loop.  [step bufs base e0 e1]
     applies the unit over elements [e0, e1) with element 0 of every
-    engaged buffer at index [base] (i.e. [pad], or [replica * blen + pad]
-    in a batched slab).  Returns an accumulator that is 0.0 when every
+    engaged buffer at index [base] (i.e. [pad]).  Returns an accumulator that is 0.0 when every
     value produced was finite and NaN otherwise — the trap pre-scan fused
     into the compute pass.  Opcodes whose results are finite by
     construction (compares, integer ops) skip the accumulator and return
@@ -96,17 +95,14 @@ type step = buf array -> int -> int -> int -> float
     Every buffer is [pad] elements of zero padding on both sides of the
     [vlen] live elements, with [pad] at least the largest operand-offset
     magnitude — so out-of-range reads (feedback warm-up, shift/delay ends,
-    short streams) land in the padding and read 0.0, exactly the plan
-    interpreter's bounds-checked semantics, without a branch. *)
+    short streams) land in the padding and read 0.0, exactly the
+    reference evaluator's bounds-checked semantics, without a branch. *)
 type body = {
   vlen : int;
   pad : int;
   blen : int;  (** buffer length: [pad + max vlen 1 + pad] *)
   n_buffers : int;
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
-  static_v2 : float array array;
-      (** float-array twin of [static] kept for {!Engine.run_kernel_v2},
-          the retained v2 baseline the bench regression gate times *)
   stream_base : int;
   unit_base : int;
   units : kunit array;  (** topological order, as in the plan *)
@@ -128,12 +124,6 @@ type body = {
   reads : Plan.read_stream array;   (** gathered into slots [stream_base + s] *)
   writes : Plan.write_stream array;
   order_of_sem : int array;
-  mutable static_slabs : (int * buf array) option;
-      (** memoized K-replica twin of [static] for {!Engine.run_batched}:
-          [(krep, slabs)] with each slab [krep * blen] elements of one
-          constant value.  Read-only once built and rebuilt only when the
-          batch width changes; mutated only by the orchestrating domain
-          (worker domains see slabs solely through the buffer array). *)
 }
 
 type t = {
@@ -171,8 +161,8 @@ let reset_counters () =
 let pool_key : (int, (int * buf list) ref) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-(* Enough for the deepest single kernel plus a 64-replica batch per
-   length; beyond that, releases fall to the GC. *)
+(* A generous bound: one kernel draws a few dozen buffers of a single
+   length; beyond the bound, releases fall to the GC. *)
 let max_pooled_per_len = 128
 
 (** Draw a buffer of exactly [len] elements from the calling domain's
@@ -252,8 +242,7 @@ let release_from (src : buf array) ~from len =
    numbers and offsets and contains nothing but the tight float loop.
    The unsafe accesses are justified by the buffer invariant above:
    [base + off + e] with [|off| <= pad] and [e < vlen] always lands
-   inside [blen = pad + max vlen 1 + pad] (or inside the replica's
-   region of a batched slab, whose per-replica layout is identical).
+   inside [blen = pad + max vlen 1 + pad].
 
    Float-producing arms fold the trap pre-scan into the same pass:
    [v -. v] is 0.0 for every finite [v] and NaN otherwise, so a
@@ -553,20 +542,13 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
   let pad = !pad in
   let blen = pad + max vlen 1 + pad in
   let static = Array.make stream_base (A1.create Bigarray.float64 Bigarray.c_layout 0) in
-  let static_v2 = Array.make stream_base [||] in
   let filled v =
     let b = A1.create Bigarray.float64 Bigarray.c_layout blen in
     A1.fill b v;
     b
   in
   static.(0) <- filled 0.0;
-  static_v2.(0) <- Array.make blen 0.0;
-  List.iter
-    (fun (bits, slot) ->
-      let c = Int64.float_of_bits bits in
-      static.(slot) <- filled c;
-      static_v2.(slot) <- Array.make blen c)
-    !consts;
+  List.iter (fun (bits, slot) -> static.(slot) <- filled (Int64.float_of_bits bits)) !consts;
   let resolve k = function
     | Plan.Zero -> (0, 0)
     | Plan.Const c -> (const_slot c, 0)
@@ -627,7 +609,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     blen;
     n_buffers = unit_base + n_units;
     static;
-    static_v2;
     stream_base;
     unit_base;
     units;
@@ -644,7 +625,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     reads = f.Plan.reads;
     writes = f.Plan.writes;
     order_of_sem = f.Plan.order_of_sem;
-    static_slabs = None;
   }
 
 (** Lower a compiled plan to a fused kernel. *)

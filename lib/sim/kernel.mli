@@ -9,10 +9,9 @@
     so the hot path contains no dispatch at all, read streams gathered
     once per instruction with bulk Bigarray-direct strided transfers and
     write streams flushed with one bulk transfer per sink.
-    {!Engine.run_kernel} executes kernels block-wise;
-    {!Engine.run_batched} runs K problem instances through one kernel
-    over interleaved buffer slabs.  Results are bit-identical to the plan
-    and legacy paths (property-tested). *)
+    {!Engine.run_kernel} executes kernels block-wise.  Results are
+    bit-identical to the reference evaluator {!Engine.run_general}
+    (property-tested). *)
 
 (** Padded executable buffer: unboxed float64, C layout (see
     {!Nsc_arch.Memory.vec}). *)
@@ -49,9 +48,6 @@ type body = {
   blen : int;  (** buffer length: [pad + max vlen 1 + pad] *)
   n_buffers : int;
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
-  static_v2 : float array array;
-      (** float-array twin of [static] for {!Engine.run_kernel_v2}, the
-          retained v2 baseline the bench regression gate times *)
   stream_base : int;  (** read stream [s] gathers into slot [stream_base + s] *)
   unit_base : int;    (** plan unit [k] writes slot [unit_base + k] *)
   units : kunit array;  (** topological order, as in the plan *)
@@ -70,9 +66,6 @@ type body = {
   writes : Plan.write_stream array;
   order_of_sem : int array;
       (** plan position of each unit of [sem.units], in original order *)
-  mutable static_slabs : (int * buf array) option;
-      (** memoized K-replica twin of [static] for {!Engine.run_batched}:
-          [(krep, slabs)], rebuilt only when the batch width changes *)
 }
 
 type t = {

@@ -60,10 +60,9 @@ val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
 (** Apply [f] to every index in [0, n), fanned across a process-wide
     persistent domain pool that is created on first use, reused by later
     calls, and drained at program exit (the machine-independent sibling
-    of {!parallel_iter}; {!Engine.run_batched} schedules replicas through
-    it).  [f i] must touch only state owned by index [i]; one caller at a
-    time — nested or concurrent calls must keep [domains = 1] (the
-    sequential default). *)
+    of {!parallel_iter}).  [f i] must touch only state owned by index
+    [i]; one caller at a time — nested or concurrent calls must keep
+    [domains = 1] (the sequential default). *)
 val parallel_for : ?domains:int -> n:int -> (int -> unit) -> unit
 
 (** Join and release the machine's pooled worker domains (no-op if no

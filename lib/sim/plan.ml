@@ -6,8 +6,8 @@
     predecessors, topological order, DMA transfers, timing analysis) can be
     resolved exactly once and reused across thousands of sweeps.  This
     module performs that lowering: a {!Nsc_diagram.Semantic.t} becomes an
-    immutable, int-indexed plan whose inner loop is pure array indexing —
-    no per-element hashtable lookups, no per-dispatch re-analysis.
+    immutable, int-indexed plan — no per-element hashtable lookups, no
+    per-dispatch re-analysis — which {!Kernel} lowers to fused loops.
 
     The dense [fast] body exists when the diagram is aligned and acyclic
     with DMA-fed shift/delay units (the checked, production case); plans
@@ -91,9 +91,9 @@ let reset_counters () =
 
 (* --- applicability of the dense body ------------------------------------ *)
 
-(* Same predicate the legacy engine dispatched on: all operand streams
-   aligned (or timing not honoured), no combinational cycles, every
-   shift/delay unit DMA-fed. *)
+(* The dense body applies when all operand streams are aligned (or
+   timing is not honoured), there are no combinational cycles, and every
+   shift/delay unit is DMA-fed. *)
 let fast_applies (analysis : Timing.t) ~honor_timing (sem : Semantic.t) =
   let aligned =
     (not honor_timing)

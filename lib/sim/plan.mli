@@ -4,8 +4,10 @@
     long vector streams, so everything static about it — operand bindings,
     switch routes, chain predecessors, topological order, DMA transfers,
     the timing analysis — is resolved once at compile time into an
-    immutable, int-indexed plan.  {!Engine.run_plan} then executes the plan
-    with a pure array-indexing inner loop. *)
+    immutable, int-indexed plan.  A plan is a compile stage, not an
+    executor: {!Kernel.compile} lowers its dense body to fused loops, and
+    plans without one run on the general evaluator with the cached
+    analysis. *)
 
 open Nsc_arch
 open Nsc_diagram

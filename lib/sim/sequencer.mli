@@ -42,9 +42,9 @@ val max_recorded_events : int
     fused vector kernel (the default [`Kernel] engine); repeated [Exec]s
     of the same instruction reuse the plan from [plan_cache] and the
     kernel from [kernel_cache] (pass persistent caches to also reuse
-    them across runs).  [~engine:`Plan] stops at the plan interpreter;
-    [~engine:`Legacy] restores the seed per-dispatch path.  All three
-    are bit-identical wherever the fused body applies.
+    them across runs).  [~engine:`Reference] runs every instruction on
+    the general memoized evaluator, the oracle; the two engines are
+    bit-identical.
 
     [budget] arms cooperative supervision: each dispatch's cycles (plus
     reconfiguration) are charged to it and it is checked at every
@@ -54,32 +54,10 @@ val run :
   Node.t ->
   ?from_microcode:bool ->
   ?record_trace:bool ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
+  ?engine:[ `Kernel | `Reference ] ->
   ?plan_cache:Plan.cache ->
   ?kernel_cache:Kernel.cache ->
   ?budget:Nsc_guard.Guard.Budget.t ->
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
   ?metrics:Nsc_metrics.Metrics.ctx ->
   Nsc_microcode.Codegen.compiled -> (outcome, string) result
-
-(** Execute one compiled program on K replica nodes in lock-step: each
-    [Exec] is dispatched as one {!Engine.run_batched} call over the
-    replicas still active at that control point, sharing one decode pass
-    and one plan/kernel cache.  A [While] keeps each replica iterating
-    on {e its own} captured condition scalar (replicas leave the loop
-    independently and rejoin after it); [Halt] retires every replica
-    reaching it.  [outcomes.(r)] is bit-identical to [run nodes.(r)] of
-    the same program — per-replica iteration counts, event streams,
-    captured scalars (property-tested).  Nodes must share the parameters
-    of [nodes.(0)]; [domains] fans clean replicas across the persistent
-    domain pool. *)
-val run_batch :
-  Node.t array ->
-  ?from_microcode:bool ->
-  ?record_trace:bool ->
-  ?domains:int ->
-  ?plan_cache:Plan.cache ->
-  ?kernel_cache:Kernel.cache ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  Nsc_microcode.Codegen.compiled -> (outcome array, string) result

@@ -59,10 +59,6 @@ let kernel_pool_hits = Kernel.pool_hit_count
 let kernel_pool_misses = Kernel.pool_miss_count
 let reset_kernel_counters = Kernel.reset_counters
 let cache_evictions () = Plan.eviction_count () + Kernel.eviction_count ()
-let batch_runs = Engine.batch_run_count
-let batch_replicas = Engine.batch_replica_count
-let batch_fallbacks = Engine.batch_fallback_count
-let reset_batch_counters = Engine.reset_batch_counters
 
 (** {2 The trace instrument}
 

@@ -60,15 +60,6 @@ val cache_evictions : unit -> int
     ({!Plan.eviction_count} + {!Kernel.eviction_count}); reset by
     {!reset_plan_counters} and {!reset_kernel_counters} respectively. *)
 
-(** Batched-execution accounting (re-exported from {!Engine}): batches
-    started, replica instructions executed through them, and replicas
-    that fell back to the general evaluator. *)
-
-val batch_runs : unit -> int
-val batch_replicas : unit -> int
-val batch_fallbacks : unit -> int
-val reset_batch_counters : unit -> unit
-
 (** {2 The trace instrument}
 
     Simulated-machine observability, re-exported from {!Nsc_trace.Trace}

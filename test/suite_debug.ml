@@ -111,6 +111,32 @@ let tests =
         (* aligned result would be 1.0 + 0.0 = 1.0; the skewed pipeline
            pairs y[lat_fmul] instead *)
         check_float "skewed value" (1.0 +. float_of_int params.Params.latencies.Params.lat_fmul) v);
+    case "the reference engine annotates the same frames as the kernel" (fun () ->
+        let b =
+          Nsc_apps.Jacobi.build kb (Nsc_apps.Grid.cube 3) ~tol:1e-4 ~max_iters:20
+        in
+        let prob = Nsc_apps.Poisson.manufactured 3 in
+        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program) in
+        let frames engine =
+          let node = Node.create params in
+          Nsc_apps.Jacobi.load node b prob;
+          let run =
+            Result.get_ok
+              (Nsc_debug.Stepper.run node ~limit:8 ~engine c b.Nsc_apps.Jacobi.program)
+          in
+          List.map
+            (fun (f : Nsc_debug.Stepper.frame) ->
+              let r = f.Nsc_debug.Stepper.result in
+              ( f.Nsc_debug.Stepper.instruction,
+                r.Engine.cycles,
+                List.sort compare r.Engine.last_values,
+                List.init r.Engine.elements (fun element ->
+                    List.sort compare (Nsc_debug.Stepper.values_at f ~element)) ))
+            run.Nsc_debug.Stepper.frames
+        in
+        let k = frames `Kernel in
+        check_bool "setup and sweeps were framed" true (List.length k >= 3);
+        check_bool "identical annotations" true (compare k (frames `Reference) = 0));
   ]
 
 let suite = [ ("debug:stepper", tests) ]

@@ -1,8 +1,7 @@
 (* The supervision layer (Nsc_guard) and its serve integration: budget
    deadlines and cancellation (including the edge cases — zero-cycle
-   budgets, a ceiling landing exactly on a sweep boundary, a deadline
-   inside a batched replica run, cancellation under an active fault
-   model), the retry ladder, the write-ahead journal, the overload
+   budgets, a ceiling landing exactly on a sweep boundary, cancellation
+   under an active fault model), the retry ladder, the write-ahead journal, the overload
    breaker, the stale-socket classifier, and a QCheck fuzzer over the
    daemon's wire protocol. *)
 
@@ -151,34 +150,6 @@ let deadline_tests =
                 check_int "boundary-exact kill" spent_cycles e2.spent_cycles
             | Ok _ | Error _ -> Alcotest.fail "expected Deadline_exceeded")
         | Ok _ | Error _ -> Alcotest.fail "expected Deadline_exceeded");
-    case "batched deadline: lock-step dispatch completes, then fires"
-      (fun () ->
-        let probs = Array.init 3 (fun _ -> Poisson.manufactured 5) in
-        let clean =
-          match Jacobi.solve_batch kb probs ~tol:1e-4 ~max_iters:50 with
-          | Ok os -> os
-          | Error e -> failwith e
-        in
-        let budget = Budget.create ~deadline_cycles:1 () in
-        (match
-           Jacobi.solve_batch kb ~budget probs ~tol:1e-4 ~max_iters:50
-         with
-        | exception Budget.Deadline_exceeded { spent_cycles; _ } ->
-            (* the in-flight batched dispatch always completes for every
-               replica before the boundary check, so at least one full
-               lock-step instruction's worth of cycles was charged *)
-            check_bool "a whole dispatch was charged" true (spent_cycles >= 1)
-        | Ok _ | Error _ -> Alcotest.fail "expected Deadline_exceeded");
-        (* the kill tore nothing down: an unbudgeted batch on the same
-           pool reproduces the clean outcomes bit-for-bit *)
-        match Jacobi.solve_batch kb probs ~tol:1e-4 ~max_iters:50 with
-        | Ok os ->
-            check_bool "pool state survived the batched kill" true
-              (Array.for_all2
-                 (fun (a : Jacobi.outcome) (b : Jacobi.outcome) ->
-                   a.Jacobi.u = b.Jacobi.u && a.Jacobi.sweeps = b.Jacobi.sweeps)
-                 clean os)
-        | Error e -> failwith e);
     case "cancellation lands under an active fault model" (fun () ->
         let spec = Result.get_ok (Fault.parse "transient-link:p=0.05") in
         Fault.install (Fault.make ~seed:7 spec);

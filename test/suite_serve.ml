@@ -120,7 +120,12 @@ let protocol_tests =
             match Protocol.engine_of_string (Protocol.engine_to_string e) with
             | Some e' -> check_bool "round-trips" true (e = e')
             | None -> Alcotest.fail "engine name did not round-trip")
-          [ `Kernel; `Kernel_v2; `Plan; `Legacy ]);
+          [ `Kernel; `Reference ];
+        List.iter
+          (fun name ->
+            check_bool ("retired engine " ^ name ^ " is rejected") true
+              (Protocol.engine_of_string name = None))
+          [ "kernel-v2"; "plan"; "legacy" ]);
   ]
 
 (* --- job execution --------------------------------------------------- *)

@@ -468,17 +468,20 @@ let plan_tests =
         ignore (Result.get_ok (Sequencer.run node c));
         check_int "analysed once for six executions" 1
           (Nsc_checker.Timing.analysis_count () - a0));
-    case "plan and legacy engines agree on the Jacobi solve" (fun () ->
+    case "the reference agrees with the kernel on the ping-pong solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go engine =
           Result.get_ok
-            (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
+            (Nsc_apps.Jacobi.solve kb ~strategy:`Ping_pong ~engine prob ~tol:1e-4
+               ~max_iters:200)
         in
-        let p = go `Plan and l = go `Legacy in
-        check_int "sweeps" l.Nsc_apps.Jacobi.sweeps p.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields" true (p.Nsc_apps.Jacobi.u = l.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (p.Nsc_apps.Jacobi.final_change = l.Nsc_apps.Jacobi.final_change));
+        let k = go `Kernel and r = go `Reference in
+        check_int "sweeps" r.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
+        check_bool "fields" true (k.Nsc_apps.Jacobi.u = r.Nsc_apps.Jacobi.u);
+        check_bool "stats" true (k.Nsc_apps.Jacobi.stats = r.Nsc_apps.Jacobi.stats);
+        check_bool "residual bits" true
+          (Int64.bits_of_float k.Nsc_apps.Jacobi.final_change
+          = Int64.bits_of_float r.Nsc_apps.Jacobi.final_change));
     case "compute_step over domains matches the sequential fan-out" (fun () ->
         let run domains =
           let m = Multinode.create ~dim:3 params in
@@ -503,8 +506,8 @@ let plan_tests =
 let suite = suite @ [ ("sim:plan", plan_tests) ]
 
 (* appended: the fused-kernel stage — its per-instruction cache and
-   counters, agreement with the other engines, tracing transparency, and
-   the persistent domain pool behind parallel_iter *)
+   counters, agreement with the reference evaluator, tracing
+   transparency, and the persistent domain pool behind parallel_iter *)
 let kernel_tests =
   [
     case "sequencer compiles each kernel once and hits the cache after"
@@ -527,18 +530,19 @@ let kernel_tests =
            keep their pre-kernel behaviour *)
         check_int "one plan compile" 1 (Stats.plan_compiles () - c0);
         check_int "four plan hits" 4 (Stats.plan_cache_hits () - h0));
-    case "kernel, plan and legacy engines agree on the Jacobi solve" (fun () ->
+    case "kernel and reference engines agree on the Jacobi solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go engine =
           Result.get_ok
             (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
         in
-        let k = go `Kernel and p = go `Plan and l = go `Legacy in
-        check_int "sweeps" p.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields vs plan" true (k.Nsc_apps.Jacobi.u = p.Nsc_apps.Jacobi.u);
-        check_bool "fields vs legacy" true (k.Nsc_apps.Jacobi.u = l.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (k.Nsc_apps.Jacobi.final_change = p.Nsc_apps.Jacobi.final_change));
+        let k = go `Kernel and r = go `Reference in
+        check_int "sweeps" r.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
+        check_bool "fields" true (k.Nsc_apps.Jacobi.u = r.Nsc_apps.Jacobi.u);
+        check_bool "stats" true (k.Nsc_apps.Jacobi.stats = r.Nsc_apps.Jacobi.stats);
+        check_bool "residual bits" true
+          (Int64.bits_of_float k.Nsc_apps.Jacobi.final_change
+          = Int64.bits_of_float r.Nsc_apps.Jacobi.final_change));
     case "kernel path is bit-identical with tracing on and off" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go () =
@@ -685,10 +689,59 @@ let async_exchange_tests =
 
 let suite = suite @ [ ("sim:async-exchange", async_exchange_tests) ]
 
-(* appended: the v3 kernel backend — agreement with the retained v2
-   baseline, the Bigarray buffer pool's edge cases (reuse, zero-length
-   buffers, dirty returns feeding the pad-zeroing path), constant
-   interning, pass-through elision, and batched replica execution *)
+(* appended: the v3 kernel backend — agreement with the reference under
+   seeded faults (including a fault behind an elided pass-through), the
+   Bigarray buffer pool's edge cases (reuse, zero-length buffers, dirty
+   returns feeding the pad-zeroing path), constant interning and
+   pass-through elision *)
+(* A doublet with vector length 1: d0.u0 = x + 1 (x from plane 0),
+   d0.u1 = [op] over the chain with B = 2.0.  u1 is written to plane 1,
+   and u0 to plane 2 when [tap] is set. *)
+let chained_doublet ?(tap = false) op =
+  let pl, icon = pipeline_with Als.Doublet in
+  let pl = Pipeline.with_vector_length pl 1 in
+  let _, pl =
+    Pipeline.add_connection pl ~src:(Connection.Direct_memory 0)
+      ~dst:(Connection.Pad { icon; pad = Icon.In_pad (0, Resource.A) })
+      ~spec:(Dma_spec.make (Dma_spec.To_plane 0)) ()
+  in
+  let pl =
+    Pipeline.set_config pl ~id:icon ~slot:0
+      (Fu_config.make ~a:Fu_config.From_switch ~b:(Fu_config.From_constant 1.0)
+         Opcode.Fadd)
+  in
+  let pl =
+    Pipeline.set_config pl ~id:icon ~slot:1
+      (Fu_config.make ~a:Fu_config.From_chain ~b:(Fu_config.From_constant 2.0) op)
+  in
+  let tap_out pl slot plane =
+    snd
+      (Pipeline.add_connection pl
+         ~src:(Connection.Pad { icon; pad = Icon.Out_pad slot })
+         ~dst:(Connection.Direct_memory plane)
+         ~spec:(Dma_spec.make (Dma_spec.To_plane plane)) ())
+  in
+  let pl = tap_out pl 1 1 in
+  fst (Semantic.of_pipeline params (if tap then tap_out pl 0 2 else pl))
+
+(* Run [exec] on a node holding x = -2.8429 under an [fu-fault:p=1] model
+   with [seed] (vector length 1, two units: seeds 5 and 1 put the victim
+   on unit 0 and unit 1 respectively); returns planes 1 and 2 at address
+   0 and the result. *)
+let fu_faulted ~seed exec =
+  let module F = Nsc_fault.Fault in
+  F.install (F.make ~seed (Result.get_ok (F.parse "fu-fault:p=1")));
+  Fun.protect ~finally:F.clear (fun () ->
+      let node = Node.create params in
+      Node.load_array node ~plane:0 ~base:0 [| -2.8429 |];
+      let r : Engine.result = exec node in
+      (Node.read_plane node ~plane:1 ~addr:0, Node.read_plane node ~plane:2 ~addr:0, r))
+
+let both_engines sem =
+  let kn = Kernel.compile (Plan.compile params sem) in
+  [ ("kernel", fun node -> Engine.run_kernel node kn);
+    ("reference", fun node -> Engine.run node ~force_general:true sem) ]
+
 let kernel_v3_tests =
   let jacobi_kernel ~index =
     let b =
@@ -699,17 +752,80 @@ let kernel_v3_tests =
     (b, Kernel.compile (Plan.compile params sem))
   in
   [
-    case "v3 and the retained v2 baseline agree on the Jacobi solve" (fun () ->
+    case "v3 and the reference agree on a faulted Jacobi solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
+        let module F = Nsc_fault.Fault in
+        let spec = Result.get_ok (F.parse "fu-fault:p=0.02,dma-stall:p=0.05") in
         let go engine =
-          Result.get_ok
-            (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
+          F.install (F.make ~seed:1234 spec);
+          Fun.protect ~finally:F.clear (fun () ->
+              Result.get_ok
+                (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200))
         in
-        let v3 = go `Kernel and v2 = go `Kernel_v2 in
-        check_int "sweeps" v2.Nsc_apps.Jacobi.sweeps v3.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields" true (v3.Nsc_apps.Jacobi.u = v2.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (v3.Nsc_apps.Jacobi.final_change = v2.Nsc_apps.Jacobi.final_change));
+        let k = go `Kernel and r = go `Reference in
+        let trapped (o : Nsc_apps.Jacobi.outcome) =
+          Interrupt.trapped_exceptions o.Nsc_apps.Jacobi.stats.Sequencer.events
+        in
+        check_bool "the fault model trapped" true (trapped k > 0);
+        check_int "sweeps" r.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
+        check_bool "fields" true
+          (compare k.Nsc_apps.Jacobi.u r.Nsc_apps.Jacobi.u = 0);
+        check_int "cycles" r.Nsc_apps.Jacobi.stats.Sequencer.total_cycles
+          k.Nsc_apps.Jacobi.stats.Sequencer.total_cycles;
+        check_int "trapped events" (trapped r) (trapped k);
+        check_bool "residual bits" true
+          (Int64.bits_of_float k.Nsc_apps.Jacobi.final_change
+          = Int64.bits_of_float r.Nsc_apps.Jacobi.final_change));
+    case "an FU fault on a pass-through's source stays on the victim's latch"
+      (fun () ->
+        (* only the pass is written, so the kernel elides its copy and
+           both units share one buffer; a fault on the adder's latch must
+           not reach the pass's sink — the pass latched the clean value *)
+        let sem = chained_doublet Opcode.Pass in
+        (match (Kernel.compile (Plan.compile params sem)).Kernel.body with
+        | Some body ->
+            check_bool "the pass is elided onto its source" true
+              (body.Kernel.val_slot.(1) = body.Kernel.val_slot.(0))
+        | None -> Alcotest.fail "expected a fused body");
+        let adder = (List.hd sem.Semantic.units).Semantic.fu in
+        let observed =
+          List.map
+            (fun (name, exec) ->
+              let pass_sink, _, r = fu_faulted ~seed:5 exec in
+              check_bool (name ^ ": the draw hit the adder at element 0") true
+                (List.mem
+                   (Interrupt.Exception_trapped
+                      { instruction = sem.Semantic.index; unit_ = adder;
+                        kind = Interrupt.Invalid_operand; element = 0 })
+                   r.Engine.events);
+              check_float (name ^ ": the pass's sink is clean") (-1.8429) pass_sink;
+              check_bool (name ^ ": the adder's latch reads NaN") true
+                (Float.is_nan (List.assoc adder r.Engine.last_values));
+              (List.sort compare r.Engine.last_values, r.Engine.cycles,
+               List.sort compare r.Engine.events))
+            (both_engines sem)
+        in
+        check_bool "kernel and reference agree" true
+          (compare (List.nth observed 0) (List.nth observed 1) = 0));
+    case "an FU fault on an elided pass-through corrupts only its own sink"
+      (fun () ->
+        let sem = chained_doublet ~tap:true Opcode.Pass in
+        let pass = (List.nth sem.Semantic.units 1).Semantic.fu in
+        let observed =
+          List.map
+            (fun (name, exec) ->
+              let pass_sink, adder_sink, r = fu_faulted ~seed:1 exec in
+              check_bool (name ^ ": the pass's sink reads NaN") true
+                (Float.is_nan pass_sink);
+              check_float (name ^ ": the adder's sink is clean") (-1.8429) adder_sink;
+              check_bool (name ^ ": the pass's latch reads NaN") true
+                (Float.is_nan (List.assoc pass r.Engine.last_values));
+              (List.sort compare r.Engine.last_values, r.Engine.cycles,
+               List.sort compare r.Engine.events))
+            (both_engines sem)
+        in
+        check_bool "kernel and reference agree" true
+          (compare (List.nth observed 0) (List.nth observed 1) = 0));
     case "a warm solve draws every working buffer from the pool" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go () =
@@ -803,38 +919,30 @@ let kernel_v3_tests =
               body.Kernel.units;
             check_int "every copy unit elided" (Array.length body.Kernel.units)
               !elided);
-    case "batched replicas converge independently and match solo solves"
-      (fun () ->
-        let base = Nsc_apps.Poisson.manufactured 5 in
-        let scaled c =
-          { base with
-            Nsc_apps.Poisson.f = Array.map (( *. ) c) base.Nsc_apps.Poisson.f }
-        in
-        let probs = [| base; scaled 100.0; scaled 0.01 |] in
-        let br0 = Stats.batch_runs () and bf0 = Stats.batch_fallbacks () in
-        let batch =
-          Result.get_ok (Nsc_apps.Jacobi.solve_batch kb probs ~tol:1e-4 ~max_iters:200)
-        in
-        check_bool "batched instructions ran" true (Stats.batch_runs () > br0);
-        check_int "no general-evaluator fallbacks" 0
-          (Stats.batch_fallbacks () - bf0);
-        Array.iteri
-          (fun r prob ->
-            let solo =
-              Result.get_ok (Nsc_apps.Jacobi.solve kb prob ~tol:1e-4 ~max_iters:200)
-            in
-            check_int "sweeps" solo.Nsc_apps.Jacobi.sweeps
-              batch.(r).Nsc_apps.Jacobi.sweeps;
-            check_bool "fields" true
-              (batch.(r).Nsc_apps.Jacobi.u = solo.Nsc_apps.Jacobi.u);
-            check_bool "residual bits" true
-              (Int64.bits_of_float batch.(r).Nsc_apps.Jacobi.final_change
-              = Int64.bits_of_float solo.Nsc_apps.Jacobi.final_change))
-          probs;
-        (* the 100x load must cost extra sweeps, or the divergence
-           handling was never exercised *)
-        check_bool "replicas diverge" true
-          (batch.(0).Nsc_apps.Jacobi.sweeps <> batch.(1).Nsc_apps.Jacobi.sweeps));
   ]
 
 let suite = suite @ [ ("sim:kernel-v3", kernel_v3_tests) ]
+
+(* appended: the FU-fault latch model both evaluators share *)
+let fault_latch_tests =
+  [
+    case "a faulted latch drains NaN while its consumers stay clean" (fun () ->
+        (* u0 = x + 1 is the victim; u1 = u0 * 2 consumes it in the same
+           instruction and must latch the clean value *)
+        let sem = chained_doublet ~tap:true Opcode.Fmul in
+        let adder = (List.hd sem.Semantic.units).Semantic.fu in
+        List.iter
+          (fun (name, exec) ->
+            let consumer_sink, victim_sink, r = fu_faulted ~seed:5 exec in
+            check_bool (name ^ ": the victim's sink reads NaN") true
+              (Float.is_nan victim_sink);
+            check_float (name ^ ": the consumer computed from the clean value")
+              ((-2.8429 +. 1.0) *. 2.0) consumer_sink;
+            check_bool (name ^ ": the victim's last value reads NaN") true
+              (Float.is_nan (List.assoc adder r.Engine.last_values));
+            check_int (name ^ ": one trapped exception") 1
+              (Interrupt.trapped_exceptions r.Engine.events))
+          (both_engines sem));
+  ]
+
+let suite = suite @ [ ("sim:fault-latch", fault_latch_tests) ]
