@@ -155,6 +155,10 @@ type scaling_perf = {
 
 let scaling_perf_result : scaling_perf option ref = ref None
 
+(* JSON has no NaN or infinity: a non-finite value is written as null *)
+let json_float f =
+  if Float.is_finite f then Printf.sprintf "%.17e" f else "null"
+
 let write_bench_json path =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -177,9 +181,9 @@ let write_bench_json path =
       out "    \"speedup_vs_reference\": %.1f,\n"
         (k.reference_seconds /. k.kernel_seconds);
       out "    \"sweeps\": %d,\n" k.kernel_sweeps;
-      out "    \"final_change\": %.17e,\n" k.kernel_final_change;
+      out "    \"final_change\": %s,\n" (json_float k.kernel_final_change);
       out "    \"faulted_sweeps\": %d,\n" k.faulted_sweeps;
-      out "    \"faulted_final_change\": %.17e,\n" k.faulted_final_change;
+      out "    \"faulted_final_change\": %s,\n" (json_float k.faulted_final_change);
       out "    \"kernel_compiles\": %d,\n" k.kernel_compiles;
       out "    \"kernel_cache_hits\": %d,\n" k.kernel_cache_hits;
       out "    \"pool_hits\": %d,\n" k.kernel_pool_hits;

@@ -891,8 +891,9 @@ let serve_cmd =
          & info [ "degraded" ]
              ~doc:"After the retries are exhausted, make one degraded-mode \
                    attempt — a quartered Jacobi sweep budget, or the \
-                   reference engine for source jobs — before failing the \
-                   job permanently.")
+                   reference engine for source jobs (a few hundred times \
+                   slower; it still honours the wall deadline every 1024 \
+                   elements) — before failing the job permanently.")
   in
   let shed_at_arg =
     Arg.(value & opt int 0

@@ -182,6 +182,13 @@ let fault_stream_cycles (sem : Semantic.t) =
       in
       if streams = 0 then 0 else Fault.streams_overhead f ~streams
 
+(* Block size of the fused element loops: big enough to amortise the
+   per-unit loop-entry cost (and to run typical grid planes in a single
+   block), small enough that a block of every engaged buffer stays
+   cache-resident — ~20 live buffers at 8 KB each sit comfortably in L2.
+   The reference evaluator polls its budget on the same element grid. *)
+let kernel_block = 1024
+
 (* The general evaluator, and the oracle: memoized recursion over (unit,
    element).  Handles arbitrary element skew (misaligned streams), guarded
    switch cycles, and shift/delay units fed by computed streams.  The
@@ -190,7 +197,7 @@ let fault_stream_cycles (sem : Semantic.t) =
    and must agree with it wherever its body applies (property-tested,
    clean and under seeded faults). *)
 let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?analysis (sem : Semantic.t) : result =
+    ?analysis ?budget (sem : Semantic.t) : result =
   let p = node.Node.params in
   let vlen = sem.Semantic.vector_length in
   (* --- static tables ------------------------------------------------- *)
@@ -353,6 +360,9 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
           let count = if t.Dma.count = 0 then vlen else t.Dma.count in
           Dma.note_write ~words:count;
           for e = 0 to count - 1 do
+            (* an armed wall deadline or a cancellation is honoured every
+               block of elements, not only between instructions *)
+            if e mod kernel_block = 0 then Nsc_guard.Guard.Budget.poll_opt budget;
             (* evaluate first, so the clean run's evaluation order (which
                decides guarded switch cycles) is kept under a fault *)
             let v = source_value src e in
@@ -373,6 +383,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
   List.iter
     (fun (u : Semantic.unit_program) ->
       for e = 0 to vlen - 1 do
+        if e mod kernel_block = 0 then Nsc_guard.Guard.Budget.poll_opt budget;
         ignore (unit_out u.Semantic.fu e)
       done)
     sem.Semantic.units;
@@ -414,12 +425,6 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
 (* --- the fused kernel: specialised steps over pooled Bigarray buffers --- *)
 
 module A1 = Bigarray.Array1
-
-(* Block size of the fused element loops: big enough to amortise the
-   per-unit loop-entry cost (and to run typical grid planes in a single
-   block), small enough that a block of every engaged buffer stays
-   cache-resident — ~20 live buffers at 8 KB each sit comfortably in L2. *)
-let kernel_block = 1024
 
 (* Zero [len] elements of [b] from [pos] (no-op on an empty range).
    Pooled buffers come back dirty; the executor scrubs exactly the
@@ -689,7 +694,7 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
   match kn.Kernel.body with
   | None ->
       run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
+        ~analysis:pl.Plan.analysis ?budget pl.Plan.sem
   | Some b ->
       let bufs = Array.make b.Kernel.n_buffers b.Kernel.static.(0) in
       Array.blit b.Kernel.static 0 bufs 0 (Array.length b.Kernel.static);
@@ -704,15 +709,11 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused
     kernel and runs it; callers that replay an instruction should compile
-    once, or use a {!Kernel.cache}, and call {!run_kernel} directly.
-    [force_general] pins the general memoized evaluator (used by the
-    equivalence property tests). *)
+    once, or use a {!Kernel.cache}, and call {!run_kernel} directly. *)
 let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?(force_general = false) (sem : Semantic.t) : result =
-  if force_general then run_general node ~record_trace ~honor_timing sem
-  else
-    run_kernel node ~record_trace
-      (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
+    (sem : Semantic.t) : result =
+  run_kernel node ~record_trace
+    (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
 
 (* --- explicit metric contexts ------------------------------------------- *)
 
@@ -725,13 +726,12 @@ let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
 let in_ctx metrics f =
   match metrics with None -> f () | Some m -> Metrics.with_ctx m f
 
-let run_general node ?record_trace ?honor_timing ?analysis ?metrics sem =
+let run_general node ?record_trace ?honor_timing ?analysis ?budget ?metrics sem =
   in_ctx metrics (fun () ->
-      run_general node ?record_trace ?honor_timing ?analysis sem)
+      run_general node ?record_trace ?honor_timing ?analysis ?budget sem)
 
 let run_kernel node ?record_trace ?budget ?metrics kn =
   in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
 
-let run node ?record_trace ?honor_timing ?force_general ?metrics sem =
-  in_ctx metrics (fun () ->
-      run node ?record_trace ?honor_timing ?force_general sem)
+let run node ?record_trace ?honor_timing ?metrics sem =
+  in_ctx metrics (fun () -> run node ?record_trace ?honor_timing sem)

@@ -59,12 +59,18 @@ val max_recorded_events : int
 
 (** The general memoized evaluator: the reference every other path is
     checked against.  [analysis] supplies a precomputed timing analysis
-    (from a compiled plan) so none is recomputed here. *)
+    (from a compiled plan) so none is recomputed here.  [budget] is
+    polled every 1024 elements while the write streams drain and while
+    the remaining units are evaluated, so a wall
+    deadline or a cancellation unwinds with
+    [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction; memory
+    the instruction already wrote stays written. *)
 val run_general :
   Node.t ->
   ?record_trace:bool ->
   ?honor_timing:bool ->
   ?analysis:Nsc_checker.Timing.t ->
+  ?budget:Nsc_guard.Guard.Budget.t ->
   ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
 
 (** Execute a fused {!Kernel.t}, the single fast path: buffers drawn from
@@ -90,12 +96,10 @@ val run_kernel :
 
 (** Execute one pipeline instruction: compile a plan, lower it to a fused
     kernel, run it.  Callers replaying an instruction should use a
-    {!Kernel.cache} and {!run_kernel}.  [force_general] pins the general
-    memoized evaluator (used by the equivalence property tests). *)
+    {!Kernel.cache} and {!run_kernel}. *)
 val run :
   Node.t ->
   ?record_trace:bool ->
   ?honor_timing:bool ->
-  ?force_general:bool ->
   ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
 

@@ -132,7 +132,7 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
               | `Kernel ->
                   Engine.run_kernel node ~record_trace ?budget
                     (Kernel.cached kernel_cache plan_cache p sem)
-              | `Reference -> Engine.run_general node ~record_trace sem
+              | `Reference -> Engine.run_general node ~record_trace ?budget sem
             in
             incr executed;
             cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;

@@ -49,7 +49,9 @@ val max_recorded_events : int
     [budget] arms cooperative supervision: each dispatch's cycles (plus
     reconfiguration) are charged to it and it is checked at every
     instruction boundary, so a run whose budget expires unwinds with
-    [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on. *)
+    [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on.
+    Both engines also poll a wall deadline or a cancellation inside an
+    instruction, every 1024 elements. *)
 val run :
   Node.t ->
   ?from_microcode:bool ->

@@ -166,6 +166,22 @@ let deadline_tests =
         in
         Fault.clear ();
         check_bool "cancelled mid-fault-model" true fired);
+    case "the reference evaluator polls the budget inside an instruction"
+      (fun () ->
+        let prog, _ = vecadd_program ~n:3000 () in
+        let sem, _ = semantic_of_program prog 1 in
+        let node = Nsc_sim.Node.create params in
+        let cancelled = Budget.create () in
+        Budget.cancel cancelled;
+        (match Nsc_sim.Engine.run_general node ~budget:cancelled sem with
+        | exception Budget.Deadline_exceeded { reason; _ } ->
+            check_string "reason" "cancelled" reason
+        | _ -> Alcotest.fail "expected cancellation");
+        (* one poll per 1024-element block of the write stream, then one
+           per block of the unit's forced evaluation *)
+        let armed = Budget.create () in
+        ignore (Nsc_sim.Engine.run_general node ~budget:armed sem);
+        check_int "polls" 6 (Budget.polls armed));
   ]
 
 (* --- Retry, Journal, Breaker units --------------------------------------- *)

@@ -340,35 +340,47 @@ let load_planes ~scale ~div node =
         (Array.init 80 (fun i -> Float.of_int ((plane * scale) + i) /. div)))
     (List.init 16 (fun p -> p))
 
-let observe ~scale ~div exec =
-  let node = Nsc_sim.Node.create params in
-  load_planes ~scale ~div node;
-  let r : Nsc_sim.Engine.result = exec node in
-  let mem =
-    List.map
-      (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
-      (List.init 16 (fun p -> p))
-  in
-  ( mem,
-    List.sort compare r.Nsc_sim.Engine.last_values,
+let summary (r : Nsc_sim.Engine.result) =
+  ( List.sort compare r.Nsc_sim.Engine.last_values,
     r.Nsc_sim.Engine.cycles,
     r.Nsc_sim.Engine.flops,
     r.Nsc_sim.Engine.writes,
     List.sort compare r.Nsc_sim.Engine.events )
 
+(* run [execs] in order on one freshly loaded node: the memory planes
+   after the last one, and each run's summary *)
+let observe_seq ~scale ~div execs =
+  let node = Nsc_sim.Node.create params in
+  load_planes ~scale ~div node;
+  let rs = List.map (fun exec -> summary (exec node)) execs in
+  let mem =
+    List.map
+      (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
+      (List.init 16 (fun p -> p))
+  in
+  (mem, rs)
+
+let observe ~scale ~div exec = observe_seq ~scale ~div [ exec ]
+
 let same a b = compare a b = 0
 
+let kernel_exec sem node =
+  Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
+
+let reference_exec sem node = Nsc_sim.Engine.run_general node sem
+
+(* the data scale is drawn per case, so planes hold different values *)
 let engine_equivalence =
   [
-    qcheck ~count:60 "fast and general evaluators write identical memory"
-      valid_pipeline_gen
-      (fun pl ->
+    qcheck ~count:100 "fast and general evaluators write identical memory"
+      Gen.(pair valid_pipeline_gen (int_range 1 16))
+      (fun (pl, scale) ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let run force_general =
+        let run exec =
           let trace = ref [] in
           let o =
-            observe ~scale:7 ~div:3.0 (fun node ->
-                let r = Nsc_sim.Engine.run node ~force_general ~record_trace:true sem in
+            observe ~scale ~div:3.0 (fun node ->
+                let r : Nsc_sim.Engine.result = exec node in
                 (match r.Nsc_sim.Engine.trace with
                 | Some tr ->
                     trace :=
@@ -381,7 +393,9 @@ let engine_equivalence =
           in
           (o, !trace)
         in
-        same (run true) (run false));
+        same
+          (run (fun node -> Nsc_sim.Engine.run_general node ~record_trace:true sem))
+          (run (fun node -> Nsc_sim.Engine.run node ~record_trace:true sem)));
   ]
 
 let suite = suite @ [ ("property:engine-equivalence", engine_equivalence) ]
@@ -395,20 +409,16 @@ let plan_equivalence =
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let go force_general =
-          observe ~scale:11 ~div:7.0 (fun node ->
-              Nsc_sim.Engine.run node ~honor_timing:false ~force_general sem)
-        in
-        same (go false) (go true));
+        same
+          (observe ~scale:11 ~div:7.0 (fun node ->
+               Nsc_sim.Engine.run node ~honor_timing:false sem))
+          (observe ~scale:11 ~div:7.0 (fun node ->
+               Nsc_sim.Engine.run_general node ~honor_timing:false sem)));
     qcheck ~count:40 "cached plans replay identically to fresh compiles"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let fresh =
-          observe ~scale:5 ~div:2.0 (fun node ->
-              Nsc_sim.Engine.run_kernel node
-                (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem)))
-        in
+        let fresh = observe ~scale:5 ~div:2.0 (kernel_exec sem) in
         let pc = Nsc_sim.Plan.make_cache () and kc = Nsc_sim.Kernel.make_cache () in
         (* prime the caches, then the second lookup must hit both and agree *)
         ignore (Nsc_sim.Kernel.cached kc pc params sem);
@@ -425,51 +435,58 @@ let plan_equivalence =
 
 let suite = suite @ [ ("property:plan-equivalence", plan_equivalence) ]
 
-(* appended: the fused kernel against the reference on a clean machine *)
-let kernel_exec sem node =
-  Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
-
-let reference_exec sem node = Nsc_sim.Engine.run node ~force_general:true sem
-
+(* appended: instruction sequences — two instructions run back to back on
+   one node, so the second reads what the first wrote and the kernel's
+   second body runs on pooled buffers the first handed back dirty.  Both
+   results and the final memory must match the reference's. *)
 let kernel_equivalence =
   [
-    qcheck ~count:100 "fused kernels match the reference evaluator"
-      valid_pipeline_gen
-      (fun pl ->
-        let sem, _ = Semantic.of_pipeline params pl in
+    qcheck ~count:100
+      "fused kernels match the reference evaluator over two-instruction sequences"
+      Gen.(pair valid_pipeline_gen valid_pipeline_gen)
+      (fun (p1, p2) ->
+        let s1, _ = Semantic.of_pipeline params p1
+        and s2, _ = Semantic.of_pipeline params p2 in
         same
-          (observe ~scale:13 ~div:5.0 (kernel_exec sem))
-          (observe ~scale:13 ~div:5.0 (reference_exec sem)));
+          (observe_seq ~scale:13 ~div:5.0 [ kernel_exec s1; kernel_exec s2 ])
+          (observe_seq ~scale:13 ~div:5.0 [ reference_exec s1; reference_exec s2 ]));
   ]
 
 let suite = suite @ [ ("property:kernel-equivalence", kernel_equivalence) ]
 
-(* appended: the same comparison under a fault model seeded per case.
-   The model is re-created with the case's seed before each evaluator's
-   run, so both consume one fault stream.  Every case draws an FU fault
-   (p=1) on a random unit and element, which is what reaches the rare
-   victims — such as a unit whose buffer an elided pass-through shares.
-   The property also counts the cases whose FU draw fired and fails if
-   none did, so it cannot pass vacuously. *)
+(* appended: one instruction under a fault model seeded per case.  The
+   model is re-created with the case's seed before each evaluator's run,
+   so both consume one fault stream.  Every case draws an FU fault (p=1)
+   on a random unit and element, which is what reaches the rare victims —
+   such as a unit whose buffer an elided pass-through shares.  A case
+   counts as trapped when its observed events hold an invalid-operand
+   trap that the same instruction on a clean machine does not raise; the
+   property fails if no case trapped, so it cannot pass vacuously. *)
 let faulted_equivalence =
   let module F = Nsc_fault.Fault in
   let spec = Result.get_ok (F.parse "fu-fault:p=1,dma-stall:p=0.5") in
   let trapped = ref 0 in
+  let invalid_traps (_, rs) =
+    List.concat_map
+      (fun (_, _, _, _, events) ->
+        List.filter
+          (function
+            | Interrupt.Exception_trapped { kind = Interrupt.Invalid_operand; _ } -> true
+            | _ -> false)
+          events)
+      rs
+  in
   let prop (pl, seed) =
     let sem, _ = Semantic.of_pipeline params pl in
     let faulted exec =
       F.install (F.make ~seed spec);
       Fun.protect ~finally:F.clear (fun () -> observe ~scale:13 ~div:5.0 exec)
     in
-    (* the first draw of an instruction is its FU draw: replay it on a
-       fresh model to learn whether this case trapped *)
-    (match
-       F.draw_fu_fault (F.make ~seed spec) ~vlen:sem.Semantic.vector_length
-         ~units:(List.length sem.Semantic.units)
-     with
-    | Some _ -> incr trapped
-    | None -> ());
-    same (faulted (kernel_exec sem)) (faulted (reference_exec sem))
+    let kernel = faulted (kernel_exec sem) in
+    let clean = invalid_traps (observe ~scale:13 ~div:5.0 (kernel_exec sem)) in
+    if List.exists (fun ev -> not (List.mem ev clean)) (invalid_traps kernel) then
+      incr trapped;
+    same kernel (faulted (reference_exec sem))
   in
   let name = "fused kernels match the reference under per-case seeded faults" in
   [

@@ -740,7 +740,7 @@ let fu_faulted ~seed exec =
 let both_engines sem =
   let kn = Kernel.compile (Plan.compile params sem) in
   [ ("kernel", fun node -> Engine.run_kernel node kn);
-    ("reference", fun node -> Engine.run node ~force_general:true sem) ]
+    ("reference", fun node -> Engine.run_general node sem) ]
 
 let kernel_v3_tests =
   let jacobi_kernel ~index =
