@@ -59,12 +59,21 @@ type kernel_perf = {
 
 let kernel_perf_result : kernel_perf option ref = ref None
 
+(* One kind of disabled gate: its cost and how many such sites the
+   counted n=9 solve crossed. *)
+type gate = { g_kind : string; g_ns : float; g_sites : int }
+
+type overhead_perf = {
+  ov_disabled_seconds : float;
+  ov_gates : gate list;
+  ov_projected_pct : float;
+}
+
+let overhead_perf_result : overhead_perf option ref = ref None
+
 type trace_perf = {
   trace_disabled_seconds : float;
   trace_enabled_seconds : float;
-  disabled_gate_ns : float;
-  instrumentation_sites : int;
-  projected_overhead_pct : float;
   trace_counter_values : (string * int * string) list;
 }
 
@@ -76,9 +85,6 @@ type profile_perf = {
   prof_p50_exec : int;
   prof_p99_exec : int;
   prof_hotspot : Stats.hotspot;
-  prof_gate_ns : float;
-  prof_sites : int;
-  prof_projected_pct : float;
 }
 
 let profile_perf_result : profile_perf option ref = ref None
@@ -88,9 +94,6 @@ type fault_perf = {
   fault_faulted_cycles : int;
   fault_cycle_overhead_pct : float;
   fault_residual_match : bool;
-  fault_gate_ns : float;
-  fault_sites : int;
-  fault_projected_pct : float;
   fault_ledger : (string * int) list;
   fault_ft_rollbacks : int;
   fault_ft_detected : int;
@@ -117,10 +120,6 @@ type service_perf = {
 let service_perf_result : service_perf option ref = ref None
 
 type resilience_perf = {
-  res_gate_ns : float;  (** one disabled Budget.check_opt None *)
-  res_sites : int;  (** armed boundary checks of the reference solve *)
-  res_clean_seconds : float;
-  res_projected_pct : float;
   res_deadline_spent : int;  (** cycles charged when the mid-run kill fired *)
   res_chaos_jobs : int;
   res_chaos_lost : int;  (** acked jobs missing after kill + recover *)
@@ -191,15 +190,28 @@ let write_bench_json path =
       out "    \"residual_match\": %b,\n" k.kernel_residual_match;
       out "    \"faulted_residual_match\": %b\n" k.kernel_faulted_match;
       out "  }");
+  (match !overhead_perf_result with
+  | None -> ()
+  | Some o ->
+      out ",\n  \"overhead\": {\n";
+      out "    \"disabled_seconds\": %.4f,\n" o.ov_disabled_seconds;
+      out "    \"gates\": {\n";
+      List.iteri
+        (fun i g ->
+          out "      %S: {\"gate_ns\": %.3f, \"sites\": %d}%s\n" g.g_kind g.g_ns g.g_sites
+            (if i = List.length o.ov_gates - 1 then "" else ","))
+        o.ov_gates;
+      out "    },\n";
+      out "    \"sites\": %d,\n"
+        (List.fold_left (fun acc g -> acc + g.g_sites) 0 o.ov_gates);
+      out "    \"projected_disabled_overhead_pct\": %.4f\n" o.ov_projected_pct;
+      out "  }");
   (match !trace_perf_result with
   | None -> ()
   | Some t ->
       out ",\n  \"trace\": {\n";
       out "    \"disabled_seconds\": %.4f,\n" t.trace_disabled_seconds;
       out "    \"enabled_seconds\": %.4f,\n" t.trace_enabled_seconds;
-      out "    \"disabled_gate_ns\": %.3f,\n" t.disabled_gate_ns;
-      out "    \"instrumentation_sites\": %d,\n" t.instrumentation_sites;
-      out "    \"projected_disabled_overhead_pct\": %.4f,\n" t.projected_overhead_pct;
       out "    \"counters\": {\n";
       let nonzero = List.filter (fun (_, v, _) -> v > 0) t.trace_counter_values in
       List.iteri
@@ -219,12 +231,9 @@ let write_bench_json path =
       let h = p.prof_hotspot in
       out
         "    \"top_hotspot\": {\"instr\": %S, \"unit\": %S, \"cycles\": %d, \
-         \"mflops\": %.2f, \"peak_pct\": %.2f},\n"
+         \"mflops\": %.2f, \"peak_pct\": %.2f}\n"
         h.Stats.hs_instr h.Stats.hs_unit h.Stats.hs_share_cycles
         h.Stats.hs_mflops h.Stats.hs_peak_pct;
-      out "    \"disabled_gate_ns\": %.3f,\n" p.prof_gate_ns;
-      out "    \"instrumentation_sites\": %d,\n" p.prof_sites;
-      out "    \"projected_disabled_overhead_pct\": %.4f\n" p.prof_projected_pct;
       out "  }");
   (match !fault_perf_result with
   | None -> ()
@@ -234,9 +243,6 @@ let write_bench_json path =
       out "    \"faulted_cycles\": %d,\n" f.fault_faulted_cycles;
       out "    \"cycle_overhead_pct\": %.4f,\n" f.fault_cycle_overhead_pct;
       out "    \"residual_match\": %b,\n" f.fault_residual_match;
-      out "    \"disabled_gate_ns\": %.3f,\n" f.fault_gate_ns;
-      out "    \"injection_sites\": %d,\n" f.fault_sites;
-      out "    \"projected_disabled_overhead_pct\": %.4f,\n" f.fault_projected_pct;
       out "    \"ft_rollbacks\": %d,\n" f.fault_ft_rollbacks;
       out "    \"ft_faults_detected\": %d,\n" f.fault_ft_detected;
       out "    \"ft_sweeps\": %d,\n" f.fault_ft_sweeps;
@@ -269,10 +275,6 @@ let write_bench_json path =
   | None -> ()
   | Some r ->
       out ",\n  \"resilience\": {\n";
-      out "    \"disabled_gate_ns\": %.3f,\n" r.res_gate_ns;
-      out "    \"guard_sites\": %d,\n" r.res_sites;
-      out "    \"clean_seconds\": %.4f,\n" r.res_clean_seconds;
-      out "    \"projected_disabled_overhead_pct\": %.4f,\n" r.res_projected_pct;
       out "    \"deadline_spent_cycles\": %d,\n" r.res_deadline_spent;
       out "    \"chaos_jobs\": %d,\n" r.res_chaos_jobs;
       out "    \"chaos_lost\": %d,\n" r.res_chaos_lost;
@@ -1003,10 +1005,10 @@ let perf_engine () =
      caches, then best-of-[timing_reps] with a fresh node reloaded outside
      each timed window, so the repetitions measure execution and must not
      allocate a single pool buffer *)
-  Stats.reset_kernel_counters ();
+  let compiles0 = Kernel.compile_count () and khits0 = Kernel.cache_hit_count () in
   let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
   let _, kernel_o = run_once ~plan_cache ~kernel_cache `Kernel in
-  let hits0 = Stats.kernel_pool_hits () and misses0 = Stats.kernel_pool_misses () in
+  let hits0 = Kernel.pool_hit_count () and misses0 = Kernel.pool_miss_count () in
   let kernel_seconds = ref infinity in
   for _ = 1 to timing_reps do
     let dt, o = run_once ~plan_cache ~kernel_cache `Kernel in
@@ -1015,10 +1017,10 @@ let perf_engine () =
     if dt < !kernel_seconds then kernel_seconds := dt
   done;
   let kernel_seconds = !kernel_seconds in
-  let kcompiles = Stats.kernel_compiles ()
-  and khits = Stats.kernel_cache_hits ()
-  and kpool_hits = Stats.kernel_pool_hits () - hits0
-  and kpool_misses = Stats.kernel_pool_misses () - misses0 in
+  let kcompiles = Kernel.compile_count () - compiles0
+  and khits = Kernel.cache_hit_count () - khits0
+  and kpool_hits = Kernel.pool_hit_count () - hits0
+  and kpool_misses = Kernel.pool_miss_count () - misses0 in
   (* the oracle: one run, a few seconds *)
   let reference_seconds, reference_o = run_once `Reference in
   (* bit equality on the residual: a faulted run can legitimately end on
@@ -1091,19 +1093,109 @@ let perf_engine () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* TRACE: the instrument's counters and its disabled-path budget       *)
+(* OVERHEAD: the disabled path of every gated site, measured once      *)
 (* ------------------------------------------------------------------ *)
 
-(* The <2% budget for the disabled path cannot be read off two wall-clock
-   runs alone (run-to-run noise on a multi-second solve swamps a branch
-   per instruction), so it is asserted by projection: measure the cost of
-   one disabled gate in a tight loop, count the instrumentation sites an
-   enabled run actually crosses, and bound the disabled-path share of the
-   disabled runtime.  The measured enabled/disabled seconds are reported
-   alongside for the honest end-to-end picture. *)
-let trace_overhead () =
-  section "TRACE" "trace instrument: run counters and the disabled-path budget";
-  let module T = Nsc_trace.Trace in
+(* Everything that costs nothing when unused — counter bumps, span,
+   histogram and attribution gates, fault-model consults and budget
+   polls — must stay under 2% of an n=9 solve.  Run-to-run noise on a
+   solve of a few milliseconds swamps a branch per instruction, so the
+   budget is asserted by projection: time each kind of disabled gate once
+   in a tight loop (through a closure call, which only inflates it),
+   count the sites of each kind one solve crosses with every gate armed,
+   and bound their total against the same solve with every gate
+   disabled.  A gate guarding several bumps is counted once per bump, so
+   the projection over-counts. *)
+let overhead () =
+  section "OVERHEAD" "disabled-path cost of every gated site (n=9 Jacobi)";
+  let module F = Nsc_fault.Fault in
+  let module Budget = Nsc_guard.Guard.Budget in
+  let prob = Poisson.manufactured 9 in
+  let solve ?budget () =
+    match Jacobi.solve kb ?budget prob ~tol:1e-6 ~max_iters:4000 with
+    | Error e -> failwith ("OVERHEAD: " ^ e)
+    | Ok o -> o
+  in
+  if Metrics.any_enabled () || F.enabled () then
+    failwith "OVERHEAD: a metric context or fault model is already armed";
+  let time_gate f =
+    let n = 20_000_000 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
+  in
+  let probe =
+    Metrics.counter ~name:"bench.gate_probe" ~units:"calls"
+      ~desc:"disabled-path timing probe (bench only)"
+  in
+  let bump_ns = time_gate (fun () -> Metrics.bump probe 1) in
+  let trace_ns = time_gate (fun () -> ignore (Sys.opaque_identity (Metrics.tracing ()))) in
+  let fault_ns = time_gate (fun () -> ignore (Sys.opaque_identity (F.active ()))) in
+  let budget_ns = time_gate (fun () -> Budget.poll_opt (Sys.opaque_identity None)) in
+  (* the denominator: best of three fully disabled solves *)
+  let disabled_seconds = ref infinity and clean = ref None in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    let o = solve () in
+    disabled_seconds := Float.min !disabled_seconds (Unix.gettimeofday () -. t0);
+    clean := Some o
+  done;
+  let disabled_seconds = !disabled_seconds and clean = Option.get !clean in
+  (* the site count: the same solve under an enabled context and a budget
+     too generous to fire; arming neither may change the computation *)
+  let ctx = Metrics.create ~label:"bench-overhead" () in
+  let budget = Budget.create ~deadline_cycles:max_int () in
+  Metrics.enable ctx;
+  let armed = Metrics.with_ctx ctx (fun () -> solve ~budget ()) in
+  Metrics.disable ctx;
+  if
+    armed.Jacobi.sweeps <> clean.Jacobi.sweeps
+    || armed.Jacobi.final_change <> clean.Jacobi.final_change
+  then failwith "OVERHEAD: arming the gates changed the computation";
+  let instructions = armed.Jacobi.stats.Sequencer.instructions_executed in
+  let gates =
+    [ { g_kind = "counter_bump"; g_ns = bump_ns; g_sites = Metrics.total_bumps ctx };
+      (* every recorded or dropped span/instant and every histogram or
+         attribution observation sits behind a [Metrics.tracing] gate *)
+      { g_kind = "trace_gate";
+        g_ns = trace_ns;
+        g_sites =
+          Metrics.total_observations ctx + List.length (Metrics.events ctx)
+          + Metrics.dropped ctx };
+      (* the engine consults the model twice per instruction (FU draw,
+         stream overhead) *)
+      { g_kind = "fault_consult"; g_ns = fault_ns; g_sites = 2 * instructions };
+      (* boundary checks and element-block polls, plus one charge per
+         dispatched instruction *)
+      { g_kind = "budget_poll"; g_ns = budget_ns; g_sites = Budget.polls budget + instructions } ]
+  in
+  let projected_pct =
+    List.fold_left (fun acc g -> acc +. (float_of_int g.g_sites *. g.g_ns)) 0.0 gates
+    /. (disabled_seconds *. 1e9) *. 100.0
+  in
+  row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps):\n" clean.Jacobi.sweeps;
+  row "  disabled solve, best of 3   : %8.4f s host time\n" disabled_seconds;
+  row "  %-14s %10s %12s\n" "gate" "ns/gate" "sites";
+  List.iter (fun g -> row "  %-14s %10.2f %12d\n" g.g_kind g.g_ns g.g_sites) gates;
+  row "  projected disabled overhead : %8.4f %% of the disabled solve\n" projected_pct;
+  if projected_pct >= 2.0 then
+    failwith
+      (Printf.sprintf "OVERHEAD: disabled-path projection %.3f%% breaches the 2%% budget"
+         projected_pct);
+  overhead_perf_result :=
+    Some { ov_disabled_seconds = disabled_seconds; ov_gates = gates; ov_projected_pct = projected_pct }
+
+(* ------------------------------------------------------------------ *)
+(* TRACE: the counters of one traced solve                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The same n=9 solve with tracing off and on, in its own metric
+   context: tracing must not change a bit of the computation, and the
+   context's counters are the run's digest. *)
+let trace_counters () =
+  section "TRACE" "run counters of one traced solve (n=9 Jacobi)";
   let prob = Poisson.manufactured 9 in
   let solve () =
     match Jacobi.solve kb prob ~tol:1e-6 ~max_iters:4000 with
@@ -1115,81 +1207,42 @@ let trace_overhead () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  T.disable ();
-  T.reset ();
-  (* cost of one disabled instrumentation site: the flag read + branch *)
-  let gate_ns =
-    let probe =
-      T.counter ~name:"bench.gate_probe" ~units:"calls"
-        ~desc:"disabled-path timing probe (bench only)"
-    in
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      T.add probe 1
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
+  let ctx = Metrics.create ~label:"bench-trace" () in
   let disabled_seconds, o_off = time solve in
-  T.reset ();
-  T.enable ();
-  let enabled_seconds, o_on = time solve in
-  T.disable ();
+  Metrics.enable ctx;
+  let enabled_seconds, o_on = time (fun () -> Metrics.with_ctx ctx solve) in
+  Metrics.disable ctx;
   if
     o_off.Jacobi.sweeps <> o_on.Jacobi.sweeps
     || o_off.Jacobi.final_change <> o_on.Jacobi.final_change
   then failwith "TRACE: tracing changed the computation";
-  (* sites crossed while enabled: every counter bump, every histogram/
-     attribution observation, and every recorded (or evicted) span or
-     instant.  Gates guarding several bumps at once are counted per bump,
-     so the projection over-counts — a conservative upper bound. *)
-  let sites =
-    T.total_bumps ()
-    + Metrics.total_observations Metrics.default
-    + List.length (T.events ())
-    + T.dropped ()
-  in
-  let projected_pct =
-    float_of_int sites *. gate_ns /. (disabled_seconds *. 1e9) *. 100.0
-  in
   let counters =
-    List.map (fun c -> (T.name c, T.value c, T.units c)) (T.counters ())
+    List.map
+      (fun c -> (Metrics.counter_name c, Metrics.value ctx c, Metrics.counter_units c))
+      (Metrics.registered_counters ())
   in
   row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps):\n" o_on.Jacobi.sweeps;
   row "  tracing disabled           : %8.3f s host time\n" disabled_seconds;
   row "  tracing enabled            : %8.3f s host time\n" enabled_seconds;
-  row "  disabled gate cost         : %8.2f ns/site\n" gate_ns;
-  row "  instrumentation sites      : %8d crossed while enabled\n" sites;
-  row "  projected disabled overhead: %8.4f %% of the disabled solve\n" projected_pct;
   row "  non-zero counters after the enabled solve:\n";
   List.iter
     (fun (name, v, units) -> if v > 0 then row "    %-28s %12d %s\n" name v units)
     counters;
-  if projected_pct >= 2.0 then
-    failwith
-      (Printf.sprintf "TRACE: disabled-path projection %.3f%% breaches the 2%% budget"
-         projected_pct);
   trace_perf_result :=
     Some
       {
         trace_disabled_seconds = disabled_seconds;
         trace_enabled_seconds = enabled_seconds;
-        disabled_gate_ns = gate_ns;
-        instrumentation_sites = sites;
-        projected_overhead_pct = projected_pct;
         trace_counter_values = counters;
-      };
-  T.reset ()
+      }
 
 (* ------------------------------------------------------------------ *)
 (* PROFILE: the hotspot view in a scoped metric context                *)
 (* ------------------------------------------------------------------ *)
 
-(* Same n=9 solve, but isolated in its own metric context — nothing
-   touches the global instrument — and read back through the profile
-   layer: exec-latency percentiles, the per-unit hotspot table, and the
-   same disabled-path projection now covering histogram and attribution
-   observations too. *)
+(* Same n=9 solve, isolated in its own metric context — nothing touches
+   the default context — and read back through the profile layer:
+   exec-latency percentiles and the per-unit hotspot table. *)
 let profile_hotspots () =
   section "PROFILE" "hotspot profile in a scoped metric context (n=9 Jacobi)";
   let prob = Poisson.manufactured 9 in
@@ -1198,40 +1251,10 @@ let profile_hotspots () =
     | Error e -> failwith e
     | Ok o -> o
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let ctx = Metrics.create ~label:"bench-profile" () in
-  (* one disabled site against a scoped context: the same flag read and
-     branch as the global instrument's gate *)
-  let gate_ns =
-    let probe =
-      Metrics.counter ~name:"bench.gate_probe" ~units:"calls"
-        ~desc:"disabled-path timing probe (bench only)"
-    in
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      Metrics.add ctx probe 1
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let disabled_seconds, _ = time (fun () -> Metrics.with_ctx ctx solve) in
-  Metrics.reset ctx;
   Metrics.enable ctx;
-  let _, o = time (fun () -> Metrics.with_ctx ctx solve) in
+  let o = Metrics.with_ctx ctx solve in
   Metrics.disable ctx;
-  let sites =
-    Metrics.total_bumps ctx
-    + Metrics.total_observations ctx
-    + List.length (Metrics.events ctx)
-    + Metrics.dropped ctx
-  in
-  let projected_pct =
-    float_of_int sites *. gate_ns /. (disabled_seconds *. 1e9) *. 100.0
-  in
   let exec =
     match Metrics.find_histogram "hist.exec_cycles" with
     | Some h -> Metrics.hist_summary ctx h
@@ -1249,15 +1272,8 @@ let profile_hotspots () =
   row "  top hotspot                : %s %s — %d cycles, %.1f MFLOPS (%.1f%% of peak)\n"
     top.Stats.hs_instr top.Stats.hs_unit top.Stats.hs_share_cycles
     top.Stats.hs_mflops top.Stats.hs_peak_pct;
-  row "  global instrument          : untouched (%d bumps in the default context)\n"
+  row "  default context            : untouched (%d bumps)\n"
     (Metrics.total_bumps Metrics.default);
-  row "  instrumentation sites      : %8d crossed while enabled\n" sites;
-  row "  projected disabled overhead: %8.4f %% of the disabled solve\n" projected_pct;
-  if projected_pct >= 2.0 then
-    failwith
-      (Printf.sprintf
-         "PROFILE: disabled-path projection %.3f%% breaches the 2%% budget"
-         projected_pct);
   if exec.Metrics.hcount = 0 then failwith "PROFILE: no exec-latency samples";
   profile_perf_result :=
     Some
@@ -1267,29 +1283,23 @@ let profile_hotspots () =
         prof_p50_exec = exec.Metrics.p50;
         prof_p99_exec = exec.Metrics.p99;
         prof_hotspot = top;
-        prof_gate_ns = gate_ns;
-        prof_sites = sites;
-        prof_projected_pct = projected_pct;
       }
 
 (* ------------------------------------------------------------------ *)
 (* FAULT: seeded fault injection, recovery and the zero-fault budget   *)
 (* ------------------------------------------------------------------ *)
 
-(* Two claims from the fault layer, plus a recovery demonstration:
+(* A claim from the fault layer, plus a recovery demonstration (the
+   zero-fault cost of the injection sites is in OVERHEAD):
 
-   1. With no model installed, every injection site is one atomic read
-      and a branch.  As with the trace budget, run-to-run noise swamps a
-      direct wall-clock comparison, so the <2% budget is asserted by
-      projection: gate cost x sites crossed, over the clean solve.
-   2. Under seed-42 transient link faults (p=0.01) the n=9 Jacobi solve
+   1. Under seed-42 transient link faults (p=0.01) the n=9 Jacobi solve
       reaches the *same* final residual as the clean run — transients
       cost retry/backoff cycles, never answers — and every injected
       fault is booked recovered.
-   3. solve_ft under memory corruption detects via parity scrub, rolls
+   2. solve_ft under memory corruption detects via parity scrub, rolls
       back to the sweep checkpoint, and still converges. *)
 let fault_injection () =
-  section "FAULT" "fault injection: recovery, determinism and the zero-fault budget";
+  section "FAULT" "fault injection: recovery and determinism";
   let module F = Nsc_fault.Fault in
   let prob = Poisson.manufactured 9 in
   let tol = 1e-6 and max_iters = 4000 in
@@ -1299,29 +1309,8 @@ let fault_injection () =
     | Ok o -> o
   in
   F.clear ();
-  (* cost of one disabled injection site: the atomic read + branch *)
-  let gate_ns =
-    let sink = ref 0 in
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      match F.active () with
-      | Some _ -> incr sink
-      | None -> ()
-    done;
-    ignore (Sys.opaque_identity !sink);
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let t0 = Unix.gettimeofday () in
   let clean = solve () in
-  let clean_seconds = Unix.gettimeofday () -. t0 in
   let clean_cycles = clean.Jacobi.stats.Sequencer.total_cycles in
-  (* the engine consults the model twice per dispatched instruction
-     (FU draw + stream overhead) *)
-  let sites = 2 * clean.Jacobi.stats.Sequencer.instructions_executed in
-  let projected_pct =
-    float_of_int sites *. gate_ns /. (clean_seconds *. 1e9) *. 100.0
-  in
   let spec =
     match F.parse "transient-link:p=0.01" with
     | Ok s -> s
@@ -1342,9 +1331,6 @@ let fault_injection () =
   in
   let lv name = Option.value ~default:0 (List.assoc_opt name ledger) in
   row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps):\n" clean.Jacobi.sweeps;
-  row "  disabled gate cost          : %8.2f ns/site\n" gate_ns;
-  row "  injection sites (clean run) : %8d\n" sites;
-  row "  projected zero-fault cost   : %8.4f %% of the clean solve\n" projected_pct;
   row "  clean simulated cycles      : %8d\n" clean_cycles;
   row "  seed-42 transient-link run  : %8d cycles (%+.3f%%), residual %s\n"
     faulted_cycles overhead_pct
@@ -1357,10 +1343,6 @@ let fault_injection () =
     failwith "FAULT: transient link faults left unrecovered entries";
   if lv "fault.injected" <> lv "fault.recovered" + lv "fault.unrecovered" then
     failwith "FAULT: ledger does not balance";
-  if projected_pct >= 2.0 then
-    failwith
-      (Printf.sprintf "FAULT: zero-fault projection %.3f%% breaches the 2%% budget"
-         projected_pct);
   (* checkpointed recovery under memory corruption *)
   let ft_spec =
     match F.parse "mem-corrupt:p=0.2" with
@@ -1395,9 +1377,6 @@ let fault_injection () =
         fault_faulted_cycles = faulted_cycles;
         fault_cycle_overhead_pct = overhead_pct;
         fault_residual_match = residual_match;
-        fault_gate_ns = gate_ns;
-        fault_sites = sites;
-        fault_projected_pct = projected_pct;
         fault_ledger = ledger;
         fault_ft_rollbacks = ft.Jacobi.rollbacks;
         fault_ft_detected = ft.Jacobi.faults_detected;
@@ -1523,54 +1502,32 @@ let perf_service () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* RESILIENCE: the guard layer's disabled cost and the chaos scenario  *)
+(* RESILIENCE: the deadline kill and the chaos scenario               *)
 (* ------------------------------------------------------------------ *)
 
-(* The supervision layer (lib/guard, docs/RESILIENCE.md) must be free
-   when unused: its boundary checks compile to one branch on a [None]
-   budget.  This section measures that gate the way the trace and fault
-   gates are measured, counts the armed boundary checks of the reference
-   n=9 solve, and holds the projection under the same 2% bar.  It then
-   re-runs the chaos harness's kill-mid-wave scenario in-process: a
+(* The supervision layer (lib/guard, docs/RESILIENCE.md): the disabled
+   cost of its boundary checks is in OVERHEAD.  A mid-run cycle deadline
+   must kill the n=9 solve cooperatively and leave the pool serviceable.
+   The section then re-runs the chaos harness's kill-mid-wave scenario
+   in-process: a
    journalled burst abandoned after acknowledgement must recover with
    zero acked-job loss and responses bit-identical to an uninterrupted
    run (host-only fields aside: wall-clock latency and the
    process-global buffer-pool warmth split). *)
 let perf_resilience () =
-  section "RESILIENCE" "guard layer: disabled-path cost, deadline kill, chaos recovery";
+  section "RESILIENCE" "guard layer: deadline kill, chaos recovery";
   let module Guard = Nsc_guard.Guard in
   let module Serve = Nsc_serve.Serve in
   let module Json = Nsc_metrics.Json in
   let prob = Poisson.manufactured 9 in
   let tol = 1e-6 and max_iters = 4000 in
-  let solve ?budget () =
-    match Jacobi.solve kb ?budget prob ~tol ~max_iters with
+  let solve () =
+    match Jacobi.solve kb prob ~tol ~max_iters with
     | Error e -> failwith ("RESILIENCE: " ^ e)
     | Ok o -> o
   in
-  (* cost of one disabled boundary check: the branch on [None] *)
-  let gate_ns =
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      Guard.Budget.check_opt (Sys.opaque_identity None)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let t0 = Unix.gettimeofday () in
   let clean = solve () in
-  let clean_seconds = Unix.gettimeofday () -. t0 in
   let clean_cycles = clean.Jacobi.stats.Sequencer.total_cycles in
-  (* armed-site count: every boundary check of the same solve under a
-     budget too generous to fire *)
-  let counter = Guard.Budget.create ~deadline_cycles:max_int () in
-  let armed = solve ~budget:counter () in
-  if armed.Jacobi.sweeps <> clean.Jacobi.sweeps then
-    failwith "RESILIENCE: arming a generous budget changed the solve";
-  let sites = Guard.Budget.polls counter in
-  let projected_pct =
-    float_of_int sites *. gate_ns /. (clean_seconds *. 1e9) *. 100.0
-  in
   (* a mid-run deadline must kill cooperatively and leave the node pool
      serviceable: the next unbudgeted solve reproduces the clean run *)
   let killer = Guard.Budget.create ~deadline_cycles:(clean_cycles / 2) () in
@@ -1640,11 +1597,7 @@ let perf_resilience () =
   in
   let pending_after = List.length (Guard.Journal.load ~path:journal) in
   Sys.remove journal;
-  row "disabled-path projection (n=9 Jacobi, tol 1e-6, %d sweeps):\n"
-    clean.Jacobi.sweeps;
-  row "  disabled gate cost          : %8.2f ns/site\n" gate_ns;
-  row "  armed boundary checks       : %8d\n" sites;
-  row "  projected disabled cost     : %8.4f %% of the clean solve\n" projected_pct;
+  row "n=9 Jacobi, tol 1e-6 (%d sweeps):\n" clean.Jacobi.sweeps;
   row "  mid-run deadline kill       : %8d of %d cycles spent, pool live\n"
     deadline_spent clean_cycles;
   row "chaos: kill mid-wave + recover (%d journalled jobs):\n" chaos_jobs;
@@ -1652,11 +1605,6 @@ let perf_resilience () =
   row "  replay vs uninterrupted     : %8s\n"
     (if chaos_match then "bit-identical" else "DIVERGED");
   row "  journal pending after wave  : %8d\n" pending_after;
-  if projected_pct >= 2.0 then
-    failwith
-      (Printf.sprintf
-         "RESILIENCE: disabled-path projection %.3f%% breaches the 2%% budget"
-         projected_pct);
   if chaos_lost <> 0 then
     failwith (Printf.sprintf "RESILIENCE: %d acked jobs lost" chaos_lost);
   if not chaos_match then
@@ -1666,10 +1614,6 @@ let perf_resilience () =
   resilience_perf_result :=
     Some
       {
-        res_gate_ns = gate_ns;
-        res_sites = sites;
-        res_clean_seconds = clean_seconds;
-        res_projected_pct = projected_pct;
         res_deadline_spent = deadline_spent;
         res_chaos_jobs = chaos_jobs;
         res_chaos_lost = chaos_lost;
@@ -1814,7 +1758,8 @@ let () =
   a1_reconfig ();
   a2_sor ();
   perf_engine ();
-  trace_overhead ();
+  overhead ();
+  trace_counters ();
   profile_hotspots ();
   fault_injection ();
   perf_service ();

@@ -10,7 +10,7 @@
      replay        replay an editor session script
      compile       compile textual pipeline-language source to a program
      debug         run with tracing and print annotated diagram frames
-     stats         run under the trace instrument and print its counters
+     stats         run in a scoped metric context and print its counters
      profile       run under a fresh metric context; print the hotspot profile
      inject        run clean and under a seeded fault model; print the report
      serve         long-running simulation service over an NDJSON job protocol *)
@@ -19,6 +19,7 @@ open Nsc_arch
 open Nsc_diagram
 open Cmdliner
 module Fault = Nsc_fault.Fault
+module Metrics = Nsc_metrics.Metrics
 
 let kb_of_subset subset = if subset then Knowledge.subset else Knowledge.default
 
@@ -312,23 +313,24 @@ let trace_out =
                trace-event JSON to $(docv) (loadable in Perfetto or chrome://tracing); \
                the counter summary is printed as well.")
 
-(* Run [f] under the trace instrument when [trace] names an output file.
-   Input loading happens before this, so the counters see exactly the
-   execution; the JSON export and the printed digest both read the same
-   counter registry, so their totals always agree. *)
+(* Run [f] in its own enabled metric context when [trace] names an
+   output file, as [stats] and [profile] do.  Input loading happens
+   before this, so the counters see exactly the execution; the JSON
+   export and the printed digest both read the same context, so their
+   totals always agree. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
   | Some out ->
-      Nsc_trace.Trace.reset ();
-      Nsc_trace.Trace.enable ();
-      f ();
-      Nsc_trace.Trace.disable ();
+      let ctx = Metrics.create ~label:"trace" () in
+      Metrics.enable ctx;
+      Metrics.with_ctx ctx f;
+      Metrics.disable ctx;
       let oc = open_out out in
-      output_string oc (Nsc_trace.Trace.to_chrome ());
+      output_string oc (Metrics.to_chrome ctx);
       close_out oc;
       Printf.printf "wrote %s\n" out;
-      print_string (Nsc_trace.Trace.summary ())
+      print_string (Metrics.summary ctx)
 
 let run_cmd =
   let loads =
@@ -620,7 +622,6 @@ let stats_cmd =
       loads;
     (* the run gets its own metric context, isolated from everything else
        in the process — the new-world form of reset/enable/disable *)
-    let module Metrics = Nsc_metrics.Metrics in
     let ctx = Metrics.create ~label:"stats" () in
     Metrics.enable ctx;
     (match Nsc_sim.Sequencer.run node ~metrics:ctx c with
@@ -643,13 +644,12 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Run a program under the trace instrument and print its counters.")
+       ~doc:"Run a program in its own metric context and print its counters.")
     Term.(const run $ subset_flag $ program_arg $ loads $ out $ json)
 
 (* -- profile ---------------------------------------------------------------- *)
 
 let profile_cmd =
-  let module Metrics = Nsc_metrics.Metrics in
   let program_opt =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"PROGRAM"
            ~doc:"Saved visual program to profile (omit with $(b,--jacobi)).")

@@ -17,7 +17,10 @@ type point = {
   efficiency : float;   (** sustained fraction of linear scaling from 1 node *)
   comm_fraction : float;(** share of machine cycles spent in exchanges *)
   overlap_ratio : float;(** share of exchange cycles hidden behind compute *)
-  contention_per_iter : float;  (** serialisation surplus cycles per iteration *)
+  contention_per_iter : float;
+      (** aggregate queueing surplus per iteration, summed over all source
+          nodes: it never enters machine time and can exceed
+          [cycles_per_iter] *)
   cycles_per_iter : float;
 }
 

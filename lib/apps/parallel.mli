@@ -18,6 +18,9 @@ type point = {
   comm_fraction : float;
   overlap_ratio : float;
   contention_per_iter : float;
+      (** aggregate queueing surplus per iteration ([router.contention_cycles]
+          over the iterations), summed over all source nodes: it never
+          enters machine time and can exceed [cycles_per_iter] *)
   cycles_per_iter : float;
 }
 val local_grid : n:int -> nz_local:int -> Grid.t

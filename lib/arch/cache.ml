@@ -9,6 +9,8 @@ type buffer = Front | Back [@@deriving show { with_path = false }, eq]
 
 let other = function Front -> Back | Back -> Front
 
+module Metrics = Nsc_metrics.Metrics
+
 (* Observability: staging effectiveness of the double-buffered caches.  A
    pipeline-side read of a word that was written (staged) since the buffer
    was last cleared is a hit; reading a never-staged word returns the
@@ -16,23 +18,23 @@ let other = function Front -> Back | Back -> Front
    are only maintained while tracing is enabled, so the disabled path costs
    one flag check per access (bulk paths: one per call). *)
 let c_reads =
-  Nsc_trace.Trace.counter ~name:"cache.reads" ~units:"words"
+  Metrics.counter ~name:"cache.reads" ~units:"words"
     ~desc:"pipeline-side words read from cache buffers"
 
 let c_writes =
-  Nsc_trace.Trace.counter ~name:"cache.writes" ~units:"words"
+  Metrics.counter ~name:"cache.writes" ~units:"words"
     ~desc:"pipeline-side words written to cache buffers"
 
 let c_hits =
-  Nsc_trace.Trace.counter ~name:"cache.hits" ~units:"words"
+  Metrics.counter ~name:"cache.hits" ~units:"words"
     ~desc:"pipeline-side reads of previously staged words"
 
 let c_misses =
-  Nsc_trace.Trace.counter ~name:"cache.misses" ~units:"words"
+  Metrics.counter ~name:"cache.misses" ~units:"words"
     ~desc:"pipeline-side reads of never-staged (priming-zero) words"
 
 let c_swaps =
-  Nsc_trace.Trace.counter ~name:"cache.swaps" ~units:"swaps"
+  Metrics.counter ~name:"cache.swaps" ~units:"swaps"
     ~desc:"double-buffer swaps between pipeline and DMA sides"
 
 (** Dynamic cache state: two word-addressed buffers plus the identity of the
@@ -78,17 +80,17 @@ let check_addr t addr =
 (** Pipeline-side access (the buffer currently wired into the datapath). *)
 let read_pipeline t addr =
   check_addr t addr;
-  if Nsc_trace.Trace.enabled () then begin
-    Nsc_trace.Trace.add c_reads 1;
-    if is_staged (staged t t.pipeline_side) addr then Nsc_trace.Trace.add c_hits 1
-    else Nsc_trace.Trace.add c_misses 1
+  if Metrics.tracing () then begin
+    Metrics.bump c_reads 1;
+    if is_staged (staged t t.pipeline_side) addr then Metrics.bump c_hits 1
+    else Metrics.bump c_misses 1
   end;
   (buf t t.pipeline_side).(addr)
 
 let write_pipeline t addr v =
   check_addr t addr;
-  if Nsc_trace.Trace.enabled () then begin
-    Nsc_trace.Trace.add c_writes 1;
+  if Metrics.tracing () then begin
+    Metrics.bump c_writes 1;
     mark_staged (staged t t.pipeline_side) addr
   end;
   (buf t t.pipeline_side).(addr) <- v
@@ -100,7 +102,7 @@ let read_dma t addr =
 
 let write_dma t addr v =
   check_addr t addr;
-  if Nsc_trace.Trace.enabled () then mark_staged (staged t (other t.pipeline_side)) addr;
+  if Metrics.tracing () then mark_staged (staged t (other t.pipeline_side)) addr;
   (buf t (other t.pipeline_side)).(addr) <- v
 
 (* --- bulk pipeline-side paths ------------------------------------------ *)
@@ -118,15 +120,15 @@ let read_pipeline_strided t ~base ~stride ~count =
   check_strided t ~base ~stride ~count;
   if count <= 0 then [||]
   else begin
-    (if Nsc_trace.Trace.enabled () then begin
-       Nsc_trace.Trace.add c_reads count;
+    (if Metrics.tracing () then begin
+       Metrics.bump c_reads count;
        let bm = staged t t.pipeline_side in
        let hits = ref 0 in
        for i = 0 to count - 1 do
          if is_staged bm (base + (i * stride)) then incr hits
        done;
-       Nsc_trace.Trace.add c_hits !hits;
-       Nsc_trace.Trace.add c_misses (count - !hits)
+       Metrics.bump c_hits !hits;
+       Metrics.bump c_misses (count - !hits)
      end);
     let b = buf t t.pipeline_side in
     Array.init count (fun i -> b.(base + (i * stride)))
@@ -135,8 +137,8 @@ let read_pipeline_strided t ~base ~stride ~count =
 (** Bulk strided write to the pipeline-side buffer. *)
 let write_pipeline_strided t ~base ~stride (xs : float array) =
   check_strided t ~base ~stride ~count:(Array.length xs);
-  (if Nsc_trace.Trace.enabled () then begin
-     Nsc_trace.Trace.add c_writes (Array.length xs);
+  (if Metrics.tracing () then begin
+     Metrics.bump c_writes (Array.length xs);
      let bm = staged t t.pipeline_side in
      Array.iteri (fun i _ -> mark_staged bm (base + (i * stride))) xs
    end);
@@ -150,15 +152,15 @@ let read_pipeline_strided_into t ~base ~stride ~count (dst : Memory.vec) ~pos =
   check_strided t ~base ~stride ~count;
   Memory.check_vec_range dst ~pos ~count "Cache.read_pipeline_strided_into";
   if count > 0 then begin
-    (if Nsc_trace.Trace.enabled () then begin
-       Nsc_trace.Trace.add c_reads count;
+    (if Metrics.tracing () then begin
+       Metrics.bump c_reads count;
        let bm = staged t t.pipeline_side in
        let hits = ref 0 in
        for i = 0 to count - 1 do
          if is_staged bm (base + (i * stride)) then incr hits
        done;
-       Nsc_trace.Trace.add c_hits !hits;
-       Nsc_trace.Trace.add c_misses (count - !hits)
+       Metrics.bump c_hits !hits;
+       Metrics.bump c_misses (count - !hits)
      end);
     let b = buf t t.pipeline_side in
     for i = 0 to count - 1 do
@@ -172,8 +174,8 @@ let write_pipeline_strided_from t ~base ~stride (src : Memory.vec) ~pos ~count =
   check_strided t ~base ~stride ~count;
   Memory.check_vec_range src ~pos ~count "Cache.write_pipeline_strided_from";
   if count > 0 then begin
-    (if Nsc_trace.Trace.enabled () then begin
-       Nsc_trace.Trace.add c_writes count;
+    (if Metrics.tracing () then begin
+       Metrics.bump c_writes count;
        let bm = staged t t.pipeline_side in
        for i = 0 to count - 1 do
          mark_staged bm (base + (i * stride))
@@ -187,7 +189,7 @@ let write_pipeline_strided_from t ~base ~stride (src : Memory.vec) ~pos ~count =
 
 (** Swap buffers between instructions. *)
 let swap t =
-  Nsc_trace.Trace.add c_swaps 1;
+  Metrics.bump c_swaps 1;
   t.pipeline_side <- other t.pipeline_side
 
 let clear t =

@@ -23,35 +23,37 @@ type transfer = {
 }
 [@@deriving show { with_path = false }, eq]
 
+module Metrics = Nsc_metrics.Metrics
+
 (* Observability: words actually pumped through transfer descriptors.  The
    descriptors themselves are passive; the engine notes traffic here at the
    moment it executes a transfer, so the counters see exactly the words
    that crossed a DMA engine (not host-side loads/dumps, which appear only
    under [mem.*]). *)
 let c_read_words =
-  Nsc_trace.Trace.counter ~name:"dma.read_words" ~units:"words"
+  Metrics.counter ~name:"dma.read_words" ~units:"words"
     ~desc:"words streamed from planes/caches into pipelines"
 
 let c_write_words =
-  Nsc_trace.Trace.counter ~name:"dma.write_words" ~units:"words"
+  Metrics.counter ~name:"dma.write_words" ~units:"words"
     ~desc:"words streamed from pipelines into planes/caches"
 
 let c_transfers =
-  Nsc_trace.Trace.counter ~name:"dma.transfers" ~units:"transfers"
+  Metrics.counter ~name:"dma.transfers" ~units:"transfers"
     ~desc:"transfer descriptors executed (read and write streams)"
 
 (** Note an executed read stream of [words] elements (tracing only). *)
 let note_read ~words =
-  if Nsc_trace.Trace.enabled () then begin
-    Nsc_trace.Trace.add c_transfers 1;
-    Nsc_trace.Trace.add c_read_words words
+  if Metrics.tracing () then begin
+    Metrics.bump c_transfers 1;
+    Metrics.bump c_read_words words
   end
 
 (** Note an executed write stream of [words] elements (tracing only). *)
 let note_write ~words =
-  if Nsc_trace.Trace.enabled () then begin
-    Nsc_trace.Trace.add c_transfers 1;
-    Nsc_trace.Trace.add c_write_words words
+  if Metrics.tracing () then begin
+    Metrics.bump c_transfers 1;
+    Metrics.bump c_write_words words
   end
 
 let channel_to_string = function

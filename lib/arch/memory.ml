@@ -39,19 +39,21 @@ let strided_extent ~plane ~base ~stride ~count =
     let last = base + (stride * (count - 1)) in
     { plane; lo = min base last; hi = max base last + 1 }
 
+module Metrics = Nsc_metrics.Metrics
+
 (* Observability: word traffic through the planes and the resident-page
    footprint.  Counters accumulate only while tracing is enabled; every
    site is gated on one flag check (bulk paths check once per run). *)
 let c_reads =
-  Nsc_trace.Trace.counter ~name:"mem.reads" ~units:"words"
+  Metrics.counter ~name:"mem.reads" ~units:"words"
     ~desc:"words read from memory planes (streams, scalars and host dumps)"
 
 let c_writes =
-  Nsc_trace.Trace.counter ~name:"mem.writes" ~units:"words"
+  Metrics.counter ~name:"mem.writes" ~units:"words"
     ~desc:"words written to memory planes (streams, scalars and host loads)"
 
 let c_pages =
-  Nsc_trace.Trace.counter ~name:"mem.pages_touched" ~units:"pages"
+  Metrics.counter ~name:"mem.pages_touched" ~units:"pages"
     ~desc:"sparse plane pages materialised by a first write"
 
 (** Backing store for one plane: a paged sparse array so that 128 MB planes
@@ -97,7 +99,7 @@ let check_addr st addr =
 
 let read st addr =
   check_addr st addr;
-  Nsc_trace.Trace.add c_reads 1;
+  Metrics.bump c_reads 1;
   match Hashtbl.find_opt st.pages (addr / st.page_words) with
   | None -> 0.0
   | Some page -> A1.get page (addr mod st.page_words)
@@ -109,12 +111,12 @@ let page_for st key =
       let page = A1.create Bigarray.float64 Bigarray.c_layout st.page_words in
       A1.fill page 0.0;
       Hashtbl.add st.pages key page;
-      Nsc_trace.Trace.add c_pages 1;
+      Metrics.bump c_pages 1;
       page
 
 let write st addr v =
   check_addr st addr;
-  Nsc_trace.Trace.add c_writes 1;
+  Metrics.bump c_writes 1;
   if Hashtbl.length st.parity_bad > 0 then Hashtbl.remove st.parity_bad addr;
   A1.set (page_for st (addr / st.page_words)) (addr mod st.page_words) v
 
@@ -159,7 +161,7 @@ let read_strided st ~base ~stride ~count =
   check_strided st ~base ~stride ~count;
   if count <= 0 then [||]
   else begin
-    Nsc_trace.Trace.add c_reads count;
+    Metrics.bump c_reads count;
     let out = Array.make count 0.0 in
     if stride = 1 then begin
       let i = ref 0 in
@@ -199,7 +201,7 @@ let read_strided st ~base ~stride ~count =
 let write_strided st ~base ~stride (xs : float array) =
   let count = Array.length xs in
   check_strided st ~base ~stride ~count;
-  Nsc_trace.Trace.add c_writes count;
+  Metrics.bump c_writes count;
   if Hashtbl.length st.parity_bad > 0 then
     for i = 0 to count - 1 do
       Hashtbl.remove st.parity_bad (base + (i * stride))
@@ -247,7 +249,7 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
   check_strided st ~base ~stride ~count;
   check_vec_range dst ~pos ~count "read_strided_into";
   if count > 0 then begin
-    Nsc_trace.Trace.add c_reads count;
+    Metrics.bump c_reads count;
     if stride = 1 then begin
       let i = ref 0 in
       while !i < count do
@@ -284,7 +286,7 @@ let write_strided_from st ~base ~stride (src : vec) ~pos ~count =
   check_strided st ~base ~stride ~count;
   check_vec_range src ~pos ~count "write_strided_from";
   if count > 0 then begin
-    Nsc_trace.Trace.add c_writes count;
+    Metrics.bump c_writes count;
     if Hashtbl.length st.parity_bad > 0 then
       for i = 0 to count - 1 do
         Hashtbl.remove st.parity_bad (base + (i * stride))

@@ -121,24 +121,26 @@ let node_to_chain ~dim node =
   if not (valid_node ~dim node) then invalid_arg "Router.node_to_chain";
   gray_inverse node
 
+module Metrics = Nsc_metrics.Metrics
+
 (* Observability: inter-node traffic.  [router.contention_cycles] is
    incremented by the multi-node machine when messages leaving one source
    serialise on its links; the per-transfer counters accumulate here. *)
 let c_transfers =
-  Nsc_trace.Trace.counter ~name:"router.transfers" ~units:"messages"
+  Metrics.counter ~name:"router.transfers" ~units:"messages"
     ~desc:"inter-node messages costed by the hyperspace router"
 
 let c_hops =
-  Nsc_trace.Trace.counter ~name:"router.hops" ~units:"hops"
+  Metrics.counter ~name:"router.hops" ~units:"hops"
     ~desc:"hypercube hops traversed, summed over messages"
 
 let c_words =
-  Nsc_trace.Trace.counter ~name:"router.words" ~units:"words"
+  Metrics.counter ~name:"router.words" ~units:"words"
     ~desc:"payload words carried between nodes"
 
 let c_contention =
-  Nsc_trace.Trace.counter ~name:"router.contention_cycles" ~units:"cycles"
-    ~desc:"extra cycles from messages serialising on a shared source node"
+  Metrics.counter ~name:"router.contention_cycles" ~units:"cycles"
+    ~desc:"aggregate queueing surplus summed over source nodes (not machine time)"
 
 (** Serialised cost of a communication phase, as [(src, dst, cycles)] per
     routed transfer.  Transfers between distinct pairs proceed in parallel;
@@ -174,10 +176,10 @@ let phase_cost (costed : (node_id * node_id * int) list) =
 let transfer_cycles_hops (p : Params.t) ~hops ~words =
   if hops = 0 then 0
   else begin
-    if Nsc_trace.Trace.enabled () then begin
-      Nsc_trace.Trace.add c_transfers 1;
-      Nsc_trace.Trace.add c_hops hops;
-      Nsc_trace.Trace.add c_words words
+    if Metrics.tracing () then begin
+      Metrics.bump c_transfers 1;
+      Metrics.bump c_hops hops;
+      Metrics.bump c_words words
     end;
     (hops * p.hop_latency)
     + int_of_float (ceil (float_of_int words /. p.link_words_per_cycle))

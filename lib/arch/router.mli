@@ -52,7 +52,10 @@ val transfer_cycles :
     longer than the Hamming distance. *)
 val transfer_cycles_hops : Params.t -> hops:int -> words:int -> int
 
-(** Trace counter for serialisation delay on a shared source node;
-    bumped by the multi-node exchange when messages leaving one node
-    queue on its links. *)
-val c_contention : Nsc_trace.Trace.counter
+(** The [router.contention_cycles] counter: an {e aggregate} — the
+    queueing surplus of messages serialising on a shared source node,
+    summed over all source nodes of each phase.  It never enters machine
+    time (a phase costs its slowest source's serialised total), so it
+    can exceed the simulated cycles of the run.  Bumped by the
+    multi-node exchange. *)
+val c_contention : Nsc_metrics.Metrics.counter

@@ -13,23 +13,25 @@
 type route = { src : Resource.source; snk : Resource.sink }
 [@@deriving show { with_path = false }, eq]
 
+module Metrics = Nsc_metrics.Metrics
+
 (* Observability: how often the network is reprogrammed at run time.  The
    table in this module is built at edit time; the sequencer notes each
    between-instruction reconfiguration here as it dispatches. *)
 let c_reconfigs =
-  Nsc_trace.Trace.counter ~name:"switch.reconfigurations" ~units:"events"
+  Metrics.counter ~name:"switch.reconfigurations" ~units:"events"
     ~desc:"switch reprogrammings charged between dispatched instructions"
 
 let c_routes =
-  Nsc_trace.Trace.counter ~name:"switch.routes_programmed" ~units:"routes"
+  Metrics.counter ~name:"switch.routes_programmed" ~units:"routes"
     ~desc:"(source, sink) routes loaded across all reconfigurations"
 
 (** Note one run-time reconfiguration installing [routes] routes
     (tracing only; called by the sequencer per dispatched instruction). *)
 let note_reconfig ~routes =
-  if Nsc_trace.Trace.enabled () then begin
-    Nsc_trace.Trace.add c_reconfigs 1;
-    Nsc_trace.Trace.add c_routes routes
+  if Metrics.tracing () then begin
+    Metrics.bump c_reconfigs 1;
+    Metrics.bump c_routes routes
   end
 
 type error =

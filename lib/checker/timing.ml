@@ -35,12 +35,12 @@ type t = {
           illegal; feedback must use the register file *)
 }
 
-(* Global count of analyses performed.  The plan compiler promises to
-   analyse each instruction exactly once per compiled plan; tests and the
-   bench harness observe this counter to hold it to that. *)
-let analysis_runs = Atomic.make 0
-
-let analysis_count () = Atomic.get analysis_runs
+(* Analyses performed (always-on).  The plan compiler promises to
+   analyse each instruction exactly once per compiled plan; tests observe
+   this counter to hold it to that. *)
+let c_analyses =
+  Nsc_metrics.Metrics.always_counter ~name:"timing.analyses" ~units:"analyses"
+    ~desc:"pipeline timing analyses performed"
 
 let find_unit (sem : Semantic.t) fu = Semantic.unit_for sem fu
 
@@ -51,7 +51,7 @@ let sd_mode (sem : Semantic.t) sd =
 
 (** Analyse a semantic pipeline under parameters [p]. *)
 let analyse (p : Params.t) (sem : Semantic.t) : t =
-  Atomic.incr analysis_runs;
+  Nsc_metrics.Metrics.bump c_analyses 1;
   let lat = p.latencies in
   let memo : (Resource.fu_id, int) Hashtbl.t = Hashtbl.create 16 in
   let visiting : (Resource.fu_id, unit) Hashtbl.t = Hashtbl.create 16 in

@@ -31,9 +31,10 @@ val find_unit :
 val sd_mode :
   Nsc_diagram.Semantic.t ->
   Nsc_arch.Resource.sd_id -> Nsc_arch.Shift_delay.mode option
-(** Total number of {!analyse} calls made by this process so far — used to
-    assert that plan compilation analyses each instruction exactly once. *)
-val analysis_count : unit -> int
+(** The always-on [timing.analyses] counter: one per {!analyse} call —
+    its [Metrics.total] asserts that plan compilation analyses each
+    instruction exactly once. *)
+val c_analyses : Nsc_metrics.Metrics.counter
 
 (** Operand-arrival analysis of a semantic pipeline: when each stream
     reaches each engaged unit, which binary units see misaligned

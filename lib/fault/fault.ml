@@ -8,19 +8,21 @@
     one [--fault-seed] reproduces a whole machine run's fault schedule
     bit-for-bit.
 
-    The model is {e ambient}, mirroring {!Nsc_trace.Trace}: {!install} a
-    model and the engine, router, multi-node exchange and checkpointed
-    solvers consult it at their injection points; with nothing installed
-    every site costs one atomic flag read ([active] returning [None]).
+    The model is {e ambient}: {!install} a model and the engine, router,
+    multi-node exchange and checkpointed solvers consult it at their
+    injection points; with nothing installed every site costs one atomic
+    flag read ([active] returning [None]).
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered ({!outstanding} reports the difference, and
-    the CLI refuses to let it stay non-zero).  The ledger counts always
-    (it is the fault report's data source); the same values are mirrored
-    onto [fault.*] trace counters so they appear in trace digests and
-    Chrome exports alongside the rest of the machine's counters. *)
+    the CLI refuses to let it stay non-zero).  Each model carries its own
+    ledger, which counts always (it is the fault report's data source);
+    every entry also counts into the ambient metric context's [fault.*]
+    counter when that context is enabled, so fault activity appears in
+    trace digests and Chrome exports alongside the rest of the machine's
+    counters. *)
 
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 
 (* --- the fault specification ------------------------------------------- *)
 
@@ -144,27 +146,17 @@ let spec_to_string s =
 
 (* --- the ledger --------------------------------------------------------- *)
 
-(* Each ledger cell is an always-on atomic (the fault report must work
-   without tracing) mirrored onto a [fault.*] trace counter so the values
-   also appear in trace digests.  [reset_ledger] rewinds the atomics only;
-   the trace counters follow the trace instrument's own reset. *)
-type cell = { tc : Trace.counter; total : int Atomic.t; cname : string }
+(* One [fault.*] counter per ledger entry.  The values live in the model
+   ([t.ledger], indexed by [slot]); [Metrics.bump] mirrors each entry onto
+   the ambient context. *)
+type cell = { counter : Metrics.counter; slot : int }
 
 let cells : cell list ref = ref []
 
 let cell ~name ~units ~desc =
-  let c = { tc = Trace.counter ~name ~units ~desc; total = Atomic.make 0; cname = name } in
+  let c = { counter = Metrics.counter ~name ~units ~desc; slot = List.length !cells } in
   cells := c :: !cells;
   c
-
-let bump c n =
-  if n > 0 then begin
-    ignore (Atomic.fetch_and_add c.total n);
-    Trace.add c.tc n
-  end
-
-let value c = Atomic.get c.total
-let reset_ledger () = List.iter (fun c -> Atomic.set c.total 0) !cells
 
 let c_injected =
   cell ~name:"fault.injected" ~units:"faults"
@@ -226,24 +218,7 @@ let c_detour_hops =
   cell ~name:"fault.detour_hops" ~units:"hops"
     ~desc:"extra hops taken by adaptive detours over e-cube routes"
 
-(** Every ledger cell as (name, value), sorted by name — the fault
-    report's data source, live whether or not tracing is enabled. *)
-let ledger () =
-  List.sort compare (List.map (fun c -> (c.cname, value c)) !cells)
-
-(** Injected faults not yet claimed by recovery or reported unrecoverable.
-    The balance invariant is [outstanding () = 0] at the end of a run. *)
-let outstanding () = value c_injected - value c_recovered - value c_unrecovered
-
-(** Reconcile the ledger at end of run: any outstanding faults (injected,
-    never claimed by a recovery layer) are booked as unrecovered so none
-    disappear silently.  Returns the number reconciled. *)
-let reconcile () =
-  let n = outstanding () in
-  if n > 0 then bump c_unrecovered n;
-  n
-
-(* --- the installed model ------------------------------------------------ *)
+(* --- the model ---------------------------------------------------------- *)
 
 type t = {
   spec : spec;
@@ -251,22 +226,32 @@ type t = {
   rng : Prng.t;
   dead : (int * int, unit) Hashtbl.t;
       (** configured dead links plus links killed by retry exhaustion *)
+  ledger : int Atomic.t array;  (** by [cell.slot] *)
 }
 
 let make ~seed spec =
   let dead = Hashtbl.create 8 in
   List.iter (fun l -> Hashtbl.replace dead l ()) spec.dead_links;
-  { spec; seed; rng = Prng.create ~seed; dead }
+  let ledger = Array.init (List.length !cells) (fun _ -> Atomic.make 0) in
+  { spec; seed; rng = Prng.create ~seed; dead; ledger }
+
+let bump m c n =
+  if n > 0 then begin
+    ignore (Atomic.fetch_and_add m.ledger.(c.slot) n);
+    Metrics.bump c.counter n
+  end
+
+let value m c = Atomic.get m.ledger.(c.slot)
 
 let installed : t option ref = ref None
 let flag = Atomic.make false
 
-(** Install [m] as the ambient fault model and zero the ledger.  The model
-    is global mutable state, like the trace instrument: install before the
-    run you want faulted, {!clear} after. *)
+(** Install [m] as the ambient fault model and zero its ledger.  The model
+    is global mutable state: install before the run you want faulted,
+    {!clear} after. *)
 let install m =
+  Array.iter (fun a -> Atomic.set a 0) m.ledger;
   installed := Some m;
-  reset_ledger ();
   Atomic.set flag true
 
 let clear () =
@@ -278,6 +263,31 @@ let enabled () = Atomic.get flag
 (** The installed model, or [None].  This is the one-branch fast path
     every injection site starts with. *)
 let active () = if Atomic.get flag then !installed else None
+
+(* Book an entry against the installed model; a no-op with none. *)
+let note c n = match active () with Some m -> bump m c n | None -> ()
+
+(** The installed model's ledger as (name, value), sorted by name — the
+    fault report's data source, live whether or not tracing is enabled.
+    Every entry reads 0 with no model installed. *)
+let ledger () =
+  let v c = match active () with Some m -> value m c | None -> 0 in
+  List.sort compare (List.map (fun c -> (Metrics.counter_name c.counter, v c)) !cells)
+
+(** Injected faults not yet claimed by recovery or reported unrecoverable.
+    The balance invariant is [outstanding () = 0] at the end of a run. *)
+let outstanding () =
+  match active () with
+  | None -> 0
+  | Some m -> value m c_injected - value m c_recovered - value m c_unrecovered
+
+(** Reconcile the ledger at end of run: any outstanding faults (injected,
+    never claimed by a recovery layer) are booked as unrecovered so none
+    disappear silently.  Returns the number reconciled. *)
+let reconcile () =
+  let n = outstanding () in
+  note c_unrecovered n;
+  n
 
 (* --- draws -------------------------------------------------------------- *)
 
@@ -311,11 +321,11 @@ let draw_link_failures m =
       backoff := !backoff + (m.spec.backoff_cycles * (1 lsl (!failures - 1)))
     done;
     if !failures > 0 then begin
-      bump c_injected !failures;
-      bump c_link_transients !failures;
-      bump c_detected !failures;
-      bump c_retries !failures;
-      bump c_backoff_cycles !backoff
+      bump m c_injected !failures;
+      bump m c_link_transients !failures;
+      bump m c_detected !failures;
+      bump m c_retries !failures;
+      bump m c_backoff_cycles !backoff
     end;
     { failures = !failures; backoff = !backoff; exhausted = !failures >= m.spec.max_retries }
   end
@@ -330,15 +340,15 @@ let stream_overhead m =
   let { failures; backoff; exhausted } = draw_link_failures m in
   let extra = ref backoff in
   if failures > 0 then begin
-    bump c_recovered failures;
+    bump m c_recovered failures;
     if exhausted then extra := !extra + (m.spec.backoff_cycles * (1 lsl m.spec.max_retries))
   end;
   if m.spec.dma_stall_p > 0.0 && Prng.float m.rng < m.spec.dma_stall_p then begin
-    bump c_injected 1;
-    bump c_dma_stalls 1;
-    bump c_detected 1;
-    bump c_recovered 1;
-    bump c_stall_cycles m.spec.dma_stall_cycles;
+    bump m c_injected 1;
+    bump m c_dma_stalls 1;
+    bump m c_detected 1;
+    bump m c_recovered 1;
+    bump m c_stall_cycles m.spec.dma_stall_cycles;
     extra := !extra + m.spec.dma_stall_cycles
   end;
   !extra
@@ -353,13 +363,14 @@ let streams_overhead m ~streams =
   !extra
 
 (** Draw the per-instruction FU arithmetic fault: [Some (unit, element)]
-    when a fault lands (booked as injected; the engine books detection
-    when the corrupted value traps). *)
+    when a fault lands.  Booked as injected and detected: both engines
+    trap the NaN it latches on the interrupt stream. *)
 let draw_fu_fault m ~vlen ~units =
   if m.spec.fu_fault_p <= 0.0 || vlen <= 0 || units <= 0 then None
   else if Prng.float m.rng < m.spec.fu_fault_p then begin
-    bump c_injected 1;
-    bump c_fu_faults 1;
+    bump m c_injected 1;
+    bump m c_fu_faults 1;
+    bump m c_detected 1;
     Some (Prng.int m.rng units, Prng.int m.rng vlen)
   end
   else None
@@ -371,25 +382,24 @@ let draw_mem_corrupt m =
 
 (* --- recovery bookkeeping ----------------------------------------------- *)
 
-let note_recovered n = bump c_recovered n
-let note_unrecovered n = bump c_unrecovered n
+let note_recovered n = note c_recovered n
+let note_unrecovered n = note c_unrecovered n
 
 let note_rerouted ~extra_hops =
-  bump c_rerouted 1;
-  bump c_detour_hops extra_hops
+  note c_rerouted 1;
+  note c_detour_hops extra_hops
 
 (** A message's dimension-ordered route crossed a dead link: one injected,
     detected fault (the caller books its resolution). *)
 let note_dead_link_hit () =
-  bump c_injected 1;
-  bump c_dead_link_hits 1;
-  bump c_detected 1
+  note c_injected 1;
+  note c_dead_link_hits 1;
+  note c_detected 1
 
-let note_rollback () = bump c_rollbacks 1
+let note_rollback () = note c_rollbacks 1
 
 let note_mem_corrupt n =
-  bump c_injected n;
-  bump c_mem_corruptions n
+  note c_injected n;
+  note c_mem_corruptions n
 
-let note_mem_detected n = bump c_detected n
-let note_fu_detected n = bump c_detected n
+let note_mem_detected n = note c_detected n

@@ -2,16 +2,16 @@
 
     A seeded splitmix64 stream drives every injection decision, so one
     [--fault-seed] reproduces a whole run's fault schedule bit-for-bit.
-    The model is ambient, like {!Nsc_trace.Trace}: {!install} one and the
-    engine, multi-node exchange and checkpointed solvers consult it at
-    their injection points; with nothing installed every site costs one
-    atomic flag read.
+    The model is ambient: {!install} one and the engine, multi-node
+    exchange and checkpointed solvers consult it at their injection
+    points; with nothing installed every site costs one atomic flag read.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered; {!outstanding} reports the difference and
-    {!reconcile} books the remainder as unrecovered at end of run.  The
-    ledger counts always (it backs the CLI fault report); the same values
-    are mirrored onto [fault.*] trace counters when tracing is enabled. *)
+    {!reconcile} books the remainder as unrecovered at end of run.  Each
+    model value carries its own ledger, which counts always (it backs
+    the CLI fault report); every entry also counts into the ambient
+    metric context's [fault.*] counter when that context is enabled. *)
 
 (** {1 Specification} *)
 
@@ -42,7 +42,7 @@ type t
 
 val make : seed:int -> spec -> t
 
-(** Install [m] as the ambient fault model and zero the ledger. *)
+(** Install [m] as the ambient fault model and zero its ledger. *)
 val install : t -> unit
 
 val clear : unit -> unit
@@ -88,14 +88,17 @@ val stream_overhead : t -> int
 val streams_overhead : t -> streams:int -> int
 
 (** Per-instruction FU arithmetic fault: [Some (unit, element)] when one
-    lands (booked as injected; the engine books detection at the trap). *)
+    lands (booked as injected and detected: the engine traps it). *)
 val draw_fu_fault : t -> vlen:int -> units:int -> (int * int) option
 
 (** Per-sweep memory-corruption draw (the caller picks the victim word
     with {!rand} and books it with {!note_mem_corrupt}). *)
 val draw_mem_corrupt : t -> bool
 
-(** {1 Recovery bookkeeping} *)
+(** {1 Recovery bookkeeping}
+
+    Entries booked against the installed model's ledger (no-ops with no
+    model installed). *)
 
 val note_recovered : int -> unit
 val note_unrecovered : int -> unit
@@ -108,12 +111,12 @@ val note_dead_link_hit : unit -> unit
 val note_rollback : unit -> unit
 val note_mem_corrupt : int -> unit
 val note_mem_detected : int -> unit
-val note_fu_detected : int -> unit
 
 (** {1 Ledger} *)
 
-(** Every ledger cell as (name, value), sorted by name — live whether or
-    not tracing is enabled. *)
+(** The installed model's ledger as (name, value), sorted by name — live
+    whether or not tracing is enabled; every entry is 0 with no model
+    installed. *)
 val ledger : unit -> (string * int) list
 
 (** Injected faults not yet claimed by recovery or reported unrecoverable. *)

@@ -1,9 +1,6 @@
-(** Scoped metric contexts: the registry state behind the trace facade.
+(** Scoped metric contexts: the one counter registry of the simulator.
 
-    PR 2's instrument kept one process-global registry — fine for a
-    one-shot CLI, a blocker for anything multi-tenant (two concurrent
-    runs would bleed counters into each other).  This module splits the
-    instrument in two:
+    The registry is split in two:
 
     - a {e global descriptor catalogue} — counter and histogram names,
       units and descriptions, registered once per process by the module
@@ -13,10 +10,15 @@
       run, held in a {!ctx} record.
 
     The {e ambient} context is domain-local ({!current}/{!with_ctx});
-    the process starts in {!default}, which reproduces the old global
-    behaviour exactly, so every existing call site keeps working.
-    Worker domains spawned by the simulator's pools inherit the
-    caller's context (the pool captures it when a job is published).
+    the process starts in {!default}.  Worker domains spawned by the
+    simulator's pools inherit the caller's context (the pool captures it
+    when a job is published).  Instrumentation sites call {!bump} and
+    {!tracing}, which target the ambient context.
+
+    A counter is either {e gated} (it counts only into an enabled
+    context) or {e always-on} (it also keeps a process-wide total that
+    counts whether or not any context is enabled) — the host-side
+    compile, cache and pool accounting is always-on.
 
     On top of the counters this adds the profiling layer: log-bucketed
     latency histograms with percentile estimates, per-instruction and
@@ -28,7 +30,17 @@
 (* The global descriptor catalogue                                        *)
 (* ====================================================================== *)
 
-type counter = { cid : int; c_name : string; c_units : string; c_desc : string }
+(* [total] is the process-wide count of an always-on counter; a gated
+   counter never touches it. *)
+type counter = {
+  cid : int;
+  c_name : string;
+  c_units : string;
+  c_desc : string;
+  always : bool;
+  total : int Atomic.t;
+}
+
 type histogram = { hid : int; h_name : string; h_units : string; h_desc : string }
 
 let catalogue_mu = Mutex.create ()
@@ -39,16 +51,22 @@ let histograms_by_name : (string, histogram) Hashtbl.t = Hashtbl.create 16
 let histogram_order : histogram list ref = ref []
 let n_histograms = ref 0
 
-let counter ~name ~units ~desc =
+let register ~always ~name ~units ~desc =
   Mutex.protect catalogue_mu (fun () ->
       match Hashtbl.find_opt counters_by_name name with
       | Some c -> c
       | None ->
-          let c = { cid = !n_counters; c_name = name; c_units = units; c_desc = desc } in
+          let c =
+            { cid = !n_counters; c_name = name; c_units = units; c_desc = desc;
+              always; total = Atomic.make 0 }
+          in
           incr n_counters;
           Hashtbl.add counters_by_name name c;
           counter_order := c :: !counter_order;
           c)
+
+let counter ~name ~units ~desc = register ~always:false ~name ~units ~desc
+let always_counter ~name ~units ~desc = register ~always:true ~name ~units ~desc
 
 let histogram ~name ~units ~desc =
   Mutex.protect catalogue_mu (fun () ->
@@ -64,6 +82,8 @@ let histogram ~name ~units ~desc =
 let counter_name c = c.c_name
 let counter_units c = c.c_units
 let counter_desc c = c.c_desc
+let is_always c = c.always
+let total c = Atomic.get c.total
 let histogram_name h = h.h_name
 let histogram_units h = h.h_units
 let histogram_desc h = h.h_desc
@@ -211,11 +231,11 @@ let with_ctx ctx f =
 
 (* --- the switch and the clock ------------------------------------------- *)
 
-(* How many contexts are currently enabled, process-wide.  The trace
-   facade's disabled fast path reads this single atomic instead of doing
-   a DLS lookup per instrumentation site: with zero contexts enabled a
-   gate costs one load and a branch, same as the pre-context instrument
-   (the <2% budget in bench/main.ml depends on it). *)
+(* How many contexts are currently enabled, process-wide.  The ambient
+   gates ({!tracing}, {!bump}) read this single atomic instead of doing a
+   DLS lookup per instrumentation site: with zero contexts enabled a gate
+   costs one load and a branch (the OVERHEAD section of bench/main.ml
+   holds every gated site of a solve under 2%). *)
 let n_enabled = Atomic.make 0
 
 let enabled ctx = Atomic.get ctx.enabled_flag
@@ -265,6 +285,14 @@ let add ctx c n =
   end
 
 let value ctx c = Atomic.get (value_cell ctx c)
+
+(* --- the ambient gates -------------------------------------------------- *)
+
+let tracing () = Atomic.get n_enabled > 0 && Atomic.get (current ()).enabled_flag
+
+let bump c n =
+  if c.always && n > 0 then ignore (Atomic.fetch_and_add c.total n);
+  if Atomic.get n_enabled > 0 then add (current ()) c n
 
 let total_bumps ctx =
   Mutex.protect ctx.grow_mu (fun () ->

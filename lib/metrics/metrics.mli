@@ -1,12 +1,18 @@
 (** Scoped metric contexts: counters, latency histograms, span sinks and
     cycle attribution for one run, isolated from every other run.
 
-    Descriptors (counter/histogram names, units, descriptions) live in a
+    This is the simulator's one counter registry.  Descriptors
+    (counter/histogram names, units, descriptions) live in a
     process-global catalogue; the {e values} live in a {!ctx}.  The
-    ambient context is domain-local: library code reads {!current} and
-    the CLI/daemon wraps each run in {!with_ctx}.  The process starts in
-    {!default}, which reproduces the old process-global behaviour, so
-    call sites that predate contexts keep working unchanged.
+    ambient context is domain-local: instrumentation sites gate on
+    {!tracing} and {!bump} against {!current}, and the CLI/daemon wraps
+    each run in {!with_ctx}.  The process starts in {!default}.
+
+    Counters come in two classes.  A {e gated} counter ({!counter})
+    counts only into an enabled context.  An {e always-on} counter
+    ({!always_counter}) also keeps a process-wide {!total} that counts
+    whether or not any context is enabled; the host-side compile, cache,
+    pool and timing-analysis accounting is of this class.
 
     See [docs/OBSERVABILITY.md] for the context API guide, the histogram
     bucketing scheme and its percentile error bound, and the profile
@@ -25,8 +31,7 @@ val create : ?label:string -> ?capacity:int -> unit -> ctx
 
 val default : ctx
 (** The process-wide default context — the one ambient until the first
-    {!with_ctx}, and the backing store of the [Nsc_trace.Trace]
-    facade's global API. *)
+    {!with_ctx}. *)
 
 val label : ctx -> string
 
@@ -46,9 +51,15 @@ val disable : ctx -> unit
 
 val any_enabled : unit -> bool
 (** Whether {e any} context is currently enabled, process-wide — a single
-    atomic read.  The trace facade's disabled fast path: when this is
-    [false], every instrumentation site can skip the per-domain context
-    lookup entirely, because [add]/[observe]/[span] would no-op anyway. *)
+    atomic read.  When this is [false], every instrumentation site can
+    skip the per-domain context lookup entirely, because
+    [add]/[observe]/[span] would no-op anyway. *)
+
+val tracing : unit -> bool
+(** Whether the calling domain's ambient context is enabled — the gate
+    of every instrumentation site that records spans, histogram samples
+    or attribution.  With no context enabled anywhere it is one atomic
+    read and a branch. *)
 
 val reset : ctx -> unit
 (** Zero every counter, histogram and attribution table, clear the span
@@ -59,14 +70,36 @@ val advance : ctx -> int -> unit
 
 (** {1 Counters}
 
-    Registration is global, idempotent by name, and returns a dense-id
+    Registration is global, idempotent by name (the first registration
+    fixes units, description and class), and returns a dense-id
     descriptor; values are per-context.  [add] is a no-op when the
     context is disabled or [n <= 0] (counters are monotonic). *)
 
 type counter
 
 val counter : name:string -> units:string -> desc:string -> counter
+(** A gated counter: it counts only into enabled contexts. *)
+
+val always_counter : name:string -> units:string -> desc:string -> counter
+(** An always-on counter: {!bump} also adds to its process-wide {!total},
+    whether or not any context is enabled. *)
+
+val bump : counter -> int -> unit
+(** The instrumentation-site increment: [bump c n] adds [n] to the
+    ambient context when that context is enabled and, for an always-on
+    counter, to its process-wide total.  A gated counter with no context
+    enabled costs one atomic read and a branch and allocates nothing.
+    Safe from any domain. *)
+
+val total : counter -> int
+(** The process-wide total of an always-on counter since the process
+    started (never reset; 0 for a gated counter). *)
+
+val is_always : counter -> bool
+
 val add : ctx -> counter -> int -> unit
+(** Add to one explicit context only (no process-wide total). *)
+
 val value : ctx -> counter -> int
 val counter_name : counter -> string
 val counter_units : counter -> string

@@ -85,7 +85,6 @@ type t = {
   plan_cache : Nsc_sim.Plan.cache;
   kernel_cache : Nsc_sim.Kernel.cache;
   sctx : Metrics.ctx;
-  evict_base : int;  (* process-wide eviction count at server creation *)
   journal : Guard.Journal.t option;
   breaker : Guard.Breaker.t;
   mutable b_opens : int;   (* breaker transitions already mirrored *)
@@ -112,7 +111,6 @@ let create ?(config = default_config) () =
       (if b > 0 then Nsc_sim.Kernel.make_cache ~bound:b ()
        else Nsc_sim.Kernel.make_cache ());
     sctx;
-    evict_base = Nsc_sim.Stats.cache_evictions ();
     journal = Option.map (fun path -> Guard.Journal.open_ ~path) config.journal;
     breaker =
       Guard.Breaker.create ~open_at:config.shed_open
@@ -131,9 +129,20 @@ let num i = Json.Num (float_of_int i)
 
 (* --- job execution ------------------------------------------------------ *)
 
+(* The daemon's plan and kernel caches share keys and bound, so the
+   plan-cache counters repeat the kernel-cache ones, and the timing
+   analyses follow codegen and plan compiles: the wire carries neither
+   (see docs/SERVICE.md). *)
+let off_wire =
+  List.map Metrics.counter_name
+    [ Nsc_sim.Plan.c_compiles; Nsc_sim.Plan.c_cache_hits; Nsc_checker.Timing.c_analyses ]
+
 let counters_json jctx =
   let snap = Metrics.snapshot jctx in
-  Json.Obj (List.map (fun (n, v) -> (n, num v)) snap.Metrics.snap_counters)
+  Json.Obj
+    (List.filter_map
+       (fun (n, v) -> if List.mem n off_wire then None else Some (n, num v))
+       snap.Metrics.snap_counters)
 
 let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
     ((string * Json.t) list, string) result =
@@ -409,7 +418,8 @@ let summary_response t =
               ("p50_usec", num h.Metrics.p50);
               ("p99_usec", num h.Metrics.p99);
               ("cache_evictions",
-               num (Nsc_sim.Stats.cache_evictions () - t.evict_base));
+               num (Nsc_sim.Lru.evictions t.plan_cache
+                    + Nsc_sim.Lru.evictions t.kernel_cache));
             ]);
        ])
 

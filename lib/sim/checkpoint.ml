@@ -8,17 +8,23 @@
 
 open Nsc_arch
 module Fault = Nsc_fault.Fault
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 
 type t = {
   planes : Memory.snapshot array;
   caches : Cache.snapshot array;
 }
 
+(* An instant on the node timeline of the ambient context. *)
+let note name =
+  if Metrics.tracing () then begin
+    let m = Metrics.current () in
+    Metrics.instant m ~cat:"fault" ~name ~ts:(Metrics.now m) ()
+  end
+
 (** Deep-copy the node's planes and caches. *)
 let capture (node : Node.t) =
-  if Trace.enabled () then
-    Trace.instant ~cat:"fault" ~name:"checkpoint.capture" ~ts:(Trace.now ()) ();
+  note "checkpoint.capture";
   {
     planes = Array.map Memory.snapshot node.Node.planes;
     caches = Array.map Cache.snapshot node.Node.caches;
@@ -34,8 +40,7 @@ let restore (node : Node.t) t =
   Array.iteri (fun i s -> Memory.restore node.Node.planes.(i) s) t.planes;
   Array.iteri (fun i s -> Cache.restore node.Node.caches.(i) s) t.caches;
   Fault.note_rollback ();
-  if Trace.enabled () then
-    Trace.instant ~cat:"fault" ~name:"checkpoint.restore" ~ts:(Trace.now ()) ()
+  note "checkpoint.restore"
 
 (** Scrub the node's parity state: every (plane, address) whose parity is
     currently bad.  Empty on a healthy node. *)

@@ -50,30 +50,28 @@ let max_recorded_events = 1000
 (* Observability: whole-run totals and one span per executed instruction.
    All sites are gated on the trace-enabled flag; the disabled path costs
    one branch per instruction, not per element. *)
-module Trace = Nsc_trace.Trace
 module Fault = Nsc_fault.Fault
+module Metrics = Nsc_metrics.Metrics
 
 let c_instructions =
-  Trace.counter ~name:"sim.instructions" ~units:"instructions"
+  Metrics.counter ~name:"sim.instructions" ~units:"instructions"
     ~desc:"pipeline instructions executed by the engine"
 
 let c_cycles =
-  Trace.counter ~name:"sim.cycles" ~units:"cycles"
+  Metrics.counter ~name:"sim.cycles" ~units:"cycles"
     ~desc:"simulated cycles charged to pipeline execution"
 
 let c_flops =
-  Trace.counter ~name:"sim.flops" ~units:"flops"
+  Metrics.counter ~name:"sim.flops" ~units:"flops"
     ~desc:"floating-point operations performed by engaged units"
 
 let c_elements =
-  Trace.counter ~name:"sim.elements" ~units:"elements"
+  Metrics.counter ~name:"sim.elements" ~units:"elements"
     ~desc:"vector elements streamed through pipelines"
 
 let c_traps =
-  Trace.counter ~name:"sim.traps" ~units:"events"
+  Metrics.counter ~name:"sim.traps" ~units:"events"
     ~desc:"arithmetic exceptions trapped during execution"
-
-module Metrics = Nsc_metrics.Metrics
 
 let h_exec_cycles =
   Metrics.histogram ~name:"hist.exec_cycles" ~units:"cycles"
@@ -120,25 +118,25 @@ let note_attribution ctx (sem : Semantic.t) (r : result) =
    clock advances by the instruction's cycle estimate, so consecutive
    instructions lie end-to-end in the exported trace. *)
 let note_run ~kind (sem : Semantic.t) (r : result) =
-  if Trace.enabled () then begin
+  if Metrics.tracing () then begin
     let ctx = Metrics.current () in
     let traps = Interrupt.trapped_exceptions r.events in
-    let ts = Trace.now () in
-    Trace.advance r.cycles;
-    Trace.span ~cat:"engine"
+    let ts = Metrics.now ctx in
+    Metrics.advance ctx r.cycles;
+    Metrics.span ctx ~cat:"engine"
       ~name:(Printf.sprintf "exec:i%d" sem.Semantic.index)
       ~ts ~dur:r.cycles
       ~args:
-        [ ("kind", Trace.Str kind);
-          ("flops", Trace.Int r.flops);
-          ("elements", Trace.Int r.elements);
-          ("writes", Trace.Int r.writes) ]
+        [ ("kind", Metrics.Str kind);
+          ("flops", Metrics.Int r.flops);
+          ("elements", Metrics.Int r.elements);
+          ("writes", Metrics.Int r.writes) ]
       ();
-    Trace.add c_instructions 1;
-    Trace.add c_cycles r.cycles;
-    Trace.add c_flops r.flops;
-    Trace.add c_elements r.elements;
-    if traps > 0 then Trace.add c_traps traps;
+    Metrics.add ctx c_instructions 1;
+    Metrics.add ctx c_cycles r.cycles;
+    Metrics.add ctx c_flops r.flops;
+    Metrics.add ctx c_elements r.elements;
+    Metrics.add ctx c_traps traps;
     Metrics.observe ctx h_exec_cycles r.cycles;
     note_attribution ctx sem r
   end
@@ -147,7 +145,7 @@ let note_run ~kind (sem : Semantic.t) (r : result) =
    counters (one transfer per stream, [count = 0] meaning the vector
    length, exactly as the hardware descriptors resolve). *)
 let note_read_streams ~vlen streams =
-  if Trace.enabled () then
+  if Metrics.tracing () then
     List.iter
       (fun (_, (t : Dma.transfer)) ->
         Dma.note_read ~words:(Dma.effective_count t ~vector_length:vlen))
@@ -159,7 +157,7 @@ let note_read_streams ~vlen streams =
    after compute: the write sinks, [last_values] and the trace see the
    NaN, while consumers in the same instruction have already latched the
    clean value.  Detection is the interrupt scheme trapping
-   [Invalid_operand].  The stream draw adds recovered retry/stall cycles
+   [Invalid_operand] (the draw books it).  The stream draw adds recovered retry/stall cycles
    for the instruction's transfer descriptors (transient FLONET-link
    glitches and DMA stalls); it perturbs only the cycle count, never the
    data.  Both derive their counts from [sem] and are drawn FU first,
@@ -398,8 +396,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
              unit_ = fu;
              kind = Interrupt.Invalid_operand;
              element = e;
-           });
-      Fault.note_fu_detected 1);
+           }));
   let last_values =
     List.map
       (fun (u : Semantic.unit_program) -> (u.Semantic.fu, unit_out u.Semantic.fu (vlen - 1)))
@@ -597,7 +594,6 @@ let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
                kind = Interrupt.Invalid_operand;
                element = e;
              });
-        Fault.note_fu_detected 1;
         corrupt_latch b bufs ~k ~e
   in
   (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a

@@ -33,34 +33,40 @@
 open Nsc_arch
 open Nsc_diagram
 
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 module A1 = Bigarray.Array1
 
 (** Padded executable buffer: unboxed float64, C layout. *)
 type buf = Memory.vec
 
 (* Host-side observability: how often plans were lowered to kernels, how
-   often a cached kernel was reused, and how often a kernel had to carry
-   the general-evaluator fallback instead of a fused body. *)
+   often a cached kernel was reused, how the buffer pool served
+   executions (all always-on), and how often a kernel had to carry the
+   general-evaluator fallback instead of a fused body (gated). *)
 let c_compiles =
-  Trace.counter ~name:"kernel.compiles" ~units:"kernels"
+  Metrics.always_counter ~name:"kernel.compiles" ~units:"kernels"
     ~desc:"plans lowered to fused vector kernels"
 
 let c_cache_hits =
-  Trace.counter ~name:"kernel.cache_hits" ~units:"hits"
+  Metrics.always_counter ~name:"kernel.cache_hits" ~units:"hits"
     ~desc:"kernel-cache hits (a compiled kernel was reused)"
 
 let c_fallbacks =
-  Trace.counter ~name:"kernel.fallbacks" ~units:"kernels"
+  Metrics.counter ~name:"kernel.fallbacks" ~units:"kernels"
     ~desc:"kernels compiled without a fused body (general-evaluator fallback)"
 
 let c_pool_hits =
-  Trace.counter ~name:"kernel.pool_hits" ~units:"buffers"
+  Metrics.always_counter ~name:"kernel.pool_hits" ~units:"buffers"
     ~desc:"execution buffers reused from the domain-local pool"
 
 let c_pool_misses =
-  Trace.counter ~name:"kernel.pool_misses" ~units:"buffers"
+  Metrics.always_counter ~name:"kernel.pool_misses" ~units:"buffers"
     ~desc:"execution buffers freshly allocated (pool empty for the length)"
+
+let compile_count () = Metrics.total c_compiles
+let cache_hit_count () = Metrics.total c_cache_hits
+let pool_hit_count () = Metrics.total c_pool_hits
+let pool_miss_count () = Metrics.total c_pool_misses
 
 (** One lowered functional unit.  [out] is the absolute buffer slot of the
     unit's output; operands read [buffer.{base + e + off}], so a feedback
@@ -131,26 +137,6 @@ type t = {
   body : body option;  (** [None]: fall back to the general evaluator *)
 }
 
-(* --- counters (shared across domains; hence atomic) -------------------- *)
-
-let compiles = Atomic.make 0
-let cache_hits = Atomic.make 0
-let pool_hits = Atomic.make 0
-let pool_misses = Atomic.make 0
-let evictions = Atomic.make 0
-let compile_count () = Atomic.get compiles
-let cache_hit_count () = Atomic.get cache_hits
-let pool_hit_count () = Atomic.get pool_hits
-let pool_miss_count () = Atomic.get pool_misses
-let eviction_count () = Atomic.get evictions
-
-let reset_counters () =
-  Atomic.set compiles 0;
-  Atomic.set cache_hits 0;
-  Atomic.set pool_hits 0;
-  Atomic.set pool_misses 0;
-  Atomic.set evictions 0
-
 (* --- the domain-local buffer pool --------------------------------------- *)
 
 (* Free lists of released buffers keyed by length, one pool per domain so
@@ -174,12 +160,10 @@ let acquire len : buf =
   match Hashtbl.find_opt pool len with
   | Some ({ contents = n, b :: rest } as l) when n > 0 ->
       l := (n - 1, rest);
-      Atomic.incr pool_hits;
-      if Trace.enabled () then Trace.add c_pool_hits 1;
+      Metrics.bump c_pool_hits 1;
       b
   | _ ->
-      Atomic.incr pool_misses;
-      if Trace.enabled () then Trace.add c_pool_misses 1;
+      Metrics.bump c_pool_misses 1;
       A1.create Bigarray.float64 Bigarray.c_layout len
 
 (** Return a buffer to the calling domain's pool for reuse by a later
@@ -216,12 +200,8 @@ let acquire_into len (dst : buf array) ~from =
           dst.(i) <- b
       | _ -> dst.(i) <- A1.create Bigarray.float64 Bigarray.c_layout len
     done;
-    if !hits > 0 then ignore (Atomic.fetch_and_add pool_hits !hits);
-    if n > !hits then ignore (Atomic.fetch_and_add pool_misses (n - !hits));
-    if Trace.enabled () then begin
-      if !hits > 0 then Trace.add c_pool_hits !hits;
-      if n > !hits then Trace.add c_pool_misses (n - !hits)
-    end
+    Metrics.bump c_pool_hits !hits;
+    Metrics.bump c_pool_misses (n - !hits)
   end
 
 (** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
@@ -629,84 +609,35 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
 
 (** Lower a compiled plan to a fused kernel. *)
 let compile (pl : Plan.t) : t =
-  Atomic.incr compiles;
-  if Trace.enabled () then Trace.add c_compiles 1;
+  Metrics.bump c_compiles 1;
   match pl.Plan.fast with
   | None ->
-      if Trace.enabled () then Trace.add c_fallbacks 1;
+      Metrics.bump c_fallbacks 1;
       { plan = pl; body = None }
   | Some f -> { plan = pl; body = Some (compile_body pl f) }
 
 (* --- per-instruction kernel cache --------------------------------------- *)
 
-(* Same descriptor the plan cache registers: one [cache.evictions] trace
-   counter covers both compilation stages. *)
-let c_evictions =
-  Trace.counter ~name:"cache.evictions" ~units:"entries"
-    ~desc:"bounded plan/kernel cache entries evicted (least recently used)"
+(** Keyed like {!Plan.cache}, layered over it: a hit requires the cached
+    kernel to have been compiled from the very plan the plan cache
+    returns for these semantics, so plan invalidation — changed
+    semantics, changed [honor_timing], or an LRU eviction in a bounded
+    plan cache — invalidates the kernel with it. *)
+type cache = t Lru.t
 
-(** Cache keyed by (instruction index, vector length), layered over the
-    plan cache: a hit requires the cached kernel to have been compiled
-    from the very plan the plan cache returns for these semantics, so
-    plan invalidation — changed semantics, changed [honor_timing], or an
-    LRU eviction in a bounded plan cache — invalidates the kernel with
-    it.  Mutex-guarded and LRU-bounded like {!Plan.cache}. *)
-type centry = { kn : t; mutable tick : int }
+let make_cache ?bound () : cache = Lru.create ~who:"Kernel" ?bound ()
 
-type cache = {
-  tbl : ((int * int), centry) Hashtbl.t;
-  bound : int;
-  mutable clock : int;
-  lock : Mutex.t;
-}
-
-let make_cache ?(bound = max_int) () : cache =
-  if bound < 1 then invalid_arg "Kernel.make_cache: bound must be >= 1";
-  { tbl = Hashtbl.create 16; bound; clock = 0; lock = Mutex.create () }
-
-let locked c f =
-  Mutex.lock c.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
-
-let evict_oldest c =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, e') when e'.tick <= e.tick -> acc
-        | _ -> Some (k, e))
-      c.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some (k, _) ->
-      Hashtbl.remove c.tbl k;
-      Atomic.incr evictions;
-      if Trace.enabled () then Trace.add c_evictions 1
+let lowered_from pl kn = kn.plan == pl
 
 let cached (kc : cache) (pc : Plan.cache) (p : Params.t) ?(honor_timing = true)
     (sem : Semantic.t) : t =
   let pl = Plan.cached pc p ~honor_timing sem in
-  let key = (sem.Semantic.index, sem.Semantic.vector_length) in
-  let hit =
-    locked kc (fun () ->
-        match Hashtbl.find_opt kc.tbl key with
-        | Some e when e.kn.plan == pl ->
-            kc.clock <- kc.clock + 1;
-            e.tick <- kc.clock;
-            Atomic.incr cache_hits;
-            Some e.kn
-        | _ -> None)
-  in
-  match hit with
-  | Some kn ->
-      if Trace.enabled () then Trace.add c_cache_hits 1;
+  let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
+  match Lru.find kc key lowered_from pl with
+  | kn ->
+      Metrics.bump c_cache_hits 1;
       kn
-  | None ->
+  | exception Not_found ->
       let kn = compile pl in
-      locked kc (fun () ->
-          if (not (Hashtbl.mem kc.tbl key)) && Hashtbl.length kc.tbl >= kc.bound
-          then evict_oldest kc;
-          kc.clock <- kc.clock + 1;
-          Hashtbl.replace kc.tbl key { kn; tick = kc.clock });
+      Lru.add kc key kn;
       kn

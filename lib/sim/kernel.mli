@@ -99,22 +99,17 @@ val acquire_into : int -> buf array -> from:int -> unit
     form of {!release}. *)
 val release_from : buf array -> from:int -> int -> unit
 
-(** {2 Counters} — atomic, shared across domains. *)
+(** {2 Counters}
+
+    [kernel.compiles], [kernel.cache_hits], [kernel.pool_hits] and
+    [kernel.pool_misses] are always-on: process-wide totals that count
+    whether or not a metric context is enabled.  Pool accounting: an
+    acquire served from a free list is a hit, a fresh allocation a miss. *)
 
 val compile_count : unit -> int
 val cache_hit_count : unit -> int
-
-(** Pool accounting: an acquire served from a free list is a hit, a fresh
-    allocation a miss. *)
 val pool_hit_count : unit -> int
-
 val pool_miss_count : unit -> int
-
-val eviction_count : unit -> int
-(** Entries removed by LRU eviction from bounded kernel caches (the
-    [cache.evictions] trace counter mirrors this per context). *)
-
-val reset_counters : unit -> unit
 
 (** {2 Per-instruction kernel cache}
 
@@ -122,16 +117,15 @@ val reset_counters : unit -> unit
     plan cache: a hit requires the cached kernel to descend from the
     exact plan {!Plan.cached} returns for the incoming semantics, so
     plan invalidation — including an LRU eviction in a bounded plan
-    cache — carries the kernel with it.  Mutex-guarded, so one cache may
-    serve several worker domains at once. *)
+    cache — carries the kernel with it.  One {!Lru} cache, like
+    {!Plan.cache}. *)
 
-type cache
+type cache = t Lru.t
 
 val make_cache : ?bound:int -> unit -> cache
 (** [bound] caps resident entries with least-recently-used eviction
-    (counted by {!eviction_count} and the [cache.evictions] trace
-    counter).  Default: unbounded.  Raises [Invalid_argument] when
-    [bound < 1]. *)
+    (counted by {!Lru.evictions} and the [cache.evictions] counter).
+    Default: unbounded.  Raises [Invalid_argument] when [bound < 1]. *)
 
 val cached :
   cache ->

@@ -12,7 +12,6 @@ open Nsc_arch
 
 (* Observability: machine-level phases appear on trace timeline tid 1,
    leaving tid 0 to the per-node engine/sequencer spans. *)
-module Trace = Nsc_trace.Trace
 module Metrics = Nsc_metrics.Metrics
 module Fault = Nsc_fault.Fault
 
@@ -23,19 +22,19 @@ let h_exchange_cycles =
     ~desc:"per-phase hypercube exchange latency"
 
 let c_steps =
-  Trace.counter ~name:"machine.steps" ~units:"steps"
+  Metrics.counter ~name:"machine.steps" ~units:"steps"
     ~desc:"synchronous compute steps across the hypercube"
 
 let c_exchanges =
-  Trace.counter ~name:"machine.exchanges" ~units:"phases"
+  Metrics.counter ~name:"machine.exchanges" ~units:"phases"
     ~desc:"communication phases executed between compute steps"
 
 let c_overlap =
-  Trace.counter ~name:"comm.overlap_cycles" ~units:"cycles"
+  Metrics.counter ~name:"comm.overlap_cycles" ~units:"cycles"
     ~desc:"exchange cycles hidden behind overlapped compute at completion"
 
 let c_coalesced =
-  Trace.counter ~name:"comm.coalesced_messages" ~units:"messages"
+  Metrics.counter ~name:"comm.coalesced_messages" ~units:"messages"
     ~desc:"messages folded into a shared (src, dst) routed transfer"
 
 (* --- the persistent domain pool ----------------------------------------- *)
@@ -287,7 +286,7 @@ let compute_step ?domains ?metrics t (f : int -> Node.t -> int * int) =
     match metrics with None -> f () | Some m -> Metrics.with_ctx m f
   in
   in_ctx @@ fun () ->
-  let ts = if Trace.enabled () then Trace.now () else 0 in
+  let ts = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
   let per_node = parallel_iter ?domains t f in
   let worst = ref 0 in
   Array.iter
@@ -296,17 +295,17 @@ let compute_step ?domains ?metrics t (f : int -> Node.t -> int * int) =
       if cycles > !worst then worst := cycles)
     per_node;
   t.cycles <- t.cycles + !worst;
-  if Trace.enabled () then begin
+  if Metrics.tracing () then begin
     let ctx = Metrics.current () in
     Array.iteri
       (fun node (cycles, flops) -> Metrics.attribute_node ctx ~node ~cycles ~flops)
       per_node;
-    Trace.add c_steps 1;
-    Trace.span ~tid:machine_tid ~cat:"machine" ~name:"compute_step" ~ts
+    Metrics.add ctx c_steps 1;
+    Metrics.span ctx ~tid:machine_tid ~cat:"machine" ~name:"compute_step" ~ts
       ~dur:!worst
       ~args:
-        [ ("nodes", Trace.Int (Array.length t.nodes));
-          ("worst_cycles", Trace.Int !worst) ]
+        [ ("nodes", Metrics.Int (Array.length t.nodes));
+          ("worst_cycles", Metrics.Int !worst) ]
       ()
   end
 
@@ -499,21 +498,21 @@ let exchange_finish ?metrics ?(overlapped_cycles = 0) t (h : in_flight) =
   t.comm_cycles <- t.comm_cycles + visible;
   t.overlap_cycles <- t.overlap_cycles + hidden;
   t.contention_cycles <- t.contention_cycles + h.fl_contention;
-  if Trace.enabled () then begin
-    let ts = Trace.now () in
-    Trace.advance visible;
-    Trace.add c_exchanges 1;
-    Trace.add Router.c_contention h.fl_contention;
-    if hidden > 0 then Trace.add c_overlap hidden;
-    if h.fl_messages > h.fl_transfers then
-      Trace.add c_coalesced (h.fl_messages - h.fl_transfers);
-    Metrics.observe (Metrics.current ()) h_exchange_cycles h.fl_cycles;
-    Trace.span ~tid:machine_tid ~cat:"machine" ~name:"exchange" ~ts ~dur:visible
+  if Metrics.tracing () then begin
+    let ctx = Metrics.current () in
+    let ts = Metrics.now ctx in
+    Metrics.advance ctx visible;
+    Metrics.add ctx c_exchanges 1;
+    Metrics.add ctx Router.c_contention h.fl_contention;
+    Metrics.add ctx c_overlap hidden;
+    Metrics.add ctx c_coalesced (h.fl_messages - h.fl_transfers);
+    Metrics.observe ctx h_exchange_cycles h.fl_cycles;
+    Metrics.span ctx ~tid:machine_tid ~cat:"machine" ~name:"exchange" ~ts ~dur:visible
       ~args:
-        [ ("messages", Trace.Int h.fl_messages);
-          ("transfers", Trace.Int h.fl_transfers);
-          ("words", Trace.Int h.fl_words);
-          ("overlapped", Trace.Int hidden) ]
+        [ ("messages", Metrics.Int h.fl_messages);
+          ("transfers", Metrics.Int h.fl_transfers);
+          ("words", Metrics.Int h.fl_words);
+          ("overlapped", Metrics.Int hidden) ]
       ()
   end
 
@@ -531,7 +530,7 @@ let exchange_cycles t (msgs : message list) =
       groups
   in
   let cycles, contention = Router.phase_cost costed in
-  if Trace.enabled () then Trace.add Router.c_contention contention;
+  Metrics.bump Router.c_contention contention;
   cycles
 
 (** Execute a communication phase synchronously: move the payloads between

@@ -75,19 +75,20 @@ type t = {
   fast : fast option;
 }
 
-(* --- counters (shared across domains; hence atomic) -------------------- *)
+(* --- host counters (always-on: see docs/OBSERVABILITY.md) -------------- *)
 
-let compiles = Atomic.make 0
-let cache_hits = Atomic.make 0
-let evictions = Atomic.make 0
-let compile_count () = Atomic.get compiles
-let cache_hit_count () = Atomic.get cache_hits
-let eviction_count () = Atomic.get evictions
+module Metrics = Nsc_metrics.Metrics
 
-let reset_counters () =
-  Atomic.set compiles 0;
-  Atomic.set cache_hits 0;
-  Atomic.set evictions 0
+let c_compiles =
+  Metrics.always_counter ~name:"plan.compiles" ~units:"plans"
+    ~desc:"instruction semantics lowered to execution plans"
+
+let c_cache_hits =
+  Metrics.always_counter ~name:"plan.cache_hits" ~units:"hits"
+    ~desc:"plan-cache hits (a compiled plan was reused)"
+
+let compile_count () = Metrics.total c_compiles
+let cache_hit_count () = Metrics.total c_cache_hits
 
 (* --- applicability of the dense body ------------------------------------ *)
 
@@ -288,7 +289,7 @@ let compile_fast (p : Params.t) (sem : Semantic.t) : fast =
 (** Lower a semantic pipeline to an execution plan, running the timing
     analysis exactly once. *)
 let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
-  Atomic.incr compiles;
+  Metrics.bump c_compiles 1;
   let analysis = Timing.analyse p sem in
   let vlen = sem.Semantic.vector_length in
   let fast =
@@ -306,80 +307,29 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
 
 (* --- per-instruction plan cache ----------------------------------------- *)
 
-(* The shared eviction counter: plan and kernel caches both register it
-   (the catalogue is idempotent by name), so one trace counter covers both
-   compilation stages.  See docs/OBSERVABILITY.md. *)
-let c_evictions =
-  Nsc_trace.Trace.counter ~name:"cache.evictions" ~units:"entries"
-    ~desc:"bounded plan/kernel cache entries evicted (least recently used)"
-
-(** Cache keyed by (instruction index, vector length) — the extra length
-    component keeps programs of different grid sizes from colliding when a
-    daemon shares one cache across jobs.  Safe across runs of the same
-    compiled program even when each run re-decodes the microcode: a hit is
+(** Keyed by (instruction index, vector length) — the length component
+    keeps programs of different grid sizes from colliding when a daemon
+    shares one cache across jobs.  Safe across runs of the same compiled
+    program even when each run re-decodes the microcode: a hit is
     validated against the incoming semantics (physical equality first,
-    structural equality as the slow path).  Mutex-guarded, because a shared
-    cache may be hit from several worker domains at once; [bound] caps the
-    resident entries with least-recently-used eviction. *)
-type entry = { pl : t; mutable tick : int }
+    structural equality as the slow path). *)
+type cache = t Lru.t
 
-type cache = {
-  tbl : ((int * int), entry) Hashtbl.t;
-  bound : int;
-  mutable clock : int;
-  lock : Mutex.t;
-}
+let make_cache ?bound () : cache = Lru.create ~who:"Plan" ?bound ()
 
-let make_cache ?(bound = max_int) () : cache =
-  if bound < 1 then invalid_arg "Plan.make_cache: bound must be >= 1";
-  { tbl = Hashtbl.create 16; bound; clock = 0; lock = Mutex.create () }
-
-let locked c f =
-  Mutex.lock c.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
-
-(* Bounds are tiny whenever eviction can fire at all, so a linear scan for
-   the oldest tick beats the bookkeeping of an intrusive LRU list. *)
-let evict_oldest c =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, e') when e'.tick <= e.tick -> acc
-        | _ -> Some (k, e))
-      c.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some (k, _) ->
-      Hashtbl.remove c.tbl k;
-      Atomic.incr evictions;
-      if Nsc_trace.Trace.enabled () then Nsc_trace.Trace.add c_evictions 1
+let compiled_from sem pl = pl.sem == sem || Semantic.equal pl.sem sem
+let timed_from sem pl = pl.honor_timing && compiled_from sem pl
+let untimed_from sem pl = (not pl.honor_timing) && compiled_from sem pl
 
 let cached (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
-  let key = (sem.Semantic.index, sem.Semantic.vector_length) in
-  let hit =
-    locked cache (fun () ->
-        match Hashtbl.find_opt cache.tbl key with
-        | Some e
-          when e.pl.honor_timing = honor_timing
-               && (e.pl.sem == sem || Semantic.equal e.pl.sem sem) ->
-            cache.clock <- cache.clock + 1;
-            e.tick <- cache.clock;
-            Atomic.incr cache_hits;
-            Some e.pl
-        | _ -> None)
-  in
-  match hit with
-  | Some pl -> pl
-  | None ->
-      (* compile outside the lock: a long lowering must not stall other
-         domains' hits (two racing misses both insert; last wins) *)
+  let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
+  match Lru.find cache key (if honor_timing then timed_from else untimed_from) sem with
+  | pl ->
+      Metrics.bump c_cache_hits 1;
+      pl
+  | exception Not_found ->
+      (* compiled outside the lock: a long lowering must not stall other
+         domains' hits *)
       let pl = compile p ~honor_timing sem in
-      locked cache (fun () ->
-          if (not (Hashtbl.mem cache.tbl key))
-             && Hashtbl.length cache.tbl >= cache.bound
-          then evict_oldest cache;
-          cache.clock <- cache.clock + 1;
-          Hashtbl.replace cache.tbl key { pl; tick = cache.clock });
+      Lru.add cache key pl;
       pl

@@ -63,16 +63,20 @@ type t = {
     {!Nsc_checker.Timing.analyse} exactly once. *)
 val compile : Params.t -> ?honor_timing:bool -> Semantic.t -> t
 
-(** {2 Counters} — atomic, shared across domains. *)
+(** {2 Counters}
+
+    Always-on [plan.compiles] and [plan.cache_hits]: process-wide totals
+    that count whether or not a metric context is enabled (and count into
+    the ambient context when it is). *)
+
+val c_compiles : Nsc_metrics.Metrics.counter
+val c_cache_hits : Nsc_metrics.Metrics.counter
 
 val compile_count : unit -> int
+(** [Metrics.total c_compiles]. *)
+
 val cache_hit_count : unit -> int
-
-val eviction_count : unit -> int
-(** Entries removed by LRU eviction from bounded caches (the
-    [cache.evictions] trace counter mirrors this per context). *)
-
-val reset_counters : unit -> unit
+(** [Metrics.total c_cache_hits]. *)
 
 (** {2 Per-instruction plan cache}
 
@@ -80,15 +84,15 @@ val reset_counters : unit -> unit
     against the incoming semantics (and [honor_timing]) so the cache
     stays safe across runs that re-decode the same microcode — and
     across {e different} programs sharing one cache, as the serve daemon
-    does.  Lookups are mutex-guarded, so one cache may serve several
-    worker domains at once. *)
+    does.  One {!Lru} cache: mutex-guarded, so it may serve several
+    worker domains at once, and a hit allocates nothing. *)
 
-type cache
+type cache = t Lru.t
 
 val make_cache : ?bound:int -> unit -> cache
 (** [bound] caps resident entries; the least recently used entry is
-    evicted to admit a new one (counted by {!eviction_count} and the
-    [cache.evictions] trace counter).  Default: unbounded.  Raises
+    evicted to admit a new one (counted by {!Lru.evictions} and the
+    [cache.evictions] counter).  Default: unbounded.  Raises
     [Invalid_argument] when [bound < 1]. *)
 
 val cached : cache -> Params.t -> ?honor_timing:bool -> Semantic.t -> t

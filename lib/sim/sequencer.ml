@@ -33,12 +33,11 @@ let max_recorded_events = 2000
 (* Observability: the sequencer owns the between-instruction
    reconfiguration charge, so it notes those cycles (and the switch
    reprogramming) on the trace; the engine notes execution itself. *)
-module Trace = Nsc_trace.Trace
 module Metrics = Nsc_metrics.Metrics
 module Budget = Nsc_guard.Guard.Budget
 
 let c_reconfig_cycles =
-  Trace.counter ~name:"sim.reconfig_cycles" ~units:"cycles"
+  Metrics.counter ~name:"sim.reconfig_cycles" ~units:"cycles"
     ~desc:"cycles charged to switch reconfiguration between instructions"
 
 let h_reconfig_cycles =
@@ -115,16 +114,16 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
                deadline fire deterministically between dispatches (a
                sweep boundary is an instruction boundary) *)
             Budget.check_opt budget;
-            if Trace.enabled () then begin
-              let ts = Trace.now () in
-              Trace.advance p.reconfig_cycles;
-              Trace.span ~cat:"sequencer" ~name:"reconfig" ~ts
+            if Metrics.tracing () then begin
+              let m = Metrics.current () in
+              let ts = Metrics.now m in
+              Metrics.advance m p.reconfig_cycles;
+              Metrics.span m ~cat:"sequencer" ~name:"reconfig" ~ts
                 ~dur:p.reconfig_cycles
-                ~args:[ ("instruction", Trace.Int n) ]
+                ~args:[ ("instruction", Metrics.Int n) ]
                 ();
-              Trace.add c_reconfig_cycles p.reconfig_cycles;
-              Metrics.observe (Metrics.current ()) h_reconfig_cycles
-                p.reconfig_cycles;
+              Metrics.add m c_reconfig_cycles p.reconfig_cycles;
+              Metrics.observe m h_reconfig_cycles p.reconfig_cycles;
               Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
             end;
             let r =
@@ -155,13 +154,15 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
         in
         record
           (Interrupt.Condition_evaluated { instruction; condition = cond; value; holds });
-        if Trace.enabled () then
-          Trace.instant ~cat:"sequencer" ~name:"condition" ~ts:(Trace.now ())
+        if Metrics.tracing () then begin
+          let m = Metrics.current () in
+          Metrics.instant m ~cat:"sequencer" ~name:"condition" ~ts:(Metrics.now m)
             ~args:
-              [ ("instruction", Trace.Int instruction);
-                ("value", Trace.Float value);
-                ("holds", Trace.Str (string_of_bool holds)) ]
-            ();
+              [ ("instruction", Metrics.Int instruction);
+                ("value", Metrics.Float value);
+                ("holds", Metrics.Str (string_of_bool holds)) ]
+            ()
+        end;
         holds
       in
       let halted = ref false in
@@ -191,15 +192,17 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
             loop 0;
             interp rest
       in
-      let ts_program = if Trace.enabled () then Trace.now () else 0 in
+      let ts_program = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
       (try interp c.Codegen.control with Halted -> ());
-      if Trace.enabled () then
-        Trace.span ~cat:"sequencer" ~name:"program" ~ts:ts_program
-          ~dur:(Trace.now () - ts_program)
+      if Metrics.tracing () then begin
+        let m = Metrics.current () in
+        Metrics.span m ~cat:"sequencer" ~name:"program" ~ts:ts_program
+          ~dur:(Metrics.now m - ts_program)
           ~args:
-            [ ("instructions", Trace.Int !executed);
-              ("halted", Trace.Str (string_of_bool !halted)) ]
-          ();
+            [ ("instructions", Metrics.Int !executed);
+              ("halted", Metrics.Str (string_of_bool !halted)) ]
+          ()
+      end;
       (match !exec_error with
       | Some e -> Error e
       | None ->

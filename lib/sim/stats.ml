@@ -44,47 +44,9 @@ let summary_to_string s =
   Printf.sprintf "%d cycles, %d flops, %.3f ms, %.1f MFLOPS (%.1f%% of peak)" s.cycles
     s.flops (s.seconds *. 1e3) s.mflops (100.0 *. s.utilization)
 
-(** {2 Host-side execution counters}
-
-    Plan-compilation accounting, re-exported from {!Plan} so performance
-    reporting has one entry point.  These count host work (how often the
-    simulator lowered or reused a plan), not simulated machine work. *)
-
-let plan_compiles = Plan.compile_count
-let plan_cache_hits = Plan.cache_hit_count
-let reset_plan_counters = Plan.reset_counters
-let kernel_compiles = Kernel.compile_count
-let kernel_cache_hits = Kernel.cache_hit_count
-let kernel_pool_hits = Kernel.pool_hit_count
-let kernel_pool_misses = Kernel.pool_miss_count
-let reset_kernel_counters = Kernel.reset_counters
-let cache_evictions () = Plan.eviction_count () + Kernel.eviction_count ()
-
-(** {2 The trace instrument}
-
-    Simulated-machine observability, re-exported from {!Nsc_trace.Trace}
-    so simulation callers have one reporting entry point: the registered
-    counter catalogue, the plain-text digest and the Chrome trace-event
-    export.  See [docs/OBSERVABILITY.md]. *)
-
-let trace_counters () =
-  List.map
-    (fun c ->
-      (Nsc_trace.Trace.name c, Nsc_trace.Trace.value c, Nsc_trace.Trace.units c))
-    (Nsc_trace.Trace.counters ())
-
-let trace_summary = Nsc_trace.Trace.summary
-let trace_to_chrome = Nsc_trace.Trace.to_chrome
-
-(** {2 The fault ledger}
-
-    Fault-injection accounting, re-exported from {!Nsc_fault.Fault}.
-    Unlike the trace counters, the ledger is live whether or not tracing
-    is enabled — it backs the CLI fault report.  See [docs/FAULTS.md]. *)
-
-let fault_ledger = Nsc_fault.Fault.ledger
-let fault_outstanding = Nsc_fault.Fault.outstanding
-let fault_reconcile = Nsc_fault.Fault.reconcile
+(** LRU evictions across every bounded plan/kernel cache in the process:
+    the total of the always-on [cache.evictions] counter. *)
+let cache_evictions () = Nsc_metrics.Metrics.total Lru.c_evictions
 
 (** {2 The profile layer}
 

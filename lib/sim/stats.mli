@@ -33,64 +33,9 @@ val of_sequencer : Nsc_arch.Params.t -> Sequencer.stats -> summary
 (** One-line rendering: cycles, flops, time, MFLOPS and percent of peak. *)
 val summary_to_string : summary -> string
 
-(** Host-side plan accounting (re-exported from {!Plan}): how often the
-    simulator lowered a pipeline to a plan, and how often a cached plan
-    was reused instead. *)
-
-val plan_compiles : unit -> int
-val plan_cache_hits : unit -> int
-val reset_plan_counters : unit -> unit
-
-(** Host-side kernel accounting (re-exported from {!Kernel}): how often
-    a plan was lowered to a fused vector kernel, and how often a cached
-    kernel was reused instead. *)
-
-val kernel_compiles : unit -> int
-val kernel_cache_hits : unit -> int
-
-(** Kernel buffer-pool accounting (re-exported from {!Kernel}): acquires
-    served from a domain-local free list versus fresh allocations. *)
-
-val kernel_pool_hits : unit -> int
-val kernel_pool_misses : unit -> int
-val reset_kernel_counters : unit -> unit
-
 val cache_evictions : unit -> int
-(** LRU evictions across both bounded compilation caches
-    ({!Plan.eviction_count} + {!Kernel.eviction_count}); reset by
-    {!reset_plan_counters} and {!reset_kernel_counters} respectively. *)
-
-(** {2 The trace instrument}
-
-    Simulated-machine observability, re-exported from {!Nsc_trace.Trace}
-    so simulation callers have one reporting entry point.  The schema is
-    documented in [docs/OBSERVABILITY.md]. *)
-
-(** Every registered trace counter as [(name, value, units)], sorted by
-    name (zero-valued counters included). *)
-val trace_counters : unit -> (string * int * string) list
-
-(** The plain-text digest printed by [nscvp stats]. *)
-val trace_summary : unit -> string
-
-(** The instrument as a Chrome trace-event JSON document (Perfetto /
-    [chrome://tracing] loadable). *)
-val trace_to_chrome : unit -> string
-
-(** {2 The fault ledger}
-
-    Fault-injection accounting (re-exported from {!Nsc_fault.Fault}),
-    live whether or not tracing is enabled.  See [docs/FAULTS.md]. *)
-
-(** Every fault ledger cell as [(name, value)], sorted by name. *)
-val fault_ledger : unit -> (string * int) list
-
-(** Injected faults not yet claimed by recovery or reported
-    unrecoverable; 0 at the end of a balanced run. *)
-val fault_outstanding : unit -> int
-
-(** Book any outstanding faults as unrecovered; returns the number. *)
-val fault_reconcile : unit -> int
+(** LRU evictions across every bounded plan/kernel cache in the process:
+    the total of the always-on [cache.evictions] counter. *)
 
 (** {2 The profile layer}
 

@@ -32,26 +32,36 @@ let ctx_counter_value ctx name =
 
 (* --- the counter-catalogue drift check --------------------------------- *)
 
-(* Counter names documented in a markdown table: lines of the form
-   "| `name` | unit | ...".  Rows whose first cell is not a backticked
-   dotted name (header rows, span-schema rows) are skipped. *)
-let documented_counters path =
+(* Table rows documenting a counter or histogram: lines of the form
+   "| `name` | unit | text |", as (section heading, name, unit, whole
+   row).  Rows whose first cell is not a backticked dotted name (header
+   rows, span-schema rows) are skipped. *)
+let documented_rows path =
   let ic = open_in path in
-  let names = ref [] in
+  let rows = ref [] and heading = ref "" in
   (try
      while true do
        let line = input_line ic in
-       if String.length line > 4 && String.sub line 0 3 = "| `" then begin
-         match String.index_from_opt line 3 '`' with
-         | Some stop ->
-             let name = String.sub line 3 (stop - 3) in
+       if String.starts_with ~prefix:"#" line then heading := line
+       else if String.length line > 4 && String.sub line 0 3 = "| `" then
+         match String.split_on_char '|' line with
+         | _ :: name_cell :: unit_cell :: _ ->
+             let name = String.trim name_cell in
+             let name = String.sub name 1 (max 0 (String.length name - 2)) in
              if String.contains name '.' && not (String.contains name ' ') then
-               names := name :: !names
-         | None -> ()
-       end
+               rows := (!heading, name, String.trim unit_cell, line) :: !rows
+         | _ -> ()
      done
    with End_of_file -> close_in ic);
-  List.sort_uniq compare !names
+  List.rev !rows
+
+let documented_counters path =
+  List.sort_uniq compare (List.map (fun (_, n, _, _) -> n) (documented_rows path))
+
+let mentions sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 (* The docs are declared as dune deps of the test, so they sit next to
    the build directory exactly like the example programs do. *)
@@ -90,6 +100,25 @@ let drift_tests =
             check_bool (Printf.sprintf "%s is registered" n) true
               (List.mem n registered))
           documented);
+    case "documented units, class and aggregate labels match the registry"
+      (fun () ->
+        let rows =
+          documented_rows observability_md @ documented_rows faults_md
+          @ documented_rows resilience_md
+        in
+        List.iter
+          (fun (heading, name, units, row) ->
+            match Metrics.find_counter name with
+            | None -> ()
+            | Some c ->
+                check_string (name ^ " unit") (Metrics.counter_units c) units;
+                check_bool (name ^ " sits in the always-on table iff always-on")
+                  (Metrics.is_always c)
+                  (mentions "Always-on" heading);
+                check_bool (name ^ " is labelled an aggregate in both places")
+                  (mentions "aggregate" (Metrics.counter_desc c))
+                  (mentions "aggregate" row))
+          rows);
     case "every registered histogram is documented" (fun () ->
         let documented =
           documented_counters observability_md
@@ -265,31 +294,31 @@ let isolation_tests =
         && nonzero_counters b = nonzero_counters ref_b
         && exec_percentiles a = exec_percentiles ref_a
         && exec_percentiles b = exec_percentiles ref_b);
-    case "the default context backs the facade and with_ctx restores it"
+    case "the default context backs the ambient gates and with_ctx restores it"
       (fun () ->
         let c =
           Metrics.counter ~name:"test.ambient" ~units:"u" ~desc:"suite fixture"
         in
         let fresh = Metrics.create ~label:"inner" () in
         Metrics.enable fresh;
-        Nsc_trace.Trace.reset ();
-        Nsc_trace.Trace.enable ();
+        Metrics.reset Metrics.default;
+        Metrics.enable Metrics.default;
         Fun.protect ~finally:(fun () ->
-            Nsc_trace.Trace.disable ();
-            Nsc_trace.Trace.reset ())
+            Metrics.disable Metrics.default;
+            Metrics.reset Metrics.default)
         @@ fun () ->
-        Nsc_trace.Trace.add c 2;
-        Metrics.with_ctx fresh (fun () -> Nsc_trace.Trace.add c 5);
+        Metrics.bump c 2;
+        Metrics.with_ctx fresh (fun () -> Metrics.bump c 5);
         (try
            Metrics.with_ctx fresh (fun () -> failwith "boom")
          with Failure _ -> ());
-        Nsc_trace.Trace.add c 1;
+        Metrics.bump c 1;
         check_int "ambient adds landed in the default context" 3
           (Metrics.value Metrics.default c);
         check_int "scoped adds landed in the scoped context" 5
           (Metrics.value fresh c);
-        check_bool "the facade reads the ambient value" true
-          (Nsc_trace.Trace.value c = 3));
+        check_bool "the ambient context is the default again" true
+          (Metrics.current () == Metrics.default && Metrics.tracing ()));
   ]
 
 (* --- snapshot and diff --------------------------------------------------- *)
@@ -412,9 +441,89 @@ let profile_tests =
           (Json.member "hist.exec_cycles" latency <> None));
   ]
 
+(* --- the always-on class ------------------------------------------------- *)
+
+let always_counters () = List.filter Metrics.is_always (Metrics.registered_counters ())
+let totals () = List.map (fun c -> (Metrics.counter_name c, Metrics.total c)) (always_counters ())
+
+(* One n=5 Jacobi solve (fresh caches) on a fresh domain, so its buffer
+   pool starts empty, under an enabled context of its own. *)
+let solve_in ctx () =
+  Metrics.with_ctx ctx (fun () ->
+      match
+        Nsc_apps.Jacobi.solve kb (Nsc_apps.Poisson.manufactured 5) ~tol:1e-4 ~max_iters:200
+      with
+      | Ok o -> o.Nsc_apps.Jacobi.final_change
+      | Error e -> failwith e)
+
+let registry_tests =
+  [
+    case "always-on counters count with the ambient context disabled" (fun () ->
+        (* other suites may leave contexts of their own enabled; none of
+           them is ambient here *)
+        check_bool "ambient context disabled" false (Metrics.tracing ());
+        (* codegen runs the checker's own timing analyses: keep it out *)
+        let prog, _ = vecadd_program ~n:8 () in
+        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
+        let before = totals () in
+        ignore (Result.get_ok (Nsc_sim.Sequencer.run (Nsc_sim.Node.create params) c));
+        let grew name =
+          List.assoc name (totals ()) - List.assoc name before
+        in
+        check_int "plan.compiles" 1 (grew "plan.compiles");
+        check_int "kernel.compiles" 1 (grew "kernel.compiles");
+        check_int "timing.analyses" 1 (grew "timing.analyses");
+        check_bool "pool buffers drawn" true
+          (grew "kernel.pool_hits" + grew "kernel.pool_misses" > 0);
+        check_bool "the default context saw none of it" true
+          (Metrics.value Metrics.default Nsc_sim.Plan.c_compiles = 0));
+    case "always-on counters appear in an enabled context's snapshot" (fun () ->
+        let ctx = Metrics.create ~label:"always" () in
+        Metrics.enable ctx;
+        let c0 = Nsc_sim.Plan.compile_count () in
+        let _ = run_vecadd_in ctx () in
+        Metrics.disable ctx;
+        let snap = (Metrics.snapshot ctx).Metrics.snap_counters in
+        check_int "plan.compiles in the snapshot" 1
+          (Option.value ~default:0 (List.assoc_opt "plan.compiles" snap));
+        check_int "the total grew by the same" 1 (Nsc_sim.Plan.compile_count () - c0);
+        List.iter
+          (fun name ->
+            check_bool (name ^ " in the snapshot") true (List.mem_assoc name snap))
+          [ "kernel.compiles"; "timing.analyses" ]);
+    case "concurrent solves count apart and the totals sum" (fun () ->
+        let solo = Metrics.create ~label:"solo" () in
+        Metrics.enable solo;
+        let r_solo = Domain.join (Domain.spawn (solve_in solo)) in
+        Metrics.disable solo;
+        let a = Metrics.create ~label:"a" () and b = Metrics.create ~label:"b" () in
+        Metrics.enable a;
+        Metrics.enable b;
+        let before = totals () in
+        let da = Domain.spawn (solve_in a) and db = Domain.spawn (solve_in b) in
+        let r_a = Domain.join da and r_b = Domain.join db in
+        Metrics.disable a;
+        Metrics.disable b;
+        let after = totals () in
+        let counters ctx = (Metrics.snapshot ctx).Metrics.snap_counters in
+        check_bool "same residual bits" true
+          (Int64.bits_of_float r_a = Int64.bits_of_float r_solo
+          && Int64.bits_of_float r_b = Int64.bits_of_float r_solo);
+        check_bool "a's counters equal the solo run's" true (counters a = counters solo);
+        check_bool "b's counters equal the solo run's" true (counters b = counters solo);
+        List.iter
+          (fun c ->
+            let name = Metrics.counter_name c in
+            check_int (name ^ " total grew by a + b")
+              (Metrics.value a c + Metrics.value b c)
+              (List.assoc name after - List.assoc name before))
+          (always_counters ()));
+  ]
+
 let suite =
   [
     ("metrics:drift", drift_tests);
+    ("metrics:registry", registry_tests);
     ("metrics:histograms", percentile_tests);
     ("metrics:isolation", isolation_tests);
     ("metrics:snapshot", snapshot_tests);

@@ -318,15 +318,16 @@ let cache_tests =
         in
         let small = sem_of 16 and big = sem_of 32 in
         let cache = Nsc_sim.Plan.make_cache ~bound:1 () in
-        let before = Nsc_sim.Plan.eviction_count () in
+        let total () = Nsc_sim.Stats.cache_evictions () in
+        let before = total () in
         let p1 = Nsc_sim.Plan.cached cache params small in
-        check_int "first insert evicts nothing" before (Nsc_sim.Plan.eviction_count ());
+        check_int "first insert evicts nothing" 0 (Nsc_sim.Lru.evictions cache);
         let p2 = Nsc_sim.Plan.cached cache params big in
-        check_int "second insert evicts the first" (before + 1)
-          (Nsc_sim.Plan.eviction_count ());
+        check_int "second insert evicts the first" 1 (Nsc_sim.Lru.evictions cache);
         (* the evicted entry recompiles, and the survivor is evicted in turn *)
         let p1' = Nsc_sim.Plan.cached cache params small in
-        check_int "reinsert evicts again" (before + 2) (Nsc_sim.Plan.eviction_count ());
+        check_int "reinsert evicts again" 2 (Nsc_sim.Lru.evictions cache);
+        check_int "the process-wide total follows" (before + 2) (total ());
         check_bool "recompiled plan is fresh" true (not (p1 == p1'));
         check_bool "plans keep their semantics" true
           (p1.Nsc_sim.Plan.sem == small && p2.Nsc_sim.Plan.sem == big
@@ -366,6 +367,21 @@ let cache_tests =
         let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in
         check_bool "evictions observed" true
           (Option.get (inum s "cache_evictions") >= 1));
+    case "the summary counts only the daemon's own evictions" (fun () ->
+        (* bound 8 holds every plan of one n=5 job: the daemon never evicts *)
+        let t = server ~cache_bound:8 () in
+        ignore (Serve.handle_line t (submit ~id:"only" ~n:5 ()));
+        List.iter (fun r -> check_string "ok" "ok" (status r)) (Serve.drain t);
+        (* an unrelated bounded cache in the same process evicts *)
+        let other = Nsc_sim.Plan.make_cache ~bound:1 () in
+        List.iter
+          (fun n ->
+            let prog, _ = vecadd_program ~n () in
+            ignore (Nsc_sim.Plan.cached other params (fst (semantic_of_program prog 1))))
+          [ 8; 16; 32 ];
+        check_int "the other cache evicted" 2 (Nsc_sim.Lru.evictions other);
+        let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in
+        check_int "the daemon evicted nothing" 0 (Option.get (inum s "cache_evictions")));
   ]
 
 (* --- metric isolation (property) -------------------------------------- *)

@@ -448,12 +448,12 @@ let plan_tests =
         in
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
-        let c0 = Stats.plan_compiles () and h0 = Stats.plan_cache_hits () in
+        let c0 = Plan.compile_count () and h0 = Plan.cache_hit_count () in
         (match Sequencer.run node c with
         | Ok o -> check_int "five" 5 o.Sequencer.stats.Sequencer.instructions_executed
         | Error e -> Alcotest.fail e);
-        check_int "one compile" 1 (Stats.plan_compiles () - c0);
-        check_int "four hits" 4 (Stats.plan_cache_hits () - h0));
+        check_int "one compile" 1 (Plan.compile_count () - c0);
+        check_int "four hits" 4 (Plan.cache_hit_count () - h0));
     case "timing analysis runs exactly once per compiled plan" (fun () ->
         let prog, _ = vecadd_program ~n:8 () in
         let prog =
@@ -464,10 +464,10 @@ let plan_tests =
            the measurement window: only the simulator's own analyses count *)
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
-        let a0 = Nsc_checker.Timing.analysis_count () in
+        let a0 = Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses in
         ignore (Result.get_ok (Sequencer.run node c));
         check_int "analysed once for six executions" 1
-          (Nsc_checker.Timing.analysis_count () - a0));
+          (Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses - a0));
     case "the reference agrees with the kernel on the ping-pong solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go engine =
@@ -519,17 +519,17 @@ let kernel_tests =
         in
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
-        let kc0 = Stats.kernel_compiles () and kh0 = Stats.kernel_cache_hits () in
-        let c0 = Stats.plan_compiles () and h0 = Stats.plan_cache_hits () in
+        let kc0 = Kernel.compile_count () and kh0 = Kernel.cache_hit_count () in
+        let c0 = Plan.compile_count () and h0 = Plan.cache_hit_count () in
         (match Sequencer.run node c with
         | Ok o -> check_int "five" 5 o.Sequencer.stats.Sequencer.instructions_executed
         | Error e -> Alcotest.fail e);
-        check_int "one kernel compile" 1 (Stats.kernel_compiles () - kc0);
-        check_int "four kernel hits" 4 (Stats.kernel_cache_hits () - kh0);
+        check_int "one kernel compile" 1 (Kernel.compile_count () - kc0);
+        check_int "four kernel hits" 4 (Kernel.cache_hit_count () - kh0);
         (* the kernel cache layers over the plan cache, whose counters
            keep their pre-kernel behaviour *)
-        check_int "one plan compile" 1 (Stats.plan_compiles () - c0);
-        check_int "four plan hits" 4 (Stats.plan_cache_hits () - h0));
+        check_int "one plan compile" 1 (Plan.compile_count () - c0);
+        check_int "four plan hits" 4 (Plan.cache_hit_count () - h0));
     case "kernel and reference engines agree on the Jacobi solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go engine =
@@ -549,10 +549,13 @@ let kernel_tests =
           Result.get_ok (Nsc_apps.Jacobi.solve kb prob ~tol:1e-4 ~max_iters:200)
         in
         let off = go () in
-        Nsc_trace.Trace.reset ();
-        Nsc_trace.Trace.enable ();
-        let on = Fun.protect ~finally:Nsc_trace.Trace.disable go in
-        Nsc_trace.Trace.reset ();
+        let ctx = Nsc_metrics.Metrics.create () in
+        Nsc_metrics.Metrics.enable ctx;
+        let on =
+          Fun.protect
+            ~finally:(fun () -> Nsc_metrics.Metrics.disable ctx)
+            (fun () -> Nsc_metrics.Metrics.with_ctx ctx go)
+        in
         check_int "sweeps" off.Nsc_apps.Jacobi.sweeps on.Nsc_apps.Jacobi.sweeps;
         check_bool "fields" true (off.Nsc_apps.Jacobi.u = on.Nsc_apps.Jacobi.u);
         check_bool "residual" true
@@ -835,10 +838,10 @@ let kernel_v3_tests =
         go ();
         (* the first solve populated the free lists for every buffer
            length this program uses; a repeat must allocate nothing *)
-        let h0 = Stats.kernel_pool_hits () and m0 = Stats.kernel_pool_misses () in
+        let h0 = Kernel.pool_hit_count () and m0 = Kernel.pool_miss_count () in
         go ();
-        check_bool "hits advanced" true (Stats.kernel_pool_hits () > h0);
-        check_int "no new allocations" 0 (Stats.kernel_pool_misses () - m0));
+        check_bool "hits advanced" true (Kernel.pool_hit_count () > h0);
+        check_int "no new allocations" 0 (Kernel.pool_miss_count () - m0));
     case "zero-length buffers cycle through the pool" (fun () ->
         let b0 = Kernel.acquire 0 in
         check_int "empty" 0 (Bigarray.Array1.dim b0);

@@ -1,20 +1,18 @@
-(* The trace instrument: counters, the ring buffer, Chrome export, and the
-   guarantee that turning tracing on never changes what the machine
-   computes.  Every test leaves the global instrument disabled and reset,
-   since it is shared process state. *)
+(* Tracing through the metrics registry: counters, the ring buffer,
+   Chrome export, and the guarantee that turning tracing on never changes
+   what the machine computes.  Each test runs in its own context, made
+   ambient and enabled for the duration of [f] and disabled afterwards. *)
 
 open Util
 open Nsc_diagram
-module Trace = Nsc_trace.Trace
-module Json = Nsc_trace.Json
+module Metrics = Nsc_metrics.Metrics
+module Json = Nsc_metrics.Json
 
-let with_tracing f =
-  Trace.reset ();
-  Trace.enable ();
-  Fun.protect ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    f
+let with_tracing ?capacity f =
+  let ctx = Metrics.create ?capacity ~label:"test-trace" () in
+  Metrics.enable ctx;
+  Fun.protect ~finally:(fun () -> Metrics.disable ctx) (fun () ->
+      Metrics.with_ctx ctx (fun () -> f ctx))
 
 (* Compile and run the vecadd program on a fresh node, returning the
    sequencer outcome with the z-plane contents. *)
@@ -32,74 +30,68 @@ let run_vecadd ?(n = 16) () =
   | Ok o -> (o, Nsc_sim.Node.dump_array node ~plane:2 ~base:0 ~len:n)
   | Error e -> failwith e
 
-let counter_value name =
-  match List.find_opt (fun c -> Trace.name c = name) (Trace.counters ()) with
-  | Some c -> Trace.value c
+let counter_value ctx name =
+  match Metrics.find_counter name with
+  | Some c -> Metrics.value ctx c
   | None -> Alcotest.failf "counter %s is not registered" name
 
 let counter_tests =
   [
     case "registration is idempotent by name" (fun () ->
-        let a = Trace.counter ~name:"test.idem" ~units:"u" ~desc:"d" in
-        let b = Trace.counter ~name:"test.idem" ~units:"ignored" ~desc:"ignored" in
-        with_tracing (fun () ->
-            Trace.add a 3;
-            Trace.add b 4;
-            check_int "both handles hit one cell" 7 (Trace.value a));
-        check_string "unit from first registration" "u" (Trace.units b));
+        let a = Metrics.counter ~name:"test.idem" ~units:"u" ~desc:"d" in
+        let b = Metrics.counter ~name:"test.idem" ~units:"ignored" ~desc:"ignored" in
+        with_tracing (fun ctx ->
+            Metrics.bump a 3;
+            Metrics.bump b 4;
+            check_int "both handles hit one cell" 7 (Metrics.value ctx a));
+        check_string "unit from first registration" "u" (Metrics.counter_units b));
     case "counters are monotonic and gated on the flag" (fun () ->
-        let c = Trace.counter ~name:"test.mono" ~units:"u" ~desc:"d" in
-        Trace.reset ();
-        Trace.add c 5;
-        check_int "disabled adds are dropped" 0 (Trace.value c);
-        with_tracing (fun () ->
-            Trace.add c 5;
-            Trace.add c (-3);
-            Trace.add c 0;
-            check_int "only positive increments land" 5 (Trace.value c);
-            Trace.add c 2;
-            check_int "value never decreases" 7 (Trace.value c)));
+        let c = Metrics.counter ~name:"test.mono" ~units:"u" ~desc:"d" in
+        let ctx = Metrics.create () in
+        Metrics.with_ctx ctx (fun () -> Metrics.bump c 5);
+        check_int "disabled adds are dropped" 0 (Metrics.value ctx c);
+        with_tracing (fun ctx ->
+            Metrics.bump c 5;
+            Metrics.bump c (-3);
+            Metrics.bump c 0;
+            check_int "only positive increments land" 5 (Metrics.value ctx c);
+            Metrics.bump c 2;
+            check_int "value never decreases" 7 (Metrics.value ctx c)));
     case "reset rewinds counters, events and the clock" (fun () ->
-        let c = Trace.counter ~name:"test.reset" ~units:"u" ~desc:"d" in
-        with_tracing (fun () ->
-            Trace.add c 9;
-            Trace.advance 100;
-            Trace.span ~cat:"t" ~name:"s" ~ts:0 ~dur:10 ());
-        check_int "counter zeroed" 0 (Trace.value c);
-        check_int "clock rewound" 0 (Trace.now ());
-        check_int "ring cleared" 0 (List.length (Trace.events ())));
+        let c = Metrics.counter ~name:"test.reset" ~units:"u" ~desc:"d" in
+        with_tracing (fun ctx ->
+            Metrics.bump c 9;
+            Metrics.advance ctx 100;
+            Metrics.span ctx ~cat:"t" ~name:"s" ~ts:0 ~dur:10 ();
+            Metrics.reset ctx;
+            check_int "counter zeroed" 0 (Metrics.value ctx c);
+            check_int "clock rewound" 0 (Metrics.now ctx);
+            check_int "ring cleared" 0 (List.length (Metrics.events ctx))));
   ]
 
 let ring_tests =
   [
     case "full ring keeps the newest events and counts drops" (fun () ->
-        Trace.set_capacity 8;
-        Fun.protect ~finally:(fun () ->
-            Trace.disable ();
-            Trace.set_capacity 65_536)
-        @@ fun () ->
-        Trace.reset ();
-        Trace.enable ();
-        for i = 1 to 20 do
-          Trace.span ~cat:"t" ~name:(Printf.sprintf "s%d" i) ~ts:i ~dur:1 ()
-        done;
-        Trace.disable ();
-        let evs = Trace.events () in
-        check_int "ring holds its capacity" 8 (List.length evs);
-        check_int "evictions are counted" 12 (Trace.dropped ());
-        check_string "oldest resident is the 13th span" "s13"
-          (List.hd evs).Trace.ev_name;
-        check_string "newest resident is the last span" "s20"
-          (List.nth evs 7).Trace.ev_name);
+        with_tracing ~capacity:8 (fun ctx ->
+            for i = 1 to 20 do
+              Metrics.span ctx ~cat:"t" ~name:(Printf.sprintf "s%d" i) ~ts:i ~dur:1 ()
+            done;
+            let evs = Metrics.events ctx in
+            check_int "ring holds its capacity" 8 (List.length evs);
+            check_int "evictions are counted" 12 (Metrics.dropped ctx);
+            check_string "oldest resident is the 13th span" "s13"
+              (List.hd evs).Metrics.ev_name;
+            check_string "newest resident is the last span" "s20"
+              (List.nth evs 7).Metrics.ev_name));
   ]
 
 let chrome_tests =
   [
     case "export of a real run parses and matches the registry" (fun () ->
-        with_tracing (fun () ->
+        with_tracing (fun ctx ->
             let _ = run_vecadd () in
             let doc =
-              match Json.parse (Trace.to_chrome ()) with
+              match Json.parse (Metrics.to_chrome ctx) with
               | Ok d -> d
               | Error e -> Alcotest.failf "to_chrome emitted invalid JSON: %s" e
             in
@@ -114,23 +106,24 @@ let chrome_tests =
                   (List.mem ph [ "X"; "i"; "C" ]))
               evs;
             (* the top-level counters object carries the same totals the
-               registry holds *)
+               context holds *)
             let counters = Option.get (Json.member "counters" doc) in
             List.iter
               (fun c ->
-                if Trace.value c > 0 then
-                  match Json.member (Trace.name c) counters with
-                  | Some v ->
+                let name = Metrics.counter_name c and v = Metrics.value ctx c in
+                if v > 0 then
+                  match Json.member name counters with
+                  | Some j ->
                       check_int
-                        (Printf.sprintf "JSON total for %s" (Trace.name c))
-                        (Trace.value c)
-                        (int_of_float (Option.get (Json.to_num v)))
-                  | None -> Alcotest.failf "counter %s missing from JSON" (Trace.name c))
-              (Trace.counters ())));
+                        (Printf.sprintf "JSON total for %s" name)
+                        v
+                        (int_of_float (Option.get (Json.to_num j)))
+                  | None -> Alcotest.failf "counter %s missing from JSON" name)
+              (Metrics.registered_counters ())));
     case "summary and export report the same counter totals" (fun () ->
-        with_tracing (fun () ->
+        with_tracing (fun ctx ->
             let _ = run_vecadd () in
-            let s = Trace.summary () in
+            let s = Metrics.summary ctx in
             let contains sub =
               let n = String.length s and m = String.length sub in
               let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -138,19 +131,19 @@ let chrome_tests =
             in
             List.iter
               (fun c ->
-                if Trace.value c > 0 then
+                if Metrics.value ctx c > 0 then
                   check_bool
-                    (Printf.sprintf "summary mentions %s" (Trace.name c))
+                    (Printf.sprintf "summary mentions %s" (Metrics.counter_name c))
                     true
-                    (contains
-                       (Printf.sprintf "%s" (Trace.name c))))
-              (Trace.counters ())));
+                    (contains (Metrics.counter_name c)))
+              (Metrics.registered_counters ())));
   ]
 
 let accounting_tests =
   [
     case "vecadd counters follow the program's shape" (fun () ->
-        with_tracing (fun () ->
+        with_tracing (fun ctx ->
+            let counter_value = counter_value ctx in
             let o, z = run_vecadd ~n:16 () in
             check_int "one instruction dispatched" 1
               o.Nsc_sim.Sequencer.stats.Nsc_sim.Sequencer.instructions_executed;
@@ -164,14 +157,14 @@ let accounting_tests =
             check_bool "the z plane was written through memory" true
               (counter_value "mem.writes" >= 16)));
     case "the clock totals execution plus reconfiguration" (fun () ->
-        with_tracing (fun () ->
+        with_tracing (fun ctx ->
             let o, _ = run_vecadd () in
             check_int "sequencer cycles equal the traced clock"
               o.Nsc_sim.Sequencer.stats.Nsc_sim.Sequencer.total_cycles
-              (Trace.now ());
+              (Metrics.now ctx);
             check_int "clock = sim.cycles + sim.reconfig_cycles"
-              (counter_value "sim.cycles" + counter_value "sim.reconfig_cycles")
-              (Trace.now ())));
+              (counter_value ctx "sim.cycles" + counter_value ctx "sim.reconfig_cycles")
+              (Metrics.now ctx)));
   ]
 
 (* The central correctness property: enabling the instrument must not
@@ -202,9 +195,8 @@ let determinism_tests =
             r.Nsc_sim.Engine.flops,
             r.Nsc_sim.Engine.writes )
         in
-        Trace.reset ();
         let off = observe () in
-        let on = with_tracing observe in
+        let on = with_tracing (fun _ -> observe ()) in
         off = on);
   ]
 
