@@ -398,15 +398,13 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
       load node b prob;
       let plan_cache = Nsc_sim.Plan.make_cache () in
       let kernel_cache = Nsc_sim.Kernel.make_cache () in
-      let c_setup =
-        { compiled with Nsc_microcode.Codegen.control = [ Program.Exec 1; Program.Halt ] }
+      (* each phase is decoded once for the whole solve *)
+      let prepare control =
+        Nsc_sim.Sequencer.prepare { compiled with Nsc_microcode.Codegen.control }
       in
-      let c_sweep =
-        {
-          compiled with
-          Nsc_microcode.Codegen.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ];
-        }
-      in
+      let ( let* ) = Result.bind in
+      let* c_setup = prepare [ Program.Exec 1; Program.Halt ] in
+      let* c_sweep = prepare [ Program.Exec 2; Program.Exec 3; Program.Halt ] in
       (* accumulated run accounting across setup and every sweep attempt
          (redone sweeps included: the machine did that work) *)
       let instructions = ref 0 and cycles = ref 0 and flops = ref 0 in
@@ -424,7 +422,7 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
          charged cycles itself, so a cycle ceiling spans the whole solve *)
       let run_step c =
         match
-          Nsc_sim.Sequencer.run node ~engine:`Kernel ~plan_cache ~kernel_cache
+          Nsc_sim.Sequencer.exec node ~engine:`Kernel ~plan_cache ~kernel_cache
             ?budget c
         with
         | Error e -> Error e

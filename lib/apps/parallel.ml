@@ -108,6 +108,126 @@ let replicate_halo machine b grid u_planes =
 let interior_credit ~nz_local sweep_cycles =
   if nz_local <= 2 then 0 else sweep_cycles * (nz_local - 2) / nz_local
 
+let ( let* ) = Result.bind
+
+(** One machine step of a prepared program: every node executes it
+    (fanned across [domains], bit-identical to the sequential run) and the
+    machine advances by the slowest node.  Returns the per-node outcomes
+    in node order, or the error of the first node, in node order, whose
+    run failed. *)
+let exec_step ?(domains = 1) ~plan_cache ~kernel_cache (machine : Multinode.t)
+    (prog : Sequencer.prepared) : (Sequencer.outcome array, string) result =
+  let results = Array.make (Multinode.n_nodes machine) (Error "not run") in
+  Multinode.compute_step ~domains machine (fun id node ->
+      let r = Sequencer.exec node ~plan_cache ~kernel_cache prog in
+      results.(id) <- r;
+      match r with
+      | Ok o ->
+          (o.Sequencer.stats.Sequencer.total_cycles, o.Sequencer.stats.Sequencer.total_flops)
+      | Error _ -> (0, 0));
+  let rec first_error id =
+    if id = Array.length results then Ok (Array.map Result.get_ok results)
+    else
+      match results.(id) with
+      | Error e -> Error (Printf.sprintf "node %d: %s" id e)
+      | Ok _ -> first_error (id + 1)
+  in
+  first_error 0
+
+(* The slab-decomposed Jacobi machine past its set-up step: every node
+   holds its forcing and mask and has run instruction 1; the iteration
+   body (instructions 2 and 3) is decoded once, and one compile cache
+   serves every node — kernels do not depend on the node, and the caches
+   are safe to share across domains. *)
+type rig = {
+  machine : Multinode.t;
+  b : Jacobi.build;
+  grid : Grid.t;
+  iter : Sequencer.prepared;
+  plan_cache : Plan.cache;
+  kernel_cache : Kernel.cache;
+}
+
+let set_up ~domains (p : Params.t) ~n ~dim : (rig, string) result =
+  let machine = Multinode.create ~dim p in
+  let nodes = Multinode.n_nodes machine in
+  let kb = Knowledge.make_exn p in
+  let grid = local_grid ~n ~nz_local:n in
+  let b = Jacobi.build kb grid ~tol:0.0 ~max_iters:1 in
+  let* compiled =
+    Result.map_error
+      (fun ds ->
+        String.concat "; "
+          (List.map Nsc_checker.Diagnostic.to_string (Nsc_checker.Diagnostic.errors ds)))
+      (Nsc_microcode.Codegen.compile kb b.Jacobi.program)
+  in
+  let prepare control = Sequencer.prepare { compiled with Nsc_microcode.Codegen.control } in
+  let open Nsc_diagram in
+  let* setup = prepare [ Program.Exec 1; Program.Halt ] in
+  let* iter = prepare [ Program.Exec 2; Program.Exec 3; Program.Halt ] in
+  (* per-node problem data: a smooth forcing that spans slabs *)
+  let pi = 4.0 *. atan 1.0 in
+  let global_nz = n * nodes in
+  let hz rank k = float_of_int ((rank * n) + k) /. float_of_int (global_nz - 1) in
+  Array.iteri
+    (fun node_id node ->
+      let rank = Router.node_to_chain ~dim node_id in
+      let f =
+        Grid.field_of grid (fun ~i ~j ~k ->
+            let x = float_of_int i *. grid.Grid.h
+            and y = float_of_int j *. grid.Grid.h
+            and z = hz rank (k - 1) in
+            -3.0 *. pi *. pi *. sin (pi *. x) *. sin (pi *. y) *. sin (pi *. z))
+      in
+      Node.load_array node ~plane:b.Jacobi.layout.Jacobi.f ~base:0 f;
+      Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
+        (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
+    machine.Multinode.nodes;
+  let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
+  let* _ = exec_step ~domains ~plan_cache ~kernel_cache machine setup in
+  Multinode.reset_counters machine;
+  Ok { machine; b; grid; iter; plan_cache; kernel_cache }
+
+(* One iteration's local sweep and refresh on every node. *)
+let sweep ~domains r =
+  exec_step ~domains ~plan_cache:r.plan_cache ~kernel_cache:r.kernel_cache r.machine r.iter
+
+(* One iteration's halo exchange and the on-node replication of the
+   refreshed layers; with [overlap] the exchange is posted in flight and
+   its handle returned, to be completed behind the next sweep. *)
+let exchange_halos ~overlap r =
+  let machine = r.machine in
+  let nodes = Multinode.n_nodes machine in
+  if nodes <= 1 then None
+  else begin
+    let messages = halo_messages machine r.b r.grid ~dim:machine.Multinode.dim ~nodes in
+    let pending =
+      if overlap then Some (Multinode.exchange_start machine messages)
+      else begin
+        Multinode.exchange machine messages;
+        None
+      end
+    in
+    replicate_halo machine r.b r.grid (Jacobi.u_planes r.b.Jacobi.layout);
+    pending
+  end
+
+(* The machine's scaling figures after [iters] iterations. *)
+let point_of (machine : Multinode.t) ~iters =
+  let cycles = machine.Multinode.cycles in
+  let per_iter x = if iters = 0 then 0.0 else float_of_int x /. float_of_int iters in
+  {
+    nodes = Multinode.n_nodes machine;
+    gflops = Multinode.gflops machine;
+    efficiency = 0.0 (* filled in by [scaling] relative to 1 node *);
+    comm_fraction =
+      (if cycles = 0 then 0.0
+       else float_of_int machine.Multinode.comm_cycles /. float_of_int cycles);
+    overlap_ratio = Multinode.overlap_ratio machine;
+    contention_per_iter = per_iter machine.Multinode.contention_cycles;
+    cycles_per_iter = per_iter cycles;
+  }
+
 (** Run [iters] Jacobi iterations of an n x n x (n·P) problem on a
     [dim]-dimensional hypercube (P = 2^dim nodes), returning the scaling
     measurements.  The per-node slab thickness is [n], so this is weak
@@ -121,115 +241,28 @@ let interior_credit ~nz_local sweep_cycles =
     and delivered payloads bit-identical to the synchronous schedule. *)
 let run_machine ?(domains = 1) ?(overlap = false) (p : Params.t) ~n ~iters ~dim :
     (point * Multinode.t * Jacobi.build * Grid.t, string) result =
-  let machine = Multinode.create ~dim p in
-  let nodes = Multinode.n_nodes machine in
-  (* one persistent plan cache per node: setup runs instruction 1, the
-     iteration body instructions 2 and 3 — disjoint, so a single cache
-     serves both programmes across all iterations *)
-  let caches = Array.init nodes (fun _ -> Plan.make_cache ()) in
-  let kcaches = Array.init nodes (fun _ -> Kernel.make_cache ()) in
-  let kb = Knowledge.make_exn p in
-  let grid = local_grid ~n ~nz_local:n in
-  let b = Jacobi.build kb grid ~tol:0.0 ~max_iters:1 in
-  match Nsc_microcode.Codegen.compile kb b.Jacobi.program with
-  | Error ds ->
-      Error
-        (String.concat "; "
-           (List.map Nsc_checker.Diagnostic.to_string (Nsc_checker.Diagnostic.errors ds)))
-  | Ok compiled ->
-      let open Nsc_diagram in
-      let c_setup =
-        { compiled with Nsc_microcode.Codegen.control = [ Program.Exec 1; Program.Halt ] }
-      in
-      let c_iter =
-        {
-          compiled with
-          Nsc_microcode.Codegen.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ];
-        }
-      in
-      let u_planes = Jacobi.u_planes b.Jacobi.layout in
-      (* load per-node problem data: a smooth forcing that spans slabs *)
-      let pi = 4.0 *. atan 1.0 in
-      let global_nz = n * nodes in
-      let hz rank k = float_of_int ((rank * n) + k) /. float_of_int (global_nz - 1) in
-      Array.iteri
-        (fun node_id node ->
-          let rank = Router.node_to_chain ~dim node_id in
-          let f =
-            Grid.field_of grid (fun ~i ~j ~k ->
-                let x = float_of_int i *. grid.Grid.h
-                and y = float_of_int j *. grid.Grid.h
-                and z = hz rank (k - 1) in
-                -3.0 *. pi *. pi *. sin (pi *. x) *. sin (pi *. y) *. sin (pi *. z))
-          in
-          Node.load_array node ~plane:b.Jacobi.layout.Jacobi.f ~base:0 f;
-          Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
-            (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
-        machine.Multinode.nodes;
-      (* setup phase on every node *)
-      Multinode.compute_step ~domains machine (fun i node ->
-          match Sequencer.run node ~plan_cache:caches.(i) ~kernel_cache:kcaches.(i) c_setup with
-          | Ok o ->
-              (o.Sequencer.stats.Sequencer.total_cycles,
-               o.Sequencer.stats.Sequencer.total_flops)
-          | Error _ -> (0, 0));
-      Multinode.reset_counters machine;
-      (* iterate: sweep + refresh, then halo exchange — posted in flight
-         and completed behind the next sweep when [overlap] is on *)
-      let sweep () =
-        let before = machine.Multinode.cycles in
-        Multinode.compute_step ~domains machine (fun i node ->
-            match Sequencer.run node ~plan_cache:caches.(i) ~kernel_cache:kcaches.(i) c_iter with
-            | Ok o ->
-                (o.Sequencer.stats.Sequencer.total_cycles,
-                 o.Sequencer.stats.Sequencer.total_flops)
-            | Error _ -> (0, 0));
-        machine.Multinode.cycles - before
-      in
-      let pending = ref None in
-      for _ = 1 to iters do
-        let sweep_cycles = sweep () in
-        (match !pending with
-        | Some h ->
-            Multinode.exchange_finish
-              ~overlapped_cycles:(interior_credit ~nz_local:n sweep_cycles)
-              machine h;
-            pending := None
-        | None -> ());
-        if nodes > 1 then begin
-          let messages = halo_messages machine b grid ~dim ~nodes in
-          if overlap then pending := Some (Multinode.exchange_start machine messages)
-          else Multinode.exchange machine messages;
-          replicate_halo machine b grid u_planes
-        end
-      done;
-      (* the final exchange has no following sweep to hide behind *)
-      (match !pending with
-      | Some h -> Multinode.exchange_finish machine h
-      | None -> ());
-      let cycles = machine.Multinode.cycles in
-      let gflops = Multinode.gflops machine in
-      Ok
-        ( {
-            nodes;
-            gflops;
-            efficiency = 0.0 (* filled in by [scaling] relative to 1 node *);
-            comm_fraction =
-              (if cycles = 0 then 0.0
-               else float_of_int machine.Multinode.comm_cycles /. float_of_int cycles);
-            overlap_ratio = Multinode.overlap_ratio machine;
-            contention_per_iter =
-              (if iters = 0 then 0.0
-               else
-                 float_of_int machine.Multinode.contention_cycles
-                 /. float_of_int iters);
-            cycles_per_iter =
-              (if iters = 0 then 0.0
-               else float_of_int cycles /. float_of_int iters);
-          },
-          machine,
-          b,
-          grid )
+  let* r = set_up ~domains p ~n ~dim in
+  let machine = r.machine in
+  (* iterate: sweep + refresh, then halo exchange — posted in flight
+     and completed behind the next sweep when [overlap] is on *)
+  let rec iterate i pending =
+    if i = iters then Ok pending
+    else begin
+      let before = machine.Multinode.cycles in
+      let* _ = sweep ~domains r in
+      Option.iter
+        (Multinode.exchange_finish
+           ~overlapped_cycles:
+             (interior_credit ~nz_local:n (machine.Multinode.cycles - before))
+           machine)
+        pending;
+      iterate (i + 1) (exchange_halos ~overlap r)
+    end
+  in
+  let* pending = iterate 0 None in
+  (* the final exchange has no following sweep to hide behind *)
+  Option.iter (Multinode.exchange_finish machine) pending;
+  Ok (point_of machine ~iters, machine, r.b, r.grid)
 
 (** Run and return just the scaling point. *)
 let run ?domains ?overlap (p : Params.t) ~n ~iters ~dim : (point, string) result =
@@ -313,105 +346,26 @@ type solve_outcome = {
 (** Iterate the slab-decomposed Jacobi to global convergence: every
     iteration runs the local sweep and refresh on each node, exchanges
     halos, all-reduces the per-node residual maxima over the hypercube,
-    and stops when the global maximum change falls to [tol]. *)
+    and stops when the global maximum change falls to [tol].  A node
+    whose run fails fails the solve with that node's error. *)
 let solve ?(domains = 1) (p : Params.t) ~n ~tol ~max_iters ~dim :
     (solve_outcome, string) result =
-  let machine = Multinode.create ~dim p in
-  let nodes = Multinode.n_nodes machine in
-  let caches = Array.init nodes (fun _ -> Plan.make_cache ()) in
-  let kcaches = Array.init nodes (fun _ -> Kernel.make_cache ()) in
-  let kb = Knowledge.make_exn p in
-  let grid = local_grid ~n ~nz_local:n in
-  let b = Jacobi.build kb grid ~tol:0.0 ~max_iters:1 in
-  match Nsc_microcode.Codegen.compile kb b.Jacobi.program with
-  | Error ds ->
-      Error
-        (String.concat "; "
-           (List.map Nsc_checker.Diagnostic.to_string (Nsc_checker.Diagnostic.errors ds)))
-  | Ok compiled ->
-      let open Nsc_diagram in
-      let c_setup =
-        { compiled with Nsc_microcode.Codegen.control = [ Program.Exec 1; Program.Halt ] }
-      in
-      let c_iter =
-        {
-          compiled with
-          Nsc_microcode.Codegen.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ];
-        }
-      in
-      let u_planes = Jacobi.u_planes b.Jacobi.layout in
-      let pi = 4.0 *. atan 1.0 in
-      let global_nz = n * nodes in
-      let hz rank k = float_of_int ((rank * n) + k) /. float_of_int (global_nz - 1) in
-      Array.iteri
-        (fun node_id node ->
-          let rank = Router.node_to_chain ~dim node_id in
-          let f =
-            Grid.field_of grid (fun ~i ~j ~k ->
-                let x = float_of_int i *. grid.Grid.h
-                and y = float_of_int j *. grid.Grid.h
-                and z = hz rank (k - 1) in
-                -3.0 *. pi *. pi *. sin (pi *. x) *. sin (pi *. y) *. sin (pi *. z))
-          in
-          Node.load_array node ~plane:b.Jacobi.layout.Jacobi.f ~base:0 f;
-          Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
-            (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
-        machine.Multinode.nodes;
-      Multinode.compute_step ~domains machine (fun i node ->
-          match Sequencer.run node ~plan_cache:caches.(i) ~kernel_cache:kcaches.(i) c_setup with
-          | Ok o ->
-              (o.Sequencer.stats.Sequencer.total_cycles,
-               o.Sequencer.stats.Sequencer.total_flops)
-          | Error _ -> (0, 0));
-      Multinode.reset_counters machine;
-      let halo_exchange () =
-        if nodes > 1 then begin
-          Multinode.exchange machine (halo_messages machine b grid ~dim ~nodes);
-          replicate_halo machine b grid u_planes
-        end
-      in
-      let residuals = Array.make nodes 0.0 in
-      let iterations = ref 0 in
-      let global = ref Float.infinity in
-      while !iterations < max_iters && !global > tol do
-        (* one machine step: every node runs its local iteration and
-           fills its own residual slot; [compute_step] accumulates the
-           counters in node order after the fan-in, so a domain-parallel
-           run is bit-identical to a sequential one *)
-        Multinode.compute_step ~domains machine (fun id node ->
-            match Sequencer.run node ~plan_cache:caches.(id) ~kernel_cache:kcaches.(id) c_iter with
-            | Ok o ->
-                residuals.(id) <-
-                  Option.value ~default:Float.infinity
-                    (List.assoc_opt b.Jacobi.residual_unit o.Sequencer.last_values);
-                (o.Sequencer.stats.Sequencer.total_cycles,
-                 o.Sequencer.stats.Sequencer.total_flops)
-            | Error _ ->
-                residuals.(id) <- Float.infinity;
-                (0, 0));
-        halo_exchange ();
-        global := allreduce_max machine residuals;
-        incr iterations
-      done;
-      let cycles = machine.Multinode.cycles in
-      Ok
-        {
-          iterations = !iterations;
-          final_residual = !global;
-          point =
-            {
-              nodes;
-              gflops = Multinode.gflops machine;
-              efficiency = 0.0;
-              comm_fraction =
-                (if cycles = 0 then 0.0
-                 else
-                   float_of_int machine.Multinode.comm_cycles /. float_of_int cycles);
-              overlap_ratio = Multinode.overlap_ratio machine;
-              contention_per_iter =
-                float_of_int machine.Multinode.contention_cycles
-                /. float_of_int (max 1 !iterations);
-              cycles_per_iter =
-                float_of_int cycles /. float_of_int (max 1 !iterations);
-            };
-        }
+  let* r = set_up ~domains p ~n ~dim in
+  let machine = r.machine in
+  let residual (o : Sequencer.outcome) =
+    Option.value ~default:Float.infinity
+      (List.assoc_opt r.b.Jacobi.residual_unit o.Sequencer.last_values)
+  in
+  (* one machine step per iteration: [exec_step] accumulates the counters
+     in node order after the fan-in, so a domain-parallel run is
+     bit-identical to a sequential one *)
+  let rec iterate iterations global =
+    if not (iterations < max_iters && global > tol) then Ok (iterations, global)
+    else begin
+      let* outcomes = sweep ~domains r in
+      ignore (exchange_halos ~overlap:false r);
+      iterate (iterations + 1) (allreduce_max machine (Array.map residual outcomes))
+    end
+  in
+  let* iterations, final_residual = iterate 0 Float.infinity in
+  Ok { iterations; final_residual; point = point_of machine ~iters:iterations }

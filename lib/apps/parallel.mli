@@ -32,12 +32,27 @@ val layer_base : Grid.t -> k:int -> int
     overlap an in-flight halo exchange ((nz - 2) / nz of the slab's
     layers read no halo). *)
 val interior_credit : nz_local:int -> int -> int
+(** One machine step of a prepared program: every node executes it
+    (fanned across [domains], bit-identical to the sequential run) and the
+    machine advances by the slowest node.  Returns the per-node outcomes
+    in node order, or [Error "node I: ..."] for the first node, in node
+    order, whose run failed. *)
+val exec_step :
+  ?domains:int ->
+  plan_cache:Nsc_sim.Plan.cache ->
+  kernel_cache:Nsc_sim.Kernel.cache ->
+  Nsc_sim.Multinode.t ->
+  Nsc_sim.Sequencer.prepared ->
+  (Nsc_sim.Sequencer.outcome array, string) result
 (** [domains] (on every runner below) fans per-node simulation across
     OCaml domains; results are bit-identical to the sequential run.
     [overlap] posts each iteration's halo exchange asynchronously and
     completes it behind the next sweep's interior layers — machine time
     per step becomes [max (compute, comm)] — with residuals and
-    delivered payloads bit-identical to the synchronous schedule. *)
+    delivered payloads bit-identical to the synchronous schedule.  Each
+    runner decodes its program once and shares one compile cache across
+    all nodes; a node whose run fails fails the runner with that node's
+    error. *)
 val run_machine :
   ?domains:int ->
   ?overlap:bool ->

@@ -15,19 +15,17 @@ val pp_buffer :
 val show_buffer : buffer -> string
 val equal_buffer : buffer -> buffer -> bool
 val other : buffer -> buffer
-type t = {
-  id : Resource.cache_id;
-  words : int;
-  front : float array;
-  back : float array;
-  staged_front : Bytes.t;
-      (** bitmap of staged words (hit/miss accounting, tracing only) *)
-  staged_back : Bytes.t;
-  mutable pipeline_side : buffer;
-}
+(** One cache's dynamic state.  Buffers are allocated lazily: a cache
+    that has not been written since {!make} or {!clear} holds no storage,
+    and every read of an untouched buffer returns the priming 0.0. *)
+type t
+
+(** An untouched cache; raises [Invalid_argument] on a bad id. *)
 val make : Params.t -> Resource.cache_id -> t
-val buf : t -> buffer -> float array
+
+(** Raises [Invalid_argument] for an address outside the buffer. *)
 val check_addr : t -> int -> unit
+
 val read_pipeline : t -> int -> float
 val write_pipeline : t -> int -> float -> unit
 
@@ -46,12 +44,17 @@ val write_pipeline_strided_from :
 val read_dma : t -> int -> float
 val write_dma : t -> int -> float -> unit
 val swap : t -> unit
+
+(** Return both buffers to untouched and the pipeline side to the front
+    buffer. *)
 val clear : t -> unit
 
-(** A deep copy of both buffers, staging bitmaps and the pipeline side. *)
+(** A deep copy of both buffers, staging bitmaps and the pipeline side;
+    an untouched buffer stays empty and is restored as untouched. *)
 type snapshot
 
 val snapshot : t -> snapshot
 
-(** Restore a snapshot; rejects a geometry mismatch with [Invalid_argument]. *)
+(** Restore a snapshot; rejects one taken from a cache of a different
+    word count with [Invalid_argument]. *)
 val restore : t -> snapshot -> unit

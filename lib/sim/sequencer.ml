@@ -44,36 +44,42 @@ let h_reconfig_cycles =
   Metrics.histogram ~name:"hist.reconfig_cycles" ~units:"cycles"
     ~desc:"per-instruction switch reconfiguration latency"
 
-(* The program's instructions by number, decoded once per run from the
-   machine words or taken from the retained semantics; the first word
-   that fails to decode is reported. *)
-let instruction_table ~from_microcode (c : Codegen.compiled) :
-    ((int, Semantic.t) Hashtbl.t, string) result =
-  let table = Hashtbl.create 16 in
-  let rec load = function
-    | [] -> Ok table
+module Table = Map.Make (Int)
+
+(* A program made ready to run: its instructions by number, decoded once
+   from the machine words or taken from the retained semantics, beside
+   the control programme.  Immutable, so one value serves every node and
+   every run; the decoded semantics are then physically shared, and the
+   plan cache validates its hits on [==]. *)
+type prepared = {
+  table : Semantic.t Table.t;
+  control : Program.control list;
+}
+
+(** Decode the program's instructions once (or take the retained
+    semantics with [~from_microcode:false]); the first word that fails to
+    decode is reported as [instruction N: ...]. *)
+let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string) result =
+  let rec load table = function
+    | [] -> Ok { table; control = c.Codegen.control }
     | (i : Encode.instruction) :: rest -> (
         match Decode.decode c.Codegen.layout i.Encode.word with
-        | Ok sem ->
-            Hashtbl.replace table i.Encode.index sem;
-            load rest
+        | Ok sem -> load (Table.add i.Encode.index sem table) rest
         | Error e -> Error (Printf.sprintf "instruction %d: %s" i.Encode.index e))
   in
-  if from_microcode then load c.Codegen.instructions
-  else begin
-    List.iter
-      (fun (sem : Semantic.t) -> Hashtbl.replace table sem.Semantic.index sem)
-      c.Codegen.semantics;
-    Ok table
-  end
+  if from_microcode then load Table.empty c.Codegen.instructions
+  else
+    Ok
+      {
+        table =
+          List.fold_left
+            (fun table (sem : Semantic.t) -> Table.add sem.Semantic.index sem table)
+            Table.empty c.Codegen.semantics;
+        control = c.Codegen.control;
+      }
 
-(** Execute a compiled program on [node].
-
-    By default the machine words themselves are decoded and executed
-    ([from_microcode]); passing [~from_microcode:false] runs the retained
-    semantic structures directly (useful to isolate decoder faults).
-    [on_instruction] is invoked after each pipeline completes — the hook the
-    visual debugger attaches to.
+(** Run a prepared program on [node].  [on_instruction] is invoked after
+    each pipeline completes — the hook the visual debugger attaches to.
 
     Each [Exec] runs through a compiled execution plan lowered to a fused
     vector kernel; repeated [Exec]s of the same instruction (loop bodies)
@@ -83,152 +89,155 @@ let instruction_table ~from_microcode (c : Codegen.compiled) :
     runs every instruction on the general memoized evaluator instead —
     the oracle the kernel path is checked against, and bit-identical to
     it. *)
-let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
-    ?(engine = `Kernel) ?(plan_cache = Plan.make_cache ())
-    ?(kernel_cache = Kernel.make_cache ()) ?budget
+let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel)
+    ?(plan_cache = Plan.make_cache ()) ?(kernel_cache = Kernel.make_cache ()) ?budget
     ?(on_instruction = fun (_ : Semantic.t) (_ : Engine.result) -> ())
-    (c : Codegen.compiled) : (outcome, string) result =
+    (prog : prepared) : (outcome, string) result =
   let p = node.Node.params in
-  match instruction_table ~from_microcode c with
-  | Error e -> Error e
-  | Ok table ->
-      let cycles = ref 0 and flops = ref 0 and writes = ref 0 in
-      let executed = ref 0 in
-      let events = ref [] and n_events = ref 0 in
-      let record ev =
-        if !n_events < max_recorded_events then begin
-          events := ev :: !events;
-          incr n_events
-        end
-      in
-      let captured : (Resource.fu_id, float) Hashtbl.t = Hashtbl.create 16 in
-      let exec_error = ref None in
-      let exec n =
-        match Hashtbl.find_opt table n with
-        | None ->
-            if !exec_error = None then
-              exec_error := Some (Printf.sprintf "control references missing pipeline %d" n);
-            raise Halted
-        | Some sem ->
-            (* instruction boundary: the budget check that makes every
-               deadline fire deterministically between dispatches (a
-               sweep boundary is an instruction boundary) *)
-            Budget.check_opt budget;
-            if Metrics.tracing () then begin
-              let m = Metrics.current () in
-              let ts = Metrics.now m in
-              Metrics.advance m p.reconfig_cycles;
-              Metrics.span m ~cat:"sequencer" ~name:"reconfig" ~ts
-                ~dur:p.reconfig_cycles
-                ~args:[ ("instruction", Metrics.Int n) ]
-                ();
-              Metrics.add m c_reconfig_cycles p.reconfig_cycles;
-              Metrics.observe m h_reconfig_cycles p.reconfig_cycles;
-              Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
-            end;
-            let r =
-              match engine with
-              | `Kernel ->
-                  Engine.run_kernel node ~record_trace ?budget
-                    (Kernel.cached kernel_cache plan_cache p sem)
-              | `Reference -> Engine.run_general node ~record_trace ?budget sem
-            in
-            incr executed;
-            cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;
-            Budget.charge_opt budget (r.Engine.cycles + p.reconfig_cycles);
-            flops := !flops + r.Engine.flops;
-            writes := !writes + r.Engine.writes;
-            List.iter record r.Engine.events;
-            List.iter (fun (fu, v) -> Hashtbl.replace captured fu v) r.Engine.last_values;
-            on_instruction sem r
-      in
-      let eval_condition instruction (cond : Interrupt.condition) =
-        let value =
-          Option.value ~default:Float.nan
-            (Hashtbl.find_opt captured cond.Interrupt.unit_watched)
-        in
-        let holds =
-          (not (Float.is_nan value))
-          && Interrupt.relation_holds cond.Interrupt.relation value
-               cond.Interrupt.threshold
-        in
-        record
-          (Interrupt.Condition_evaluated { instruction; condition = cond; value; holds });
+  let cycles = ref 0 and flops = ref 0 and writes = ref 0 in
+  let executed = ref 0 in
+  let events = ref [] and n_events = ref 0 in
+  let record ev =
+    if !n_events < max_recorded_events then begin
+      events := ev :: !events;
+      incr n_events
+    end
+  in
+  let captured : (Resource.fu_id, float) Hashtbl.t = Hashtbl.create 16 in
+  let exec_error = ref None in
+  let dispatch n =
+    match Table.find_opt n prog.table with
+    | None ->
+        if !exec_error = None then
+          exec_error := Some (Printf.sprintf "control references missing pipeline %d" n);
+        raise Halted
+    | Some sem ->
+        (* instruction boundary: the budget check that makes every
+           deadline fire deterministically between dispatches (a
+           sweep boundary is an instruction boundary) *)
+        Budget.check_opt budget;
         if Metrics.tracing () then begin
           let m = Metrics.current () in
-          Metrics.instant m ~cat:"sequencer" ~name:"condition" ~ts:(Metrics.now m)
-            ~args:
-              [ ("instruction", Metrics.Int instruction);
-                ("value", Metrics.Float value);
-                ("holds", Metrics.Str (string_of_bool holds)) ]
-            ()
+          let ts = Metrics.now m in
+          Metrics.advance m p.reconfig_cycles;
+          Metrics.span m ~cat:"sequencer" ~name:"reconfig" ~ts
+            ~dur:p.reconfig_cycles
+            ~args:[ ("instruction", Metrics.Int n) ]
+            ();
+          Metrics.add m c_reconfig_cycles p.reconfig_cycles;
+          Metrics.observe m h_reconfig_cycles p.reconfig_cycles;
+          Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
         end;
-        holds
-      in
-      let halted = ref false in
-      let rec interp (cs : Program.control list) =
-        match cs with
-        | [] -> ()
-        | Program.Exec n :: rest ->
-            exec n;
-            interp rest
-        | Program.Halt :: _ ->
-            halted := true;
-            raise Halted
-        | Program.Repeat { count; body } :: rest ->
-            for _ = 1 to count do
-              interp body
-            done;
-            interp rest
-        | Program.While { condition; max_iterations; body } :: rest ->
-            let rec loop i =
-              if max_iterations > 0 && i >= max_iterations then ()
-              else begin
-                interp body;
-                if eval_condition (-1) condition then loop (i + 1)
-              end
-            in
-            (* run the body once, then continue while the condition holds *)
-            loop 0;
-            interp rest
-      in
-      let ts_program = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
-      (try interp c.Codegen.control with Halted -> ());
-      if Metrics.tracing () then begin
-        let m = Metrics.current () in
-        Metrics.span m ~cat:"sequencer" ~name:"program" ~ts:ts_program
-          ~dur:(Metrics.now m - ts_program)
-          ~args:
-            [ ("instructions", Metrics.Int !executed);
-              ("halted", Metrics.Str (string_of_bool !halted)) ]
-          ()
-      end;
-      (match !exec_error with
-      | Some e -> Error e
-      | None ->
-          Ok
+        let r =
+          match engine with
+          | `Kernel ->
+              Engine.run_kernel node ~record_trace ?budget
+                (Kernel.cached kernel_cache plan_cache p sem)
+          | `Reference -> Engine.run_general node ~record_trace ?budget sem
+        in
+        incr executed;
+        cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;
+        Budget.charge_opt budget (r.Engine.cycles + p.reconfig_cycles);
+        flops := !flops + r.Engine.flops;
+        writes := !writes + r.Engine.writes;
+        List.iter record r.Engine.events;
+        List.iter (fun (fu, v) -> Hashtbl.replace captured fu v) r.Engine.last_values;
+        on_instruction sem r
+  in
+  let eval_condition instruction (cond : Interrupt.condition) =
+    let value =
+      Option.value ~default:Float.nan
+        (Hashtbl.find_opt captured cond.Interrupt.unit_watched)
+    in
+    let holds =
+      (not (Float.is_nan value))
+      && Interrupt.relation_holds cond.Interrupt.relation value
+           cond.Interrupt.threshold
+    in
+    record
+      (Interrupt.Condition_evaluated { instruction; condition = cond; value; holds });
+    if Metrics.tracing () then begin
+      let m = Metrics.current () in
+      Metrics.instant m ~cat:"sequencer" ~name:"condition" ~ts:(Metrics.now m)
+        ~args:
+          [ ("instruction", Metrics.Int instruction);
+            ("value", Metrics.Float value);
+            ("holds", Metrics.Str (string_of_bool holds)) ]
+        ()
+    end;
+    holds
+  in
+  let halted = ref false in
+  let rec interp (cs : Program.control list) =
+    match cs with
+    | [] -> ()
+    | Program.Exec n :: rest ->
+        dispatch n;
+        interp rest
+    | Program.Halt :: _ ->
+        halted := true;
+        raise Halted
+    | Program.Repeat { count; body } :: rest ->
+        for _ = 1 to count do
+          interp body
+        done;
+        interp rest
+    | Program.While { condition; max_iterations; body } :: rest ->
+        let rec loop i =
+          if max_iterations > 0 && i >= max_iterations then ()
+          else begin
+            interp body;
+            if eval_condition (-1) condition then loop (i + 1)
+          end
+        in
+        (* run the body once, then continue while the condition holds *)
+        loop 0;
+        interp rest
+  in
+  let ts_program = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
+  (try interp prog.control with Halted -> ());
+  if Metrics.tracing () then begin
+    let m = Metrics.current () in
+    Metrics.span m ~cat:"sequencer" ~name:"program" ~ts:ts_program
+      ~dur:(Metrics.now m - ts_program)
+      ~args:
+        [ ("instructions", Metrics.Int !executed);
+          ("halted", Metrics.Str (string_of_bool !halted)) ]
+      ()
+  end;
+  (match !exec_error with
+  | Some e -> Error e
+  | None ->
+      Ok
+        {
+          stats =
             {
-              stats =
-                {
-                  instructions_executed = !executed;
-                  total_cycles = !cycles;
-                  total_flops = !flops;
-                  total_writes = !writes;
-                  events = List.rev !events;
-                };
-              halted = !halted;
-              last_values =
-                Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured []
-                |> List.sort compare;
-            })
+              instructions_executed = !executed;
+              total_cycles = !cycles;
+              total_flops = !flops;
+              total_writes = !writes;
+              events = List.rev !events;
+            };
+          halted = !halted;
+          last_values =
+            Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured []
+            |> List.sort compare;
+        })
 
 (* --- explicit metric contexts ------------------------------------------- *)
 
 let in_ctx metrics f =
   match metrics with None -> f () | Some m -> Metrics.with_ctx m f
 
-let run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache
-    ?budget ?on_instruction ?metrics c =
+let exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
+    ?metrics prog =
   in_ctx metrics (fun () ->
-      run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache
-        ?budget ?on_instruction c)
+      exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
+        prog)
+
+(** Execute a compiled program: {!prepare} it, then {!exec} it. *)
+let run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache ?budget
+    ?on_instruction ?metrics c =
+  Result.bind (prepare ?from_microcode c) (fun prog ->
+      exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
+        ?metrics prog)

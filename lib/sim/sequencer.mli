@@ -26,17 +26,29 @@ type outcome = {
 }
 
 (** Raised internally to unwind the control interpreter at a [Halt] or an
-    execution error; never escapes {!run}. *)
+    execution error; never escapes {!exec}. *)
 exception Halted
 
 (** Cap on the interrupt events retained in {!stats}. *)
 val max_recorded_events : int
-(** Execute a compiled program: decode each instruction (default) or run
-    the retained semantics ([~from_microcode:false]), interpret the
-    control programme (Exec/Repeat/While/Halt), charge reconfiguration
-    between instructions, and evaluate while-conditions from captured
-    scalars.  [on_instruction] is the hook the visual debugger attaches
-    to.
+
+(** A program made ready to run: its instruction table, decoded once, and
+    its control programme.  Immutable, so one value may be executed on
+    any number of nodes, repeatedly and from several domains at once;
+    the semantics it holds are physically shared across those runs. *)
+type prepared
+
+(** Decode each instruction word once (default) or take the retained
+    semantics ([~from_microcode:false], useful to isolate decoder
+    faults).  The first word that fails to decode is reported as
+    [Error "instruction N: ..."]. *)
+val prepare :
+  ?from_microcode:bool -> Nsc_microcode.Codegen.compiled -> (prepared, string) result
+
+(** Execute a prepared program on a node: interpret the control
+    programme (Exec/Repeat/While/Halt), charge reconfiguration between
+    instructions, and evaluate while-conditions from captured scalars.
+    [on_instruction] is the hook the visual debugger attaches to.
 
     Each [Exec] runs through a compiled execution plan lowered to a
     fused vector kernel (the default [`Kernel] engine); repeated [Exec]s
@@ -52,6 +64,20 @@ val max_recorded_events : int
     [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on.
     Both engines also poll a wall deadline or a cancellation inside an
     instruction, every 1024 elements. *)
+val exec :
+  Node.t ->
+  ?record_trace:bool ->
+  ?engine:[ `Kernel | `Reference ] ->
+  ?plan_cache:Plan.cache ->
+  ?kernel_cache:Kernel.cache ->
+  ?budget:Nsc_guard.Guard.Budget.t ->
+  ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
+  ?metrics:Nsc_metrics.Metrics.ctx ->
+  prepared -> (outcome, string) result
+
+(** Execute a compiled program: {!prepare} followed by {!exec}.  A caller
+    that runs one program many times (on many nodes, or once per
+    iteration) prepares it once and calls {!exec} instead. *)
 val run :
   Node.t ->
   ?from_microcode:bool ->

@@ -396,7 +396,12 @@ let suite = suite @ [ ("apps:overlap", overlap_tests) ]
 let hypercube_solve_tests =
   [
     case "the n=9 8-node solve converges in 216 iterations, bit-exactly" (fun () ->
-        match Parallel.solve params ~n:9 ~tol:1e-6 ~max_iters:1000 ~dim:3 with
+        let plans = Nsc_sim.Plan.compile_count ()
+        and kernels = Nsc_sim.Kernel.compile_count () in
+        let words = Gc.minor_words () in
+        let r = Parallel.solve params ~n:9 ~tol:1e-6 ~max_iters:1000 ~dim:3 in
+        let words = Gc.minor_words () -. words in
+        match r with
         | Error e -> Alcotest.fail e
         | Ok o ->
             check_int "iterations" 216 o.Parallel.iterations;
@@ -404,7 +409,44 @@ let hypercube_solve_tests =
               (Printf.sprintf "residual %.17g" o.Parallel.final_residual)
               true
               (Int64.bits_of_float o.Parallel.final_residual
-              = Int64.bits_of_float 9.81777504405201284e-07));
+              = Int64.bits_of_float 9.81777504405201284e-07);
+            (* one compile cache for the machine: each of the three
+               instructions is compiled once, not once per node *)
+            check_int "plan compiles" 3 (Nsc_sim.Plan.compile_count () - plans);
+            check_int "kernel compiles" 3 (Nsc_sim.Kernel.compile_count () - kernels);
+            if words > 4.5e6 then
+              Alcotest.failf "the solve allocated %.2fM minor words" (words /. 1e6));
+    case "a node that fails fails the machine step with its error" (fun () ->
+        let prog, _ = Util.vecadd_program ~n:8 () in
+        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
+        let c =
+          { c with
+            Nsc_microcode.Codegen.control =
+              Nsc_diagram.Program.[ Exec 1; Exec 7; Halt ] }
+        in
+        let prog = Result.get_ok (Nsc_sim.Sequencer.prepare c) in
+        let machine = Nsc_sim.Multinode.create ~dim:2 params in
+        List.iter
+          (fun domains ->
+            match
+              Parallel.exec_step ~domains ~plan_cache:(Nsc_sim.Plan.make_cache ())
+                ~kernel_cache:(Nsc_sim.Kernel.make_cache ()) machine prog
+            with
+            | Ok _ -> Alcotest.fail "a failing node went unreported"
+            | Error e ->
+                check_string "first node's error"
+                  "node 0: control references missing pipeline 7" e)
+          [ 1; 2 ]);
+    case "domains 2 solves bit-identically to domains 1" (fun () ->
+        let go domains =
+          Result.get_ok (Parallel.solve ~domains params ~n:5 ~tol:1e-4 ~max_iters:500 ~dim:2)
+        in
+        let seq = go 1 and par = go 2 in
+        check_int "iterations" seq.Parallel.iterations par.Parallel.iterations;
+        check_bool "residual bits" true
+          (Int64.bits_of_float seq.Parallel.final_residual
+          = Int64.bits_of_float par.Parallel.final_residual);
+        check_bool "point" true (compare seq.Parallel.point par.Parallel.point = 0));
     case "every solve iteration is booked as one machine step" (fun () ->
         let module Metrics = Nsc_metrics.Metrics in
         let ctx = Metrics.create ~label:"solve" () in

@@ -304,6 +304,31 @@ let decode_error_tests =
         | Error e ->
             check_string "message" "instruction 1: bad magic number: not an NSC microinstruction" e
         | Ok _ -> Alcotest.fail "ran an undecodable word");
+    case "prepare reports a corrupted word with the message run gives" (fun () ->
+        let b = Nsc_apps.Jacobi.build kb (Nsc_apps.Grid.cube 5) ~tol:1e-6 ~max_iters:10 in
+        let c = Result.get_ok (Codegen.compile kb b.Nsc_apps.Jacobi.program) in
+        let code =
+          List.find (fun c -> Opcode.of_code c = None) (List.init 63 (fun c -> c + 1))
+        in
+        let instructions =
+          List.map
+            (fun (i : Encode.instruction) ->
+              if i.Encode.index <> 2 then i
+              else begin
+                let w = Word.copy i.Encode.word in
+                Fields.set c.Codegen.layout w "fu5.op" code;
+                { i with Encode.word = w }
+              end)
+            c.Codegen.instructions
+        in
+        let c = { c with Codegen.instructions } in
+        let want = Printf.sprintf "instruction 2: unit 5: undefined opcode %d" code in
+        (match Nsc_sim.Sequencer.prepare c with
+        | Error e -> check_string "prepare" want e
+        | Ok _ -> Alcotest.fail "prepared an undecodable word");
+        match Nsc_sim.Sequencer.run (Nsc_sim.Node.create params) c with
+        | Error e -> check_string "run" want e
+        | Ok _ -> Alcotest.fail "ran an undecodable word");
   ]
 
 (* One instruction touching every section of the subset machine: a

@@ -949,3 +949,98 @@ let fault_latch_tests =
   ]
 
 let suite = suite @ [ ("sim:fault-latch", fault_latch_tests) ]
+
+(* appended: a program prepared once and executed many times *)
+
+(* A seeded pipeline-language program: a 1-D three-point relaxation of
+   seeded length, repeat count and coefficients, with a convergence loop
+   around it so the control programme also evaluates conditions. *)
+let seeded_lang seed =
+  let rng = Random.State.make [| seed |] in
+  let len = 8 + Random.State.int rng 40 and reps = 1 + Random.State.int rng 3 in
+  let coeff () = Printf.sprintf "%.6f" (0.1 +. Random.State.float rng 0.35) in
+  let src =
+    String.concat "\n"
+      [ Printf.sprintf "array u[%d] plane 0" len;
+        Printf.sprintf "array v[%d] plane 1" len;
+        Printf.sprintf "array d[%d] plane 2" len;
+        "scalar r";
+        "while r > 0.01 max_iters 6 {";
+        Printf.sprintf "repeat %d {" reps;
+        Printf.sprintf "v = (u[-1] + u[+1]) * %s + %s" (coeff ()) (coeff ());
+        "u = v + 0.0";
+        "}";
+        "d = v - u[+1]";
+        "r = maxreduce(abs(d))";
+        "}";
+        "" ]
+  in
+  let c = Result.get_ok (Nsc_lang.Compile.compile kb src) in
+  (Result.get_ok (Nsc_microcode.Codegen.compile kb c.Nsc_lang.Compile.program), fun _ -> ())
+
+(* The n=5 Jacobi program, capped at a seeded sweep count, and its
+   problem loader. *)
+let seeded_jacobi seed =
+  let prob = Nsc_apps.Poisson.manufactured 5 in
+  let b =
+    Nsc_apps.Jacobi.build kb prob.Nsc_apps.Poisson.grid ~tol:1e-6
+      ~max_iters:(1 + (seed mod 12))
+  in
+  ( Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program),
+    fun node -> Nsc_apps.Jacobi.load node b prob )
+
+(* Everything a run leaves behind: its stats with the events sorted, its
+   captured scalars, and the first 400 words of every plane. *)
+let observe node (o : Sequencer.outcome) =
+  let st = o.Sequencer.stats in
+  ( { st with Sequencer.events = List.sort compare st.Sequencer.events },
+    o.Sequencer.halted,
+    o.Sequencer.last_values,
+    List.init params.Params.n_memory_planes (fun plane ->
+        Node.dump_array node ~plane ~base:0 ~len:400) )
+
+let prepared_tests =
+  [
+    qcheck ~count:24 "exec of one prepared program on fresh nodes = run with a decode per call"
+      QCheck2.Gen.(triple bool bool (int_range 0 1000))
+      (fun (jacobi, from_microcode, seed) ->
+        let c, load = if jacobi then seeded_jacobi seed else seeded_lang seed in
+        let fresh () =
+          let node = Node.create params in
+          load node;
+          node
+        in
+        let by_run =
+          let node = fresh () in
+          observe node (Result.get_ok (Sequencer.run node ~from_microcode c))
+        in
+        let prog = Result.get_ok (Sequencer.prepare ~from_microcode c) in
+        let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
+        let by_exec () =
+          let node = fresh () in
+          observe node
+            (Result.get_ok (Sequencer.exec node ~plan_cache ~kernel_cache prog))
+        in
+        (* the second execution replays the first one's compiled kernels *)
+        let first = by_exec () in
+        let second = by_exec () in
+        compare by_run first = 0 && compare by_run second = 0);
+    case "Node.create allocates under 20k minor words and nothing on the major heap"
+      (fun () ->
+        ignore (Sys.opaque_identity (Node.create params));
+        Gc.full_major ();
+        let before = Gc.quick_stat () and words = Gc.minor_words () in
+        let node = Node.create params in
+        (* [Gc.minor_words] is exact; [quick_stat]'s minor count is not *)
+        let minor = Gc.minor_words () -. words in
+        let after = Gc.quick_stat () in
+        ignore (Sys.opaque_identity node);
+        let direct_major (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+        if minor >= 20_000.0 then Alcotest.failf "Node.create allocated %.0f minor words" minor;
+        check_bool "no direct major allocation" true
+          (direct_major after -. direct_major before = 0.0);
+        check_int "no major collection" before.Gc.major_collections
+          after.Gc.major_collections);
+  ]
+
+let suite = suite @ [ ("sim:prepared", prepared_tests) ]

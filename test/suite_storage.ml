@@ -154,6 +154,73 @@ let cache_tests =
     case "bad cache ids are rejected" (fun () ->
         Alcotest.check_raises "make" (Invalid_argument "Cache.make: bad cache id") (fun () ->
             ignore (Cache.make params 99)));
+    case "an untouched cache reads the priming zero on both sides" (fun () ->
+        let c = Cache.make params 3 in
+        let last = params.Params.cache_words - 1 in
+        check_float "pipeline" 0.0 (Cache.read_pipeline c last);
+        check_float "dma" 0.0 (Cache.read_dma c 0);
+        check_bool "strided" true
+          (Cache.read_pipeline_strided c ~base:1 ~stride:3 ~count:5 = Array.make 5 0.0);
+        let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 8 in
+        Bigarray.Array1.fill v Float.nan;
+        Cache.read_pipeline_strided_into c ~base:2 ~stride:2 ~count:4 v ~pos:3;
+        check_bool "strided into" true
+          (List.for_all
+             (fun i -> Float.is_nan v.{i} = (i < 3 || i >= 7))
+             (List.init 8 Fun.id)
+          && v.{3} = 0.0 && v.{6} = 0.0);
+        (* writing one side leaves the other untouched *)
+        Cache.write_dma c 4 9.0;
+        check_float "pipeline still primed" 0.0 (Cache.read_pipeline c 4);
+        check_float "dma written" 9.0 (Cache.read_dma c 4);
+        Alcotest.check_raises "bounds still checked"
+          (Invalid_argument
+             (Printf.sprintf "Cache 3: address %d outside buffer of %d words" (last + 1)
+                (last + 1)))
+          (fun () -> ignore (Cache.read_pipeline c (last + 1))));
+    case "staging hits and misses are counted on lazily allocated bitmaps" (fun () ->
+        let module Metrics = Nsc_metrics.Metrics in
+        let ctx = Metrics.create ~label:"cache" () in
+        Metrics.enable ctx;
+        let value name = Metrics.value ctx (Option.get (Metrics.find_counter name)) in
+        let c = Cache.make params 4 in
+        Metrics.with_ctx ctx (fun () ->
+            ignore (Cache.read_pipeline c 0);
+            Cache.write_dma c 1 2.0;
+            Cache.swap c;
+            ignore (Cache.read_pipeline c 1);
+            ignore (Cache.read_pipeline_strided c ~base:0 ~stride:1 ~count:3));
+        check_int "hits" 2 (value "cache.hits");
+        check_int "misses" 3 (value "cache.misses"));
+    case "snapshot and restore round-trip untouched and touched caches" (fun () ->
+        let c = Cache.make params 5 in
+        let untouched = Cache.snapshot c in
+        Cache.write_pipeline c 10 1.5;
+        Cache.write_dma c 11 2.5;
+        let touched = Cache.snapshot c in
+        Cache.swap c;
+        Cache.write_pipeline c 11 (-1.0);
+        Cache.restore c touched;
+        check_float "pipeline restored" 1.5 (Cache.read_pipeline c 10);
+        check_float "dma restored" 2.5 (Cache.read_dma c 11);
+        Cache.restore c untouched;
+        check_float "untouched pipeline" 0.0 (Cache.read_pipeline c 10);
+        check_float "untouched dma" 0.0 (Cache.read_dma c 11);
+        (* a restore copies: writing after it leaves the snapshot intact *)
+        Cache.write_pipeline c 10 7.0;
+        Cache.restore c touched;
+        check_float "snapshot unchanged" 1.5 (Cache.read_pipeline c 10);
+        Cache.clear c;
+        check_float "cleared" 0.0 (Cache.read_pipeline c 10));
+    case "restore rejects a snapshot of a different cache size" (fun () ->
+        let small = { params with Params.cache_words = 64 } in
+        let msg = "Cache.restore: snapshot geometry does not match cache" in
+        Alcotest.check_raises "untouched" (Invalid_argument msg) (fun () ->
+            Cache.restore (Cache.make params 0) (Cache.snapshot (Cache.make small 0)));
+        let c = Cache.make small 0 in
+        Cache.write_pipeline c 3 1.0;
+        Alcotest.check_raises "touched" (Invalid_argument msg) (fun () ->
+            Cache.restore (Cache.make params 0) (Cache.snapshot c)));
   ]
 
 let shift_delay_tests =
