@@ -35,7 +35,7 @@ let mflops_results : (string * float) list ref = ref []
 let record_mflops name mflops = mflops_results := (name, mflops) :: !mflops_results
 
 (* Engine timings are best-of-[timing_reps] over a warmed, shared
-   plan/kernel cache: the warm-up repetition pays every compile, each
+   compile cache: the warm-up repetition pays every compile, each
    timed repetition reloads a fresh node outside the timed window, so the
    numbers measure simulator execution — the cost a hot solve loop
    actually pays — rather than one cold compile. *)
@@ -563,8 +563,8 @@ let scaling_campaign ~domains () =
     | Error e -> failwith ("SCALING: " ^ e)
     | Ok pt -> pt
   in
-  let field ?(overlap = false) dim =
-    match Parallel.run_field params ~domains ~overlap ~n ~iters ~dim with
+  let field ?(overlap = false) ?run dim =
+    match Parallel.run_field params ~domains ~overlap ?run ~n ~iters ~dim with
     | Error e -> failwith ("SCALING: " ^ e)
     | Ok f -> f
   in
@@ -583,8 +583,7 @@ let scaling_campaign ~domains () =
       | Ok s -> s
       | Error e -> failwith ("SCALING: " ^ e)
     in
-    F.install (F.make ~seed:7 spec);
-    Fun.protect ~finally:F.clear (fun () -> field ~overlap 6)
+    field ~overlap ~run:(Run.make ~fault:(F.make ~seed:7 spec) ()) 6
   in
   let faulted_match = faulted_field false = faulted_field true in
   row "dim 6 (64 nodes), per-node slab %dx%dx%d, %d iterations:\n" n n n iters;
@@ -992,26 +991,25 @@ let perf_engine () =
     Option.value ~default:Float.nan
       (List.assoc_opt b.Jacobi.residual_unit o.Sequencer.last_values)
   in
-  let run_once ?(plan_cache = Plan.make_cache ())
-      ?(kernel_cache = Kernel.make_cache ()) engine =
+  let run_once ?(run = Run.make ()) engine =
     let node = Node.create params in
     Jacobi.load node b prob;
     let t0 = Unix.gettimeofday () in
-    match Sequencer.run node ~engine ~plan_cache ~kernel_cache compiled with
+    match Sequencer.run node ~engine ~run compiled with
     | Error e -> failwith ("PERF: " ^ e)
     | Ok o -> (Unix.gettimeofday () -. t0, o)
   in
-  (* the kernel: the warm-up pays every plan/kernel compile into shared
-     caches, then best-of-[timing_reps] with a fresh node reloaded outside
+  (* the kernel: the warm-up pays every plan/kernel compile into a shared
+     cache, then best-of-[timing_reps] with a fresh node reloaded outside
      each timed window, so the repetitions measure execution and must not
      allocate a single pool buffer *)
   let compiles0 = Kernel.compile_count () and khits0 = Kernel.cache_hit_count () in
-  let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
-  let _, kernel_o = run_once ~plan_cache ~kernel_cache `Kernel in
+  let run = Run.make () in
+  let _, kernel_o = run_once ~run `Kernel in
   let hits0 = Kernel.pool_hit_count () and misses0 = Kernel.pool_miss_count () in
   let kernel_seconds = ref infinity in
   for _ = 1 to timing_reps do
-    let dt, o = run_once ~plan_cache ~kernel_cache `Kernel in
+    let dt, o = run_once ~run `Kernel in
     if sweeps_of o <> sweeps_of kernel_o || change_of o <> change_of kernel_o then
       failwith "PERF: a timing repetition diverged from its warm-up run";
     if dt < !kernel_seconds then kernel_seconds := dt
@@ -1033,8 +1031,8 @@ let perf_engine () =
   if not residual_match then failwith "PERF: kernel and reference engines disagree";
   (* the same two paths under a seeded fault model: faults draw from one
      deterministic stream and both paths corrupt the victim's latch the
-     same way, so a freshly installed same-seed model must yield one
-     bit-identical outcome whichever engine executes it *)
+     same way, so a fresh same-seed model must yield one bit-identical
+     outcome whichever engine executes it *)
   let faulted engine =
     let module F = Nsc_fault.Fault in
     let spec =
@@ -1042,8 +1040,7 @@ let perf_engine () =
       | Ok s -> s
       | Error e -> failwith ("PERF: " ^ e)
     in
-    F.install (F.make ~seed:1234 spec);
-    Fun.protect ~finally:F.clear (fun () -> run_once engine)
+    run_once ~run:(Run.make ~fault:(F.make ~seed:1234 spec) ()) engine
   in
   let _, f_kernel = faulted `Kernel in
   let faulted_reference_seconds, f_reference = faulted `Reference in
@@ -1112,12 +1109,11 @@ let overhead () =
   let module Budget = Nsc_guard.Guard.Budget in
   let prob = Poisson.manufactured 9 in
   let solve ?budget () =
-    match Jacobi.solve kb ?budget prob ~tol:1e-6 ~max_iters:4000 with
+    match Jacobi.solve kb ~run:(Run.make ?budget ()) prob ~tol:1e-6 ~max_iters:4000 with
     | Error e -> failwith ("OVERHEAD: " ^ e)
     | Ok o -> o
   in
-  if Metrics.any_enabled () || F.enabled () then
-    failwith "OVERHEAD: a metric context or fault model is already armed";
+  if Metrics.any_enabled () then failwith "OVERHEAD: a metric context is already armed";
   let time_gate f =
     let n = 20_000_000 in
     let t0 = Unix.gettimeofday () in
@@ -1132,7 +1128,14 @@ let overhead () =
   in
   let bump_ns = time_gate (fun () -> Metrics.bump probe 1) in
   let trace_ns = time_gate (fun () -> ignore (Sys.opaque_identity (Metrics.tracing ()))) in
-  let fault_ns = time_gate (fun () -> ignore (Sys.opaque_identity (F.active ()))) in
+  (* the engine's consult: a match on the clean run's [fault] field *)
+  let clean_run = Some (Run.make ()) in
+  let fault_ns =
+    time_gate (fun () ->
+        match Sys.opaque_identity clean_run with
+        | Some { Run.fault = Some f; _ } -> ignore (Sys.opaque_identity f)
+        | _ -> ())
+  in
   let budget_ns = time_gate (fun () -> Budget.poll_opt (Sys.opaque_identity None)) in
   (* the denominator: best of three fully disabled solves *)
   let disabled_seconds = ref infinity and clean = ref None in
@@ -1303,12 +1306,11 @@ let fault_injection () =
   let module F = Nsc_fault.Fault in
   let prob = Poisson.manufactured 9 in
   let tol = 1e-6 and max_iters = 4000 in
-  let solve () =
-    match Jacobi.solve kb prob ~tol ~max_iters with
+  let solve ?fault () =
+    match Jacobi.solve kb ~run:(Run.make ?fault ()) prob ~tol ~max_iters with
     | Error e -> failwith e
     | Ok o -> o
   in
-  F.clear ();
   let clean = solve () in
   let clean_cycles = clean.Jacobi.stats.Sequencer.total_cycles in
   let spec =
@@ -1316,11 +1318,10 @@ let fault_injection () =
     | Ok s -> s
     | Error e -> failwith ("FAULT: " ^ e)
   in
-  F.install (F.make ~seed:42 spec);
-  let faulted = solve () in
-  let outstanding = F.reconcile () in
-  let ledger = F.ledger () in
-  F.clear ();
+  let fault = F.make ~seed:42 spec in
+  let faulted = solve ~fault () in
+  let outstanding = F.settle fault in
+  let ledger = F.ledger fault in
   let faulted_cycles = faulted.Jacobi.stats.Sequencer.total_cycles in
   let overhead_pct =
     100.0 *. float_of_int (faulted_cycles - clean_cycles) /. float_of_int clean_cycles
@@ -1349,15 +1350,14 @@ let fault_injection () =
     | Ok s -> s
     | Error e -> failwith ("FAULT: " ^ e)
   in
-  F.install (F.make ~seed:7 ft_spec);
+  let ft_fault = F.make ~seed:7 ft_spec in
   let ft =
-    match Jacobi.solve_ft kb prob ~tol ~max_iters with
+    match Jacobi.solve_ft kb ~run:(Run.make ~fault:ft_fault ()) prob ~tol ~max_iters with
     | Error e -> failwith ("FAULT solve_ft: " ^ e)
     | Ok ft -> ft
   in
-  let ft_outstanding = F.reconcile () in
-  let ft_ledger = F.ledger () in
-  F.clear ();
+  let ft_outstanding = F.settle ft_fault in
+  let ft_ledger = F.ledger ft_fault in
   let flv name = Option.value ~default:0 (List.assoc_opt name ft_ledger) in
   row "  solve_ft under mem-corrupt p=0.2 (seed 7):\n";
   row "    sweeps / rollbacks        : %8d / %d\n"
@@ -1532,7 +1532,7 @@ let perf_resilience () =
      serviceable: the next unbudgeted solve reproduces the clean run *)
   let killer = Guard.Budget.create ~deadline_cycles:(clean_cycles / 2) () in
   let deadline_spent =
-    match Jacobi.solve kb ~budget:killer prob ~tol ~max_iters with
+    match Jacobi.solve kb ~run:(Run.make ~budget:killer ()) prob ~tol ~max_iters with
     | exception Guard.Budget.Deadline_exceeded { spent_cycles; _ } -> spent_cycles
     | Ok _ | Error _ -> failwith "RESILIENCE: mid-run deadline never fired"
   in

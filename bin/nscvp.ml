@@ -225,7 +225,7 @@ let read_floats file =
 
 let faults_opt =
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC"
-         ~doc:"Install the seeded fault model for the run.  $(docv) is a \
+         ~doc:"Run under a seeded fault model.  $(docv) is a \
                comma-separated list of clauses: $(b,transient-link:p=F), \
                $(b,dead-link:A-B), $(b,mem-corrupt:p=F), $(b,dma-stall:p=F), \
                $(b,fu-fault:p=F).  See docs/FAULTS.md for the full grammar.")
@@ -242,21 +242,17 @@ let parse_faults_or_die spec =
       prerr_endline ("bad --faults: " ^ e);
       exit 2
 
-(* Install the model for the coming run; true when one is installed, so
-   the caller knows to print the fault report afterwards. *)
-let install_faults spec seed =
-  match spec with
-  | None -> false
-  | Some s ->
-      Fault.install (Fault.make ~seed (parse_faults_or_die s));
-      true
+(* The seeded model for the coming run, when --faults names one. *)
+let fault_model spec seed =
+  Option.map (fun s -> Fault.make ~seed (parse_faults_or_die s)) spec
 
-(* End-of-run fault report, from the always-on ledger (works without
-   --trace).  Reconciles first so no injected fault is silently dropped. *)
-let fault_report () =
-  let reconciled = Fault.reconcile () in
+(* End-of-run fault report, from the model's always-on ledger (works
+   without --trace).  Settles first so no injected fault is silently
+   dropped. *)
+let fault_report m =
+  let reconciled = Fault.settle m in
   print_endline "fault report:";
-  List.iter (fun (name, v) -> Printf.printf "  %-24s %d\n" name v) (Fault.ledger ());
+  List.iter (fun (name, v) -> Printf.printf "  %-24s %d\n" name v) (Fault.ledger m);
   if reconciled > 0 then
     Printf.printf "  (%d outstanding fault(s) reconciled as unrecovered)\n" reconciled
 
@@ -281,9 +277,9 @@ let domains_arg =
                program is replicated on every node of a hypercube machine \
                just large enough for $(docv) domains and executed through \
                the machine's persistent domain pool; the replicas are \
-               checked bit-identical and node 0 is reported.  Ignored when \
-               a fault model is installed — the seeded fault schedule is \
-               consumed sequentially to stay reproducible.")
+               checked bit-identical and node 0 is reported.  Ignored \
+               under --faults — the seeded fault schedule is consumed \
+               sequentially to stay reproducible.")
 
 (* smallest hypercube dimension giving at least [n] nodes *)
 let dim_for_domains n =
@@ -358,9 +354,9 @@ let run_cmd =
               exit 2)
         loads
     in
-    let faulted = install_faults faults seed in
+    let fault = fault_model faults seed in
     let domains =
-      if domains > 1 && faulted then begin
+      if domains > 1 && fault <> None then begin
         print_endline
           "note: --domains ignored under --faults (the seeded fault schedule is \
            consumed sequentially)";
@@ -370,13 +366,14 @@ let run_cmd =
     in
     let node = ref (Nsc_sim.Node.create p) in
     if domains <= 1 then apply_loads !node;
+    let run = Nsc_sim.Run.make ?fault () in
     with_trace trace (fun () ->
         let result =
-          if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine c
+          if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine ~run c
           else begin
             let n0, r =
               run_replicated p ~domains ~prepare:apply_loads
-                ~exec:(fun node -> Nsc_sim.Sequencer.run node ~engine c)
+                ~exec:(fun node -> Nsc_sim.Sequencer.run node ~engine ~run c)
             in
             node := n0;
             r
@@ -400,10 +397,7 @@ let run_cmd =
               List.iter
                 (fun e -> print_endline ("  " ^ Interrupt.event_to_string e))
                 stats.Nsc_sim.Sequencer.events);
-    if faulted then begin
-      fault_report ();
-      Fault.clear ()
-    end;
+    Option.iter fault_report fault;
     List.iter
       (fun s ->
         match parse_dump s with
@@ -624,7 +618,7 @@ let stats_cmd =
        in the process — the new-world form of reset/enable/disable *)
     let ctx = Metrics.create ~label:"stats" () in
     Metrics.enable ctx;
-    (match Nsc_sim.Sequencer.run node ~metrics:ctx c with
+    (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node c) with
     | Error e ->
         prerr_endline ("run error: " ^ e);
         exit 1
@@ -700,7 +694,7 @@ let profile_cmd =
                 prerr_endline ("bad --load: " ^ s);
                 exit 2)
           loads;
-        (match Nsc_sim.Sequencer.run node ~engine ~metrics:ctx c with
+        (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node ~engine c) with
         | Error e ->
             prerr_endline ("run error: " ^ e);
             exit 1
@@ -781,7 +775,7 @@ let inject_cmd =
           exit 1
       | Ok o -> o.Nsc_sim.Sequencer.stats
     in
-    let run_once node = stats_of (Nsc_sim.Sequencer.run node c) in
+    let run_once ?run node = stats_of (Nsc_sim.Sequencer.run node ?run c) in
     (* reference run on a perfect machine (optionally replicated across
        domains), then the same program under the seeded fault model on a
        fresh node — always sequential, so the seeded schedule is stable *)
@@ -796,8 +790,8 @@ let inject_cmd =
     in
     if domains > 1 then
       print_endline "note: the faulted run stays sequential (seeded fault schedule)";
-    Fault.install (Fault.make ~seed fspec);
-    let faulted = run_once (fresh_node ()) in
+    let fault = Fault.make ~seed fspec in
+    let faulted = run_once ~run:(Nsc_sim.Run.make ~fault ()) (fresh_node ()) in
     let cc = clean.Nsc_sim.Sequencer.total_cycles in
     let fc = faulted.Nsc_sim.Sequencer.total_cycles in
     Printf.printf "fault injection: %s (seed %d)\n" (Fault.spec_to_string fspec) seed;
@@ -806,11 +800,10 @@ let inject_cmd =
     Printf.printf "  faulted run: %d instruction(s), %d cycles (%+.2f%% cycle overhead)\n"
       faulted.Nsc_sim.Sequencer.instructions_executed fc
       (if cc = 0 then 0.0 else 100.0 *. float_of_int (fc - cc) /. float_of_int cc);
-    fault_report ();
+    fault_report fault;
     let unrecovered =
-      Option.value ~default:0 (List.assoc_opt "fault.unrecovered" (Fault.ledger ()))
+      Option.value ~default:0 (List.assoc_opt "fault.unrecovered" (Fault.ledger fault))
     in
-    Fault.clear ();
     if unrecovered > 0 then exit 1
   in
   Cmd.v
@@ -835,10 +828,10 @@ let serve_cmd =
   let cache_bound_arg =
     Arg.(value & opt int 0
          & info [ "cache-bound" ] ~docv:"N"
-             ~doc:"Cap the shared plan and kernel caches at $(docv) entries \
-                   each, evicting least-recently-used compiled instructions \
+             ~doc:"Cap the shared compile cache at $(docv) entries, \
+                   evicting least-recently-used compiled instructions \
                    (the $(b,cache.evictions) counter).  0 (the default) \
-                   leaves them unbounded.")
+                   leaves it unbounded.")
   in
   let serve_domains_arg =
     Arg.(value & opt int 1
@@ -1129,7 +1122,7 @@ let scale_cmd =
   let seed_arg =
     Arg.(value & opt int 7
          & info [ "seed" ] ~docv:"N"
-             ~doc:"Seed of the fault model installed by --faults (default 7).")
+             ~doc:"Seed of the fault model --faults runs under (default 7).")
   in
   let domains_arg =
     Arg.(value & opt int 1
@@ -1145,15 +1138,13 @@ let scale_cmd =
       | Ok pt -> pt
       | Error e -> failwith e
     in
-    let rec field ?model overlap =
-      match model with
-      | None -> (
-          match Parallel.run_field p ~domains ~overlap ~n ~iters ~dim with
-          | Ok f -> f
-          | Error e -> failwith e)
-      | Some spec ->
-          Fault.install (Fault.make ~seed spec);
-          Fun.protect ~finally:Fault.clear (fun () -> field ?model:None overlap)
+    let field ?model overlap =
+      let fault = Option.map (Fault.make ~seed) model in
+      match
+        Parallel.run_field p ~domains ~overlap ~run:(Nsc_sim.Run.make ?fault ()) ~n ~iters ~dim
+      with
+      | Ok f -> f
+      | Error e -> failwith e
     in
     let sync = point false and async = point true in
     (* efficiency relative to a one-node machine on the same slab *)

@@ -312,10 +312,13 @@ type outcome = {
 (** Compile and execute the Jacobi program for [prob] on a fresh node.
     [engine] selects the simulator path: the fused kernel by default, or
     [`Reference] for the general memoized evaluator (the oracle, a few
-    hundred times slower; the two are bit-identical). *)
-let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
-    ?kernel_cache ?budget (prob : Poisson.problem) ~tol ~max_iters :
-    (outcome, string) result =
+    hundred times slower; the two are bit-identical).  [run] carries the
+    compile cache, fault model and budget (default: a fresh cache, clean,
+    unsupervised).  [plan_cache] and [kernel_cache] are nscbench
+    compatibility, passed on to {!Nsc_sim.Sequencer.run} — delete when
+    nscbench moves to [Run.t]. *)
+let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?run ?plan_cache
+    ?kernel_cache (prob : Poisson.problem) ~tol ~max_iters : (outcome, string) result =
   let b = build kb ?layout ?strategy prob.Poisson.grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
   | Error ds ->
@@ -325,8 +328,7 @@ let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load node b prob;
       match
-        Nsc_sim.Sequencer.run node ~engine ?plan_cache ?kernel_cache ?budget
-          compiled
+        Nsc_sim.Sequencer.run node ~engine ?run ?plan_cache ?kernel_cache compiled
       with
       | Error e -> Error e
       | Ok outcome ->
@@ -372,21 +374,23 @@ type ft_outcome = {
 (** Checkpointed Jacobi solve (the [`Refresh] strategy): each sweep runs
     against a checkpoint of the node taken at the last good state, and a
     sweep whose scrub finds bad parity — or whose interrupt stream trapped
-    an exception while a fault model is installed — is rolled back and
+    an exception while the run carries a fault model — is rolled back and
     redone, up to [max_attempts] times, instead of iterating on poisoned
-    data.  With no faults firing this executes the exact instruction
-    sequence of {!solve} (same plans, same residual series, same result);
-    the checkpoint copies are host-side bookkeeping and cost no simulated
-    cycles.
+    data.  [run] carries the compile cache, the fault model and the
+    budget (default: a fresh cache, clean, unsupervised).  With no faults
+    firing this executes the exact instruction sequence of {!solve} (same
+    plans, same residual series, same result); the checkpoint copies are
+    host-side bookkeeping and cost no simulated cycles.
 
-    Under an installed fault model the per-sweep memory-corruption draw
+    Under the run's fault model the per-sweep memory-corruption draw
     fires here (the victim word lands in one of the sweep's input or
-    output planes); recovery is booked against the whole ledger via
-    {!Fault.outstanding}, so run one solver at a time.  Corruption that a
-    sweep overwrites with fresh data before the scrub is booked as
+    output planes), and detections, rollbacks and recoveries are booked
+    on that model's own ledger via {!Fault.outstanding} — so solves with
+    their own models may run on several domains at once.  Corruption
+    that a sweep overwrites with fresh data before the scrub is booked as
     recovered by the rewrite — a parity model detects on access, not on
     the flip itself. *)
-let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
+let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?run
     (prob : Poisson.problem) ~tol ~max_iters : (ft_outcome, string) result =
   let b = build kb ?layout ~strategy:`Refresh prob.Poisson.grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
@@ -396,8 +400,8 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
   | Ok compiled -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load node b prob;
-      let plan_cache = Nsc_sim.Plan.make_cache () in
-      let kernel_cache = Nsc_sim.Kernel.make_cache () in
+      let run = match run with Some r -> r | None -> Nsc_sim.Run.make () in
+      let fault = run.Nsc_sim.Run.fault in
       (* each phase is decoded once for the whole solve *)
       let prepare control =
         Nsc_sim.Sequencer.prepare { compiled with Nsc_microcode.Codegen.control }
@@ -418,20 +422,18 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
         writes := !writes + s.Nsc_sim.Sequencer.total_writes;
         all_events := List.rev_append s.Nsc_sim.Sequencer.events !all_events
       in
-      (* one budget token across setup and every sweep: it accumulates
-         charged cycles itself, so a cycle ceiling spans the whole solve *)
+      (* one run, and so one budget token, across setup and every sweep:
+         the budget accumulates charged cycles itself, so a cycle ceiling
+         spans the whole solve *)
       let run_step c =
-        match
-          Nsc_sim.Sequencer.exec node ~engine:`Kernel ~plan_cache ~kernel_cache
-            ?budget c
-        with
+        match Nsc_sim.Sequencer.exec node ~engine:`Kernel ~run c with
         | Error e -> Error e
         | Ok o ->
             accumulate o.Nsc_sim.Sequencer.stats;
             Ok o
       in
       let inject_corruption () =
-        match Fault.active () with
+        match fault with
         | Some f when Fault.draw_mem_corrupt f ->
             let victims =
               List.sort_uniq compare (b.layout.g :: b.layout.unew :: u_planes b.layout)
@@ -439,7 +441,7 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
             let plane = List.nth victims (Fault.rand f (List.length victims)) in
             let addr = Fault.rand f (Grid.padded_words prob.Poisson.grid) in
             ignore (Memory.corrupt (Nsc_sim.Node.plane node plane) addr);
-            Fault.note_mem_corrupt 1
+            Fault.note_mem_corrupt f 1
         | _ -> ()
       in
       (* one sweep, redone from the checkpoint until it runs clean *)
@@ -452,30 +454,30 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
           | Ok o ->
               let parity = List.length (Nsc_sim.Checkpoint.scrub node) in
               let traps =
-                if Fault.enabled () then
+                if fault <> None then
                   Interrupt.trapped_exceptions o.Nsc_sim.Sequencer.stats.Nsc_sim.Sequencer.events
                 else 0
               in
+              (* book this attempt's outstanding faults on the run's ledger *)
+              let book note = Option.iter (fun f -> note f (Fault.outstanding f)) fault in
               if parity + traps = 0 then begin
                 (* anything injected this attempt was overwritten with
                    fresh data before the scrub: recovered by the rewrite *)
-                let n = Fault.outstanding () in
-                if n > 0 then Fault.note_recovered n;
+                book Fault.note_recovered;
                 Ok o
               end
               else begin
-                Fault.note_mem_detected parity;
+                Option.iter (fun f -> Fault.note_mem_detected f parity) fault;
                 faults_detected := !faults_detected + parity + traps;
                 if a < max_attempts then begin
                   Nsc_sim.Checkpoint.restore node ckpt;
+                  Option.iter Fault.note_rollback fault;
                   incr rollbacks;
-                  let n = Fault.outstanding () in
-                  if n > 0 then Fault.note_recovered n;
+                  book Fault.note_recovered;
                   attempt (a + 1)
                 end
                 else begin
-                  let n = Fault.outstanding () in
-                  if n > 0 then Fault.note_unrecovered n;
+                  book Fault.note_unrecovered;
                   Error
                     (Printf.sprintf
                        "sweep still corrupt after %d attempts (%d faults detected)"

@@ -97,16 +97,19 @@ val solve :
   ?layout:layout ->
   ?strategy:[< `Ping_pong | `Refresh > `Refresh ] ->
   ?engine:[ `Kernel | `Reference ] ->
+  ?run:Nsc_sim.Run.t ->
   ?plan_cache:Nsc_sim.Plan.cache ->
   ?kernel_cache:Nsc_sim.Kernel.cache ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
   Poisson.problem ->
   tol:float -> max_iters:int -> (outcome, string) result
-(** [plan_cache]/[kernel_cache] let a long-lived caller (the serve
-    daemon, a bench loop) reuse compiled plans and kernels across
-    solves; fresh per-run caches are used when omitted.  [budget] arms a
-    deadline/cancellation token checked at every sweep boundary, which
-    unwinds with [Nsc_guard.Guard.Budget.Deadline_exceeded]. *)
+(** [run] is the solve's run state: a long-lived caller (the serve
+    daemon, a bench loop) passes one over a persistent compile cache to
+    reuse compiled kernels across solves; its fault model injects into
+    every instruction, and its budget (a deadline/cancellation token
+    checked at every sweep boundary) unwinds with
+    [Nsc_guard.Guard.Budget.Deadline_exceeded].  [plan_cache] and
+    [kernel_cache] are nscbench compatibility, as on
+    {!Nsc_sim.Sequencer.run} — delete when nscbench moves to [Run.t]. *)
 
 type ft_outcome = {
   outcome : outcome;
@@ -118,12 +121,16 @@ type ft_outcome = {
     the node, and a sweep whose parity scrub or interrupt stream reports
     corruption is rolled back and redone (up to [max_attempts] times per
     sweep).  With no faults firing this executes the exact instruction
-    sequence of {!solve}; under an installed {!Nsc_fault.Fault} model the
-    per-sweep memory-corruption draw fires here. *)
+    sequence of {!solve}.  [run] carries the compile cache, the budget
+    and the {!Nsc_fault.Fault} model (default: a fresh cache, clean,
+    unsupervised); under a model the per-sweep memory-corruption draw
+    fires here, and detections, rollbacks and recoveries are booked on
+    that model's own ledger — so faulted solves with their own models
+    may run on several domains at once. *)
 val solve_ft :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->
   ?max_attempts:int ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
+  ?run:Nsc_sim.Run.t ->
   Poisson.problem ->
   tol:float -> max_iters:int -> (ft_outcome, string) result

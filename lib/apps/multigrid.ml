@@ -361,7 +361,7 @@ let host_residual_norm (prob : host_problem) u =
 type outcome = { u : float array; stats : Nsc_sim.Sequencer.stats }
 
 (** Compile and run the NSC two-grid program on a fresh node. *)
-let solve (kb : Knowledge.t) (prob : host_problem) ~cycles ~nu1 ~nu2 ~nu_coarse :
+let solve (kb : Knowledge.t) ?run (prob : host_problem) ~cycles ~nu1 ~nu2 ~nu_coarse :
     (outcome, string) result =
   let b = build kb prob.grid ~cycles ~nu1 ~nu2 ~nu_coarse in
   match Nsc_microcode.Codegen.compile kb b.program with
@@ -372,7 +372,7 @@ let solve (kb : Knowledge.t) (prob : host_problem) ~cycles ~nu1 ~nu2 ~nu_coarse 
       Nsc_sim.Node.load_array node ~plane:b.layout.f ~base:0 prob.f;
       Nsc_sim.Node.load_array node ~plane:b.layout.mask_f ~base:0 (mask1 b.fine);
       Nsc_sim.Node.load_array node ~plane:b.layout.mask_c ~base:0 (mask1 b.coarse);
-      match Nsc_sim.Sequencer.run node compiled with
+      match Nsc_sim.Sequencer.run node ?run compiled with
       | Error e -> Error e
       | Ok outcome ->
           Ok

@@ -105,9 +105,11 @@ val host_solve :
   cycles:int -> nu1:int -> nu2:int -> nu_coarse:int -> float array
 val host_residual_norm : host_problem -> float array -> float
 type outcome = { u : float array; stats : Nsc_sim.Sequencer.stats; }
-(** Compile and run the NSC program on a fresh node. *)
+(** Compile and run the NSC program on a fresh node, under [run] (see
+    {!Nsc_sim.Sequencer.run}). *)
 val solve :
   Nsc_arch.Knowledge.t ->
+  ?run:Nsc_sim.Run.t ->
   host_problem ->
   cycles:int ->
   nu1:int -> nu2:int -> nu_coarse:int -> (outcome, string) result

@@ -112,14 +112,14 @@ let ( let* ) = Result.bind
 
 (** One machine step of a prepared program: every node executes it
     (fanned across [domains], bit-identical to the sequential run) and the
-    machine advances by the slowest node.  Returns the per-node outcomes
-    in node order, or the error of the first node, in node order, whose
-    run failed. *)
-let exec_step ?(domains = 1) ~plan_cache ~kernel_cache (machine : Multinode.t)
-    (prog : Sequencer.prepared) : (Sequencer.outcome array, string) result =
+    machine advances by the slowest node.  Every node executes under
+    [run].  Returns the per-node outcomes in node order, or the error of
+    the first node, in node order, whose run failed. *)
+let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prepared) :
+    (Sequencer.outcome array, string) result =
   let results = Array.make (Multinode.n_nodes machine) (Error "not run") in
   Multinode.compute_step ~domains machine (fun id node ->
-      let r = Sequencer.exec node ~plan_cache ~kernel_cache prog in
+      let r = Sequencer.exec node ~run prog in
       results.(id) <- r;
       match r with
       | Ok o ->
@@ -136,20 +136,21 @@ let exec_step ?(domains = 1) ~plan_cache ~kernel_cache (machine : Multinode.t)
 
 (* The slab-decomposed Jacobi machine past its set-up step: every node
    holds its forcing and mask and has run instruction 1; the iteration
-   body (instructions 2 and 3) is decoded once, and one compile cache
-   serves every node — kernels do not depend on the node, and the caches
-   are safe to share across domains. *)
+   body (instructions 2 and 3) is decoded once, and one run — one
+   compile cache, one fault model — serves every node: kernels do not
+   depend on the node, the cache is safe to share across domains, and
+   the machine costs its messages under the same model. *)
 type rig = {
   machine : Multinode.t;
   b : Jacobi.build;
   grid : Grid.t;
   iter : Sequencer.prepared;
-  plan_cache : Plan.cache;
-  kernel_cache : Kernel.cache;
+  run : Run.t;
 }
 
-let set_up ~domains (p : Params.t) ~n ~dim : (rig, string) result =
-  let machine = Multinode.create ~dim p in
+let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
+  let run = match run with Some r -> r | None -> Run.make () in
+  let machine = Multinode.create ~dim ?fault:run.Run.fault p in
   let nodes = Multinode.n_nodes machine in
   let kb = Knowledge.make_exn p in
   let grid = local_grid ~n ~nz_local:n in
@@ -183,14 +184,12 @@ let set_up ~domains (p : Params.t) ~n ~dim : (rig, string) result =
       Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
         (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
     machine.Multinode.nodes;
-  let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
-  let* _ = exec_step ~domains ~plan_cache ~kernel_cache machine setup in
+  let* _ = exec_step ~domains ~run machine setup in
   Multinode.reset_counters machine;
-  Ok { machine; b; grid; iter; plan_cache; kernel_cache }
+  Ok { machine; b; grid; iter; run }
 
 (* One iteration's local sweep and refresh on every node. *)
-let sweep ~domains r =
-  exec_step ~domains ~plan_cache:r.plan_cache ~kernel_cache:r.kernel_cache r.machine r.iter
+let sweep ~domains r = exec_step ~domains ~run:r.run r.machine r.iter
 
 (* One iteration's halo exchange and the on-node replication of the
    refreshed layers; with [overlap] the exchange is posted in flight and
@@ -238,10 +237,13 @@ let point_of (machine : Multinode.t) ~iters =
     the next sweep, crediting the sweep's interior-layer cycles as
     overlapped compute — machine time per step becomes
     [max (compute, comm)] instead of [compute + comm], with residuals
-    and delivered payloads bit-identical to the synchronous schedule. *)
-let run_machine ?(domains = 1) ?(overlap = false) (p : Params.t) ~n ~iters ~dim :
+    and delivered payloads bit-identical to the synchronous schedule.
+    [run] carries the compile cache every node shares and the fault
+    model the nodes and the machine's messages inject from (default: a
+    fresh cache, clean). *)
+let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters ~dim :
     (point * Multinode.t * Jacobi.build * Grid.t, string) result =
-  let* r = set_up ~domains p ~n ~dim in
+  let* r = set_up ~domains ?run p ~n ~dim in
   let machine = r.machine in
   (* iterate: sweep + refresh, then halo exchange — posted in flight
      and completed behind the next sweep when [overlap] is on *)
@@ -265,16 +267,16 @@ let run_machine ?(domains = 1) ?(overlap = false) (p : Params.t) ~n ~iters ~dim 
   Ok (point_of machine ~iters, machine, r.b, r.grid)
 
 (** Run and return just the scaling point. *)
-let run ?domains ?overlap (p : Params.t) ~n ~iters ~dim : (point, string) result =
-  Result.map (fun (pt, _, _, _) -> pt) (run_machine ?domains ?overlap p ~n ~iters ~dim)
+let run ?domains ?overlap ?run (p : Params.t) ~n ~iters ~dim : (point, string) result =
+  Result.map (fun (pt, _, _, _) -> pt) (run_machine ?domains ?overlap ?run p ~n ~iters ~dim)
 
 (** Run and assemble the global field (interior z-layers of every node's
     centred u copy, in rank order) — used to verify that the decomposed
     iteration equals the single-machine iteration, and that the
     overlapped schedule is bit-identical to the synchronous one. *)
-let run_field ?domains ?overlap (p : Params.t) ~n ~iters ~dim :
+let run_field ?domains ?overlap ?run (p : Params.t) ~n ~iters ~dim :
     (float array, string) result =
-  match run_machine ?domains ?overlap p ~n ~iters ~dim with
+  match run_machine ?domains ?overlap ?run p ~n ~iters ~dim with
   | Error e -> Error e
   | Ok (_, machine, b, grid) ->
       let nodes = Multinode.n_nodes machine in
@@ -288,11 +290,12 @@ let run_field ?domains ?overlap (p : Params.t) ~n ~iters ~dim :
 (** Weak-scaling sweep over hypercube dimensions, with efficiency relative
     to the single-node machine.  [overlap] runs every point with the
     asynchronous interleaved exchange. *)
-let scaling ?domains ?overlap (p : Params.t) ~n ~iters ~dims : (point list, string) result =
+let scaling ?domains ?overlap ?run:r (p : Params.t) ~n ~iters ~dims :
+    (point list, string) result =
   let rec go acc base = function
     | [] -> Ok (List.rev acc)
     | dim :: rest -> (
-        match run ?domains ?overlap p ~n ~iters ~dim with
+        match run ?domains ?overlap ?run:r p ~n ~iters ~dim with
         | Error e -> Error e
         | Ok pt ->
             let base = match base with None -> Some pt.gflops | s -> s in
@@ -347,10 +350,11 @@ type solve_outcome = {
     iteration runs the local sweep and refresh on each node, exchanges
     halos, all-reduces the per-node residual maxima over the hypercube,
     and stops when the global maximum change falls to [tol].  A node
-    whose run fails fails the solve with that node's error. *)
-let solve ?(domains = 1) (p : Params.t) ~n ~tol ~max_iters ~dim :
+    whose run fails fails the solve with that node's error.  [run] as
+    for {!run_machine}. *)
+let solve ?(domains = 1) ?run (p : Params.t) ~n ~tol ~max_iters ~dim :
     (solve_outcome, string) result =
-  let* r = set_up ~domains p ~n ~dim in
+  let* r = set_up ~domains ?run p ~n ~dim in
   let machine = r.machine in
   let residual (o : Sequencer.outcome) =
     Option.value ~default:Float.infinity

@@ -34,13 +34,13 @@ val layer_base : Grid.t -> k:int -> int
 val interior_credit : nz_local:int -> int -> int
 (** One machine step of a prepared program: every node executes it
     (fanned across [domains], bit-identical to the sequential run) and the
-    machine advances by the slowest node.  Returns the per-node outcomes
-    in node order, or [Error "node I: ..."] for the first node, in node
-    order, whose run failed. *)
+    machine advances by the slowest node.  Every node executes under
+    [run].  Returns the per-node outcomes in node order, or
+    [Error "node I: ..."] for the first node, in node order, whose run
+    failed. *)
 val exec_step :
   ?domains:int ->
-  plan_cache:Nsc_sim.Plan.cache ->
-  kernel_cache:Nsc_sim.Kernel.cache ->
+  run:Nsc_sim.Run.t ->
   Nsc_sim.Multinode.t ->
   Nsc_sim.Sequencer.prepared ->
   (Nsc_sim.Sequencer.outcome array, string) result
@@ -50,12 +50,15 @@ val exec_step :
     completes it behind the next sweep's interior layers — machine time
     per step becomes [max (compute, comm)] — with residuals and
     delivered payloads bit-identical to the synchronous schedule.  Each
-    runner decodes its program once and shares one compile cache across
-    all nodes; a node whose run fails fails the runner with that node's
+    runner decodes its program once and shares one run — its compile
+    cache and fault model — across all nodes, and the machine costs its
+    messages under the same model ([run]'s default: a fresh cache,
+    clean); a node whose run fails fails the runner with that node's
     error. *)
 val run_machine :
   ?domains:int ->
   ?overlap:bool ->
+  ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int ->
   iters:int ->
@@ -67,6 +70,7 @@ val run_machine :
 val run :
   ?domains:int ->
   ?overlap:bool ->
+  ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int -> iters:int -> dim:int -> (point, string) result
 (** Like {!run} but returns the assembled global field, for verifying
@@ -75,6 +79,7 @@ val run :
 val run_field :
   ?domains:int ->
   ?overlap:bool ->
+  ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int -> iters:int -> dim:int -> (float array, string) result
 (** Weak-scaling sweep over hypercube dimensions, efficiency relative to
@@ -82,6 +87,7 @@ val run_field :
 val scaling :
   ?domains:int ->
   ?overlap:bool ->
+  ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int -> iters:int -> dims:int list -> (point list, string) result
 (** Hypercube recursive-doubling all-reduce (maximum) of one scalar per
@@ -96,6 +102,7 @@ type solve_outcome = {
     all-reduced residual check per iteration. *)
 val solve :
   ?domains:int ->
+  ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int ->
   tol:float -> max_iters:int -> dim:int -> (solve_outcome, string) result

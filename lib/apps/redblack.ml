@@ -237,7 +237,7 @@ type outcome = {
 }
 
 (** Compile and execute on a fresh node. *)
-let solve (kb : Knowledge.t) ?layout ?omega (prob : Poisson.problem) ~tol ~max_iters :
+let solve (kb : Knowledge.t) ?layout ?omega ?run (prob : Poisson.problem) ~tol ~max_iters :
     (outcome, string) result =
   let b = build kb ?layout prob.Poisson.grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
@@ -246,7 +246,7 @@ let solve (kb : Knowledge.t) ?layout ?omega (prob : Poisson.problem) ~tol ~max_i
   | Ok compiled -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load ?omega node b prob;
-      match Nsc_sim.Sequencer.run node compiled with
+      match Nsc_sim.Sequencer.run node ?run compiled with
       | Error e -> Error e
       | Ok outcome ->
           let stats = outcome.Nsc_sim.Sequencer.stats in

@@ -64,5 +64,6 @@ val solve :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->
   ?omega:float ->
+  ?run:Nsc_sim.Run.t ->
   Poisson.problem ->
   tol:float -> max_iters:int -> (outcome, string) result

@@ -8,10 +8,11 @@
     one [--fault-seed] reproduces a whole machine run's fault schedule
     bit-for-bit.
 
-    The model is {e ambient}: {!install} a model and the engine, router,
-    multi-node exchange and checkpointed solvers consult it at their
-    injection points; with nothing installed every site costs one atomic
-    flag read ([active] returning [None]).
+    The model is a value: a run carries it (or [None]) in its run state,
+    the engine, multi-node exchange and checkpointed solvers consult that
+    value at their injection points, and a clean run's every site costs
+    one match on [None].  Two runs with two models share nothing, so
+    faulted runs may proceed on several domains at once.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered ({!outstanding} reports the difference, and
@@ -222,7 +223,6 @@ let c_detour_hops =
 
 type t = {
   spec : spec;
-  seed : int;
   rng : Prng.t;
   dead : (int * int, unit) Hashtbl.t;
       (** configured dead links plus links killed by retry exhaustion *)
@@ -233,7 +233,7 @@ let make ~seed spec =
   let dead = Hashtbl.create 8 in
   List.iter (fun l -> Hashtbl.replace dead l ()) spec.dead_links;
   let ledger = Array.init (List.length !cells) (fun _ -> Atomic.make 0) in
-  { spec; seed; rng = Prng.create ~seed; dead; ledger }
+  { spec; rng = Prng.create ~seed; dead; ledger }
 
 let bump m c n =
   if n > 0 then begin
@@ -243,56 +243,25 @@ let bump m c n =
 
 let value m c = Atomic.get m.ledger.(c.slot)
 
-let installed : t option ref = ref None
-let flag = Atomic.make false
-
-(** Install [m] as the ambient fault model and zero its ledger.  The model
-    is global mutable state: install before the run you want faulted,
-    {!clear} after. *)
-let install m =
-  Array.iter (fun a -> Atomic.set a 0) m.ledger;
-  installed := Some m;
-  Atomic.set flag true
-
-let clear () =
-  Atomic.set flag false;
-  installed := None
-
-let enabled () = Atomic.get flag
-
-(** The installed model, or [None].  This is the one-branch fast path
-    every injection site starts with. *)
-let active () = if Atomic.get flag then !installed else None
-
-(* Book an entry against the installed model; a no-op with none. *)
-let note c n = match active () with Some m -> bump m c n | None -> ()
-
-(** The installed model's ledger as (name, value), sorted by name — the
-    fault report's data source, live whether or not tracing is enabled.
-    Every entry reads 0 with no model installed. *)
-let ledger () =
-  let v c = match active () with Some m -> value m c | None -> 0 in
-  List.sort compare (List.map (fun c -> (Metrics.counter_name c.counter, v c)) !cells)
+(** The model's ledger as (name, value), sorted by name — the fault
+    report's data source, live whether or not tracing is enabled. *)
+let ledger m =
+  List.sort compare (List.map (fun c -> (Metrics.counter_name c.counter, value m c)) !cells)
 
 (** Injected faults not yet claimed by recovery or reported unrecoverable.
-    The balance invariant is [outstanding () = 0] at the end of a run. *)
-let outstanding () =
-  match active () with
-  | None -> 0
-  | Some m -> value m c_injected - value m c_recovered - value m c_unrecovered
+    The balance invariant is [outstanding m = 0] at the end of a run. *)
+let outstanding m = value m c_injected - value m c_recovered - value m c_unrecovered
 
-(** Reconcile the ledger at end of run: any outstanding faults (injected,
+(** Settle the ledger at end of run: any outstanding faults (injected,
     never claimed by a recovery layer) are booked as unrecovered so none
-    disappear silently.  Returns the number reconciled. *)
-let reconcile () =
-  let n = outstanding () in
-  note c_unrecovered n;
+    disappear silently.  Returns the number settled. *)
+let settle m =
+  let n = outstanding m in
+  bump m c_unrecovered n;
   n
 
 (* --- draws -------------------------------------------------------------- *)
 
-let seed m = m.seed
-let spec m = m.spec
 let rand m bound = Prng.int m.rng bound
 let link_dead m a b = Hashtbl.mem m.dead (link_key a b)
 
@@ -382,24 +351,39 @@ let draw_mem_corrupt m =
 
 (* --- recovery bookkeeping ----------------------------------------------- *)
 
-let note_recovered n = note c_recovered n
-let note_unrecovered n = note c_unrecovered n
+let note_recovered m n = bump m c_recovered n
+let note_unrecovered m n = bump m c_unrecovered n
 
-let note_rerouted ~extra_hops =
-  note c_rerouted 1;
-  note c_detour_hops extra_hops
+let note_rerouted m ~extra_hops =
+  bump m c_rerouted 1;
+  bump m c_detour_hops extra_hops
 
 (** A message's dimension-ordered route crossed a dead link: one injected,
     detected fault (the caller books its resolution). *)
-let note_dead_link_hit () =
-  note c_injected 1;
-  note c_dead_link_hits 1;
-  note c_detected 1
+let note_dead_link_hit m =
+  bump m c_injected 1;
+  bump m c_dead_link_hits 1;
+  bump m c_detected 1
 
-let note_rollback () = note c_rollbacks 1
+let note_rollback m = bump m c_rollbacks 1
 
-let note_mem_corrupt n =
-  note c_injected n;
-  note c_mem_corruptions n
+let note_mem_corrupt m n =
+  bump m c_injected n;
+  bump m c_mem_corruptions n
 
-let note_mem_detected n = note c_detected n
+let note_mem_detected m n = bump m c_detected n
+
+(* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
+
+(* One slot standing in for the retired ambient model: [install] and
+   [clear] set it, [reconcile] settles it, and only [Sequencer.run]'s
+   compatibility path reads it ({!compat_model}). *)
+let compat_slot : t option Atomic.t = Atomic.make None
+
+let install m =
+  Array.iter (fun a -> Atomic.set a 0) m.ledger;
+  Atomic.set compat_slot (Some m)
+
+let clear () = Atomic.set compat_slot None
+let reconcile () = match Atomic.get compat_slot with Some m -> settle m | None -> 0
+let compat_model () = Atomic.get compat_slot

@@ -2,9 +2,11 @@
 
     A seeded splitmix64 stream drives every injection decision, so one
     [--fault-seed] reproduces a whole run's fault schedule bit-for-bit.
-    The model is ambient: {!install} one and the engine, multi-node
-    exchange and checkpointed solvers consult it at their injection
-    points; with nothing installed every site costs one atomic flag read.
+    The model is a value that a run carries in its run state: the
+    engine, multi-node exchange and checkpointed solvers consult the
+    run's model at their injection points, and a clean run carries
+    [None].  Models share no state, so faulted runs may proceed on
+    several domains at once.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered; {!outstanding} reports the difference and
@@ -40,20 +42,8 @@ val spec_to_string : spec -> string
 
 type t
 
+(** A fresh model with a zero ledger. *)
 val make : seed:int -> spec -> t
-
-(** Install [m] as the ambient fault model and zero its ledger. *)
-val install : t -> unit
-
-val clear : unit -> unit
-val enabled : unit -> bool
-
-(** The installed model, or [None] — the one-branch fast path every
-    injection site starts with. *)
-val active : unit -> t option
-
-val seed : t -> int
-val spec : t -> spec
 
 (** A uniform draw in [0, bound) from the model's stream. *)
 val rand : t -> int -> int
@@ -97,30 +87,45 @@ val draw_mem_corrupt : t -> bool
 
 (** {1 Recovery bookkeeping}
 
-    Entries booked against the installed model's ledger (no-ops with no
-    model installed). *)
+    Entries booked against the model's ledger. *)
 
-val note_recovered : int -> unit
-val note_unrecovered : int -> unit
-val note_rerouted : extra_hops:int -> unit
+val note_recovered : t -> int -> unit
+val note_unrecovered : t -> int -> unit
+val note_rerouted : t -> extra_hops:int -> unit
 
 (** A dimension-ordered route crossed a dead link: one injected, detected
     fault (the caller books its resolution). *)
-val note_dead_link_hit : unit -> unit
+val note_dead_link_hit : t -> unit
 
-val note_rollback : unit -> unit
-val note_mem_corrupt : int -> unit
-val note_mem_detected : int -> unit
+val note_rollback : t -> unit
+val note_mem_corrupt : t -> int -> unit
+val note_mem_detected : t -> int -> unit
 
 (** {1 Ledger} *)
 
-(** The installed model's ledger as (name, value), sorted by name — live
-    whether or not tracing is enabled; every entry is 0 with no model
-    installed. *)
-val ledger : unit -> (string * int) list
+(** The model's ledger as (name, value), sorted by name — live whether
+    or not tracing is enabled. *)
+val ledger : t -> (string * int) list
 
 (** Injected faults not yet claimed by recovery or reported unrecoverable. *)
-val outstanding : unit -> int
+val outstanding : t -> int
 
 (** Book any outstanding faults as unrecovered; returns the number. *)
+val settle : t -> int
+
+(** {1 nscbench compatibility — delete when nscbench moves to [Run.t]}
+
+    One slot standing in for the retired ambient model.  Nothing in the
+    library, the CLI, the bench or the tests calls these; only
+    [Nsc_sim.Sequencer.run] reads the slot, when given nscbench's
+    [?kernel_cache] and no run. *)
+
+(** Put [m] in the slot and zero its ledger. *)
+val install : t -> unit
+
+val clear : unit -> unit
+
+(** {!settle} the slot's model; 0 with the slot empty. *)
 val reconcile : unit -> int
+
+val compat_model : unit -> t option

@@ -109,7 +109,13 @@ let make (p : Params.t) : t =
     f
   in
   let nfu = Params.n_functional_units p in
-  let src_width = bits_for (1 + nfu + p.n_memory_planes + p.n_caches + p.n_shift_delay) in
+  (* a selector holds any {!Resource.source_code}: one code per unit, per
+     plane and cache DMA engine, and per shift/delay unit, after 0 *)
+  let src_width =
+    bits_for
+      (nfu + (p.n_memory_planes * p.plane_dma_slots) + (p.n_caches * p.cache_dma_slots)
+     + p.n_shift_delay)
+  in
   let delay_width = bits_for p.rf_max_delay in
   let addr_width = bits_for (max p.memory_plane_words p.cache_words) in
   let count_width = addr_width in

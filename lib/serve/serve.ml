@@ -5,10 +5,12 @@
    Isolation contract: every job executes under its own Nsc_metrics
    context, so counters, histograms and attribution never bleed between
    concurrent jobs (the interleaved-equals-serial property is pinned in
-   test/suite_serve.ml).  Sharing contract: all jobs of a session go
-   through one plan cache and one kernel cache, bounded with LRU eviction
-   so a long-lived daemon's resident set stays capped no matter how many
-   distinct programs clients submit. *)
+   test/suite_serve.ml), and every job runs with its own run state
+   ([Nsc_sim.Run.t]: its fault model and budget), so faulted and clean
+   jobs share a wave.  Sharing contract: all jobs of a session go
+   through one compile cache, bounded with LRU eviction so a long-lived
+   daemon's resident set stays capped no matter how many distinct
+   programs clients submit. *)
 
 open Nsc_arch
 module Json = Nsc_metrics.Json
@@ -82,8 +84,7 @@ type t = {
   cfg : config;
   kb : Knowledge.t;
   queue : pending Queue.t;
-  plan_cache : Nsc_sim.Plan.cache;
-  kernel_cache : Nsc_sim.Kernel.cache;
+  cache : Nsc_sim.Kernel.cache;
   sctx : Metrics.ctx;
   journal : Guard.Journal.t option;
   breaker : Guard.Breaker.t;
@@ -99,17 +100,12 @@ let create ?(config = default_config) () =
   if config.retries < 0 then invalid_arg "Serve.create: retries must be >= 0";
   let sctx = Metrics.create ~label:"serve" () in
   Metrics.enable sctx;
-  let b = config.cache_bound in
+  let bound = if config.cache_bound > 0 then Some config.cache_bound else None in
   {
     cfg = config;
     kb = (if config.subset then Knowledge.subset else Knowledge.default);
     queue = Queue.create ();
-    plan_cache =
-      (if b > 0 then Nsc_sim.Plan.make_cache ~bound:b ()
-       else Nsc_sim.Plan.make_cache ());
-    kernel_cache =
-      (if b > 0 then Nsc_sim.Kernel.make_cache ~bound:b ()
-       else Nsc_sim.Kernel.make_cache ());
+    cache = Nsc_sim.Kernel.make_cache ?bound ();
     sctx;
     journal = Option.map (fun path -> Guard.Journal.open_ ~path) config.journal;
     breaker =
@@ -129,13 +125,11 @@ let num i = Json.Num (float_of_int i)
 
 (* --- job execution ------------------------------------------------------ *)
 
-(* The daemon's plan and kernel caches share keys and bound, so the
-   plan-cache counters repeat the kernel-cache ones, and the timing
-   analyses follow codegen and plan compiles: the wire carries neither
-   (see docs/SERVICE.md). *)
+(* Every plan compile is a kernel compile of the one compile cache, and
+   the timing analyses follow codegen and plan compiles: the wire carries
+   neither (see docs/SERVICE.md). *)
 let off_wire =
-  List.map Metrics.counter_name
-    [ Nsc_sim.Plan.c_compiles; Nsc_sim.Plan.c_cache_hits; Nsc_checker.Timing.c_analyses ]
+  List.map Metrics.counter_name [ Nsc_sim.Plan.c_compiles; Nsc_checker.Timing.c_analyses ]
 
 let counters_json jctx =
   let snap = Metrics.snapshot jctx in
@@ -144,7 +138,7 @@ let counters_json jctx =
        (fun (n, v) -> if List.mem n off_wire then None else Some (n, num v))
        snap.Metrics.snap_counters)
 
-let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
+let exec_workload t ~engine ~degraded ~run (job : Protocol.job) :
     ((string * Json.t) list, string) result =
   match job.Protocol.workload with
   | Protocol.Jacobi { n; tol; max_iters } -> (
@@ -154,8 +148,7 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
          return a partial (higher-residual) answer *)
       let max_iters = if degraded then max 1 (max_iters / 4) else max_iters in
       match
-        Nsc_apps.Jacobi.solve t.kb ~engine ~plan_cache:t.plan_cache
-          ~kernel_cache:t.kernel_cache ?budget prob ~tol ~max_iters
+        Nsc_apps.Jacobi.solve t.kb ~engine ~run prob ~tol ~max_iters
       with
       | Error e -> Error e
       | Ok o ->
@@ -191,8 +184,7 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
           | Ok compiled -> (
               let node = Nsc_sim.Node.create (Knowledge.params t.kb) in
               match
-                Nsc_sim.Sequencer.run node ~engine ~plan_cache:t.plan_cache
-                  ~kernel_cache:t.kernel_cache ?budget compiled
+                Nsc_sim.Sequencer.run node ~engine ~run compiled
               with
               | Error e -> Error e
               | Ok o ->
@@ -219,9 +211,10 @@ type attempt_result =
    (with [degraded] set) one degraded-mode attempt, then a typed
    permanent failure.  The default config runs exactly one attempt and
    keeps the seed daemon's behaviour: failures answer [run-failed],
-   deadline kills answer [deadline].  Faulted jobs are only ever called
-   from the sequential tail of a wave — the fault model and its seeded
-   draw stream are process-global. *)
+   deadline kills answer [deadline].  Each attempt runs with its own
+   [Run.t]: the shared compile cache, a fresh budget and, for a faulted
+   job, a fresh model from the job's seed — so any job may run on any
+   worker domain beside any other. *)
 let run_job t (p : pending) : string =
   let job = p.job in
   let engine = Option.value ~default:t.cfg.engine job.Protocol.engine in
@@ -235,13 +228,18 @@ let run_job t (p : pending) : string =
     | None, None -> None
     | dc, dm -> Some (Guard.Budget.create ?deadline_cycles:dc ?deadline_ms:dm ())
   in
+  let fault_of spec =
+    match Fault.parse spec with
+    | Ok s -> Fault.make ~seed:job.Protocol.fault_seed s
+    | Error e -> failwith e
+  in
   let run_attempt ~degraded () : attempt_result =
-    let budget = budget_of () in
-    let run () =
+    let fault = Option.map fault_of job.Protocol.faults in
+    let run = { Nsc_sim.Run.cache = t.cache; fault; budget = budget_of () } in
+    let r =
       try
         match
-          Metrics.with_ctx jctx (fun () ->
-              exec_workload t ~engine ~degraded ?budget job)
+          Metrics.with_ctx jctx (fun () -> exec_workload t ~engine ~degraded ~run job)
         with
         | Ok fields -> A_ok fields
         | Error e -> A_failed e
@@ -250,20 +248,13 @@ let run_job t (p : pending) : string =
           A_deadline { spent = spent_cycles; reason }
       | e -> A_failed (Printexc.to_string e)
     in
-    match job.Protocol.faults with
-    | None -> run ()
-    | Some spec ->
-        let fspec =
-          match Fault.parse spec with Ok s -> s | Error e -> failwith e
-        in
-        Fault.install (Fault.make ~seed:job.Protocol.fault_seed fspec);
-        let r = run () in
-        ignore (Fault.reconcile ());
-        let ledger = List.filter (fun (_, v) -> v <> 0) (Fault.ledger ()) in
+    (match (job.Protocol.faults, fault) with
+    | Some spec, Some f ->
+        ignore (Fault.settle f);
+        let ledger = List.filter (fun (_, v) -> v <> 0) (Fault.ledger f) in
         let unrecovered =
           Option.value ~default:0 (List.assoc_opt "fault.unrecovered" ledger)
         in
-        Fault.clear ();
         fault_fields :=
           [ ("faults",
              Json.Obj
@@ -271,8 +262,9 @@ let run_job t (p : pending) : string =
                :: ("seed", num job.Protocol.fault_seed)
                :: ("unrecovered", num unrecovered)
                :: List.map (fun (k, v) -> (k, num v)) ledger));
-          ];
-        r
+          ]
+    | _ -> ());
+    r
   in
   let policy =
     {
@@ -370,22 +362,13 @@ let drain t =
   if n = 0 then []
   else begin
     Metrics.add t.sctx c_waves 1;
+    (* results land by submission index, so the wire order never depends
+       on which domain finished first *)
     let results = Array.make n "" in
-    let clean = ref [] and faulted = ref [] in
-    Array.iteri
-      (fun i p ->
-        if p.job.Protocol.faults = None then clean := i :: !clean
-        else faulted := i :: !faulted)
-      pending;
-    let clean = Array.of_list (List.rev !clean) in
     let exec i = results.(i) <- run_job t pending.(i) in
-    let nc = Array.length clean in
-    if t.cfg.domains > 1 && nc > 1 then
-      Nsc_sim.Multinode.parallel_for ~domains:t.cfg.domains ~n:nc (fun k ->
-          exec clean.(k))
-    else Array.iter exec clean;
-    (* faulted jobs last, sequentially: the seeded schedule is global *)
-    List.iter exec (List.rev !faulted);
+    if t.cfg.domains > 1 && n > 1 then
+      Nsc_sim.Multinode.parallel_for ~domains:t.cfg.domains ~n exec
+    else for i = 0 to n - 1 do exec i done;
     (* completions are journalled after the wave, on this domain: the
        out-channel is not shared with workers, and a crash inside the
        wave must leave every in-flight job marked pending for replay *)
@@ -417,9 +400,7 @@ let summary_response t =
               ("waves", num (v c_waves));
               ("p50_usec", num h.Metrics.p50);
               ("p99_usec", num h.Metrics.p99);
-              ("cache_evictions",
-               num (Nsc_sim.Lru.evictions t.plan_cache
-                    + Nsc_sim.Lru.evictions t.kernel_cache));
+              ("cache_evictions", num (Nsc_sim.Lru.evictions t.cache));
             ]);
        ])
 

@@ -3,10 +3,11 @@
     Jobs arrive as NDJSON request lines ({!Protocol}), pass a bounded
     FIFO admission queue, and execute in waves fanned across the
     persistent worker-domain pool.  Each job runs under its own
-    [Nsc_metrics] context — nothing bleeds between concurrent jobs — and
-    every job in the session shares one bounded plan cache and one
-    bounded kernel cache, so repeated workloads skip compilation while
-    the resident set stays capped (LRU eviction, [cache.evictions]).
+    [Nsc_metrics] context and its own run state ([Nsc_sim.Run.t]: fault
+    model and budget) — nothing bleeds between concurrent jobs — and
+    every job in the session shares one bounded compile cache, so
+    repeated workloads skip compilation while the resident set stays
+    capped (LRU eviction, [cache.evictions]).
 
     The protocol document is [docs/SERVICE.md].  Overview of the
     scheduling contract:
@@ -18,14 +19,14 @@
       [queue-full], and the rejection triggers a drain so the next
       submit is admitted — clients that interleave [drain] requests (or
       keep bursts within the queue bound) never see rejections;
-    - jobs carrying a fault spec run sequentially after the clean jobs
-      of their wave (the seeded fault schedule is process-global);
+    - jobs carrying a fault spec run in the pool beside the clean jobs
+      of their wave, each drawing from its own seeded model;
     - responses of one wave are emitted in submission order. *)
 
 type config = {
   domains : int;      (** worker domains per wave (default 1: sequential) *)
   queue_bound : int;  (** admission-queue capacity (default 64) *)
-  cache_bound : int;  (** plan/kernel cache bound; 0 = unbounded (default) *)
+  cache_bound : int;  (** compile-cache bound; 0 = unbounded (default) *)
   engine : Protocol.engine;  (** default engine for jobs that name none *)
   subset : bool;      (** use the restricted machine model *)
   retries : int;

@@ -7,7 +7,6 @@
     corruption, instead of iterating on poisoned data. *)
 
 open Nsc_arch
-module Fault = Nsc_fault.Fault
 module Metrics = Nsc_metrics.Metrics
 
 type t = {
@@ -30,8 +29,9 @@ let capture (node : Node.t) =
     caches = Array.map Cache.snapshot node.Node.caches;
   }
 
-(** Restore a checkpoint into [node], booking one rollback on the fault
-    ledger.  Rejects a checkpoint of a differently-shaped node. *)
+(** Restore a checkpoint into [node] (the caller books the rollback on
+    its run's fault ledger).  Rejects a checkpoint of a differently-shaped
+    node. *)
 let restore (node : Node.t) t =
   if
     Array.length t.planes <> Array.length node.Node.planes
@@ -39,7 +39,6 @@ let restore (node : Node.t) t =
   then invalid_arg "Checkpoint.restore: checkpoint shape does not match node";
   Array.iteri (fun i s -> Memory.restore node.Node.planes.(i) s) t.planes;
   Array.iteri (fun i s -> Cache.restore node.Node.caches.(i) s) t.caches;
-  Fault.note_rollback ();
   note "checkpoint.restore"
 
 (** Scrub the node's parity state: every (plane, address) whose parity is

@@ -8,8 +8,9 @@ type t
 (** Deep-copy the node's planes and caches. *)
 val capture : Node.t -> t
 
-(** Restore a checkpoint into the node, booking one rollback on the fault
-    ledger; rejects a checkpoint of a differently-shaped node. *)
+(** Restore a checkpoint into the node (the caller books the rollback on
+    its run's fault ledger); rejects a checkpoint of a differently-shaped
+    node. *)
 val restore : Node.t -> t -> unit
 
 (** Every (plane, address) whose parity is currently bad; empty when

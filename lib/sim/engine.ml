@@ -151,34 +151,36 @@ let note_read_streams ~vlen streams =
         Dma.note_read ~words:(Dma.effective_count t ~vector_length:vlen))
       streams
 
-(* Fault injection (both helpers cost one atomic flag check when no model
-   is installed).  The FU draw picks a victim (unit index in programme
-   order, element) whose output latch both evaluators corrupt to NaN
-   after compute: the write sinks, [last_values] and the trace see the
-   NaN, while consumers in the same instruction have already latched the
-   clean value.  Detection is the interrupt scheme trapping
-   [Invalid_operand] (the draw books it).  The stream draw adds recovered retry/stall cycles
-   for the instruction's transfer descriptors (transient FLONET-link
-   glitches and DMA stalls); it perturbs only the cycle count, never the
-   data.  Both derive their counts from [sem] and are drawn FU first,
+(* Fault injection, from the run's model (both helpers cost one match
+   when the run is clean).  The FU draw picks a victim (unit index in
+   programme order, element) whose output latch both evaluators corrupt
+   to NaN after compute: the write sinks, [last_values] and the trace
+   see the NaN, while consumers in the same instruction have already
+   latched the clean value.  Detection is the interrupt scheme trapping
+   [Invalid_operand] (the draw books it).  The stream draw adds
+   recovered retry/stall cycles for the instruction's transfer
+   descriptors (transient FLONET-link glitches and DMA stalls); it
+   perturbs only the cycle count, never the data.  Both derive their counts from [sem] and are drawn FU first,
    streams second, so the two evaluators consume the seeded stream
    identically. *)
-let fault_fu_draw (sem : Semantic.t) =
-  match Fault.active () with
-  | None -> None
-  | Some f ->
+let fault_fu_draw (run : Run.t option) (sem : Semantic.t) =
+  match run with
+  | Some { Run.fault = Some f; _ } ->
       Fault.draw_fu_fault f ~vlen:sem.Semantic.vector_length
         ~units:(List.length sem.Semantic.units)
+  | _ -> None
 
-let fault_stream_cycles (sem : Semantic.t) =
-  match Fault.active () with
-  | None -> 0
-  | Some f ->
+let fault_stream_cycles (run : Run.t option) (sem : Semantic.t) =
+  match run with
+  | Some { Run.fault = Some f; _ } ->
       let streams =
         List.length (Semantic.read_streams sem)
         + List.length (Semantic.write_streams sem)
       in
       if streams = 0 then 0 else Fault.streams_overhead f ~streams
+  | _ -> 0
+
+let budget_of (run : Run.t option) = match run with Some r -> r.Run.budget | None -> None
 
 (* Block size of the fused element loops: big enough to amortise the
    per-unit loop-entry cost (and to run typical grid planes in a single
@@ -195,8 +197,9 @@ let kernel_block = 1024
    and must agree with it wherever its body applies (property-tested,
    clean and under seeded faults). *)
 let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?analysis ?budget (sem : Semantic.t) : result =
+    ?analysis ?run (sem : Semantic.t) : result =
   let p = node.Node.params in
+  let budget = budget_of run in
   let vlen = sem.Semantic.vector_length in
   (* --- static tables ------------------------------------------------- *)
   let unit_of = Hashtbl.create 16 in
@@ -341,7 +344,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
      drains: at the write sinks the victim feeds directly, and (once
      everything is evaluated) in [last_values] and the trace. *)
   let victim =
-    match fault_fu_draw sem with
+    match fault_fu_draw run sem with
     | None -> None
     | Some (k, e) ->
         Option.map
@@ -402,7 +405,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
       (fun (u : Semantic.unit_program) -> (u.Semantic.fu, unit_out u.Semantic.fu (vlen - 1)))
       sem.Semantic.units
   in
-  let cycles = Timing.estimated_cycles p sem analysis ~vlen + fault_stream_cycles sem in
+  let cycles = Timing.estimated_cycles p sem analysis ~vlen + fault_stream_cycles run sem in
   record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
   let flops = Semantic.flops_per_element sem * vlen in
   let r =
@@ -498,9 +501,10 @@ let corrupt_latch (b : Kernel.body) (bufs : Kernel.buf array) ~k ~e =
 
 (* Execute the fused body on [node] over the slots [bufs]: element 0 of
    every buffer sits at index [pad]. *)
-let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
+let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
     (b : Kernel.body) (bufs : Kernel.buf array) : result =
   let sem = pl.Plan.sem in
+  let budget = budget_of run in
   let vlen = b.Kernel.vlen in
   let pad = b.Kernel.pad in
   let blen = b.Kernel.blen in
@@ -582,7 +586,7 @@ let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
   (* fault injection: corrupt one output latch after compute, so the
      drains below see the NaN and same-instruction consumers do not *)
   let val_slot =
-    match fault_fu_draw sem with
+    match fault_fu_draw run sem with
     | None -> b.Kernel.val_slot
     | Some (i, e) ->
         let k = b.Kernel.order_of_sem.(i) in
@@ -644,7 +648,7 @@ let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
           if vlen > 0 then A1.get bufs.(val_slot.(k)) (pad + vlen - 1) else 0.0 ))
       sem.Semantic.units
   in
-  let cycles = pl.Plan.cycles + fault_stream_cycles sem in
+  let cycles = pl.Plan.cycles + fault_stream_cycles run sem in
   record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
   let trace =
     if record_trace then begin
@@ -684,13 +688,13 @@ let exec_body (node : Node.t) ~record_trace ?budget (pl : Plan.t)
     body fall back to the general evaluator with the plan's cached
     analysis.  Values, cycle estimates and interrupt events are
     bit-identical to {!run_general}. *)
-let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
+let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
     result =
   let pl = kn.Kernel.plan in
   match kn.Kernel.body with
   | None ->
       run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis ?budget pl.Plan.sem
+        ~analysis:pl.Plan.analysis ?run pl.Plan.sem
   | Some b ->
       let bufs = Array.make b.Kernel.n_buffers b.Kernel.static.(0) in
       Array.blit b.Kernel.static 0 bufs 0 (Array.length b.Kernel.static);
@@ -700,34 +704,13 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
       Fun.protect
         ~finally:(fun () ->
           Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen)
-        (fun () -> exec_body node ~record_trace ?budget pl b bufs)
+        (fun () -> exec_body node ~record_trace ~run pl b bufs)
 
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused
     kernel and runs it; callers that replay an instruction should compile
     once, or use a {!Kernel.cache}, and call {!run_kernel} directly. *)
-let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
+let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true) ?run
     (sem : Semantic.t) : result =
-  run_kernel node ~record_trace
+  run_kernel node ~record_trace ?run
     (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
-
-(* --- explicit metric contexts ------------------------------------------- *)
-
-(* Each public entry point takes an optional [?metrics] context; when
-   given, the whole execution (instrumentation, clock, histograms,
-   attribution) lands in that context instead of the ambient one.  The
-   internal call graph stays context-free — the facade reads the ambient
-   context at each site — so threading costs one [Domain.DLS] swap per
-   entry, not an argument on every helper. *)
-let in_ctx metrics f =
-  match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-
-let run_general node ?record_trace ?honor_timing ?analysis ?budget ?metrics sem =
-  in_ctx metrics (fun () ->
-      run_general node ?record_trace ?honor_timing ?analysis ?budget sem)
-
-let run_kernel node ?record_trace ?budget ?metrics kn =
-  in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
-
-let run node ?record_trace ?honor_timing ?metrics sem =
-  in_ctx metrics (fun () -> run node ?record_trace ?honor_timing sem)

@@ -20,11 +20,12 @@
     [last_values] and in the trace, while consumers in the same
     instruction have already latched the clean value.
 
-    Every entry point takes an optional [?metrics] context; when given,
-    all instrumentation (counters, spans, the clock, latency histograms
-    and per-unit cycle attribution) lands in that
-    {!Nsc_metrics.Metrics.ctx} instead of the calling domain's ambient
-    context. *)
+    Every entry point takes an optional [?run] ({!Run.t}): the fault
+    model it carries is consulted twice per instruction (the FU draw and
+    the stream overhead) and its budget is polled; without one the
+    instruction runs clean and unsupervised.  Instrumentation lands in
+    the calling domain's ambient metric context; scope it with
+    {!Nsc_metrics.Metrics.with_ctx}. *)
 
 (** Recorded values of every engaged unit at every element, kept for the
     visual debugger's annotated diagrams (only when [record_trace] was
@@ -59,8 +60,8 @@ val max_recorded_events : int
 
 (** The general memoized evaluator: the reference every other path is
     checked against.  [analysis] supplies a precomputed timing analysis
-    (from a compiled plan) so none is recomputed here.  [budget] is
-    polled every 1024 elements while the write streams drain and while
+    (from a compiled plan) so none is recomputed here.  The run's budget
+    is polled every 1024 elements while the write streams drain and while
     the remaining units are evaluated, so a wall
     deadline or a cancellation unwinds with
     [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction; memory
@@ -70,8 +71,7 @@ val run_general :
   ?record_trace:bool ->
   ?honor_timing:bool ->
   ?analysis:Nsc_checker.Timing.t ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
+  ?run:Run.t -> Nsc_diagram.Semantic.t -> result
 
 (** Execute a fused {!Kernel.t}, the single fast path: buffers drawn from
     the domain-local {!Kernel.acquire} pool, read streams gathered with
@@ -82,15 +82,14 @@ val run_general :
     a fused body fall back to the general evaluator.  Memory, values,
     cycles and the interrupt events (as a set) are bit-identical to
     {!run_general}, clean and under seeded faults (property-tested).
-    [budget] is polled at every kernel block boundary, so a wall
+    The run's budget is polled at every kernel block boundary, so a wall
     deadline or a cancellation unwinds with
     [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction (pooled
     buffers are released on the way out). *)
 val run_kernel :
   Node.t ->
   ?record_trace:bool ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
+  ?run:Run.t ->
   Kernel.t ->
   result
 
@@ -101,5 +100,5 @@ val run :
   Node.t ->
   ?record_trace:bool ->
   ?honor_timing:bool ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
+  ?run:Run.t -> Nsc_diagram.Semantic.t -> result
 

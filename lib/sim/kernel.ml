@@ -49,7 +49,7 @@ let c_compiles =
 
 let c_cache_hits =
   Metrics.always_counter ~name:"kernel.cache_hits" ~units:"hits"
-    ~desc:"kernel-cache hits (a compiled kernel was reused)"
+    ~desc:"compile-cache hits (a compiled kernel and its plan were reused)"
 
 let c_fallbacks =
   Metrics.counter ~name:"kernel.fallbacks" ~units:"kernels"
@@ -616,28 +616,37 @@ let compile (pl : Plan.t) : t =
       { plan = pl; body = None }
   | Some f -> { plan = pl; body = Some (compile_body pl f) }
 
-(* --- per-instruction kernel cache --------------------------------------- *)
+(* --- the compile cache ---------------------------------------------------- *)
 
-(** Keyed like {!Plan.cache}, layered over it: a hit requires the cached
-    kernel to have been compiled from the very plan the plan cache
-    returns for these semantics, so plan invalidation — changed
-    semantics, changed [honor_timing], or an LRU eviction in a bounded
-    plan cache — invalidates the kernel with it. *)
+(** The one compile cache: kernels (each carrying its plan) keyed by
+    (instruction index, vector length) — the length component keeps
+    programs of different grid sizes from colliding when a daemon shares
+    one cache across jobs.  A hit is validated against the incoming
+    semantics ({!Plan.compiled_from}) and [honor_timing], so the cache
+    stays safe across runs that re-decode the same microcode and across
+    different programs sharing one cache. *)
 type cache = t Lru.t
 
 let make_cache ?bound () : cache = Lru.create ~who:"Kernel" ?bound ()
 
-let lowered_from pl kn = kn.plan == pl
+let timed_from sem kn = kn.plan.Plan.honor_timing && Plan.compiled_from sem kn.plan
+let untimed_from sem kn = (not kn.plan.Plan.honor_timing) && Plan.compiled_from sem kn.plan
 
-let cached (kc : cache) (pc : Plan.cache) (p : Params.t) ?(honor_timing = true)
-    (sem : Semantic.t) : t =
-  let pl = Plan.cached pc p ~honor_timing sem in
+let find_or_compile (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) :
+    t =
   let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
-  match Lru.find kc key lowered_from pl with
+  match Lru.find cache key (if honor_timing then timed_from else untimed_from) sem with
   | kn ->
       Metrics.bump c_cache_hits 1;
       kn
   | exception Not_found ->
-      let kn = compile pl in
-      Lru.add kc key kn;
+      (* compiled outside the lock: a long lowering must not stall other
+         domains' hits *)
+      let kn = compile (Plan.compile p ~honor_timing sem) in
+      Lru.add cache key kn;
       kn
+
+(* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
+
+let cached (kc : cache) (_ : Plan.cache) p ?honor_timing sem =
+  find_or_compile kc p ?honor_timing sem

@@ -111,14 +111,16 @@ val cache_hit_count : unit -> int
 val pool_hit_count : unit -> int
 val pool_miss_count : unit -> int
 
-(** {2 Per-instruction kernel cache}
+(** {2 The compile cache}
 
-    Keyed by (instruction index, vector length) and layered over the
-    plan cache: a hit requires the cached kernel to descend from the
-    exact plan {!Plan.cached} returns for the incoming semantics, so
-    plan invalidation — including an LRU eviction in a bounded plan
-    cache — carries the kernel with it.  One {!Lru} cache, like
-    {!Plan.cache}. *)
+    The one cache of compiled instructions: kernels, each carrying its
+    plan, keyed by (instruction index, vector length).  A hit is
+    validated against the incoming semantics (physical equality, then
+    structural) and [honor_timing], so the cache is safe across runs that
+    re-decode the same microcode and across different programs sharing
+    it, as the serve daemon does.  One {!Lru} cache: mutex-guarded, so it
+    may serve several worker domains at once, and a hit allocates
+    nothing. *)
 
 type cache = t Lru.t
 
@@ -127,7 +129,15 @@ val make_cache : ?bound:int -> unit -> cache
     (counted by {!Lru.evictions} and the [cache.evictions] counter).
     Default: unbounded.  Raises [Invalid_argument] when [bound < 1]. *)
 
+val find_or_compile :
+  cache -> Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
+(** The cached kernel for these semantics, or a fresh {!Plan.compile}
+    lowered by {!compile} and admitted to the cache. *)
+
+(** {2 nscbench compatibility — delete when nscbench moves to [Run.t]} *)
+
 val cached :
   cache ->
   Plan.cache ->
   Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
+(** {!find_or_compile}; the plan cache is ignored. *)

@@ -1,5 +1,5 @@
-(** The bounded, mutex-guarded compile cache shared by {!Plan} and
-    {!Kernel}: entries keyed by (instruction index, vector length),
+(** The bounded, mutex-guarded compile cache behind {!Kernel.cache}:
+    entries keyed by (instruction index, vector length),
     least-recently-used eviction once [bound] entries are resident, and a
     per-cache eviction count beside the process-wide [cache.evictions]
     counter.  A hit takes the lock once and allocates nothing. *)
@@ -8,7 +8,7 @@ module Metrics = Nsc_metrics.Metrics
 
 let c_evictions =
   Metrics.always_counter ~name:"cache.evictions" ~units:"entries"
-    ~desc:"bounded plan/kernel cache entries evicted (least recently used)"
+    ~desc:"bounded compile-cache entries evicted (least recently used)"
 
 type 'a entry = { value : 'a; mutable tick : int }
 

@@ -1,4 +1,4 @@
-(** The bounded compile cache behind {!Plan.cache} and {!Kernel.cache}.
+(** The bounded compile cache behind {!Kernel.cache}.
 
     Entries are keyed by (instruction index, vector length) packed into
     one int ({!key}).  Lookups are mutex-guarded, so one cache may serve

@@ -153,9 +153,10 @@ type t = {
   mutable contention_cycles : int;  (** serialisation surplus on shared sources *)
   mutable words_moved : int;
   mutable pool : pool option;   (** persistent worker domains, grown on demand *)
+  fault : Fault.t option;       (** the run's fault model, costing every message *)
 }
 
-let create ?(dim : int option) (p : Params.t) =
+let create ?(dim : int option) ?fault (p : Params.t) =
   let dim = Option.value ~default:p.hypercube_dim dim in
   (* Nodes are allocated eagerly, so the bound caps the machine at 1024
      nodes — 16x the paper's 64-node target, far below the 65,536 a
@@ -173,6 +174,7 @@ let create ?(dim : int option) (p : Params.t) =
     contention_cycles = 0;
     words_moved = 0;
     pool = None;
+    fault;
   }
 
 (** Join and release the machine's worker domains (no-op without a pool);
@@ -281,11 +283,7 @@ let parallel_for ?(domains = 1) ~n (f : int -> unit) =
     advances by the slowest node's cycles.  [domains] fans the per-node
     work across OCaml domains; counters are accumulated in node order
     after the fan-in, so results are identical to a sequential step. *)
-let compute_step ?domains ?metrics t (f : int -> Node.t -> int * int) =
-  let in_ctx f =
-    match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-  in
-  in_ctx @@ fun () ->
+let compute_step ?domains t (f : int -> Node.t -> int * int) =
   let ts = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
   let per_node = parallel_iter ?domains t f in
   let worst = ref 0 in
@@ -321,7 +319,7 @@ type message = { src : Router.node_id; dst : Router.node_id; words : int }
 let message_cost_deferred t (m : message) : int * bool * (unit -> unit) =
   if m.src = m.dst then (0, true, ignore)
   else
-    match Fault.active () with
+    match t.fault with
     | None ->
         (Router.transfer_cycles t.params ~src:m.src ~dst:m.dst ~words:m.words, true, ignore)
     | Some f -> (
@@ -331,15 +329,15 @@ let message_cost_deferred t (m : message) : int * bool * (unit -> unit) =
             ( 0,
               false,
               fun () ->
-                Fault.note_dead_link_hit ();
-                Fault.note_unrecovered 1 )
+                Fault.note_dead_link_hit f;
+                Fault.note_unrecovered f 1 )
         | Some (path, detoured) -> (
             let detour_notes =
               if detoured then (fun () ->
-                Fault.note_dead_link_hit ();
-                Fault.note_rerouted
+                Fault.note_dead_link_hit f;
+                Fault.note_rerouted f
                   ~extra_hops:(List.length path - Router.distance m.src m.dst);
-                Fault.note_recovered 1)
+                Fault.note_recovered f 1)
               else ignore
             in
             let { Fault.failures; backoff; exhausted } = Fault.draw_link_failures f in
@@ -350,7 +348,7 @@ let message_cost_deferred t (m : message) : int * bool * (unit -> unit) =
                 true,
                 fun () ->
                   detour_notes ();
-                  Fault.note_recovered failures )
+                  Fault.note_recovered f failures )
             else begin
               (* The first hop kept failing through the whole retry budget:
                  declare that link dead and detour around it. *)
@@ -363,21 +361,21 @@ let message_cost_deferred t (m : message) : int * bool * (unit -> unit) =
                     true,
                     fun () ->
                       detour_notes ();
-                      Fault.note_rerouted
+                      Fault.note_rerouted f
                         ~extra_hops:(List.length path' - Router.distance m.src m.dst);
-                      Fault.note_recovered failures )
+                      Fault.note_recovered f failures )
               | None ->
                   ( backoff,
                     false,
                     fun () ->
                       detour_notes ();
-                      Fault.note_unrecovered failures )
+                      Fault.note_unrecovered f failures )
             end))
 
 (** Cycle cost of one message and whether it is delivered.
 
-    Clean machine: the dimension-ordered transfer cost.  Under an
-    installed fault model the message runs the recovery ladder:
+    Clean machine: the dimension-ordered transfer cost.  Under the
+    machine's fault model the message runs the recovery ladder:
     dead links on the e-cube route force an adaptive detour
     ({!Router.route_fault_aware}); transient glitches are retried with
     exponential backoff up to the retry budget; retry exhaustion
@@ -436,12 +434,7 @@ type in_flight = {
     data eagerly so an overlapped compute step can run, and defers the
     machine-time charge and the ledger bookkeeping to
     {!exchange_finish}.  Undeliverable payloads never land. *)
-let exchange_start ?metrics t (msgs : (message * (float array * int * int)) list) :
-    in_flight =
-  let in_ctx f =
-    match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-  in
-  in_ctx @@ fun () ->
+let exchange_start t (msgs : (message * (float array * int * int)) list) : in_flight =
   let groups = coalesce msgs in
   let costed =
     List.map
@@ -484,11 +477,7 @@ let exchange_start ?metrics t (msgs : (message * (float array * int * int)) list
     serialisation surplus goes to [t.contention_cycles] and
     [router.contention_cycles] as in the synchronous path.  Completing
     the same handle twice raises [Invalid_argument]. *)
-let exchange_finish ?metrics ?(overlapped_cycles = 0) t (h : in_flight) =
-  let in_ctx f =
-    match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-  in
-  in_ctx @@ fun () ->
+let exchange_finish ?(overlapped_cycles = 0) t (h : in_flight) =
   if h.fl_done then invalid_arg "Multinode.exchange_finish: handle already completed";
   h.fl_done <- true;
   List.iter (fun notes -> notes ()) h.fl_notes;
@@ -516,23 +505,6 @@ let exchange_finish ?metrics ?(overlapped_cycles = 0) t (h : in_flight) =
       ()
   end
 
-(** Cycle cost of a communication phase: messages coalesce per (src, dst)
-    pair and the phase costs the slowest source node's serialised queue.
-    Note that under an installed fault model this draws from the seeded
-    fault stream, exactly as {!exchange} would. *)
-let exchange_cycles t (msgs : message list) =
-  let groups = coalesce (List.map (fun m -> (m, ())) msgs) in
-  let costed =
-    List.map
-      (fun ((cm : message), _) ->
-        let c, _ = message_cost t cm in
-        (cm.src, cm.dst, c))
-      groups
-  in
-  let cycles, contention = Router.phase_cost costed in
-  Metrics.bump Router.c_contention contention;
-  cycles
-
 (** Execute a communication phase synchronously: move the payloads between
     plane stores and advance machine time by the full phase cost —
     exactly {!exchange_start} followed by an immediate {!exchange_finish}
@@ -541,9 +513,8 @@ let exchange_cycles t (msgs : message list) =
     recovery ladder fails (the surviving links disconnect src from dst)
     are not delivered; they are booked on the fault ledger as
     unrecovered. *)
-let exchange ?metrics t (msgs : (message * (float array * int * int)) list) =
-  let h = exchange_start ?metrics t msgs in
-  exchange_finish ?metrics t h
+let exchange t (msgs : (message * (float array * int * int)) list) =
+  exchange_finish t (exchange_start t msgs)
 
 (** Aggregate sustained GFLOPS of the machine so far (0.0 on a machine
     that has advanced zero cycles — never a division by zero). *)

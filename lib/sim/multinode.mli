@@ -27,12 +27,15 @@ type t = {
   mutable contention_cycles : int;  (** serialisation surplus on shared sources *)
   mutable words_moved : int;    (** payload words exchanged between nodes *)
   mutable pool : pool option;   (** persistent worker domains, on demand *)
+  fault : Nsc_fault.Fault.t option;
+      (** the run's fault model: every message runs the recovery ladder
+          against it and books its ledger ([None]: a clean machine) *)
 }
 
-(** A hypercube of fresh nodes (default dimension from the parameters).
-    Raises [Invalid_argument] on a dimension outside 0..10 (1..1024
-    nodes). *)
-val create : ?dim:int -> Nsc_arch.Params.t -> t
+(** A hypercube of fresh nodes (default dimension from the parameters),
+    costing its messages under [fault] when given.  Raises
+    [Invalid_argument] on a dimension outside 0..10 (1..1024 nodes). *)
+val create : ?dim:int -> ?fault:Nsc_fault.Fault.t -> Nsc_arch.Params.t -> t
 
 (** Number of nodes in the machine ([2^dim]). *)
 val n_nodes : t -> int
@@ -52,7 +55,7 @@ val node : t -> int -> Node.t
     Scheduling can therefore change the order in which nodes compute,
     but never any node's inputs or outputs — the returned array is
     bit-identical to a sequential run.  The one shared mutable input is
-    an installed {!Nsc_fault.Fault} model, whose seeded draw stream is
+    a fault model the nodes' runs share, whose seeded draw stream is
     consumed in scheduling order: keep [domains = 1] when a reproducible
     fault schedule matters. *)
 val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
@@ -75,9 +78,7 @@ val shutdown : t -> unit
     the machine advances by the slowest node.  [domains] fans per-node
     work across OCaml domains with bit-identical results. *)
 val compute_step :
-  ?domains:int ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  t -> (int -> Node.t -> int * int) -> unit
+  ?domains:int -> t -> (int -> Node.t -> int * int) -> unit
 
 (** One message of a communication phase. *)
 type message = {
@@ -87,21 +88,12 @@ type message = {
 }
 
 (** Cycle cost of one message and whether it is delivered.  Clean machine:
-    the dimension-ordered transfer cost, delivered.  Under an installed
+    the dimension-ordered transfer cost, delivered.  Under the machine's
     {!Nsc_fault.Fault} model the message runs the recovery ladder (detour
     around dead links, retry transient glitches with backoff, escalate
     retry exhaustion to a dead link plus detour); undelivered only when
     the surviving links disconnect the pair, booked as unrecovered. *)
 val message_cost : t -> message -> int * bool
-
-(** Cycle cost of a communication phase: messages coalesce per
-    (src, dst) pair into one routed transfer, messages between distinct
-    pairs proceed in parallel, transfers leaving one source serialise on
-    its links, and the phase costs the slowest source's total.  The
-    serialisation surplus is charged to the [router.contention_cycles]
-    trace counter.  Under an installed fault model this draws from the
-    seeded fault stream, exactly as {!exchange} would. *)
-val exchange_cycles : t -> message list -> int
 
 (** An exchange posted by {!exchange_start} and awaiting
     {!exchange_finish}. *)
@@ -116,9 +108,7 @@ type in_flight
     moves data eagerly so an overlapped compute step can run; only the
     machine-time charge and the recovery-ledger notes wait for
     {!exchange_finish}).  Undeliverable payloads never land. *)
-val exchange_start :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  t -> (message * (float array * int * int)) list -> in_flight
+val exchange_start : t -> (message * (float array * int * int)) list -> in_flight
 
 (** Complete a posted exchange: resolve the deferred recovery-ledger
     bookkeeping (retries, detours, unrecovered messages) and advance
@@ -129,10 +119,7 @@ val exchange_start :
     counter); the serialisation surplus on [contention_cycles] and the
     [router.contention_cycles] counter.  Raises [Invalid_argument] if
     the handle was already completed. *)
-val exchange_finish :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  ?overlapped_cycles:int ->
-  t -> in_flight -> unit
+val exchange_finish : ?overlapped_cycles:int -> t -> in_flight -> unit
 
 (** Execute a communication phase synchronously — exactly
     {!exchange_start} followed by an immediate {!exchange_finish} with no
@@ -140,9 +127,7 @@ val exchange_finish :
     cost, draw and deliver identically.  Messages whose recovery ladder
     fails are not delivered (booked as unrecovered on the fault
     ledger). *)
-val exchange :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  t -> (message * (float array * int * int)) list -> unit
+val exchange : t -> (message * (float array * int * int)) list -> unit
 
 (** Aggregate sustained GFLOPS of the machine so far (0.0 at zero
     cycles — never a division by zero). *)

@@ -83,12 +83,7 @@ let c_compiles =
   Metrics.always_counter ~name:"plan.compiles" ~units:"plans"
     ~desc:"instruction semantics lowered to execution plans"
 
-let c_cache_hits =
-  Metrics.always_counter ~name:"plan.cache_hits" ~units:"hits"
-    ~desc:"plan-cache hits (a compiled plan was reused)"
-
 let compile_count () = Metrics.total c_compiles
-let cache_hit_count () = Metrics.total c_cache_hits
 
 (* --- applicability of the dense body ------------------------------------ *)
 
@@ -305,31 +300,31 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
     fast;
   }
 
-(* --- per-instruction plan cache ----------------------------------------- *)
+(** Whether [pl] was compiled from [sem]: physical equality first (a
+    prepared program shares its semantics across runs), structural
+    equality as the slow path (a re-decoded word, or a different program
+    whose instruction has the same index and length).  The compile cache
+    ({!Kernel.cache}) validates its hits with this. *)
+let compiled_from sem pl = pl.sem == sem || Semantic.equal pl.sem sem
 
-(** Keyed by (instruction index, vector length) — the length component
-    keeps programs of different grid sizes from colliding when a daemon
-    shares one cache across jobs.  Safe across runs of the same compiled
-    program even when each run re-decodes the microcode: a hit is
-    validated against the incoming semantics (physical equality first,
-    structural equality as the slow path). *)
+(* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
+
+(* A stand-alone plan cache, kept only for nscbench's per-layer spans;
+   every compile in the library goes through {!Kernel.cache}. *)
 type cache = t Lru.t
 
 let make_cache ?bound () : cache = Lru.create ~who:"Plan" ?bound ()
 
-let compiled_from sem pl = pl.sem == sem || Semantic.equal pl.sem sem
-let timed_from sem pl = pl.honor_timing && compiled_from sem pl
-let untimed_from sem pl = (not pl.honor_timing) && compiled_from sem pl
-
 let cached (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
   let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
-  match Lru.find cache key (if honor_timing then timed_from else untimed_from) sem with
-  | pl ->
-      Metrics.bump c_cache_hits 1;
-      pl
+  let valid sem pl = pl.honor_timing = honor_timing && compiled_from sem pl in
+  match Lru.find cache key valid sem with
+  | pl -> pl
   | exception Not_found ->
-      (* compiled outside the lock: a long lowering must not stall other
-         domains' hits *)
       let pl = compile p ~honor_timing sem in
       Lru.add cache key pl;
       pl
+
+(* the one compile cache's hits, counted by [Kernel] *)
+let cache_hit_count () =
+  match Metrics.find_counter "kernel.cache_hits" with Some c -> Metrics.total c | None -> 0

@@ -65,34 +65,30 @@ val compile : Params.t -> ?honor_timing:bool -> Semantic.t -> t
 
 (** {2 Counters}
 
-    Always-on [plan.compiles] and [plan.cache_hits]: process-wide totals
-    that count whether or not a metric context is enabled (and count into
-    the ambient context when it is). *)
+    Always-on [plan.compiles]: a process-wide total that counts whether
+    or not a metric context is enabled (and counts into the ambient
+    context when it is). *)
 
 val c_compiles : Nsc_metrics.Metrics.counter
-val c_cache_hits : Nsc_metrics.Metrics.counter
 
 val compile_count : unit -> int
 (** [Metrics.total c_compiles]. *)
 
-val cache_hit_count : unit -> int
-(** [Metrics.total c_cache_hits]. *)
+(** Whether the plan was compiled from these semantics: physical
+    equality first, structural equality as the slow path.  The compile
+    cache ({!Kernel.cache}) validates its hits with this. *)
+val compiled_from : Semantic.t -> t -> bool
 
-(** {2 Per-instruction plan cache}
+(** {2 nscbench compatibility — delete when nscbench moves to [Run.t]}
 
-    Keyed by (instruction index, vector length); a hit is validated
-    against the incoming semantics (and [honor_timing]) so the cache
-    stays safe across runs that re-decode the same microcode — and
-    across {e different} programs sharing one cache, as the serve daemon
-    does.  One {!Lru} cache: mutex-guarded, so it may serve several
-    worker domains at once, and a hit allocates nothing. *)
+    A stand-alone plan cache kept only for nscbench's per-layer spans.
+    Nothing in the library, the CLI, the bench or the tests calls these;
+    plans are cached inside {!Kernel.cache}. *)
 
 type cache = t Lru.t
 
 val make_cache : ?bound:int -> unit -> cache
-(** [bound] caps resident entries; the least recently used entry is
-    evicted to admit a new one (counted by {!Lru.evictions} and the
-    [cache.evictions] counter).  Default: unbounded.  Raises
-    [Invalid_argument] when [bound < 1]. *)
-
 val cached : cache -> Params.t -> ?honor_timing:bool -> Semantic.t -> t
+
+val cache_hit_count : unit -> int
+(** Hits of the one compile cache ([kernel.cache_hits]). *)

@@ -50,7 +50,7 @@ module Table = Map.Make (Int)
    from the machine words or taken from the retained semantics, beside
    the control programme.  Immutable, so one value serves every node and
    every run; the decoded semantics are then physically shared, and the
-   plan cache validates its hits on [==]. *)
+   compile cache validates its hits on [==]. *)
 type prepared = {
   table : Semantic.t Table.t;
   control : Program.control list;
@@ -83,17 +83,20 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
 
     Each [Exec] runs through a compiled execution plan lowered to a fused
     vector kernel; repeated [Exec]s of the same instruction (loop bodies)
-    reuse the plan from [plan_cache] and the kernel from [kernel_cache]
-    rather than recompiling.  Pass persistent caches to reuse the
+    reuse the kernel from the run's compile cache rather than
+    recompiling.  Pass a run over a persistent cache to reuse the
     compiled forms across runs of the same program.  [~engine:`Reference]
     runs every instruction on the general memoized evaluator instead —
     the oracle the kernel path is checked against, and bit-identical to
     it. *)
-let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel)
-    ?(plan_cache = Plan.make_cache ()) ?(kernel_cache = Kernel.make_cache ()) ?budget
+let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
     ?(on_instruction = fun (_ : Semantic.t) (_ : Engine.result) -> ())
     (prog : prepared) : (outcome, string) result =
   let p = node.Node.params in
+  let run = match run with Some r -> r | None -> Run.make () in
+  let budget = run.Run.budget in
+  (* shared by every dispatch, so passing it on allocates nothing *)
+  let in_run = Some run in
   let cycles = ref 0 and flops = ref 0 and writes = ref 0 in
   let executed = ref 0 in
   let events = ref [] and n_events = ref 0 in
@@ -131,9 +134,9 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel)
         let r =
           match engine with
           | `Kernel ->
-              Engine.run_kernel node ~record_trace ?budget
-                (Kernel.cached kernel_cache plan_cache p sem)
-          | `Reference -> Engine.run_general node ~record_trace ?budget sem
+              Engine.run_kernel node ~record_trace ?run:in_run
+                (Kernel.find_or_compile run.Run.cache p sem)
+          | `Reference -> Engine.run_general node ~record_trace ?run:in_run sem
         in
         incr executed;
         cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;
@@ -224,20 +227,16 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel)
             |> List.sort compare;
         })
 
-(* --- explicit metric contexts ------------------------------------------- *)
-
-let in_ctx metrics f =
-  match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-
-let exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
-    ?metrics prog =
-  in_ctx metrics (fun () ->
-      exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
-        prog)
-
 (** Execute a compiled program: {!prepare} it, then {!exec} it. *)
-let run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache ?budget
-    ?on_instruction ?metrics c =
+let run node ?from_microcode ?record_trace ?engine ?run ?plan_cache:_ ?kernel_cache
+    ?on_instruction c =
+  (* nscbench compatibility — delete when nscbench moves to Run.t: the
+     only reader of the fault model's compat slot *)
+  let run =
+    match (run, kernel_cache) with
+    | None, Some _ ->
+        Some (Run.make ?cache:kernel_cache ?fault:(Nsc_fault.Fault.compat_model ()) ())
+    | _ -> run
+  in
   Result.bind (prepare ?from_microcode c) (fun prog ->
-      exec node ?record_trace ?engine ?plan_cache ?kernel_cache ?budget ?on_instruction
-        ?metrics prog)
+      exec node ?record_trace ?engine ?run ?on_instruction prog)

@@ -50,42 +50,47 @@ val prepare :
     instructions, and evaluate while-conditions from captured scalars.
     [on_instruction] is the hook the visual debugger attaches to.
 
-    Each [Exec] runs through a compiled execution plan lowered to a
-    fused vector kernel (the default [`Kernel] engine); repeated [Exec]s
-    of the same instruction reuse the plan from [plan_cache] and the
-    kernel from [kernel_cache] (pass persistent caches to also reuse
-    them across runs).  [~engine:`Reference] runs every instruction on
-    the general memoized evaluator, the oracle; the two engines are
-    bit-identical.
+    [run] is the run state ({!Run.t}; default: a fresh cache, clean,
+    unsupervised, as for {!run}).  Each [Exec] runs through a compiled execution plan
+    lowered to a fused vector kernel (the default [`Kernel] engine);
+    repeated [Exec]s of the same instruction reuse the kernel from the
+    run's compile cache (pass a run over a persistent cache to also
+    reuse it across runs).  [~engine:`Reference] runs every instruction
+    on the general memoized evaluator, the oracle; the two engines are
+    bit-identical.  The run's fault model, if any, injects into every
+    instruction.
 
-    [budget] arms cooperative supervision: each dispatch's cycles (plus
-    reconfiguration) are charged to it and it is checked at every
-    instruction boundary, so a run whose budget expires unwinds with
-    [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on.
-    Both engines also poll a wall deadline or a cancellation inside an
-    instruction, every 1024 elements. *)
+    The run's budget arms cooperative supervision: each dispatch's
+    cycles (plus reconfiguration) are charged to it and it is checked at
+    every instruction boundary, so a run whose budget expires unwinds
+    with [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running
+    on.  Both engines also poll a wall deadline or a cancellation inside
+    an instruction, every 1024 elements.  Instrumentation lands in the
+    ambient metric context; scope it with
+    {!Nsc_metrics.Metrics.with_ctx}. *)
 val exec :
   Node.t ->
   ?record_trace:bool ->
   ?engine:[ `Kernel | `Reference ] ->
-  ?plan_cache:Plan.cache ->
-  ?kernel_cache:Kernel.cache ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
+  ?run:Run.t ->
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
   prepared -> (outcome, string) result
 
 (** Execute a compiled program: {!prepare} followed by {!exec}.  A caller
     that runs one program many times (on many nodes, or once per
-    iteration) prepares it once and calls {!exec} instead. *)
+    iteration) prepares it once and calls {!exec} instead.
+
+    [plan_cache] and [kernel_cache] are nscbench compatibility — delete
+    when nscbench moves to [Run.t]; nothing else passes them.  Without
+    [run], [plan_cache] is ignored and [kernel_cache] makes the run: over
+    that cache, under the model in {!Nsc_fault.Fault}'s compat slot. *)
 val run :
   Node.t ->
   ?from_microcode:bool ->
   ?record_trace:bool ->
   ?engine:[ `Kernel | `Reference ] ->
+  ?run:Run.t ->
   ?plan_cache:Plan.cache ->
   ?kernel_cache:Kernel.cache ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
   Nsc_microcode.Codegen.compiled -> (outcome, string) result

@@ -44,7 +44,7 @@ let summary_to_string s =
   Printf.sprintf "%d cycles, %d flops, %.3f ms, %.1f MFLOPS (%.1f%% of peak)" s.cycles
     s.flops (s.seconds *. 1e3) s.mflops (100.0 *. s.utilization)
 
-(** LRU evictions across every bounded plan/kernel cache in the process:
+(** LRU evictions across every bounded compile cache in the process:
     the total of the always-on [cache.evictions] counter. *)
 let cache_evictions () = Nsc_metrics.Metrics.total Lru.c_evictions
 

@@ -34,7 +34,7 @@ val of_sequencer : Nsc_arch.Params.t -> Sequencer.stats -> summary
 val summary_to_string : summary -> string
 
 val cache_evictions : unit -> int
-(** LRU evictions across every bounded plan/kernel cache in the process:
+(** LRU evictions across every bounded compile cache in the process:
     the total of the always-on [cache.evictions] counter. *)
 
 (** {2 The profile layer}

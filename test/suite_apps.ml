@@ -429,8 +429,7 @@ let hypercube_solve_tests =
         List.iter
           (fun domains ->
             match
-              Parallel.exec_step ~domains ~plan_cache:(Nsc_sim.Plan.make_cache ())
-                ~kernel_cache:(Nsc_sim.Kernel.make_cache ()) machine prog
+              Parallel.exec_step ~domains ~run:(Nsc_sim.Run.make ()) machine prog
             with
             | Ok _ -> Alcotest.fail "a failing node went unreported"
             | Error e ->

@@ -13,11 +13,11 @@ let lv ledger name = Option.value ~default:0 (List.assoc_opt name ledger)
 let spec_of str =
   match F.parse str with Ok s -> s | Error e -> Alcotest.failf "parse %S: %s" str e
 
-(* Install a model for the duration of [f]; always clears it afterwards. *)
-let with_model ?(seed = 1) str f =
-  let m = F.make ~seed (spec_of str) in
-  F.install m;
-  Fun.protect ~finally:F.clear (fun () -> f m)
+(* A fresh model for [f]. *)
+let with_model ?(seed = 1) str f = f (F.make ~seed (spec_of str))
+
+(* A run drawing from [m]. *)
+let run_of m = Nsc_sim.Run.make ~fault:m ()
 
 (* --- the PRNG ------------------------------------------------------- *)
 
@@ -108,17 +108,20 @@ let spec_tests =
 
 let ledger_tests =
   [
-    case "install zeroes the ledger" (fun () ->
-        with_model "dead-link:0-1" (fun _ -> F.note_unrecovered 3);
-        with_model "dead-link:0-1" (fun _ ->
-            check_int "unrecovered reset" 0 (lv (F.ledger ()) "fault.unrecovered")));
+    case "each model owns a zeroed ledger" (fun () ->
+        with_model "dead-link:0-1" (fun m ->
+            F.note_unrecovered m 3;
+            check_int "booked" 3 (lv (F.ledger m) "fault.unrecovered");
+            with_model "dead-link:0-1" (fun m' ->
+                check_int "a fresh model starts at zero" 0
+                  (lv (F.ledger m') "fault.unrecovered"))));
     case "transient draws book injection, detection and retries" (fun () ->
         with_model "transient-link:p=1:retries=3:backoff=8" (fun m ->
             let o = F.draw_link_failures m in
             check_int "failures capped at the budget" 3 o.F.failures;
             check_bool "exhausted" true o.F.exhausted;
             check_int "exponential backoff 8+16+32" 56 o.F.backoff;
-            let l = F.ledger () in
+            let l = F.ledger m in
             check_int "injected" 3 (lv l "fault.injected");
             check_int "detected" 3 (lv l "fault.detected");
             check_int "retries" 3 (lv l "fault.retries");
@@ -127,7 +130,7 @@ let ledger_tests =
         with_model "transient-link:p=1:retries=3:backoff=8" (fun m ->
             (* 56 backoff + one slow retransmit at 8 * 2^3 after exhaustion *)
             check_int "overhead" (56 + 64) (F.stream_overhead m);
-            check_int "nothing outstanding" 0 (F.outstanding ())));
+            check_int "nothing outstanding" 0 (F.outstanding m)));
     case "reconcile books outstanding faults as unrecovered" (fun () ->
         with_model "fu-fault:p=1" (fun m ->
             (match F.draw_fu_fault m ~vlen:16 ~units:2 with
@@ -135,10 +138,10 @@ let ledger_tests =
                 check_bool "unit in range" true (u >= 0 && u < 2);
                 check_bool "element in range" true (e >= 0 && e < 16)
             | None -> Alcotest.fail "p=1 draw must land");
-            check_int "one outstanding" 1 (F.outstanding ());
-            check_int "one reconciled" 1 (F.reconcile ());
-            check_int "none outstanding after" 0 (F.outstanding ());
-            check_int "booked unrecovered" 1 (lv (F.ledger ()) "fault.unrecovered")));
+            check_int "one outstanding" 1 (F.outstanding m);
+            check_int "one reconciled" 1 (F.settle m);
+            check_int "none outstanding after" 0 (F.outstanding m);
+            check_int "booked unrecovered" 1 (lv (F.ledger m) "fault.unrecovered")));
     case "seeded draws are reproducible" (fun () ->
         let run () =
           with_model ~seed:42 "transient-link:p=0.3,dma-stall:p=0.2" (fun m ->
@@ -146,7 +149,7 @@ let ledger_tests =
               for _ = 1 to 50 do
                 total := !total + F.stream_overhead m
               done;
-              (!total, F.ledger ()))
+              (!total, F.ledger m))
         in
         check_bool "two installs, same schedule" true (run () = run ()));
   ]
@@ -296,8 +299,8 @@ let multinode_tests =
         check_bool "delivered" true delivered;
         check_int "cost" (Router.transfer_cycles params ~src:0 ~dst:3 ~words:64) cost);
     case "a dead link is detoured and booked recovered" (fun () ->
-        with_model "dead-link:0-1" (fun _ ->
-            let m = Nsc_sim.Multinode.create ~dim:2 params in
+        with_model "dead-link:0-1" (fun f ->
+            let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let cost, delivered =
               Nsc_sim.Multinode.message_cost m
                 { Nsc_sim.Multinode.src = 0; dst = 1; words = 64 }
@@ -305,36 +308,36 @@ let multinode_tests =
             check_bool "delivered via detour" true delivered;
             check_bool "detour costs more than the direct hop" true
               (cost > Router.transfer_cycles params ~src:0 ~dst:1 ~words:64);
-            let l = F.ledger () in
+            let l = F.ledger f in
             check_int "dead link hit" 1 (lv l "fault.dead_link_hits");
             check_int "rerouted" 1 (lv l "fault.rerouted");
             check_int "extra hops" 2 (lv l "fault.detour_hops");
             check_int "recovered" 1 (lv l "fault.recovered");
-            check_int "outstanding" 0 (F.outstanding ())));
+            check_int "outstanding" 0 (F.outstanding f)));
     case "a partitioned pair is booked unrecovered, payload dropped" (fun () ->
-        with_model "dead-link:0-1" (fun _ ->
-            let m = Nsc_sim.Multinode.create ~dim:1 params in
+        with_model "dead-link:0-1" (fun f ->
+            let m = Nsc_sim.Multinode.create ~dim:1 ~fault:f params in
             let msg = { Nsc_sim.Multinode.src = 0; dst = 1; words = 4 } in
             let _, delivered = Nsc_sim.Multinode.message_cost m msg in
             check_bool "undeliverable" false delivered;
-            check_int "unrecovered" 1 (lv (F.ledger ()) "fault.unrecovered");
+            check_int "unrecovered" 1 (lv (F.ledger f) "fault.unrecovered");
             Nsc_sim.Multinode.exchange m [ (msg, ([| 9.0; 9.0; 9.0; 9.0 |], 0, 0)) ];
             check_bool "payload never landed" true
               (Nsc_sim.Multinode.node m 1 |> fun n ->
                Nsc_sim.Node.dump_array n ~plane:0 ~base:0 ~len:4 = [| 0.0; 0.0; 0.0; 0.0 |])));
     case "retry exhaustion escalates to a reroute" (fun () ->
-        with_model "transient-link:p=1:retries=2:backoff=4" (fun _ ->
-            let m = Nsc_sim.Multinode.create ~dim:2 params in
+        with_model "transient-link:p=1:retries=2:backoff=4" (fun f ->
+            let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let _, delivered =
               Nsc_sim.Multinode.message_cost m
                 { Nsc_sim.Multinode.src = 0; dst = 1; words = 64 }
             in
             check_bool "still delivered" true delivered;
-            check_bool "escalation rerouted" true (lv (F.ledger ()) "fault.rerouted" >= 1);
-            check_int "outstanding" 0 (F.outstanding ())));
+            check_bool "escalation rerouted" true (lv (F.ledger f) "fault.rerouted" >= 1);
+            check_int "outstanding" 0 (F.outstanding f)));
     case "exchange delivers payloads under transient faults" (fun () ->
-        with_model ~seed:9 "transient-link:p=0.5" (fun _ ->
-            let m = Nsc_sim.Multinode.create ~dim:2 params in
+        with_model ~seed:9 "transient-link:p=0.5" (fun f ->
+            let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let payload = [| 1.0; 2.0; 3.0 |] in
             Nsc_sim.Multinode.exchange m
               [ ({ Nsc_sim.Multinode.src = 0; dst = 3; words = 3 }, (payload, 2, 10)) ];
@@ -343,7 +346,7 @@ let multinode_tests =
                  (Nsc_sim.Node.dump_array (Nsc_sim.Multinode.node m 3) ~plane:2 ~base:10
                     ~len:3));
             check_bool "machine time advanced" true (m.Nsc_sim.Multinode.cycles > 0);
-            check_int "outstanding" 0 (F.outstanding ())));
+            check_int "outstanding" 0 (F.outstanding f)));
   ]
 
 (* --- the engine and the solvers under faults --------------------------- *)
@@ -359,26 +362,29 @@ let clean_n5 =
 let solver_tests =
   [
     case "an FU fault lands as a trapped NaN" (fun () ->
-        with_model "fu-fault:p=1" (fun _ ->
+        with_model "fu-fault:p=1" (fun m ->
             let prog, _ = vecadd_program () in
             let sem, _ = semantic_of_program prog 1 in
             let node = Nsc_sim.Node.create params in
             Nsc_sim.Node.load_array node ~plane:0 ~base:0 (Array.make 16 1.5);
             Nsc_sim.Node.load_array node ~plane:1 ~base:0 (Array.make 16 2.5);
-            let r = Nsc_sim.Engine.run node sem in
+            let r = Nsc_sim.Engine.run node ~run:(run_of m) sem in
             let z = Nsc_sim.Node.dump_array node ~plane:2 ~base:0 ~len:16 in
             check_bool "a NaN reached the output plane" true
               (Array.exists Float.is_nan z);
             check_bool "the trap was recorded" true (List.length r.Nsc_sim.Engine.events > 0);
-            let l = F.ledger () in
+            let l = F.ledger m in
             check_int "injected" 1 (lv l "fault.injected");
             check_int "detected" 1 (lv l "fault.detected");
-            check_int "reconciled as unrecovered" 1 (F.reconcile ())));
+            check_int "reconciled as unrecovered" 1 (F.settle m)));
     case "a seeded faulted solve is cycle-reproducible" (fun () ->
         let run () =
-          with_model ~seed:42 "transient-link:p=0.05,dma-stall:p=0.02" (fun _ ->
-              match Jacobi.solve kb (Poisson.manufactured 5) ~tol:1e-5 ~max_iters:500 with
-              | Ok o -> (o.Jacobi.stats.Nsc_sim.Sequencer.total_cycles, F.ledger ())
+          with_model ~seed:42 "transient-link:p=0.05,dma-stall:p=0.02" (fun m ->
+              match
+                Jacobi.solve kb ~run:(run_of m) (Poisson.manufactured 5) ~tol:1e-5
+                  ~max_iters:500
+              with
+              | Ok o -> (o.Jacobi.stats.Nsc_sim.Sequencer.total_cycles, F.ledger m)
               | Error e -> failwith e)
         in
         check_bool "identical cycles and ledger" true (run () = run ()));
@@ -386,8 +392,11 @@ let solver_tests =
       QCheck2.Gen.(int_range 0 1000)
       (fun seed ->
         let clean = Lazy.force clean_n5 in
-        with_model ~seed "transient-link:p=0.02" (fun _ ->
-            match Jacobi.solve kb (Poisson.manufactured 5) ~tol:1e-5 ~max_iters:500 with
+        with_model ~seed "transient-link:p=0.02" (fun m ->
+            match
+              Jacobi.solve kb ~run:(run_of m) (Poisson.manufactured 5) ~tol:1e-5
+                ~max_iters:500
+            with
             | Error e -> failwith e
             | Ok o ->
                 o.Jacobi.sweeps = clean.Jacobi.sweeps
@@ -405,13 +414,16 @@ let solver_tests =
     qcheck ~count:6 "checkpointed solve converges under memory corruption"
       QCheck2.Gen.(int_range 0 1000)
       (fun seed ->
-        with_model ~seed "mem-corrupt:p=0.5" (fun _ ->
-            match Jacobi.solve_ft kb (Poisson.manufactured 5) ~tol:1e-5 ~max_iters:500 with
+        with_model ~seed "mem-corrupt:p=0.5" (fun m ->
+            match
+              Jacobi.solve_ft kb ~run:(run_of m) (Poisson.manufactured 5) ~tol:1e-5
+                ~max_iters:500
+            with
             | Error e -> failwith e
             | Ok ft ->
-                let l = F.ledger () in
+                let l = F.ledger m in
                 ft.Jacobi.outcome.Jacobi.final_change <= 1e-5
-                && F.outstanding () = 0
+                && F.outstanding m = 0
                 && lv l "fault.injected"
                    = lv l "fault.recovered" + lv l "fault.unrecovered"));
   ]
@@ -493,15 +505,16 @@ let async_fault_tests =
         (* the async schedule must consume the seeded draw stream in the
            same order as the sync one: same fields, same recovery ledger *)
         let go overlap =
-          with_model ~seed "transient-link:p=0.2:retries=2" (fun _ ->
+          with_model ~seed "transient-link:p=0.2:retries=2" (fun m ->
               ( Result.get_ok
-                  (Nsc_apps.Parallel.run_field ~overlap params ~n:5 ~iters:2 ~dim),
-                F.ledger () ))
+                  (Nsc_apps.Parallel.run_field ~overlap ~run:(run_of m) params ~n:5 ~iters:2
+                     ~dim),
+                F.ledger m ))
         in
         go false = go true);
     case "exchange_finish resolves a detoured message's bookkeeping" (fun () ->
-        with_model "dead-link:0-1" (fun _ ->
-            let m = Nsc_sim.Multinode.create ~dim:2 params in
+        with_model "dead-link:0-1" (fun f ->
+            let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let h =
               Nsc_sim.Multinode.exchange_start m
                 [ ({ Nsc_sim.Multinode.src = 0; dst = 1; words = 4 },
@@ -513,13 +526,62 @@ let async_fault_tests =
               (Nsc_sim.Node.dump_array (Nsc_sim.Multinode.node m 1) ~plane:0 ~base:0
                  ~len:4
               = [| 7.0; 7.0; 7.0; 7.0 |]);
-            check_int "not yet booked rerouted" 0 (lv (F.ledger ()) "fault.rerouted");
+            check_int "not yet booked rerouted" 0 (lv (F.ledger f) "fault.rerouted");
             Nsc_sim.Multinode.exchange_finish m h;
-            let l = F.ledger () in
+            let l = F.ledger f in
             check_int "dead link hit" 1 (lv l "fault.dead_link_hits");
             check_int "rerouted" 1 (lv l "fault.rerouted");
             check_int "recovered" 1 (lv l "fault.recovered");
-            check_int "outstanding" 0 (F.outstanding ())));
+            check_int "outstanding" 0 (F.outstanding f)));
+  ]
+
+(* --- faulted runs on several domains at once ---------------------------- *)
+
+let concurrent_specs =
+  [| "transient-link:p=0.05,dma-stall:p=0.02";
+     "mem-corrupt:p=0.3,transient-link:p=0.01";
+     "fu-fault:p=0.02,transient-link:p=0.02" |]
+
+(* One checkpointed Jacobi job under its own model, over a shared [cache]:
+   everything the run observably produces. *)
+let faulted_job cache (n, seed, spec) =
+  let m = F.make ~seed (spec_of concurrent_specs.(spec)) in
+  let run = Nsc_sim.Run.make ~cache ~fault:m () in
+  match Jacobi.solve_ft kb ~run (Poisson.manufactured n) ~tol:1e-5 ~max_iters:500 with
+  | Error e -> Error e
+  | Ok ft ->
+      let o = ft.Jacobi.outcome in
+      let st = o.Jacobi.stats in
+      Ok
+        ( F.ledger m,
+          Int64.bits_of_float o.Jacobi.final_change,
+          o.Jacobi.sweeps,
+          st.Nsc_sim.Sequencer.total_cycles,
+          Nsc_arch.Interrupt.trapped_exceptions st.Nsc_sim.Sequencer.events,
+          ft.Jacobi.rollbacks )
+
+let concurrent_tests =
+  [
+    qcheck ~count:10 "two faulted solves on two domains equal the same solves run serially"
+      QCheck2.Gen.(
+        let job = pair (int_range 0 1000) (int_range 0 2) in
+        pair job job)
+      (fun ((seed1, spec1), (seed2, spec2)) ->
+        let j1 = (5, seed1, spec1) and j2 = (7, seed2, spec2) in
+        let serial =
+          let cache = Nsc_sim.Kernel.make_cache () in
+          let r1 = faulted_job cache j1 in
+          (r1, faulted_job cache j2)
+        in
+        let cache = Nsc_sim.Kernel.make_cache () in
+        let other = Domain.spawn (fun () -> faulted_job cache j2) in
+        let r1 = faulted_job cache j1 in
+        let concurrent = (r1, Domain.join other) in
+        let injected = function
+          | Ok (l, _, _, _, _, _) -> lv l "fault.injected" > 0
+          | Error _ -> false
+        in
+        injected (fst serial) && injected (snd serial) && concurrent = serial);
   ]
 
 let suite =
@@ -532,5 +594,6 @@ let suite =
     ("fault:multinode", multinode_tests);
     ("fault:async-exchange", async_fault_tests);
     ("fault:solvers", solver_tests);
+    ("fault:concurrent", concurrent_tests);
     ("fault:serializer", serializer_tests);
   ]

@@ -105,7 +105,7 @@ let budget_tests =
 (* --- deadline edge cases through the solvers ----------------------------- *)
 
 let solve_budget ?budget ?(n = 5) ?(tol = 1e-4) ?(max_iters = 100) () =
-  Jacobi.solve kb ?budget (Poisson.manufactured n) ~tol ~max_iters
+  Jacobi.solve kb ~run:(Nsc_sim.Run.make ?budget ()) (Poisson.manufactured n) ~tol ~max_iters
 
 let deadline_tests =
   [
@@ -152,19 +152,15 @@ let deadline_tests =
         | Ok _ | Error _ -> Alcotest.fail "expected Deadline_exceeded");
     case "cancellation lands under an active fault model" (fun () ->
         let spec = Result.get_ok (Fault.parse "transient-link:p=0.05") in
-        Fault.install (Fault.make ~seed:7 spec);
         let budget = Budget.create () in
         Budget.cancel budget;
+        let run = Nsc_sim.Run.make ~fault:(Fault.make ~seed:7 spec) ~budget () in
         let fired =
-          match
-            Jacobi.solve_ft kb ~budget (Poisson.manufactured 5) ~tol:1e-4
-              ~max_iters:50
-          with
+          match Jacobi.solve_ft kb ~run (Poisson.manufactured 5) ~tol:1e-4 ~max_iters:50 with
           | exception Budget.Deadline_exceeded { reason; _ } ->
               reason = "cancelled"
           | Ok _ | Error _ -> false
         in
-        Fault.clear ();
         check_bool "cancelled mid-fault-model" true fired);
     case "the reference evaluator polls the budget inside an instruction"
       (fun () ->
@@ -173,14 +169,16 @@ let deadline_tests =
         let node = Nsc_sim.Node.create params in
         let cancelled = Budget.create () in
         Budget.cancel cancelled;
-        (match Nsc_sim.Engine.run_general node ~budget:cancelled sem with
+        (match
+           Nsc_sim.Engine.run_general node ~run:(Nsc_sim.Run.make ~budget:cancelled ()) sem
+         with
         | exception Budget.Deadline_exceeded { reason; _ } ->
             check_string "reason" "cancelled" reason
         | _ -> Alcotest.fail "expected cancellation");
         (* one poll per 1024-element block of the write stream, then one
            per block of the unit's forced evaluation *)
         let armed = Budget.create () in
-        ignore (Nsc_sim.Engine.run_general node ~budget:armed sem);
+        ignore (Nsc_sim.Engine.run_general node ~run:(Nsc_sim.Run.make ~budget:armed ()) sem);
         check_int "polls" 6 (Budget.polls armed));
   ]
 

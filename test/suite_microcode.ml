@@ -190,6 +190,37 @@ let encode_tests =
           (fun (pl : Pipeline.t) ->
             roundtrip b.Nsc_apps.Multigrid.program pl.Pipeline.index)
           b.Nsc_apps.Multigrid.program.Program.pipelines);
+    case "every switch source round-trips through a selector" (fun () ->
+        (* each unit, every plane and cache DMA engine and every
+           shift/delay unit — the highest codes included — routed into
+           one sink, encoded and decoded back *)
+        let sources = Knowledge.all_sources kb in
+        check_int "one source per unit, DMA engine and shift/delay unit"
+          (Params.n_functional_units params
+          + (params.Params.n_memory_planes * params.Params.plane_dma_slots)
+          + (params.Params.n_caches * params.Params.cache_dma_slots)
+          + params.Params.n_shift_delay)
+          (List.length sources);
+        check_bool "both shift/delay units are sources" true
+          (List.mem (Resource.Src_shift_delay 1) sources);
+        let snk = Resource.Snk_fu ({ Resource.als = 0; slot = 0 }, Resource.A) in
+        List.iter
+          (fun src ->
+            let sem =
+              { Semantic.index = 1; label = ""; vector_length = 8; bypasses = []; units = [];
+                sds = []; routes = [ { Switch.src; snk } ]; streams = [] }
+            in
+            let name = Resource.source_to_string src in
+            match Encode.encode layout sem with
+            | Error e -> Alcotest.failf "%s: encode: %s" name e
+            | exception e -> Alcotest.failf "%s: encode raised %s" name (Printexc.to_string e)
+            | Ok instr -> (
+                match Decode.decode layout instr.Encode.word with
+                | Error e -> Alcotest.failf "%s: decode: %s" name e
+                | Ok sem' ->
+                    check_bool (name ^ " routed back") true
+                      (sem'.Semantic.routes = [ { Switch.src; snk } ])))
+          sources);
     case "decoding a non-instruction fails on the magic number" (fun () ->
         let w = Fields.fresh_word layout in
         match Decode.decode layout w with

@@ -364,10 +364,10 @@ let observe ~scale ~div exec = observe_seq ~scale ~div [ exec ]
 
 let same a b = compare a b = 0
 
-let kernel_exec sem node =
-  Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
+let kernel_exec ?run sem node =
+  Nsc_sim.Engine.run_kernel node ?run (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
 
-let reference_exec sem node = Nsc_sim.Engine.run_general node sem
+let reference_exec ?run sem node = Nsc_sim.Engine.run_general node ?run sem
 
 (* the data scale is drawn per case, so planes hold different values *)
 let engine_equivalence =
@@ -402,7 +402,7 @@ let suite = suite @ [ ("property:engine-equivalence", engine_equivalence) ]
 
 (* appended: the plan as a compile stage — a kernel compiled with timing
    ignored still matches the reference under the same setting, and a
-   kernel replayed from the plan/kernel caches matches a fresh compile *)
+   kernel replayed from the compile cache matches a fresh compile *)
 let plan_equivalence =
   [
     qcheck ~count:60 "compiled plans match the reference evaluator without timing"
@@ -419,17 +419,17 @@ let plan_equivalence =
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
         let fresh = observe ~scale:5 ~div:2.0 (kernel_exec sem) in
-        let pc = Nsc_sim.Plan.make_cache () and kc = Nsc_sim.Kernel.make_cache () in
-        (* prime the caches, then the second lookup must hit both and agree *)
-        ignore (Nsc_sim.Kernel.cached kc pc params sem);
-        let plan_hits = Nsc_sim.Plan.cache_hit_count ()
-        and kernel_hits = Nsc_sim.Kernel.cache_hit_count () in
+        let cache = Nsc_sim.Kernel.make_cache () in
+        (* prime the cache, then the second lookup must hit and agree *)
+        ignore (Nsc_sim.Kernel.find_or_compile cache params sem);
+        let compiles = Nsc_sim.Plan.compile_count ()
+        and hits = Nsc_sim.Kernel.cache_hit_count () in
         let cached =
           observe ~scale:5 ~div:2.0 (fun node ->
-              Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.cached kc pc params sem))
+              Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.find_or_compile cache params sem))
         in
-        Nsc_sim.Plan.cache_hit_count () = plan_hits + 1
-        && Nsc_sim.Kernel.cache_hit_count () = kernel_hits + 1
+        Nsc_sim.Plan.compile_count () = compiles
+        && Nsc_sim.Kernel.cache_hit_count () = hits + 1
         && same cached fresh);
   ]
 
@@ -455,7 +455,7 @@ let kernel_equivalence =
 let suite = suite @ [ ("property:kernel-equivalence", kernel_equivalence) ]
 
 (* appended: one instruction under a fault model seeded per case.  The
-   model is re-created with the case's seed before each evaluator's run,
+   model is made afresh from the case's seed for each evaluator's run,
    so both consume one fault stream.  Every case draws an FU fault (p=1)
    on a random unit and element, which is what reaches the rare victims —
    such as a unit whose buffer an elided pass-through shares.  A case
@@ -479,14 +479,13 @@ let faulted_equivalence =
   let prop (pl, seed) =
     let sem, _ = Semantic.of_pipeline params pl in
     let faulted exec =
-      F.install (F.make ~seed spec);
-      Fun.protect ~finally:F.clear (fun () -> observe ~scale:13 ~div:5.0 exec)
+      observe ~scale:13 ~div:5.0 (exec (Nsc_sim.Run.make ~fault:(F.make ~seed spec) ()))
     in
-    let kernel = faulted (kernel_exec sem) in
+    let kernel = faulted (fun run -> kernel_exec ~run sem) in
     let clean = invalid_traps (observe ~scale:13 ~div:5.0 (kernel_exec sem)) in
     if List.exists (fun ev -> not (List.mem ev clean)) (invalid_traps kernel) then
       incr trapped;
-    same kernel (faulted (reference_exec sem))
+    same kernel (faulted (fun run -> reference_exec ~run sem))
   in
   let name = "fused kernels match the reference under per-case seeded faults" in
   [

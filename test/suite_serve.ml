@@ -2,7 +2,7 @@
    control (queue-full rejection, reject-then-drain), wave dispatch and
    response ordering, fault-carrying jobs, the shutdown handshake, bounded
    LRU cache eviction, and — property-tested — zero metric bleed between
-   jobs dispatched concurrently versus serially. *)
+   jobs dispatched concurrently versus serially, faulted jobs included. *)
 
 open Util
 module Serve = Nsc_serve.Serve
@@ -200,14 +200,6 @@ let job_tests =
             check_bool "faults were injected" true (injected > 0);
             check_int "ledger balances" injected recovered
         | _ -> Alcotest.fail "expected one result");
-    case "the fault model is cleared after a faulted job" (fun () ->
-        let t = server () in
-        ignore
-          (Serve.handle_line t
-             (submit ~id:"f" ~faults:"transient-link:p=0.5" ~fault_seed:3 ()));
-        ignore (Serve.drain t);
-        check_bool "no ambient model" true
-          (Nsc_fault.Fault.active () = None));
   ]
 
 (* --- admission control, dispatch order, shutdown ---------------------- *)
@@ -312,20 +304,22 @@ let queue_tests =
 let cache_tests =
   [
     case "the plan cache evicts least-recently-used entries" (fun () ->
+        (* plans live in the one compile cache, each inside its kernel *)
         let sem_of n =
           let prog, _ = vecadd_program ~n () in
           fst (semantic_of_program prog 1)
         in
         let small = sem_of 16 and big = sem_of 32 in
-        let cache = Nsc_sim.Plan.make_cache ~bound:1 () in
+        let cache = Nsc_sim.Kernel.make_cache ~bound:1 () in
         let total () = Nsc_sim.Stats.cache_evictions () in
         let before = total () in
-        let p1 = Nsc_sim.Plan.cached cache params small in
+        let plan sem = (Nsc_sim.Kernel.find_or_compile cache params sem).Nsc_sim.Kernel.plan in
+        let p1 = plan small in
         check_int "first insert evicts nothing" 0 (Nsc_sim.Lru.evictions cache);
-        let p2 = Nsc_sim.Plan.cached cache params big in
+        let p2 = plan big in
         check_int "second insert evicts the first" 1 (Nsc_sim.Lru.evictions cache);
         (* the evicted entry recompiles, and the survivor is evicted in turn *)
-        let p1' = Nsc_sim.Plan.cached cache params small in
+        let p1' = plan small in
         check_int "reinsert evicts again" 2 (Nsc_sim.Lru.evictions cache);
         check_int "the process-wide total follows" (before + 2) (total ());
         check_bool "recompiled plan is fresh" true (not (p1 == p1'));
@@ -338,25 +332,24 @@ let cache_tests =
           fst (semantic_of_program prog 1)
         in
         let a = sem_of 8 and b = sem_of 16 and c = sem_of 32 in
-        let cache = Nsc_sim.Plan.make_cache ~bound:2 () in
-        let pa = Nsc_sim.Plan.cached cache params a in
-        ignore (Nsc_sim.Plan.cached cache params b);
+        let cache = Nsc_sim.Kernel.make_cache ~bound:2 () in
+        let find = Nsc_sim.Kernel.find_or_compile cache params in
+        let ka = find a in
+        ignore (find b);
         (* touch [a], then insert [c]: the LRU victim must be [b], not [a] *)
-        ignore (Nsc_sim.Plan.cached cache params a);
-        ignore (Nsc_sim.Plan.cached cache params c);
-        let pa' = Nsc_sim.Plan.cached cache params a in
-        check_bool "a survived (hit, no recompile)" true (pa == pa'));
+        ignore (find a);
+        ignore (find c);
+        let ka' = find a in
+        check_bool "a survived (hit, no recompile)" true (ka == ka'));
     case "make_cache rejects a zero bound" (fun () ->
-        check_bool "bound 0" true
-          (try
-             ignore (Nsc_sim.Plan.make_cache ~bound:0 ());
-             false
-           with Invalid_argument _ -> true);
-        check_bool "kernel bound 0" true
-          (try
-             ignore (Nsc_sim.Kernel.make_cache ~bound:0 ());
-             false
-           with Invalid_argument _ -> true));
+        List.iter
+          (fun bound ->
+            check_bool (Printf.sprintf "bound %d" bound) true
+              (try
+                 ignore (Nsc_sim.Kernel.make_cache ~bound ());
+                 false
+               with Invalid_argument _ -> true))
+          [ 0; -1 ]);
     case "a bounded server evicts under a mixed job burst" (fun () ->
         let t = server ~cache_bound:2 () in
         List.iteri
@@ -373,11 +366,12 @@ let cache_tests =
         ignore (Serve.handle_line t (submit ~id:"only" ~n:5 ()));
         List.iter (fun r -> check_string "ok" "ok" (status r)) (Serve.drain t);
         (* an unrelated bounded cache in the same process evicts *)
-        let other = Nsc_sim.Plan.make_cache ~bound:1 () in
+        let other = Nsc_sim.Kernel.make_cache ~bound:1 () in
         List.iter
           (fun n ->
             let prog, _ = vecadd_program ~n () in
-            ignore (Nsc_sim.Plan.cached other params (fst (semantic_of_program prog 1))))
+            ignore
+              (Nsc_sim.Kernel.find_or_compile other params (fst (semantic_of_program prog 1))))
           [ 8; 16; 32 ];
         check_int "the other cache evicted" 2 (Nsc_sim.Lru.evictions other);
         let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in
@@ -388,14 +382,14 @@ let cache_tests =
 
 (* Strip the fields that legitimately depend on host scheduling:
    wall-clock latency, the domain-local Bigarray scratch-pool warmth, and
-   the shared plan/kernel cache warmth (two concurrent jobs may race to
-   compile the same plan, so whether a lookup hits or compiles depends on
-   the interleaving).  Everything else — every simulated-machine counter,
+   the shared compile-cache warmth (two concurrent jobs may race to
+   compile the same instruction, so whether a lookup hits or compiles
+   depends on the interleaving).  Everything else — every simulated-machine counter,
    sweeps, residuals — must be bit-identical between a wave fanned across
    domains and the same jobs run one by one. *)
 let host_counters =
   [ "kernel.pool_hits"; "kernel.pool_misses"; "kernel.cache_hits";
-    "kernel.compiles"; "plan.cache_hits"; "plan.compiles"; "cache.evictions" ]
+    "kernel.compiles"; "plan.compiles"; "cache.evictions" ]
 let strip_host_noise obj =
   match obj with
   | Json.Obj fields ->
@@ -430,6 +424,35 @@ let isolation_tests =
           List.map (fun r -> Json.to_string (strip_host_noise (parse r))) (Serve.drain t)
         in
         run 2 = run 1);
+    case "a clean job after a faulted one matches a fresh server" (fun () ->
+        let clean t =
+          ignore (Serve.handle_line t (submit ~id:"clean" ~n:5 ()));
+          match Serve.drain t with
+          | [ r ] -> Json.to_string (strip_host_noise (parse r))
+          | _ -> Alcotest.fail "expected one result"
+        in
+        let t = server () in
+        ignore
+          (Serve.handle_line t
+             (submit ~id:"f" ~faults:"transient-link:p=0.5,fu-fault:p=0.05" ~fault_seed:3 ()));
+        ignore (Serve.drain t);
+        check_string "bit-identical" (clean (server ())) (clean t));
+    case "faulted and clean jobs share a wave as if run serially" (fun () ->
+        let run domains =
+          let t = server ~domains () in
+          List.iter
+            (fun line -> ignore (Serve.handle_line t line))
+            [ submit ~id:"a" ~n:5 ();
+              submit ~id:"b" ~n:5 ~faults:"transient-link:p=0.2,dma-stall:p=0.05"
+                ~fault_seed:11 ();
+              submit ~id:"c" ~n:7 ();
+              submit ~id:"d" ~n:7 ~faults:"transient-link:p=0.1" ~fault_seed:4 () ];
+          List.map (fun r -> Json.to_string (strip_host_noise (parse r))) (Serve.drain t)
+        in
+        let serial = run 1 in
+        check_bool "faults present" true
+          (List.exists (fun r -> Json.member "faults" (parse r) <> None) serial);
+        check_bool "domains 2 = domains 1" true (run 2 = serial));
   ]
 
 let suite =
