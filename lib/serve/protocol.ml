@@ -73,12 +73,14 @@ let num_field ?rid obj name =
       | None -> bad ?rid "bad-request" (Printf.sprintf "%S must be a number" name))
   | None -> None
 
+(* [int_of_float] is unspecified outside [min_int, max_int] (on x86-64 a
+   huge value reads as 0), so the range is checked first: [-2^62, 2^62)
+   is exactly the set of floats that convert *)
 let int_field ?rid obj name =
-  Option.map
-    (fun x ->
-      if Float.is_integer x then int_of_float x
-      else bad ?rid "bad-request" (Printf.sprintf "%S must be an integer" name))
-    (num_field ?rid obj name)
+  match num_field ?rid obj name with
+  | None -> None
+  | Some x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 -> Some (int_of_float x)
+  | Some _ -> bad ?rid "bad-request" (Printf.sprintf "%S must be an integer in range" name)
 
 let parse_workload ~rid obj =
   match Json.member "workload" obj with

@@ -277,7 +277,15 @@ let serve_tests =
         check_bool "spent past the ceiling" true
           (Option.get (inum r "spent_cycles") >= 2000);
         let ok = one_response t (submit_jacobi ~id:"after" ()) in
-        check_string "next job runs clean" "ok" (Option.get (str ok "status")));
+        check_string "next job runs clean" "ok" (Option.get (str ok "status"));
+        (* and the kill left nothing behind that perturbs the next answer *)
+        let direct =
+          Result.get_ok (Jacobi.solve kb (Poisson.manufactured 5) ~tol:1e-4 ~max_iters:200)
+        in
+        check_int "next job's sweeps = direct solve" direct.Jacobi.sweeps
+          (Option.get (inum ok "sweeps"));
+        check_bool "next job's residual = direct solve" true
+          (Json.member "residual" ok = Some (Json.Num direct.Jacobi.final_change)));
     case "wall deadline kills a job via deadline_ms" (fun () ->
         let t = server Serve.default_config in
         let r =
@@ -384,6 +392,15 @@ let serve_tests =
           (List.length (Guard.Journal.load ~path));
         check_int "replays counted" 2
           (Metrics.value (Serve.metrics b) Guard.c_journal_replays);
+        (* replay == clean run: an uninterrupted daemon fed the same lines
+           answers the same responses, host-only fields aside (wall-clock
+           latency and compile-cache and buffer-pool warmth) *)
+        let twin = server Serve.default_config in
+        List.iter (fun l -> ignore (Serve.handle_line twin l)) lines;
+        let straight = List.map parse (Serve.drain twin) in
+        let strip = List.map Suite_serve.strip_host_noise in
+        check_bool "replay bit-identical to the uninterrupted run" true
+          (strip replayed = strip straight);
         Sys.remove path);
     case "socket status: absent, stale and live are told apart" (fun () ->
         let dir = Filename.temp_file "guard-sock" "" in

@@ -107,7 +107,11 @@ let protocol_tests =
         bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":5,"tol":0}}|};
         bad {|{"op":"submit","id":"x","workload":{"kind":"source","text":""}}|};
         bad {|{"op":"submit","id":"x","engine":"gpu","workload":{"kind":"jacobi","n":5}}|};
-        bad {|{"op":"submit","id":"x","faults":"nonsense","workload":{"kind":"jacobi","n":5}}|});
+        bad {|{"op":"submit","id":"x","faults":"nonsense","workload":{"kind":"jacobi","n":5}}|};
+        (* beyond the int range: [int_of_float] would read these as 0 *)
+        bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":5},"deadline_cycles":1e19}|};
+        bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":5},"fault_seed":1e19}|};
+        bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":1e19}}|});
     case "a validation error echoes the client job id" (fun () ->
         let o =
           expect_error ~code:"bad-request"
@@ -182,7 +186,7 @@ let job_tests =
             check_string "id" "bad" (Option.get (str o "id"))
         | _ -> Alcotest.fail "expected one result");
     case "a faulted job recovers and matches the clean residual" (fun () ->
-        let _, want_residual = reference 5 in
+        let want_sweeps, want_residual = reference 5 in
         let t = server () in
         ignore
           (Serve.handle_line t
@@ -191,6 +195,7 @@ let job_tests =
         | [ r ] ->
             let o = parse r in
             check_string "status" "ok" (Option.get (str o "status"));
+            check_int "sweeps identical to clean" want_sweeps (Option.get (inum o "sweeps"));
             check_bool "residual identical to clean" true
               (Option.get (num o "residual") = want_residual);
             let f = Option.get (Json.member "faults" o) in

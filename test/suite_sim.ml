@@ -756,25 +756,31 @@ let kernel_v3_tests =
     case "v3 and the reference agree on a faulted Jacobi solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let module F = Nsc_fault.Fault in
-        let spec = Result.get_ok (F.parse "fu-fault:p=0.02,dma-stall:p=0.05") in
-        let go engine =
-          let run = Run.make ~fault:(F.make ~seed:1234 spec) () in
-          Result.get_ok (Nsc_apps.Jacobi.solve kb ~engine ~run prob ~tol:1e-4 ~max_iters:200)
-        in
-        let k = go `Kernel and r = go `Reference in
-        let trapped (o : Nsc_apps.Jacobi.outcome) =
-          Interrupt.trapped_exceptions o.Nsc_apps.Jacobi.stats.Sequencer.events
-        in
-        check_bool "the fault model trapped" true (trapped k > 0);
-        check_int "sweeps" r.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields" true
-          (compare k.Nsc_apps.Jacobi.u r.Nsc_apps.Jacobi.u = 0);
-        check_int "cycles" r.Nsc_apps.Jacobi.stats.Sequencer.total_cycles
-          k.Nsc_apps.Jacobi.stats.Sequencer.total_cycles;
-        check_int "trapped events" (trapped r) (trapped k);
-        check_bool "residual bits" true
-          (Int64.bits_of_float k.Nsc_apps.Jacobi.final_change
-          = Int64.bits_of_float r.Nsc_apps.Jacobi.final_change));
+        List.iter
+          (fun spec_text ->
+            let spec = Result.get_ok (F.parse spec_text) in
+            let go engine =
+              let run = Run.make ~fault:(F.make ~seed:1234 spec) () in
+              Result.get_ok
+                (Nsc_apps.Jacobi.solve kb ~engine ~run prob ~tol:1e-4 ~max_iters:200)
+            in
+            let k = go `Kernel and r = go `Reference in
+            let trapped (o : Nsc_apps.Jacobi.outcome) =
+              Interrupt.trapped_exceptions o.Nsc_apps.Jacobi.stats.Sequencer.events
+            in
+            let check_int what = check_int (spec_text ^ ": " ^ what)
+            and check_bool what = check_bool (spec_text ^ ": " ^ what) in
+            check_bool "the fault model trapped" true (trapped k > 0);
+            check_int "sweeps" r.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
+            check_bool "fields" true
+              (compare k.Nsc_apps.Jacobi.u r.Nsc_apps.Jacobi.u = 0);
+            check_int "cycles" r.Nsc_apps.Jacobi.stats.Sequencer.total_cycles
+              k.Nsc_apps.Jacobi.stats.Sequencer.total_cycles;
+            check_int "trapped events" (trapped r) (trapped k);
+            check_bool "residual bits" true
+              (Int64.bits_of_float k.Nsc_apps.Jacobi.final_change
+              = Int64.bits_of_float r.Nsc_apps.Jacobi.final_change))
+          [ "fu-fault:p=0.02"; "fu-fault:p=0.02,dma-stall:p=0.05" ]);
     case "an FU fault on a pass-through's source stays on the victim's latch"
       (fun () ->
         (* only the pass is written, so the kernel elides its copy and
@@ -1052,16 +1058,25 @@ let prepared_tests =
         let solve () =
           Result.get_ok (Nsc_apps.Jacobi.solve kb ~run prob ~tol:1e-6 ~max_iters:1000)
         in
+        (* The same two solves pin the compile cache and the buffer pool:
+           the cold solve compiles the program's three distinct kernels
+           into the run's fresh cache, and the warm one compiles nothing
+           and takes every buffer from the pool. *)
+        let compiles0 = Kernel.compile_count () in
         ignore (Sys.opaque_identity (solve ()));
         Gc.full_major ();
         let direct_major (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+        let misses0 = Kernel.pool_miss_count () in
         let before = Gc.quick_stat () in
         let o = solve () in
         Gc.full_major ();
         let after = Gc.quick_stat () in
         ignore (Sys.opaque_identity o);
         check_int "direct major words" 1405
-          (int_of_float (direct_major after -. direct_major before)));
+          (int_of_float (direct_major after -. direct_major before));
+        check_int "kernel compiles across both solves" 3
+          (Kernel.compile_count () - compiles0);
+        check_int "pool misses in the warm solve" 0 (Kernel.pool_miss_count () - misses0));
   ]
 
 let suite = suite @ [ ("sim:prepared", prepared_tests) ]
