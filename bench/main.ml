@@ -713,7 +713,6 @@ let a2_sor () =
    the projection over-counts. *)
 let overhead () =
   section "OVERHEAD" "disabled-path cost of every gated site (n=9 Jacobi)";
-  let module F = Nsc_fault.Fault in
   let module Budget = Nsc_guard.Guard.Budget in
   let prob = Poisson.manufactured 9 in
   let solve ?budget () =
