@@ -820,10 +820,11 @@ let serve_cmd =
   let queue_arg =
     Arg.(value & opt int 64
          & info [ "queue" ] ~docv:"N"
-             ~doc:"Admission-queue capacity (default 64).  A submit that \
-                   finds the queue full is rejected with $(b,queue-full) \
-                   and the queue is drained; clients that interleave \
-                   $(b,drain) requests never see rejections.")
+             ~doc:"Admission bound (default 64): a submit that finds \
+                   $(docv) jobs admitted but not yet answered is rejected \
+                   with $(b,queue-full), and the daemon then finishes \
+                   every admitted job before reading on; clients that \
+                   interleave $(b,drain) requests never see rejections.")
   in
   let cache_bound_arg =
     Arg.(value & opt int 0
@@ -836,10 +837,12 @@ let serve_cmd =
   let serve_domains_arg =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Fan each dispatch wave's clean jobs across $(docv) worker \
-                   domains of the persistent pool (default 1: sequential).  \
-                   Jobs carrying a fault spec always run sequentially after \
-                   the clean jobs of their wave.")
+             ~doc:"Run jobs on up to $(docv) domains, the one reading \
+                   requests included (default 1: jobs run only at a \
+                   $(b,drain), $(b,shutdown) or end of input).  With \
+                   $(docv) > 1, $(docv)-1 worker domains start each job as \
+                   soon as one is free, faulted or clean, and responses \
+                   stream back in submission order.")
   in
   let socket_arg =
     Arg.(value & opt (some string) None
@@ -891,8 +894,8 @@ let serve_cmd =
   let shed_at_arg =
     Arg.(value & opt int 0
          & info [ "shed-at" ] ~docv:"N"
-             ~doc:"Open the overload breaker once the admission queue \
-                   reaches $(docv) jobs and shed low-priority submissions \
+             ~doc:"Open the overload breaker once $(docv) jobs are \
+                   admitted but not yet answered and shed low-priority submissions \
                    (code $(b,shed)) until it drains back to half that \
                    (hysteresis).  Default 0: no shedding.")
   in
@@ -931,8 +934,8 @@ let serve_cmd =
        ~doc:"Run the simulation-as-a-service daemon: accept NDJSON job \
              submissions (built-in Jacobi solves or inline pipeline-language \
              source, optionally under a seeded fault model) on stdin or a \
-             Unix socket, schedule them across the persistent domain pool, \
-             and stream per-job results back as NDJSON.  Protocol: \
+             Unix socket, start each one as soon as a domain is free, and \
+             stream per-job results back as NDJSON in submission order.  Protocol: \
              docs/SERVICE.md; resilience (deadlines, retries, journal, \
              shedding): docs/RESILIENCE.md.")
     Term.(const run $ subset_flag $ queue_arg $ cache_bound_arg

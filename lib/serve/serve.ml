@@ -1,13 +1,14 @@
 (* The serve daemon: a bounded admission queue in front of the simulator,
-   dispatching job waves across the persistent worker-domain pool.  Wire
-   protocol in protocol.ml / docs/SERVICE.md.
+   starting each admitted job as soon as a domain is free and releasing
+   the responses in submission order.  Wire protocol in protocol.ml /
+   docs/SERVICE.md.
 
    Isolation contract: every job executes under its own Nsc_metrics
    context, so counters, histograms and attribution never bleed between
    concurrent jobs (the interleaved-equals-serial property is pinned in
    test/suite_serve.ml), and every job runs with its own run state
    ([Nsc_sim.Run.t]: its fault model and budget), so faulted and clean
-   jobs share a wave.  Sharing contract: all jobs of a session go
+   jobs run side by side.  Sharing contract: all jobs of a session go
    through one compile cache, bounded with LRU eviction so a long-lived
    daemon's resident set stays capped no matter how many distinct
    programs clients submit. *)
@@ -72,7 +73,7 @@ let c_proto_errors =
 
 let c_waves =
   Metrics.counter ~name:"serve.waves" ~units:"waves"
-    ~desc:"serve dispatch waves fanned across the domain pool"
+    ~desc:"serve barriers (drain, shutdown, end of input, queue full) that released jobs"
 
 let h_latency =
   Metrics.histogram ~name:"hist.serve_job_usec" ~units:"usec"
@@ -80,10 +81,17 @@ let h_latency =
 
 type pending = { job : Protocol.job; line : string; admitted : float }
 
+(* An admitted job; [response] is set once it has run. *)
+type slot = { p : pending; mutable response : string option }
+
+(* Where released responses go: held for the next barrier (library use),
+   written to an attached transport, or dropped once that transport's
+   peer has gone. *)
+type sink = Hold | Stream of out_channel | Lost
+
 type t = {
   cfg : config;
   kb : Knowledge.t;
-  queue : pending Queue.t;
   cache : Nsc_sim.Kernel.cache;
   sctx : Metrics.ctx;
   journal : Guard.Journal.t option;
@@ -91,6 +99,20 @@ type t = {
   mutable b_opens : int;   (* breaker transitions already mirrored *)
   mutable b_closes : int;
   mutable stopping : bool;
+  (* dispatch state, under [mu]; the journal is written under it too *)
+  mu : Mutex.t;
+  work : Condition.t;  (* a job became runnable, or the workers retire *)
+  idle : Condition.t;  (* a job was released *)
+  runq : slot Queue.t;  (* admitted, not yet started *)
+  inflight : slot Queue.t;  (* admitted, not yet released: submission order *)
+  mutable unreleased : int;
+  mutable released : int;  (* released since the previous barrier *)
+  mutable retiring : bool;
+  mutable workers : unit Domain.t list;  (* spawned and joined by the reader *)
+  (* output state, under [out_mu]: one writer at a time *)
+  out_mu : Mutex.t;
+  mutable sink : sink;
+  mutable held : string list;  (* reversed *)
 }
 
 let create ?(config = default_config) () =
@@ -104,7 +126,6 @@ let create ?(config = default_config) () =
   {
     cfg = config;
     kb = (if config.subset then Knowledge.subset else Knowledge.default);
-    queue = Queue.create ();
     cache = Nsc_sim.Kernel.make_cache ?bound ();
     sctx;
     journal = Option.map (fun path -> Guard.Journal.open_ ~path) config.journal;
@@ -115,10 +136,22 @@ let create ?(config = default_config) () =
     b_opens = 0;
     b_closes = 0;
     stopping = false;
+    mu = Mutex.create ();
+    work = Condition.create ();
+    idle = Condition.create ();
+    runq = Queue.create ();
+    inflight = Queue.create ();
+    unreleased = 0;
+    released = 0;
+    retiring = false;
+    workers = [];
+    out_mu = Mutex.create ();
+    sink = Hold;
+    held = [];
   }
 
 let stopped t = t.stopping
-let queued t = Queue.length t.queue
+let queued t = Mutex.protect t.mu (fun () -> t.unreleased)
 let metrics t = t.sctx
 
 let num i = Json.Num (float_of_int i)
@@ -353,35 +386,171 @@ let run_job t (p : pending) : string =
                ("counters", counters_json jctx);
              ]))
 
-(* --- wave dispatch ------------------------------------------------------ *)
+(* --- continuous dispatch ------------------------------------------------ *)
 
-let drain t =
-  let pending = Array.of_seq (Queue.to_seq t.queue) in
-  Queue.clear t.queue;
-  let n = Array.length pending in
-  if n = 0 then []
-  else begin
-    Metrics.add t.sctx c_waves 1;
-    (* results land by submission index, so the wire order never depends
-       on which domain finished first *)
-    let results = Array.make n "" in
-    let exec i = results.(i) <- run_job t pending.(i) in
-    if t.cfg.domains > 1 && n > 1 then
-      Nsc_sim.Multinode.parallel_for ~domains:t.cfg.domains ~n exec
-    else for i = 0 to n - 1 do exec i done;
-    (* completions are journalled after the wave, on this domain: the
-       out-channel is not shared with workers, and a crash inside the
-       wave must leave every in-flight job marked pending for replay *)
-    (match t.journal with
-    | None -> ()
-    | Some j ->
-        Array.iter
-          (fun p ->
-            Guard.Journal.append_done j ~id:p.job.Protocol.id;
-            Metrics.add t.sctx Guard.c_journal_appends 1)
-          pending);
-    Array.to_list results
+(* Call with [out_mu] held. *)
+let write_locked t lines =
+  match t.sink with
+  | Hold -> t.held <- List.rev_append lines t.held
+  | Lost -> ()
+  | Stream oc -> (
+      try
+        List.iter
+          (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+          lines;
+        flush oc
+      with Sys_error _ -> t.sink <- Lost)
+
+(* Responses that are not job results (errors, pong, acks, the summary):
+   written straight to an attached transport, else returned. *)
+let out t lines =
+  Mutex.protect t.out_mu (fun () ->
+      match t.sink with
+      | Hold -> lines
+      | Stream _ | Lost ->
+          write_locked t lines;
+          [])
+
+(* Release the finished head of the in-flight queue and every finished
+   job behind it: journal [done], then the response.  Every finisher
+   calls this after setting its response, so no finished job is left
+   behind, and [out_mu] keeps the releases in submission order. *)
+let release t =
+  let k =
+    Mutex.protect t.out_mu (fun () ->
+        let ready =
+          Mutex.protect t.mu (fun () ->
+              let rec pop acc =
+                match Queue.peek_opt t.inflight with
+                | Some { response = Some r; p } ->
+                    ignore (Queue.pop t.inflight);
+                    (match t.journal with
+                    | None -> ()
+                    | Some j ->
+                        Guard.Journal.append_done j ~id:p.job.Protocol.id;
+                        Metrics.add t.sctx Guard.c_journal_appends 1);
+                    pop (r :: acc)
+                | _ -> List.rev acc
+              in
+              pop [])
+        in
+        if ready <> [] then write_locked t ready;
+        List.length ready)
+  in
+  if k > 0 then
+    Mutex.protect t.mu (fun () ->
+        t.unreleased <- t.unreleased - k;
+        t.released <- t.released + k;
+        Condition.broadcast t.idle)
+
+(* Run one job and release what it unblocks.  The slot is finished even
+   if the job escapes its own handlers (an asynchronous [Sys.Break]), so
+   a barrier never waits on it forever. *)
+let run_slot t s =
+  let finish r =
+    Mutex.protect t.mu (fun () -> s.response <- Some r);
+    release t
+  in
+  match run_job t s.p with
+  | r -> finish r
+  | exception e ->
+      Metrics.add t.sctx c_failed 1;
+      finish
+        (Json.to_string
+           (Json.Obj
+              [ ("id", Json.Str s.p.job.Protocol.id);
+                ("status", Json.Str "error");
+                ("code", Json.Str "run-failed");
+                ("detail", Json.Str (Printexc.to_string e));
+              ]));
+      raise e
+
+(* A background worker: take the next runnable job as soon as it is free
+   (dynamic assignment), until the server retires its workers. *)
+let rec worker t =
+  let next =
+    Mutex.protect t.mu (fun () ->
+        while Queue.is_empty t.runq && not t.retiring do
+          Condition.wait t.work t.mu
+        done;
+        Queue.take_opt t.runq)
+  in
+  match next with
+  | None -> ()
+  | Some s ->
+      (try run_slot t s with _ -> ());
+      worker t
+
+let retire t =
+  if t.workers <> [] then begin
+    Mutex.protect t.mu (fun () ->
+        t.retiring <- true;
+        Condition.broadcast t.work);
+    List.iter (fun d -> try Domain.join d with _ -> ()) t.workers;
+    t.workers <- [];
+    t.retiring <- false
   end
+
+(* Admission: the job joins the run queue and the in-flight queue.  The
+   write-ahead record goes down (and is flushed) first, before the job
+   can run.  [domains - 1] background workers are spawned once two jobs
+   are in flight: a lone job (a client's first) runs at its barrier
+   without paying for the spawn. *)
+let admit t p =
+  let slot = { p; response = None } in
+  let spawn =
+    Mutex.protect t.mu (fun () ->
+        (match t.journal with
+        | None -> ()
+        | Some j ->
+            Guard.Journal.append_accept j ~id:p.job.Protocol.id ~line:p.line;
+            Metrics.add t.sctx Guard.c_journal_appends 1);
+        Queue.add slot t.runq;
+        Queue.add slot t.inflight;
+        t.unreleased <- t.unreleased + 1;
+        Condition.signal t.work;
+        t.cfg.domains > 1 && t.workers = [] && t.unreleased >= 2)
+  in
+  if spawn then
+    t.workers <- List.init (t.cfg.domains - 1) (fun _ -> Domain.spawn (fun () -> worker t))
+
+(* A barrier: the calling domain runs queued jobs itself until the run
+   queue is empty, then waits until every in-flight job is released.
+   Returns the held responses (library use; [] with a transport attached)
+   and the number of jobs released since the previous barrier.  Without
+   a transport the workers retire here, so an idle library server holds
+   no domains. *)
+let barrier t =
+  let rec help () =
+    match Mutex.protect t.mu (fun () -> Queue.take_opt t.runq) with
+    | Some s ->
+        run_slot t s;
+        help ()
+    | None -> ()
+  in
+  help ();
+  let n =
+    Mutex.protect t.mu (fun () ->
+        while t.unreleased > 0 do
+          Condition.wait t.idle t.mu
+        done;
+        let n = t.released in
+        t.released <- 0;
+        n)
+  in
+  if n > 0 then Metrics.add t.sctx c_waves 1;
+  let held, hold =
+    Mutex.protect t.out_mu (fun () ->
+        let h = List.rev t.held in
+        t.held <- [];
+        (h, match t.sink with Hold -> true | Stream _ | Lost -> false))
+  in
+  if hold then retire t;
+  (held, n)
+
+let drain t = fst (barrier t)
 
 let summary_response t =
   let v c = Metrics.value t.sctx c in
@@ -410,25 +579,25 @@ let handle_line t line =
     match Protocol.parse_request line with
     | Error rej ->
         Metrics.add t.sctx c_proto_errors 1;
-        [ Protocol.error_response rej ]
-    | Ok Protocol.Ping -> [ Protocol.pong_response ~queued:(queued t) ]
+        out t [ Protocol.error_response rej ]
+    | Ok Protocol.Ping -> out t [ Protocol.pong_response ~queued:(queued t) ]
     | Ok Protocol.Drain ->
-        let rs = drain t in
+        let rs, n = barrier t in
         rs
-        @ [ Json.to_string
-              (Json.Obj
-                 [ ("op", Json.Str "drained"); ("jobs", num (List.length rs)) ]);
-          ]
+        @ out t
+            [ Json.to_string
+                (Json.Obj [ ("op", Json.Str "drained"); ("jobs", num n) ]);
+            ]
     | Ok Protocol.Shutdown ->
         let rs = drain t in
         t.stopping <- true;
-        rs @ [ summary_response t ]
+        rs @ out t [ summary_response t ]
     | Ok (Protocol.Submit job) ->
         (* overload protection first: feed the breaker, then shed
            low-priority work while it is open *)
         let p99 = (Metrics.hist_summary t.sctx h_latency).Metrics.p99 in
-        Guard.Breaker.observe t.breaker ~depth:(Queue.length t.queue)
-          ~p99_usec:p99;
+        let depth = queued t in
+        Guard.Breaker.observe t.breaker ~depth ~p99_usec:p99;
         let opens = Guard.Breaker.opens t.breaker in
         let closes = Guard.Breaker.closes t.breaker in
         Metrics.add t.sctx Guard.c_breaker_opens (opens - t.b_opens);
@@ -439,29 +608,20 @@ let handle_line t line =
         then begin
           Metrics.add t.sctx c_rejected 1;
           Metrics.add t.sctx Guard.c_shed_jobs 1;
-          [ Protocol.shed_response ~id:job.Protocol.id
-              ~queued:(Queue.length t.queue) ]
+          out t [ Protocol.shed_response ~id:job.Protocol.id ~queued:depth ]
         end
-        else if Queue.length t.queue >= t.cfg.queue_bound then begin
+        else if depth >= t.cfg.queue_bound then begin
           (* explicit backpressure: refuse the overflow submit, then let
              the queue catch up so the next one is admitted *)
           Metrics.add t.sctx c_rejected 1;
           let rej =
-            Protocol.rejected_response ~id:job.Protocol.id
-              ~queued:(Queue.length t.queue)
+            out t [ Protocol.rejected_response ~id:job.Protocol.id ~queued:depth ]
           in
-          rej :: drain t
+          rej @ drain t
         end
         else begin
-          (* the write-ahead record goes down (and is flushed) before
-             the silent admission acknowledges anything *)
-          (match t.journal with
-          | None -> ()
-          | Some j ->
-              Guard.Journal.append_accept j ~id:job.Protocol.id ~line;
-              Metrics.add t.sctx Guard.c_journal_appends 1);
           Metrics.add t.sctx c_submitted 1;
-          Queue.add { job; line; admitted = Unix.gettimeofday () } t.queue;
+          admit t { job; line; admitted = Unix.gettimeofday () };
           []
         end
 
@@ -481,30 +641,40 @@ let recover t =
 
 (* --- transports --------------------------------------------------------- *)
 
+(* Attach a transport: responses held so far (a recovery's, say) go out
+   first, then every release and response is written as it happens. *)
+let attach t oc =
+  Mutex.protect t.out_mu (fun () ->
+      let held = List.rev t.held in
+      t.held <- [];
+      t.sink <- Stream oc;
+      write_locked t held)
+
+(* Detach it: finish what is in flight, retire the workers, hold again. *)
+let detach t =
+  ignore (barrier t);
+  retire t;
+  Mutex.protect t.out_mu (fun () -> t.sink <- Hold)
+
 let serve_channels t ic oc =
-  let emit lines =
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    flush oc
-  in
+  attach t oc;
   let rec loop () =
-    if t.stopping then ()
-    else
+    if not t.stopping then
       match input_line ic with
       | line ->
-          emit (handle_line t line);
+          ignore (handle_line t line);
           loop ()
-      | exception End_of_file -> emit (drain t)
+      | exception (End_of_file | Sys_error _) -> ignore (barrier t)
   in
-  try loop ()
-  with Sys.Break ->
-    (* graceful drain on SIGINT: finish admitted work, report, stop *)
-    emit (drain t);
-    t.stopping <- true;
-    emit [ summary_response t ]
+  Fun.protect
+    ~finally:(fun () -> detach t)
+    (fun () ->
+      try loop ()
+      with Sys.Break ->
+        (* graceful drain on SIGINT: finish admitted work, report, stop *)
+        ignore (barrier t);
+        t.stopping <- true;
+        ignore (out t [ summary_response t ]))
 
 (* Classify the filesystem object at a prospective socket path by
    test-connecting to it: a connection that opens is a live daemon; a
@@ -538,6 +708,9 @@ let listen t ~path =
            "socket %s is in use (a live daemon answered) — pick another path \
             or stop the other daemon"
            path));
+  (* a client that hangs up before reading its responses must cost only
+     its own connection: a write to it fails instead of killing us *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
@@ -551,6 +724,6 @@ let listen t ~path =
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         (try serve_channels t ic oc with _ -> ());
-        (try flush oc with _ -> ());
-        try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+        (* closes [fd] and drops whatever a gone peer left unflushed *)
+        close_out_noerr oc
       done)

@@ -1,8 +1,8 @@
 (** The simulation-as-a-service daemon behind [nscvp serve].
 
     Jobs arrive as NDJSON request lines ({!Protocol}), pass a bounded
-    FIFO admission queue, and execute in waves fanned across the
-    persistent worker-domain pool.  Each job runs under its own
+    FIFO admission queue, and start as soon as a domain is free.  Each
+    job runs under its own
     [Nsc_metrics] context and its own run state ([Nsc_sim.Run.t]: fault
     model and budget) — nothing bleeds between concurrent jobs — and
     every job in the session shares one bounded compile cache, so
@@ -12,20 +12,36 @@
     The protocol document is [docs/SERVICE.md].  Overview of the
     scheduling contract:
 
-    - a [submit] is admitted silently; its result is streamed back at
-      the next dispatch (an explicit [drain], a full queue, [shutdown],
-      or end of input);
-    - a [submit] that finds the queue full is {e rejected} with
-      [queue-full], and the rejection triggers a drain so the next
-      submit is admitted — clients that interleave [drain] requests (or
-      keep bursts within the queue bound) never see rejections;
-    - jobs carrying a fault spec run in the pool beside the clean jobs
-      of their wave, each drawing from its own seeded model;
-    - responses of one wave are emitted in submission order. *)
+    - a [submit] is admitted silently onto a run queue; with
+      [domains = N > 1], [N - 1] background worker domains (spawned once
+      two jobs are in flight) take each job as soon as they are free;
+    - [drain], [shutdown], end of input, SIGINT and a queue-full
+      rejection are {e barriers}: the calling domain runs queued jobs
+      itself until none is left, then waits until every admitted job
+      has been released — with [domains = 1] nothing runs before a
+      barrier;
+    - a finished job is {e released} once every job admitted before it
+      has been: its journal [done] record is written, then its
+      response.  With a transport attached ({!serve_channels},
+      {!listen}) the response goes out at once; without one it is held
+      and returned by the next barrier, so {!handle_line} and {!drain}
+      answer exactly as if every job ran at the barrier;
+    - a [submit] that finds [queue_bound] jobs admitted but not yet
+      released is {e rejected} with [queue-full], and the rejection is
+      a barrier, so the next submit is admitted — clients that
+      interleave [drain] requests (or keep bursts within the queue
+      bound) never see rejections;
+    - jobs carrying a fault spec run beside clean jobs, each drawing
+      from its own seeded model;
+    - responses are released in submission order. *)
 
 type config = {
-  domains : int;      (** worker domains per wave (default 1: sequential) *)
-  queue_bound : int;  (** admission-queue capacity (default 64) *)
+  domains : int;
+      (** domains that run jobs, the one reading requests included
+          (default 1: jobs run only at barriers, on the reader) *)
+  queue_bound : int;
+      (** jobs admitted but not yet released before a submit is
+          rejected (default 64) *)
   cache_bound : int;  (** compile-cache bound; 0 = unbounded (default) *)
   engine : Protocol.engine;  (** default engine for jobs that name none *)
   subset : bool;      (** use the restricted machine model *)
@@ -65,6 +81,7 @@ val stopped : t -> bool
 (** A [shutdown] request has been processed. *)
 
 val queued : t -> int
+(** Jobs admitted but not yet released. *)
 
 val metrics : t -> Nsc_metrics.Metrics.ctx
 (** The server's own context: [serve.*] counters and the
@@ -72,11 +89,15 @@ val metrics : t -> Nsc_metrics.Metrics.ctx
 
 val handle_line : t -> string -> string list
 (** Process one request line; returns the response lines to emit, in
-    order (empty for a silently-admitted submit).  Never raises on bad
-    input — malformed lines produce an error response. *)
+    order (empty for a silently-admitted submit, and always empty while
+    {!serve_channels} has a transport attached: it writes them there).
+    Never raises on bad input — malformed lines produce an error
+    response. *)
 
 val drain : t -> string list
-(** Execute every queued job now; the responses in submission order. *)
+(** A barrier: run every queued job and wait until all are released;
+    the responses held since the previous barrier, in submission
+    order. *)
 
 val recover : t -> string list
 (** Replay every accepted-but-unfinished request line of the configured
@@ -91,8 +112,11 @@ val summary_response : t -> string
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Read request lines until EOF or [shutdown], writing (and flushing)
-    responses as they are produced.  EOF drains the queue; SIGINT (with
-    [Sys.catch_break true]) drains and emits the summary. *)
+    responses as they are produced: a job's response as soon as it is
+    released, from whichever domain released it.  EOF is a barrier;
+    SIGINT (with [Sys.catch_break true]) is a barrier followed by the
+    summary.  A write that fails (the peer hung up) drops the
+    connection's output; its jobs still run and are journalled. *)
 
 val socket_status : string -> [ `Absent | `Live | `Stale ]
 (** Classify the object at a prospective socket path by
@@ -107,4 +131,6 @@ val listen : t -> path:string -> unit
     counters are shared across connections.  A stale socket file at
     [path] (per {!socket_status}) is replaced; a live one — or a
     non-socket file — raises [Failure] instead of clobbering it.  The
-    socket file is unlinked on the way out, error paths included. *)
+    socket file is unlinked on the way out, error paths included.
+    SIGPIPE is ignored for the process, so a client that hangs up
+    before reading its responses costs only its own connection. *)

@@ -231,53 +231,6 @@ let parallel_iter ?(domains = 1) t (f : int -> Node.t -> 'a) : 'a array =
     results
   end
 
-(* --- the shared pool ----------------------------------------------------- *)
-
-(* A process-wide persistent pool for parallel work that is not tied to a
-   machine — batched kernel execution fans replicas across it.  Created on
-   first use, grown by replacement, drained by the same [at_exit] hook as
-   the machine pools. *)
-let shared_pool : pool option ref = ref None
-let shared_mu = Mutex.create ()
-
-let ensure_shared ~workers =
-  Mutex.protect shared_mu (fun () ->
-      match !shared_pool with
-      | Some p when p.size >= workers -> p
-      | prev ->
-          (match prev with Some p -> pool_shutdown p | None -> ());
-          let p = pool_create workers in
-          shared_pool := Some p;
-          p)
-
-(** Apply [f] to every index in [0, n), fanning the calls across the
-    process-wide persistent domain pool ([domains <= 1] runs sequentially
-    on the caller, which also takes a stripe otherwise).  The determinism
-    contract of {!parallel_iter} applies: [f i] must touch only state
-    owned by index [i], so scheduling reorders execution but never any
-    index's inputs or outputs.  One caller at a time: the shared pool
-    runs a single job, so nested or concurrent calls must keep
-    [domains = 1]. *)
-let parallel_for ?(domains = 1) ~n (f : int -> unit) =
-  if n > 0 then begin
-    if domains <= 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let d = min domains n in
-      let p = ensure_shared ~workers:(d - 1) in
-      pool_run p (fun w ->
-          if w < d then begin
-            let i = ref w in
-            while !i < n do
-              f !i;
-              i := !i + d
-            done
-          end)
-    end
-  end
-
 (** Run one synchronous compute step: [f] produces per-node (cycles, flops)
     — typically from {!Sequencer.run} on each node — and the machine
     advances by the slowest node's cycles.  [domains] fans the per-node

@@ -60,14 +60,6 @@ val node : t -> int -> Node.t
     fault schedule matters. *)
 val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
 
-(** Apply [f] to every index in [0, n), fanned across a process-wide
-    persistent domain pool that is created on first use, reused by later
-    calls, and drained at program exit (the machine-independent sibling
-    of {!parallel_iter}).  [f i] must touch only state owned by index
-    [i]; one caller at a time — nested or concurrent calls must keep
-    [domains = 1] (the sequential default). *)
-val parallel_for : ?domains:int -> n:int -> (int -> unit) -> unit
-
 (** Join and release the machine's pooled worker domains (no-op if no
     parallel step ran).  Safe to call repeatedly; a later parallel step
     transparently recreates the pool.  Pools still live at program exit

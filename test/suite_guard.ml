@@ -2,8 +2,8 @@
    deadlines and cancellation (including the edge cases — zero-cycle
    budgets, a ceiling landing exactly on a sweep boundary, cancellation
    under an active fault model), the retry ladder, the write-ahead journal, the overload
-   breaker, the stale-socket classifier, and a QCheck fuzzer over the
-   daemon's wire protocol. *)
+   breaker, the stale-socket classifier, a socket client that hangs up
+   mid-wave, and a QCheck fuzzer over the daemon's wire protocol. *)
 
 open Util
 module Guard = Nsc_guard.Guard
@@ -428,6 +428,50 @@ let serve_tests =
         check_bool "non-socket refuses as live" true
           (Serve.socket_status f = `Live);
         Sys.remove f;
+        Unix.rmdir dir);
+    case "a client that hangs up mid-wave costs only its own connection" (fun () ->
+        let dir = Filename.temp_file "guard-sock" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o700;
+        let path = Filename.concat dir "s.sock" in
+        let t = server { Serve.default_config with domains = 2 } in
+        let daemon = Domain.spawn (fun () -> Serve.listen t ~path) in
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        let rec connect () =
+          let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect s (Unix.ADDR_UNIX path) with
+          | () -> s
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+            when Unix.gettimeofday () < deadline ->
+              Unix.close s;
+              Unix.sleepf 0.005;
+              connect ()
+        in
+        (* the first client submits a wave and leaves before any answer *)
+        let c1 = connect () in
+        let burst =
+          String.concat "\n"
+            [ submit_jacobi ~id:"gone1" ~n:9 (); submit_jacobi ~id:"gone2" ~n:9 ();
+              {|{"op":"drain"}|}; "" ]
+        in
+        ignore (Unix.write_substring c1 burst 0 (String.length burst));
+        Unix.close c1;
+        (* the next one is served once that wave is done *)
+        let c2 = connect () in
+        let ic = Unix.in_channel_of_descr c2 and oc = Unix.out_channel_of_descr c2 in
+        output_string oc "{\"op\":\"ping\"}\n";
+        flush oc;
+        check_string "pong" "pong" (Option.get (str (parse (input_line ic)) "op"));
+        output_string oc "{\"op\":\"shutdown\"}\n";
+        flush oc;
+        let summary = parse (input_line ic) in
+        check_string "shutdown" "shutdown" (Option.get (str summary "op"));
+        check_string "clean" "ok" (Option.get (str summary "status"));
+        let s = Option.get (Json.member "summary" summary) in
+        check_int "the gone client's jobs still ran" 2 (Option.get (inum s "completed"));
+        Domain.join daemon;
+        Unix.close c2;
+        check_bool "socket removed" false (Sys.file_exists path);
         Unix.rmdir dir);
   ]
 

@@ -1,8 +1,10 @@
 (* The serve daemon: wire-protocol parsing and error responses, admission
-   control (queue-full rejection, reject-then-drain), wave dispatch and
-   response ordering, fault-carrying jobs, the shutdown handshake, bounded
-   LRU cache eviction, and — property-tested — zero metric bleed between
-   jobs dispatched concurrently versus serially, faulted jobs included. *)
+   control (queue-full rejection, reject-then-drain), continuous dispatch
+   and in-order release (streamed early over a transport, held for the
+   next drain without one), fault-carrying jobs, the shutdown handshake,
+   bounded LRU cache eviction, and — property-tested — zero metric bleed
+   between jobs dispatched concurrently versus serially, faulted jobs
+   included. *)
 
 open Util
 module Serve = Nsc_serve.Serve
@@ -47,6 +49,81 @@ let reference n =
   match Jacobi.solve kb (Poisson.manufactured n) ~tol:1e-4 ~max_iters:200 with
   | Error e -> Alcotest.failf "reference solve: %s" e
   | Ok o -> (o.Jacobi.sweeps, o.Jacobi.final_change)
+
+(* A server behind [serve_channels] on one end of a socketpair, in its
+   own domain; the test speaks the protocol on the other end.  Reads
+   take a timeout, so a server that holds a response fails the test
+   instead of hanging it. *)
+type client = { fd : Unix.file_descr; buf : Buffer.t; serving : unit Domain.t }
+
+let connect ~domains () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let t = server ~domains () in
+  let serving =
+    Domain.spawn (fun () ->
+        Serve.serve_channels t
+          (Unix.in_channel_of_descr theirs)
+          (Unix.out_channel_of_descr theirs);
+        Unix.close theirs)
+  in
+  { fd = ours; buf = Buffer.create 4096; serving }
+
+let send c line =
+  let s = line ^ "\n" in
+  ignore (Unix.write_substring c.fd s 0 (String.length s))
+
+(* The next response line, or [None] if none arrives within [timeout]
+   seconds (or the server hung up). *)
+let recv_within c timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let s = Buffer.contents c.buf in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear c.buf;
+        Buffer.add_string c.buf (String.sub s (i + 1) (String.length s - i - 1));
+        Some (String.sub s 0 i)
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then None
+        else
+          match Unix.select [ c.fd ] [] [] left with
+          | [], _, _ -> None
+          | _ ->
+              let k = Unix.read c.fd chunk 0 (Bytes.length chunk) in
+              if k = 0 then None
+              else begin
+                Buffer.add_subbytes c.buf chunk 0 k;
+                go ()
+              end)
+  in
+  go ()
+
+let recv c =
+  match recv_within c 30.0 with
+  | Some l -> l
+  | None -> Alcotest.fail "no response within 30 s"
+
+(* Response lines up to (excluding) the [drained] ack, and the ack's
+   [jobs] count. *)
+let until_drained c =
+  let rec go acc =
+    let l = recv c in
+    let o = parse l in
+    if str o "op" = Some "drained" then (List.rev acc, Option.get (inum o "jobs"))
+    else go (l :: acc)
+  in
+  go []
+
+(* End of input: the server drains, detaches and hangs up. *)
+let hang_up c =
+  Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+  while recv_within c 30.0 <> None do () done;
+  Domain.join c.serving;
+  Unix.close c.fd
+
+let ids lines = List.map (fun l -> Option.get (str (parse l) "id")) lines
 
 (* --- protocol parsing and error responses --------------------------- *)
 
@@ -256,6 +333,39 @@ let queue_tests =
             check_string "order 3" "c2" (Option.get (str (parse r3) "id"));
             List.iter (fun r -> check_string "all ok" "ok" (status r)) [ r1; r2; r3 ]
         | rs -> Alcotest.failf "expected 3 results, got %d" (List.length rs)));
+    case "a transport streams a finished job before any drain" (fun () ->
+        (* two jobs, since the workers start once two are in flight *)
+        let c = connect ~domains:2 () in
+        send c (submit ~id:"e1" ~n:3 ());
+        send c (submit ~id:"e2" ~n:3 ());
+        (match recv_within c 10.0 with
+        | Some r ->
+            check_string "the first job comes first" "e1" (Option.get (str (parse r) "id"));
+            check_string "ok" "ok" (status r)
+        | None -> Alcotest.fail "no response before drain");
+        check_string "then the second" "e2" (Option.get (str (parse (recv c)) "id"));
+        (* the ack counts the jobs released since the previous barrier,
+           streamed ones included *)
+        send c {|{"op":"drain"}|};
+        let rest, jobs = until_drained c in
+        check_int "nothing left to stream" 0 (List.length rest);
+        check_int "ack jobs" 2 jobs;
+        send c (submit ~id:"e3" ~n:3 ());
+        send c {|{"op":"drain"}|};
+        let rest, jobs = until_drained c in
+        check_bool "the next wave" true (ids rest = [ "e3" ]);
+        check_int "ack counts from the previous barrier" 1 jobs;
+        hang_up c);
+    case "a small job never overtakes a bigger one submitted before it" (fun () ->
+        let c = connect ~domains:2 () in
+        send c (submit ~id:"big" ~n:9 ());
+        send c (submit ~id:"small" ~n:3 ());
+        send c {|{"op":"drain"}|};
+        let rs, jobs = until_drained c in
+        check_bool "submission order" true (ids rs = [ "big"; "small" ]);
+        List.iter (fun r -> check_string "ok" "ok" (status r)) rs;
+        check_int "ack jobs" 2 jobs;
+        hang_up c);
     case "shutdown flushes the queue and reports a summary" (fun () ->
         let t = server () in
         ignore (Serve.handle_line t (submit ~id:"last" ()));
@@ -443,21 +553,32 @@ let isolation_tests =
         ignore (Serve.drain t);
         check_string "bit-identical" (clean (server ())) (clean t));
     case "faulted and clean jobs share a wave as if run serially" (fun () ->
+        let lines =
+          [ submit ~id:"a" ~n:5 ();
+            submit ~id:"b" ~n:5 ~faults:"transient-link:p=0.2,dma-stall:p=0.05"
+              ~fault_seed:11 ();
+            submit ~id:"c" ~n:7 ();
+            submit ~id:"d" ~n:7 ~faults:"transient-link:p=0.1" ~fault_seed:4 () ]
+        in
         let run domains =
           let t = server ~domains () in
-          List.iter
-            (fun line -> ignore (Serve.handle_line t line))
-            [ submit ~id:"a" ~n:5 ();
-              submit ~id:"b" ~n:5 ~faults:"transient-link:p=0.2,dma-stall:p=0.05"
-                ~fault_seed:11 ();
-              submit ~id:"c" ~n:7 ();
-              submit ~id:"d" ~n:7 ~faults:"transient-link:p=0.1" ~fault_seed:4 () ];
+          List.iter (fun line -> ignore (Serve.handle_line t line)) lines;
           List.map (fun r -> Json.to_string (strip_host_noise (parse r))) (Serve.drain t)
+        in
+        (* the same lines streamed back over a transport as they finish *)
+        let streamed () =
+          let c = connect ~domains:2 () in
+          List.iter (send c) lines;
+          send c {|{"op":"drain"}|};
+          let rs, _ = until_drained c in
+          hang_up c;
+          List.map (fun r -> Json.to_string (strip_host_noise (parse r))) rs
         in
         let serial = run 1 in
         check_bool "faults present" true
           (List.exists (fun r -> Json.member "faults" (parse r) <> None) serial);
-        check_bool "domains 2 = domains 1" true (run 2 = serial));
+        check_bool "domains 2 = domains 1" true (run 2 = serial);
+        check_bool "streamed = domains 1" true (streamed () = serial));
   ]
 
 let suite =
