@@ -221,6 +221,18 @@ let read_floats file =
    with End_of_file -> close_in ic);
   Array.of_list (List.rev !xs)
 
+(* Load every [--load PLANE:BASE:FILE] into [node], in order; a malformed
+   one is reported and exits with status 2. *)
+let apply_loads loads node =
+  List.iter
+    (fun s ->
+      match parse_load s with
+      | Some (plane, base, file) -> Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
+      | None ->
+          prerr_endline ("bad --load: " ^ s);
+          exit 2)
+    loads
+
 (* -- fault injection options ------------------------------------------- *)
 
 let faults_opt =
@@ -343,17 +355,6 @@ let run_cmd =
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
     let c = compile_or_die kb (load_program kb path) in
-    let apply_loads node =
-      List.iter
-        (fun s ->
-          match parse_load s with
-          | Some (plane, base, file) ->
-              Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
-          | None ->
-              prerr_endline ("bad --load: " ^ s);
-              exit 2)
-        loads
-    in
     let fault = fault_model faults seed in
     let domains =
       if domains > 1 && fault <> None then begin
@@ -365,14 +366,14 @@ let run_cmd =
       else domains
     in
     let node = ref (Nsc_sim.Node.create p) in
-    if domains <= 1 then apply_loads !node;
+    if domains <= 1 then apply_loads loads !node;
     let run = Nsc_sim.Run.make ?fault () in
     with_trace trace (fun () ->
         let result =
           if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine ~run c
           else begin
             let n0, r =
-              run_replicated p ~domains ~prepare:apply_loads
+              run_replicated p ~domains ~prepare:(apply_loads loads)
                 ~exec:(fun node -> Nsc_sim.Sequencer.run node ~engine ~run c)
             in
             node := n0;
@@ -558,14 +559,7 @@ let debug_cmd =
     let prog = load_program kb path in
     let c = compile_or_die kb prog in
     let node = Nsc_sim.Node.create p in
-    List.iter
-      (fun s ->
-        match parse_load s with
-        | Some (plane, base, file) -> Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
-        | None ->
-            prerr_endline ("bad --load: " ^ s);
-            exit 2)
-      loads;
+    apply_loads loads node;
     with_trace trace (fun () ->
         match Nsc_debug.Stepper.run node ~limit ~engine c prog with
         | Error e ->
@@ -606,14 +600,7 @@ let stats_cmd =
     let p = Knowledge.params kb in
     let c = compile_or_die kb (load_program kb path) in
     let node = Nsc_sim.Node.create p in
-    List.iter
-      (fun s ->
-        match parse_load s with
-        | Some (plane, base, file) -> Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
-        | None ->
-            prerr_endline ("bad --load: " ^ s);
-            exit 2)
-      loads;
+    apply_loads loads node;
     (* the run gets its own metric context, isolated from everything else
        in the process — the new-world form of reset/enable/disable *)
     let ctx = Metrics.create ~label:"stats" () in
@@ -685,15 +672,7 @@ let profile_cmd =
     | Some path, _ ->
         let c = compile_or_die kb (load_program kb path) in
         let node = Nsc_sim.Node.create p in
-        List.iter
-          (fun s ->
-            match parse_load s with
-            | Some (plane, base, file) ->
-                Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
-            | None ->
-                prerr_endline ("bad --load: " ^ s);
-                exit 2)
-          loads;
+        apply_loads loads node;
         (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node ~engine c) with
         | Error e ->
             prerr_endline ("run error: " ^ e);
@@ -753,20 +732,9 @@ let inject_cmd =
     let p = Knowledge.params kb in
     let c = compile_or_die kb (load_program kb path) in
     let fspec = parse_faults_or_die spec in
-    let apply_loads node =
-      List.iter
-        (fun s ->
-          match parse_load s with
-          | Some (plane, base, file) ->
-              Nsc_sim.Node.load_array node ~plane ~base (read_floats file)
-          | None ->
-              prerr_endline ("bad --load: " ^ s);
-              exit 2)
-        loads
-    in
     let fresh_node () =
       let node = Nsc_sim.Node.create p in
-      apply_loads node;
+      apply_loads loads node;
       node
     in
     let stats_of = function
@@ -783,7 +751,7 @@ let inject_cmd =
       if domains <= 1 then run_once (fresh_node ())
       else
         let _node0, r =
-          run_replicated p ~domains ~prepare:apply_loads
+          run_replicated p ~domains ~prepare:(apply_loads loads)
             ~exec:(fun node -> Nsc_sim.Sequencer.run node c)
         in
         stats_of r

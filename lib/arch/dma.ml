@@ -76,28 +76,30 @@ let addresses t ~vector_length =
   List.init (effective_count t ~vector_length) (fun i -> t.base + (i * t.stride))
 
 (** Validate a transfer against the machine parameters, for a vector of
-    [vector_length] elements. *)
+    [vector_length] elements.  A message is formatted only when its check
+    fails. *)
 let validate (p : Params.t) (t : transfer) ~vector_length =
   let problems = ref [] in
-  let need cond msg = if not cond then problems := msg :: !problems in
+  let fail msg = problems := msg :: !problems in
   let count = effective_count t ~vector_length in
-  need (count >= 0) "transfer count must be non-negative";
+  if count < 0 then fail "transfer count must be non-negative";
   (match t.channel with
   | Plane pl ->
-      need (pl >= 0 && pl < p.n_memory_planes)
-        (Printf.sprintf "memory plane %d does not exist" pl);
-      if pl >= 0 && pl < p.n_memory_planes && count > 0 then begin
+      if pl < 0 || pl >= p.n_memory_planes then
+        fail (Printf.sprintf "memory plane %d does not exist" pl)
+      else if count > 0 then begin
         let e = Memory.strided_extent ~plane:pl ~base:t.base ~stride:t.stride ~count in
-        List.iter (fun m -> need false m) (Memory.validate_extent p e)
+        List.iter fail (Memory.validate_extent p e)
       end
   | Cache_chan c ->
-      need (c >= 0 && c < p.n_caches) (Printf.sprintf "cache %d does not exist" c);
+      if c < 0 || c >= p.n_caches then fail (Printf.sprintf "cache %d does not exist" c);
       if count > 0 then begin
-        need (t.base >= 0) "cache transfer base must be non-negative";
+        if t.base < 0 then fail "cache transfer base must be non-negative";
         let last = t.base + (t.stride * (count - 1)) in
-        need
-          (min t.base last >= 0 && max t.base last < p.cache_words)
-          (Printf.sprintf "cache transfer [%d..%d] exceeds buffer of %d words"
-             (min t.base last) (max t.base last) p.cache_words)
+        let lo = min t.base last and hi = max t.base last in
+        if lo < 0 || hi >= p.cache_words then
+          fail
+            (Printf.sprintf "cache transfer [%d..%d] exceeds buffer of %d words" lo hi
+               p.cache_words)
       end);
   List.rev !problems

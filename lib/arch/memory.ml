@@ -17,18 +17,21 @@ let extent_words e = e.hi - e.lo
 let extents_overlap a b =
   a.plane = b.plane && a.lo < b.hi && b.lo < a.hi
 
-(** Validate that an extent lies inside a plane. *)
+(** Validate that an extent lies inside a plane.  A message is formatted
+    only when its check fails. *)
 let validate_extent (p : Params.t) (e : extent) =
   let problems = ref [] in
-  let need cond msg = if not cond then problems := msg :: !problems in
-  need (e.plane >= 0 && e.plane < p.n_memory_planes)
-    (Printf.sprintf "plane %d does not exist (machine has %d planes)" e.plane
-       p.n_memory_planes);
-  need (e.lo >= 0) "extent start must be non-negative";
-  need (e.lo <= e.hi) "extent must be non-descending";
-  need (e.hi <= p.memory_plane_words)
-    (Printf.sprintf "extent end %d exceeds plane size %d words" e.hi
-       p.memory_plane_words);
+  let fail msg = problems := msg :: !problems in
+  if e.plane < 0 || e.plane >= p.n_memory_planes then
+    fail
+      (Printf.sprintf "plane %d does not exist (machine has %d planes)" e.plane
+         p.n_memory_planes);
+  if e.lo < 0 then fail "extent start must be non-negative";
+  if e.lo > e.hi then fail "extent must be non-descending";
+  if e.hi > p.memory_plane_words then
+    fail
+      (Printf.sprintf "extent end %d exceeds plane size %d words" e.hi
+         p.memory_plane_words);
   List.rev !problems
 
 (** Word range touched by a strided access of [count] elements starting at

@@ -23,28 +23,30 @@ let no_usage = { constants = []; delay_a = 0; delay_b = 0 }
 (** Registers consumed by a usage: one per constant plus the two queues. *)
 let registers_used u = List.length u.constants + u.delay_a + u.delay_b
 
-(** Validate a usage against machine parameters; returns problems found. *)
+(** Validate a usage against machine parameters; returns problems found.
+    A message is formatted only when its check fails. *)
 let validate (p : Params.t) (u : usage) =
   let problems = ref [] in
-  let need cond msg = if not cond then problems := msg :: !problems in
-  need (u.delay_a >= 0 && u.delay_b >= 0) "delay-queue depths must be non-negative";
-  need (u.delay_a <= p.rf_max_delay)
-    (Printf.sprintf "A-operand delay %d exceeds maximum %d" u.delay_a p.rf_max_delay);
-  need (u.delay_b <= p.rf_max_delay)
-    (Printf.sprintf "B-operand delay %d exceeds maximum %d" u.delay_b p.rf_max_delay);
+  let fail msg = problems := msg :: !problems in
+  if u.delay_a < 0 || u.delay_b < 0 then fail "delay-queue depths must be non-negative";
+  if u.delay_a > p.rf_max_delay then
+    fail (Printf.sprintf "A-operand delay %d exceeds maximum %d" u.delay_a p.rf_max_delay);
+  if u.delay_b > p.rf_max_delay then
+    fail (Printf.sprintf "B-operand delay %d exceeds maximum %d" u.delay_b p.rf_max_delay);
   List.iter
     (fun (idx, _) ->
-      need (idx >= 0 && idx < p.rf_registers)
-        (Printf.sprintf "constant register %d outside file of %d registers" idx
-           p.rf_registers))
+      if idx < 0 || idx >= p.rf_registers then
+        fail
+          (Printf.sprintf "constant register %d outside file of %d registers" idx
+             p.rf_registers))
     u.constants;
   let indices = List.map fst u.constants in
-  need
-    (List.length indices = List.length (List.sort_uniq compare indices))
-    "constant registers must be distinct";
-  need (registers_used u <= p.rf_registers)
-    (Printf.sprintf "usage requires %d registers but the file holds %d"
-       (registers_used u) p.rf_registers);
+  if List.length indices <> List.length (List.sort_uniq compare indices) then
+    fail "constant registers must be distinct";
+  if registers_used u > p.rf_registers then
+    fail
+      (Printf.sprintf "usage requires %d registers but the file holds %d"
+         (registers_used u) p.rf_registers);
   List.rev !problems
 
 (** Dynamic circular delay queue.  A queue of depth [d] returns, for each

@@ -54,7 +54,8 @@ let build_switch_table (kb : Knowledge.t) (pl : Pipeline.t) (sem : Semantic.t) :
 (* Memory-plane and cache stream pressure: a second plane writer is refused
    outright (the paper's worked example of error prevention); exhausting a
    channel's DMA engines is unprogrammable; more concurrent read streams
-   than the plane's port bandwidth is legal but stalls every element. *)
+   than the plane's port bandwidth is legal but stalls every element.  The
+   channel is named only in a finding, so a clean channel formats nothing. *)
 let check_plane_pressure (kb : Knowledge.t) (pl : Pipeline.t) (sem : Semantic.t) :
     Diagnostic.t list =
   let p = Knowledge.params kb in
@@ -67,14 +68,13 @@ let check_plane_pressure (kb : Knowledge.t) (pl : Pipeline.t) (sem : Semantic.t)
           Dma.equal_direction s.Semantic.transfer.Dma.direction Dma.Read)
         streams
     in
-    let name = Dma.channel_to_string channel in
     let ds = [] in
     let ds =
       if List.length writes > write_ports then
         Diagnostic.error ~location Diagnostic.Plane_write_exclusive
           "%s is written by %d streams but sustains %d write stream%s; route the \
            second result elsewhere"
-          name (List.length writes) write_ports
+          (Dma.channel_to_string channel) (List.length writes) write_ports
           (if write_ports = 1 then "" else "s")
         :: ds
       else ds
@@ -82,8 +82,8 @@ let check_plane_pressure (kb : Knowledge.t) (pl : Pipeline.t) (sem : Semantic.t)
     let ds =
       if List.length streams > slots then
         Diagnostic.error ~location Diagnostic.Dma_range
-          "%s carries %d streams but has only %d DMA engines" name (List.length streams)
-          slots
+          "%s carries %d streams but has only %d DMA engines"
+          (Dma.channel_to_string channel) (List.length streams) slots
         :: ds
       else ds
     in
@@ -91,7 +91,7 @@ let check_plane_pressure (kb : Knowledge.t) (pl : Pipeline.t) (sem : Semantic.t)
       Diagnostic.warning ~location Diagnostic.Plane_read_contention
         "%s feeds %d streams through %d read port%s; the pipeline will stall on every \
          element"
-        name (List.length reads) read_ports
+        (Dma.channel_to_string channel) (List.length reads) read_ports
         (if read_ports = 1 then "" else "s")
       :: ds
     else ds

@@ -98,8 +98,8 @@ let bits_for n =
   let rec go b = if 1 lsl b > n then b else go (b + 1) in
   go 1
 
-(** Build the layout for machine [p], with its section tables. *)
-let make (p : Params.t) : t =
+(* Build the layout for machine [p], with its section tables. *)
+let build (p : Params.t) : t =
   let fields = ref [] in
   let cursor = ref 0 in
   let field name width =
@@ -203,6 +203,34 @@ let make (p : Params.t) : t =
     cache_dma;
     sds;
   }
+
+(* Every layout built so far, keyed by its parameters.  A layout is never
+   written after [build], so one copy per machine is shared read-only by
+   every caller on every domain.  The list only grows, by compare-and-set:
+   two domains racing on a new machine may both build it, and the loser
+   adopts the winner's copy. *)
+let layouts : (Params.t * t) list Atomic.t = Atomic.make []
+
+let rec lookup p = function
+  | [] -> None
+  | (q, t) :: rest -> if q == p || Params.equal q p then Some t else lookup p rest
+
+(** The layout of machine [p]: built on the first call for a parameter set
+    and shared by every later one. *)
+let make (p : Params.t) : t =
+  match lookup p (Atomic.get layouts) with
+  | Some t -> t
+  | None ->
+      let t = build p in
+      let rec publish () =
+        let known = Atomic.get layouts in
+        match lookup p known with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set layouts known ((p, t) :: known) then t
+            else publish ()
+      in
+      publish ()
 
 (** The selector field of [snk].  Its position in [t.sinks] follows the
     {!Knowledge.all_sinks} order: two ports per unit, then the plane,

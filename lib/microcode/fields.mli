@@ -76,9 +76,11 @@ val sd_shift : int
 val bypass_code : Nsc_arch.Als.bypass -> int
 val bypass_of_code : int -> Nsc_arch.Als.bypass option
 val bits_for : int -> int
-(** Build the field layout for a machine — several thousand bits in
-    hundreds of field instances of ~30 kinds, derived entirely from the
-    parameters. *)
+(** The field layout for a machine — several thousand bits in hundreds
+    of field instances of ~30 kinds, derived entirely from the parameters.
+    It is built on the first call for a parameter set; every later call
+    with an equal [Params.t] returns that same layout, which is never
+    mutated and so is safe to share across domains. *)
 val make : Nsc_arch.Params.t -> t
 (** The selector field of a switch sink; raises [Invalid_argument] for a
     sink the machine does not have. *)

@@ -444,3 +444,135 @@ let shift_delay_tests =
   ]
 
 let suite = suite @ [ ("checker:shift-delay", shift_delay_tests) ]
+
+(* The exact text of every message built only when its check fails: the
+   plane-pressure findings, the DMA and extent range problems and the
+   register-file limits. *)
+let message_text_tests =
+  let reads_into pl pads =
+    List.fold_left
+      (fun (pl, off) (icon, pad) ->
+        let _, pl =
+          Pipeline.add_connection pl ~src:(Connection.Direct_memory 0)
+            ~dst:(Connection.Pad { icon; pad })
+            ~spec:(Dma_spec.make ~offset:off (Dma_spec.To_plane 0)) ()
+        in
+        (pl, off + 1))
+      (pl, 0) pads
+    |> fst
+  in
+  let rule_texts rule ds =
+    List.filter_map
+      (fun d ->
+        if Diagnostic.equal_rule d.Diagnostic.rule rule then Some (Diagnostic.to_string d)
+        else None)
+      ds
+  in
+  let check_texts = Alcotest.(check (list string)) in
+  let transfer channel direction ~base ~stride ~count =
+    { Dma.channel; direction; base; stride; count }
+  in
+  [
+    case "plane pressure: write-exclusive, DMA engines and read ports" (fun () ->
+        let pl, i0 = pipeline_with Als.Singlet in
+        let i1, pl =
+          Build.fail_on_error
+            (Pipeline.place_als params pl ~kind:Als.Singlet ~pos:(Geometry.point 40 4) ())
+        in
+        let writes dst target =
+          List.fold_left
+            (fun pl (icon, off) ->
+              snd
+                (Pipeline.add_connection pl
+                   ~src:(Connection.Pad { icon; pad = Icon.Out_pad 0 })
+                   ~dst ~spec:(Dma_spec.make ~offset:off target) ()))
+            pl [ (i0, 0); (i1, 100) ]
+        in
+        check_texts "cache write-exclusive"
+          [
+            "error(plane-write-exclusive) [pipeline 1]: cache3 is written \
+             by 2 streams but sustains 1 write stream; route the second \
+             result elsewhere";
+          ]
+          (rule_texts Diagnostic.Plane_write_exclusive
+             (check_pl ~level:`Interactive
+                (writes (Connection.Direct_cache 3) (Dma_spec.To_cache 3))));
+        let pl = writes (Connection.Direct_memory 5) (Dma_spec.To_plane 5) in
+        check_texts "write-exclusive"
+          [
+            "error(plane-write-exclusive) [pipeline 1]: mem5 is written by \
+             2 streams but sustains 1 write stream; route the second result \
+             elsewhere";
+          ]
+          (rule_texts Diagnostic.Plane_write_exclusive (check_pl ~level:`Interactive pl));
+        let pl, icon = pipeline_with Als.Triplet in
+        let i1, pl =
+          Build.fail_on_error
+            (Pipeline.place_als params pl ~kind:Als.Triplet ~pos:(Geometry.point 40 4) ())
+        in
+        let pl =
+          reads_into pl
+            [ (icon, Icon.In_pad (0, Resource.A)); (icon, Icon.In_pad (0, Resource.B));
+              (icon, Icon.In_pad (1, Resource.B)); (icon, Icon.In_pad (2, Resource.B));
+              (i1, Icon.In_pad (0, Resource.A)) ]
+        in
+        let ds = check_pl ~level:`Interactive pl in
+        check_texts "DMA engines exhausted"
+          [
+            "error(dma-range) [pipeline 1]: mem0 carries 5 streams but has \
+             only 4 DMA engines";
+          ]
+          (rule_texts Diagnostic.Dma_range ds);
+        check_texts "read-port contention"
+          [
+            "warning(plane-read-contention) [pipeline 1]: mem0 feeds 5 \
+             streams through 2 read ports; the pipeline will stall on every \
+             element";
+          ]
+          (rule_texts Diagnostic.Plane_read_contention ds));
+    case "DMA transfer range problems" (fun () ->
+        let validate t = Dma.validate params t ~vector_length:16 in
+        check_texts "plane does not exist"
+          [ "memory plane 99 does not exist" ]
+          (validate (transfer (Dma.Plane 99) Dma.Read ~base:0 ~stride:1 ~count:0));
+        check_texts "cache does not exist"
+          [ "cache 99 does not exist" ]
+          (validate (transfer (Dma.Cache_chan 99) Dma.Write ~base:0 ~stride:1 ~count:0));
+        check_texts "extent beyond the plane"
+          [ "extent end 16777228 exceeds plane size 16777216 words" ]
+          (validate
+             (transfer (Dma.Plane 3) Dma.Read ~base:(params.Params.memory_plane_words - 4)
+                ~stride:1 ~count:0));
+        check_texts "cache transfer overflow"
+          [ "cache transfer [8188..8218] exceeds buffer of 8192 words" ]
+          (validate
+             (transfer (Dma.Cache_chan 2) Dma.Write ~base:(params.Params.cache_words - 4)
+                ~stride:2 ~count:0)));
+    case "memory extent problems" (fun () ->
+        check_texts "plane does not exist"
+          [ "plane 16 does not exist (machine has 16 planes)" ]
+          (Memory.validate_extent params { Memory.plane = 16; lo = 0; hi = 8 });
+        check_texts "extent end beyond the plane"
+          [ "extent end 16777217 exceeds plane size 16777216 words" ]
+          (Memory.validate_extent params
+             { Memory.plane = 0; lo = 8; hi = params.Params.memory_plane_words + 1 }));
+    case "register-file usage problems" (fun () ->
+        let rf = params.Params.rf_registers and depth = params.Params.rf_max_delay in
+        check_texts "every register-file limit"
+          [
+            "A-operand delay 97 exceeds maximum 96";
+            "B-operand delay 98 exceeds maximum 96";
+            "constant register 128 outside file of 128 registers";
+            "constant register 128 outside file of 128 registers";
+            "constant registers must be distinct";
+            "usage requires 197 registers but the file holds 128";
+          ]
+          (Register_file.validate params
+             {
+               Register_file.constants = [ (rf, 1.0); (rf, 2.0) ];
+               delay_a = depth + 1;
+               delay_b = depth + 2;
+             }));
+  ]
+
+let suite = suite @ [ ("checker:messages", message_text_tests) ]

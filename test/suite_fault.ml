@@ -543,45 +543,72 @@ let concurrent_specs =
      "fu-fault:p=0.02,transient-link:p=0.02" |]
 
 (* One checkpointed Jacobi job under its own model, over a shared [cache]:
-   everything the run observably produces. *)
+   its model's ledger, whatever the outcome, and everything else the run
+   observably produces.  A job may give up ("sweep still corrupt"); the
+   ledger is still what proves that faults were injected. *)
 let faulted_job cache (n, seed, spec) =
   let m = F.make ~seed (spec_of concurrent_specs.(spec)) in
   let run = Nsc_sim.Run.make ~cache ~fault:m () in
-  match Jacobi.solve_ft kb ~run (Poisson.manufactured n) ~tol:1e-5 ~max_iters:500 with
-  | Error e -> Error e
-  | Ok ft ->
-      let o = ft.Jacobi.outcome in
-      let st = o.Jacobi.stats in
-      Ok
-        ( F.ledger m,
-          Int64.bits_of_float o.Jacobi.final_change,
-          o.Jacobi.sweeps,
-          st.Nsc_sim.Sequencer.total_cycles,
-          Nsc_arch.Interrupt.trapped_exceptions st.Nsc_sim.Sequencer.events,
-          ft.Jacobi.rollbacks )
+  let result =
+    match Jacobi.solve_ft kb ~run (Poisson.manufactured n) ~tol:1e-5 ~max_iters:500 with
+    | Error e -> Error e
+    | Ok ft ->
+        let o = ft.Jacobi.outcome in
+        let st = o.Jacobi.stats in
+        Ok
+          ( Int64.bits_of_float o.Jacobi.final_change,
+            o.Jacobi.sweeps,
+            st.Nsc_sim.Sequencer.total_cycles,
+            Nsc_arch.Interrupt.trapped_exceptions st.Nsc_sim.Sequencer.events,
+            ft.Jacobi.rollbacks )
+  in
+  (F.ledger m, result)
+
+(* The n=5 and n=7 jobs of one instance, run serially and then on two
+   domains over a fresh cache each: whether both sides agree in full, and
+   whether faults were injected into both jobs (the guard against a
+   vacuous pass).  An identical [Error] on both sides agrees. *)
+let concurrent_agrees ((seed1, spec1), (seed2, spec2)) =
+  let j1 = (5, seed1, spec1) and j2 = (7, seed2, spec2) in
+  let serial =
+    let cache = Nsc_sim.Kernel.make_cache () in
+    let r1 = faulted_job cache j1 in
+    (r1, faulted_job cache j2)
+  in
+  let cache = Nsc_sim.Kernel.make_cache () in
+  let other = Domain.spawn (fun () -> faulted_job cache j2) in
+  let r1 = faulted_job cache j1 in
+  let concurrent = (r1, Domain.join other) in
+  let injected (l, _) = lv l "fault.injected" > 0 in
+  (serial, injected (fst serial) && injected (snd serial) && concurrent = serial)
+
+let print_instance ((seed1, spec1), (seed2, spec2)) =
+  Printf.sprintf "n=5 seed %d %S; n=7 seed %d %S" seed1 concurrent_specs.(spec1) seed2
+    concurrent_specs.(spec2)
 
 let concurrent_tests =
   [
     qcheck ~count:10 "two faulted solves on two domains equal the same solves run serially"
+      ~print:print_instance
       QCheck2.Gen.(
         let job = pair (int_range 0 1000) (int_range 0 2) in
         pair job job)
-      (fun ((seed1, spec1), (seed2, spec2)) ->
-        let j1 = (5, seed1, spec1) and j2 = (7, seed2, spec2) in
-        let serial =
-          let cache = Nsc_sim.Kernel.make_cache () in
-          let r1 = faulted_job cache j1 in
-          (r1, faulted_job cache j2)
-        in
-        let cache = Nsc_sim.Kernel.make_cache () in
-        let other = Domain.spawn (fun () -> faulted_job cache j2) in
-        let r1 = faulted_job cache j1 in
-        let concurrent = (r1, Domain.join other) in
-        let injected = function
-          | Ok (l, _, _, _, _, _) -> lv l "fault.injected" > 0
-          | Error _ -> false
-        in
-        injected (fst serial) && injected (snd serial) && concurrent = serial);
+      (fun instance -> snd (concurrent_agrees instance));
+    case "a job that gives up agrees with its serial twin (pinned shrunk instance)"
+      (fun () ->
+        (* QCheck seed 679303603 shrank to this instance: under fu-fault the
+           n=5 job exhausts its retries, so it returns an [Error] with its
+           faults still on the ledger *)
+        let ((l1, r1), (l2, r2)), agrees = concurrent_agrees ((295, 2), (0, 0)) in
+        (match r1 with
+        | Error e ->
+            check_string "n=5 gives up"
+              "sweep still corrupt after 8 attempts (794 faults detected)" e
+        | Ok _ -> Alcotest.fail "the n=5 job was expected to give up");
+        check_bool "n=7 converges" true (Result.is_ok r2);
+        check_bool "faults injected into both jobs" true
+          (lv l1 "fault.injected" > 0 && lv l2 "fault.injected" > 0);
+        check_bool "concurrent = serial" true agrees);
   ]
 
 let suite =

@@ -485,9 +485,77 @@ let layout_tests =
           Alcotest.failf "decode allocated %.0f words per instruction" per_instruction);
   ]
 
+(* One layout per machine: [Fields.make] builds a parameter set's layout
+   once and hands every later caller, on any domain, that same value. *)
+let sharing_tests =
+  let one_plane = { params with Params.n_memory_planes = 1; n_caches = 0 } in
+  [
+    case "equal parameters share one layout" (fun () ->
+        List.iter
+          (fun (name, p) ->
+            check_bool name true (Fields.make p == Fields.make p);
+            (* an equal record that is a different value finds it too *)
+            check_bool (name ^ ", copied record") true
+              (Fields.make { p with Params.n_caches = p.Params.n_caches } == Fields.make p))
+          [
+            ("default", Params.default);
+            ("subset model", Params.subset_model);
+            ("one plane, no caches", one_plane);
+          ]);
+    case "distinct parameters get distinct layouts" (fun () ->
+        let layouts = List.map Fields.make [ Params.default; Params.subset_model; one_plane ] in
+        List.iteri
+          (fun i a ->
+            List.iteri
+              (fun j b -> if i < j then check_bool "not shared" false (a == b))
+              layouts)
+          layouts;
+        let bits = List.map (fun l -> l.Fields.total_bits) layouts in
+        check_int "three word widths" 3 (List.length (List.sort_uniq compare bits));
+        (* parameters the layout does not depend on still key their own *)
+        let slower = { params with Params.hop_latency = params.Params.hop_latency + 1 } in
+        check_bool "own layout" false (Fields.make slower == Fields.make params);
+        check_int "same width" layout.Fields.total_bits (Fields.make slower).Fields.total_bits);
+    case "two domains racing on a new machine encode and decode alike" (fun () ->
+        (* a parameter set no other test uses, so both domains ask for its
+           layout before either has been published *)
+        let p = { params with Params.hop_latency = 977 } in
+        let kb = Knowledge.make_exn p in
+        let prog =
+          (Nsc_apps.Jacobi.build kb (Nsc_apps.Grid.cube 5) ~tol:1e-6 ~max_iters:10)
+            .Nsc_apps.Jacobi.program
+        in
+        let ready = Atomic.make 0 in
+        let race () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          let layout = Fields.make p in
+          let c = Result.get_ok (Codegen.compile kb prog) in
+          ( layout,
+            List.map
+              (fun (i : Encode.instruction) ->
+                (i.Encode.word, Result.get_ok (Decode.decode layout i.Encode.word)))
+              c.Codegen.instructions )
+        in
+        let other = Domain.spawn race in
+        let l1, code1 = race () in
+        let l2, code2 = Domain.join other in
+        check_bool "both domains hold the published layout" true
+          (l1 == l2 && l1 == Fields.make p);
+        check_int "instructions" (List.length code1) (List.length code2);
+        List.iter2
+          (fun (w1, sem1) (w2, sem2) ->
+            check_bool "identical words" true (Word.equal w1 w2);
+            check_bool "identical semantics" true (Semantic.equal sem1 sem2))
+          code1 code2);
+  ]
+
 let suite =
   [
     ("microcode:word", word_tests);
+    ("microcode:layout-sharing", sharing_tests);
     ("microcode:word-access", word_access_tests);
     ("microcode:decode-errors", decode_error_tests);
     ("microcode:layout", layout_tests);

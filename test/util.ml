@@ -14,8 +14,8 @@ let check_float msg a b = Alcotest.(check (float 1e-9)) msg a b
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
-let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+let qcheck ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen prop)
 
 (* A minimal valid one-instruction program: z = x + y on a singlet. *)
 let vecadd_program ?(n = 16) () =
