@@ -193,7 +193,7 @@ let read_pipeline_strided_into t ~base ~stride ~count (dst : Memory.vec) ~pos =
   if count > 0 then begin
     if Metrics.tracing () then note_strided_read t ~base ~stride ~count;
     match buf t t.pipeline_side with
-    | [||] -> Bigarray.Array1.fill (Bigarray.Array1.sub dst pos count) 0.0
+    | [||] -> Native.unsafe_zero dst pos count
     | b ->
         for i = 0 to count - 1 do
           Bigarray.Array1.unsafe_set dst (pos + i) (Array.unsafe_get b (base + (i * stride)))

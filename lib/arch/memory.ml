@@ -70,8 +70,8 @@ let c_pages =
 
 (** Unboxed float64 vector: the representation of both the plane pages and
     the kernel executor's buffers, C-layout so page<->buffer transfers are
-    single [memcpy] blits (and a later C-stub path can take the data
-    pointer directly). *)
+    single [memmove] calls and the native steps ({!Native}) take the data
+    pointer directly. *)
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 module A1 = Bigarray.Array1
@@ -247,7 +247,9 @@ let check_vec_range (dst : vec) ~pos ~count who =
     [dst.{pos} .. dst.{pos + count - 1}] — the same page-batched walk as
     {!read_strided} without the intermediate array.  Every element of the
     destination range is written (untouched words store 0.0), so a reused
-    buffer needs no zeroing over the gathered span. *)
+    buffer needs no zeroing over the gathered span.  A unit-stride run
+    moves each page span with one native [memmove] or [memset], after the
+    range checks above. *)
 let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
   check_strided st ~base ~stride ~count;
   check_vec_range dst ~pos ~count "read_strided_into";
@@ -260,8 +262,8 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
         (match Hashtbl.find_opt st.pages (addr / st.page_words) with
-        | Some page -> A1.blit (A1.sub page off n) (A1.sub dst (pos + !i) n)
-        | None -> A1.fill (A1.sub dst (pos + !i) n) 0.0);
+        | Some page -> Native.unsafe_blit page off dst (pos + !i) n
+        | None -> Native.unsafe_zero dst (pos + !i) n);
         i := !i + n
       done
     end
@@ -284,7 +286,7 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
 
 (** Write [src.{pos} .. src.{pos + count - 1}] to the words starting at
     [base] with step [stride]: {!write_strided} without the intermediate
-    array. *)
+    array (unit stride: one native [memmove] per page span). *)
 let write_strided_from st ~base ~stride (src : vec) ~pos ~count =
   check_strided st ~base ~stride ~count;
   check_vec_range src ~pos ~count "write_strided_from";
@@ -301,7 +303,7 @@ let write_strided_from st ~base ~stride (src : vec) ~pos ~count =
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
         let page = page_for st (addr / st.page_words) in
-        A1.blit (A1.sub src (pos + !i) n) (A1.sub page off n);
+        Native.unsafe_blit src (pos + !i) page off n;
         i := !i + n
       done
     end

@@ -25,7 +25,8 @@ val strided_extent :
   base:int -> stride:int -> count:int -> extent
 (** Unboxed float64 vector (c_layout): the representation of both plane
     pages and the kernel executor's buffers, so page<->buffer transfers
-    are single [memcpy] blits. *)
+    are single [memmove] calls and the native steps ({!Native}) read the
+    data pointer directly. *)
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type store = {

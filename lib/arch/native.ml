@@ -1,0 +1,57 @@
+(** Native element loops and contiguous transfers over {!Memory.vec}
+    buffers, implemented in [native_stubs.c].
+
+    Every external here is [[@@noalloc]] with untagged integer arguments:
+    a call costs a C function call and nothing more.  None of them checks
+    a bound, so every caller establishes its ranges first. *)
+
+type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The step codes of native_stubs.c, in the order of its enum. *)
+let op_code : Opcode.t -> int = function
+  | Opcode.Pass -> 0
+  | Opcode.Fadd -> 1
+  | Opcode.Fsub -> 2
+  | Opcode.Fmul -> 3
+  | Opcode.Fdiv -> 4
+  | Opcode.Fneg -> 5
+  | Opcode.Fabs -> 6
+  | Opcode.Fcmp Opcode.Lt -> 7
+  | Opcode.Fcmp Opcode.Le -> 8
+  | Opcode.Fcmp Opcode.Eq -> 9
+  | Opcode.Fcmp Opcode.Ne -> 10
+  | Opcode.Fcmp Opcode.Ge -> 11
+  | Opcode.Fcmp Opcode.Gt -> 12
+  | Opcode.Iadd -> 13
+  | Opcode.Isub -> 14
+  | Opcode.Imul -> 15
+  | Opcode.Iand -> 16
+  | Opcode.Ior -> 17
+  | Opcode.Ixor -> 18
+  | Opcode.Ishl -> 19
+  | Opcode.Ishr -> 20
+  | Opcode.Max -> 21
+  | Opcode.Min -> 22
+
+let scan = 23
+
+external step :
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  bool = "nsc_native_step_byte" "nsc_native_step"
+[@@noalloc]
+
+external unsafe_blit :
+  vec -> (int[@untagged]) -> vec -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nsc_native_blit_byte" "nsc_native_blit"
+[@@noalloc]
+
+external unsafe_zero : vec -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "nsc_native_zero_byte" "nsc_native_zero"
+[@@noalloc]

@@ -235,7 +235,7 @@ let with_ctx ctx f =
    gates ({!tracing}, {!bump}) read this single atomic instead of doing a
    DLS lookup per instrumentation site: with zero contexts enabled a gate
    costs one load and a branch (the OVERHEAD section of bench/main.ml
-   holds every gated site of a solve under 2%). *)
+   holds the disabled sites of a solve to a fixed budget per site). *)
 let n_enabled = Atomic.make 0
 
 let enabled ctx = Atomic.get ctx.enabled_flag

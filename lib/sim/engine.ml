@@ -15,10 +15,14 @@
     Two evaluators implement this: {!run_general}, the memoized reference
     that serves as the oracle, and {!run_kernel}, the fused fast path for
     aligned, acyclic pipelines, which falls back to the reference for
-    everything else.  Both model an injected functional-unit fault the
-    same way: the victim's output latch reads NaN at its write sinks, in
-    [last_values] and in the trace, while consumers in the same
-    instruction have already latched the clean value. *)
+    everything else.  The reference computes every element in OCaml
+    through {!Fu_exec.apply}; the fast path runs its element loops and
+    buffer fills natively ({!Nsc_arch.Native}), one call per unit per
+    block of elements, and the two agree bit for bit.  Both model an
+    injected functional-unit fault the same way: the victim's output
+    latch reads NaN at its write sinks, in [last_values] and in the
+    trace, while consumers in the same instruction have already latched
+    the clean value. *)
 
 open Nsc_arch
 open Nsc_diagram
@@ -426,24 +430,13 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
 
 module A1 = Bigarray.Array1
 
-(* Zero [len] elements of [b] from [pos] (no-op on an empty range).
-   Pooled buffers come back dirty; the executor scrubs exactly the
-   regions it relies on reading as 0.0.  Small ranges (the pads,
-   typically 1-2 elements) are zeroed with a direct loop: [A1.sub]
-   allocates a fresh bigarray handle per call, which dominates the cost
-   of tiny fills. *)
-let zero_range (b : Kernel.buf) pos len =
-  if len > 0 then
-    if len <= 32 then
-      for i = pos to pos + len - 1 do
-        A1.unsafe_set b i 0.0
-      done
-    else A1.fill (A1.sub b pos len) 0.0
-
 (* Gather one read stream into its buffer: the live prefix
    [pad, pad + n) comes straight from memory or cache in one
    Bigarray-direct bulk transfer, the pads and the slack beyond the
-   stream's count are zeroed. *)
+   stream's count are zeroed.  Pooled buffers come back dirty, so the
+   executor scrubs exactly the regions it relies on reading as 0.0; the
+   unchecked native fills are safe because every buffer is [blen] long
+   and [n <= vlen]. *)
 let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf) =
   let t = r.Plan.transfer in
   let n = min r.Plan.count vlen in
@@ -457,8 +450,8 @@ let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf
           ~stride:t.Dma.stride ~count:n buf ~pos:pad);
     Dma.note_read ~words:n
   end;
-  zero_range buf 0 pad;
-  zero_range buf (pad + n) (blen - pad - n)
+  Native.unsafe_zero buf 0 pad;
+  Native.unsafe_zero buf (pad + n) (blen - pad - n)
 
 (* Flush [count] elements of a unit's output buffer, starting at [pos],
    to a write sink in one Bigarray-direct bulk transfer. *)
@@ -528,18 +521,18 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
       (* an elided pass-through unit's buffer is never read at all *)
       if Array.unsafe_get b.Kernel.val_slot k = unit_base + k then begin
         let b = bufs.(unit_base + k) in
-        zero_range b 0 pad;
-        zero_range b tail (blen - pad - vlen)
+        Native.unsafe_zero b 0 pad;
+        Native.unsafe_zero b tail (blen - pad - vlen)
       end
     done
   end;
   Array.iteri
-    (fun k full -> if full then zero_range bufs.(unit_base + k) 0 blen)
+    (fun k full -> if full then Native.unsafe_zero bufs.(unit_base + k) 0 blen)
     b.Kernel.full_zero;
   (* blocked, unit-major compute through the compile-time-specialised
-     step closures: no opcode dispatch anywhere in the hot path.  Each
-     step folds the non-finite trap pre-scan into its own loop and
-     returns 0.0 iff every value it produced was finite. *)
+     steps: one native call per unit per block, no opcode dispatch in
+     OCaml.  Each step folds the non-finite trap pre-scan into its own
+     loop and returns [true] iff a value it produced was not finite. *)
   let any_nonfinite = ref false in
   let e0 = ref 0 in
   while !e0 < vlen do
@@ -548,8 +541,7 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
     Nsc_guard.Guard.Budget.poll_opt budget;
     let e1 = min vlen (!e0 + kernel_block) in
     for k = 0 to n_units - 1 do
-      if (Array.unsafe_get steps k) bufs pad !e0 e1 <> 0.0 then
-        any_nonfinite := true
+      if (Array.unsafe_get steps k) bufs pad !e0 e1 then any_nonfinite := true
     done;
     e0 := e1
   done;
@@ -682,11 +674,11 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
 (** Execute a compiled {!Kernel.t}: buffers drawn from the domain-local
     {!Kernel.acquire} pool (no per-run allocation once warm), read
     streams gathered with Bigarray-direct bulk transfers, a blocked
-    element loop through compile-time-specialised {!Kernel.step}
-    closures with the non-finite trap pre-scan fused into the compute
-    pass, and one bulk transfer per write sink.  Kernels without a fused
-    body fall back to the general evaluator with the plan's cached
-    analysis.  Values, cycle estimates and interrupt events are
+    element loop through compile-time-specialised {!Kernel.step}s — one
+    native call per unit per block, with the non-finite trap pre-scan
+    fused into the compute pass — and one bulk transfer per write sink.
+    Kernels without a fused body fall back to the general evaluator with
+    the plan's cached analysis.  Values, cycle estimates and interrupt events are
     bit-identical to {!run_general}. *)
 let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
     result =

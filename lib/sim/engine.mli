@@ -76,9 +76,10 @@ val run_general :
 (** Execute a fused {!Kernel.t}, the single fast path: buffers drawn from
     the domain-local {!Kernel.acquire} pool, read streams gathered with
     Bigarray-direct bulk transfers, a blocked element loop through
-    compile-time-specialised {!Kernel.step} closures (no opcode dispatch
-    in the hot path) with the non-finite trap pre-scan fused into the
-    compute pass, and one bulk transfer per write sink.  Kernels without
+    compile-time-specialised {!Kernel.step}s (one native call per unit
+    per block, no opcode dispatch in the hot path) with the non-finite
+    trap pre-scan fused into the compute pass, and one bulk transfer per
+    write sink.  Kernels without
     a fused body fall back to the general evaluator.  Memory, values,
     cycles and the interrupt events (as a set) are bit-identical to
     {!run_general}, clean and under seeded faults (property-tested).

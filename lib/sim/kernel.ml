@@ -4,19 +4,19 @@
     costs: an operand-variant match, an opcode dispatch and an exception
     classification for every unit at every element.  This module lowers
     a plan once more, into a {!t} whose execution ({!Engine.run_kernel})
-    is a handful of fused, closure-free float loops:
+    is a handful of native element loops:
 
     - every operand is pre-resolved to a [(buffer, offset)] pair into a
       uniform pool of padded {!buf} vectors ([Bigarray.Array1] float64,
-      c_layout — unboxed, invisible to the minor GC, and FFI-ready for a
-      later C-stub path) — streams, constants, feedback queues and unit
+      c_layout — unboxed, invisible to the minor GC, and read by C through
+      the data pointer) — streams, constants, feedback queues and unit
       outputs all read through the same indexing scheme, so the element
       loop contains no variant match and no hashtable lookup;
-    - every unit's opcode is resolved {e at compile time} into a
-      specialised loop closure ({!step}) whose body is the direct float
-      operation — dispatch is hoisted entirely out of the per-element and
-      per-block hot path, and the closure folds the non-finite trap scan
-      into the same pass over the output;
+    - every unit's opcode is resolved {e at compile time} to a native step
+      code ({!step}): one call into [native_stubs.c] per unit per element
+      block runs the direct float operation and folds the non-finite trap
+      scan into the same pass over the output.  The C loops check no
+      bounds, so {!compile} checks every operand window once;
     - each read stream is gathered {e once per instruction} with one bulk
       {!Nsc_arch.Memory.read_strided_into} (or cache double-buffer)
       transfer, directly into the pooled buffer;
@@ -82,14 +82,14 @@ type kunit = {
   b_off : int;  (** unary units point [b] at the zero buffer *)
 }
 
-(** One compile-time-specialised unit loop.  [step bufs base e0 e1]
+(** One compile-time-specialised unit step.  [step bufs base e0 e1]
     applies the unit over elements [e0, e1) with element 0 of every
-    engaged buffer at index [base] (i.e. [pad]).  Returns an accumulator that is 0.0 when every
-    value produced was finite and NaN otherwise — the trap pre-scan fused
-    into the compute pass.  Opcodes whose results are finite by
-    construction (compares, integer ops) skip the accumulator and return
-    0.0 directly. *)
-type step = buf array -> int -> int -> int -> float
+    engaged buffer at index [base] (i.e. [pad]), through one native call
+    ({!Nsc_arch.Native.step}).  Returns [true] when a value produced was
+    not finite — the trap pre-scan fused into the compute pass.  Opcodes
+    whose results are finite by construction (compares, integer ops)
+    always return [false]. *)
+type step = buf array -> int -> int -> int -> bool
 
 (** The fused executable body.  Buffer slots are laid out
     [zero :: constants @ streams @ unit outputs]; [static] holds the
@@ -217,267 +217,33 @@ let release_from (src : buf array) ~from len =
 
 (* --- opcode specialisation ----------------------------------------------- *)
 
-(* Generate the closed loop of one unit.  The opcode dispatch happens
-   here, once per unit per compile; each arm closes over the unit's slot
-   numbers and offsets and contains nothing but the tight float loop.
-   The unsafe accesses are justified by the buffer invariant above:
-   [base + off + e] with [|off| <= pad] and [e < vlen] always lands
-   inside [blen = pad + max vlen 1 + pad].
-
-   Float-producing arms fold the trap pre-scan into the same pass:
-   [v -. v] is 0.0 for every finite [v] and NaN otherwise, so a
-   never-taken branch (no loop-carried dependency) flags whether the
-   exact-order rescan is needed without a second pass over the output. *)
+(* Bind one unit to its native step.  The opcode resolves to a step code
+   here, once per unit per compile; the closure only fetches the unit's
+   buffers and hands the element range to C, where the loop applies the
+   operation and folds the non-finite trap pre-scan into the same pass.
+   The C loop checks no bounds: [compile_body] has checked every operand
+   window against the buffer length. *)
 let specialise (u : kunit) : step =
-  let out = u.out and ab = u.a_buf and ao = u.a_off in
-  let bb = u.b_buf and bo = u.b_off in
-  let i64 x = Int64.of_float x and f64 i = Int64.to_float i in
-  let[@inline] get (b : buf) i = A1.unsafe_get b i in
-  let[@inline] set (b : buf) i v = A1.unsafe_set b i v in
-  match u.op with
-  | Opcode.Pass ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) in
-        let di = base and ai = base + ao in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = get a (ai + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fadd ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = get a (ai + e) +. get b (bi + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fsub ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = get a (ai + e) -. get b (bi + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fmul ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = get a (ai + e) *. get b (bi + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fdiv ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = get a (ai + e) /. get b (bi + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fneg ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) in
-        let di = base and ai = base + ao in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = -.get a (ai + e) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fabs ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) in
-        let di = base and ai = base + ao in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = Float.abs (get a (ai + e)) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Max ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = Float.max (get a (ai + e)) (get b (bi + e)) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Min ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        let ok = ref true in
-        for e = e0 to e1 - 1 do
-          let v = Float.min (get a (ai + e)) (get b (bi + e)) in
-          set dst (di + e) v;
-          if v -. v <> 0.0 then ok := false
-        done;
-        if !ok then 0.0 else Float.nan
-  | Opcode.Fcmp c ->
-      (* compares produce 1.0/0.0 — finite by construction, no scan *)
-      let cmp =
-        match c with
-        | Opcode.Lt -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) < get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-        | Opcode.Le -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) <= get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-        | Opcode.Eq -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) = get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-        | Opcode.Ne -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) <> get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-        | Opcode.Ge -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) >= get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-        | Opcode.Gt -> fun bufs base e0 e1 ->
-            let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-            let di = base and ai = base + ao and bi = base + bo in
-            for e = e0 to e1 - 1 do
-              set dst (di + e) (if get a (ai + e) > get b (bi + e) then 1.0 else 0.0)
-            done;
-            0.0
-      in
-      cmp
-  | Opcode.Iadd ->
-      (* integer results come through Int64.to_float — always finite *)
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e) (f64 (Int64.add (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Isub ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e) (f64 (Int64.sub (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Imul ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e) (f64 (Int64.mul (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Iand ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e)
-            (f64 (Int64.logand (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Ior ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e)
-            (f64 (Int64.logor (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Ixor ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e)
-            (f64 (Int64.logxor (i64 (get a (ai + e))) (i64 (get b (bi + e)))))
-        done;
-        0.0
-  | Opcode.Ishl ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e)
-            (f64
-               (Int64.shift_left
-                  (i64 (get a (ai + e)))
-                  (Int64.to_int (i64 (get b (bi + e))) land 63)))
-        done;
-        0.0
-  | Opcode.Ishr ->
-      fun bufs base e0 e1 ->
-        let dst = bufs.(out) and a = bufs.(ab) and b = bufs.(bb) in
-        let di = base and ai = base + ao and bi = base + bo in
-        for e = e0 to e1 - 1 do
-          set dst (di + e)
-            (f64
-               (Int64.shift_right
-                  (i64 (get a (ai + e)))
-                  (Int64.to_int (i64 (get b (bi + e))) land 63)))
-        done;
-        0.0
+  let op = Native.op_code u.op and out = u.out in
+  let ab = u.a_buf and ao = u.a_off and bb = u.b_buf and bo = u.b_off in
+  fun bufs base e0 e1 ->
+    Native.step op bufs.(out) (base + e0) bufs.(ab) (base + ao + e0) bufs.(bb)
+      (base + bo + e0) (e1 - e0)
 
 (* Step of an elided pass-through unit whose source is a gathered stream:
-   no store — just the fused non-finite scan, so a NaN on the wire still
+   no store — just the native non-finite scan, so a NaN on the wire still
    triggers the exact-order rescan (which reads the source through
    [val_slot] and attributes the trap to this unit). *)
 let scan_only src : step =
  fun bufs base e0 e1 ->
   let a = bufs.(src) in
-  let ok = ref true in
-  for e = e0 to e1 - 1 do
-    let v = A1.unsafe_get a (base + e) in
-    if v -. v <> 0.0 then ok := false
-  done;
-  if !ok then 0.0 else Float.nan
+  Native.step Native.scan a (base + e0) a (base + e0) a (base + e0) (e1 - e0)
 
 (* Step of an elided pass-through unit needing no scan either: the source
    is finite by construction (zero or constant), already scanned by its
    producer's own step (a unit output), or already scanned by an earlier
    elided pass of the same stream. *)
-let noop_step : step = fun _ _ _ _ -> 0.0
+let noop_step : step = fun _ _ _ _ -> false
 
 (* --- compilation -------------------------------------------------------- *)
 
@@ -560,6 +326,20 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
       let note b = if b >= unit_base then unit_read.(b - unit_base) <- true in
       note u.a_buf;
       note u.b_buf)
+    units;
+  (* the native steps check no bounds: every window they touch,
+     [pad + off, pad + off + vlen), must lie inside the buffer *)
+  let check_window k off =
+    if pad + off < 0 || pad + off + vlen > blen then
+      invalid_arg
+        (Printf.sprintf "Kernel.compile: unit %d operand window [%d, %d) outside %d" k
+           (pad + off) (pad + off + vlen) blen)
+  in
+  Array.iteri
+    (fun k (u : kunit) ->
+      check_window k 0;
+      check_window k u.a_off;
+      check_window k u.b_off)
     units;
   let val_slot = Array.map (fun (u : kunit) -> u.out) units in
   let steps = Array.map specialise units in

@@ -5,8 +5,8 @@
     kernel: operands pre-resolved to [(buffer, offset)] pairs into a
     uniform pool of padded {!buf} vectors (unboxed [Bigarray.Array1]
     float64, drawn from a domain-local free-list pool), every opcode
-    specialised {e at compile time} into a closed loop closure ({!step})
-    so the hot path contains no dispatch at all, read streams gathered
+    resolved {e at compile time} to a native step ({!step}) whose element
+    loop runs in C, so the hot path contains no dispatch, read streams gathered
     once per instruction with bulk Bigarray-direct strided transfers and
     write streams flushed with one bulk transfer per sink.
     {!Engine.run_kernel} executes kernels block-wise.  Results are
@@ -30,11 +30,12 @@ type kunit = {
   b_off : int;  (** unary units point [b] at the zero buffer *)
 }
 
-(** One compile-time-specialised unit loop: [step bufs base e0 e1] applies
+(** One compile-time-specialised unit step: [step bufs base e0 e1] applies
     the unit over elements [e0, e1) with element 0 of every buffer at
-    index [base].  Returns 0.0 when every produced value was finite and
-    NaN otherwise (the trap pre-scan, fused into the compute pass). *)
-type step = buf array -> int -> int -> int -> float
+    index [base], in one native call ({!Nsc_arch.Native.step}).  Returns
+    [true] when a produced value was not finite (the trap pre-scan, fused
+    into the compute pass). *)
+type step = buf array -> int -> int -> int -> bool
 
 (** The fused executable body.  Buffer slots are laid out
     [zero :: constants @ streams @ unit outputs]; [static] holds the
@@ -73,7 +74,10 @@ type t = {
   body : body option;  (** [None]: fall back to the general evaluator *)
 }
 
-(** Lower a compiled plan to a fused kernel. *)
+(** Lower a compiled plan to a fused kernel.  Raises [Invalid_argument]
+    if an operand window [[pad + off, pad + off + vlen)] falls outside the
+    buffer length: the native steps check no bounds, so this is checked
+    once per compile instead. *)
 val compile : Plan.t -> t
 
 (** {2 The buffer pool}

@@ -1,0 +1,175 @@
+(* The native steps of the fused kernel, element by element, against the
+   reference evaluator's own per-element semantics ([Fu_exec.apply] and
+   [Fu_exec.trapped]).  Values are compared by bit pattern, NaN payloads
+   included: both sides run the same IEEE operations.  The edge values
+   cover signed zeros, infinities, NaNs of both signs, subnormals, the
+   integer view's range ends (+-2^63 and beyond, NaN) and shift counts of
+   64 and more. *)
+
+open Nsc_arch
+open Util
+
+module A1 = Bigarray.Array1
+module Fu_exec = Nsc_sim.Fu_exec
+
+let two63 = Float.ldexp 1.0 63
+
+let edge_values =
+  [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+    Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+    Float.pred Float.min_float; Float.max_float; -.Float.max_float;
+    1.0; -1.5; 0.5; 3.0; two63; -.two63; Float.pred two63; Float.ldexp 1.0 62;
+    1e19; -1e19; 64.0; 65.0; 127.0; -1.0 ]
+
+let vec_of (xs : float array) =
+  let v = A1.create Bigarray.float64 Bigarray.c_layout (Array.length xs) in
+  Array.iteri (fun i x -> A1.set v i x) xs;
+  v
+
+let fill n x = vec_of (Array.make n x)
+
+(* every ordered pair of edge values: 27 x 27 = 729 elements, the n=9
+   grid's vector length *)
+let pairs_a, pairs_b =
+  let ev = Array.of_list edge_values in
+  let n = Array.length ev in
+  (Array.init (n * n) (fun i -> ev.(i / n)), Array.init (n * n) (fun i -> ev.(i mod n)))
+
+let bits = Int64.bits_of_float
+
+let same_bits msg expected actual =
+  if bits expected <> bits actual then
+    Alcotest.failf "%s: expected %h (%Lx), got %h (%Lx)" msg expected (bits expected)
+      actual (bits actual)
+
+let traps op a b v = Fu_exec.trapped op a b v <> None
+let canary = 42.0
+
+(* Run [op] over [n] elements of the pair vectors starting at element
+   [from], into a destination at offset [at] prefilled with a canary, and
+   check every stored element, the untouched margins and the returned
+   flag against the reference. *)
+let check_range op ~from ~at n =
+  let name = Opcode.mnemonic op in
+  let a = vec_of pairs_a and b = vec_of pairs_b in
+  let dst = fill (at + n + 3) canary in
+  let flag = Native.step (Native.op_code op) dst at a from b from n in
+  let trapped = ref false in
+  for i = 0 to n - 1 do
+    let x = pairs_a.(from + i) and y = pairs_b.(from + i) in
+    let expected = Fu_exec.apply op x y in
+    same_bits (Printf.sprintf "%s %h %h" name x y) expected (A1.get dst (at + i));
+    if traps op x y expected then trapped := true
+  done;
+  for i = 0 to at - 1 do
+    same_bits (name ^ " leading margin") canary (A1.get dst i)
+  done;
+  for i = at + n to A1.dim dst - 1 do
+    same_bits (name ^ " trailing margin") canary (A1.get dst i)
+  done;
+  check_bool (Printf.sprintf "%s flag over %d elements" name n) !trapped flag
+
+let every_opcode_every_length () =
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (from, at, n) -> check_range op ~from ~at n)
+        [ (0, 0, 0); (100, 2, 0); (4, 0, 1); (28, 1, 2); (57, 3, 3); (0, 0, 729);
+          (0, 1, 729); (300, 2, 429) ])
+    Opcode.all
+
+let flag_matches_nonfinite () =
+  (* the flag is exactly "some stored value is not finite" for the float
+     opcodes, and never raised by compares or integer opcodes *)
+  List.iter
+    (fun op ->
+      let a = vec_of pairs_a and b = vec_of pairs_b in
+      let n = Array.length pairs_a in
+      let dst = fill n 0.0 in
+      let flag = Native.step (Native.op_code op) dst 0 a 0 b 0 n in
+      let nonfinite = ref false in
+      for i = 0 to n - 1 do
+        if not (Float.is_finite (A1.get dst i)) then nonfinite := true
+      done;
+      check_bool (Opcode.mnemonic op ^ " flag") !nonfinite flag)
+    Opcode.all
+
+(* Self-feedback: the destination is also an operand, read [k] elements
+   back, so each element depends on one the same call stored.  The
+   reference walks the elements in order. *)
+let self_feedback () =
+  let n = 729 in
+  (* distinct finite history, and one NaN late in the other operand *)
+  let seed = Array.init (n + 3) (fun i -> (0.75 *. float_of_int i) -. 3.0) in
+  let other =
+    Array.init n (fun i -> if i = 600 then Float.nan else (0.25 *. float_of_int (i mod 7)) -. 0.5)
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun self_is_a ->
+              let pad = 3 in
+              let d = vec_of seed and b = vec_of other in
+              let flag =
+                if self_is_a then
+                  Native.step (Native.op_code op) d pad d (pad - k) b 0 n
+                else Native.step (Native.op_code op) d pad b 0 d (pad - k) n
+              in
+              let r = Array.copy seed and trapped = ref false in
+              for i = 0 to n - 1 do
+                let s = r.(pad + i - k) and o = other.(i) in
+                let x, y = if self_is_a then (s, o) else (o, s) in
+                r.(pad + i) <- Fu_exec.apply op x y;
+                if traps op x y r.(pad + i) then trapped := true
+              done;
+              let what =
+                Printf.sprintf "%s, self on %s at -%d" (Opcode.mnemonic op)
+                  (if self_is_a then "a" else "b") k
+              in
+              Array.iteri (fun i v -> same_bits (Printf.sprintf "%s [%d]" what i) v (A1.get d i)) r;
+              check_bool (what ^ " flag") !trapped flag)
+            [ true; false ])
+        [ 1; 2; 3 ])
+    Opcode.all
+
+let scan_reads_only () =
+  List.iter
+    (fun (from, n) ->
+      let a = vec_of pairs_a in
+      let flag = Native.step Native.scan a from a from a from n in
+      let nonfinite = ref false in
+      for i = from to from + n - 1 do
+        if not (Float.is_finite pairs_a.(i)) then nonfinite := true
+      done;
+      check_bool (Printf.sprintf "scan of %d from %d" n from) !nonfinite flag;
+      Array.iteri (fun i x -> same_bits "scan stores nothing" x (A1.get a i)) pairs_a)
+    [ (0, 0); (0, 1); (0, 2); (0, 3); (0, 729); (27 * 7, 27); (27 * 2, 27) ]
+
+let transfers () =
+  let src = vec_of (Array.init 16 float_of_int) in
+  Native.unsafe_blit src 2 src 5 6;
+  Array.iteri
+    (fun i x -> same_bits (Printf.sprintf "overlapping blit [%d]" i) x (A1.get src i))
+    [| 0.; 1.; 2.; 3.; 4.; 2.; 3.; 4.; 5.; 6.; 7.; 11.; 12.; 13.; 14.; 15. |];
+  let z = fill 8 (-0.0) in
+  Native.unsafe_zero z 2 4;
+  Native.unsafe_zero z 0 0;
+  Array.iteri
+    (fun i x -> same_bits (Printf.sprintf "zero [%d]" i) x (A1.get z i))
+    [| -0.; -0.; 0.; 0.; 0.; 0.; -0.; -0. |]
+
+let suite =
+  [
+    ( "native:steps",
+      [
+        case "every opcode matches Fu_exec on edge values at lengths 0-3 and 729"
+          every_opcode_every_length;
+        case "the step flag is exactly a non-finite result" flag_matches_nonfinite;
+        case "self-feedback at offsets -1 to -3 matches the in-order reference"
+          self_feedback;
+        case "the scan step flags non-finite sources and stores nothing" scan_reads_only;
+        case "blit moves overlapping ranges and zero stores +0.0" transfers;
+      ] );
+  ]

@@ -330,9 +330,12 @@ let suite =
    result of one instruction: every memory plane, [last_values], cycles,
    flops, words written and the interrupt events.  The reference
    discovers traps in memoized recursion order and the kernel in
-   element-major order, so events are compared as sorted lists.  Every
-   comparison is [compare ... = 0], under which NaN equals itself (a
-   corrupted latch drains NaN into memory). *)
+   element-major order, so events are compared as sorted lists.  Memory,
+   [last_values] and traced values are compared by bit pattern, so -0.0
+   and +0.0 differ, except that every NaN equals every NaN (a corrupted
+   latch drains NaN into memory; payloads are not part of the contract). *)
+let bits v = Int64.bits_of_float (if Float.is_nan v then Float.nan else v)
+
 let load_planes ~scale ~div node =
   List.iter
     (fun plane ->
@@ -341,7 +344,8 @@ let load_planes ~scale ~div node =
     (List.init 16 (fun p -> p))
 
 let summary (r : Nsc_sim.Engine.result) =
-  ( List.sort compare r.Nsc_sim.Engine.last_values,
+  ( List.sort compare
+      (List.map (fun (fu, v) -> (fu, bits v)) r.Nsc_sim.Engine.last_values),
     r.Nsc_sim.Engine.cycles,
     r.Nsc_sim.Engine.flops,
     r.Nsc_sim.Engine.writes,
@@ -355,7 +359,8 @@ let observe_seq ~scale ~div execs =
   let rs = List.map (fun exec -> summary (exec node)) execs in
   let mem =
     List.map
-      (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
+      (fun plane ->
+        Array.map bits (Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80))
       (List.init 16 (fun p -> p))
   in
   (mem, rs)
@@ -386,7 +391,7 @@ let engine_equivalence =
                     trace :=
                       List.sort compare
                         (Hashtbl.fold
-                           (fun k v acc -> (k, v) :: acc)
+                           (fun k v acc -> (k, bits v) :: acc)
                            tr.Nsc_sim.Engine.unit_values [])
                 | None -> ());
                 r)
