@@ -48,53 +48,64 @@ let read_layers node ~plane ~grid ~k ~layers =
   Node.dump_array node ~plane ~base:(layer_base grid ~k)
     ~len:(grid.Grid.nx * grid.Grid.ny * layers)
 
-(* One face of the slab (all i, j at layer k). *)
-let read_face node ~plane ~grid ~k = read_layers node ~plane ~grid ~k ~layers:1
+(* One face a rank sends each iteration: the source plane's store, the
+   face's base address in it, and the payload buffer the face is read
+   into before every exchange. *)
+type face = { store : Memory.store; base : int; payload : float array }
 
-(* The halo messages of one iteration: every rank sends its outermost
+(* The halo messages of every iteration: every rank sends its outermost
    interior layers to the chain neighbours' halo layers (n² words each
-   way), Gray-embedded so each transfer is a single hop. *)
+   way), Gray-embedded so each transfer is a single hop.  The messages
+   and their payload buffers are built once; each exchange refills the
+   buffers and posts the same list.  Reusing a buffer is
+   safe because both the synchronous and the overlapped exchange deliver
+   at post time. *)
 let halo_messages machine b grid ~dim ~nodes =
   let face_words = grid.Grid.nx * grid.Grid.ny in
   let plane = b.Jacobi.layout.Jacobi.center in
-  List.concat_map
-    (fun rank ->
-      let node_id = Router.chain_to_node ~dim rank in
-      let node = Multinode.node machine node_id in
-      let up =
-        if rank + 1 < nodes then begin
-          let dst = Router.chain_to_node ~dim (rank + 1) in
-          (* my last interior layer becomes their k=0 halo *)
-          let payload = read_face node ~plane ~grid ~k:(grid.Grid.nz - 2) in
-          [ ({ Multinode.src = node_id; dst; words = face_words },
-             (payload, plane, layer_base grid ~k:0)) ]
-        end
-        else []
-      in
-      let down =
-        if rank > 0 then begin
-          let dst = Router.chain_to_node ~dim (rank - 1) in
-          let payload = read_face node ~plane ~grid ~k:1 in
-          [ ({ Multinode.src = node_id; dst; words = face_words },
-             (payload, plane, layer_base grid ~k:(grid.Grid.nz - 1))) ]
-        end
-        else []
-      in
-      up @ down)
-    (List.init nodes (fun r -> r))
+  let message ~rank ~to_rank ~k ~halo_k =
+    let node_id = Router.chain_to_node ~dim rank in
+    let face =
+      {
+        store = Node.plane (Multinode.node machine node_id) plane;
+        base = layer_base grid ~k;
+        payload = Array.make face_words 0.0;
+      }
+    in
+    ( face,
+      ( { Multinode.src = node_id; dst = Router.chain_to_node ~dim to_rank; words = face_words },
+        (face.payload, plane, layer_base grid ~k:halo_k) ) )
+  in
+  List.split
+    (List.concat_map
+       (fun rank ->
+         (* my last interior layer becomes the upper neighbour's k=0
+            halo, my first its lower neighbour's top halo *)
+         (if rank + 1 < nodes then
+            [ message ~rank ~to_rank:(rank + 1) ~k:(grid.Grid.nz - 2) ~halo_k:0 ]
+          else [])
+         @
+         if rank > 0 then
+           [ message ~rank ~to_rank:(rank - 1) ~k:1 ~halo_k:(grid.Grid.nz - 1) ]
+         else [])
+       (List.init nodes (fun r -> r)))
 
 (* Replicate the refreshed halo layers into the other u copies locally
    (an on-node plane-to-plane copy, charged as one face write). *)
 let replicate_halo machine b grid u_planes =
+  let center = b.Jacobi.layout.Jacobi.center in
+  let count = grid.Grid.nx * grid.Grid.ny in
   Array.iter
     (fun node ->
+      let src = Node.plane node center in
       List.iter
         (fun k ->
-          let face = read_face node ~plane:b.Jacobi.layout.Jacobi.center ~grid ~k in
+          let base = layer_base grid ~k in
           List.iter
             (fun plane ->
-              if plane <> b.Jacobi.layout.Jacobi.center then
-                Node.load_array node ~plane ~base:(layer_base grid ~k) face)
+              if plane <> center then
+                Memory.copy_words ~src ~src_base:base ~dst:(Node.plane node plane)
+                  ~dst_base:base ~count)
             u_planes)
         [ 0; grid.Grid.nz - 1 ])
     machine.Multinode.nodes
@@ -146,6 +157,9 @@ type rig = {
   grid : Grid.t;
   iter : Sequencer.prepared;
   run : Run.t;
+  faces : face list;  (** read before every exchange *)
+  halo : (Multinode.message * (float array * int * int)) list;
+      (** the exchange's messages, over the faces' payload buffers *)
 }
 
 let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
@@ -186,7 +200,8 @@ let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
     machine.Multinode.nodes;
   let* _ = exec_step ~domains ~run machine setup in
   Multinode.reset_counters machine;
-  Ok { machine; b; grid; iter; run }
+  let faces, halo = halo_messages machine b grid ~dim ~nodes in
+  Ok { machine; b; grid; iter; run; faces; halo }
 
 (* One iteration's local sweep and refresh on every node. *)
 let sweep ~domains r = exec_step ~domains ~run:r.run r.machine r.iter
@@ -199,11 +214,14 @@ let exchange_halos ~overlap r =
   let nodes = Multinode.n_nodes machine in
   if nodes <= 1 then None
   else begin
-    let messages = halo_messages machine r.b r.grid ~dim:machine.Multinode.dim ~nodes in
+    (* every face is read before anything is delivered *)
+    List.iter
+      (fun f -> Memory.read_strided_to f.store ~base:f.base ~stride:1 f.payload)
+      r.faces;
     let pending =
-      if overlap then Some (Multinode.exchange_start machine messages)
+      if overlap then Some (Multinode.exchange_start machine r.halo)
       else begin
-        Multinode.exchange machine messages;
+        Multinode.exchange machine r.halo;
         None
       end
     in

@@ -25,8 +25,6 @@ type point = {
 }
 val local_grid : n:int -> nz_local:int -> Grid.t
 val slab_mask : Grid.t -> first:bool -> last:bool -> float array
-val read_face :
-  Nsc_sim.Node.t -> plane:int -> grid:Grid.t -> k:int -> float array
 val layer_base : Grid.t -> k:int -> int
 (** Interior share of a sweep's cycles — the portion that can legally
     overlap an in-flight halo exchange ((nz - 2) / nz of the slab's

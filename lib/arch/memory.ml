@@ -108,9 +108,9 @@ let read st addr =
   | Some page -> A1.get page (addr mod st.page_words)
 
 let page_for st key =
-  match Hashtbl.find_opt st.pages key with
-  | Some page -> page
-  | None ->
+  match Hashtbl.find st.pages key with
+  | page -> page
+  | exception Not_found ->
       let page = A1.create Bigarray.float64 Bigarray.c_layout st.page_words in
       A1.fill page 0.0;
       Hashtbl.add st.pages key page;
@@ -156,28 +156,28 @@ let check_strided st ~base ~stride ~count =
     check_addr st (base + (stride * (count - 1)))
   end
 
-(** Read [count] words starting at [base] with step [stride] into a fresh
-    array, touching each page's hashtable entry once per page crossing
-    rather than once per word (unit-stride runs are blitted page by page).
-    Reads of untouched words return 0.0. *)
-let read_strided st ~base ~stride ~count =
+(** Read [Array.length out] words starting at [base] with step [stride]
+    into [out], touching each page's hashtable entry once per page
+    crossing rather than once per word (unit-stride runs are copied page
+    by page).  Every element of [out] is written; untouched words read
+    as 0.0. *)
+let read_strided_to st ~base ~stride (out : float array) =
+  let count = Array.length out in
   check_strided st ~base ~stride ~count;
-  if count <= 0 then [||]
-  else begin
+  if count > 0 then begin
     Metrics.bump c_reads count;
-    let out = Array.make count 0.0 in
     if stride = 1 then begin
       let i = ref 0 in
       while !i < count do
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Hashtbl.find_opt st.pages (addr / st.page_words) with
-        | Some page ->
+        (match Hashtbl.find st.pages (addr / st.page_words) with
+        | page ->
             for j = 0 to n - 1 do
               Array.unsafe_set out (!i + j) (A1.unsafe_get page (off + j))
             done
-        | None -> ());
+        | exception Not_found -> Array.fill out !i n 0.0);
         i := !i + n
       done
     end
@@ -190,13 +190,18 @@ let read_strided st ~base ~stride ~count =
           key := k;
           page := Hashtbl.find_opt st.pages k
         end;
-        match !page with
-        | Some pg -> out.(i) <- A1.get pg (addr mod st.page_words)
-        | None -> ()
+        out.(i) <-
+          (match !page with Some pg -> A1.get pg (addr mod st.page_words) | None -> 0.0)
       done
-    end;
-    out
+    end
   end
+
+(** Read [count] words starting at [base] with step [stride] into a fresh
+    array: {!read_strided_to} over a new array. *)
+let read_strided st ~base ~stride ~count =
+  let out = Array.make (max 0 count) 0.0 in
+  read_strided_to st ~base ~stride out;
+  out
 
 (** Write [xs] to the words starting at [base] with step [stride],
     materialising and touching each page once per page crossing (unit
@@ -261,9 +266,9 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Hashtbl.find_opt st.pages (addr / st.page_words) with
-        | Some page -> Native.unsafe_blit page off dst (pos + !i) n
-        | None -> Native.unsafe_zero dst (pos + !i) n);
+        (match Hashtbl.find st.pages (addr / st.page_words) with
+        | page -> Native.unsafe_blit page off dst (pos + !i) n
+        | exception Not_found -> Native.unsafe_zero dst (pos + !i) n);
         i := !i + n
       done
     end
@@ -320,6 +325,42 @@ let write_strided_from st ~base ~stride (src : vec) ~pos ~count =
           (A1.unsafe_get src (pos + i))
       done
     end
+  end
+
+(* --- store-to-store copies ------------------------------------------------ *)
+
+(** Copy [count] words from [src] at [src_base] to [dst] at [dst_base]
+    (unit stride both sides), one native [memmove] per span that crosses
+    no page boundary in either store, or a [memset] where the source page
+    was never touched.  Destination pages are materialised and their
+    parity marks over the range scrubbed, as by a write; the source's
+    marks do not travel (fresh data arrives with fresh parity).  Both
+    ranges are checked first, and a same-store copy must not overlap:
+    either raises [Invalid_argument]. *)
+let copy_words ~(src : store) ~src_base ~(dst : store) ~dst_base ~count =
+  if count < 0 then invalid_arg "Memory.copy_words: negative count";
+  check_strided src ~base:src_base ~stride:1 ~count;
+  check_strided dst ~base:dst_base ~stride:1 ~count;
+  if src == dst && src_base < dst_base + count && dst_base < src_base + count then
+    invalid_arg "Memory.copy_words: overlapping ranges in one store";
+  if count > 0 then begin
+    Metrics.bump c_reads count;
+    Metrics.bump c_writes count;
+    if Hashtbl.length dst.parity_bad > 0 then
+      for a = dst_base to dst_base + count - 1 do
+        Hashtbl.remove dst.parity_bad a
+      done;
+    let i = ref 0 in
+    while !i < count do
+      let sa = src_base + !i and da = dst_base + !i in
+      let so = sa mod src.page_words and doff = da mod dst.page_words in
+      let n = min (min (src.page_words - so) (dst.page_words - doff)) (count - !i) in
+      let dpage = page_for dst (da / dst.page_words) in
+      (match Hashtbl.find src.pages (sa / src.page_words) with
+      | spage -> Native.unsafe_blit spage so dpage doff n
+      | exception Not_found -> Native.unsafe_zero dpage doff n);
+      i := !i + n
+    done
   end
 
 (** Number of pages ever materialised (for footprint reporting).  Each

@@ -54,6 +54,10 @@ val parity_errors : store -> int list
     word.  Untouched words read as 0.0. *)
 val read_strided : store -> base:int -> stride:int -> count:int -> float array
 
+(** {!read_strided} into an existing array: fills all of [out]
+    ([count = Array.length out]; untouched words store 0.0). *)
+val read_strided_to : store -> base:int -> stride:int -> float array -> unit
+
 (** Bulk strided write of a whole array, one page lookup per page
     crossing. *)
 val write_strided : store -> base:int -> stride:int -> float array -> unit
@@ -72,6 +76,16 @@ val read_strided_into :
     {!write_strided} without the intermediate array. *)
 val write_strided_from :
   store -> base:int -> stride:int -> vec -> pos:int -> count:int -> unit
+
+(** Copy [count] consecutive words from [src] at [src_base] to [dst] at
+    [dst_base] without an intermediate array: one native [memmove] (or a
+    [memset], from a never-touched source page) per span that crosses no
+    page boundary in either store.  Destination pages are materialised
+    and the destination's parity marks over the range are scrubbed, as
+    by a write.  Raises [Invalid_argument] if either range leaves its
+    store, [count] is negative, or a same-store copy overlaps. *)
+val copy_words :
+  src:store -> src_base:int -> dst:store -> dst_base:int -> count:int -> unit
 
 (** Pages ever materialised; each spans [page_words] words. *)
 val touched_pages : store -> int

@@ -71,21 +71,26 @@ let fu_valid (p : Params.t) (fu : fu_id) =
   && fu.slot < als_size p fu.als
 
 (** Dense global index of a functional unit, used by the microcode layout.
-    Units are numbered ALS by ALS, slot by slot. *)
+    Units are numbered ALS by ALS, slot by slot: in closed form, the
+    singlets' units come first, then two per doublet, then three per
+    triplet. *)
 let fu_global_index (p : Params.t) (fu : fu_id) =
   if not (fu_valid p fu) then invalid_arg "Resource.fu_global_index";
-  let rec sum a acc = if a >= fu.als then acc else sum (a + 1) (acc + als_size p a) in
-  sum 0 0 + fu.slot
+  let s = p.n_singlets and d = p.n_doublets in
+  if fu.als < s then fu.als
+  else if fu.als < s + d then s + (2 * (fu.als - s)) + fu.slot
+  else s + (2 * d) + (3 * (fu.als - s - d)) + fu.slot
 
-(** Inverse of [fu_global_index]. *)
+(** Inverse of [fu_global_index], in closed form. *)
 let fu_of_global_index (p : Params.t) idx =
   if idx < 0 || idx >= Params.n_functional_units p then
     invalid_arg "Resource.fu_of_global_index";
-  let rec scan a off =
-    let sz = als_size p a in
-    if off < sz then { als = a; slot = off } else scan (a + 1) (off - sz)
-  in
-  scan 0 idx
+  let s = p.n_singlets and d = p.n_doublets in
+  if idx < s then { als = idx; slot = 0 }
+  else if idx < s + (2 * d) then { als = s + ((idx - s) / 2); slot = (idx - s) mod 2 }
+  else
+    let k = idx - s - (2 * d) in
+    { als = s + d + (k / 3); slot = k mod 3 }
 
 (** All ALS ids of a node, in order. *)
 let all_als (p : Params.t) = List.init (Params.n_als p) (fun a -> a)

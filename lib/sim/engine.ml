@@ -43,11 +43,14 @@ type result = {
   elements : int;
   writes : int;  (** words written to memory planes and caches *)
   events : Interrupt.event list;
-  last_values : (Resource.fu_id * float) list;
-      (** final output of every engaged unit — the scalars condition
+  units : Resource.fu_id array;  (** the engaged units, in [sem.units] order *)
+  last : float array;
+      (** [last.(i)]: final output of [units.(i)] — the scalars condition
           interrupts capture *)
   trace : trace option;
 }
+
+let last_values r = List.init (Array.length r.units) (fun i -> (r.units.(i), r.last.(i)))
 
 let max_recorded_events = 1000
 
@@ -404,11 +407,10 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
              kind = Interrupt.Invalid_operand;
              element = e;
            }));
-  let last_values =
-    List.map
-      (fun (u : Semantic.unit_program) -> (u.Semantic.fu, unit_out u.Semantic.fu (vlen - 1)))
-      sem.Semantic.units
+  let units =
+    Array.of_list (List.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) sem.Semantic.units)
   in
+  let last = Array.map (fun fu -> unit_out fu (vlen - 1)) units in
   let cycles = Timing.estimated_cycles p sem analysis ~vlen + fault_stream_cycles run sem in
   record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
   let flops = Semantic.flops_per_element sem * vlen in
@@ -419,7 +421,8 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
       elements = vlen;
       writes = !writes;
       events = List.rev !events;
-      last_values;
+      units;
+      last;
       trace = (if record_trace then Some { unit_values = memo; vlen } else None);
     }
   in
@@ -508,9 +511,9 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
   (* gather read streams; scrub the unit output buffers (a unit operand
      may legitimately read an element its producer has not reached yet —
      the reference sees 0.0 there, so dirty pool bytes must not leak) *)
-  Array.iteri
-    (fun s r -> gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s))
-    b.Kernel.reads;
+  for s = 0 to Array.length b.Kernel.reads - 1 do
+    gather_stream node ~vlen ~pad ~blen b.Kernel.reads.(s) bufs.(b.Kernel.stream_base + s)
+  done;
   (* every step writes its full live range in order before anything reads
      it (cross-unit operands are offset 0, self-feedback reads are
      delays), so dirty pool bytes can only leak through the pads — except
@@ -632,14 +635,12 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
         writes := !writes + count
       end)
     b.Kernel.writes;
-  let last_values =
-    List.mapi
-      (fun i (u : Semantic.unit_program) ->
-        let k = b.Kernel.order_of_sem.(i) in
-        ( u.Semantic.fu,
-          if vlen > 0 then A1.get bufs.(val_slot.(k)) (pad + vlen - 1) else 0.0 ))
-      sem.Semantic.units
-  in
+  let order_of_sem = b.Kernel.order_of_sem in
+  let last = Array.make (Array.length order_of_sem) 0.0 in
+  if vlen > 0 then
+    for i = 0 to Array.length order_of_sem - 1 do
+      last.(i) <- A1.get bufs.(val_slot.(order_of_sem.(i))) (pad + vlen - 1)
+    done;
   let cycles = pl.Plan.cycles + fault_stream_cycles run sem in
   record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
   let trace =
@@ -664,7 +665,8 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
       elements = vlen;
       writes = !writes;
       events = List.rev !events;
-      last_values;
+      units = b.Kernel.fus;
+      last;
       trace;
     }
   in
@@ -693,10 +695,14 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
       Kernel.acquire_into b.Kernel.blen bufs ~from:b.Kernel.stream_base;
       (* a budget poll may unwind mid-body; the pooled buffers must go
          back either way or a deadline-killed job would leak the pool *)
-      Fun.protect
-        ~finally:(fun () ->
-          Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen)
-        (fun () -> exec_body node ~record_trace ~run pl b bufs)
+      match exec_body node ~record_trace ~run pl b bufs with
+      | r ->
+          Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
+          Printexc.raise_with_backtrace e bt
 
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused

@@ -49,11 +49,17 @@ type result = {
   events : Nsc_arch.Interrupt.event list;
       (** interrupts raised, earliest first, capped at
           {!max_recorded_events} *)
-  last_values : (Nsc_arch.Resource.fu_id * float) list;
-      (** final output of every engaged unit — the scalars condition
-          interrupts capture *)
+  units : Nsc_arch.Resource.fu_id array;
+      (** the engaged units, in [sem.units] order *)
+  last : float array;
+      (** [last.(i)]: final output of [units.(i)] — the scalars condition
+          interrupts capture, unboxed so a dispatch builds no list *)
   trace : trace option;  (** per-element values when requested *)
 }
+
+(** The captured scalars as [(unit, value)] pairs in [sem.units] order —
+    the view the visual debugger and the tests read. *)
+val last_values : result -> (Nsc_arch.Resource.fu_id * float) list
 
 (** Cap on the interrupt events retained in a {!result}. *)
 val max_recorded_events : int

@@ -130,6 +130,7 @@ type body = {
   reads : Plan.read_stream array;   (** gathered into slots [stream_base + s] *)
   writes : Plan.write_stream array;
   order_of_sem : int array;
+  fus : Resource.fu_id array;  (** the units of [sem.units], in that order *)
 }
 
 type t = {
@@ -141,48 +142,64 @@ type t = {
 
 (* Free lists of released buffers keyed by length, one pool per domain so
    acquire/release are lock-free even when a cached kernel executes on
-   several domains at once.  Released buffers come back dirty: the
-   executor zeroes exactly the pad and slack regions it relies on, which
-   is what lets reuse skip the full memset a fresh allocation pays. *)
-let pool_key : (int, (int * buf list) ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+   several domains at once.  Each free list is a fixed-capacity stack, so
+   a warm acquire or release allocates nothing.  Released buffers come
+   back dirty: the executor zeroes exactly the pad and slack regions it
+   relies on, which is what lets reuse skip the full memset a fresh
+   allocation pays. *)
 
 (* A generous bound: one kernel draws a few dozen buffers of a single
    length; beyond the bound, releases fall to the GC. *)
 let max_pooled_per_len = 128
+
+type free_list = { stack : buf array; mutable depth : int }
+
+let pool_key : (int, free_list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let no_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
+
+let free_list len =
+  let pool = Domain.DLS.get pool_key in
+  match Hashtbl.find pool len with
+  | l -> l
+  | exception Not_found ->
+      let l = { stack = Array.make max_pooled_per_len no_buf; depth = 0 } in
+      Hashtbl.replace pool len l;
+      l
+
+let fresh len : buf = A1.create Bigarray.float64 Bigarray.c_layout len
+
+(* a popped slot keeps its stale reference until the next push
+   overwrites it: at most [max_pooled_per_len] buffers per length *)
+let pop l =
+  l.depth <- l.depth - 1;
+  Array.unsafe_get l.stack l.depth
+
+let push l b =
+  if l.depth < max_pooled_per_len then begin
+    Array.unsafe_set l.stack l.depth b;
+    l.depth <- l.depth + 1
+  end
 
 (** Draw a buffer of exactly [len] elements from the calling domain's
     pool, allocating when the free list is empty.  The contents are
     {e unspecified} — callers must write or zero every element they later
     read. *)
 let acquire len : buf =
-  let pool = Domain.DLS.get pool_key in
-  match Hashtbl.find_opt pool len with
-  | Some ({ contents = n, b :: rest } as l) when n > 0 ->
-      l := (n - 1, rest);
-      Metrics.bump c_pool_hits 1;
-      b
-  | _ ->
-      Metrics.bump c_pool_misses 1;
-      A1.create Bigarray.float64 Bigarray.c_layout len
+  let l = free_list len in
+  if l.depth > 0 then begin
+    Metrics.bump c_pool_hits 1;
+    pop l
+  end
+  else begin
+    Metrics.bump c_pool_misses 1;
+    fresh len
+  end
 
 (** Return a buffer to the calling domain's pool for reuse by a later
     {!acquire} of the same length. *)
-let release (b : buf) =
-  let pool = Domain.DLS.get pool_key in
-  let len = A1.dim b in
-  match Hashtbl.find_opt pool len with
-  | Some ({ contents = n, bs } as l) ->
-      if n < max_pooled_per_len then l := (n + 1, b :: bs)
-  | None -> Hashtbl.replace pool len (ref (1, [ b ]))
-
-let free_list pool len =
-  match Hashtbl.find_opt pool len with
-  | Some l -> l
-  | None ->
-      let l = ref (0, []) in
-      Hashtbl.replace pool len l;
-      l
+let release (b : buf) = push (free_list (A1.dim b)) b
 
 (** Fill [dst.(from) ..] with buffers of exactly [len] elements through a
     single free-list lookup — the per-execution bulk form of {!acquire}
@@ -190,30 +207,33 @@ let free_list pool len =
 let acquire_into len (dst : buf array) ~from =
   let n = Array.length dst - from in
   if n > 0 then begin
-    let l = free_list (Domain.DLS.get pool_key) len in
-    let hits = ref 0 in
-    for i = from to Array.length dst - 1 do
-      match !l with
-      | k, b :: rest when k > 0 ->
-          l := (k - 1, rest);
-          incr hits;
-          dst.(i) <- b
-      | _ -> dst.(i) <- A1.create Bigarray.float64 Bigarray.c_layout len
+    let l = free_list len in
+    let hits = min n l.depth in
+    for i = from to from + hits - 1 do
+      dst.(i) <- pop l
     done;
-    Metrics.bump c_pool_hits !hits;
-    Metrics.bump c_pool_misses (n - !hits)
+    for i = from + hits to Array.length dst - 1 do
+      dst.(i) <- fresh len
+    done;
+    Metrics.bump c_pool_hits hits;
+    Metrics.bump c_pool_misses (n - hits)
   end
 
 (** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
     form of {!release}. *)
 let release_from (src : buf array) ~from len =
   if Array.length src > from then begin
-    let l = free_list (Domain.DLS.get pool_key) len in
+    let l = free_list len in
     for i = from to Array.length src - 1 do
-      let k, bs = !l in
-      if k < max_pooled_per_len then l := (k + 1, src.(i) :: bs)
+      push l src.(i)
     done
   end
+
+(** Buffers of length [len] in the calling domain's free list. *)
+let pooled len =
+  match Hashtbl.find_opt (Domain.DLS.get pool_key) len with
+  | Some l -> l.depth
+  | None -> 0
 
 (* --- opcode specialisation ----------------------------------------------- *)
 
@@ -385,6 +405,9 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     reads = f.Plan.reads;
     writes = f.Plan.writes;
     order_of_sem = f.Plan.order_of_sem;
+    fus =
+      Array.of_list
+        (List.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) pl.Plan.sem.Semantic.units);
   }
 
 (** Lower a compiled plan to a fused kernel. *)

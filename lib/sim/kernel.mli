@@ -67,6 +67,9 @@ type body = {
   writes : Plan.write_stream array;
   order_of_sem : int array;
       (** plan position of each unit of [sem.units], in original order *)
+  fus : Nsc_arch.Resource.fu_id array;
+      (** the units of [sem.units], in that order: the units of
+          {!Engine.result}'s [last] *)
 }
 
 type t = {
@@ -82,8 +85,10 @@ val compile : Plan.t -> t
 
 (** {2 The buffer pool}
 
-    Domain-local free lists keyed by buffer length: a cached kernel
-    replayed across a solve allocates nothing in its hot path.  Buffers
+    Domain-local free lists keyed by buffer length, each a fixed-capacity
+    stack of at most {!max_pooled_per_len} buffers: a cached kernel
+    replayed across a solve allocates nothing in its hot path, and
+    neither does the pool itself once a length has been seen.  Buffers
     come back {e dirty} — callers must write or zero every element they
     later read (the executor zeroes exactly the pad and slack regions). *)
 
@@ -102,6 +107,12 @@ val acquire_into : int -> buf array -> from:int -> unit
 (** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
     form of {!release}. *)
 val release_from : buf array -> from:int -> int -> unit
+
+(** Bound on each length's free list; releases beyond it fall to the GC. *)
+val max_pooled_per_len : int
+
+(** Buffers of length [len] currently in the calling domain's free list. *)
+val pooled : int -> int
 
 (** {2 Counters}
 

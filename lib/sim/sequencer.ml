@@ -46,25 +46,43 @@ let h_reconfig_cycles =
 
 module Table = Map.Make (Int)
 
+(* One instruction made ready to run: its semantics and, for each unit
+   of [sem.units] in order, the unit's dense global index — where the
+   sequencer captures the unit's last value. *)
+type instr = { sem : Semantic.t; capture_at : int array }
+
 (* A program made ready to run: its instructions by number, decoded once
    from the machine words or taken from the retained semantics, beside
-   the control programme.  Immutable, so one value serves every node and
-   every run; the decoded semantics are then physically shared, and the
-   compile cache validates its hits on [==]. *)
+   the control programme and the machine they were laid out for.
+   Immutable, so one value serves every node and every run; the decoded
+   semantics are then physically shared, and the compile cache validates
+   its hits on [==]. *)
 type prepared = {
-  table : Semantic.t Table.t;
+  table : instr Table.t;
   control : Program.control list;
+  params : Params.t;
 }
 
 (** Decode the program's instructions once (or take the retained
     semantics with [~from_microcode:false]); the first word that fails to
     decode is reported as [instruction N: ...]. *)
 let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string) result =
+  let p = c.Codegen.layout.Fields.params in
+  let instr (sem : Semantic.t) =
+    {
+      sem;
+      capture_at =
+        Array.of_list
+          (List.map
+             (fun (u : Semantic.unit_program) -> Resource.fu_global_index p u.Semantic.fu)
+             sem.Semantic.units);
+    }
+  in
   let rec load table = function
-    | [] -> Ok { table; control = c.Codegen.control }
+    | [] -> Ok { table; control = c.Codegen.control; params = p }
     | (i : Encode.instruction) :: rest -> (
         match Decode.decode c.Codegen.layout i.Encode.word with
-        | Ok sem -> load (Table.add i.Encode.index sem table) rest
+        | Ok sem -> load (Table.add i.Encode.index (instr sem) table) rest
         | Error e -> Error (Printf.sprintf "instruction %d: %s" i.Encode.index e))
   in
   if from_microcode then load Table.empty c.Codegen.instructions
@@ -73,9 +91,10 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
       {
         table =
           List.fold_left
-            (fun table (sem : Semantic.t) -> Table.add sem.Semantic.index sem table)
+            (fun table (sem : Semantic.t) -> Table.add sem.Semantic.index (instr sem) table)
             Table.empty c.Codegen.semantics;
         control = c.Codegen.control;
+        params = p;
       }
 
 (** Run a prepared program on [node].  [on_instruction] is invoked after
@@ -106,15 +125,18 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
       incr n_events
     end
   in
-  let captured : (Resource.fu_id, float) Hashtbl.t = Hashtbl.create 16 in
+  (* the captured scalars, dense by global unit index: [seen] marks the
+     units that have captured one *)
+  let n_fus = Params.n_functional_units prog.params in
+  let captured = Array.make n_fus Float.nan and seen = Bytes.make n_fus '\000' in
   let exec_error = ref None in
   let dispatch n =
-    match Table.find_opt n prog.table with
-    | None ->
+    match Table.find n prog.table with
+    | exception Not_found ->
         if !exec_error = None then
           exec_error := Some (Printf.sprintf "control references missing pipeline %d" n);
         raise Halted
-    | Some sem ->
+    | { sem; capture_at } ->
         (* instruction boundary: the budget check that makes every
            deadline fire deterministically between dispatches (a
            sweep boundary is an instruction boundary) *)
@@ -144,13 +166,19 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
         flops := !flops + r.Engine.flops;
         writes := !writes + r.Engine.writes;
         List.iter record r.Engine.events;
-        List.iter (fun (fu, v) -> Hashtbl.replace captured fu v) r.Engine.last_values;
+        let last = r.Engine.last in
+        for i = 0 to Array.length capture_at - 1 do
+          let g = capture_at.(i) in
+          captured.(g) <- last.(i);
+          Bytes.set seen g '\001'
+        done;
         on_instruction sem r
   in
   let eval_condition instruction (cond : Interrupt.condition) =
     let value =
-      Option.value ~default:Float.nan
-        (Hashtbl.find_opt captured cond.Interrupt.unit_watched)
+      match Resource.fu_global_index prog.params cond.Interrupt.unit_watched with
+      | g when Bytes.get seen g <> '\000' -> captured.(g)
+      | _ | (exception Invalid_argument _) -> Float.nan
     in
     let holds =
       (not (Float.is_nan value))
@@ -223,8 +251,13 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
             };
           halted = !halted;
           last_values =
-            Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured []
-            |> List.sort compare;
+            (* global-index order is [compare] order on units *)
+            (let acc = ref [] in
+             for g = n_fus - 1 downto 0 do
+               if Bytes.get seen g <> '\000' then
+                 acc := (Resource.fu_of_global_index prog.params g, captured.(g)) :: !acc
+             done;
+             !acc);
         })
 
 (** Execute a compiled program: {!prepare} it, then {!exec} it. *)

@@ -22,7 +22,8 @@ type outcome = {
   stats : stats;
   halted : bool;  (** an explicit [Halt] was reached *)
   last_values : (Nsc_arch.Resource.fu_id * float) list;
-      (** captured scalars at the end of the run *)
+      (** captured scalars at the end of the run, one per unit that
+          captured any, in unit order ([compare] on the ids) *)
 }
 
 (** Raised internally to unwind the control interpreter at a [Halt] or an

@@ -129,7 +129,7 @@ let tests =
               let r = f.Nsc_debug.Stepper.result in
               ( f.Nsc_debug.Stepper.instruction,
                 r.Engine.cycles,
-                List.sort compare r.Engine.last_values,
+                List.sort compare (Engine.last_values r),
                 List.init r.Engine.elements (fun element ->
                     List.sort compare (Nsc_debug.Stepper.values_at f ~element)) ))
             run.Nsc_debug.Stepper.frames

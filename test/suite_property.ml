@@ -345,7 +345,7 @@ let load_planes ~scale ~div node =
 
 let summary (r : Nsc_sim.Engine.result) =
   ( List.sort compare
-      (List.map (fun (fu, v) -> (fu, bits v)) r.Nsc_sim.Engine.last_values),
+      (List.map (fun (fu, v) -> (fu, bits v)) (Nsc_sim.Engine.last_values r)),
     r.Nsc_sim.Engine.cycles,
     r.Nsc_sim.Engine.flops,
     r.Nsc_sim.Engine.writes,

@@ -97,7 +97,7 @@ let engine_tests =
         Node.load_array node ~plane:0 ~base:0 [| 3.; 1.; 4.; 1.; 5.; 9.; 2.; 6. |];
         let sem, _ = Semantic.of_pipeline params pl2 in
         let r = Engine.run node sem in
-        (match r.Engine.last_values with
+        (match Engine.last_values r with
         | [ (_, v) ] -> check_float "running max" 9.0 v
         | _ -> Alcotest.fail "expected one captured value"));
     case "misaligned streams pair skewed elements (honor_timing)" (fun () ->
@@ -805,8 +805,8 @@ let kernel_v3_tests =
                    r.Engine.events);
               check_float (name ^ ": the pass's sink is clean") (-1.8429) pass_sink;
               check_bool (name ^ ": the adder's latch reads NaN") true
-                (Float.is_nan (List.assoc adder r.Engine.last_values));
-              (List.sort compare r.Engine.last_values, r.Engine.cycles,
+                (Float.is_nan (List.assoc adder (Engine.last_values r)));
+              (List.sort compare (Engine.last_values r), r.Engine.cycles,
                List.sort compare r.Engine.events))
             (both_engines sem)
         in
@@ -824,8 +824,8 @@ let kernel_v3_tests =
                 (Float.is_nan pass_sink);
               check_float (name ^ ": the adder's sink is clean") (-1.8429) adder_sink;
               check_bool (name ^ ": the pass's latch reads NaN") true
-                (Float.is_nan (List.assoc pass r.Engine.last_values));
-              (List.sort compare r.Engine.last_values, r.Engine.cycles,
+                (Float.is_nan (List.assoc pass (Engine.last_values r)));
+              (List.sort compare (Engine.last_values r), r.Engine.cycles,
                List.sort compare r.Engine.events))
             (both_engines sem)
         in
@@ -863,7 +863,7 @@ let kernel_v3_tests =
           let node = Node.create params in
           Nsc_apps.Jacobi.load node b prob;
           let r = Engine.run_kernel node kn in
-          ( List.sort compare r.Engine.last_values,
+          ( List.sort compare (Engine.last_values r),
             Node.dump_array node ~plane:b.Nsc_apps.Jacobi.layout.Nsc_apps.Jacobi.unew
               ~base:0 ~len:words,
             r.Engine.events )
@@ -944,7 +944,7 @@ let fault_latch_tests =
             check_float (name ^ ": the consumer computed from the clean value")
               ((-2.8429 +. 1.0) *. 2.0) consumer_sink;
             check_bool (name ^ ": the victim's last value reads NaN") true
-              (Float.is_nan (List.assoc adder r.Engine.last_values));
+              (Float.is_nan (List.assoc adder (Engine.last_values r)));
             check_int (name ^ ": one trapped exception") 1
               (Interrupt.trapped_exceptions r.Engine.events))
           (both_engines sem));
@@ -1082,3 +1082,113 @@ let prepared_tests =
   ]
 
 let suite = suite @ [ ("sim:prepared", prepared_tests) ]
+
+(* appended: the warm dispatch path — the pool's fixed-capacity free
+   lists, the dense scalar capture, and the minor words a warm iteration
+   allocates *)
+
+(* The n=9 Jacobi program's iteration body (instructions 2 and 3),
+   prepared on its own, and a node that has run the set-up instruction. *)
+let n9_body () =
+  let prob = Nsc_apps.Poisson.manufactured 9 in
+  let b = Nsc_apps.Jacobi.build kb prob.Nsc_apps.Poisson.grid ~tol:0.0 ~max_iters:1 in
+  let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program) in
+  let prepare control =
+    Result.get_ok (Sequencer.prepare { c with Nsc_microcode.Codegen.control })
+  in
+  let node = Node.create params in
+  Nsc_apps.Jacobi.load node b prob;
+  let run = Run.make () in
+  ignore (Result.get_ok (Sequencer.exec node ~run (prepare [ Program.Exec 1; Program.Halt ])));
+  (node, run, prepare [ Program.Exec 2; Program.Exec 3; Program.Halt ], c)
+
+(* Minor words [f] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity r);
+  words
+
+let warm_path_tests =
+  [
+    case "a fused body unwound by a budget poll returns every drawn buffer"
+      (fun () ->
+        let node, run, _, c = n9_body () in
+        let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index:2) in
+        let kn = Kernel.find_or_compile run.Run.cache params sem in
+        let blen = (Option.get kn.Kernel.body).Kernel.blen in
+        ignore (Engine.run_kernel node ~run kn);
+        let depth = Kernel.pooled blen in
+        check_bool "the warm run left buffers pooled" true (depth > 0);
+        let cancelled = Nsc_guard.Guard.Budget.create () in
+        Nsc_guard.Guard.Budget.cancel cancelled;
+        let expired = Nsc_guard.Guard.Budget.create ~deadline_ms:1e-6 () in
+        Unix.sleepf 0.002;
+        List.iter
+          (fun (name, budget) ->
+            (match Engine.run_kernel node ~run:(Run.make ~budget ()) kn with
+            | _ -> Alcotest.failf "%s: the body ran to completion" name
+            | exception Nsc_guard.Guard.Budget.Deadline_exceeded _ -> ());
+            check_int (name ^ ": pool depth after the unwind") depth (Kernel.pooled blen))
+          [ ("cancellation", cancelled); ("wall deadline", expired) ]);
+    case "max_pooled_per_len bounds each free list" (fun () ->
+        (* a length no kernel uses, so the free list starts empty *)
+        let len = 7919 in
+        let bufs = Array.init (Kernel.max_pooled_per_len + 5) (fun _ -> Kernel.acquire len) in
+        Array.iter Kernel.release bufs;
+        check_int "release stops at the bound" Kernel.max_pooled_per_len (Kernel.pooled len);
+        let again = Array.make (Kernel.max_pooled_per_len + 5) bufs.(0) in
+        let h0 = Kernel.pool_hit_count () and m0 = Kernel.pool_miss_count () in
+        Kernel.acquire_into len again ~from:0;
+        check_int "hits drain the list" Kernel.max_pooled_per_len (Kernel.pool_hit_count () - h0);
+        check_int "the rest are fresh" 5 (Kernel.pool_miss_count () - m0);
+        check_int "empty" 0 (Kernel.pooled len);
+        Kernel.release_from again ~from:0 len;
+        check_int "bulk release stops at the bound too" Kernel.max_pooled_per_len
+          (Kernel.pooled len));
+    qcheck ~count:24
+      "last_values equals a hashtable of every dispatch's values, sorted, on both engines"
+      QCheck2.Gen.(triple bool bool (int_range 0 1000))
+      (fun (jacobi, reference, seed) ->
+        let c, load = if jacobi then seeded_jacobi seed else seeded_lang seed in
+        let node = Node.create params in
+        load node;
+        let captured = Hashtbl.create 16 in
+        let on_instruction _ r =
+          List.iter (fun (fu, v) -> Hashtbl.replace captured fu v) (Engine.last_values r)
+        in
+        let engine = if reference then `Reference else `Kernel in
+        let o = Result.get_ok (Sequencer.run node ~engine ~on_instruction c) in
+        let expected =
+          Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured [] |> List.sort compare
+        in
+        o.Sequencer.last_values <> [] && compare o.Sequencer.last_values expected = 0);
+    case "a warm exec of the n=9 iteration body allocates under 600 minor words"
+      (fun () ->
+        (* 491 words on OCaml 5.1: two dispatches, the capture arrays and
+           the outcome; a hashtable capture or per-instruction value lists
+           more than double it *)
+        let node, run, body, _ = n9_body () in
+        for _ = 1 to 2 do
+          ignore (Sequencer.exec node ~run body)
+        done;
+        let words = minor_words (fun () -> Sequencer.exec node ~run body) in
+        if words >= 600.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
+    case "a warm 8-node iteration allocates under 6,500 minor words" (fun () ->
+        (* one more iteration of the same solve: the sweep on every node,
+           the halo exchange and the all-reduce (5,549 words on OCaml 5.1;
+           13.5k with fresh face arrays, list-returning dispatches and a
+           hashtable capture) *)
+        let solve iters =
+          minor_words (fun () ->
+              Result.get_ok
+                (Nsc_apps.Parallel.solve params ~n:9 ~tol:0.0 ~max_iters:iters ~dim:3))
+        in
+        ignore (solve 2);
+        let words = solve 4 -. solve 3 in
+        if words >= 6_500.0 then
+          Alcotest.failf "one warm iteration allocated %.0f minor words" words);
+  ]
+
+let suite = suite @ [ ("sim:warm-path", warm_path_tests) ]

@@ -291,3 +291,78 @@ let strided_edge_tests =
   ]
 
 let suite = suite @ [ ("arch:strided-edges", strided_edge_tests) ]
+
+(* appended: store-to-store copies, the on-node halo replication path *)
+let copy_words_tests =
+  let ramp st ~base n =
+    Memory.write_strided st ~base ~stride:1 (Array.init n (fun i -> float_of_int (base + i)))
+  in
+  [
+    case "copies across page crossings at different source and destination offsets"
+      (fun () ->
+        let src = Memory.make_store ~page_words:16 128 in
+        let dst = Memory.make_store ~page_words:8 128 in
+        ramp src ~base:0 128;
+        (* source spans pages 0..3 from offset 5; the destination, with a
+           different page size, starts at offset 3 of its page 1 *)
+        Memory.copy_words ~src ~src_base:5 ~dst ~dst_base:11 ~count:50;
+        check_bool "copied" true
+          (Memory.read_strided dst ~base:11 ~stride:1 ~count:50
+          = Memory.read_strided src ~base:5 ~stride:1 ~count:50);
+        check_float "word before untouched" 0.0 (Memory.read dst 10);
+        check_float "word after untouched" 0.0 (Memory.read dst 61));
+    case "an untouched source page copies zeros and materialises the destination"
+      (fun () ->
+        let src = Memory.make_store ~page_words:16 64 in
+        let dst = Memory.make_store ~page_words:16 64 in
+        ramp src ~base:0 16;
+        ramp dst ~base:16 48;
+        (* source page 0 is live, page 1 was never written *)
+        Memory.copy_words ~src ~src_base:8 ~dst ~dst_base:20 ~count:16;
+        let got = Memory.read_strided dst ~base:20 ~stride:1 ~count:16 in
+        check_bool "live half" true
+          (Array.sub got 0 8 = Array.init 8 (fun i -> float_of_int (8 + i)));
+        check_bool "zeroed half" true (Array.sub got 8 8 = Array.make 8 0.0);
+        let fresh = Memory.make_store ~page_words:16 64 in
+        Memory.copy_words ~src:(Memory.make_store ~page_words:16 64) ~src_base:0 ~dst:fresh
+          ~dst_base:30 ~count:4;
+        check_int "destination pages materialised" 2 (Memory.touched_pages fresh));
+    case "destination parity marks are scrubbed, source marks stay" (fun () ->
+        let src = Memory.make_store ~page_words:16 64 in
+        let dst = Memory.make_store ~page_words:16 64 in
+        ramp src ~base:0 64;
+        ramp dst ~base:0 64;
+        ignore (Memory.corrupt src 3);
+        ignore (Memory.corrupt dst 33);
+        ignore (Memory.corrupt dst 50);
+        Memory.copy_words ~src ~src_base:0 ~dst ~dst_base:30 ~count:8;
+        check_bool "the copied-over mark is gone" true (Memory.parity_errors dst = [ 50 ]);
+        check_bool "the source keeps its mark" true (Memory.parity_errors src = [ 3 ]));
+    case "an out-of-range copy raises Invalid_argument" (fun () ->
+        let a = Memory.make_store ~page_words:16 64 in
+        let b = Memory.make_store ~page_words:16 32 in
+        let raises name ~src ~src_base ~dst ~dst_base ~count =
+          check_bool name true
+            (match Memory.copy_words ~src ~src_base ~dst ~dst_base ~count with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+        in
+        raises "source end" ~src:a ~src_base:60 ~dst:b ~dst_base:0 ~count:8;
+        raises "destination end" ~src:a ~src_base:0 ~dst:b ~dst_base:30 ~count:8;
+        raises "negative base" ~src:a ~src_base:(-1) ~dst:b ~dst_base:0 ~count:2;
+        raises "negative count" ~src:a ~src_base:0 ~dst:b ~dst_base:0 ~count:(-1);
+        raises "overlap in one store" ~src:a ~src_base:0 ~dst:a ~dst_base:4 ~count:8;
+        check_int "nothing materialised" 0 (Memory.touched_pages b));
+    case "a same-store copy between disjoint ranges" (fun () ->
+        let st = Memory.make_store ~page_words:16 128 in
+        ramp st ~base:0 40;
+        Memory.copy_words ~src:st ~src_base:2 ~dst:st ~dst_base:70 ~count:30;
+        check_bool "copied" true
+          (Memory.read_strided st ~base:70 ~stride:1 ~count:30
+          = Array.init 30 (fun i -> float_of_int (2 + i)));
+        check_bool "source intact" true
+          (Memory.read_strided st ~base:0 ~stride:1 ~count:40
+          = Array.init 40 float_of_int));
+  ]
+
+let suite = suite @ [ ("arch:copy-words", copy_words_tests) ]

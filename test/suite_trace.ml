@@ -190,7 +190,7 @@ let determinism_tests =
               (List.init 16 (fun p -> p))
           in
           ( mem,
-            List.sort compare r.Nsc_sim.Engine.last_values,
+            List.sort compare (Nsc_sim.Engine.last_values r),
             r.Nsc_sim.Engine.cycles,
             r.Nsc_sim.Engine.flops,
             r.Nsc_sim.Engine.writes )
