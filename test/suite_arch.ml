@@ -58,26 +58,6 @@ let resource_tests =
         check_int "count" 32 (List.length idxs);
         check_int "min" 0 (List.hd idxs);
         check_int "max" 31 (List.nth idxs 31));
-    qcheck "the closed-form global index round-trips over random ALS mixes"
-      QCheck2.Gen.(triple (int_range 0 12) (int_range 0 12) (int_range 0 12))
-      (fun (s, d, t) ->
-        let p = { default with Params.n_singlets = s; n_doublets = d; n_triplets = t } in
-        (* [all_fus] walks the ALSs slot by slot: the definition the
-           closed form must reproduce *)
-        let fus = Resource.all_fus p in
-        let n = Params.n_functional_units p in
-        let out_of_range g =
-          match Resource.fu_of_global_index p g with
-          | _ -> false
-          | exception Invalid_argument _ -> true
-        in
-        List.length fus = n
-        && List.for_all2
-             (fun g fu ->
-               Resource.fu_global_index p fu = g
-               && Resource.equal_fu_id (Resource.fu_of_global_index p g) fu)
-             (List.init n Fun.id) fus
-        && out_of_range n && out_of_range (-1));
     case "singlet units have only floating point" (fun () ->
         check_bool "float" true
           (Resource.fu_has_capability default { Resource.als = 0; slot = 0 } Capability.Float);
@@ -125,6 +105,26 @@ let resource_tests =
         let names = List.map Resource.sink_to_string (Knowledge.all_sinks kb) in
         check_int "unique" (List.length names)
           (List.length (List.sort_uniq String.compare names)));
+    qcheck "the closed-form global index round-trips over random ALS mixes"
+      QCheck2.Gen.(triple (int_range 0 12) (int_range 0 12) (int_range 0 12))
+      (fun (s, d, t) ->
+        let p = { default with Params.n_singlets = s; n_doublets = d; n_triplets = t } in
+        (* [all_fus] walks the ALSs slot by slot: the definition the
+           closed form must reproduce *)
+        let fus = Resource.all_fus p in
+        let n = Params.n_functional_units p in
+        let out_of_range g =
+          match Resource.fu_of_global_index p g with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        List.length fus = n
+        && List.for_all2
+             (fun g fu ->
+               Resource.fu_global_index p fu = g
+               && Resource.equal_fu_id (Resource.fu_of_global_index p g) fu)
+             (List.init n Fun.id) fus
+        && out_of_range n && out_of_range (-1));
   ]
 
 let als_tests =
