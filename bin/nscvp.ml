@@ -797,8 +797,9 @@ let serve_cmd =
   let cache_bound_arg =
     Arg.(value & opt int 0
          & info [ "cache-bound" ] ~docv:"N"
-             ~doc:"Cap the shared compile cache at $(docv) entries, \
-                   evicting least-recently-used compiled instructions \
+             ~doc:"Cap each table of the shared compile cache (compiled \
+                   instructions, checked programs) at $(docv) entries, \
+                   evicting the least recently used \
                    (the $(b,cache.evictions) counter).  0 (the default) \
                    leaves it unbounded.")
   in

@@ -294,9 +294,11 @@ let build (kb : Knowledge.t) ?(layout = distributed) ?(strategy = `Refresh)
 
 (** Load a problem's fields into a node per the build's layout (u starts at
     zero everywhere, which the padded fields already are). *)
-let load (node : Nsc_sim.Node.t) (b : build) (prob : Poisson.problem) =
-  Nsc_sim.Node.load_array node ~plane:b.layout.f ~base:0 prob.Poisson.f;
-  Nsc_sim.Node.load_array node ~plane:b.layout.mask ~base:0 prob.Poisson.mask
+let load_fields (node : Nsc_sim.Node.t) (l : layout) (prob : Poisson.problem) =
+  Nsc_sim.Node.load_array node ~plane:l.f ~base:0 prob.Poisson.f;
+  Nsc_sim.Node.load_array node ~plane:l.mask ~base:0 prob.Poisson.mask
+
+let load node (b : build) prob = load_fields node b.layout prob
 
 (** Read the computed solution back out of the node. *)
 let solution (node : Nsc_sim.Node.t) (b : build) (grid : Grid.t) =
@@ -309,53 +311,103 @@ type outcome = {
   stats : Nsc_sim.Sequencer.stats;
 }
 
+(* Every input of {!build} but the knowledge base's machine, flattened
+   for the program table: the strategy, the grid (its spacing by bits),
+   the layout, [tol] by bits and [max_iters]. *)
+let program_key p l strategy (grid : Grid.t) ~tol ~max_iters =
+  let hi x = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 32)
+  and lo x = Int64.to_int (Int64.bits_of_float x) land 0xFFFF_FFFF in
+  {
+    Nsc_sim.Kernel.machine = p;
+    inputs =
+      [| (match strategy with `Refresh -> 0 | `Ping_pong -> 1);
+         grid.Grid.nx; grid.Grid.ny; grid.Grid.nz; hi grid.Grid.h; lo grid.Grid.h;
+         l.sx; l.sy; l.sz; l.center; l.g; l.mask; l.unew; l.f;
+         hi tol; lo tol; max_iters |];
+  }
+
+(* Build, check, encode and decode the program: a program table miss. *)
+let prepare kb ~layout ~strategy grid ~tol ~max_iters =
+  let b = build kb ~layout ~strategy grid ~tol ~max_iters in
+  match Nsc_microcode.Codegen.compile kb b.program with
+  | Error ds ->
+      Error (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
+  | Ok compiled -> Nsc_sim.Sequencer.prepare compiled
+
+(* The unit the convergence loop watches: the residual unit of {!build}. *)
+let rec watched = function
+  | [] -> None
+  | Program.While { condition; _ } :: _ -> Some condition.Interrupt.unit_watched
+  | _ :: rest -> watched rest
+
 (** Compile and execute the Jacobi program for [prob] on a fresh node.
     [engine] selects the simulator path: the fused kernel by default, or
     [`Reference] for the general memoized evaluator (the oracle, a few
     hundred times slower; the two are bit-identical).  [run] carries the
     compile cache, fault model and budget (default: a fresh cache, clean,
-    unsupervised).  [plan_cache] and [kernel_cache] are nscbench
-    compatibility, passed on to {!Nsc_sim.Sequencer.run} — delete when
-    nscbench moves to [Run.t]. *)
-let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?run ?plan_cache
-    ?kernel_cache (prob : Poisson.problem) ~tol ~max_iters : (outcome, string) result =
-  let b = build kb ?layout ?strategy prob.Poisson.grid ~tol ~max_iters in
-  match Nsc_microcode.Codegen.compile kb b.program with
-  | Error ds ->
-      Error
-        (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
-  | Ok compiled -> (
-      let node = Nsc_sim.Node.create (Knowledge.params kb) in
-      load node b prob;
-      match
-        Nsc_sim.Sequencer.run node ~engine ?run ?plan_cache ?kernel_cache compiled
-      with
+    unsupervised).  A program that passes the checker is kept, decoded,
+    in the program table of the cache the caller supplied, keyed by every
+    input of {!build}: a later solve with the same inputs skips build,
+    checker, encoder and decoder and runs the kept program on a fresh
+    node.  [plan_cache] and [kernel_cache] are nscbench compatibility, as
+    on {!Nsc_sim.Sequencer.run} — delete when nscbench moves to
+    [Run.t]. *)
+let solve (kb : Knowledge.t) ?(layout = distributed) ?(strategy = `Refresh) ?(engine = `Kernel)
+    ?run ?plan_cache:_ ?kernel_cache (prob : Poisson.problem) ~tol ~max_iters :
+    (outcome, string) result =
+  let p = Knowledge.params kb in
+  let grid = prob.Poisson.grid in
+  let run = Nsc_sim.Sequencer.compat_run ?run ?kernel_cache () in
+  let prepared =
+    match run with
+    | None -> prepare kb ~layout ~strategy grid ~tol ~max_iters
+    | Some r -> (
+        let cache = r.Nsc_sim.Run.cache in
+        let key = program_key p layout strategy grid ~tol ~max_iters in
+        match Nsc_sim.Kernel.find_program cache key with
+        | Some prog -> Ok prog
+        | None ->
+            let prepared = prepare kb ~layout ~strategy grid ~tol ~max_iters in
+            (* only a checked program is kept: a failing one is
+               diagnosed afresh on every call *)
+            (match prepared with
+            | Ok prog -> Nsc_sim.Kernel.add_program cache key prog
+            | Error _ -> ());
+            prepared)
+  in
+  match prepared with
+  | Error e -> Error e
+  | Ok prog -> (
+      let node = Nsc_sim.Node.create p in
+      load_fields node layout prob;
+      match Nsc_sim.Sequencer.exec node ~engine ?run prog with
       | Error e -> Error e
       | Ok outcome ->
           let stats = outcome.Nsc_sim.Sequencer.stats in
           let sweeps =
             (* instructions 2 and 3 alternate inside the loop after setup *)
-            match Option.value ~default:`Refresh strategy with
+            match strategy with
             | `Refresh -> (stats.Nsc_sim.Sequencer.instructions_executed - 1) / 2
             | `Ping_pong -> stats.Nsc_sim.Sequencer.instructions_executed - 1
           in
           let final_change =
-            List.assoc_opt b.residual_unit outcome.Nsc_sim.Sequencer.last_values
-            |> Option.value ~default:Float.nan
+            match watched prog.Nsc_sim.Kernel.control with
+            | Some unit ->
+                List.assoc_opt unit outcome.Nsc_sim.Sequencer.last_values
+                |> Option.value ~default:Float.nan
+            | None -> Float.nan
           in
           (* the latest field: the refresh strategy leaves it in unew; the
              ping-pong strategy's final B->A sweep leaves it in the primary
              u copies *)
           let result_plane =
-            match Option.value ~default:`Refresh strategy with
-            | `Refresh -> b.layout.unew
-            | `Ping_pong -> b.layout.center
+            match strategy with `Refresh -> layout.unew | `Ping_pong -> layout.center
           in
           Ok
             {
               u =
                 Nsc_sim.Node.dump_array node ~plane:result_plane ~base:0
-                  ~len:(Grid.padded_words prob.Poisson.grid);
+                  ~len:(Grid.padded_words grid);
               sweeps;
               final_change;
               stats;

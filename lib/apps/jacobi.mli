@@ -104,10 +104,16 @@ val solve :
   tol:float -> max_iters:int -> (outcome, string) result
 (** [run] is the solve's run state: a long-lived caller (the serve
     daemon, a bench loop) passes one over a persistent compile cache to
-    reuse compiled kernels across solves; its fault model injects into
-    every instruction, and its budget (a deadline/cancellation token
-    checked at every sweep boundary) unwinds with
-    [Nsc_guard.Guard.Budget.Deadline_exceeded].  [plan_cache] and
+    reuse compiled kernels across solves, and the checked, decoded
+    program too: the cache's program table keeps every program that
+    passed the checker, keyed by every input of {!build} (machine, grid,
+    layout, strategy, [tol] by its bits, [max_iters]), so a repeated
+    solve skips build, checker, encoder and decoder.  A program that
+    fails the checker is never kept, and is diagnosed afresh on every
+    call.  Without [run] (or [kernel_cache]) nothing is kept.  The run's
+    fault model injects into every instruction, and its budget (a
+    deadline/cancellation token checked at every sweep boundary) unwinds
+    with [Nsc_guard.Guard.Budget.Deadline_exceeded].  [plan_cache] and
     [kernel_cache] are nscbench compatibility, as on
     {!Nsc_sim.Sequencer.run} — delete when nscbench moves to [Run.t]. *)
 

@@ -376,8 +376,8 @@ let note_mem_detected m n = bump m c_detected n
 (* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
 
 (* One slot standing in for the retired ambient model: [install] and
-   [clear] set it, [reconcile] settles it, and only [Sequencer.run]'s
-   compatibility path reads it ({!compat_model}). *)
+   [clear] set it, [reconcile] settles it, and only
+   [Sequencer.compat_run] reads it ({!compat_model}). *)
 let compat_slot : t option Atomic.t = Atomic.make None
 
 let install m =

@@ -117,8 +117,9 @@ val settle : t -> int
 
     One slot standing in for the retired ambient model.  Nothing in the
     library, the CLI, the bench or the tests calls these; only
-    [Nsc_sim.Sequencer.run] reads the slot, when given nscbench's
-    [?kernel_cache] and no run. *)
+    [Nsc_sim.Sequencer.compat_run] reads the slot, when given nscbench's
+    [?kernel_cache] and no run ([Sequencer.run] and [Jacobi.solve] use
+    it). *)
 
 (** Put [m] in the slot and zero its ledger. *)
 val install : t -> unit

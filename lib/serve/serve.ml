@@ -569,7 +569,7 @@ let summary_response t =
               ("waves", num (v c_waves));
               ("p50_usec", num h.Metrics.p50);
               ("p99_usec", num h.Metrics.p99);
-              ("cache_evictions", num (Nsc_sim.Lru.evictions t.cache));
+              ("cache_evictions", num (Nsc_sim.Kernel.evictions t.cache));
             ]);
        ])
 

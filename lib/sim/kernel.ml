@@ -419,18 +419,48 @@ let compile (pl : Plan.t) : t =
       { plan = pl; body = None }
   | Some f -> { plan = pl; body = Some (compile_body pl f) }
 
+(* --- prepared programs ---------------------------------------------------- *)
+
+module Table = Map.Make (Int)
+
+(** One instruction made ready to run: its semantics and, for each unit
+    of [sem.units] in order, the unit's dense global index — where the
+    sequencer captures the unit's last value. *)
+type instr = { sem : Semantic.t; capture_at : int array }
+
+(** A program made ready to run by {!Sequencer.prepare}: its instructions
+    by number, decoded once, beside the control programme and the machine
+    they were laid out for.  Immutable, so one value serves every node
+    and every run; its semantics are then physically shared, and the
+    kernel table validates its hits on [==]. *)
+type prepared = {
+  table : instr Table.t;
+  control : Program.control list;
+  params : Params.t;
+}
+
 (* --- the compile cache ---------------------------------------------------- *)
 
-(** The one compile cache: kernels (each carrying its plan) keyed by
-    (instruction index, vector length) — the length component keeps
-    programs of different grid sizes from colliding when a daemon shares
-    one cache across jobs.  A hit is validated against the incoming
-    semantics ({!Plan.compiled_from}) and [honor_timing], so the cache
-    stays safe across runs that re-decode the same microcode and across
-    different programs sharing one cache. *)
-type cache = t Lru.t
+type program_key = { machine : Params.t; inputs : int array }
 
-let make_cache ?bound () : cache = Lru.create ~who:"Kernel" ?bound ()
+type program = { key : program_key; prepared : prepared }
+
+(** The one compile cache, two tables under one mutex and one bound.
+    Kernels (each carrying its plan) are keyed by (instruction index,
+    vector length) — the length component keeps programs of different
+    grid sizes from colliding when a daemon shares one cache across
+    jobs.  A hit is validated against the incoming semantics
+    ({!Plan.compiled_from}) and [honor_timing], so the cache stays safe
+    across runs that re-decode the same microcode and across different
+    programs sharing one cache.  Prepared programs are keyed by their
+    builder's inputs; a hit is validated against the whole key. *)
+type cache = { kernels : t Lru.t; programs : program Lru.t }
+
+let make_cache ?bound () : cache =
+  let kernels = Lru.create ~who:"Kernel" ?bound () in
+  { kernels; programs = Lru.sibling kernels }
+
+let evictions c = Lru.evictions c.kernels + Lru.evictions c.programs
 
 let timed_from sem kn = kn.plan.Plan.honor_timing && Plan.compiled_from sem kn.plan
 let untimed_from sem kn = (not kn.plan.Plan.honor_timing) && Plan.compiled_from sem kn.plan
@@ -438,7 +468,7 @@ let untimed_from sem kn = (not kn.plan.Plan.honor_timing) && Plan.compiled_from 
 let find_or_compile (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) :
     t =
   let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
-  match Lru.find cache key (if honor_timing then timed_from else untimed_from) sem with
+  match Lru.find cache.kernels key (if honor_timing then timed_from else untimed_from) sem with
   | kn ->
       Metrics.bump c_cache_hits 1;
       kn
@@ -446,8 +476,22 @@ let find_or_compile (cache : cache) (p : Params.t) ?(honor_timing = true) (sem :
       (* compiled outside the lock: a long lowering must not stall other
          domains' hits *)
       let kn = compile (Plan.compile p ~honor_timing sem) in
-      Lru.add cache key kn;
+      Lru.add cache.kernels key kn;
       kn
+
+let program_hash k = Array.fold_left (fun h x -> (h * 31) + x) 17 k.inputs
+
+let same_key k e =
+  (k.machine == e.key.machine || Params.equal k.machine e.key.machine)
+  && k.inputs = e.key.inputs
+
+let find_program cache k =
+  match Lru.find cache.programs (program_hash k) same_key k with
+  | e -> Some e.prepared
+  | exception Not_found -> None
+
+let add_program cache key prepared =
+  Lru.add cache.programs (program_hash key) { key; prepared }
 
 (* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
 

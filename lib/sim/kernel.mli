@@ -126,28 +126,81 @@ val cache_hit_count : unit -> int
 val pool_hit_count : unit -> int
 val pool_miss_count : unit -> int
 
+(** {2 Prepared programs}
+
+    The form {!Sequencer.prepare} makes a program ready to run in, kept
+    here so the compile cache can hold it. *)
+
+module Table : Map.S with type key = int
+
+(** One instruction made ready to run: its semantics and, for each unit
+    of [sem.units] in order, the unit's dense global index — where the
+    sequencer captures the unit's last value. *)
+type instr = { sem : Nsc_diagram.Semantic.t; capture_at : int array }
+
+(** A program made ready to run: its instructions by number, decoded
+    once, beside the control programme and the machine they were laid
+    out for.  Immutable, so one value serves every node and every run,
+    from several domains at once; its semantics are physically shared
+    across those runs. *)
+type prepared = {
+  table : instr Table.t;
+  control : Nsc_diagram.Program.control list;
+  params : Nsc_arch.Params.t;
+}
+
 (** {2 The compile cache}
 
-    The one cache of compiled instructions: kernels, each carrying its
-    plan, keyed by (instruction index, vector length).  A hit is
-    validated against the incoming semantics (physical equality, then
-    structural) and [honor_timing], so the cache is safe across runs that
-    re-decode the same microcode and across different programs sharing
-    it, as the serve daemon does.  One {!Lru} cache: mutex-guarded, so it
-    may serve several worker domains at once, and a hit allocates
-    nothing. *)
+    The one compile cache: two tables under one mutex and one bound,
+    each an {!Lru} table.
 
-type cache = t Lru.t
+    - {b Kernels}, each carrying its plan, keyed by (instruction index,
+      vector length).  A hit is validated against the incoming semantics
+      (physical equality, then structural) and [honor_timing], so the
+      cache is safe across runs that re-decode the same microcode and
+      across different programs sharing it, as the serve daemon does.
+      A hit allocates nothing.
+    - {b Prepared programs}, keyed by every input of the builder that
+      made them ({!program_key}).  A builder inserts a program only once
+      it has passed the checker, so a hit skips building, checking,
+      encoding and decoding, and hands the sequencer the very semantics
+      its kernels were compiled from: their validation succeeds on
+      physical equality.
+
+    Mutex-guarded, so one cache may serve several worker domains at
+    once. *)
+
+type cache
 
 val make_cache : ?bound:int -> unit -> cache
-(** [bound] caps resident entries with least-recently-used eviction
-    (counted by {!Lru.evictions} and the [cache.evictions] counter).
-    Default: unbounded.  Raises [Invalid_argument] when [bound < 1]. *)
+(** [bound] caps the resident entries of each table with
+    least-recently-used eviction (counted by {!evictions} and the
+    [cache.evictions] counter).  Default: unbounded.  Raises
+    [Invalid_argument] when [bound < 1]. *)
+
+val evictions : cache -> int
+(** Entries this cache has evicted, from both tables. *)
 
 val find_or_compile :
   cache -> Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
 (** The cached kernel for these semantics, or a fresh {!Plan.compile}
     lowered by {!compile} and admitted to the cache. *)
+
+(** What a prepared program was built from: the machine it was laid out
+    for, and every other input of its builder flattened to ints in an
+    order the builder fixes (a float by its bits, a variant by a tag).
+    Two keys are equal when their machines and their inputs are. *)
+type program_key = { machine : Nsc_arch.Params.t; inputs : int array }
+
+val find_program : cache -> program_key -> prepared option
+(** The program resident under this key, refreshing its recency.  The
+    table's traffic is not counted: a counter bump here would be one
+    more gated site on every solve. *)
+
+val add_program : cache -> program_key -> prepared -> unit
+(** Admit a program under its key, evicting the least recently used
+    program first when the table is full.  Callers admit only programs
+    that passed the checker. *)
 
 (** {2 nscbench compatibility — delete when nscbench moves to [Run.t]} *)
 

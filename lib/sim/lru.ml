@@ -1,5 +1,5 @@
-(** The bounded, mutex-guarded compile cache behind {!Kernel.cache}:
-    entries keyed by (instruction index, vector length),
+(** The bounded, mutex-guarded tables behind {!Kernel.cache}: entries
+    keyed by one int and validated by the caller,
     least-recently-used eviction once [bound] entries are resident, and a
     per-cache eviction count beside the process-wide [cache.evictions]
     counter.  A hit takes the lock once and allocates nothing. *)
@@ -23,6 +23,9 @@ type 'a t = {
 let create ~who ?(bound = max_int) () =
   if bound < 1 then invalid_arg (who ^ ".make_cache: bound must be >= 1");
   { tbl = Hashtbl.create 16; bound; clock = 0; evicted = 0; lock = Mutex.create () }
+
+let sibling t =
+  { tbl = Hashtbl.create 16; bound = t.bound; clock = 0; evicted = 0; lock = t.lock }
 
 (* Instruction indices and vector lengths are far below 2^31, so the pair
    packs into one immediate int: a lookup allocates no key tuple. *)

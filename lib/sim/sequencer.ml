@@ -44,24 +44,26 @@ let h_reconfig_cycles =
   Metrics.histogram ~name:"hist.reconfig_cycles" ~units:"cycles"
     ~desc:"per-instruction switch reconfiguration latency"
 
-module Table = Map.Make (Int)
+module Table = Kernel.Table
 
-(* One instruction made ready to run: its semantics and, for each unit
-   of [sem.units] in order, the unit's dense global index — where the
-   sequencer captures the unit's last value. *)
-type instr = { sem : Semantic.t; capture_at : int array }
+(* One instruction made ready to run, and a program made ready to run:
+   defined beside the compile cache, which keeps prepared programs in its
+   program table. *)
+type instr = Kernel.instr = { sem : Semantic.t; capture_at : int array }
 
-(* A program made ready to run: its instructions by number, decoded once
-   from the machine words or taken from the retained semantics, beside
-   the control programme and the machine they were laid out for.
-   Immutable, so one value serves every node and every run; the decoded
-   semantics are then physically shared, and the compile cache validates
-   its hits on [==]. *)
-type prepared = {
+type prepared = Kernel.prepared = {
   table : instr Table.t;
   control : Program.control list;
   params : Params.t;
 }
+
+(* Each unit's dense global index into [at], in [sem.units] order: filled
+   in place, with no intermediate list. *)
+let rec fill_capture p at i = function
+  | [] -> at
+  | (u : Semantic.unit_program) :: rest ->
+      at.(i) <- Resource.fu_global_index p u.Semantic.fu;
+      fill_capture p at (i + 1) rest
 
 (** Decode the program's instructions once (or take the retained
     semantics with [~from_microcode:false]); the first word that fails to
@@ -69,14 +71,8 @@ type prepared = {
 let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string) result =
   let p = c.Codegen.layout.Fields.params in
   let instr (sem : Semantic.t) =
-    {
-      sem;
-      capture_at =
-        Array.of_list
-          (List.map
-             (fun (u : Semantic.unit_program) -> Resource.fu_global_index p u.Semantic.fu)
-             sem.Semantic.units);
-    }
+    let units = sem.Semantic.units in
+    { sem; capture_at = fill_capture p (Array.make (List.length units) 0) 0 units }
   in
   let rec load table = function
     | [] -> Ok { table; control = c.Codegen.control; params = p }
@@ -260,16 +256,17 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
              !acc);
         })
 
+(* nscbench compatibility — delete when nscbench moves to Run.t: the
+   only reader of the fault model's compat slot *)
+let compat_run ?run ?kernel_cache () =
+  match (run, kernel_cache) with
+  | None, Some _ ->
+      Some (Run.make ?cache:kernel_cache ?fault:(Nsc_fault.Fault.compat_model ()) ())
+  | _ -> run
+
 (** Execute a compiled program: {!prepare} it, then {!exec} it. *)
 let run node ?from_microcode ?record_trace ?engine ?run ?plan_cache:_ ?kernel_cache
     ?on_instruction c =
-  (* nscbench compatibility — delete when nscbench moves to Run.t: the
-     only reader of the fault model's compat slot *)
-  let run =
-    match (run, kernel_cache) with
-    | None, Some _ ->
-        Some (Run.make ?cache:kernel_cache ?fault:(Nsc_fault.Fault.compat_model ()) ())
-    | _ -> run
-  in
+  let run = compat_run ?run ?kernel_cache () in
   Result.bind (prepare ?from_microcode c) (fun prog ->
       exec node ?record_trace ?engine ?run ?on_instruction prog)

@@ -36,8 +36,9 @@ val max_recorded_events : int
 (** A program made ready to run: its instruction table, decoded once, and
     its control programme.  Immutable, so one value may be executed on
     any number of nodes, repeatedly and from several domains at once;
-    the semantics it holds are physically shared across those runs. *)
-type prepared
+    the semantics it holds are physically shared across those runs.
+    Defined beside the compile cache, whose program table holds it. *)
+type prepared = Kernel.prepared
 
 (** Decode each instruction word once (default) or take the retained
     semantics ([~from_microcode:false], useful to isolate decoder
@@ -95,3 +96,10 @@ val run :
   ?kernel_cache:Kernel.cache ->
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
   Nsc_microcode.Codegen.compiled -> (outcome, string) result
+
+(** The run {!run} executes under, given its [run] and [kernel_cache]
+    arguments: [run] when given; otherwise, with a [kernel_cache], a run
+    over that cache under the model in {!Nsc_fault.Fault}'s compat slot;
+    otherwise none (a fresh cache, clean).  nscbench compatibility —
+    delete when nscbench moves to [Run.t]. *)
+val compat_run : ?run:Run.t -> ?kernel_cache:Kernel.cache -> unit -> Run.t option

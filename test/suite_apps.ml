@@ -469,3 +469,135 @@ let hypercube_solve_tests =
   ]
 
 let suite = suite @ [ ("apps:hypercube-solve", hypercube_solve_tests) ]
+
+(* appended: the compile cache's program table — a warm [Jacobi.solve]
+   reuses its checked, decoded program *)
+
+module Kernel = Nsc_sim.Kernel
+module Run = Nsc_sim.Run
+
+(* The table's traffic is not counted; the checker's own timing analyses
+   show it.  A miss checks the program, a hit checks nothing.  Every plan
+   compile runs one analysis too (a kernel evicted, or replaced by
+   another program's, recompiles), so those are set apart. *)
+let analyses () =
+  Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses - Nsc_sim.Plan.compile_count ()
+
+(* Whether [f ()] checked a program, and its result. *)
+let checked f =
+  let a0 = analyses () in
+  let r = f () in
+  (analyses () > a0, r)
+
+(* Everything a solve returns, floats by their bits. *)
+let bits (o : Jacobi.outcome) =
+  ( Array.map Int64.bits_of_float o.Jacobi.u,
+    o.Jacobi.sweeps,
+    Int64.bits_of_float o.Jacobi.final_change,
+    o.Jacobi.stats )
+
+let solve_on ?layout ?strategy ?(n = 5) ?(tol = 1e-4) ?(max_iters = 200) run =
+  Jacobi.solve kb ?layout ?strategy ~run (Poisson.manufactured n) ~tol ~max_iters
+
+let ok = function Ok o -> o | Error e -> Alcotest.fail e
+
+(* A layout whose update lands on g's plane: the checker rejects it. *)
+let clashing = { Jacobi.distributed with Jacobi.unew = 3 }
+
+let program_table_tests =
+  [
+    case "a warm hit is bit-identical to a cold solve on a fresh cache" (fun () ->
+        List.iter
+          (fun (strategy, n) ->
+            let cold = bits (ok (solve_on ~strategy ~n (Run.make ()))) in
+            let run = Run.make () in
+            let first = bits (ok (solve_on ~strategy ~n run)) in
+            let miss, warm = checked (fun () -> bits (ok (solve_on ~strategy ~n run))) in
+            check_bool "the second solve hits" false miss;
+            check_bool "the miss matches the cold solve" true (compare cold first = 0);
+            check_bool "the hit matches the cold solve" true (compare cold warm = 0))
+          [ (`Refresh, 5); (`Ping_pong, 5); (`Refresh, 9) ];
+        (* the nscbench compatibility path shares the table *)
+        let cache = Kernel.make_cache () in
+        let compat () =
+          bits (ok (Jacobi.solve kb ~kernel_cache:cache (Poisson.manufactured 5) ~tol:1e-4
+                      ~max_iters:200))
+        in
+        let first = compat () in
+        let miss, again = checked compat in
+        check_bool "the compat path hits" false miss;
+        check_bool "and matches" true (compare first again = 0));
+    case "changing any key component is a miss" (fun () ->
+        let run = Run.make () in
+        ignore (ok (solve_on run));
+        let variants =
+          [ ("n", fun run -> solve_on ~n:7 run);
+            ("tol", fun run -> solve_on ~tol:1e-5 run);
+            ("max_iters", fun run -> solve_on ~max_iters:20 run);
+            ("layout", fun run -> solve_on ~layout:Jacobi.packed run);
+            ("strategy", fun run -> solve_on ~strategy:`Ping_pong run) ]
+        in
+        List.iter
+          (fun (name, solve) ->
+            let miss, shared = checked (fun () -> bits (ok (solve run))) in
+            check_bool (name ^ ": a miss") true miss;
+            check_bool (name ^ ": the answer of its own program") true
+              (compare shared (bits (ok (solve (Run.make ())))) = 0))
+          variants;
+        check_bool "the first program is still resident" false
+          (fst (checked (fun () -> ok (solve_on run)))));
+    case "a program that fails the checker is diagnosed on every call, never kept"
+      (fun () ->
+        let run = Run.make () in
+        let attempt () =
+          match solve_on ~layout:clashing run with
+          | Ok _ -> Alcotest.fail "the clashing layout solved"
+          | Error e -> e
+        in
+        let a0 = analyses () in
+        let first = attempt () in
+        let once = analyses () - a0 in
+        let second = attempt () in
+        check_bool "a checker diagnostic" true (String.length first > 0);
+        check_string "the same diagnostic" first second;
+        check_bool "the checker ran" true (once > 0);
+        check_int "and ran again in full" (2 * once) (analyses () - a0));
+    case "bound 1 evicts the least-recently-used program" (fun () ->
+        let misses run ns =
+          List.map (fun n -> fst (checked (fun () -> ok (solve_on ~n run)))) ns
+        in
+        let run = Run.make ~cache:(Kernel.make_cache ~bound:1 ()) () in
+        check_bool "n=3 evicts n=5" true
+          (misses run [ 5; 5; 3; 5 ] = [ true; false; true; true ]);
+        (* bound 2: a hit refreshes recency, so the victim is the other one *)
+        let run = Run.make ~cache:(Kernel.make_cache ~bound:2 ()) () in
+        check_bool "n=7 evicts n=5, not the touched n=3" true
+          (misses run [ 3; 5; 3; 7; 3; 5 ] = [ true; true; false; true; false; true ]));
+    case "two domains racing on one key get identical outcomes" (fun () ->
+        let expected = bits (ok (solve_on (Run.make ()))) in
+        for _ = 1 to 3 do
+          let run = Run.make () in
+          let racers = List.init 2 (fun _ -> Domain.spawn (fun () -> solve_on run)) in
+          List.iter
+            (fun d -> check_bool "identical" true (compare expected (bits (ok (Domain.join d))) = 0))
+            racers;
+          let miss, after = checked (fun () -> bits (ok (solve_on run))) in
+          check_bool "the key is resident" false miss;
+          check_bool "and after the race" true (compare expected after = 0)
+        done);
+    case "a hit runs no timing analysis and compiles nothing" (fun () ->
+        let run = Run.make () in
+        ignore (ok (solve_on ~n:7 run));
+        let timing () = Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses in
+        let a0 = timing ()
+        and kernels = Kernel.compile_count ()
+        and kernel_hits = Kernel.cache_hit_count () in
+        let o = ok (solve_on ~n:7 run) in
+        check_int "timing analyses" 0 (timing () - a0);
+        check_int "kernel compiles" 0 (Kernel.compile_count () - kernels);
+        check_int "every dispatch a kernel hit"
+          o.Jacobi.stats.Nsc_sim.Sequencer.instructions_executed
+          (Kernel.cache_hit_count () - kernel_hits));
+  ]
+
+let suite = suite @ [ ("apps:program-table", program_table_tests) ]

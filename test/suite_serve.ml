@@ -430,12 +430,12 @@ let cache_tests =
         let before = total () in
         let plan sem = (Nsc_sim.Kernel.find_or_compile cache params sem).Nsc_sim.Kernel.plan in
         let p1 = plan small in
-        check_int "first insert evicts nothing" 0 (Nsc_sim.Lru.evictions cache);
+        check_int "first insert evicts nothing" 0 (Nsc_sim.Kernel.evictions cache);
         let p2 = plan big in
-        check_int "second insert evicts the first" 1 (Nsc_sim.Lru.evictions cache);
+        check_int "second insert evicts the first" 1 (Nsc_sim.Kernel.evictions cache);
         (* the evicted entry recompiles, and the survivor is evicted in turn *)
         let p1' = plan small in
-        check_int "reinsert evicts again" 2 (Nsc_sim.Lru.evictions cache);
+        check_int "reinsert evicts again" 2 (Nsc_sim.Kernel.evictions cache);
         check_int "the process-wide total follows" (before + 2) (total ());
         check_bool "recompiled plan is fresh" true (not (p1 == p1'));
         check_bool "plans keep their semantics" true
@@ -488,7 +488,7 @@ let cache_tests =
             ignore
               (Nsc_sim.Kernel.find_or_compile other params (fst (semantic_of_program prog 1))))
           [ 8; 16; 32 ];
-        check_int "the other cache evicted" 2 (Nsc_sim.Lru.evictions other);
+        check_int "the other cache evicted" 2 (Nsc_sim.Kernel.evictions other);
         let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in
         check_int "the daemon evicted nothing" 0 (Option.get (inum s "cache_evictions")));
   ]

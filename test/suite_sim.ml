@@ -1189,6 +1189,22 @@ let warm_path_tests =
         let words = solve 4 -. solve 3 in
         if words >= 6_500.0 then
           Alcotest.failf "one warm iteration allocated %.0f minor words" words);
+    case "a warm n=9 solve through a persistent run allocates under 50k minor words"
+      (fun () ->
+        (* 26.7k words on OCaml 5.1: a fresh node, the 289 dispatches and
+           the result; rebuilding, checking, encoding and decoding the
+           program on every call took 86.4k *)
+        let prob = Nsc_apps.Poisson.manufactured 9 in
+        let run = Run.make () in
+        let solve () =
+          Result.get_ok (Nsc_apps.Jacobi.solve kb ~run prob ~tol:1e-6 ~max_iters:1000)
+        in
+        for _ = 1 to 2 do
+          ignore (solve ())
+        done;
+        let words = minor_words solve in
+        if words >= 50_000.0 then
+          Alcotest.failf "a warm solve allocated %.0f minor words" words);
   ]
 
 let suite = suite @ [ ("sim:warm-path", warm_path_tests) ]
