@@ -2,8 +2,9 @@
     buffers, implemented in [native_stubs.c].
 
     Every external here is [[@@noalloc]] with untagged integer arguments:
-    a call costs a C function call and nothing more.  None of them checks
-    a bound, so every caller establishes its ranges first. *)
+    a call costs a C function call and nothing more, plus one call through
+    the loader's ifunc for a [step] of 256 elements or more.  None of them
+    checks a bound, so every caller establishes its ranges first. *)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -35,6 +36,28 @@ let op_code : Opcode.t -> int = function
 
 let scan = 23
 
+(* The delay-1 feedback steps: codes 24-32 carry self as [a] (the float
+   opcodes in op_code's order), 33-38 self as [b] (the binary ones).  A
+   unary opcode ignores [b], so self as [b] is its plain step. *)
+let feedback_code (op : Opcode.t) ~self_is_a =
+  match (op, self_is_a) with
+  | Opcode.Pass, true -> 24
+  | Opcode.Fadd, true -> 25
+  | Opcode.Fsub, true -> 26
+  | Opcode.Fmul, true -> 27
+  | Opcode.Fdiv, true -> 28
+  | Opcode.Fneg, true -> 29
+  | Opcode.Fabs, true -> 30
+  | Opcode.Max, true -> 31
+  | Opcode.Min, true -> 32
+  | Opcode.Fadd, false -> 33
+  | Opcode.Fsub, false -> 34
+  | Opcode.Fmul, false -> 35
+  | Opcode.Fdiv, false -> 36
+  | Opcode.Max, false -> 37
+  | Opcode.Min, false -> 38
+  | _ -> op_code op
+
 external step :
   (int[@untagged]) ->
   vec ->
@@ -45,6 +68,18 @@ external step :
   (int[@untagged]) ->
   (int[@untagged]) ->
   bool = "nsc_native_step_byte" "nsc_native_step"
+[@@noalloc]
+
+external baseline_step :
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  vec ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  bool = "nsc_native_step_baseline_byte" "nsc_native_step_baseline"
 [@@noalloc]
 
 external unsafe_blit :

@@ -238,13 +238,22 @@ let pooled len =
 (* --- opcode specialisation ----------------------------------------------- *)
 
 (* Bind one unit to its native step.  The opcode resolves to a step code
-   here, once per unit per compile; the closure only fetches the unit's
-   buffers and hands the element range to C, where the loop applies the
-   operation and folds the non-finite trap pre-scan into the same pass.
-   The C loop checks no bounds: [compile_body] has checked every operand
-   window against the buffer length. *)
+   here, once per unit per compile: a float unit whose one operand is its
+   own output at delay 1 gets the step that carries its running value in
+   a register.  The closure only fetches the unit's buffers and hands the
+   element range to C, where the loop applies the operation and folds the
+   non-finite trap pre-scan into the same pass.  The C loop checks no
+   bounds: [compile_body] has checked every operand window against the
+   buffer length. *)
 let specialise (u : kunit) : step =
-  let op = Native.op_code u.op and out = u.out in
+  let out = u.out in
+  let op =
+    if u.a_buf = out && u.a_off = -1 && u.b_buf <> out then
+      Native.feedback_code u.op ~self_is_a:true
+    else if u.b_buf = out && u.b_off = -1 && u.a_buf <> out then
+      Native.feedback_code u.op ~self_is_a:false
+    else Native.op_code u.op
+  in
   let ab = u.a_buf and ao = u.a_off and bb = u.b_buf and bo = u.b_off in
   fun bufs base e0 e1 ->
     Native.step op bufs.(out) (base + e0) bufs.(ab) (base + ao + e0) bufs.(bb)

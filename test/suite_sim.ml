@@ -1208,3 +1208,106 @@ let warm_path_tests =
   ]
 
 let suite = suite @ [ ("sim:warm-path", warm_path_tests) ]
+
+(* appended: a delay-1 feedback unit over more than one kernel block (the
+   fused loops run 1024 elements per native call), so the carried value
+   crosses a block boundary.  Elements 1023 and 1024 straddle it, and each
+   scenario puts a new extreme, a tie with the running value or a NaN on
+   either side.  The unit reads a stream on one port and its own output
+   one element back on the other, and writes plane 1. *)
+let feedback_unit ~vlen ~self_is_a op =
+  let pl = Pipeline.with_vector_length (Pipeline.empty 1) vlen in
+  let icon, pl =
+    Build.fail_on_error
+      (Pipeline.place_als params pl ~kind:Als.Doublet ~bypass:Als.Keep_tail
+         ~pos:(Geometry.point 10 2) ())
+  in
+  let port = if self_is_a then Resource.B else Resource.A in
+  let _, pl =
+    Pipeline.add_connection pl ~src:(Connection.Direct_memory 0)
+      ~dst:(Connection.Pad { icon; pad = Icon.In_pad (1, port) })
+      ~spec:(Dma_spec.make (Dma_spec.To_plane 0)) ()
+  in
+  let self = Fu_config.From_feedback 1 and other = Fu_config.From_switch in
+  let a, b = if self_is_a then (self, other) else (other, self) in
+  let pl = Pipeline.set_config pl ~id:icon ~slot:1 (Fu_config.make ~a ~b op) in
+  let _, pl =
+    Pipeline.add_connection pl
+      ~src:(Connection.Pad { icon; pad = Icon.Out_pad 1 })
+      ~dst:(Connection.Direct_memory 1)
+      ~spec:(Dma_spec.make (Dma_spec.To_plane 1)) ()
+  in
+  fst (Semantic.of_pipeline params pl)
+
+let feedback_tests =
+  let vlen = 2100 in
+  (* [lead] is element 0's value; the rest stays strictly inside (-1, 1)
+     unless a scenario places a value at 1023 or 1024 *)
+  let input ~lead (at_1023, at_1024) =
+    Array.init vlen (fun i ->
+        if i = 0 then lead
+        else if i = 1023 then at_1023
+        else if i = 1024 then at_1024
+        else Float.sin (float_of_int i *. 0.37) *. 0.9)
+  in
+  let scenarios ~extreme ~lead =
+    let nan = Int64.float_of_bits 0x7FF8_0000_0000_0BADL in
+    [ ("a new extreme, then a tie", (extreme, extreme));
+      ("a tie, then a new extreme", (lead, extreme));
+      ("a NaN, then a tie", (nan, lead));
+      ("a new extreme, then a NaN", (extreme, nan));
+      ("a tie on both sides", (lead, lead)) ]
+  in
+  let agree op ~self_is_a ~lead ~extreme =
+    let sem = feedback_unit ~vlen ~self_is_a op in
+    check_bool "the kernel has a fused body" true
+      (Option.is_some (Kernel.compile (Plan.compile params sem)).Kernel.body);
+    List.iter
+      (fun (what, at) ->
+        let xs = input ~lead at in
+        let name =
+          Printf.sprintf "%s, self on %s, %s" (Opcode.mnemonic op)
+            (if self_is_a then "a" else "b") what
+        in
+        let results =
+          List.map
+            (fun (engine, exec) ->
+              let node = Node.create params in
+              Node.load_array node ~plane:0 ~base:0 xs;
+              let r : Engine.result = exec (Run.make ()) node in
+              (engine, r, Array.init vlen (fun e -> Node.read_plane node ~plane:1 ~addr:e)))
+            (both_engines sem)
+        in
+        match results with
+        | [ (_, k, kv); (_, g, gv) ] ->
+            let bits = Int64.bits_of_float in
+            Array.iteri
+              (fun e v ->
+                if bits v <> bits kv.(e) then
+                  Alcotest.failf "%s: element %d is %h on the kernel, %h on the reference"
+                    name e kv.(e) v)
+              gv;
+            check_bool (name ^ ": last values") true
+              (List.map (fun (fu, v) -> (fu, bits v)) (Engine.last_values k)
+              = List.map (fun (fu, v) -> (fu, bits v)) (Engine.last_values g));
+            check_int (name ^ ": trapped") (Interrupt.trapped_exceptions g.Engine.events)
+              (Interrupt.trapped_exceptions k.Engine.events);
+            check_bool (name ^ ": events") true (k.Engine.events = g.Engine.events);
+            if Float.is_nan (fst at) || Float.is_nan (snd at) then
+              check_bool (name ^ ": the NaN traps") true
+                (Interrupt.trapped_exceptions k.Engine.events > 0)
+        | _ -> assert false)
+      (scenarios ~extreme ~lead)
+  in
+  [
+    case "delay-1 Max, Min and Fadd feedback across a kernel block boundary match the reference"
+      (fun () ->
+        List.iter
+          (fun self_is_a ->
+            agree Opcode.Max ~self_is_a ~lead:4.0 ~extreme:9.0;
+            agree Opcode.Min ~self_is_a ~lead:(-4.0) ~extreme:(-9.0);
+            agree Opcode.Fadd ~self_is_a ~lead:4.0 ~extreme:Float.infinity)
+          [ false; true ]);
+  ]
+
+let suite = suite @ [ ("sim:feedback", feedback_tests) ]
