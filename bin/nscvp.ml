@@ -10,10 +10,11 @@
      replay        replay an editor session script
      compile       compile textual pipeline-language source to a program
      debug         run with tracing and print annotated diagram frames
-     stats         run in a scoped metric context and print its counters
      profile       run under a fresh metric context; print the hotspot profile
      inject        run clean and under a seeded fault model; print the report
-     serve         long-running simulation service over an NDJSON job protocol *)
+     serve         long-running simulation service over an NDJSON job protocol
+     chaos         seeded chaos harness over the in-process serve daemon
+     scale         weak-scaling Jacobi experiment on a 2^D-node hypercube *)
 
 open Nsc_arch
 open Nsc_diagram
@@ -29,8 +30,13 @@ let subset_flag =
 let program_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Saved visual program.")
 
-(* A malformed or truncated input must exit 2 with a one-line diagnostic,
-   never escape as a raw OCaml exception with a backtrace. *)
+let loads_arg =
+  Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
+         ~doc:"Load floats (one per line) into a memory plane before the run.")
+
+(* The one error boundary, around every subcommand (see the end of the
+   file): a malformed or truncated input or an unwritable output exits 2
+   with a one-line diagnostic, never a raw OCaml exception. *)
 let guarded f =
   try f () with
   | Sys_error e | Failure e | Invalid_argument e ->
@@ -44,14 +50,26 @@ let guarded f =
            (if arg = "" then "" else " " ^ arg)
            (Unix.error_message err));
       exit 2
+  | e ->
+      (* anything else is a bug: Cmdliner's internal-error status *)
+      prerr_endline ("internal error, uncaught exception: " ^ Printexc.to_string e);
+      exit Cmd.Exit.internal_error
 
 let load_program kb path =
-  guarded (fun () ->
-      match Serialize.load (Knowledge.params kb) ~path with
-      | Ok prog -> prog
-      | Error e ->
-          prerr_endline ("error: " ^ e);
-          exit 2)
+  match Serialize.load (Knowledge.params kb) ~path with Ok prog -> prog | Error e -> failwith e
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+(* Write [s] to [path] and say so; [note] follows the path. *)
+let write_file ?(note = "") path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s);
+  Printf.printf "wrote %s%s\n" path note
+
+let ok_or_exit = function
+  | Ok v -> v
+  | Error e ->
+      prerr_endline ("run error: " ^ e);
+      exit 1
 
 let print_diagnostics ds =
   List.iter (fun d -> print_endline ("  " ^ Nsc_checker.Diagnostic.to_string d)) ds
@@ -103,15 +121,16 @@ let compile_or_die kb prog =
       List.iter (fun d -> prerr_endline ("  " ^ Nsc_checker.Diagnostic.to_string d)) ds;
       exit 1
 
-let write_hex (c : Nsc_microcode.Codegen.compiled) path =
-  let oc = open_out path in
-  Printf.fprintf oc "NSCMC %d\n" c.Nsc_microcode.Codegen.layout.Nsc_microcode.Fields.total_bits;
+(* The hex file: an [NSCMC <bits>] header, then each instruction's word. *)
+let hex_text (c : Nsc_microcode.Codegen.compiled) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "NSCMC %d\n" c.Nsc_microcode.Codegen.layout.Nsc_microcode.Fields.total_bits;
   List.iter
     (fun (i : Nsc_microcode.Encode.instruction) ->
-      Printf.fprintf oc "instr %d\n%s\n" i.Nsc_microcode.Encode.index
+      Printf.bprintf b "instr %d\n%s\n" i.Nsc_microcode.Encode.index
         (Nsc_microcode.Word.to_hex i.Nsc_microcode.Encode.word))
     c.Nsc_microcode.Codegen.instructions;
-  close_out oc
+  Buffer.contents b
 
 let codegen_cmd =
   let hex_out =
@@ -122,11 +141,11 @@ let codegen_cmd =
     let kb = kb_of_subset subset in
     let c = compile_or_die kb (load_program kb path) in
     print_string (Nsc_microcode.Listing.compiled_to_string ~hex:show_hex c);
-    match hex_path with
-    | Some out ->
-        write_hex c out;
-        Printf.printf "wrote %s (%d bits of microcode)\n" out (Nsc_microcode.Codegen.code_bits c)
-    | None -> ()
+    Option.iter
+      (fun out ->
+        write_file out (hex_text c)
+          ~note:(Printf.sprintf " (%d bits of microcode)" (Nsc_microcode.Codegen.code_bits c)))
+      hex_path
   in
   Cmd.v (Cmd.info "codegen" ~doc:"Generate microcode and print the listing.")
     Term.(const run $ subset_flag $ program_arg $ hex_out $ show_hex)
@@ -136,35 +155,35 @@ let disasm_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"HEX" ~doc:"Hex microcode file.")
   in
   let run subset path =
-    guarded @@ fun () ->
-    let kb = kb_of_subset subset in
-    let p = Knowledge.params kb in
-    let layout = Nsc_microcode.Fields.make p in
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    let lines = List.rev !lines in
-    (match lines with
-    | header :: _ when String.length header >= 5 && String.sub header 0 5 = "NSCMC" -> ()
-    | _ ->
-        prerr_endline "error: not an NSCMC hex file";
-        exit 2);
+    let layout = Nsc_microcode.Fields.make (Knowledge.params (kb_of_subset subset)) in
+    let bits = layout.Nsc_microcode.Fields.total_bits in
+    let lines = In_channel.with_open_text path In_channel.input_lines in
+    (* the header names the word width the file was generated for; words
+       of another machine model would decode to garbage *)
+    let body =
+      match lines with
+      | header :: body -> (
+          match Scanf.sscanf_opt header "NSCMC %d" Fun.id with
+          | Some w when w = bits -> body
+          | Some w ->
+              failwith
+                (Printf.sprintf "%s holds %d-bit microcode words, but this machine's are %d bits"
+                   path w bits)
+          | None -> failwith "not an NSCMC hex file")
+      | [] -> failwith "not an NSCMC hex file"
+    in
     (* gather hex bytes per instruction *)
-    let word_bytes = (layout.Nsc_microcode.Fields.total_bits + 7) / 8 in
+    let word_bytes = (bits + 7) / 8 in
     let current = Buffer.create 1024 in
     let flush_instr () =
       if Buffer.length current > 0 then begin
         let hex = Buffer.contents current in
-        let w = Nsc_microcode.Word.create layout.Nsc_microcode.Fields.total_bits in
+        let w = Nsc_microcode.Word.create bits in
         let n = min word_bytes (String.length hex / 2) in
         for i = 0 to n - 1 do
           let byte = int_of_string ("0x" ^ String.sub hex (2 * i) 2) in
           for b = 0 to 7 do
-            if (i * 8) + b < layout.Nsc_microcode.Fields.total_bits then
+            if (i * 8) + b < bits then
               Nsc_microcode.Word.set_bit w ((i * 8) + b) ((byte lsr b) land 1 = 1)
           done
         done;
@@ -174,15 +193,14 @@ let disasm_cmd =
         Buffer.clear current
       end
     in
-    List.iteri
-      (fun i line ->
-        if i = 0 then ()
-        else if String.length line >= 5 && String.sub line 0 5 = "instr" then flush_instr ()
+    List.iter
+      (fun line ->
+        if String.length line >= 5 && String.sub line 0 5 = "instr" then flush_instr ()
         else
           String.iter
             (fun ch -> if ch <> ' ' && ch <> '\n' then Buffer.add_char current ch)
             line)
-      lines;
+      body;
     flush_instr ()
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble hex microcode back to its pseudo-code.")
@@ -208,18 +226,9 @@ let parse_dump s =
   | _ -> None
 
 let read_floats file =
-  let ic = open_in file in
-  let xs = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" then
-         match float_of_string_opt line with
-         | Some v -> xs := v :: !xs
-         | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  Array.of_list (List.rev !xs)
+  read_file file |> String.split_on_char '\n'
+  |> List.filter_map (fun line -> float_of_string_opt (String.trim line))
+  |> Array.of_list
 
 (* Load every [--load PLANE:BASE:FILE] into [node], in order; a malformed
    one is reported and exits with status 2. *)
@@ -232,6 +241,19 @@ let apply_loads loads node =
           prerr_endline ("bad --load: " ^ s);
           exit 2)
     loads
+
+(* The prelude of every subcommand that executes a saved program: load
+   it, generate its microcode (or exit 1), and return both with a maker
+   of fresh nodes holding the [--load] inputs. *)
+let prepare kb path loads =
+  let prog = load_program kb path in
+  let c = compile_or_die kb prog in
+  let fresh_node () =
+    let node = Nsc_sim.Node.create (Knowledge.params kb) in
+    apply_loads loads node;
+    node
+  in
+  (prog, c, fresh_node)
 
 (* -- fault injection options ------------------------------------------- *)
 
@@ -281,39 +303,7 @@ let engine_arg =
                  reference is a few hundred times slower and serves \
                  differential debugging.")
 
-(* -- Domain fan-out ----------------------------------------------------- *)
-
-let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-         ~doc:"Fan the run across $(docv) OCaml domains (default 1): the \
-               program is replicated on every node of a hypercube machine \
-               just large enough for $(docv) domains and executed through \
-               the machine's persistent domain pool; the replicas are \
-               checked bit-identical and node 0 is reported.  Ignored \
-               under --faults — the seeded fault schedule is consumed \
-               sequentially to stay reproducible.")
-
-(* smallest hypercube dimension giving at least [n] nodes *)
-let dim_for_domains n =
-  let rec go d = if 1 lsl d >= n || d >= 10 then d else go (d + 1) in
-  go 0
-
-(* Execute [exec node] on every node of a fresh [2^dim]-node machine
-   (each prepared by [prepare]), fanned over [domains] domains from the
-   machine's pool; all replicas must agree bit-identically (they run the
-   same program on identical data), and node 0's result is returned. *)
-let run_replicated p ~domains ~prepare ~exec =
-  let machine = Nsc_sim.Multinode.create ~dim:(dim_for_domains domains) p in
-  Array.iter prepare machine.Nsc_sim.Multinode.nodes;
-  let results =
-    Nsc_sim.Multinode.parallel_iter ~domains machine (fun _ node -> exec node)
-  in
-  Nsc_sim.Multinode.shutdown machine;
-  let agree = Array.for_all (fun r -> compare results.(0) r = 0) results in
-  Printf.printf "replicated on %d node(s) across %d domain(s): %s\n"
-    (Array.length results) domains
-    (if agree then "replicas bit-identical" else "REPLICA MISMATCH");
-  (Nsc_sim.Multinode.node machine 0, results.(0))
+(* -- metric contexts ---------------------------------------------------- *)
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -321,83 +311,53 @@ let trace_out =
                trace-event JSON to $(docv) (loadable in Perfetto or chrome://tracing); \
                the counter summary is printed as well.")
 
-(* Run [f] in its own enabled metric context when [trace] names an
-   output file, as [stats] and [profile] do.  Input loading happens
-   before this, so the counters see exactly the execution; the JSON
-   export and the printed digest both read the same context, so their
-   totals always agree. *)
+(* Run [f] in a fresh, enabled metric context of its own and return the
+   context.  Input loading happens before this, so the counters see
+   exactly the execution. *)
+let scoped label f =
+  let ctx = Metrics.create ~label () in
+  Metrics.enable ctx;
+  Metrics.with_ctx ctx f;
+  Metrics.disable ctx;
+  ctx
+
+(* Write [ctx] as Chrome JSON to [out] and print its counter digest; both
+   read the same context, so their totals always agree. *)
+let write_trace ctx out =
+  write_file out (Metrics.to_chrome ctx);
+  print_string (Metrics.summary ctx)
+
 let with_trace trace f =
-  match trace with
-  | None -> f ()
-  | Some out ->
-      let ctx = Metrics.create ~label:"trace" () in
-      Metrics.enable ctx;
-      Metrics.with_ctx ctx f;
-      Metrics.disable ctx;
-      let oc = open_out out in
-      output_string oc (Metrics.to_chrome ctx);
-      close_out oc;
-      Printf.printf "wrote %s\n" out;
-      print_string (Metrics.summary ctx)
+  match trace with None -> f () | Some out -> write_trace (scoped "trace" f) out
 
 let run_cmd =
-  let loads =
-    Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
-           ~doc:"Load floats (one per line) into a memory plane before the run.")
-  in
   let dumps =
     Arg.(value & opt_all string [] & info [ "dump" ] ~docv:"PLANE:BASE:LEN"
            ~doc:"Print a memory range after the run.")
   in
   let events = Arg.(value & flag & info [ "events" ] ~doc:"Print the interrupt log.") in
-  let run subset path loads dumps events trace faults seed domains engine =
-    guarded @@ fun () ->
+  let run subset path loads dumps events trace faults seed engine =
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
-    let c = compile_or_die kb (load_program kb path) in
+    let _, c, fresh_node = prepare kb path loads in
     let fault = fault_model faults seed in
-    let domains =
-      if domains > 1 && fault <> None then begin
-        print_endline
-          "note: --domains ignored under --faults (the seeded fault schedule is \
-           consumed sequentially)";
-        1
-      end
-      else domains
-    in
-    let node = ref (Nsc_sim.Node.create p) in
-    if domains <= 1 then apply_loads loads !node;
+    let node = fresh_node () in
     let run = Nsc_sim.Run.make ?fault () in
     with_trace trace (fun () ->
-        let result =
-          if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine ~run c
-          else begin
-            let n0, r =
-              run_replicated p ~domains ~prepare:(apply_loads loads)
-                ~exec:(fun node -> Nsc_sim.Sequencer.run node ~engine ~run c)
-            in
-            node := n0;
-            r
-          end
+        let o = ok_or_exit (Nsc_sim.Sequencer.run node ~engine ~run c) in
+        let stats = o.Nsc_sim.Sequencer.stats in
+        Printf.printf "executed %d instruction(s)%s\n"
+          stats.Nsc_sim.Sequencer.instructions_executed
+          (if o.Nsc_sim.Sequencer.halted then " (halted)" else "");
+        let s =
+          Nsc_sim.Stats.summarize p ~cycles:stats.Nsc_sim.Sequencer.total_cycles
+            ~flops:stats.Nsc_sim.Sequencer.total_flops
         in
-        match result with
-        | Error e ->
-            prerr_endline ("run error: " ^ e);
-            exit 1
-        | Ok o ->
-            let stats = o.Nsc_sim.Sequencer.stats in
-            Printf.printf "executed %d instruction(s)%s\n"
-              stats.Nsc_sim.Sequencer.instructions_executed
-              (if o.Nsc_sim.Sequencer.halted then " (halted)" else "");
-            let s =
-              Nsc_sim.Stats.summarize p ~cycles:stats.Nsc_sim.Sequencer.total_cycles
-                ~flops:stats.Nsc_sim.Sequencer.total_flops
-            in
-            Printf.printf "%s\n" (Nsc_sim.Stats.summary_to_string s);
-            if events then
-              List.iter
-                (fun e -> print_endline ("  " ^ Interrupt.event_to_string e))
-                stats.Nsc_sim.Sequencer.events);
+        Printf.printf "%s\n" (Nsc_sim.Stats.summary_to_string s);
+        if events then
+          List.iter
+            (fun e -> print_endline ("  " ^ Interrupt.event_to_string e))
+            stats.Nsc_sim.Sequencer.events);
     Option.iter fault_report fault;
     List.iter
       (fun s ->
@@ -406,15 +366,15 @@ let run_cmd =
             Printf.printf "plane %d [%d..%d):\n" plane base (base + len);
             Array.iter
               (fun v -> Printf.printf "  %.17g\n" v)
-              (Nsc_sim.Node.dump_array !node ~plane ~base ~len)
+              (Nsc_sim.Node.dump_array node ~plane ~base ~len)
         | None ->
             prerr_endline ("bad --dump: " ^ s);
             exit 2)
       dumps
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a program on the simulated node.")
-    Term.(const run $ subset_flag $ program_arg $ loads $ dumps $ events $ trace_out
-          $ faults_opt $ fault_seed_arg $ domains_arg $ engine_arg)
+    Term.(const run $ subset_flag $ program_arg $ loads_arg $ dumps $ events $ trace_out
+          $ faults_opt $ fault_seed_arg $ engine_arg)
 
 (* -- render ------------------------------------------------------------- *)
 
@@ -477,10 +437,7 @@ let replay_cmd =
   in
   let run subset path =
     let kb = kb_of_subset subset in
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let script = really_input_string ic n in
-    close_in ic;
+    let script = read_file path in
     let r = Nsc_editor.Session.replay (Nsc_editor.State.create kb) script in
     List.iter
       (fun (f : Nsc_editor.Session.frame) ->
@@ -508,10 +465,7 @@ let compile_cmd =
   let render = Arg.(value & flag & info [ "render" ] ~doc:"Render the generated diagrams (ASCII).") in
   let run subset path out render =
     let kb = kb_of_subset subset in
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
+    let src = read_file path in
     match Nsc_lang.Compile.compile kb src with
     | Error e ->
         Printf.eprintf "compile error%s: %s\n"
@@ -541,92 +495,31 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile pipeline-language source to a visual program.")
     Term.(const run $ subset_flag $ src_arg $ out $ render)
 
+
 (* -- debug ----------------------------------------------------------------- *)
 
 let debug_cmd =
   let element =
     Arg.(value & opt int 0 & info [ "element" ] ~docv:"E" ~doc:"Vector element to annotate.")
   in
-  let loads =
-    Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
-           ~doc:"Load floats before the run.")
-  in
   let limit = Arg.(value & opt int 8 & info [ "frames" ] ~doc:"Frames to display.") in
   let run subset path element loads limit trace engine =
-    guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
-    let prog = load_program kb path in
-    let c = compile_or_die kb prog in
-    let node = Nsc_sim.Node.create p in
-    apply_loads loads node;
+    let prog, c, fresh_node = prepare kb path loads in
+    let node = fresh_node () in
     with_trace trace (fun () ->
-        match Nsc_debug.Stepper.run node ~limit ~engine c prog with
-        | Error e ->
-            prerr_endline ("run error: " ^ e);
-            exit 1
-        | Ok run ->
-            List.iter
-              (fun f ->
-                print_string (Nsc_debug.Stepper.render_frame p run f ~element);
-                print_newline ())
-              run.Nsc_debug.Stepper.frames)
+        let run = ok_or_exit (Nsc_debug.Stepper.run node ~limit ~engine c prog) in
+        List.iter
+          (fun f ->
+            print_string (Nsc_debug.Stepper.render_frame p run f ~element);
+            print_newline ())
+          run.Nsc_debug.Stepper.frames)
   in
   Cmd.v
     (Cmd.info "debug" ~doc:"Execute with tracing; print annotated pipeline diagrams.")
-    Term.(const run $ subset_flag $ program_arg $ element $ loads $ limit $ trace_out
+    Term.(const run $ subset_flag $ program_arg $ element $ loads_arg $ limit $ trace_out
           $ engine_arg)
-
-(* -- stats ----------------------------------------------------------------- *)
-
-let stats_cmd =
-  let loads =
-    Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
-           ~doc:"Load floats (one per line) into a memory plane before the run.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also write the Chrome trace-event JSON to $(docv).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Print the run's metric snapshot as JSON instead of the \
-                 plain-text summary (machine-readable; schema in \
-                 docs/OBSERVABILITY.md).")
-  in
-  let run subset path loads out json =
-    guarded @@ fun () ->
-    let kb = kb_of_subset subset in
-    let p = Knowledge.params kb in
-    let c = compile_or_die kb (load_program kb path) in
-    let node = Nsc_sim.Node.create p in
-    apply_loads loads node;
-    (* the run gets its own metric context, isolated from everything else
-       in the process — the new-world form of reset/enable/disable *)
-    let ctx = Metrics.create ~label:"stats" () in
-    Metrics.enable ctx;
-    (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node c) with
-    | Error e ->
-        prerr_endline ("run error: " ^ e);
-        exit 1
-    | Ok _ -> ());
-    Metrics.disable ctx;
-    if json then
-      print_endline
-        (Nsc_metrics.Json.to_string (Metrics.snapshot_to_json (Metrics.snapshot ctx)))
-    else print_string (Metrics.summary ctx);
-    match out with
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Metrics.to_chrome ctx);
-        close_out oc;
-        Printf.printf "wrote %s\n" file
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Run a program in its own metric context and print its counters.")
-    Term.(const run $ subset_flag $ program_arg $ loads $ out $ json)
 
 (* -- profile ---------------------------------------------------------------- *)
 
@@ -642,10 +535,6 @@ let profile_cmd =
                  problem, tol 1e-6, at most 4000 sweeps) instead of a saved \
                  program.")
   in
-  let loads =
-    Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
-           ~doc:"Load floats (one per line) into a memory plane before the run.")
-  in
   let json_out =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Write the machine-readable profile document to $(docv) \
@@ -660,106 +549,63 @@ let profile_cmd =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N"
            ~doc:"Rows to keep in the printed hotspot table (default 10).")
   in
-  let run subset program jacobi loads json_out folded_out top engine =
-    guarded @@ fun () ->
+  let run subset program jacobi loads json_out folded_out top trace engine =
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
     (* a fresh context per profiled run: nothing from this process's past
        (or a concurrent run) bleeds into the report *)
-    let ctx = Metrics.create ~label:"profile" () in
-    Metrics.enable ctx;
-    (match (program, jacobi) with
-    | Some path, _ ->
-        let c = compile_or_die kb (load_program kb path) in
-        let node = Nsc_sim.Node.create p in
-        apply_loads loads node;
-        (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node ~engine c) with
-        | Error e ->
-            prerr_endline ("run error: " ^ e);
-            exit 1
-        | Ok _ -> ())
-    | None, Some n ->
-        let prob = Nsc_apps.Poisson.manufactured n in
-        Metrics.with_ctx ctx (fun () ->
-            match Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-6 ~max_iters:4000 with
-            | Error e ->
-                prerr_endline ("run error: " ^ e);
-                exit 1
-            | Ok o ->
-                Printf.printf "jacobi n=%d: %d sweep(s), final change %.3g\n" n
-                  o.Nsc_apps.Jacobi.sweeps o.Nsc_apps.Jacobi.final_change)
-    | None, None ->
-        prerr_endline "error: give a PROGRAM or --jacobi N";
-        exit 2);
-    Metrics.disable ctx;
-    print_string (Nsc_sim.Stats.profile_report ~top p ctx);
-    let write file s =
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+    let ctx =
+      match (program, jacobi) with
+      | Some path, _ ->
+          let _, c, fresh_node = prepare kb path loads in
+          let node = fresh_node () in
+          scoped "profile" (fun () -> ignore (ok_or_exit (Nsc_sim.Sequencer.run node ~engine c)))
+      | None, Some n ->
+          let prob = Nsc_apps.Poisson.manufactured n in
+          scoped "profile" (fun () ->
+              let o =
+                ok_or_exit (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-6 ~max_iters:4000)
+              in
+              Printf.printf "jacobi n=%d: %d sweep(s), final change %.3g\n" n
+                o.Nsc_apps.Jacobi.sweeps o.Nsc_apps.Jacobi.final_change)
+      | None, None -> failwith "give a PROGRAM or --jacobi N"
     in
+    print_string (Nsc_sim.Stats.profile_report ~top p ctx);
     Option.iter
-      (fun file ->
-        write file (Nsc_metrics.Json.to_string (Nsc_sim.Stats.profile_json p ctx)))
+      (fun file -> write_file file (Nsc_metrics.Json.to_string (Nsc_sim.Stats.profile_json p ctx)))
       json_out;
-    Option.iter (fun file -> write file (Nsc_sim.Stats.profile_folded ctx)) folded_out
+    Option.iter (fun file -> write_file file (Nsc_sim.Stats.profile_folded ctx)) folded_out;
+    Option.iter (write_trace ctx) trace
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Execute under a fresh metric context and print the hotspot \
              profile: latency percentiles, per-unit cycle/FLOP attribution \
              with sustained MFLOPS against the paper's per-node peak, and \
-             optional JSON / folded-stacks output.")
-    Term.(const run $ subset_flag $ program_opt $ jacobi $ loads $ json_out
-          $ folded_out $ top $ engine_arg)
+             optional JSON, folded-stacks or Chrome trace output.")
+    Term.(const run $ subset_flag $ program_opt $ jacobi $ loads_arg $ json_out
+          $ folded_out $ top $ trace_out $ engine_arg)
 
 (* -- inject ----------------------------------------------------------------- *)
 
 let inject_cmd =
-  let loads =
-    Arg.(value & opt_all string [] & info [ "load" ] ~docv:"PLANE:BASE:FILE"
-           ~doc:"Load floats (one per line) into a memory plane before each run.")
-  in
   let faults_req =
     Arg.(required & opt (some string) None & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Fault specification to inject (required); same grammar as \
                  $(b,run --faults).  See docs/FAULTS.md.")
   in
-  let run subset path loads spec seed domains =
-    guarded @@ fun () ->
+  let run subset path loads spec seed =
     let kb = kb_of_subset subset in
-    let p = Knowledge.params kb in
-    let c = compile_or_die kb (load_program kb path) in
+    let _, c, fresh_node = prepare kb path loads in
     let fspec = parse_faults_or_die spec in
-    let fresh_node () =
-      let node = Nsc_sim.Node.create p in
-      apply_loads loads node;
-      node
+    let run_once ?run () =
+      (ok_or_exit (Nsc_sim.Sequencer.run (fresh_node ()) ?run c)).Nsc_sim.Sequencer.stats
     in
-    let stats_of = function
-      | Error e ->
-          prerr_endline ("run error: " ^ e);
-          exit 1
-      | Ok o -> o.Nsc_sim.Sequencer.stats
-    in
-    let run_once ?run node = stats_of (Nsc_sim.Sequencer.run node ?run c) in
-    (* reference run on a perfect machine (optionally replicated across
-       domains), then the same program under the seeded fault model on a
-       fresh node — always sequential, so the seeded schedule is stable *)
-    let clean =
-      if domains <= 1 then run_once (fresh_node ())
-      else
-        let _node0, r =
-          run_replicated p ~domains ~prepare:(apply_loads loads)
-            ~exec:(fun node -> Nsc_sim.Sequencer.run node c)
-        in
-        stats_of r
-    in
-    if domains > 1 then
-      print_endline "note: the faulted run stays sequential (seeded fault schedule)";
+    (* reference run on a perfect machine, then the same program under
+       the seeded fault model on a fresh node *)
+    let clean = run_once () in
     let fault = Fault.make ~seed fspec in
-    let faulted = run_once ~run:(Nsc_sim.Run.make ~fault ()) (fresh_node ()) in
+    let faulted = run_once ~run:(Nsc_sim.Run.make ~fault ()) () in
     let cc = clean.Nsc_sim.Sequencer.total_cycles in
     let fc = faulted.Nsc_sim.Sequencer.total_cycles in
     Printf.printf "fault injection: %s (seed %d)\n" (Fault.spec_to_string fspec) seed;
@@ -778,8 +624,7 @@ let inject_cmd =
     (Cmd.info "inject"
        ~doc:"Execute a program clean and under a seeded fault model; print the \
              fault/recovery report (exit 1 if any fault went unrecovered).")
-    Term.(const run $ subset_flag $ program_arg $ loads $ faults_req $ fault_seed_arg
-          $ domains_arg)
+    Term.(const run $ subset_flag $ program_arg $ loads_arg $ faults_req $ fault_seed_arg)
 
 (* -- serve ------------------------------------------------------------------ *)
 
@@ -870,7 +715,6 @@ let serve_cmd =
   in
   let run subset queue cache_bound domains engine socket journal recover
       retries backoff_ms degraded shed_at =
-    guarded @@ fun () ->
     let config =
       {
         Serve.default_config with
@@ -936,7 +780,6 @@ let chaos_cmd =
              ~doc:"Seed of the deterministic chaos schedule (default 42).")
   in
   let run seed =
-    guarded @@ fun () ->
     let failures = ref 0 in
     let check name ok =
       Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
@@ -1103,7 +946,6 @@ let scale_cmd =
                    (bit-identical results; default 1).")
   in
   let run dim n iters faults seed domains =
-    guarded @@ fun () ->
     let p = Knowledge.params Knowledge.default in
     let point overlap =
       match Parallel.run p ~domains ~overlap ~n ~iters ~dim with
@@ -1176,13 +1018,14 @@ let scale_cmd =
     Term.(const run $ dim_arg $ n_arg $ iters_arg $ faults_arg $ seed_arg
           $ domains_arg)
 
+
 let () =
   let doc = "A visual programming environment for the Navier-Stokes Computer." in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "nscvp" ~doc)
-          [
-            info_cmd; check_cmd; codegen_cmd; disasm_cmd; run_cmd; render_cmd; replay_cmd;
-            compile_cmd; debug_cmd; stats_cmd; profile_cmd; inject_cmd; serve_cmd;
-            chaos_cmd; scale_cmd;
-          ]))
+  guarded (fun () ->
+      exit
+        (Cmd.eval ~catch:false
+           (Cmd.group (Cmd.info "nscvp" ~doc)
+              [
+                info_cmd; check_cmd; codegen_cmd; disasm_cmd; run_cmd; render_cmd; replay_cmd;
+                compile_cmd; debug_cmd; profile_cmd; inject_cmd; serve_cmd; chaos_cmd; scale_cmd;
+              ])))

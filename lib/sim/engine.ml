@@ -516,8 +516,8 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
   done;
   (* every step writes its full live range in order before anything reads
      it (cross-unit operands are offset 0, self-feedback reads are
-     delays), so dirty pool bytes can only leak through the pads — except
-     for a look-ahead self-read, which needs the live range zero too *)
+     delays, see [Kernel.compile_body]), so dirty pool bytes can only leak
+     through the pads *)
   if pad > 0 then begin
     let tail = pad + vlen in
     for k = 0 to n_units - 1 do
@@ -529,9 +529,6 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
       end
     done
   end;
-  Array.iteri
-    (fun k full -> if full then Native.unsafe_zero bufs.(unit_base + k) 0 blen)
-    b.Kernel.full_zero;
   (* blocked, unit-major compute through the compile-time-specialised
      steps: one native call per unit per block, no opcode dispatch in
      OCaml.  Each step folds the non-finite trap pre-scan into its own

@@ -123,10 +123,6 @@ type body = {
           source (deduplicated when several passes share one source) or
           to a no-op when the source is finite by construction or already
           scanned by its own producer. *)
-  full_zero : bool array;
-      (** [full_zero.(k)]: unit [k] reads its own output at a positive
-          (look-ahead) offset, so its whole buffer — not just the pads —
-          must be scrubbed before the compute pass *)
   reads : Plan.read_stream array;   (** gathered into slots [stream_base + s] *)
   writes : Plan.write_stream array;
   order_of_sem : int array;
@@ -328,7 +324,13 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     | Plan.Zero -> (0, 0)
     | Plan.Const c -> (const_slot c, 0)
     | Plan.Unit j -> (unit_base + j, 0)
-    | Plan.Self n -> (unit_base + k, -n)
+    | Plan.Self n ->
+        (* [Plan] builds [Self n] only for a feedback delay n >= 1, so a
+           unit never reads its own output ahead of where it writes, and
+           the engine scrubs only the pads of a unit buffer *)
+        if n < 1 then
+          invalid_arg (Printf.sprintf "Kernel.compile: unit %d reads itself at delay %d" k n);
+        (unit_base + k, -n)
     | Plan.Stream s -> (stream_base + s, 0)
     | Plan.Stream_at (s, off) -> (stream_base + s, off)
   in
@@ -403,14 +405,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     units;
     steps;
     val_slot;
-    full_zero =
-      (* cross-unit reads are always offset 0 and self-feedback reads are
-         delays (negative offsets), so only a look-ahead self-read can see
-         a live element before its producer writes it *)
-      Array.map
-        (fun (u : kunit) ->
-          (u.a_buf = u.out && u.a_off > 0) || (u.b_buf = u.out && u.b_off > 0))
-        units;
     reads = f.Plan.reads;
     writes = f.Plan.writes;
     order_of_sem = f.Plan.order_of_sem;

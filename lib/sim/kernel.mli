@@ -59,10 +59,6 @@ type body = {
           unit reads) where it is the source slot itself — the copy loop
           is dropped and sinks, [last_values] and the trap rescan read
           the source directly *)
-  full_zero : bool array;
-      (** [full_zero.(k)]: unit [k] reads its own output at a positive
-          (look-ahead) offset, so its whole buffer — not just the pads —
-          is scrubbed before the compute pass *)
   reads : Plan.read_stream array;
   writes : Plan.write_stream array;
   order_of_sem : int array;

@@ -237,6 +237,8 @@ let profile_json (p : Params.t) ctx =
                let v = Metrics.value ctx c in
                if v = 0 then None else Some (Metrics.counter_name c, num v))
              (Metrics.registered_counters ())) );
+      ("events_recorded", num (List.length (Metrics.events ctx)));
+      ("events_dropped", num (Metrics.dropped ctx));
     ]
 
 (* Brendan Gregg folded-stacks: one "frame1;frame2 weight" line per

@@ -75,7 +75,8 @@ val profile_report :
 
 (** The machine-readable profile document.  Top-level members: [label],
     [clock_cycles], [peak_mflops_per_node], [latency], [hotspots],
-    [instructions], [nodes], [counters]. *)
+    [instructions], [nodes], [counters], [events_recorded],
+    [events_dropped]. *)
 val profile_json :
   Nsc_arch.Params.t -> Nsc_metrics.Metrics.ctx -> Nsc_metrics.Json.t
 

@@ -438,7 +438,12 @@ let profile_tests =
         check_bool "at least one hotspot row" true (hotspots <> []);
         let latency = Option.get (Json.member "latency" doc) in
         check_bool "exec latency histogram present" true
-          (Json.member "hist.exec_cycles" latency <> None));
+          (Json.member "hist.exec_cycles" latency <> None);
+        let count k = Option.bind (Json.member k doc) Json.to_num in
+        check_bool "events_recorded counts the resident events" true
+          (count "events_recorded" = Some (float_of_int (List.length (Metrics.events ctx))));
+        check_bool "events_dropped counts the evicted events" true
+          (count "events_dropped" = Some (float_of_int (Metrics.dropped ctx))));
   ]
 
 (* --- the always-on class ------------------------------------------------- *)

@@ -1166,7 +1166,7 @@ let warm_path_tests =
         o.Sequencer.last_values <> [] && compare o.Sequencer.last_values expected = 0);
     case "a warm exec of the n=9 iteration body allocates under 600 minor words"
       (fun () ->
-        (* 491 words on OCaml 5.1: two dispatches, the capture arrays and
+        (* 427 words on OCaml 5.1: two dispatches, the capture arrays and
            the outcome; a hashtable capture or per-instruction value lists
            more than double it *)
         let node, run, body, _ = n9_body () in
@@ -1177,7 +1177,7 @@ let warm_path_tests =
         if words >= 600.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
     case "a warm 8-node iteration allocates under 6,500 minor words" (fun () ->
         (* one more iteration of the same solve: the sweep on every node,
-           the halo exchange and the all-reduce (5,549 words on OCaml 5.1;
+           the halo exchange and the all-reduce (4,913 words on OCaml 5.1;
            13.5k with fresh face arrays, list-returning dispatches and a
            hashtable capture) *)
         let solve iters =
@@ -1191,7 +1191,7 @@ let warm_path_tests =
           Alcotest.failf "one warm iteration allocated %.0f minor words" words);
     case "a warm n=9 solve through a persistent run allocates under 50k minor words"
       (fun () ->
-        (* 26.7k words on OCaml 5.1: a fresh node, the 289 dispatches and
+        (* 24.7k words on OCaml 5.1: a fresh node, the 289 dispatches and
            the result; rebuilding, checking, encoding and decoding the
            program on every call took 86.4k *)
         let prob = Nsc_apps.Poisson.manufactured 9 in
