@@ -172,36 +172,33 @@ let disasm_cmd =
           | None -> failwith "not an NSCMC hex file")
       | [] -> failwith "not an NSCMC hex file"
     in
-    (* gather hex bytes per instruction *)
-    let word_bytes = (bits + 7) / 8 in
-    let current = Buffer.create 1024 in
-    let flush_instr () =
-      if Buffer.length current > 0 then begin
-        let hex = Buffer.contents current in
-        let w = Nsc_microcode.Word.create bits in
-        let n = min word_bytes (String.length hex / 2) in
-        for i = 0 to n - 1 do
-          let byte = int_of_string ("0x" ^ String.sub hex (2 * i) 2) in
-          for b = 0 to 7 do
-            if (i * 8) + b < bits then
-              Nsc_microcode.Word.set_bit w ((i * 8) + b) ((byte lsr b) land 1 = 1)
-          done
-        done;
-        (match Nsc_microcode.Decode.decode layout w with
-        | Ok sem -> print_string (Nsc_microcode.Listing.semantic_to_string sem)
-        | Error e -> Printf.printf "  (undecodable: %s)\n" e);
-        Buffer.clear current
-      end
+    (* each [instr N] line, then that instruction's hex lines *)
+    let instrs =
+      List.fold_left
+        (fun acc line ->
+          match (Scanf.sscanf_opt line "instr %d%!" Fun.id, acc) with
+          | Some n, _ -> (n, Buffer.create 1024) :: acc
+          | None, (_, hex) :: _ ->
+              Buffer.add_string hex line;
+              acc
+          | None, [] when String.trim line = "" -> acc
+          | None, [] -> failwith (path ^ ": hex before the first instr line"))
+        [] body
+    in
+    let words =
+      List.rev_map
+        (fun (n, hex) ->
+          match Nsc_microcode.Word.of_hex bits (Buffer.contents hex) with
+          | Ok w -> w
+          | Error e -> failwith (Printf.sprintf "%s: instruction %d: %s" path n e))
+        instrs
     in
     List.iter
-      (fun line ->
-        if String.length line >= 5 && String.sub line 0 5 = "instr" then flush_instr ()
-        else
-          String.iter
-            (fun ch -> if ch <> ' ' && ch <> '\n' then Buffer.add_char current ch)
-            line)
-      body;
-    flush_instr ()
+      (fun w ->
+        match Nsc_microcode.Decode.decode layout w with
+        | Ok sem -> print_string (Nsc_microcode.Listing.semantic_to_string sem)
+        | Error e -> Printf.printf "  (undecodable: %s)\n" e)
+      words
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble hex microcode back to its pseudo-code.")
     Term.(const run $ subset_flag $ hex_arg)
@@ -642,9 +639,9 @@ let serve_cmd =
   let cache_bound_arg =
     Arg.(value & opt int 0
          & info [ "cache-bound" ] ~docv:"N"
-             ~doc:"Cap each table of the shared compile cache (compiled \
-                   instructions, checked programs) at $(docv) entries, \
-                   evicting the least recently used \
+             ~doc:"Cap the shared compile cache at $(docv) checked \
+                   programs, each holding its compiled kernels, evicting \
+                   the least recently used \
                    (the $(b,cache.evictions) counter).  0 (the default) \
                    leaves it unbounded.")
   in

@@ -428,8 +428,8 @@ type ft_outcome = {
     sweep whose scrub finds bad parity — or whose interrupt stream trapped
     an exception while the run carries a fault model — is rolled back and
     redone, up to [max_attempts] times, instead of iterating on poisoned
-    data.  [run] carries the compile cache, the fault model and the
-    budget (default: a fresh cache, clean, unsupervised).  With no faults
+    data.  [run] carries the fault model and the budget (default:
+    clean, unsupervised).  With no faults
     firing this executes the exact instruction sequence of {!solve} (same
     plans, same residual series, same result); the checkpoint copies are
     host-side bookkeeping and cost no simulated cycles.
@@ -454,13 +454,14 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?run
       load node b prob;
       let run = match run with Some r -> r | None -> Nsc_sim.Run.make () in
       let fault = run.Nsc_sim.Run.fault in
-      (* each phase is decoded once for the whole solve *)
-      let prepare control =
-        Nsc_sim.Sequencer.prepare { compiled with Nsc_microcode.Codegen.control }
-      in
+      (* decoded once for the whole solve; the two phases share its
+         instructions and kernels *)
       let ( let* ) = Result.bind in
-      let* c_setup = prepare [ Program.Exec 1; Program.Halt ] in
-      let* c_sweep = prepare [ Program.Exec 2; Program.Exec 3; Program.Halt ] in
+      let* prog = Nsc_sim.Sequencer.prepare compiled in
+      let c_setup = { prog with Nsc_sim.Kernel.control = [ Program.Exec 1; Program.Halt ] } in
+      let c_sweep =
+        { prog with Nsc_sim.Kernel.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ] }
+      in
       (* accumulated run accounting across setup and every sweep attempt
          (redone sweeps included: the machine did that work) *)
       let instructions = ref 0 and cycles = ref 0 and flops = ref 0 in

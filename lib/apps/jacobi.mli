@@ -104,8 +104,8 @@ val solve :
   tol:float -> max_iters:int -> (outcome, string) result
 (** [run] is the solve's run state: a long-lived caller (the serve
     daemon, a bench loop) passes one over a persistent compile cache to
-    reuse compiled kernels across solves, and the checked, decoded
-    program too: the cache's program table keeps every program that
+    reuse the checked, decoded program and its compiled kernels across
+    solves: the cache's program table keeps every program that
     passed the checker, keyed by every input of {!build} (machine, grid,
     layout, strategy, [tol] by its bits, [max_iters]), so a repeated
     solve skips build, checker, encoder and decoder.  A program that
@@ -127,9 +127,9 @@ type ft_outcome = {
     the node, and a sweep whose parity scrub or interrupt stream reports
     corruption is rolled back and redone (up to [max_attempts] times per
     sweep).  With no faults firing this executes the exact instruction
-    sequence of {!solve}.  [run] carries the compile cache, the budget
-    and the {!Nsc_fault.Fault} model (default: a fresh cache, clean,
-    unsupervised); under a model the per-sweep memory-corruption draw
+    sequence of {!solve}, from one program decoded and compiled per
+    call.  [run] carries the budget and the {!Nsc_fault.Fault} model
+    (default: clean, unsupervised); under a model the per-sweep memory-corruption draw
     fires here, and detections, rollbacks and recoveries are booked on
     that model's own ledger — so faulted solves with their own models
     may run on several domains at once. *)

@@ -147,9 +147,10 @@ let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prep
 
 (* The slab-decomposed Jacobi machine past its set-up step: every node
    holds its forcing and mask and has run instruction 1; the iteration
-   body (instructions 2 and 3) is decoded once, and one run — one
-   compile cache, one fault model — serves every node: kernels do not
-   depend on the node, the cache is safe to share across domains, and
+   body (instructions 2 and 3) shares the set-up's one decoded program,
+   whose kernels, compiled on the first node, serve every node (they do
+   not depend on the node, and a prepared program is safe to share
+   across domains); one run — one fault model — serves every node, and
    the machine costs its messages under the same model. *)
 type rig = {
   machine : Multinode.t;
@@ -176,10 +177,11 @@ let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
           (List.map Nsc_checker.Diagnostic.to_string (Nsc_checker.Diagnostic.errors ds)))
       (Nsc_microcode.Codegen.compile kb b.Jacobi.program)
   in
-  let prepare control = Sequencer.prepare { compiled with Nsc_microcode.Codegen.control } in
+  (* decoded once; the two phases share its instructions and kernels *)
+  let* prog = Sequencer.prepare compiled in
   let open Nsc_diagram in
-  let* setup = prepare [ Program.Exec 1; Program.Halt ] in
-  let* iter = prepare [ Program.Exec 2; Program.Exec 3; Program.Halt ] in
+  let setup = { prog with Kernel.control = [ Program.Exec 1; Program.Halt ] } in
+  let iter = { prog with Kernel.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ] } in
   (* per-node problem data: a smooth forcing that spans slabs *)
   let pi = 4.0 *. atan 1.0 in
   let global_nz = n * nodes in
@@ -256,9 +258,8 @@ let point_of (machine : Multinode.t) ~iters =
     overlapped compute — machine time per step becomes
     [max (compute, comm)] instead of [compute + comm], with residuals
     and delivered payloads bit-identical to the synchronous schedule.
-    [run] carries the compile cache every node shares and the fault
-    model the nodes and the machine's messages inject from (default: a
-    fresh cache, clean). *)
+    [run] carries the fault model the nodes and the machine's messages
+    inject from (default: clean). *)
 let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters ~dim :
     (point * Multinode.t * Jacobi.build * Grid.t, string) result =
   let* r = set_up ~domains ?run p ~n ~dim in

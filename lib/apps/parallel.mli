@@ -48,11 +48,11 @@ val exec_step :
     completes it behind the next sweep's interior layers — machine time
     per step becomes [max (compute, comm)] — with residuals and
     delivered payloads bit-identical to the synchronous schedule.  Each
-    runner decodes its program once and shares one run — its compile
-    cache and fault model — across all nodes, and the machine costs its
-    messages under the same model ([run]'s default: a fresh cache,
-    clean); a node whose run fails fails the runner with that node's
-    error. *)
+    runner decodes its program once, compiles each of its kernels once
+    for all nodes, and shares one run — its fault model — across all
+    nodes, and the machine costs its messages under the same model
+    ([run]'s default: clean); a node whose run fails fails the runner
+    with that node's error. *)
 val run_machine :
   ?domains:int ->
   ?overlap:bool ->

@@ -656,37 +656,6 @@ let hist_summary_to_json s =
       ("p99", num s.p99);
     ]
 
-let snapshot_to_json s =
-  Json.Obj
-    [
-      ("label", Json.Str s.snap_label);
-      ("clock_cycles", num s.snap_clock);
-      ("counters", Json.Obj (List.map (fun (n, v) -> (n, num v)) s.snap_counters));
-      ( "histograms",
-        Json.Obj (List.map (fun (n, h) -> (n, hist_summary_to_json h)) s.snap_hists) );
-      ( "attribution",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("instr", Json.Str r.a_instr);
-                   ("unit", Json.Str r.a_unit);
-                   ("cycles", num r.share_cycles);
-                   ("busy_cycles", num r.busy_cycles);
-                   ("flops", num r.flops);
-                 ])
-             s.snap_attr) );
-      ( "nodes",
-        Json.List
-          (List.map
-             (fun (n, c, f) ->
-               Json.Obj [ ("node", num n); ("cycles", num c); ("flops", num f) ])
-             s.snap_nodes) );
-      ("events", num s.snap_events);
-      ("dropped_events", num s.snap_dropped);
-    ]
-
 (* ====================================================================== *)
 (* Chrome trace-event export and the plain-text summary                   *)
 (* ====================================================================== *)

@@ -259,7 +259,6 @@ val diff : snapshot -> snapshot -> snapshot
     histogram carries [b]'s distribution with [a]'s count and sum
     subtracted. *)
 
-val snapshot_to_json : snapshot -> Json.t
 val hist_summary_to_json : hist_summary -> Json.t
 
 (** {1 Export} *)

@@ -132,3 +132,33 @@ let to_hex t =
       Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
     t.bytes;
   Buffer.contents buf
+
+(** Parse a {!to_hex} dump of a [bits]-wide word.  Whitespace between
+    digits is ignored; anything other than exactly the word's bytes as
+    pairs of hex digits is an [Error].  Bits past [bits] in the last byte
+    are dropped, as {!set_bit} never sets them. *)
+let of_hex bits s =
+  let t = create bits in
+  let n = Bytes.length t.bytes in
+  let digits = Buffer.create (2 * n) in
+  let bad = ref None in
+  String.iter
+    (function
+      | ' ' | '\t' | '\n' | '\r' -> ()
+      | ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') as c -> Buffer.add_char digits c
+      | c -> if !bad = None then bad := Some c)
+    s;
+  match !bad with
+  | Some c -> Error (Printf.sprintf "%C is not a hex digit" c)
+  | None when Buffer.length digits <> 2 * n ->
+      Error
+        (Printf.sprintf "%d hex digits, but a %d-bit word has %d" (Buffer.length digits) bits
+           (2 * n))
+  | None ->
+      let d = Buffer.contents digits in
+      for i = 0 to n - 1 do
+        Bytes.set t.bytes i (Char.chr (int_of_string ("0x" ^ String.sub d (2 * i) 2)))
+      done;
+      let last = Char.code (Bytes.get t.bytes (n - 1)) in
+      Bytes.set t.bytes (n - 1) (Char.chr (last land (0xff lsr ((8 * n) - bits))));
+      Ok t

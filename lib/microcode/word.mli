@@ -31,3 +31,7 @@ val set_float : t -> offset:int -> float -> unit
 val popcount : t -> int
 (** Hex dump, 32 bytes per line, as used in listings. *)
 val to_hex : t -> string
+(** [of_hex bits s] parses a {!to_hex} dump of a [bits]-wide word;
+    whitespace is ignored, and a non-hex character or a digit count other
+    than the word's is an [Error]. *)
+val of_hex : int -> string -> (t, string) result

@@ -9,9 +9,10 @@
    test/suite_serve.ml), and every job runs with its own run state
    ([Nsc_sim.Run.t]: its fault model and budget), so faulted and clean
    jobs run side by side.  Sharing contract: all jobs of a session go
-   through one compile cache, bounded with LRU eviction so a long-lived
-   daemon's resident set stays capped no matter how many distinct
-   programs clients submit. *)
+   through one compile cache of checked programs, each holding its
+   kernels, bounded with LRU eviction so a long-lived daemon's resident
+   set stays capped no matter how many distinct programs clients
+   submit. *)
 
 open Nsc_arch
 module Json = Nsc_metrics.Json
@@ -158,7 +159,7 @@ let num i = Json.Num (float_of_int i)
 
 (* --- job execution ------------------------------------------------------ *)
 
-(* Every plan compile is a kernel compile of the one compile cache, and
+(* Every plan compile is a kernel compile, and
    the timing analyses follow codegen and plan compiles: the wire carries
    neither (see docs/SERVICE.md). *)
 let off_wire =

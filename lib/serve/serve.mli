@@ -5,9 +5,11 @@
     job runs under its own
     [Nsc_metrics] context and its own run state ([Nsc_sim.Run.t]: fault
     model and budget) — nothing bleeds between concurrent jobs — and
-    every job in the session shares one bounded compile cache, so
-    repeated workloads skip compilation while the resident set stays
-    capped (LRU eviction, [cache.evictions]).
+    every job in the session shares one bounded compile cache of checked
+    programs, so a repeated Jacobi workload skips building, checking,
+    decoding and kernel compilation while the resident set stays capped
+    (LRU eviction of whole programs, kernels included,
+    [cache.evictions]).  A [source] job compiles its kernels per job.
 
     The protocol document is [docs/SERVICE.md].  Overview of the
     scheduling contract:
@@ -42,7 +44,9 @@ type config = {
   queue_bound : int;
       (** jobs admitted but not yet released before a submit is
           rejected (default 64) *)
-  cache_bound : int;  (** compile-cache bound; 0 = unbounded (default) *)
+  cache_bound : int;
+      (** resident programs in the compile cache, each with its kernels;
+          0 = unbounded (default) *)
   engine : Protocol.engine;  (** default engine for jobs that name none *)
   subset : bool;      (** use the restricted machine model *)
   retries : int;

@@ -101,8 +101,9 @@ val run_kernel :
   result
 
 (** Execute one pipeline instruction: compile a plan, lower it to a fused
-    kernel, run it.  Callers replaying an instruction should use a
-    {!Kernel.cache} and {!run_kernel}. *)
+    kernel, run it.  Callers replaying an instruction should compile it
+    once and call {!run_kernel}, or run it as part of a prepared program
+    ({!Sequencer.exec}). *)
 val run :
   Node.t ->
   ?record_trace:bool ->

@@ -49,7 +49,7 @@ let c_compiles =
 
 let c_cache_hits =
   Metrics.always_counter ~name:"kernel.cache_hits" ~units:"hits"
-    ~desc:"compile-cache hits (a compiled kernel and its plan were reused)"
+    ~desc:"dispatches that replayed their instruction's compiled kernel and plan"
 
 let c_fallbacks =
   Metrics.counter ~name:"kernel.fallbacks" ~units:"kernels"
@@ -426,16 +426,29 @@ let compile (pl : Plan.t) : t =
 
 module Table = Map.Make (Int)
 
-(** One instruction made ready to run: its semantics and, for each unit
-    of [sem.units] in order, the unit's dense global index — where the
-    sequencer captures the unit's last value. *)
-type instr = { sem : Semantic.t; capture_at : int array }
+(** One instruction made ready to run: its semantics, for each unit of
+    [sem.units] in order the unit's dense global index (where the
+    sequencer captures the unit's last value), and its kernel cell,
+    filled once on the instruction's first dispatch ({!of_instr}). *)
+type instr = { sem : Semantic.t; capture_at : int array; kernel : t option Atomic.t }
+
+(* Two domains racing on an empty cell both compile; the first to fill
+   it wins and the other's kernel is dropped, so every dispatch after
+   the race runs the one kernel the cell holds. *)
+let of_instr p (i : instr) : t =
+  match Atomic.get i.kernel with
+  | Some kn ->
+      Metrics.bump c_cache_hits 1;
+      kn
+  | None ->
+      let kn = compile (Plan.compile p i.sem) in
+      if Atomic.compare_and_set i.kernel None (Some kn) then kn
+      else Option.get (Atomic.get i.kernel)
 
 (** A program made ready to run by {!Sequencer.prepare}: its instructions
     by number, decoded once, beside the control programme and the machine
-    they were laid out for.  Immutable, so one value serves every node
-    and every run; its semantics are then physically shared, and the
-    kernel table validates its hits on [==]. *)
+    they were laid out for.  Shared by every node and every run; only the
+    instructions' kernel cells change, each once. *)
 type prepared = {
   table : instr Table.t;
   control : Program.control list;
@@ -448,39 +461,15 @@ type program_key = { machine : Params.t; inputs : int array }
 
 type program = { key : program_key; prepared : prepared }
 
-(** The one compile cache, two tables under one mutex and one bound.
-    Kernels (each carrying its plan) are keyed by (instruction index,
-    vector length) — the length component keeps programs of different
-    grid sizes from colliding when a daemon shares one cache across
-    jobs.  A hit is validated against the incoming semantics
-    ({!Plan.compiled_from}) and [honor_timing], so the cache stays safe
-    across runs that re-decode the same microcode and across different
-    programs sharing one cache.  Prepared programs are keyed by their
-    builder's inputs; a hit is validated against the whole key. *)
-type cache = { kernels : t Lru.t; programs : program Lru.t }
+(** The one compile cache: prepared programs keyed by their builder's
+    inputs, a hit validated against the whole key.  Each program carries
+    its own kernels, so a resident program's kernels stay with it and
+    an evicted program's go with it. *)
+type cache = program Lru.t
 
-let make_cache ?bound () : cache =
-  let kernels = Lru.create ~who:"Kernel" ?bound () in
-  { kernels; programs = Lru.sibling kernels }
+let make_cache ?bound () : cache = Lru.create ~who:"Kernel" ?bound ()
 
-let evictions c = Lru.evictions c.kernels + Lru.evictions c.programs
-
-let timed_from sem kn = kn.plan.Plan.honor_timing && Plan.compiled_from sem kn.plan
-let untimed_from sem kn = (not kn.plan.Plan.honor_timing) && Plan.compiled_from sem kn.plan
-
-let find_or_compile (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) :
-    t =
-  let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
-  match Lru.find cache.kernels key (if honor_timing then timed_from else untimed_from) sem with
-  | kn ->
-      Metrics.bump c_cache_hits 1;
-      kn
-  | exception Not_found ->
-      (* compiled outside the lock: a long lowering must not stall other
-         domains' hits *)
-      let kn = compile (Plan.compile p ~honor_timing sem) in
-      Lru.add cache.kernels key kn;
-      kn
+let evictions = Lru.evictions
 
 let program_hash k = Array.fold_left (fun h x -> (h * 31) + x) 17 k.inputs
 
@@ -489,14 +478,13 @@ let same_key k e =
   && k.inputs = e.key.inputs
 
 let find_program cache k =
-  match Lru.find cache.programs (program_hash k) same_key k with
+  match Lru.find cache (program_hash k) same_key k with
   | e -> Some e.prepared
   | exception Not_found -> None
 
-let add_program cache key prepared =
-  Lru.add cache.programs (program_hash key) { key; prepared }
+let add_program cache key prepared = Lru.add cache (program_hash key) { key; prepared }
 
 (* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
 
-let cached (kc : cache) (_ : Plan.cache) p ?honor_timing sem =
-  find_or_compile kc p ?honor_timing sem
+let cached (_ : cache) (_ : Plan.cache) p ?honor_timing sem =
+  compile (Plan.compile p ?honor_timing sem)

@@ -129,16 +129,30 @@ val pool_miss_count : unit -> int
 
 module Table : Map.S with type key = int
 
-(** One instruction made ready to run: its semantics and, for each unit
-    of [sem.units] in order, the unit's dense global index — where the
-    sequencer captures the unit's last value. *)
-type instr = { sem : Nsc_diagram.Semantic.t; capture_at : int array }
+(** One instruction made ready to run: its semantics; for each unit of
+    [sem.units] in order, the unit's dense global index — where the
+    sequencer captures the unit's last value; and its kernel cell, empty
+    until the instruction's first dispatch fills it ({!of_instr}). *)
+type instr = {
+  sem : Nsc_diagram.Semantic.t;
+  capture_at : int array;
+  kernel : t option Atomic.t;
+}
+
+(** The instruction's kernel: on its first call, {!Plan.compile} lowered
+    by {!compile} and stored in the cell; on every later call the stored
+    kernel, counted as a [kernel.cache_hits] and allocating nothing.
+    Domains racing on an empty cell each compile, and all of them get
+    the kernel that filled it first. *)
+val of_instr : Nsc_arch.Params.t -> instr -> t
 
 (** A program made ready to run: its instructions by number, decoded
     once, beside the control programme and the machine they were laid
-    out for.  Immutable, so one value serves every node and every run,
-    from several domains at once; its semantics are physically shared
-    across those runs. *)
+    out for.  One value serves every node and every run, from several
+    domains at once; its semantics are physically shared across those
+    runs, and so are its kernels, each compiled once per prepared
+    program.  Phases of one program ([{ prog with control }]) share
+    both. *)
 type prepared = {
   table : instr Table.t;
   control : Nsc_diagram.Program.control list;
@@ -147,21 +161,14 @@ type prepared = {
 
 (** {2 The compile cache}
 
-    The one compile cache: two tables under one mutex and one bound,
-    each an {!Lru} table.
-
-    - {b Kernels}, each carrying its plan, keyed by (instruction index,
-      vector length).  A hit is validated against the incoming semantics
-      (physical equality, then structural) and [honor_timing], so the
-      cache is safe across runs that re-decode the same microcode and
-      across different programs sharing it, as the serve daemon does.
-      A hit allocates nothing.
-    - {b Prepared programs}, keyed by every input of the builder that
-      made them ({!program_key}).  A builder inserts a program only once
-      it has passed the checker, so a hit skips building, checking,
-      encoding and decoding, and hands the sequencer the very semantics
-      its kernels were compiled from: their validation succeeds on
-      physical equality.
+    The program table: {!Lru} entries of prepared programs, keyed by
+    every input of the builder that made them ({!program_key}).  A
+    builder inserts a program only once it has passed the checker, so a
+    hit skips building, checking, encoding and decoding, and hands the
+    sequencer a program whose kernels its earlier runs compiled: a hit
+    dispatches with no compile and no lookup.  Kernels are not cached
+    apart from their programs; a program run outside the table (a fresh
+    {!Sequencer.run}) compiles each of its instructions once per run.
 
     Mutex-guarded, so one cache may serve several worker domains at
     once. *)
@@ -169,18 +176,13 @@ type prepared = {
 type cache
 
 val make_cache : ?bound:int -> unit -> cache
-(** [bound] caps the resident entries of each table with
-    least-recently-used eviction (counted by {!evictions} and the
-    [cache.evictions] counter).  Default: unbounded.  Raises
-    [Invalid_argument] when [bound < 1]. *)
+(** [bound] caps the resident programs with least-recently-used
+    eviction (counted by {!evictions} and the [cache.evictions]
+    counter); an evicted program's kernels go with it.  Default:
+    unbounded.  Raises [Invalid_argument] when [bound < 1]. *)
 
 val evictions : cache -> int
-(** Entries this cache has evicted, from both tables. *)
-
-val find_or_compile :
-  cache -> Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
-(** The cached kernel for these semantics, or a fresh {!Plan.compile}
-    lowered by {!compile} and admitted to the cache. *)
+(** Programs this cache has evicted. *)
 
 (** What a prepared program was built from: the machine it was laid out
     for, and every other input of its builder flattened to ints in an
@@ -204,4 +206,5 @@ val cached :
   cache ->
   Plan.cache ->
   Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
-(** {!find_or_compile}; the plan cache is ignored. *)
+(** A fresh {!Plan.compile} lowered by {!compile}; neither cache is
+    consulted or filled. *)

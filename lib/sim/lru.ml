@@ -1,4 +1,4 @@
-(** The bounded, mutex-guarded tables behind {!Kernel.cache}: entries
+(** The bounded, mutex-guarded table behind {!Kernel.cache}: entries
     keyed by one int and validated by the caller,
     least-recently-used eviction once [bound] entries are resident, and a
     per-cache eviction count beside the process-wide [cache.evictions]
@@ -8,7 +8,7 @@ module Metrics = Nsc_metrics.Metrics
 
 let c_evictions =
   Metrics.always_counter ~name:"cache.evictions" ~units:"entries"
-    ~desc:"bounded compile-cache entries evicted (least recently used)"
+    ~desc:"bounded compile-cache programs evicted (least recently used)"
 
 type 'a entry = { value : 'a; mutable tick : int }
 
@@ -23,13 +23,6 @@ type 'a t = {
 let create ~who ?(bound = max_int) () =
   if bound < 1 then invalid_arg (who ^ ".make_cache: bound must be >= 1");
   { tbl = Hashtbl.create 16; bound; clock = 0; evicted = 0; lock = Mutex.create () }
-
-let sibling t =
-  { tbl = Hashtbl.create 16; bound = t.bound; clock = 0; evicted = 0; lock = t.lock }
-
-(* Instruction indices and vector lengths are far below 2^31, so the pair
-   packs into one immediate int: a lookup allocates no key tuple. *)
-let key ~index ~vlen = (index lsl 31) lor vlen
 
 let evictions t = t.evicted
 

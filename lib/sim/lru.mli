@@ -1,9 +1,8 @@
-(** The bounded tables behind {!Kernel.cache}.
+(** The bounded table behind {!Kernel.cache}.
 
-    Entries are keyed by one int: a kernel's (instruction index, vector
-    length) packed by {!key}, or a hash of a program's key, each hit
-    validated by the caller.  Lookups are mutex-guarded, so one cache may serve
-    several worker domains; a hit allocates nothing.  Once [bound]
+    Entries are keyed by one int, a hash of a program's key, each hit
+    validated by the caller.  Lookups are mutex-guarded, so one cache may
+    serve several worker domains; a hit allocates nothing.  Once [bound]
     entries are resident, admitting a new key evicts the least recently
     used one, counted per cache ({!evictions}) and on the always-on
     [cache.evictions] counter. *)
@@ -16,13 +15,6 @@ val c_evictions : Nsc_metrics.Metrics.counter
 val create : who:string -> ?bound:int -> unit -> 'a t
 (** An empty cache (default: unbounded).  Raises [Invalid_argument],
     naming [who ^ ".make_cache"], when [bound < 1]. *)
-
-val sibling : 'a t -> 'b t
-(** An empty cache with [t]'s bound and [t]'s mutex: a second table of
-    the same cache, bounded on its own, whose lookups serialise with
-    [t]'s. *)
-
-val key : index:int -> vlen:int -> int
 
 val find : 'a t -> int -> ('b -> 'a -> bool) -> 'b -> 'a
 (** [find t k valid arg] is the value resident under [k] when

@@ -300,31 +300,18 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
     fast;
   }
 
-(** Whether [pl] was compiled from [sem]: physical equality first (a
-    prepared program shares its semantics across runs), structural
-    equality as the slow path (a re-decoded word, or a different program
-    whose instruction has the same index and length).  The compile cache
-    ({!Kernel.cache}) validates its hits with this. *)
-let compiled_from sem pl = pl.sem == sem || Semantic.equal pl.sem sem
-
 (* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
 
-(* A stand-alone plan cache, kept only for nscbench's per-layer spans;
-   every compile in the library goes through {!Kernel.cache}. *)
-type cache = t Lru.t
+(* A stand-in for the stand-alone plan cache nscbench's per-layer spans
+   pass around: it holds nothing, and [cached] compiles afresh.  Every
+   kernel the library runs is held by its prepared instruction. *)
+type cache = unit
 
-let make_cache ?bound () : cache = Lru.create ~who:"Plan" ?bound ()
+let make_cache ?bound:_ () : cache = ()
 
-let cached (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
-  let key = Lru.key ~index:sem.Semantic.index ~vlen:sem.Semantic.vector_length in
-  let valid sem pl = pl.honor_timing = honor_timing && compiled_from sem pl in
-  match Lru.find cache key valid sem with
-  | pl -> pl
-  | exception Not_found ->
-      let pl = compile p ~honor_timing sem in
-      Lru.add cache key pl;
-      pl
+let cached (() : cache) (p : Params.t) ?honor_timing (sem : Semantic.t) : t =
+  compile p ?honor_timing sem
 
-(* the one compile cache's hits, counted by [Kernel] *)
+(* kernel replays, counted by [Kernel.of_instr] *)
 let cache_hit_count () =
   match Metrics.find_counter "kernel.cache_hits" with Some c -> Metrics.total c | None -> 0

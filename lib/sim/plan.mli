@@ -74,21 +74,18 @@ val c_compiles : Nsc_metrics.Metrics.counter
 val compile_count : unit -> int
 (** [Metrics.total c_compiles]. *)
 
-(** Whether the plan was compiled from these semantics: physical
-    equality first, structural equality as the slow path.  The compile
-    cache ({!Kernel.cache}) validates its hits with this. *)
-val compiled_from : Semantic.t -> t -> bool
-
 (** {2 nscbench compatibility — delete when nscbench moves to [Run.t]}
 
-    A stand-alone plan cache kept only for nscbench's per-layer spans.
+    A stand-in for a stand-alone plan cache, kept only for nscbench's
+    per-layer spans: it holds nothing, and {!cached} is {!compile}.
     Nothing in the library, the CLI, the bench or the tests calls these;
-    plans are cached inside {!Kernel.cache}. *)
+    kernels are held by their prepared instructions
+    ({!Kernel.of_instr}). *)
 
-type cache = t Lru.t
+type cache
 
 val make_cache : ?bound:int -> unit -> cache
 val cached : cache -> Params.t -> ?honor_timing:bool -> Semantic.t -> t
 
 val cache_hit_count : unit -> int
-(** Hits of the one compile cache ([kernel.cache_hits]). *)
+(** Kernel replays ([kernel.cache_hits], counted by {!Kernel.of_instr}). *)

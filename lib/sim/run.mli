@@ -1,9 +1,11 @@
 (** Run state, passed as a value.
 
     Everything one run of the simulator needs beside the node and the
-    program: the compile cache it draws kernels from, the fault model it
-    injects from (or none), and the supervision budget it charges and
-    polls (or none).  Nothing here is installed globally, so runs on
+    program: the compile cache whose program table a builder keeps its
+    checked, prepared programs in ({!Kernel.find_program}; a program's
+    kernels live in the program itself), the fault model it injects from
+    (or none), and the supervision budget it charges and polls (or
+    none).  Nothing here is installed globally, so runs on
     several domains at once — each with its own fault model and budget,
     sharing one cache — proceed independently.  Metric instrumentation is
     scoped separately, with {!Nsc_metrics.Metrics.with_ctx}. *)

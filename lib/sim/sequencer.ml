@@ -49,7 +49,11 @@ module Table = Kernel.Table
 (* One instruction made ready to run, and a program made ready to run:
    defined beside the compile cache, which keeps prepared programs in its
    program table. *)
-type instr = Kernel.instr = { sem : Semantic.t; capture_at : int array }
+type instr = Kernel.instr = {
+  sem : Semantic.t;
+  capture_at : int array;
+  kernel : Kernel.t option Atomic.t;
+}
 
 type prepared = Kernel.prepared = {
   table : instr Table.t;
@@ -72,7 +76,11 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
   let p = c.Codegen.layout.Fields.params in
   let instr (sem : Semantic.t) =
     let units = sem.Semantic.units in
-    { sem; capture_at = fill_capture p (Array.make (List.length units) 0) 0 units }
+    {
+      sem;
+      capture_at = fill_capture p (Array.make (List.length units) 0) 0 units;
+      kernel = Atomic.make None;
+    }
   in
   let rec load table = function
     | [] -> Ok { table; control = c.Codegen.control; params = p }
@@ -97,10 +105,9 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
     each pipeline completes — the hook the visual debugger attaches to.
 
     Each [Exec] runs through a compiled execution plan lowered to a fused
-    vector kernel; repeated [Exec]s of the same instruction (loop bodies)
-    reuse the kernel from the run's compile cache rather than
-    recompiling.  Pass a run over a persistent cache to reuse the
-    compiled forms across runs of the same program.  [~engine:`Reference]
+    vector kernel, held by the instruction itself: compiled on its first
+    dispatch, replayed by every later one — on this node, on other nodes
+    and in later runs of the same prepared program.  [~engine:`Reference]
     runs every instruction on the general memoized evaluator instead —
     the oracle the kernel path is checked against, and bit-identical to
     it. *)
@@ -132,7 +139,7 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
         if !exec_error = None then
           exec_error := Some (Printf.sprintf "control references missing pipeline %d" n);
         raise Halted
-    | { sem; capture_at } ->
+    | { sem; capture_at; _ } as instr ->
         (* instruction boundary: the budget check that makes every
            deadline fire deterministically between dispatches (a
            sweep boundary is an instruction boundary) *)
@@ -152,8 +159,7 @@ let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
         let r =
           match engine with
           | `Kernel ->
-              Engine.run_kernel node ~record_trace ?run:in_run
-                (Kernel.find_or_compile run.Run.cache p sem)
+              Engine.run_kernel node ~record_trace ?run:in_run (Kernel.of_instr p instr)
           | `Reference -> Engine.run_general node ~record_trace ?run:in_run sem
         in
         incr executed;

@@ -33,11 +33,12 @@ exception Halted
 (** Cap on the interrupt events retained in {!stats}. *)
 val max_recorded_events : int
 
-(** A program made ready to run: its instruction table, decoded once, and
-    its control programme.  Immutable, so one value may be executed on
-    any number of nodes, repeatedly and from several domains at once;
-    the semantics it holds are physically shared across those runs.
-    Defined beside the compile cache, whose program table holds it. *)
+(** A program made ready to run: its instruction table, decoded once,
+    and its control programme.  One value may be executed on any number
+    of nodes, repeatedly and from several domains at once; the semantics
+    it holds, and the kernel each instruction compiles on its first
+    dispatch, are shared across those runs.  Defined beside the compile
+    cache, whose program table holds it. *)
 type prepared = Kernel.prepared
 
 (** Decode each instruction word once (default) or take the retained
@@ -52,12 +53,12 @@ val prepare :
     instructions, and evaluate while-conditions from captured scalars.
     [on_instruction] is the hook the visual debugger attaches to.
 
-    [run] is the run state ({!Run.t}; default: a fresh cache, clean,
-    unsupervised, as for {!run}).  Each [Exec] runs through a compiled execution plan
-    lowered to a fused vector kernel (the default [`Kernel] engine);
-    repeated [Exec]s of the same instruction reuse the kernel from the
-    run's compile cache (pass a run over a persistent cache to also
-    reuse it across runs).  [~engine:`Reference] runs every instruction
+    [run] is the run state ({!Run.t}; default: clean, unsupervised).
+    Each [Exec] runs through a compiled execution plan lowered to a
+    fused vector kernel (the default [`Kernel] engine), held by the
+    instruction ({!Kernel.of_instr}): its first dispatch compiles it,
+    and every later [Exec] of it — in this run or any later run of the
+    same prepared program — replays it.  [~engine:`Reference] runs every instruction
     on the general memoized evaluator, the oracle; the two engines are
     bit-identical.  The run's fault model, if any, injects into every
     instruction.
@@ -78,9 +79,10 @@ val exec :
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
   prepared -> (outcome, string) result
 
-(** Execute a compiled program: {!prepare} followed by {!exec}.  A caller
-    that runs one program many times (on many nodes, or once per
-    iteration) prepares it once and calls {!exec} instead.
+(** Execute a compiled program: {!prepare} followed by {!exec}, so each
+    instruction's kernel is compiled once per call.  A caller that runs
+    one program many times (on many nodes, or once per iteration)
+    prepares it once and calls {!exec} instead.
 
     [plan_cache] and [kernel_cache] are nscbench compatibility — delete
     when nscbench moves to [Run.t]; nothing else passes them.  Without

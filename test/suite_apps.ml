@@ -542,7 +542,14 @@ let program_table_tests =
             let miss, shared = checked (fun () -> bits (ok (solve run))) in
             check_bool (name ^ ": a miss") true miss;
             check_bool (name ^ ": the answer of its own program") true
-              (compare shared (bits (ok (solve (Run.make ())))) = 0))
+              (compare shared (bits (ok (solve (Run.make ())))) = 0);
+            (* the first program's kernels stay with it: a variant that
+               shares its instruction indices and lengths displaces none *)
+            let kernels = Kernel.compile_count () in
+            let miss = fst (checked (fun () -> ok (solve_on run))) in
+            check_bool (name ^ ": back to the first program, a hit") false miss;
+            check_int (name ^ ": back to the first program, kernel compiles") 0
+              (Kernel.compile_count () - kernels))
           variants;
         check_bool "the first program is still resident" false
           (fst (checked (fun () -> ok (solve_on run)))));

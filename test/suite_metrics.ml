@@ -348,24 +348,6 @@ let snapshot_tests =
         check_int "self-diff has no counters" 0
           (List.length dd.Metrics.snap_counters);
         check_int "self-diff has no clock delta" 0 dd.Metrics.snap_clock);
-    case "snapshot JSON round-trips through the parser" (fun () ->
-        let ctx = Metrics.create ~label:"snap-json" () in
-        Metrics.enable ctx;
-        let _ = run_vecadd_in ctx ~n:16 () in
-        let doc =
-          match
-            Json.parse (Json.to_string (Metrics.snapshot_to_json (Metrics.snapshot ctx)))
-          with
-          | Ok d -> d
-          | Error e -> Alcotest.failf "snapshot JSON invalid: %s" e
-        in
-        check_string "label survives" "snap-json"
-          (Option.get (Json.to_str (Option.get (Json.member "label" doc))));
-        let counters = Option.get (Json.member "counters" doc) in
-        check_int "counters carry the instruction total" 1
-          (int_of_float
-             (Option.get
-                (Json.to_num (Option.get (Json.member "sim.instructions" counters))))));
   ]
 
 (* --- the profile layer --------------------------------------------------- *)

@@ -424,14 +424,15 @@ let plan_equivalence =
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
         let fresh = observe ~scale:5 ~div:2.0 (kernel_exec sem) in
-        let cache = Nsc_sim.Kernel.make_cache () in
-        (* prime the cache, then the second lookup must hit and agree *)
-        ignore (Nsc_sim.Kernel.find_or_compile cache params sem);
+        let instr = { Nsc_sim.Kernel.sem; capture_at = [||]; kernel = Atomic.make None } in
+        (* the first dispatch fills the instruction's kernel cell, then
+           the second must replay it and agree *)
+        ignore (Nsc_sim.Kernel.of_instr params instr);
         let compiles = Nsc_sim.Plan.compile_count ()
         and hits = Nsc_sim.Kernel.cache_hit_count () in
         let cached =
           observe ~scale:5 ~div:2.0 (fun node ->
-              Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.find_or_compile cache params sem))
+              Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.of_instr params instr))
         in
         Nsc_sim.Plan.compile_count () = compiles
         && Nsc_sim.Kernel.cache_hit_count () = hits + 1

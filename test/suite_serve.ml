@@ -416,46 +416,34 @@ let queue_tests =
 
 (* --- bounded caches --------------------------------------------------- *)
 
+(* A prepared vector-add program, to fill program tables with. *)
+let vecadd_prepared () =
+  let prog, _ = vecadd_program ~n:8 () in
+  Result.get_ok
+    (Nsc_sim.Sequencer.prepare (Result.get_ok (Nsc_microcode.Codegen.compile kb prog)))
+
 let cache_tests =
   [
-    case "the plan cache evicts least-recently-used entries" (fun () ->
-        (* plans live in the one compile cache, each inside its kernel *)
-        let sem_of n =
-          let prog, _ = vecadd_program ~n () in
-          fst (semantic_of_program prog 1)
-        in
-        let small = sem_of 16 and big = sem_of 32 in
+    case "the program table evicts least-recently-used programs and counts them" (fun () ->
         let cache = Nsc_sim.Kernel.make_cache ~bound:1 () in
         let total () = Nsc_sim.Stats.cache_evictions () in
         let before = total () in
-        let plan sem = (Nsc_sim.Kernel.find_or_compile cache params sem).Nsc_sim.Kernel.plan in
-        let p1 = plan small in
+        let key n = { Nsc_sim.Kernel.machine = params; inputs = [| n |] } in
+        let prog = vecadd_prepared () in
+        Nsc_sim.Kernel.add_program cache (key 16) prog;
         check_int "first insert evicts nothing" 0 (Nsc_sim.Kernel.evictions cache);
-        let p2 = plan big in
+        Nsc_sim.Kernel.add_program cache (key 32) prog;
         check_int "second insert evicts the first" 1 (Nsc_sim.Kernel.evictions cache);
-        (* the evicted entry recompiles, and the survivor is evicted in turn *)
-        let p1' = plan small in
+        check_bool "the first is gone" true
+          (Option.is_none (Nsc_sim.Kernel.find_program cache (key 16)));
+        (* the evicted program comes back, and the survivor is evicted in turn *)
+        Nsc_sim.Kernel.add_program cache (key 16) prog;
         check_int "reinsert evicts again" 2 (Nsc_sim.Kernel.evictions cache);
         check_int "the process-wide total follows" (before + 2) (total ());
-        check_bool "recompiled plan is fresh" true (not (p1 == p1'));
-        check_bool "plans keep their semantics" true
-          (p1.Nsc_sim.Plan.sem == small && p2.Nsc_sim.Plan.sem == big
-          && p1'.Nsc_sim.Plan.sem == small));
-    case "a cache hit refreshes recency" (fun () ->
-        let sem_of n =
-          let prog, _ = vecadd_program ~n () in
-          fst (semantic_of_program prog 1)
-        in
-        let a = sem_of 8 and b = sem_of 16 and c = sem_of 32 in
-        let cache = Nsc_sim.Kernel.make_cache ~bound:2 () in
-        let find = Nsc_sim.Kernel.find_or_compile cache params in
-        let ka = find a in
-        ignore (find b);
-        (* touch [a], then insert [c]: the LRU victim must be [b], not [a] *)
-        ignore (find a);
-        ignore (find c);
-        let ka' = find a in
-        check_bool "a survived (hit, no recompile)" true (ka == ka'));
+        check_bool "the resident program is the one admitted" true
+          (match Nsc_sim.Kernel.find_program cache (key 16) with
+          | Some p -> p == prog
+          | None -> false));
     case "make_cache rejects a zero bound" (fun () ->
         List.iter
           (fun bound ->
@@ -466,27 +454,28 @@ let cache_tests =
                with Invalid_argument _ -> true))
           [ 0; -1 ]);
     case "a bounded server evicts under a mixed job burst" (fun () ->
+        (* the bound counts programs: a third n displaces one of two *)
         let t = server ~cache_bound:2 () in
         List.iteri
           (fun i n -> ignore (Serve.handle_line t (submit ~id:(string_of_int i) ~n ())))
-          [ 5; 7; 5; 7 ];
+          [ 5; 7; 3; 5; 7 ];
         let results = Serve.drain t in
         List.iter (fun r -> check_string "all ok" "ok" (status r)) results;
         let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in
         check_bool "evictions observed" true
           (Option.get (inum s "cache_evictions") >= 1));
     case "the summary counts only the daemon's own evictions" (fun () ->
-        (* bound 8 holds every plan of one n=5 job: the daemon never evicts *)
+        (* one n=5 job admits one program: the daemon never evicts *)
         let t = server ~cache_bound:8 () in
         ignore (Serve.handle_line t (submit ~id:"only" ~n:5 ()));
         List.iter (fun r -> check_string "ok" "ok" (status r)) (Serve.drain t);
         (* an unrelated bounded cache in the same process evicts *)
         let other = Nsc_sim.Kernel.make_cache ~bound:1 () in
+        let prog = vecadd_prepared () in
         List.iter
           (fun n ->
-            let prog, _ = vecadd_program ~n () in
-            ignore
-              (Nsc_sim.Kernel.find_or_compile other params (fst (semantic_of_program prog 1))))
+            Nsc_sim.Kernel.add_program other { Nsc_sim.Kernel.machine = params; inputs = [| n |] }
+              prog)
           [ 8; 16; 32 ];
         check_int "the other cache evicted" 2 (Nsc_sim.Kernel.evictions other);
         let s = Option.get (Json.member "summary" (parse (Serve.summary_response t))) in

@@ -957,9 +957,10 @@ let suite = suite @ [ ("sim:fault-latch", fault_latch_tests) ]
 (* A seeded pipeline-language program: a 1-D three-point relaxation of
    seeded length, repeat count and coefficients, with a convergence loop
    around it so the control programme also evaluates conditions. *)
-let seeded_lang seed =
+let seeded_lang ?len seed =
   let rng = Random.State.make [| seed |] in
-  let len = 8 + Random.State.int rng 40 and reps = 1 + Random.State.int rng 3 in
+  let len = match len with Some l -> l | None -> 8 + Random.State.int rng 40 in
+  let reps = 1 + Random.State.int rng 3 in
   let coeff () = Printf.sprintf "%.6f" (0.1 +. Random.State.float rng 0.35) in
   let src =
     String.concat "\n"
@@ -982,10 +983,10 @@ let seeded_lang seed =
 
 (* The n=5 Jacobi program, capped at a seeded sweep count, and its
    problem loader. *)
-let seeded_jacobi seed =
+let seeded_jacobi ?layout seed =
   let prob = Nsc_apps.Poisson.manufactured 5 in
   let b =
-    Nsc_apps.Jacobi.build kb prob.Nsc_apps.Poisson.grid ~tol:1e-6
+    Nsc_apps.Jacobi.build kb ?layout prob.Nsc_apps.Poisson.grid ~tol:1e-6
       ~max_iters:(1 + (seed mod 12))
   in
   ( Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program),
@@ -1026,6 +1027,38 @@ let prepared_tests =
         let first = by_exec () in
         let second = by_exec () in
         compare by_run first = 0 && compare by_run second = 0);
+    qcheck ~count:16
+      "two programs of one shape alternated over one run compile each instruction once"
+      QCheck2.Gen.(triple bool (int_range 0 1000) (int_range 0 1000))
+      (fun (jacobi, s1, s2) ->
+        (* two checked programs whose instructions share index and
+           vector length: Jacobi's two layouts, or two pipeline-language
+           programs of one length with their own coefficients *)
+        let a, b =
+          if jacobi then
+            ( seeded_jacobi ~layout:Nsc_apps.Jacobi.distributed s1,
+              seeded_jacobi ~layout:Nsc_apps.Jacobi.packed s2 )
+          else
+            let len = 8 + (s1 mod 40) in
+            (seeded_lang ~len s1, seeded_lang ~len (s2 + 1001))
+        in
+        let prepared (c, load) = (Result.get_ok (Sequencer.prepare c), load) in
+        let a = prepared a and b = prepared b in
+        let exec ?run engine (prog, load) =
+          let node = Node.create params in
+          load node;
+          observe node (Result.get_ok (Sequencer.exec node ?run ~engine prog))
+        in
+        let reference_a = exec `Reference a and reference_b = exec `Reference b in
+        let instructions (prog, _) = Kernel.Table.cardinal prog.Kernel.table in
+        let run = Run.make () in
+        let compiles0 = Kernel.compile_count () in
+        let agree =
+          List.for_all
+            (fun (prog, reference) -> compare (exec ~run `Kernel prog) reference = 0)
+            [ (a, reference_a); (b, reference_b); (a, reference_a); (b, reference_b) ]
+        in
+        agree && Kernel.compile_count () - compiles0 = instructions a + instructions b);
     case "Node.create allocates under 20k minor words and nothing on the major heap"
       (fun () ->
         ignore (Sys.opaque_identity (Node.create params));
@@ -1116,7 +1149,7 @@ let warm_path_tests =
       (fun () ->
         let node, run, _, c = n9_body () in
         let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index:2) in
-        let kn = Kernel.find_or_compile run.Run.cache params sem in
+        let kn = Kernel.compile (Plan.compile params sem) in
         let blen = (Option.get kn.Kernel.body).Kernel.blen in
         ignore (Engine.run_kernel node ~run kn);
         let depth = Kernel.pooled blen in
@@ -1166,7 +1199,7 @@ let warm_path_tests =
         o.Sequencer.last_values <> [] && compare o.Sequencer.last_values expected = 0);
     case "a warm exec of the n=9 iteration body allocates under 600 minor words"
       (fun () ->
-        (* 427 words on OCaml 5.1: two dispatches, the capture arrays and
+        (* 426 words on OCaml 5.1: two dispatches, the capture arrays and
            the outcome; a hashtable capture or per-instruction value lists
            more than double it *)
         let node, run, body, _ = n9_body () in
@@ -1177,7 +1210,7 @@ let warm_path_tests =
         if words >= 600.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
     case "a warm 8-node iteration allocates under 6,500 minor words" (fun () ->
         (* one more iteration of the same solve: the sweep on every node,
-           the halo exchange and the all-reduce (4,913 words on OCaml 5.1;
+           the halo exchange and the all-reduce (4,905 words on OCaml 5.1;
            13.5k with fresh face arrays, list-returning dispatches and a
            hashtable capture) *)
         let solve iters =
