@@ -716,8 +716,8 @@ let a2_sor () =
    allowance the budget granted when it was a share — 2% of a 7.39 ms
    disabled solve over the 14,018 sites that solve crossed — so the mean
    cost per site must stay at or under that ceiling (about 10.5 ns), and
-   the solve may cross no more sites.  The share of the current solve is
-   still reported. *)
+   the solve may cross no more sites (it crosses 14,015).  The share of
+   the current solve is still reported. *)
 let overhead_max_sites = 14_018
 let overhead_ns_per_site_ceiling = 0.02 *. 7.39e6 /. float_of_int overhead_max_sites
 

@@ -331,7 +331,7 @@ let prepare kb ~layout ~strategy grid ~tol ~max_iters =
   let b = build kb ~layout ~strategy grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
   | Error ds ->
-      Error (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
+      Error (Diagnostic.error_summary ds)
   | Ok compiled -> Nsc_sim.Sequencer.prepare compiled
 
 (* The unit the convergence loop watches: the residual unit of {!build}. *)
@@ -447,8 +447,7 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?run
   let b = build kb ?layout ~strategy:`Refresh prob.Poisson.grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
   | Error ds ->
-      Error
-        (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
+      Error (Diagnostic.error_summary ds)
   | Ok compiled -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load node b prob;

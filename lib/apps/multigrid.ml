@@ -366,7 +366,7 @@ let solve (kb : Knowledge.t) ?run (prob : host_problem) ~cycles ~nu1 ~nu2 ~nu_co
   let b = build kb prob.grid ~cycles ~nu1 ~nu2 ~nu_coarse in
   match Nsc_microcode.Codegen.compile kb b.program with
   | Error ds ->
-      Error (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
+      Error (Diagnostic.error_summary ds)
   | Ok compiled -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       Nsc_sim.Node.load_array node ~plane:b.layout.f ~base:0 prob.f;

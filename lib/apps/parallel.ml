@@ -171,10 +171,7 @@ let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
   let grid = local_grid ~n ~nz_local:n in
   let b = Jacobi.build kb grid ~tol:0.0 ~max_iters:1 in
   let* compiled =
-    Result.map_error
-      (fun ds ->
-        String.concat "; "
-          (List.map Nsc_checker.Diagnostic.to_string (Nsc_checker.Diagnostic.errors ds)))
+    Result.map_error Nsc_checker.Diagnostic.error_summary
       (Nsc_microcode.Codegen.compile kb b.Jacobi.program)
   in
   (* decoded once; the two phases share its instructions and kernels *)

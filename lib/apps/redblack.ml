@@ -242,7 +242,7 @@ let solve (kb : Knowledge.t) ?layout ?omega ?run (prob : Poisson.problem) ~tol ~
   let b = build kb ?layout prob.Poisson.grid ~tol ~max_iters in
   match Nsc_microcode.Codegen.compile kb b.program with
   | Error ds ->
-      Error (String.concat "; " (List.map Diagnostic.to_string (Diagnostic.errors ds)))
+      Error (Diagnostic.error_summary ds)
   | Ok compiled -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load ?omega node b prob;

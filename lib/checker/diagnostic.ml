@@ -112,3 +112,7 @@ let sort ds =
 
 let errors ds = List.filter is_error ds
 let has_errors ds = List.exists is_error ds
+
+(** The errors' one-liners in order, joined by ["; "]: the message of a
+    build the checker refused. *)
+let error_summary ds = String.concat "; " (List.map to_string (errors ds))

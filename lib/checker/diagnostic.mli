@@ -77,3 +77,6 @@ val sort : t list -> t list
 val errors : t list -> t list
 (** Does any error-severity finding block code generation? *)
 val has_errors : t list -> bool
+(** The errors' {!to_string} one-liners in order, joined by ["; "]: the
+    message of a build the checker refused. *)
+val error_summary : t list -> string

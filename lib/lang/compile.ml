@@ -254,9 +254,7 @@ let compile (kb : Knowledge.t) ?(name = "compiled") (src : string) :
               if Diagnostic.has_errors diagnostics then
                 Error
                   {
-                    message =
-                      String.concat "; "
-                        (List.map Diagnostic.to_string (Diagnostic.errors diagnostics));
+                    message = Diagnostic.error_summary diagnostics;
                     at_statement = None;
                   }
               else

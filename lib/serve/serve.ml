@@ -159,11 +159,9 @@ let num i = Json.Num (float_of_int i)
 
 (* --- job execution ------------------------------------------------------ *)
 
-(* Every plan compile is a kernel compile, and
-   the timing analyses follow codegen and plan compiles: the wire carries
-   neither (see docs/SERVICE.md). *)
-let off_wire =
-  List.map Metrics.counter_name [ Nsc_sim.Plan.c_compiles; Nsc_checker.Timing.c_analyses ]
+(* The timing analyses follow codegen and kernel compiles: the wire
+   does not carry them (see docs/SERVICE.md). *)
+let off_wire = [ Metrics.counter_name Nsc_checker.Timing.c_analyses ]
 
 let counters_json jctx =
   let snap = Metrics.snapshot jctx in
@@ -211,10 +209,7 @@ let exec_workload t ~engine ~degraded ~run (job : Protocol.job) :
       | Ok c -> (
           match Nsc_microcode.Codegen.compile t.kb c.Nsc_lang.Compile.program with
           | Error ds ->
-              Error
-                (String.concat "; "
-                   (List.map Nsc_checker.Diagnostic.to_string
-                      (Nsc_checker.Diagnostic.errors ds)))
+              Error (Nsc_checker.Diagnostic.error_summary ds)
           | Ok compiled -> (
               let node = Nsc_sim.Node.create (Knowledge.params t.kb) in
               match

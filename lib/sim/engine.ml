@@ -440,9 +440,9 @@ module A1 = Bigarray.Array1
    executor scrubs exactly the regions it relies on reading as 0.0; the
    unchecked native fills are safe because every buffer is [blen] long
    and [n <= vlen]. *)
-let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf) =
-  let t = r.Plan.transfer in
-  let n = min r.Plan.count vlen in
+let gather_stream node ~vlen ~pad ~blen (r : Kernel.read_stream) (buf : Kernel.buf) =
+  let t = r.Kernel.transfer in
+  let n = min r.Kernel.count vlen in
   if n > 0 then begin
     (match t.Dma.channel with
     | Dma.Plane plid ->
@@ -497,9 +497,9 @@ let corrupt_latch (b : Kernel.body) (bufs : Kernel.buf array) ~k ~e =
 
 (* Execute the fused body on [node] over the slots [bufs]: element 0 of
    every buffer sits at index [pad]. *)
-let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
+let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     (b : Kernel.body) (bufs : Kernel.buf array) : result =
-  let sem = pl.Plan.sem in
+  let sem = kn.Kernel.sem in
   let budget = budget_of run in
   let vlen = b.Kernel.vlen in
   let pad = b.Kernel.pad in
@@ -597,19 +597,19 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
      memory-to-memory routes re-read live, exactly as the reference *)
   let writes = ref 0 in
   Array.iter
-    (fun (w : Plan.write_stream) ->
-      let t = w.Plan.transfer in
-      let count = w.Plan.count in
+    (fun (w : Kernel.write_stream) ->
+      let t = w.Kernel.transfer in
+      let count = w.Kernel.count in
       if count > 0 then begin
         Dma.note_write ~words:count;
-        (match w.Plan.wsrc with
-        | Plan.W_unit k ->
+        (match w.Kernel.wsrc with
+        | Kernel.W_unit k ->
             let n = min count vlen in
             if n > 0 then write_vec node t bufs.(val_slot.(k)) ~pos:pad ~count:n;
             if count > n then
               write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
-        | Plan.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
-        | Plan.W_live { transfer = rt; count = rcount; offset } ->
+        | Kernel.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
+        | Kernel.W_live { transfer = rt; count = rcount; offset } ->
             for e = 0 to count - 1 do
               let v =
                 if e >= vlen then 0.0
@@ -638,7 +638,7 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
     for i = 0 to Array.length order_of_sem - 1 do
       last.(i) <- A1.get bufs.(val_slot.(order_of_sem.(i))) (pad + vlen - 1)
     done;
-  let cycles = pl.Plan.cycles + fault_stream_cycles run sem in
+  let cycles = kn.Kernel.cycles + fault_stream_cycles run sem in
   record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
   let trace =
     if record_trace then begin
@@ -658,7 +658,7 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
   let r =
     {
       cycles;
-      flops = pl.Plan.flops;
+      flops = kn.Kernel.flops;
       elements = vlen;
       writes = !writes;
       events = List.rev !events;
@@ -677,22 +677,21 @@ let exec_body (node : Node.t) ~record_trace ~run (pl : Plan.t)
     native call per unit per block, with the non-finite trap pre-scan
     fused into the compute pass — and one bulk transfer per write sink.
     Kernels without a fused body fall back to the general evaluator with
-    the plan's cached analysis.  Values, cycle estimates and interrupt events are
+    the kernel's cached analysis.  Values, cycle estimates and interrupt events are
     bit-identical to {!run_general}. *)
 let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
     result =
-  let pl = kn.Kernel.plan in
   match kn.Kernel.body with
   | None ->
-      run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis ?run pl.Plan.sem
+      run_general node ~record_trace ~honor_timing:kn.Kernel.honor_timing
+        ~analysis:kn.Kernel.analysis ?run kn.Kernel.sem
   | Some b ->
       let bufs = Array.make b.Kernel.n_buffers b.Kernel.static.(0) in
       Array.blit b.Kernel.static 0 bufs 0 (Array.length b.Kernel.static);
       Kernel.acquire_into b.Kernel.blen bufs ~from:b.Kernel.stream_base;
       (* a budget poll may unwind mid-body; the pooled buffers must go
          back either way or a deadline-killed job would leak the pool *)
-      match exec_body node ~record_trace ~run pl b bufs with
+      match exec_body node ~record_trace ~run kn b bufs with
       | r ->
           Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
           r
@@ -701,11 +700,10 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
           Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
           Printexc.raise_with_backtrace e bt
 
-(** Execute one pipeline instruction.  Compiles an execution plan (see
-    {!Plan.compile} — timing analysed exactly once), lowers it to a fused
-    kernel and runs it; callers that replay an instruction should compile
-    once, or use a {!Kernel.cache}, and call {!run_kernel} directly. *)
+(** Execute one pipeline instruction.  Compiles a kernel (see
+    {!Kernel.compile} — timing analysed exactly once) and runs it;
+    callers that replay an instruction should compile once and call
+    {!run_kernel} directly. *)
 let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true) ?run
     (sem : Semantic.t) : result =
-  run_kernel node ~record_trace ?run
-    (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
+  run_kernel node ~record_trace ?run (Kernel.compile node.Node.params ~honor_timing sem)

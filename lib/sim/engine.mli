@@ -66,7 +66,7 @@ val max_recorded_events : int
 
 (** The general memoized evaluator: the reference every other path is
     checked against.  [analysis] supplies a precomputed timing analysis
-    (from a compiled plan) so none is recomputed here.  The run's budget
+    (from a compiled kernel) so none is recomputed here.  The run's budget
     is polled every 1024 elements while the write streams drain and while
     the remaining units are evaluated, so a wall
     deadline or a cancellation unwinds with
@@ -100,8 +100,8 @@ val run_kernel :
   Kernel.t ->
   result
 
-(** Execute one pipeline instruction: compile a plan, lower it to a fused
-    kernel, run it.  Callers replaying an instruction should compile it
+(** Execute one pipeline instruction: compile its kernel
+    ({!Kernel.compile}), run it.  Callers replaying an instruction should compile it
     once and call {!run_kernel}, or run it as part of a prepared program
     ({!Sequencer.exec}). *)
 val run :

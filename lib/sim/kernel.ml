@@ -1,10 +1,12 @@
-(** Fused vector kernels: the second compilation stage.
+(** Fused vector kernels: one pipeline instruction lowered once.
 
-    Interpreting a {!Plan.t} directly would pay per-element, per-unit
-    costs: an operand-variant match, an opcode dispatch and an exception
-    classification for every unit at every element.  This module lowers
-    a plan once more, into a {!t} whose execution ({!Engine.run_kernel})
-    is a handful of native element loops:
+    The paper's premise is that one pipeline diagram is one machine
+    instruction replayed over long vector streams, so everything static
+    about the instruction (operand bindings, switch routes, chain
+    predecessors, topological order, DMA transfers, timing analysis) is
+    resolved exactly once.  {!compile} does that in one pass, from a
+    {!Nsc_diagram.Semantic.t} to a {!t} whose execution
+    ({!Engine.run_kernel}) is a handful of native element loops:
 
     - every operand is pre-resolved to a [(buffer, offset)] pair into a
       uniform pool of padded {!buf} vectors ([Bigarray.Array1] float64,
@@ -26,12 +28,15 @@
       pool ({!acquire}/{!release}), so a cached kernel replayed across a
       solve allocates nothing in its hot path.
 
-    Plans without a dense body compile to a kernel without a body; the
-    engine falls back to the general evaluator with the plan's cached
-    timing analysis. *)
+    The fused body exists when the diagram is aligned and acyclic with
+    DMA-fed shift/delay units (the checked, production case).  Other
+    instructions compile to a kernel without a body; the engine falls
+    back to the general evaluator with the kernel's cached timing
+    analysis. *)
 
 open Nsc_arch
 open Nsc_diagram
+open Nsc_checker
 
 module Metrics = Nsc_metrics.Metrics
 module A1 = Bigarray.Array1
@@ -39,17 +44,18 @@ module A1 = Bigarray.Array1
 (** Padded executable buffer: unboxed float64, C layout. *)
 type buf = Memory.vec
 
-(* Host-side observability: how often plans were lowered to kernels, how
-   often a cached kernel was reused, how the buffer pool served
-   executions (all always-on), and how often a kernel had to carry the
-   general-evaluator fallback instead of a fused body (gated). *)
+(* Host-side observability: how often instructions were lowered to
+   kernels, how often a cached kernel was reused, how the buffer pool
+   served executions (all always-on), and how often a kernel had to
+   carry the general-evaluator fallback instead of a fused body
+   (gated). *)
 let c_compiles =
   Metrics.always_counter ~name:"kernel.compiles" ~units:"kernels"
-    ~desc:"plans lowered to fused vector kernels"
+    ~desc:"instruction semantics lowered to kernels"
 
 let c_cache_hits =
   Metrics.always_counter ~name:"kernel.cache_hits" ~units:"hits"
-    ~desc:"dispatches that replayed their instruction's compiled kernel and plan"
+    ~desc:"dispatches that replayed their instruction's compiled kernel"
 
 let c_fallbacks =
   Metrics.counter ~name:"kernel.fallbacks" ~units:"kernels"
@@ -91,6 +97,22 @@ type kunit = {
     always return [false]. *)
 type step = buf array -> int -> int -> int -> bool
 
+(** A read stream: its engine's transfer with the element count
+    resolved (a descriptor count of 0 means "the vector length"). *)
+type read_stream = { transfer : Dma.transfer; count : int }
+
+(** Source feeding a write stream.  [W_unit k] drains unit [k] (in
+    topological order); [W_live] re-reads a DMA stream element by element
+    at write time (a direct memory-to-memory route, possibly through a
+    shift/delay offset) — live, because earlier writes of the same
+    instruction may alias it. *)
+type write_source =
+  | W_unit of int
+  | W_live of { transfer : Dma.transfer; count : int; offset : int }
+  | W_zero
+
+type write_stream = { wsrc : write_source; transfer : Dma.transfer; count : int }
+
 (** The fused executable body.  Buffer slots are laid out
     [zero :: constants @ streams @ unit outputs]; [static] holds the
     read-only prefix (zeros and constant fills), prebuilt at compile time
@@ -111,7 +133,7 @@ type body = {
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
   stream_base : int;
   unit_base : int;
-  units : kunit array;  (** topological order, as in the plan *)
+  units : kunit array;  (** topological order *)
   steps : step array;   (** specialised loop of [units.(k)] *)
   val_slot : int array;
       (** the slot actually holding unit [k]'s values.  Normally
@@ -123,14 +145,18 @@ type body = {
           source (deduplicated when several passes share one source) or
           to a no-op when the source is finite by construction or already
           scanned by its own producer. *)
-  reads : Plan.read_stream array;   (** gathered into slots [stream_base + s] *)
-  writes : Plan.write_stream array;
-  order_of_sem : int array;
+  reads : read_stream array;   (** gathered into slots [stream_base + s] *)
+  writes : write_stream array;
+  order_of_sem : int array;  (** topological position of each unit of [sem.units] *)
   fus : Resource.fu_id array;  (** the units of [sem.units], in that order *)
 }
 
 type t = {
-  plan : Plan.t;  (** carries the semantics, timing analysis and cycle cost *)
+  sem : Semantic.t;
+  analysis : Timing.t;  (** computed exactly once, at compile time *)
+  cycles : int;         (** {!Timing.estimated_cycles} at the vector length *)
+  flops : int;
+  honor_timing : bool;
   body : body option;  (** [None]: fall back to the general evaluator *)
 }
 
@@ -272,11 +298,117 @@ let noop_step : step = fun _ _ _ _ -> false
 
 (* --- compilation -------------------------------------------------------- *)
 
-let compile_body (pl : Plan.t) (f : Plan.fast) : body =
-  let vlen = pl.Plan.vlen in
-  let n_units = Array.length f.Plan.units in
-  let n_reads = Array.length f.Plan.reads in
-  (* distinct constants, deduplicated by bit pattern *)
+(* The fused body applies when all operand streams are aligned (or
+   timing is not honoured), there are no combinational cycles, and every
+   shift/delay unit is DMA-fed. *)
+let fused_applies (analysis : Timing.t) ~honor_timing (sem : Semantic.t) =
+  let aligned =
+    (not honor_timing)
+    || List.for_all
+         (fun (ut : Timing.unit_timing) -> ut.Timing.misaligned = None)
+         analysis.Timing.units
+  in
+  let sd_pure =
+    List.for_all
+      (fun (s : Semantic.sd_program) ->
+        match Semantic.source_feeding sem (Resource.Snk_shift_delay s.Semantic.sd) with
+        | None | Some (Resource.Src_memory _ | Resource.Src_cache _) -> true
+        | Some (Resource.Src_fu _ | Resource.Src_shift_delay _) -> false)
+      sem.Semantic.sds
+  in
+  aligned && analysis.Timing.cyclic = [] && sd_pure
+
+(* Lower the semantics of an instruction the fused body applies to
+   straight to its body: units in topological order, every binding
+   resolved to a [(buffer, offset)] slot. *)
+let compile_body (p : Params.t) (sem : Semantic.t) : body =
+  let vlen = sem.Semantic.vector_length in
+  let sem_units = Array.of_list sem.Semantic.units in
+  let n_units = Array.length sem_units in
+  let index_of : (Resource.fu_id, int) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun k (u : Semantic.unit_program) -> Hashtbl.replace index_of u.Semantic.fu k)
+    sem_units;
+  let route_into = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Switch.route) -> Hashtbl.replace route_into r.Switch.snk r.Switch.src)
+    sem.Semantic.routes;
+  let read_list = Semantic.read_streams sem in
+  let count_of (t : Dma.transfer) = if t.Dma.count = 0 then vlen else t.Dma.count in
+  let reads =
+    Array.of_list
+      (List.map (fun (_, (t : Dma.transfer)) -> { transfer = t; count = count_of t }) read_list)
+  in
+  let stream_index src =
+    let rec find i = function
+      | [] -> None
+      | (s, _) :: rest -> if Resource.equal_source s src then Some i else find (i + 1) rest
+    in
+    find 0 read_list
+  in
+  (* the offset a shift/delay unit reads its stream at *)
+  let sd_offset sd =
+    match
+      List.find_map
+        (fun (s : Semantic.sd_program) ->
+          if s.Semantic.sd = sd then Some s.Semantic.mode else None)
+        sem.Semantic.sds
+    with
+    | Some (Shift_delay.Delay d) -> -d
+    | Some (Shift_delay.Shift o) -> o
+    | None -> 0
+  in
+  let bypass_of als =
+    Option.value ~default:Als.No_bypass (List.assoc_opt als sem.Semantic.bypasses)
+  in
+  let chain_pred (fu : Resource.fu_id) =
+    let size = Resource.als_size p fu.Resource.als in
+    match Als.chain_predecessor ~size (bypass_of fu.Resource.als) ~slot:fu.Resource.slot with
+    | Some pred -> Some { Resource.als = fu.Resource.als; slot = pred }
+    | None -> None
+  in
+  let binary k = Opcode.arity sem_units.(k).Semantic.op = 2 in
+  (* topological order over the same-element dependencies (chain
+     predecessor, switch sources that are functional units) — acyclic
+     by precondition *)
+  let deps k =
+    let u = sem_units.(k) in
+    let fu = u.Semantic.fu in
+    let of_binding port = function
+      | Fu_config.From_chain -> (
+          match chain_pred fu with
+          | Some pred -> Option.to_list (Hashtbl.find_opt index_of pred)
+          | None -> [])
+      | Fu_config.From_switch -> (
+          match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
+          | Some (Resource.Src_fu f) -> Option.to_list (Hashtbl.find_opt index_of f)
+          | _ -> [])
+      | Fu_config.From_constant _ | Fu_config.From_feedback _ | Fu_config.Unbound -> []
+    in
+    of_binding Resource.A u.Semantic.a
+    @ (if binary k then of_binding Resource.B u.Semantic.b else [])
+  in
+  let order = Array.make n_units 0 in
+  let mark = Array.make n_units false in
+  let pos = ref 0 in
+  let rec visit k =
+    if not mark.(k) then begin
+      mark.(k) <- true;
+      List.iter visit (deps k);
+      order.(!pos) <- k;
+      incr pos
+    end
+  in
+  for k = 0 to n_units - 1 do
+    visit k
+  done;
+  (* topological position of each unit of [sem.units] *)
+  let order_of_sem = Array.make n_units 0 in
+  Array.iteri (fun i k -> order_of_sem.(k) <- i) order;
+  let position_of_fu f = Option.map (fun k -> order_of_sem.(k)) (Hashtbl.find_opt index_of f) in
+  (* distinct constants, deduplicated by bit pattern and interned in
+     topological order, so the slot layout is fixed before any operand
+     is resolved *)
   let consts = ref [] and n_consts = ref 0 in
   let const_slot c =
     let bits = Int64.bits_of_float c in
@@ -288,29 +420,61 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
         incr n_consts;
         slot
   in
-  (* padding: the largest offset magnitude any operand reads at *)
-  let pad = ref 0 in
-  let note_off off = if abs off > !pad then pad := abs off in
   Array.iter
-    (fun (u : Plan.unit_plan) ->
-      let note = function
-        | Plan.Zero | Plan.Const _ | Plan.Unit _ | Plan.Stream _ -> ()
-        | Plan.Self n -> note_off n
-        | Plan.Stream_at (_, off) -> note_off off
-      in
-      note u.Plan.a;
-      if u.Plan.binary then note u.Plan.b)
-    f.Plan.units;
-  (* first pass interns the constants so the slot layout is fixed *)
-  Array.iter
-    (fun (u : Plan.unit_plan) ->
-      let note = function Plan.Const c -> ignore (const_slot c) | _ -> () in
-      note u.Plan.a;
-      if u.Plan.binary then note u.Plan.b)
-    f.Plan.units;
+    (fun k ->
+      let note = function Fu_config.From_constant c -> ignore (const_slot c) | _ -> () in
+      note sem_units.(k).Semantic.a;
+      if binary k then note sem_units.(k).Semantic.b)
+    order;
   let stream_base = 1 + !n_consts in
-  let unit_base = stream_base + n_reads in
-  let pad = !pad in
+  let unit_base = stream_base + Array.length reads in
+  let stream_slot src off =
+    match stream_index src with Some s -> (stream_base + s, off) | None -> (0, 0)
+  in
+  (* a shift/delay unit's DMA feed at its offset; non-DMA feeds are
+     excluded by precondition *)
+  let through_sd sd =
+    match Hashtbl.find_opt route_into (Resource.Snk_shift_delay sd) with
+    | Some ((Resource.Src_memory _ | Resource.Src_cache _) as src) -> Some (src, sd_offset sd)
+    | Some _ | None -> None
+  in
+  let unit_slot f =
+    match position_of_fu f with Some j -> (unit_base + j, 0) | None -> (0, 0)
+  in
+  (* [i] is the unit's topological position: a feedback delay [n >= 1]
+     reads its own output buffer [n] elements back, so a unit never
+     reads itself ahead of where it writes and the engine scrubs only
+     the pads of a unit buffer *)
+  let resolve i (fu : Resource.fu_id) port = function
+    | Fu_config.Unbound -> (0, 0)
+    | Fu_config.From_constant c -> (const_slot c, 0)
+    | Fu_config.From_feedback n -> if n >= 1 then (unit_base + i, -n) else (0, 0)
+    | Fu_config.From_chain -> (
+        match chain_pred fu with Some pred -> unit_slot pred | None -> (0, 0))
+    | Fu_config.From_switch -> (
+        match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
+        | Some ((Resource.Src_memory _ | Resource.Src_cache _) as src) -> stream_slot src 0
+        | Some (Resource.Src_shift_delay sd) -> (
+            match through_sd sd with
+            | Some (src, off) -> stream_slot src off
+            | None -> (0, 0))
+        | Some (Resource.Src_fu f) -> unit_slot f
+        | None -> (0, 0))
+  in
+  let units =
+    Array.mapi
+      (fun i k ->
+        let u = sem_units.(k) in
+        let fu = u.Semantic.fu in
+        let a_buf, a_off = resolve i fu Resource.A u.Semantic.a in
+        let b_buf, b_off = if binary k then resolve i fu Resource.B u.Semantic.b else (0, 0) in
+        { fu; op = u.Semantic.op; out = unit_base + i; a_buf; a_off; b_buf; b_off })
+      order
+  in
+  (* padding: the largest offset magnitude any operand reads at *)
+  let pad =
+    Array.fold_left (fun m (u : kunit) -> max m (max (abs u.a_off) (abs u.b_off))) 0 units
+  in
   let blen = pad + max vlen 1 + pad in
   let static = Array.make stream_base (A1.create Bigarray.float64 Bigarray.c_layout 0) in
   let filled v =
@@ -320,28 +484,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
   in
   static.(0) <- filled 0.0;
   List.iter (fun (bits, slot) -> static.(slot) <- filled (Int64.float_of_bits bits)) !consts;
-  let resolve k = function
-    | Plan.Zero -> (0, 0)
-    | Plan.Const c -> (const_slot c, 0)
-    | Plan.Unit j -> (unit_base + j, 0)
-    | Plan.Self n ->
-        (* [Plan] builds [Self n] only for a feedback delay n >= 1, so a
-           unit never reads its own output ahead of where it writes, and
-           the engine scrubs only the pads of a unit buffer *)
-        if n < 1 then
-          invalid_arg (Printf.sprintf "Kernel.compile: unit %d reads itself at delay %d" k n);
-        (unit_base + k, -n)
-    | Plan.Stream s -> (stream_base + s, 0)
-    | Plan.Stream_at (s, off) -> (stream_base + s, off)
-  in
-  let units =
-    Array.mapi
-      (fun k (u : Plan.unit_plan) ->
-        let a_buf, a_off = resolve k u.Plan.a in
-        let b_buf, b_off = if u.Plan.binary then resolve k u.Plan.b else (0, 0) in
-        { fu = u.Plan.fu; op = u.Plan.op; out = unit_base + k; a_buf; a_off; b_buf; b_off })
-      f.Plan.units
-  in
   (* pass-through elision: a [Pass] at offset 0 whose output no unit
      reads needs no copy loop.  Sinks, [last_values] and the trap rescan
      read the source slot directly through [val_slot]; the unit's step
@@ -394,6 +536,31 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
            else noop_step)
       end)
     units;
+  (* a write engine drains a unit's values, or re-reads a DMA stream
+     live (directly or through a shift/delay offset); unrouted write
+     engines transfer nothing *)
+  let live src off =
+    match List.assoc_opt src read_list with
+    | Some rt -> W_live { transfer = rt; count = count_of rt; offset = off }
+    | None -> W_zero
+  in
+  let writes =
+    List.filter_map
+      (fun (snk, (t : Dma.transfer)) ->
+        Option.map
+          (fun src ->
+            let wsrc =
+              match src with
+              | Resource.Src_fu f -> (
+                  match position_of_fu f with Some k -> W_unit k | None -> W_zero)
+              | Resource.Src_memory _ | Resource.Src_cache _ -> live src 0
+              | Resource.Src_shift_delay sd -> (
+                  match through_sd sd with Some (src, off) -> live src off | None -> W_zero)
+            in
+            { wsrc; transfer = t; count = count_of t })
+          (Hashtbl.find_opt route_into snk))
+      (Semantic.write_streams sem)
+  in
   {
     vlen;
     pad;
@@ -405,22 +572,33 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     units;
     steps;
     val_slot;
-    reads = f.Plan.reads;
-    writes = f.Plan.writes;
-    order_of_sem = f.Plan.order_of_sem;
-    fus =
-      Array.of_list
-        (List.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) pl.Plan.sem.Semantic.units);
+    reads;
+    writes = Array.of_list writes;
+    order_of_sem;
+    fus = Array.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) sem_units;
   }
 
-(** Lower a compiled plan to a fused kernel. *)
-let compile (pl : Plan.t) : t =
+(** Lower an instruction's semantics to a kernel, running the timing
+    analysis exactly once. *)
+let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
   Metrics.bump c_compiles 1;
-  match pl.Plan.fast with
-  | None ->
+  let analysis = Timing.analyse p sem in
+  let vlen = sem.Semantic.vector_length in
+  let body =
+    if fused_applies analysis ~honor_timing sem then Some (compile_body p sem)
+    else begin
       Metrics.bump c_fallbacks 1;
-      { plan = pl; body = None }
-  | Some f -> { plan = pl; body = Some (compile_body pl f) }
+      None
+    end
+  in
+  {
+    sem;
+    analysis;
+    cycles = Timing.estimated_cycles p sem analysis ~vlen;
+    flops = Semantic.flops_per_element sem * vlen;
+    honor_timing;
+    body;
+  }
 
 (* --- prepared programs ---------------------------------------------------- *)
 
@@ -441,7 +619,7 @@ let of_instr p (i : instr) : t =
       Metrics.bump c_cache_hits 1;
       kn
   | None ->
-      let kn = compile (Plan.compile p i.sem) in
+      let kn = compile p i.sem in
       if Atomic.compare_and_set i.kernel None (Some kn) then kn
       else Option.get (Atomic.get i.kernel)
 
@@ -486,5 +664,4 @@ let add_program cache key prepared = Lru.add cache (program_hash key) { key; pre
 
 (* --- nscbench compatibility — delete when nscbench moves to Run.t ------- *)
 
-let cached (_ : cache) (_ : Plan.cache) p ?honor_timing sem =
-  compile (Plan.compile p ?honor_timing sem)
+let cached (_ : cache) _ p ?honor_timing sem = compile p ?honor_timing sem

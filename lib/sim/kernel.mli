@@ -1,14 +1,15 @@
-(** Fused vector kernels: the second compilation stage.
+(** Fused vector kernels: one pipeline instruction lowered once.
 
-    A {!Plan.t} resolves everything static about an instruction but still
-    interprets operands per element.  Lowering the plan once more yields a
-    kernel: operands pre-resolved to [(buffer, offset)] pairs into a
-    uniform pool of padded {!buf} vectors (unboxed [Bigarray.Array1]
-    float64, drawn from a domain-local free-list pool), every opcode
-    resolved {e at compile time} to a native step ({!step}) whose element
-    loop runs in C, so the hot path contains no dispatch, read streams gathered
-    once per instruction with bulk Bigarray-direct strided transfers and
-    write streams flushed with one bulk transfer per sink.
+    {!compile} turns an instruction's semantics into a kernel in one
+    pass: it runs the timing analysis, decides whether the fused body
+    applies, orders the units topologically and resolves every operand
+    binding to a [(buffer, offset)] pair into a uniform pool of padded
+    {!buf} vectors (unboxed [Bigarray.Array1] float64, drawn from a
+    domain-local free-list pool).  Every opcode is resolved {e at compile
+    time} to a native step ({!step}) whose element loop runs in C, so the
+    hot path contains no dispatch; read streams are gathered once per
+    instruction with bulk Bigarray-direct strided transfers and write
+    streams flushed with one bulk transfer per sink.
     {!Engine.run_kernel} executes kernels block-wise.  Results are
     bit-identical to the reference evaluator {!Engine.run_general}
     (property-tested). *)
@@ -37,6 +38,21 @@ type kunit = {
     into the compute pass). *)
 type step = buf array -> int -> int -> int -> bool
 
+(** A read stream: its engine's transfer with the element count
+    resolved (a descriptor count of 0 means "the vector length"). *)
+type read_stream = { transfer : Nsc_arch.Dma.transfer; count : int }
+
+(** Source feeding a write stream: unit [k]'s values (in topological
+    order), a live element-by-element re-read of a DMA stream at write
+    time (a direct memory-to-memory route, possibly through a shift/delay
+    offset), or zeros. *)
+type write_source =
+  | W_unit of int
+  | W_live of { transfer : Nsc_arch.Dma.transfer; count : int; offset : int }
+  | W_zero
+
+type write_stream = { wsrc : write_source; transfer : Nsc_arch.Dma.transfer; count : int }
+
 (** The fused executable body.  Buffer slots are laid out
     [zero :: constants @ streams @ unit outputs]; [static] holds the
     read-only prefix (zeros and constant fills) shared by all executions.
@@ -50,8 +66,8 @@ type body = {
   n_buffers : int;
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
   stream_base : int;  (** read stream [s] gathers into slot [stream_base + s] *)
-  unit_base : int;    (** plan unit [k] writes slot [unit_base + k] *)
-  units : kunit array;  (** topological order, as in the plan *)
+  unit_base : int;    (** unit [k] writes slot [unit_base + k] *)
+  units : kunit array;  (** topological order *)
   steps : step array;   (** specialised loop of [units.(k)] *)
   val_slot : int array;
       (** slot holding unit [k]'s values: [units.(k).out], except for an
@@ -59,25 +75,37 @@ type body = {
           unit reads) where it is the source slot itself — the copy loop
           is dropped and sinks, [last_values] and the trap rescan read
           the source directly *)
-  reads : Plan.read_stream array;
-  writes : Plan.write_stream array;
+  reads : read_stream array;
+  writes : write_stream array;
   order_of_sem : int array;
-      (** plan position of each unit of [sem.units], in original order *)
+      (** topological position of each unit of [sem.units], in original
+          order *)
   fus : Nsc_arch.Resource.fu_id array;
       (** the units of [sem.units], in that order: the units of
           {!Engine.result}'s [last] *)
 }
 
 type t = {
-  plan : Plan.t;  (** carries the semantics, timing analysis and cycle cost *)
+  sem : Nsc_diagram.Semantic.t;
+  analysis : Nsc_checker.Timing.t;  (** computed exactly once, at compile time *)
+  cycles : int;  (** {!Nsc_checker.Timing.estimated_cycles} at the vector length *)
+  flops : int;
+  honor_timing : bool;
   body : body option;  (** [None]: fall back to the general evaluator *)
 }
 
-(** Lower a compiled plan to a fused kernel.  Raises [Invalid_argument]
-    if an operand window [[pad + off, pad + off + vlen)] falls outside the
-    buffer length: the native steps check no bounds, so this is checked
-    once per compile instead. *)
-val compile : Plan.t -> t
+(** Lower an instruction's semantics to a kernel, running
+    {!Nsc_checker.Timing.analyse} exactly once.  The fused body applies
+    when the operand streams are aligned (or [honor_timing], on by
+    default, is off), the diagram has no combinational cycle and
+    every shift/delay unit is fed by DMA; other instructions get a kernel
+    without a body, which the engine runs on the general evaluator with
+    the cached analysis.  Raises [Invalid_argument] if an operand window
+    [[pad + off, pad + off + vlen)] falls outside the buffer length: the
+    native steps check no bounds, so this is checked once per compile
+    instead. *)
+val compile :
+  Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
 
 (** {2 The buffer pool}
 
@@ -139,9 +167,9 @@ type instr = {
   kernel : t option Atomic.t;
 }
 
-(** The instruction's kernel: on its first call, {!Plan.compile} lowered
-    by {!compile} and stored in the cell; on every later call the stored
-    kernel, counted as a [kernel.cache_hits] and allocating nothing.
+(** The instruction's kernel: on its first call, compiled by {!compile}
+    and stored in the cell; on every later call the stored kernel,
+    counted as a [kernel.cache_hits] and allocating nothing.
     Domains racing on an empty cell each compile, and all of them get
     the kernel that filled it first. *)
 val of_instr : Nsc_arch.Params.t -> instr -> t
@@ -203,8 +231,6 @@ val add_program : cache -> program_key -> prepared -> unit
 (** {2 nscbench compatibility — delete when nscbench moves to [Run.t]} *)
 
 val cached :
-  cache ->
-  Plan.cache ->
-  Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
-(** A fresh {!Plan.compile} lowered by {!compile}; neither cache is
-    consulted or filled. *)
+  cache -> 'a -> Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
+(** A fresh {!compile}; the cache is neither consulted nor filled, and
+    the second argument (nscbench's plan cache) is ignored. *)

@@ -104,8 +104,8 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
 (** Run a prepared program on [node].  [on_instruction] is invoked after
     each pipeline completes — the hook the visual debugger attaches to.
 
-    Each [Exec] runs through a compiled execution plan lowered to a fused
-    vector kernel, held by the instruction itself: compiled on its first
+    Each [Exec] runs through the instruction's fused vector kernel, held
+    by the instruction itself: compiled on its first
     dispatch, replayed by every later one — on this node, on other nodes
     and in later runs of the same prepared program.  [~engine:`Reference]
     runs every instruction on the general memoized evaluator instead —

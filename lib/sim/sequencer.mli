@@ -54,8 +54,8 @@ val prepare :
     [on_instruction] is the hook the visual debugger attaches to.
 
     [run] is the run state ({!Run.t}; default: clean, unsupervised).
-    Each [Exec] runs through a compiled execution plan lowered to a
-    fused vector kernel (the default [`Kernel] engine), held by the
+    Each [Exec] runs through the instruction's compiled kernel (the
+    default [`Kernel] engine, {!Kernel.compile}), held by the
     instruction ({!Kernel.of_instr}): its first dispatch compiles it,
     and every later [Exec] of it — in this run or any later run of the
     same prepared program — replays it.  [~engine:`Reference] runs every instruction

@@ -396,8 +396,7 @@ let suite = suite @ [ ("apps:overlap", overlap_tests) ]
 let hypercube_solve_tests =
   [
     case "the n=9 8-node solve converges in 216 iterations, bit-exactly" (fun () ->
-        let plans = Nsc_sim.Plan.compile_count ()
-        and kernels = Nsc_sim.Kernel.compile_count () in
+        let kernels = Nsc_sim.Kernel.compile_count () in
         let words = Gc.minor_words () in
         let r = Parallel.solve params ~n:9 ~tol:1e-6 ~max_iters:1000 ~dim:3 in
         let words = Gc.minor_words () -. words in
@@ -412,7 +411,6 @@ let hypercube_solve_tests =
               = Int64.bits_of_float 9.81777504405201284e-07);
             (* one compile cache for the machine: each of the three
                instructions is compiled once, not once per node *)
-            check_int "plan compiles" 3 (Nsc_sim.Plan.compile_count () - plans);
             check_int "kernel compiles" 3 (Nsc_sim.Kernel.compile_count () - kernels);
             if words > 4.5e6 then
               Alcotest.failf "the solve allocated %.2fM minor words" (words /. 1e6));
@@ -477,11 +475,11 @@ module Kernel = Nsc_sim.Kernel
 module Run = Nsc_sim.Run
 
 (* The table's traffic is not counted; the checker's own timing analyses
-   show it.  A miss checks the program, a hit checks nothing.  Every plan
+   show it.  A miss checks the program, a hit checks nothing.  Every kernel
    compile runs one analysis too (a kernel evicted, or replaced by
    another program's, recompiles), so those are set apart. *)
 let analyses () =
-  Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses - Nsc_sim.Plan.compile_count ()
+  Nsc_metrics.Metrics.total Nsc_checker.Timing.c_analyses - Nsc_sim.Kernel.compile_count ()
 
 (* Whether [f ()] checked a program, and its result. *)
 let checked f =

@@ -529,7 +529,17 @@ let message_text_tests =
              streams through 2 read ports; the pipeline will stall on every \
              element";
           ]
-          (rule_texts Diagnostic.Plane_read_contention ds));
+          (rule_texts Diagnostic.Plane_read_contention ds);
+        (* the one-line summary a failed build reports: the errors alone,
+           in order, joined by "; " *)
+        Alcotest.(check string) "error summary"
+          "error(dma-range): first; error(timing) [pipeline 2]: second"
+          (Diagnostic.error_summary
+             [ Diagnostic.error Diagnostic.Dma_range "first";
+               Diagnostic.warning Diagnostic.Timing "skipped";
+               Diagnostic.error
+                 ~location:{ Diagnostic.nowhere with Diagnostic.pipeline = Some 2 }
+                 Diagnostic.Timing "second" ]));
     case "DMA transfer range problems" (fun () ->
         let validate t = Dma.validate params t ~vector_length:16 in
         check_texts "plane does not exist"

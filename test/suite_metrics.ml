@@ -457,27 +457,26 @@ let registry_tests =
         let grew name =
           List.assoc name (totals ()) - List.assoc name before
         in
-        check_int "plan.compiles" 1 (grew "plan.compiles");
         check_int "kernel.compiles" 1 (grew "kernel.compiles");
         check_int "timing.analyses" 1 (grew "timing.analyses");
         check_bool "pool buffers drawn" true
           (grew "kernel.pool_hits" + grew "kernel.pool_misses" > 0);
         check_bool "the default context saw none of it" true
-          (Metrics.value Metrics.default Nsc_sim.Plan.c_compiles = 0));
+          (Metrics.value Metrics.default
+             (Option.get (Metrics.find_counter "kernel.compiles"))
+          = 0));
     case "always-on counters appear in an enabled context's snapshot" (fun () ->
         let ctx = Metrics.create ~label:"always" () in
         Metrics.enable ctx;
-        let c0 = Nsc_sim.Plan.compile_count () in
+        let c0 = Nsc_sim.Kernel.compile_count () in
         let _ = run_vecadd_in ctx () in
         Metrics.disable ctx;
         let snap = (Metrics.snapshot ctx).Metrics.snap_counters in
-        check_int "plan.compiles in the snapshot" 1
-          (Option.value ~default:0 (List.assoc_opt "plan.compiles" snap));
-        check_int "the total grew by the same" 1 (Nsc_sim.Plan.compile_count () - c0);
-        List.iter
-          (fun name ->
-            check_bool (name ^ " in the snapshot") true (List.mem_assoc name snap))
-          [ "kernel.compiles"; "timing.analyses" ]);
+        check_int "kernel.compiles in the snapshot" 1
+          (Option.value ~default:0 (List.assoc_opt "kernel.compiles" snap));
+        check_int "the total grew by the same" 1 (Nsc_sim.Kernel.compile_count () - c0);
+        check_bool "timing.analyses in the snapshot" true
+          (List.mem_assoc "timing.analyses" snap));
     case "concurrent solves count apart and the totals sum" (fun () ->
         let solo = Metrics.create ~label:"solo" () in
         Metrics.enable solo;

@@ -370,7 +370,7 @@ let observe ~scale ~div exec = observe_seq ~scale ~div [ exec ]
 let same a b = compare a b = 0
 
 let kernel_exec ?run sem node =
-  Nsc_sim.Engine.run_kernel node ?run (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
+  Nsc_sim.Engine.run_kernel node ?run (Nsc_sim.Kernel.compile params sem)
 
 let reference_exec ?run sem node = Nsc_sim.Engine.run_general node ?run sem
 
@@ -428,13 +428,13 @@ let plan_equivalence =
         (* the first dispatch fills the instruction's kernel cell, then
            the second must replay it and agree *)
         ignore (Nsc_sim.Kernel.of_instr params instr);
-        let compiles = Nsc_sim.Plan.compile_count ()
+        let compiles = Nsc_sim.Kernel.compile_count ()
         and hits = Nsc_sim.Kernel.cache_hit_count () in
         let cached =
           observe ~scale:5 ~div:2.0 (fun node ->
               Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.of_instr params instr))
         in
-        Nsc_sim.Plan.compile_count () = compiles
+        Nsc_sim.Kernel.compile_count () = compiles
         && Nsc_sim.Kernel.cache_hit_count () = hits + 1
         && same cached fresh);
   ]

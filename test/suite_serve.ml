@@ -493,7 +493,7 @@ let cache_tests =
    domains and the same jobs run one by one. *)
 let host_counters =
   [ "kernel.pool_hits"; "kernel.pool_misses"; "kernel.cache_hits";
-    "kernel.compiles"; "plan.compiles"; "cache.evictions" ]
+    "kernel.compiles"; "cache.evictions" ]
 let strip_host_noise obj =
   match obj with
   | Json.Obj fields ->

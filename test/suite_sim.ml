@@ -435,7 +435,7 @@ let cache_tests =
 
 let suite = suite @ [ ("sim:cache", cache_tests) ]
 
-(* appended: the plan compiler, its per-run instruction cache, and the
+(* appended: the compile stage, its per-instruction kernel cell, and the
    multinode domain fan-out *)
 let plan_tests =
   [
@@ -448,13 +448,13 @@ let plan_tests =
         in
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
-        let c0 = Plan.compile_count () and h0 = Kernel.cache_hit_count () in
+        let c0 = Kernel.compile_count () and h0 = Kernel.cache_hit_count () in
         (match Sequencer.run node c with
         | Ok o -> check_int "five" 5 o.Sequencer.stats.Sequencer.instructions_executed
         | Error e -> Alcotest.fail e);
-        check_int "one compile" 1 (Plan.compile_count () - c0);
+        check_int "one compile" 1 (Kernel.compile_count () - c0);
         check_int "four hits" 4 (Kernel.cache_hit_count () - h0));
-    case "timing analysis runs exactly once per compiled plan" (fun () ->
+    case "timing analysis runs exactly once per compiled kernel" (fun () ->
         let prog, _ = vecadd_program ~n:8 () in
         let prog =
           Program.set_control prog
@@ -505,6 +505,91 @@ let plan_tests =
 
 let suite = suite @ [ ("sim:plan", plan_tests) ]
 
+(* The buffer layout each instruction of a program lowers to, one line
+   per instruction: buffer count, stream and unit bases, pad, buffer
+   length, each unit's value slot and the topological position of each
+   semantic unit; "fallback" for an instruction without a fused body.  Pinned
+   below, so a change to the compile stage that moves a slot or a buffer
+   length (and with it the pool's behaviour) shows. *)
+let kernel_layouts (program : Program.t) =
+  let c = Result.get_ok (Nsc_microcode.Codegen.compile kb program) in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  List.map
+    (fun (sem : Semantic.t) ->
+      Printf.sprintf "%d: %s" sem.Semantic.index
+        (match (Kernel.compile params sem).Kernel.body with
+        | None -> "fallback"
+        | Some b ->
+            Printf.sprintf "n%d s%d u%d pad%d blen%d val[%s] order[%s]" b.Kernel.n_buffers
+              b.Kernel.stream_base b.Kernel.unit_base b.Kernel.pad b.Kernel.blen
+              (ints b.Kernel.val_slot) (ints b.Kernel.order_of_sem)))
+    c.Nsc_microcode.Codegen.semantics
+
+let layout_programs () =
+  let jacobi strategy =
+    (Nsc_apps.Jacobi.build kb ~strategy (Nsc_apps.Grid.cube 9) ~tol:1e-6 ~max_iters:1000)
+      .Nsc_apps.Jacobi.program
+  in
+  let lang =
+    Result.get_ok
+      (Nsc_lang.Compile.compile kb
+         "array u[62] plane 0\narray g[62] plane 1\narray mask[62] plane 2\n\
+          array unew[62] plane 3\narray f[62] plane 4\nscalar r\n\
+          g = f * 0.25\n\
+          while r > 0.000001 max_iters 40 {\n\
+          unew = mask * ((u[-1] + u[+1] - g) * 0.5)\n\
+          r = maxreduce(abs(unew - u))\n\
+          u = unew + 0.0\n}\n")
+  in
+  [ ("jacobi n=9 refresh", jacobi `Refresh);
+    ("jacobi n=9 ping-pong", jacobi `Ping_pong);
+    ( "two-grid multigrid",
+      (Nsc_apps.Multigrid.build kb (Nsc_apps.Multigrid.grid1 17) ~cycles:1 ~nu1:2 ~nu2:2
+         ~nu_coarse:20)
+        .Nsc_apps.Multigrid.program );
+    ("pipeline language", lang.Nsc_lang.Compile.program) ]
+
+(* the layouts the two-stage compiler (semantics to plan to kernel)
+   produced: lowering in one stage must move no slot and no buffer
+   length *)
+let pinned_layouts =
+  [
+    ( "jacobi n=9 refresh",
+      [
+        "1: n4 s2 u3 pad0 blen891 val[3] order[0]";
+        "2: n23 s2 u11 pad1 blen731 val[11,12,13,14,15,16,17,18,19,20,21,22] order[0,1,2,3,4,5,6,7,8,9,10,11]";
+        "3: n6 s1 u2 pad0 blen729 val[1,1,1,1] order[0,1,2,3]";
+      ] );
+    ( "jacobi n=9 ping-pong",
+      [
+        "1: n4 s2 u3 pad0 blen891 val[3] order[0]";
+        "2: n24 s2 u11 pad1 blen731 val[11,12,13,14,15,16,17,18,19,20,21,18,23] order[0,1,2,3,4,5,6,7,8,9,10,11,12]";
+        "3: n24 s2 u11 pad1 blen731 val[11,12,13,14,15,16,17,18,19,20,21,18,23] order[0,1,2,3,4,5,6,7,8,9,10,11,12]";
+      ] );
+    ( "two-grid multigrid",
+      [
+        "1: n4 s2 u3 pad0 blen17 val[3] order[0]";
+        "2: n14 s3 u8 pad0 blen17 val[8,9,10,11,12,13] order[0,1,2,3,4,5]";
+        "3: n4 s1 u2 pad0 blen17 val[1,1] order[0,1]";
+        "4: n14 s3 u8 pad0 blen17 val[8,9,10,11,12,13] order[0,1,2,3,4,5]";
+        "5: n10 s3 u6 pad0 blen9 val[6,7,8,9] order[0,1,2,3]";
+        "6: n4 s2 u3 pad0 blen9 val[3] order[0]";
+        "7: n4 s2 u3 pad0 blen9 val[3] order[0]";
+        "8: n14 s3 u8 pad0 blen9 val[8,9,10,11,12,13] order[0,1,2,3,4,5]";
+        "9: n4 s1 u2 pad0 blen9 val[1,1] order[0,1]";
+        "10: n3 s1 u2 pad0 blen9 val[1] order[0]";
+        "11: n6 s2 u4 pad0 blen8 val[4,5] order[0,1]";
+        "12: n4 s1 u3 pad0 blen17 val[3] order[0]";
+      ] );
+    ( "pipeline language",
+      [
+        "1: n4 s2 u3 pad0 blen62 val[3] order[0]";
+        "2: n10 s2 u6 pad0 blen62 val[6,7,8,9] order[0,1,2,3]";
+        "3: n6 s1 u3 pad1 blen64 val[3,4,5] order[0,1,2]";
+        "4: n4 s2 u3 pad0 blen62 val[3] order[0]";
+      ] );
+  ]
+
 (* appended: the fused-kernel stage — its per-instruction cache and
    counters, agreement with the reference evaluator, tracing
    transparency, and the persistent domain pool behind parallel_iter *)
@@ -520,15 +605,17 @@ let kernel_tests =
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
         let kc0 = Kernel.compile_count () and kh0 = Kernel.cache_hit_count () in
-        let c0 = Plan.compile_count () in
         (match Sequencer.run node c with
         | Ok o -> check_int "five" 5 o.Sequencer.stats.Sequencer.instructions_executed
         | Error e -> Alcotest.fail e);
         check_int "one kernel compile" 1 (Kernel.compile_count () - kc0);
         check_int "four kernel hits" 4 (Kernel.cache_hit_count () - kh0);
-        (* one cache: every kernel compile is the one plan compile it
-           lowers, and a hit reuses both *)
-        check_int "one plan compile" 1 (Plan.compile_count () - c0));
+        List.iter2
+          (fun (name, prog) (name', want) ->
+            Alcotest.(check string) "program" name' name;
+            Alcotest.(check (list string)) (name ^ ": kernel layouts") want
+              (kernel_layouts prog))
+          (layout_programs ()) pinned_layouts);
     case "kernel and reference engines agree on the Jacobi solve" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go engine =
@@ -739,7 +826,7 @@ let fu_faulted ~seed exec =
   (Node.read_plane node ~plane:1 ~addr:0, Node.read_plane node ~plane:2 ~addr:0, r)
 
 let both_engines sem =
-  let kn = Kernel.compile (Plan.compile params sem) in
+  let kn = Kernel.compile params sem in
   [ ("kernel", fun run node -> Engine.run_kernel node ~run kn);
     ("reference", fun run node -> Engine.run_general node ~run sem) ]
 
@@ -750,7 +837,7 @@ let kernel_v3_tests =
     in
     let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program) in
     let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index) in
-    (b, Kernel.compile (Plan.compile params sem))
+    (b, Kernel.compile params sem)
   in
   [
     case "v3 and the reference agree on a faulted Jacobi solve" (fun () ->
@@ -787,7 +874,7 @@ let kernel_v3_tests =
            both units share one buffer; a fault on the adder's latch must
            not reach the pass's sink — the pass latched the clean value *)
         let sem = chained_doublet Opcode.Pass in
-        (match (Kernel.compile (Plan.compile params sem)).Kernel.body with
+        (match (Kernel.compile params sem).Kernel.body with
         | Some body ->
             check_bool "the pass is elided onto its source" true
               (body.Kernel.val_slot.(1) = body.Kernel.val_slot.(0))
@@ -897,7 +984,7 @@ let kernel_v3_tests =
             ~offset:0 ()
         in
         let sem, _ = Semantic.of_pipeline params pl in
-        let kn = Kernel.compile (Plan.compile params sem) in
+        let kn = Kernel.compile params sem in
         match kn.Kernel.body with
         | None -> Alcotest.fail "expected a fused body"
         | Some body ->
@@ -1149,7 +1236,7 @@ let warm_path_tests =
       (fun () ->
         let node, run, _, c = n9_body () in
         let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index:2) in
-        let kn = Kernel.compile (Plan.compile params sem) in
+        let kn = Kernel.compile params sem in
         let blen = (Option.get kn.Kernel.body).Kernel.blen in
         ignore (Engine.run_kernel node ~run kn);
         let depth = Kernel.pooled blen in
@@ -1294,7 +1381,7 @@ let feedback_tests =
   let agree op ~self_is_a ~lead ~extreme =
     let sem = feedback_unit ~vlen ~self_is_a op in
     check_bool "the kernel has a fused body" true
-      (Option.is_some (Kernel.compile (Plan.compile params sem)).Kernel.body);
+      (Option.is_some (Kernel.compile params sem).Kernel.body);
     List.iter
       (fun (what, at) ->
         let xs = input ~lead at in
