@@ -48,67 +48,67 @@ let read_layers node ~plane ~grid ~k ~layers =
   Node.dump_array node ~plane ~base:(layer_base grid ~k)
     ~len:(grid.Grid.nx * grid.Grid.ny * layers)
 
-(* One face a rank sends each iteration: the source plane's store, the
-   face's base address in it, and the payload buffer the face is read
-   into before every exchange. *)
-type face = { store : Memory.store; base : int; payload : float array }
-
 (* The halo messages of every iteration: every rank sends its outermost
    interior layers to the chain neighbours' halo layers (n² words each
-   way), Gray-embedded so each transfer is a single hop.  The messages
-   and their payload buffers are built once; each exchange refills the
-   buffers and posts the same list.  Reusing a buffer is
-   safe because both the synchronous and the overlapped exchange deliver
-   at post time. *)
-let halo_messages machine b grid ~dim ~nodes =
+   way), Gray-embedded so each transfer is a single hop.  Sources are
+   interior layers and destinations halo layers, so no delivery
+   overwrites a face a later message sends. *)
+let halo_routes b grid ~dim ~nodes : Multinode.route list =
   let face_words = grid.Grid.nx * grid.Grid.ny in
   let plane = b.Jacobi.layout.Jacobi.center in
-  let message ~rank ~to_rank ~k ~halo_k =
-    let node_id = Router.chain_to_node ~dim rank in
-    let face =
-      {
-        store = Node.plane (Multinode.node machine node_id) plane;
-        base = layer_base grid ~k;
-        payload = Array.make face_words 0.0;
-      }
-    in
-    ( face,
-      ( { Multinode.src = node_id; dst = Router.chain_to_node ~dim to_rank; words = face_words },
-        (face.payload, plane, layer_base grid ~k:halo_k) ) )
+  let route ~rank ~to_rank ~k ~halo_k =
+    {
+      Multinode.msg =
+        {
+          Multinode.src = Router.chain_to_node ~dim rank;
+          dst = Router.chain_to_node ~dim to_rank;
+          words = face_words;
+        };
+      src_plane = plane;
+      src_base = layer_base grid ~k;
+      dst_plane = plane;
+      dst_base = layer_base grid ~k:halo_k;
+    }
   in
-  List.split
-    (List.concat_map
-       (fun rank ->
-         (* my last interior layer becomes the upper neighbour's k=0
-            halo, my first its lower neighbour's top halo *)
-         (if rank + 1 < nodes then
-            [ message ~rank ~to_rank:(rank + 1) ~k:(grid.Grid.nz - 2) ~halo_k:0 ]
-          else [])
-         @
-         if rank > 0 then
-           [ message ~rank ~to_rank:(rank - 1) ~k:1 ~halo_k:(grid.Grid.nz - 1) ]
-         else [])
-       (List.init nodes (fun r -> r)))
+  List.concat_map
+    (fun rank ->
+      (* my last interior layer becomes the upper neighbour's k=0
+         halo, my first its lower neighbour's top halo *)
+      (if rank + 1 < nodes then
+         [ route ~rank ~to_rank:(rank + 1) ~k:(grid.Grid.nz - 2) ~halo_k:0 ]
+       else [])
+      @
+      if rank > 0 then [ route ~rank ~to_rank:(rank - 1) ~k:1 ~halo_k:(grid.Grid.nz - 1) ]
+      else [])
+    (List.init nodes (fun r -> r))
 
-(* Replicate the refreshed halo layers into the other u copies locally
-   (an on-node plane-to-plane copy, charged as one face write). *)
-let replicate_halo machine b grid u_planes =
+(* The copies that replicate the refreshed halo layers into the other u
+   copies on every node (an on-node plane-to-plane copy, charged as one
+   face write). *)
+let halo_replicas (machine : Multinode.t) b grid : Multinode.copy array =
   let center = b.Jacobi.layout.Jacobi.center in
   let count = grid.Grid.nx * grid.Grid.ny in
-  Array.iter
-    (fun node ->
-      let src = Node.plane node center in
-      List.iter
-        (fun k ->
-          let base = layer_base grid ~k in
-          List.iter
-            (fun plane ->
-              if plane <> center then
-                Memory.copy_words ~src ~src_base:base ~dst:(Node.plane node plane)
-                  ~dst_base:base ~count)
-            u_planes)
-        [ 0; grid.Grid.nz - 1 ])
-    machine.Multinode.nodes
+  Array.of_list
+    (List.concat_map
+       (fun node ->
+         List.concat_map
+           (fun k ->
+             let base = layer_base grid ~k in
+             List.filter_map
+               (fun plane ->
+                 if plane = center then None
+                 else
+                   Some
+                     {
+                       Multinode.from_store = Node.plane node center;
+                       from_base = base;
+                       to_store = Node.plane node plane;
+                       to_base = base;
+                       count;
+                     })
+               (Jacobi.u_planes b.Jacobi.layout))
+           [ 0; grid.Grid.nz - 1 ])
+       (Array.to_list machine.Multinode.nodes))
 
 (* Interior share of a sweep's cycles: the slab's nz_local layers all
    sweep, but only the two outermost read a halo layer, so (nz - 2) / nz
@@ -121,29 +121,31 @@ let interior_credit ~nz_local sweep_cycles =
 
 let ( let* ) = Result.bind
 
-(** One machine step of a prepared program: every node executes it
-    (fanned across [domains], bit-identical to the sequential run) and the
-    machine advances by the slowest node.  Every node executes under
-    [run].  Returns the per-node outcomes in node order, or the error of
-    the first node, in node order, whose run failed. *)
-let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prepared) :
-    (Sequencer.outcome array, string) result =
-  let results = Array.make (Multinode.n_nodes machine) (Error "not run") in
+(* The first node, in node order, whose last run failed. *)
+let rec first_error (scratches : Sequencer.scratch array) id =
+  if id = Array.length scratches then Ok ()
+  else
+    match scratches.(id).Sequencer.error with
+    | Some e -> Error (Printf.sprintf "node %d: %s" id e)
+    | None -> first_error scratches (id + 1)
+
+(** One machine step of a prepared program: every node executes it into
+    its own scratch, [scratches.(id)] for node [id] (fanned across
+    [domains], bit-identical to the sequential run), and the machine
+    advances by the slowest node.  Every node executes under [run].
+    Returns the error of the first node, in node order, whose run
+    failed. *)
+let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prepared)
+    (scratches : Sequencer.scratch array) : (unit, string) result =
+  if Array.length scratches <> Multinode.n_nodes machine then
+    invalid_arg "Parallel.exec_step: one scratch per node";
+  let run = Some run in
   Multinode.compute_step ~domains machine (fun id node ->
-      let r = Sequencer.exec node ~run prog in
-      results.(id) <- r;
-      match r with
-      | Ok o ->
-          (o.Sequencer.stats.Sequencer.total_cycles, o.Sequencer.stats.Sequencer.total_flops)
+      let s = scratches.(id) in
+      match Sequencer.exec_into node ?run prog s with
+      | Ok () -> (s.Sequencer.cycles, s.Sequencer.flops)
       | Error _ -> (0, 0));
-  let rec first_error id =
-    if id = Array.length results then Ok (Array.map Result.get_ok results)
-    else
-      match results.(id) with
-      | Error e -> Error (Printf.sprintf "node %d: %s" id e)
-      | Ok _ -> first_error (id + 1)
-  in
-  first_error 0
+  first_error scratches 0
 
 (* The slab-decomposed Jacobi machine past its set-up step: every node
    holds its forcing and mask and has run instruction 1; the iteration
@@ -151,21 +153,23 @@ let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prep
    whose kernels, compiled on the first node, serve every node (they do
    not depend on the node, and a prepared program is safe to share
    across domains); one run — one fault model — serves every node, and
-   the machine costs its messages under the same model. *)
+   the machine costs its messages under the same model.  Everything an
+   iteration writes is owned here, so a warm iteration allocates next to
+   nothing. *)
 type rig = {
   machine : Multinode.t;
   b : Jacobi.build;
   grid : Grid.t;
   iter : Sequencer.prepared;
   run : Run.t;
-  faces : face list;  (** read before every exchange *)
-  halo : (Multinode.message * (float array * int * int)) list;
-      (** the exchange's messages, over the faces' payload buffers *)
+  scratches : Sequencer.scratch array;  (** one per node, every step *)
+  residual_at : int;  (** the residual unit's dense global index *)
+  residuals : float array;  (** per node, all-reduced in place *)
+  halo : Multinode.plan;  (** the exchange, compiled once *)
+  replicas : Multinode.copy array;  (** the on-node halo replication *)
 }
 
-let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
-  let run = match run with Some r -> r | None -> Run.make () in
-  let machine = Multinode.create ~dim ?fault:run.Run.fault p in
+let set_up ~domains ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) result =
   let nodes = Multinode.n_nodes machine in
   let kb = Knowledge.make_exn p in
   let grid = local_grid ~n ~nz_local:n in
@@ -197,26 +201,43 @@ let set_up ~domains ?run (p : Params.t) ~n ~dim : (rig, string) result =
       Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
         (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
     machine.Multinode.nodes;
-  let* _ = exec_step ~domains ~run machine setup in
+  let scratches = Array.init nodes (fun _ -> Sequencer.scratch prog) in
+  let* () = exec_step ~domains ~run machine setup scratches in
   Multinode.reset_counters machine;
-  let faces, halo = halo_messages machine b grid ~dim ~nodes in
-  Ok { machine; b; grid; iter; run; faces; halo }
+  Ok
+    {
+      machine;
+      b;
+      grid;
+      iter;
+      run;
+      scratches;
+      residual_at = Resource.fu_global_index prog.Kernel.params b.Jacobi.residual_unit;
+      residuals = Array.make nodes 0.0;
+      halo = Multinode.plan machine (halo_routes b grid ~dim ~nodes);
+      replicas = halo_replicas machine b grid;
+    }
+
+(* Set up the machine under [run] (default: clean) and hand the rig to
+   [f]; the machine's worker domains are joined however [f] ends, so a
+   runner leaves no domain parked behind it. *)
+let with_rig ~domains ?run (p : Params.t) ~n ~dim f =
+  let run = match run with Some r -> r | None -> Run.make () in
+  let machine = Multinode.create ~dim ?fault:run.Run.fault p in
+  Fun.protect
+    ~finally:(fun () -> Multinode.shutdown machine)
+    (fun () -> Result.bind (set_up ~domains ~run machine p ~n ~dim) f)
 
 (* One iteration's local sweep and refresh on every node. *)
-let sweep ~domains r = exec_step ~domains ~run:r.run r.machine r.iter
+let sweep ~domains r = exec_step ~domains ~run:r.run r.machine r.iter r.scratches
 
 (* One iteration's halo exchange and the on-node replication of the
    refreshed layers; with [overlap] the exchange is posted in flight and
    its handle returned, to be completed behind the next sweep. *)
 let exchange_halos ~overlap r =
   let machine = r.machine in
-  let nodes = Multinode.n_nodes machine in
-  if nodes <= 1 then None
+  if Multinode.n_nodes machine <= 1 then None
   else begin
-    (* every face is read before anything is delivered *)
-    List.iter
-      (fun f -> Memory.read_strided_to f.store ~base:f.base ~stride:1 f.payload)
-      r.faces;
     let pending =
       if overlap then Some (Multinode.exchange_start machine r.halo)
       else begin
@@ -224,7 +245,7 @@ let exchange_halos ~overlap r =
         None
       end
     in
-    replicate_halo machine r.b r.grid (Jacobi.u_planes r.b.Jacobi.layout);
+    Array.iter Multinode.copy r.replicas;
     pending
   end
 
@@ -259,7 +280,7 @@ let point_of (machine : Multinode.t) ~iters =
     inject from (default: clean). *)
 let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters ~dim :
     (point * Multinode.t * Jacobi.build * Grid.t, string) result =
-  let* r = set_up ~domains ?run p ~n ~dim in
+  with_rig ~domains ?run p ~n ~dim @@ fun r ->
   let machine = r.machine in
   (* iterate: sweep + refresh, then halo exchange — posted in flight
      and completed behind the next sweep when [overlap] is on *)
@@ -331,30 +352,29 @@ let scaling ?domains ?overlap ?run:r (p : Params.t) ~n ~iters ~dims :
 
 (** Tree all-reduce of one scalar per node (maximum), in [dim] stages of
     single-word nearest-neighbour exchanges — the standard hypercube
-    recursive doubling.  Returns the global maximum and charges the
+    recursive doubling — reduced in place: on return every slot of
+    [values] holds the global maximum, which is returned.  Charges the
     machine the router time of the longest stage chain. *)
 let allreduce_max (machine : Multinode.t) (values : float array) : float =
-  let dim = machine.Multinode.dim in
-  let v = Array.copy values in
   let total_cycles = ref 0 in
-  for bit = 0 to dim - 1 do
+  for bit = 0 to machine.Multinode.dim - 1 do
     (* every node exchanges one word with its partner across [bit]; the
        stage costs one single-word transfer (all pairs in parallel) *)
-    let next = Array.copy v in
-    for id = 0 to Array.length v - 1 do
-      let partner = id lxor (1 lsl bit) in
-      next.(id) <- Float.max v.(id) v.(partner)
+    let stride = 1 lsl bit in
+    for id = 0 to Array.length values - 1 do
+      let partner = id lxor stride in
+      if partner > id then begin
+        let m = Float.max values.(id) values.(partner) in
+        values.(id) <- m;
+        values.(partner) <- m
+      end
     done;
-    Array.blit next 0 v 0 (Array.length v);
-    if dim > 0 then
-      total_cycles :=
-        !total_cycles
-        + Router.transfer_cycles machine.Multinode.params ~src:0 ~dst:(1 lsl bit)
-            ~words:1
+    total_cycles :=
+      !total_cycles + Router.transfer_cycles machine.Multinode.params ~src:0 ~dst:stride ~words:1
   done;
   machine.Multinode.cycles <- machine.Multinode.cycles + !total_cycles;
   machine.Multinode.comm_cycles <- machine.Multinode.comm_cycles + !total_cycles;
-  if Array.length v = 0 then 0.0 else v.(0)
+  if Array.length values = 0 then 0.0 else values.(0)
 
 type solve_outcome = {
   iterations : int;
@@ -370,22 +390,23 @@ type solve_outcome = {
     for {!run_machine}. *)
 let solve ?(domains = 1) ?run (p : Params.t) ~n ~tol ~max_iters ~dim :
     (solve_outcome, string) result =
-  let* r = set_up ~domains ?run p ~n ~dim in
+  with_rig ~domains ?run p ~n ~dim @@ fun r ->
   let machine = r.machine in
-  let residual (o : Sequencer.outcome) =
-    Option.value ~default:Float.infinity
-      (List.assoc_opt r.b.Jacobi.residual_unit o.Sequencer.last_values)
-  in
   (* one machine step per iteration: [exec_step] accumulates the counters
      in node order after the fan-in, so a domain-parallel run is
      bit-identical to a sequential one *)
   let rec iterate iterations global =
     if not (iterations < max_iters && global > tol) then Ok (iterations, global)
-    else begin
-      let* outcomes = sweep ~domains r in
-      ignore (exchange_halos ~overlap:false r);
-      iterate (iterations + 1) (allreduce_max machine (Array.map residual outcomes))
-    end
+    else
+      match sweep ~domains r with
+      | Error e -> Error e
+      | Ok () ->
+          ignore (exchange_halos ~overlap:false r);
+          for id = 0 to Array.length r.residuals - 1 do
+            r.residuals.(id) <-
+              Sequencer.captured r.scratches.(id) r.residual_at ~default:Float.infinity
+          done;
+          iterate (iterations + 1) (allreduce_max machine r.residuals)
   in
   let* iterations, final_residual = iterate 0 Float.infinity in
   Ok { iterations; final_residual; point = point_of machine ~iters:iterations }

@@ -30,18 +30,20 @@ val layer_base : Grid.t -> k:int -> int
     overlap an in-flight halo exchange ((nz - 2) / nz of the slab's
     layers read no halo). *)
 val interior_credit : nz_local:int -> int -> int
-(** One machine step of a prepared program: every node executes it
-    (fanned across [domains], bit-identical to the sequential run) and the
-    machine advances by the slowest node.  Every node executes under
-    [run].  Returns the per-node outcomes in node order, or
-    [Error "node I: ..."] for the first node, in node order, whose run
-    failed. *)
+(** One machine step of a prepared program: every node executes it into
+    its own scratch, [scratches.(id)] for node [id] (fanned across
+    [domains], bit-identical to the sequential run), and the machine
+    advances by the slowest node.  Every node executes under [run].
+    Returns [Error "node I: ..."] for the first node, in node order,
+    whose run failed.  Raises [Invalid_argument] unless there is one
+    scratch per node. *)
 val exec_step :
   ?domains:int ->
   run:Nsc_sim.Run.t ->
   Nsc_sim.Multinode.t ->
   Nsc_sim.Sequencer.prepared ->
-  (Nsc_sim.Sequencer.outcome array, string) result
+  Nsc_sim.Sequencer.scratch array ->
+  (unit, string) result
 (** [domains] (on every runner below) fans per-node simulation across
     OCaml domains; results are bit-identical to the sequential run.
     [overlap] posts each iteration's halo exchange asynchronously and
@@ -52,7 +54,9 @@ val exec_step :
     for all nodes, and shares one run — its fault model — across all
     nodes, and the machine costs its messages under the same model
     ([run]'s default: clean); a node whose run fails fails the runner
-    with that node's error. *)
+    with that node's error.  A runner joins the machine's worker domains
+    before it returns, so the machine {!run_machine} returns has none
+    parked. *)
 val run_machine :
   ?domains:int ->
   ?overlap:bool ->
@@ -89,7 +93,9 @@ val scaling :
   Nsc_arch.Params.t ->
   n:int -> iters:int -> dims:int list -> (point list, string) result
 (** Hypercube recursive-doubling all-reduce (maximum) of one scalar per
-    node; charges the machine the router time of the stage chain. *)
+    node, reduced in place: on return every slot holds the global
+    maximum, which is returned.  Charges the machine the router time of
+    the stage chain. *)
 val allreduce_max : Nsc_sim.Multinode.t -> float array -> float
 type solve_outcome = {
   iterations : int;

@@ -142,48 +142,29 @@ let c_contention =
   Metrics.counter ~name:"router.contention_cycles" ~units:"cycles"
     ~desc:"aggregate queueing surplus summed over source nodes (not machine time)"
 
-(** Serialised cost of a communication phase, as [(src, dst, cycles)] per
-    routed transfer.  Transfers between distinct pairs proceed in parallel;
-    transfers leaving one source node queue on its links, so the phase
-    costs the slowest source's serialised total.  Returns
-    [(phase_cycles, contention_cycles)], where contention is the queueing
-    surplus — each source's total minus its longest single transfer,
-    summed over sources.  Self-transfers and zero-cost entries are free.
-    Pure: the caller decides whether to book the contention on
-    {!c_contention}. *)
-let phase_cost (costed : (node_id * node_id * int) list) =
-  let per_source = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, c) ->
-      if src <> dst && c > 0 then begin
-        let sum, longest =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt per_source src)
-        in
-        Hashtbl.replace per_source src (sum + c, max longest c)
-      end)
-    costed;
-  let phase = Hashtbl.fold (fun _ (sum, _) acc -> max sum acc) per_source 0 in
-  let contention =
-    Hashtbl.fold (fun _ (sum, longest) acc -> acc + (sum - longest)) per_source 0
-  in
-  (phase, contention)
-
 (** Cycles to move [words] 64-bit words along a route of [hops] hops:
     per-hop latency plus bandwidth-limited transmission (cut-through — the
     payload streams behind the header, so distance adds latency only).
-    Used directly by the fault-aware exchange, whose detours can be longer
-    than the Hamming distance. *)
-let transfer_cycles_hops (p : Params.t) ~hops ~words =
+    Pure: books nothing. *)
+let transfer_cost (p : Params.t) ~hops ~words =
   if hops = 0 then 0
-  else begin
-    if Metrics.tracing () then begin
-      Metrics.bump c_transfers 1;
-      Metrics.bump c_hops hops;
-      Metrics.bump c_words words
-    end;
-    (hops * p.hop_latency)
-    + int_of_float (ceil (float_of_int words /. p.link_words_per_cycle))
+  else (hops * p.hop_latency) + int_of_float (ceil (float_of_int words /. p.link_words_per_cycle))
+
+(** Book one transfer of [words] words over [hops] hops on the router's
+    counters (a no-op for a zero-hop transfer or when tracing is off). *)
+let note_transfer ~hops ~words =
+  if hops <> 0 && Metrics.tracing () then begin
+    Metrics.bump c_transfers 1;
+    Metrics.bump c_hops hops;
+    Metrics.bump c_words words
   end
+
+(** {!transfer_cost}, booked by {!note_transfer}.  Used directly by the
+    fault-aware exchange, whose detours can be longer than the Hamming
+    distance. *)
+let transfer_cycles_hops (p : Params.t) ~hops ~words =
+  note_transfer ~hops ~words;
+  transfer_cost p ~hops ~words
 
 (** Cycles to move [words] 64-bit words between [src] and [dst] along the
     minimal (dimension-ordered) route. *)

@@ -39,12 +39,16 @@ val gray : int -> int
 val gray_inverse : int -> int
 val chain_to_node : dim:int -> int -> int
 val node_to_chain : dim:int -> int -> int
-(** Serialised cost of a phase of [(src, dst, cycles)] transfers:
-    distinct pairs proceed in parallel, transfers sharing a source queue
-    on its links.  Returns [(phase_cycles, contention_cycles)]; pure —
-    the caller books the contention on {!c_contention} if it traces. *)
-val phase_cost : (node_id * node_id * int) list -> int * int
+(** Cycles to move [words] words along [hops] hops (0 for no hop);
+    pure — books no counter. *)
+val transfer_cost : Params.t -> hops:int -> words:int -> int
 
+(** Book one transfer on the [router.transfers], [router.hops] and
+    [router.words] counters (when tracing, and only for [hops <> 0]). *)
+val note_transfer : hops:int -> words:int -> unit
+
+(** {!transfer_cost} along the dimension-ordered route, booked by
+    {!note_transfer}. *)
 val transfer_cycles :
   Params.t -> src:int -> dst:int -> words:int -> int
 

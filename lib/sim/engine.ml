@@ -545,13 +545,10 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     done;
     e0 := e1
   done;
+  (* interrupt events, newest first, capped; written out at each site
+     rather than through a recording closure, so a clean dispatch
+     allocates no event state *)
   let events = ref [] and n_events = ref 0 in
-  let record ev =
-    if !n_events < max_recorded_events then begin
-      events := ev :: !events;
-      incr n_events
-    end
-  in
   (* trap events, replayed in element-major topological order *)
   if !any_nonfinite then
     for e = 0 to vlen - 1 do
@@ -562,16 +559,13 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
           let a = A1.get bufs.(u.Kernel.a_buf) (pad + u.Kernel.a_off + e) in
           let bv = A1.get bufs.(u.Kernel.b_buf) (pad + u.Kernel.b_off + e) in
           match Fu_exec.trapped u.Kernel.op a bv v with
-          | Some kind ->
-              record
-                (Interrupt.Exception_trapped
-                   {
-                     instruction = sem.Semantic.index;
-                     unit_ = u.Kernel.fu;
-                     kind;
-                     element = e;
-                   })
-          | None -> ()
+          | Some kind when !n_events < max_recorded_events ->
+              events :=
+                Interrupt.Exception_trapped
+                  { instruction = sem.Semantic.index; unit_ = u.Kernel.fu; kind; element = e }
+                :: !events;
+              incr n_events
+          | Some _ | None -> ()
         end
       done
     done;
@@ -582,56 +576,58 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     | None -> b.Kernel.val_slot
     | Some (i, e) ->
         let k = b.Kernel.order_of_sem.(i) in
-        record
-          (Interrupt.Exception_trapped
-             {
-               instruction = sem.Semantic.index;
-               unit_ = units.(k).Kernel.fu;
-               kind = Interrupt.Invalid_operand;
-               element = e;
-             });
+        if !n_events < max_recorded_events then begin
+          events :=
+            Interrupt.Exception_trapped
+              {
+                instruction = sem.Semantic.index;
+                unit_ = units.(k).Kernel.fu;
+                kind = Interrupt.Invalid_operand;
+                element = e;
+              }
+            :: !events;
+          incr n_events
+        end;
         corrupt_latch b bufs ~k ~e
   in
   (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
      zero tail when the sink outruns the vector length); direct
      memory-to-memory routes re-read live, exactly as the reference *)
   let writes = ref 0 in
-  Array.iter
-    (fun (w : Kernel.write_stream) ->
-      let t = w.Kernel.transfer in
-      let count = w.Kernel.count in
-      if count > 0 then begin
-        Dma.note_write ~words:count;
-        (match w.Kernel.wsrc with
-        | Kernel.W_unit k ->
-            let n = min count vlen in
-            if n > 0 then write_vec node t bufs.(val_slot.(k)) ~pos:pad ~count:n;
-            if count > n then
-              write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
-        | Kernel.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
-        | Kernel.W_live { transfer = rt; count = rcount; offset } ->
-            for e = 0 to count - 1 do
-              let v =
-                if e >= vlen then 0.0
-                else
-                  let e' = e + offset in
-                  if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                  else begin
-                    let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                    match rt.Dma.channel with
-                    | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                    | Dma.Cache_chan c ->
-                        Cache.read_pipeline (Node.cache node c) addr
-                  end
-              in
-              let addr = t.Dma.base + (e * t.Dma.stride) in
-              match t.Dma.channel with
-              | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-              | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-            done);
-        writes := !writes + count
-      end)
-    b.Kernel.writes;
+  for s = 0 to Array.length b.Kernel.writes - 1 do
+    let w = b.Kernel.writes.(s) in
+    let t = w.Kernel.transfer in
+    let count = w.Kernel.count in
+    if count > 0 then begin
+      Dma.note_write ~words:count;
+      (match w.Kernel.wsrc with
+      | Kernel.W_unit k ->
+          let n = min count vlen in
+          if n > 0 then write_vec node t bufs.(val_slot.(k)) ~pos:pad ~count:n;
+          if count > n then write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
+      | Kernel.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
+      | Kernel.W_live { transfer = rt; count = rcount; offset } ->
+          for e = 0 to count - 1 do
+            let v =
+              if e >= vlen then 0.0
+              else
+                let e' = e + offset in
+                if e' < 0 || e' >= vlen || e' >= rcount then 0.0
+                else begin
+                  let addr = rt.Dma.base + (e' * rt.Dma.stride) in
+                  match rt.Dma.channel with
+                  | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
+                  | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
+                end
+            in
+            let addr = t.Dma.base + (e * t.Dma.stride) in
+            match t.Dma.channel with
+            | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
+            | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
+          done);
+      writes := !writes + count
+    end
+  done;
   let order_of_sem = b.Kernel.order_of_sem in
   let last = Array.make (Array.length order_of_sem) 0.0 in
   if vlen > 0 then
@@ -639,7 +635,13 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
       last.(i) <- A1.get bufs.(val_slot.(order_of_sem.(i))) (pad + vlen - 1)
     done;
   let cycles = kn.Kernel.cycles + fault_stream_cycles run sem in
-  record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
+  let events =
+    (* the common case, no trap and no fault, shares the kernel's list *)
+    if !n_events = 0 && cycles = kn.Kernel.cycles then kn.Kernel.completed
+    else if !n_events < max_recorded_events then
+      List.rev (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles } :: !events)
+    else List.rev !events
+  in
   let trace =
     if record_trace then begin
       let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
@@ -661,7 +663,7 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
       flops = kn.Kernel.flops;
       elements = vlen;
       writes = !writes;
-      events = List.rev !events;
+      events;
       units = b.Kernel.fus;
       last;
       trace;
@@ -686,18 +688,16 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
       run_general node ~record_trace ~honor_timing:kn.Kernel.honor_timing
         ~analysis:kn.Kernel.analysis ?run kn.Kernel.sem
   | Some b ->
-      let bufs = Array.make b.Kernel.n_buffers b.Kernel.static.(0) in
-      Array.blit b.Kernel.static 0 bufs 0 (Array.length b.Kernel.static);
-      Kernel.acquire_into b.Kernel.blen bufs ~from:b.Kernel.stream_base;
+      let bufs = Kernel.acquire_slots b in
       (* a budget poll may unwind mid-body; the pooled buffers must go
          back either way or a deadline-killed job would leak the pool *)
       match exec_body node ~record_trace ~run kn b bufs with
       | r ->
-          Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
+          Kernel.release_slots b bufs;
           r
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen;
+          Kernel.release_slots b bufs;
           Printexc.raise_with_backtrace e bt
 
 (** Execute one pipeline instruction.  Compiles a kernel (see

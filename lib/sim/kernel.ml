@@ -158,6 +158,9 @@ type t = {
   flops : int;
   honor_timing : bool;
   body : body option;  (** [None]: fall back to the general evaluator *)
+  completed : Interrupt.event list;
+      (** the events of a trap-free, fault-free dispatch: its one
+          [Pipeline_complete], built once *)
 }
 
 (* --- the domain-local buffer pool --------------------------------------- *)
@@ -249,6 +252,52 @@ let release_from (src : buf array) ~from len =
     for i = from to Array.length src - 1 do
       push l src.(i)
     done
+  end
+
+(* The slot arrays a body's buffers are drawn into, pooled per domain by
+   slot count as the buffers are by length, so a warm dispatch allocates
+   no [buf array].  A pooled array keeps stale references to the buffers
+   it last held until it is drawn and refilled. *)
+let max_pooled_slots = 8
+
+type slot_list = { arrays : buf array array; mutable count : int }
+
+let slots_key : (int, slot_list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let slot_list n =
+  let pool = Domain.DLS.get slots_key in
+  match Hashtbl.find pool n with
+  | l -> l
+  | exception Not_found ->
+      let l = { arrays = Array.make max_pooled_slots [||]; count = 0 } in
+      Hashtbl.replace pool n l;
+      l
+
+(** A body's slots for one execution, from the calling domain's pools:
+    the static prefix in place, every stream and unit-output slot a
+    pooled buffer ({!acquire_into}). *)
+let acquire_slots (b : body) : buf array =
+  let l = slot_list b.n_buffers in
+  let bufs =
+    if l.count > 0 then begin
+      l.count <- l.count - 1;
+      Array.unsafe_get l.arrays l.count
+    end
+    else Array.make b.n_buffers no_buf
+  in
+  Array.blit b.static 0 bufs 0 b.stream_base;
+  acquire_into b.blen bufs ~from:b.stream_base;
+  bufs
+
+(** Return slots drawn by {!acquire_slots}, and their buffers, to the
+    calling domain's pools. *)
+let release_slots (b : body) (bufs : buf array) =
+  release_from bufs ~from:b.stream_base b.blen;
+  let l = slot_list b.n_buffers in
+  if l.count < max_pooled_slots then begin
+    Array.unsafe_set l.arrays l.count bufs;
+    l.count <- l.count + 1
   end
 
 (** Buffers of length [len] in the calling domain's free list. *)
@@ -591,13 +640,15 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
       None
     end
   in
+  let cycles = Timing.estimated_cycles p sem analysis ~vlen in
   {
     sem;
     analysis;
-    cycles = Timing.estimated_cycles p sem analysis ~vlen;
+    cycles;
     flops = Semantic.flops_per_element sem * vlen;
     honor_timing;
     body;
+    completed = [ Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles } ];
   }
 
 (* --- prepared programs ---------------------------------------------------- *)

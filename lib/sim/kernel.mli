@@ -92,6 +92,9 @@ type t = {
   flops : int;
   honor_timing : bool;
   body : body option;  (** [None]: fall back to the general evaluator *)
+  completed : Nsc_arch.Interrupt.event list;
+      (** the events of a trap-free, fault-free dispatch: its one
+          [Pipeline_complete], built once *)
 }
 
 (** Lower an instruction's semantics to a kernel, running
@@ -131,6 +134,16 @@ val acquire_into : int -> buf array -> from:int -> unit
 (** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
     form of {!release}. *)
 val release_from : buf array -> from:int -> int -> unit
+
+(** A body's slots for one execution ([n_buffers] of them), from the
+    calling domain's pools: the static prefix in place and every stream
+    and unit-output slot a pooled buffer.  The slot array itself is
+    pooled by slot count, so a warm execution allocates nothing. *)
+val acquire_slots : body -> buf array
+
+(** Return slots drawn by {!acquire_slots}, and their buffers, to the
+    calling domain's pools. *)
+val release_slots : body -> buf array -> unit
 
 (** Bound on each length's free list; releases beyond it fall to the GC. *)
 val max_pooled_per_len : int

@@ -240,11 +240,11 @@ let compute_step ?domains t (f : int -> Node.t -> int * int) =
   let ts = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
   let per_node = parallel_iter ?domains t f in
   let worst = ref 0 in
-  Array.iter
-    (fun (cycles, flops) ->
-      t.flops <- t.flops + flops;
-      if cycles > !worst then worst := cycles)
-    per_node;
+  for i = 0 to Array.length per_node - 1 do
+    let cycles, flops = per_node.(i) in
+    t.flops <- t.flops + flops;
+    if cycles > !worst then worst := cycles
+  done;
   t.cycles <- t.cycles + !worst;
   if Metrics.tracing () then begin
     let ctx = Metrics.current () in
@@ -341,85 +341,189 @@ let message_cost t (m : message) : int * bool =
   notes ();
   (cycles, delivered)
 
-(* Coalesce messages per (src, dst) pair, preserving first-appearance
-   order: one routed transfer carries the pair's summed words, amortising
-   the per-message hop latency; each member still remembers where its own
-   payload lands.  Order determines the seeded fault draw consumed per
-   transfer, so it must be (and is) deterministic in the input order. *)
-let coalesce (msgs : (message * 'a) list) : (message * (message * 'a) list) list =
-  let tbl : (int * int, (message * 'a) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun ((m : message), payload) ->
-      let key = (m.src, m.dst) in
-      match Hashtbl.find_opt tbl key with
-      | None ->
-          Hashtbl.add tbl key (ref [ (m, payload) ]);
-          order := key :: !order
-      | Some members -> members := (m, payload) :: !members)
-    msgs;
-  List.rev_map
-    (fun key ->
-      let members = List.rev !(Hashtbl.find tbl key) in
-      let words = List.fold_left (fun acc ((m : message), _) -> acc + m.words) 0 members in
-      let m0 = fst (List.hd members) in
-      ({ m0 with words }, members))
-    !order
-
-(** An exchange posted by {!exchange_start} and not yet completed by
-    {!exchange_finish}. *)
-type in_flight = {
-  fl_cycles : int;       (** full serialised phase cost *)
-  fl_contention : int;   (** serialisation surplus on shared sources *)
-  fl_messages : int;     (** messages posted *)
-  fl_transfers : int;    (** coalesced routed transfers *)
-  fl_words : int;        (** payload words delivered *)
-  fl_notes : (unit -> unit) list;  (** deferred recovery-ledger notes *)
-  mutable fl_done : bool;
+(** One message with its addresses: [msg.words] words from plane
+    [src_plane] at [src_base] on node [msg.src] to plane [dst_plane] at
+    [dst_base] on node [msg.dst]. *)
+type route = {
+  msg : message;
+  src_plane : int;
+  src_base : int;
+  dst_plane : int;
+  dst_base : int;
 }
 
-(** Post a communication phase without blocking machine time: messages are
-    coalesced per (src, dst) pair into single routed transfers, costed
-    through the recovery ladder (the seeded fault draws — and any
-    retry-exhaustion link kill — are consumed here, once per transfer, in
-    message order), and delivered payloads land in the destination planes
+(** A store-to-store copy of [count] consecutive words. *)
+type copy = {
+  from_store : Memory.store;
+  from_base : int;
+  to_store : Memory.store;
+  to_base : int;
+  count : int;
+}
+
+let copy (c : copy) =
+  Memory.copy_words ~src:c.from_store ~src_base:c.from_base ~dst:c.to_store
+    ~dst_base:c.to_base ~count:c.count
+
+(* One routed transfer of a plan: a (src, dst) pair's coalesced message
+   (the members' summed words) and its members' copies, in message
+   order, with what the current exchange made of it. *)
+type group = {
+  transfer : message;
+  members : copy array;
+  mutable cost : int;
+  mutable delivered : bool;
+  mutable notes : unit -> unit;  (** deferred recovery-ledger notes *)
+}
+
+(* A communication phase compiled once: everything an exchange needs
+   that does not change between exchanges, plus the state of the one
+   exchange of it in flight.  See multinode.mli. *)
+type plan = {
+  owner : Node.t array;  (** the nodes of the machine it was compiled for *)
+  groups : group array;  (** first-appearance order of the pairs *)
+  messages : int;
+  clean_cycles : int;  (** the phase cost on a clean machine *)
+  clean_contention : int;
+  source_sum : int array;  (** per-node scratch of the phase costing *)
+  source_longest : int array;
+  mutable phase : int;  (** the exchange in flight: its phase cost, *)
+  mutable contention : int;  (** its serialisation surplus, *)
+  mutable delivered_words : int;  (** the words it delivered *)
+  mutable posted : bool;  (** and whether it awaits completion *)
+}
+
+type in_flight = plan
+
+(* The phase cost of the groups' current costs: transfers between
+   distinct pairs proceed in parallel, transfers leaving one source
+   queue on its links, so the phase costs the slowest source's
+   serialised total; the contention is each source's total minus its
+   longest single transfer, summed over sources.  Self-transfers and
+   zero-cost transfers are free. *)
+let cost_phase (pl : plan) =
+  Array.fill pl.source_sum 0 (Array.length pl.source_sum) 0;
+  Array.fill pl.source_longest 0 (Array.length pl.source_longest) 0;
+  for i = 0 to Array.length pl.groups - 1 do
+    let g = pl.groups.(i) in
+    let src = g.transfer.src in
+    if src <> g.transfer.dst && g.cost > 0 then begin
+      pl.source_sum.(src) <- pl.source_sum.(src) + g.cost;
+      pl.source_longest.(src) <- max pl.source_longest.(src) g.cost
+    end
+  done;
+  let phase = ref 0 and contention = ref 0 in
+  for src = 0 to Array.length pl.source_sum - 1 do
+    phase := max !phase pl.source_sum.(src);
+    contention := !contention + (pl.source_sum.(src) - pl.source_longest.(src))
+  done;
+  pl.phase <- !phase;
+  pl.contention <- !contention
+
+(** Compile a communication phase.  Messages are coalesced per (src, dst)
+    pair, in first-appearance order: one routed transfer carries the
+    pair's summed words, amortising the per-message hop latency, and
+    each member becomes a store-to-store copy between the two nodes'
+    planes.  On a clean machine the phase cost is computed here, once. *)
+let plan (t : t) (routes : route list) : plan =
+  let n = n_nodes t in
+  let pairs : (int * int, route list ref) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (r : route) ->
+      let src = r.msg.src and dst = r.msg.dst in
+      if src < 0 || src >= n || dst < 0 || dst >= n then
+        invalid_arg "Multinode.plan: a message names a node outside the machine";
+      match Hashtbl.find_opt pairs (src, dst) with
+      | None ->
+          Hashtbl.add pairs (src, dst) (ref [ r ]);
+          order := (src, dst) :: !order
+      | Some members -> members := r :: !members)
+    routes;
+  let group (src, dst) =
+    let members = List.rev !(Hashtbl.find pairs (src, dst)) in
+    let words = List.fold_left (fun acc (r : route) -> acc + r.msg.words) 0 members in
+    let copy_of (r : route) =
+      {
+        from_store = Node.plane t.nodes.(src) r.src_plane;
+        from_base = r.src_base;
+        to_store = Node.plane t.nodes.(dst) r.dst_plane;
+        to_base = r.dst_base;
+        count = r.msg.words;
+      }
+    in
+    {
+      transfer = { src; dst; words };
+      members = Array.of_list (List.map copy_of members);
+      cost = Router.transfer_cost t.params ~hops:(Router.distance src dst) ~words;
+      delivered = true;
+      notes = ignore;
+    }
+  in
+  let pl =
+    {
+      owner = t.nodes;
+      groups = Array.of_list (List.rev_map group !order);
+      messages = List.length routes;
+      clean_cycles = 0;
+      clean_contention = 0;
+      source_sum = Array.make n 0;
+      source_longest = Array.make n 0;
+      phase = 0;
+      contention = 0;
+      delivered_words = 0;
+      posted = false;
+    }
+  in
+  cost_phase pl;
+  { pl with clean_cycles = pl.phase; clean_contention = pl.contention }
+
+(** Post a compiled communication phase without blocking machine time.
+    Clean machine: the phase costs what {!plan} computed.  Under the
+    machine's fault model every transfer is costed through the recovery
+    ladder, in plan order, so the seeded fault draws — and any
+    retry-exhaustion link kill — are consumed here, once per transfer.
+    Delivered members are copied into the destination planes
     immediately, double-buffered boundary style: the simulator moves the
     data eagerly so an overlapped compute step can run, and defers the
     machine-time charge and the ledger bookkeeping to
-    {!exchange_finish}.  Undeliverable payloads never land. *)
-let exchange_start t (msgs : (message * (float array * int * int)) list) : in_flight =
-  let groups = coalesce msgs in
-  let costed =
-    List.map
-      (fun ((cm : message), members) ->
-        let cycles, delivered, notes = message_cost_deferred t cm in
-        (cm, members, cycles, delivered, notes))
-      groups
-  in
-  let cycles, contention =
-    Router.phase_cost
-      (List.map (fun ((cm : message), _, c, _, _) -> (cm.src, cm.dst, c)) costed)
-  in
+    {!exchange_finish}.  Undeliverable members never land. *)
+let exchange_start (t : t) (pl : plan) : in_flight =
+  if pl.owner != t.nodes then invalid_arg "Multinode.exchange_start: a plan of another machine";
+  if pl.posted then invalid_arg "Multinode.exchange_start: the plan is already in flight";
+  (match t.fault with
+  | None ->
+      pl.phase <- pl.clean_cycles;
+      pl.contention <- pl.clean_contention;
+      (* the router's counters book every transfer of every exchange *)
+      if Metrics.tracing () then
+        for i = 0 to Array.length pl.groups - 1 do
+          let m = pl.groups.(i).transfer in
+          Router.note_transfer ~hops:(Router.distance m.src m.dst) ~words:m.words
+        done
+  | Some _ ->
+      for i = 0 to Array.length pl.groups - 1 do
+        let g = pl.groups.(i) in
+        let cost, delivered, notes = message_cost_deferred t g.transfer in
+        g.cost <- cost;
+        g.delivered <- delivered;
+        g.notes <- notes
+      done;
+      cost_phase pl);
   let words = ref 0 in
-  List.iter
-    (fun ((cm : message), members, _, delivered, _) ->
-      if cm.src <> cm.dst && delivered then
-        List.iter
-          (fun ((m : message), (payload, dst_plane, dst_base)) ->
-            Node.load_array t.nodes.(m.dst) ~plane:dst_plane ~base:dst_base payload;
-            words := !words + Array.length payload)
-          members)
-    costed;
+  for i = 0 to Array.length pl.groups - 1 do
+    let g = pl.groups.(i) in
+    if g.transfer.src <> g.transfer.dst && g.delivered then
+      for j = 0 to Array.length g.members - 1 do
+        let c = g.members.(j) in
+        copy c;
+        words := !words + c.count
+      done
+  done;
   t.words_moved <- t.words_moved + !words;
-  {
-    fl_cycles = cycles;
-    fl_contention = contention;
-    fl_messages = List.length msgs;
-    fl_transfers = List.length groups;
-    fl_words = !words;
-    fl_notes = List.map (fun (_, _, _, _, notes) -> notes) costed;
-    fl_done = false;
-  }
+  pl.delivered_words <- !words;
+  pl.posted <- true;
+  pl
 
 (** Complete a posted exchange: resolve the deferred recovery-ledger
     bookkeeping and advance machine time by the phase cost *minus*
@@ -430,44 +534,48 @@ let exchange_start t (msgs : (message * (float array * int * int)) list) : in_fl
     serialisation surplus goes to [t.contention_cycles] and
     [router.contention_cycles] as in the synchronous path.  Completing
     the same handle twice raises [Invalid_argument]. *)
-let exchange_finish ?(overlapped_cycles = 0) t (h : in_flight) =
-  if h.fl_done then invalid_arg "Multinode.exchange_finish: handle already completed";
-  h.fl_done <- true;
-  List.iter (fun notes -> notes ()) h.fl_notes;
-  let hidden = min h.fl_cycles (max 0 overlapped_cycles) in
-  let visible = h.fl_cycles - hidden in
+let exchange_finish ?(overlapped_cycles = 0) (t : t) (h : in_flight) =
+  if not h.posted then invalid_arg "Multinode.exchange_finish: handle already completed";
+  h.posted <- false;
+  if Option.is_some t.fault then
+    for i = 0 to Array.length h.groups - 1 do
+      let g = h.groups.(i) in
+      g.notes ();
+      g.notes <- ignore
+    done;
+  let hidden = min h.phase (max 0 overlapped_cycles) in
+  let visible = h.phase - hidden in
   t.cycles <- t.cycles + visible;
   t.comm_cycles <- t.comm_cycles + visible;
   t.overlap_cycles <- t.overlap_cycles + hidden;
-  t.contention_cycles <- t.contention_cycles + h.fl_contention;
+  t.contention_cycles <- t.contention_cycles + h.contention;
   if Metrics.tracing () then begin
     let ctx = Metrics.current () in
     let ts = Metrics.now ctx in
+    let transfers = Array.length h.groups in
     Metrics.advance ctx visible;
     Metrics.add ctx c_exchanges 1;
-    Metrics.add ctx Router.c_contention h.fl_contention;
+    Metrics.add ctx Router.c_contention h.contention;
     Metrics.add ctx c_overlap hidden;
-    Metrics.add ctx c_coalesced (h.fl_messages - h.fl_transfers);
-    Metrics.observe ctx h_exchange_cycles h.fl_cycles;
+    Metrics.add ctx c_coalesced (h.messages - transfers);
+    Metrics.observe ctx h_exchange_cycles h.phase;
     Metrics.span ctx ~tid:machine_tid ~cat:"machine" ~name:"exchange" ~ts ~dur:visible
       ~args:
-        [ ("messages", Metrics.Int h.fl_messages);
-          ("transfers", Metrics.Int h.fl_transfers);
-          ("words", Metrics.Int h.fl_words);
+        [ ("messages", Metrics.Int h.messages);
+          ("transfers", Metrics.Int transfers);
+          ("words", Metrics.Int h.delivered_words);
           ("overlapped", Metrics.Int hidden) ]
       ()
   end
 
-(** Execute a communication phase synchronously: move the payloads between
+(** Execute a communication phase synchronously: move the words between
     plane stores and advance machine time by the full phase cost —
     exactly {!exchange_start} followed by an immediate {!exchange_finish}
     with no overlap credit, so the synchronous and asynchronous paths
-    coalesce, cost, draw and deliver identically.  Messages whose
-    recovery ladder fails (the surviving links disconnect src from dst)
-    are not delivered; they are booked on the fault ledger as
-    unrecovered. *)
-let exchange t (msgs : (message * (float array * int * int)) list) =
-  exchange_finish t (exchange_start t msgs)
+    cost, draw and deliver identically.  Messages whose recovery ladder
+    fails (the surviving links disconnect src from dst) are not
+    delivered; they are booked on the fault ledger as unrecovered. *)
+let exchange t (pl : plan) = exchange_finish t (exchange_start t pl)
 
 (** Aggregate sustained GFLOPS of the machine so far (0.0 on a machine
     that has advanced zero cycles — never a division by zero). *)

@@ -87,20 +87,63 @@ type message = {
     the surviving links disconnect the pair, booked as unrecovered. *)
 val message_cost : t -> message -> int * bool
 
+(** One message with its addresses: [msg.words] words from plane
+    [src_plane] at [src_base] on node [msg.src] to plane [dst_plane] at
+    [dst_base] on node [msg.dst]. *)
+type route = {
+  msg : message;
+  src_plane : int;
+  src_base : int;
+  dst_plane : int;
+  dst_base : int;
+}
+
+(** A store-to-store copy of [count] consecutive words. *)
+type copy = {
+  from_store : Nsc_arch.Memory.store;
+  from_base : int;
+  to_store : Nsc_arch.Memory.store;
+  to_base : int;
+  count : int;
+}
+
+(** Perform a copy ({!Nsc_arch.Memory.copy_words}). *)
+val copy : copy -> unit
+
+(** A communication phase compiled for one machine by {!plan}, to be
+    exchanged any number of times. *)
+type plan
+
+(** Compile a communication phase once.  Messages are coalesced per
+    (src, dst) pair, in first-appearance order, into single routed
+    transfers of the pair's summed words (amortising the per-message hop
+    latency); each message becomes a store-to-store {!copy} between the
+    two nodes' planes.  On a clean machine the phase cost and its
+    contention are computed here, once.  Raises [Invalid_argument] on a
+    node or plane outside the machine (address ranges are checked by each
+    copy). *)
+val plan : t -> route list -> plan
+
 (** An exchange posted by {!exchange_start} and awaiting
-    {!exchange_finish}. *)
+    {!exchange_finish}: its plan, which has at most one exchange in
+    flight. *)
 type in_flight
 
-(** Post a communication phase asynchronously: messages (each carrying
-    [(payload, dst_plane, dst_base)]) are coalesced per (src, dst) pair
-    into single routed transfers, costed through the recovery ladder —
-    the seeded fault draws, and any retry-exhaustion link kill, are
-    consumed here in deterministic message order — and delivered
-    payloads land in the destination planes immediately (the simulator
-    moves data eagerly so an overlapped compute step can run; only the
-    machine-time charge and the recovery-ledger notes wait for
-    {!exchange_finish}).  Undeliverable payloads never land. *)
-val exchange_start : t -> (message * (float array * int * int)) list -> in_flight
+(** Post a compiled communication phase asynchronously.  Clean machine:
+    the phase costs what {!plan} computed (and, when tracing, books the
+    same [router.*] counters as costing each transfer would).  Under the
+    machine's {!Nsc_fault.Fault} model every transfer runs the recovery
+    ladder, in plan order, on every exchange — the seeded fault draws,
+    and any retry-exhaustion link kill, are consumed here.  Delivered
+    messages are copied into the destination planes immediately, in plan
+    order (the simulator moves data eagerly so an overlapped compute
+    step can run; only the machine-time charge and the recovery-ledger
+    notes wait for {!exchange_finish}); undeliverable ones never land.
+    A copy reads its source when it runs, so a plan whose destinations
+    overlap a later message's source delivers the new words.  Allocates
+    nothing on a clean machine.  Raises [Invalid_argument] on a plan of
+    another machine or one already in flight. *)
+val exchange_start : t -> plan -> in_flight
 
 (** Complete a posted exchange: resolve the deferred recovery-ledger
     bookkeeping (retries, detours, unrecovered messages) and advance
@@ -115,11 +158,10 @@ val exchange_finish : ?overlapped_cycles:int -> t -> in_flight -> unit
 
 (** Execute a communication phase synchronously — exactly
     {!exchange_start} followed by an immediate {!exchange_finish} with no
-    overlap credit, so the synchronous and asynchronous paths coalesce,
-    cost, draw and deliver identically.  Messages whose recovery ladder
-    fails are not delivered (booked as unrecovered on the fault
-    ledger). *)
-val exchange : t -> (message * (float array * int * int)) list -> unit
+    overlap credit, so the synchronous and asynchronous paths cost, draw
+    and deliver identically.  Messages whose recovery ladder fails are
+    not delivered (booked as unrecovered on the fault ledger). *)
+val exchange : t -> plan -> unit
 
 (** Aggregate sustained GFLOPS of the machine so far (0.0 at zero
     cycles — never a division by zero). *)

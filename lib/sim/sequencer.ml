@@ -101,8 +101,154 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
         params = p;
       }
 
-(** Run a prepared program on [node].  [on_instruction] is invoked after
-    each pipeline completes — the hook the visual debugger attaches to.
+(* Caller-owned run state: the dense capture arrays and the counters one
+   execution accumulates, reset at its start.  See sequencer.mli. *)
+type scratch = {
+  captured : float array;
+  seen : Bytes.t;
+  mutable executed : int;
+  mutable cycles : int;
+  mutable flops : int;
+  mutable writes : int;
+  mutable events : Interrupt.event list;  (** newest first *)
+  mutable n_events : int;
+  mutable halted : bool;
+  mutable error : string option;
+}
+
+let scratch (prog : prepared) =
+  let n_fus = Params.n_functional_units prog.params in
+  {
+    captured = Array.make n_fus Float.nan;
+    seen = Bytes.make n_fus '\000';
+    executed = 0;
+    cycles = 0;
+    flops = 0;
+    writes = 0;
+    events = [];
+    n_events = 0;
+    halted = false;
+    error = None;
+  }
+
+let captured s g ~default = if Bytes.get s.seen g <> '\000' then s.captured.(g) else default
+
+let record s ev =
+  if s.n_events < max_recorded_events then begin
+    s.events <- ev :: s.events;
+    s.n_events <- s.n_events + 1
+  end
+
+let rec record_all s = function
+  | [] -> ()
+  | ev :: rest ->
+      record s ev;
+      record_all s rest
+
+(* The interpreter is a set of top-level functions over explicit
+   arguments rather than closures over the run, so a warm [exec_into]
+   allocates only what its dispatches do. *)
+
+let dispatch node ~record_trace ~engine ~run ~on_instruction (prog : prepared) s n =
+  match Table.find n prog.table with
+  | exception Not_found ->
+      if Option.is_none s.error then
+        s.error <- Some (Printf.sprintf "control references missing pipeline %d" n);
+      raise Halted
+  | { sem; capture_at; _ } as instr ->
+      let p = node.Node.params in
+      (* instruction boundary: the budget check that makes every
+         deadline fire deterministically between dispatches (a
+         sweep boundary is an instruction boundary) *)
+      let budget = match run with Some r -> r.Run.budget | None -> None in
+      Budget.check_opt budget;
+      if Metrics.tracing () then begin
+        let m = Metrics.current () in
+        let ts = Metrics.now m in
+        Metrics.advance m p.reconfig_cycles;
+        Metrics.span m ~cat:"sequencer" ~name:"reconfig" ~ts
+          ~dur:p.reconfig_cycles
+          ~args:[ ("instruction", Metrics.Int n) ]
+          ();
+        Metrics.add m c_reconfig_cycles p.reconfig_cycles;
+        Metrics.observe m h_reconfig_cycles p.reconfig_cycles;
+        Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
+      end;
+      let r =
+        match engine with
+        | `Kernel -> Engine.run_kernel node ~record_trace ?run (Kernel.of_instr p instr)
+        | `Reference -> Engine.run_general node ~record_trace ?run sem
+      in
+      s.executed <- s.executed + 1;
+      s.cycles <- s.cycles + r.Engine.cycles + p.reconfig_cycles;
+      Budget.charge_opt budget (r.Engine.cycles + p.reconfig_cycles);
+      s.flops <- s.flops + r.Engine.flops;
+      s.writes <- s.writes + r.Engine.writes;
+      record_all s r.Engine.events;
+      let last = r.Engine.last in
+      for i = 0 to Array.length capture_at - 1 do
+        let g = capture_at.(i) in
+        s.captured.(g) <- last.(i);
+        Bytes.set s.seen g '\001'
+      done;
+      on_instruction sem r
+
+let eval_condition (prog : prepared) s instruction (cond : Interrupt.condition) =
+  let value =
+    match Resource.fu_global_index prog.params cond.Interrupt.unit_watched with
+    | g when Bytes.get s.seen g <> '\000' -> s.captured.(g)
+    | _ | (exception Invalid_argument _) -> Float.nan
+  in
+  let holds =
+    (not (Float.is_nan value))
+    && Interrupt.relation_holds cond.Interrupt.relation value cond.Interrupt.threshold
+  in
+  record s (Interrupt.Condition_evaluated { instruction; condition = cond; value; holds });
+  if Metrics.tracing () then begin
+    let m = Metrics.current () in
+    Metrics.instant m ~cat:"sequencer" ~name:"condition" ~ts:(Metrics.now m)
+      ~args:
+        [ ("instruction", Metrics.Int instruction);
+          ("value", Metrics.Float value);
+          ("holds", Metrics.Str (string_of_bool holds)) ]
+      ()
+  end;
+  holds
+
+let rec interp node ~record_trace ~engine ~run ~on_instruction prog s
+    (cs : Program.control list) =
+  match cs with
+  | [] -> ()
+  | Program.Exec n :: rest ->
+      dispatch node ~record_trace ~engine ~run ~on_instruction prog s n;
+      interp node ~record_trace ~engine ~run ~on_instruction prog s rest
+  | Program.Halt :: _ ->
+      s.halted <- true;
+      raise Halted
+  | Program.Repeat { count; body } :: rest ->
+      for _ = 1 to count do
+        interp node ~record_trace ~engine ~run ~on_instruction prog s body
+      done;
+      interp node ~record_trace ~engine ~run ~on_instruction prog s rest
+  | Program.While { condition; max_iterations; body } :: rest ->
+      (* run the body once, then continue while the condition holds *)
+      loop node ~record_trace ~engine ~run ~on_instruction prog s condition
+        max_iterations body 0;
+      interp node ~record_trace ~engine ~run ~on_instruction prog s rest
+
+and loop node ~record_trace ~engine ~run ~on_instruction prog s condition max_iterations
+    body i =
+  if max_iterations > 0 && i >= max_iterations then ()
+  else begin
+    interp node ~record_trace ~engine ~run ~on_instruction prog s body;
+    if eval_condition prog s (-1) condition then
+      loop node ~record_trace ~engine ~run ~on_instruction prog s condition max_iterations
+        body (i + 1)
+  end
+
+(** Run a prepared program on [node] into [s].  [on_instruction] is
+    invoked after each pipeline completes — the hook the visual debugger
+    attaches to.
 
     Each [Exec] runs through the instruction's fused vector kernel, held
     by the instruction itself: compiled on its first
@@ -111,156 +257,62 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
     runs every instruction on the general memoized evaluator instead —
     the oracle the kernel path is checked against, and bit-identical to
     it. *)
-let exec (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
+let exec_into (node : Node.t) ?(record_trace = false) ?(engine = `Kernel) ?run
     ?(on_instruction = fun (_ : Semantic.t) (_ : Engine.result) -> ())
-    (prog : prepared) : (outcome, string) result =
-  let p = node.Node.params in
-  let run = match run with Some r -> r | None -> Run.make () in
-  let budget = run.Run.budget in
-  (* shared by every dispatch, so passing it on allocates nothing *)
-  let in_run = Some run in
-  let cycles = ref 0 and flops = ref 0 and writes = ref 0 in
-  let executed = ref 0 in
-  let events = ref [] and n_events = ref 0 in
-  let record ev =
-    if !n_events < max_recorded_events then begin
-      events := ev :: !events;
-      incr n_events
-    end
-  in
-  (* the captured scalars, dense by global unit index: [seen] marks the
-     units that have captured one *)
-  let n_fus = Params.n_functional_units prog.params in
-  let captured = Array.make n_fus Float.nan and seen = Bytes.make n_fus '\000' in
-  let exec_error = ref None in
-  let dispatch n =
-    match Table.find n prog.table with
-    | exception Not_found ->
-        if !exec_error = None then
-          exec_error := Some (Printf.sprintf "control references missing pipeline %d" n);
-        raise Halted
-    | { sem; capture_at; _ } as instr ->
-        (* instruction boundary: the budget check that makes every
-           deadline fire deterministically between dispatches (a
-           sweep boundary is an instruction boundary) *)
-        Budget.check_opt budget;
-        if Metrics.tracing () then begin
-          let m = Metrics.current () in
-          let ts = Metrics.now m in
-          Metrics.advance m p.reconfig_cycles;
-          Metrics.span m ~cat:"sequencer" ~name:"reconfig" ~ts
-            ~dur:p.reconfig_cycles
-            ~args:[ ("instruction", Metrics.Int n) ]
-            ();
-          Metrics.add m c_reconfig_cycles p.reconfig_cycles;
-          Metrics.observe m h_reconfig_cycles p.reconfig_cycles;
-          Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
-        end;
-        let r =
-          match engine with
-          | `Kernel ->
-              Engine.run_kernel node ~record_trace ?run:in_run (Kernel.of_instr p instr)
-          | `Reference -> Engine.run_general node ~record_trace ?run:in_run sem
-        in
-        incr executed;
-        cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;
-        Budget.charge_opt budget (r.Engine.cycles + p.reconfig_cycles);
-        flops := !flops + r.Engine.flops;
-        writes := !writes + r.Engine.writes;
-        List.iter record r.Engine.events;
-        let last = r.Engine.last in
-        for i = 0 to Array.length capture_at - 1 do
-          let g = capture_at.(i) in
-          captured.(g) <- last.(i);
-          Bytes.set seen g '\001'
-        done;
-        on_instruction sem r
-  in
-  let eval_condition instruction (cond : Interrupt.condition) =
-    let value =
-      match Resource.fu_global_index prog.params cond.Interrupt.unit_watched with
-      | g when Bytes.get seen g <> '\000' -> captured.(g)
-      | _ | (exception Invalid_argument _) -> Float.nan
-    in
-    let holds =
-      (not (Float.is_nan value))
-      && Interrupt.relation_holds cond.Interrupt.relation value
-           cond.Interrupt.threshold
-    in
-    record
-      (Interrupt.Condition_evaluated { instruction; condition = cond; value; holds });
-    if Metrics.tracing () then begin
-      let m = Metrics.current () in
-      Metrics.instant m ~cat:"sequencer" ~name:"condition" ~ts:(Metrics.now m)
-        ~args:
-          [ ("instruction", Metrics.Int instruction);
-            ("value", Metrics.Float value);
-            ("holds", Metrics.Str (string_of_bool holds)) ]
-        ()
-    end;
-    holds
-  in
-  let halted = ref false in
-  let rec interp (cs : Program.control list) =
-    match cs with
-    | [] -> ()
-    | Program.Exec n :: rest ->
-        dispatch n;
-        interp rest
-    | Program.Halt :: _ ->
-        halted := true;
-        raise Halted
-    | Program.Repeat { count; body } :: rest ->
-        for _ = 1 to count do
-          interp body
-        done;
-        interp rest
-    | Program.While { condition; max_iterations; body } :: rest ->
-        let rec loop i =
-          if max_iterations > 0 && i >= max_iterations then ()
-          else begin
-            interp body;
-            if eval_condition (-1) condition then loop (i + 1)
-          end
-        in
-        (* run the body once, then continue while the condition holds *)
-        loop 0;
-        interp rest
-  in
+    (prog : prepared) (s : scratch) : (unit, string) result =
+  if Bytes.length s.seen <> Params.n_functional_units prog.params then
+    invalid_arg "Sequencer.exec_into: a scratch sized for another machine";
+  Bytes.fill s.seen 0 (Bytes.length s.seen) '\000';
+  s.executed <- 0;
+  s.cycles <- 0;
+  s.flops <- 0;
+  s.writes <- 0;
+  s.events <- [];
+  s.n_events <- 0;
+  s.halted <- false;
+  s.error <- None;
   let ts_program = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
-  (try interp prog.control with Halted -> ());
+  (try interp node ~record_trace ~engine ~run ~on_instruction prog s prog.control
+   with Halted -> ());
   if Metrics.tracing () then begin
     let m = Metrics.current () in
     Metrics.span m ~cat:"sequencer" ~name:"program" ~ts:ts_program
       ~dur:(Metrics.now m - ts_program)
       ~args:
-        [ ("instructions", Metrics.Int !executed);
-          ("halted", Metrics.Str (string_of_bool !halted)) ]
+        [ ("instructions", Metrics.Int s.executed);
+          ("halted", Metrics.Str (string_of_bool s.halted)) ]
       ()
   end;
-  (match !exec_error with
-  | Some e -> Error e
-  | None ->
+  match s.error with Some e -> Error e | None -> Ok ()
+
+(** Run a prepared program on [node]: {!exec_into} a fresh scratch, read
+    back as an outcome. *)
+let exec (node : Node.t) ?record_trace ?engine ?run ?on_instruction (prog : prepared) :
+    (outcome, string) result =
+  let s = scratch prog in
+  match exec_into node ?record_trace ?engine ?run ?on_instruction prog s with
+  | Error e -> Error e
+  | Ok () ->
       Ok
         {
           stats =
             {
-              instructions_executed = !executed;
-              total_cycles = !cycles;
-              total_flops = !flops;
-              total_writes = !writes;
-              events = List.rev !events;
+              instructions_executed = s.executed;
+              total_cycles = s.cycles;
+              total_flops = s.flops;
+              total_writes = s.writes;
+              events = List.rev s.events;
             };
-          halted = !halted;
+          halted = s.halted;
           last_values =
             (* global-index order is [compare] order on units *)
             (let acc = ref [] in
-             for g = n_fus - 1 downto 0 do
-               if Bytes.get seen g <> '\000' then
-                 acc := (Resource.fu_of_global_index prog.params g, captured.(g)) :: !acc
+             for g = Bytes.length s.seen - 1 downto 0 do
+               if Bytes.get s.seen g <> '\000' then
+                 acc := (Resource.fu_of_global_index prog.params g, s.captured.(g)) :: !acc
              done;
              !acc);
-        })
+        }
 
 (* nscbench compatibility — delete when nscbench moves to Run.t: the
    only reader of the fault model's compat slot *)

@@ -27,7 +27,7 @@ type outcome = {
 }
 
 (** Raised internally to unwind the control interpreter at a [Halt] or an
-    execution error; never escapes {!exec}. *)
+    execution error; never escapes {!exec_into}. *)
 exception Halted
 
 (** Cap on the interrupt events retained in {!stats}. *)
@@ -48,10 +48,41 @@ type prepared = Kernel.prepared
 val prepare :
   ?from_microcode:bool -> Nsc_microcode.Codegen.compiled -> (prepared, string) result
 
-(** Execute a prepared program on a node: interpret the control
-    programme (Exec/Repeat/While/Halt), charge reconfiguration between
-    instructions, and evaluate while-conditions from captured scalars.
-    [on_instruction] is the hook the visual debugger attaches to.
+(** Caller-owned run state for {!exec_into}: the captured scalars, dense
+    by global unit index ({!Nsc_arch.Resource.fu_global_index}), and the
+    counters of one execution.  {!exec_into} resets it at its start, so
+    one scratch serves any number of executions of programs laid out for
+    the same machine; a caller running one program every iteration keeps
+    one per node and allocates none per run. *)
+type scratch = private {
+  captured : float array;  (** [captured.(g)]: unit [g]'s last captured scalar *)
+  seen : Bytes.t;  (** non-zero at [g] once unit [g] has captured one *)
+  mutable executed : int;  (** instructions executed *)
+  mutable cycles : int;  (** execution plus per-dispatch reconfiguration *)
+  mutable flops : int;
+  mutable writes : int;  (** words written to planes and caches *)
+  mutable events : Nsc_arch.Interrupt.event list;
+      (** capped at {!max_recorded_events}; newest first *)
+  mutable n_events : int;
+  mutable halted : bool;  (** an explicit [Halt] was reached *)
+  mutable error : string option;  (** why the last execution failed *)
+}
+
+(** A fresh scratch sized for the machine [prepared] was laid out for. *)
+val scratch : prepared -> scratch
+
+(** Unit [g]'s scalar captured by the last execution into the scratch,
+    or [default] when it captured none. *)
+val captured : scratch -> int -> default:float -> float
+
+(** Execute a prepared program on a node into a caller-owned scratch:
+    interpret the control programme (Exec/Repeat/While/Halt), charge
+    reconfiguration between instructions, and evaluate while-conditions
+    from captured scalars.  [on_instruction] is the hook the visual
+    debugger attaches to.  Returns [Error] (also left in the scratch's
+    [error]) when the control programme references a missing
+    instruction; raises [Invalid_argument] on a scratch sized for a
+    machine with another number of units.
 
     [run] is the run state ({!Run.t}; default: clean, unsupervised).
     Each [Exec] runs through the instruction's compiled kernel (the
@@ -71,6 +102,15 @@ val prepare :
     an instruction, every 1024 elements.  Instrumentation lands in the
     ambient metric context; scope it with
     {!Nsc_metrics.Metrics.with_ctx}. *)
+val exec_into :
+  Node.t ->
+  ?record_trace:bool ->
+  ?engine:[ `Kernel | `Reference ] ->
+  ?run:Run.t ->
+  ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
+  prepared -> scratch -> (unit, string) result
+
+(** {!exec_into} a fresh scratch and read it back as an {!outcome}. *)
 val exec :
   Node.t ->
   ?record_trace:bool ->

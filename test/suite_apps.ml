@@ -428,6 +428,7 @@ let hypercube_solve_tests =
           (fun domains ->
             match
               Parallel.exec_step ~domains ~run:(Nsc_sim.Run.make ()) machine prog
+                (Array.init 4 (fun _ -> Nsc_sim.Sequencer.scratch prog))
             with
             | Ok _ -> Alcotest.fail "a failing node went unreported"
             | Error e ->
@@ -464,6 +465,11 @@ let hypercube_solve_tests =
         in
         check_float "cycles unchanged" plain.Parallel.point.Parallel.cycles_per_iter
           o.Parallel.point.Parallel.cycles_per_iter);
+    case "a runner joins its worker domains before it returns" (fun () ->
+        let _, machine, _, _ =
+          Result.get_ok (Parallel.run_machine ~domains:2 params ~n:5 ~iters:2 ~dim:2)
+        in
+        check_bool "no pool left parked" true (Option.is_none machine.Nsc_sim.Multinode.pool));
   ]
 
 let suite = suite @ [ ("apps:hypercube-solve", hypercube_solve_tests) ]

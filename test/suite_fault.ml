@@ -321,7 +321,8 @@ let multinode_tests =
             let _, delivered = Nsc_sim.Multinode.message_cost m msg in
             check_bool "undeliverable" false delivered;
             check_int "unrecovered" 1 (lv (F.ledger f) "fault.unrecovered");
-            Nsc_sim.Multinode.exchange m [ (msg, ([| 9.0; 9.0; 9.0; 9.0 |], 0, 0)) ];
+            Nsc_sim.Multinode.exchange m
+              (staged_plan m [ (msg, ([| 9.0; 9.0; 9.0; 9.0 |], 0, 0)) ]);
             check_bool "payload never landed" true
               (Nsc_sim.Multinode.node m 1 |> fun n ->
                Nsc_sim.Node.dump_array n ~plane:0 ~base:0 ~len:4 = [| 0.0; 0.0; 0.0; 0.0 |])));
@@ -340,7 +341,8 @@ let multinode_tests =
             let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let payload = [| 1.0; 2.0; 3.0 |] in
             Nsc_sim.Multinode.exchange m
-              [ ({ Nsc_sim.Multinode.src = 0; dst = 3; words = 3 }, (payload, 2, 10)) ];
+              (staged_plan m
+                 [ ({ Nsc_sim.Multinode.src = 0; dst = 3; words = 3 }, (payload, 2, 10)) ]);
             check_bool "payload landed" true
               (bits_equal payload
                  (Nsc_sim.Node.dump_array (Nsc_sim.Multinode.node m 3) ~plane:2 ~base:10
@@ -517,8 +519,9 @@ let async_fault_tests =
             let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
             let h =
               Nsc_sim.Multinode.exchange_start m
-                [ ({ Nsc_sim.Multinode.src = 0; dst = 1; words = 4 },
-                   ([| 7.0; 7.0; 7.0; 7.0 |], 0, 0)) ]
+                (staged_plan m
+                   [ ({ Nsc_sim.Multinode.src = 0; dst = 1; words = 4 },
+                      ([| 7.0; 7.0; 7.0; 7.0 |], 0, 0)) ])
             in
             (* the payload travels at post time, but the recovery ledger is
                only settled when the exchange completes *)
@@ -624,3 +627,124 @@ let suite =
     ("fault:concurrent", concurrent_tests);
     ("fault:serializer", serializer_tests);
   ]
+
+(* --- the compiled exchange plan ---------------------------------------- *)
+
+module M = Nsc_sim.Multinode
+
+(* A random communication phase: a dimension 1–4, messages drawn half
+   from a small pool of (src, dst) pairs (so pairs repeat and coalesce)
+   and half at random (so some are self-messages), and the number of
+   exchanges to run.  Message [i] sends from plane 0 at 32·i on its
+   source to plane 1 at 32·i on its destination. *)
+let phase_gen =
+  QCheck2.Gen.(
+    let* dim = int_range 1 4 in
+    let node = int_bound ((1 lsl dim) - 1) in
+    let* pool = list_size (int_range 1 3) (pair node node) in
+    let endpoints = bool >>= fun pooled -> if pooled then oneofl pool else pair node node in
+    let* pairs = list_size (int_range 1 12) (pair endpoints (int_range 1 24)) in
+    let* k = int_range 1 4 in
+    let* seed = int_range 0 1000 in
+    return (dim, pairs, k, seed))
+
+let routes_of pairs =
+  List.mapi
+    (fun i ((src, dst), words) ->
+      {
+        M.msg = { M.src; dst; words };
+        src_plane = 0;
+        src_base = 32 * i;
+        dst_plane = 1;
+        dst_base = 32 * i;
+      })
+    pairs
+
+(* Fresh source words for round [r] on every node. *)
+let refill m ~words r =
+  Array.iteri
+    (fun id node ->
+      Nsc_sim.Node.load_array node ~plane:0 ~base:0
+        (Array.init words (fun a -> float_of_int ((r * 100_000) + (id * 1000) + a))))
+    m.M.nodes
+
+(* The exchange from first principles: coalesce per pair in
+   first-appearance order, cost each transfer with [message_cost], charge
+   the slowest source's serialised total, copy what was delivered. *)
+let reference_exchange (m : M.t) routes =
+  let pairs =
+    List.rev
+      (List.fold_left
+         (fun acc (r : M.route) ->
+           let key = (r.M.msg.M.src, r.M.msg.M.dst) in
+           if List.mem key acc then acc else key :: acc)
+         [] routes)
+  in
+  let n = M.n_nodes m in
+  let sum = Array.make n 0 and longest = Array.make n 0 and words = ref 0 in
+  List.iter
+    (fun (src, dst) ->
+      let members =
+        List.filter (fun (r : M.route) -> r.M.msg.M.src = src && r.M.msg.M.dst = dst) routes
+      in
+      let total = List.fold_left (fun a (r : M.route) -> a + r.M.msg.M.words) 0 members in
+      let cost, delivered = M.message_cost m { M.src; dst; words = total } in
+      if src <> dst && cost > 0 then begin
+        sum.(src) <- sum.(src) + cost;
+        longest.(src) <- max longest.(src) cost
+      end;
+      if src <> dst && delivered then
+        List.iter
+          (fun (r : M.route) ->
+            Nsc_sim.Node.load_array (M.node m dst) ~plane:r.M.dst_plane ~base:r.M.dst_base
+              (Nsc_sim.Node.dump_array (M.node m src) ~plane:r.M.src_plane
+                 ~base:r.M.src_base ~len:r.M.msg.M.words);
+            words := !words + r.M.msg.M.words)
+          members)
+    pairs;
+  let phase = Array.fold_left max 0 sum in
+  m.M.cycles <- m.M.cycles + phase;
+  m.M.comm_cycles <- m.M.comm_cycles + phase;
+  Array.iteri
+    (fun src s -> m.M.contention_cycles <- m.M.contention_cycles + (s - longest.(src)))
+    sum;
+  m.M.words_moved <- m.M.words_moved + !words
+
+(* Run [k] exchanges of [pairs] on a fresh machine, as [how] says, and
+   return everything they can change. *)
+let run_phase ~faults (dim, pairs, k, seed) how =
+  let fault = Option.map (fun spec -> F.make ~seed (spec_of spec)) faults in
+  let m = M.create ~dim ?fault params in
+  let routes = routes_of pairs in
+  let words = 32 * List.length pairs in
+  let once = lazy (M.plan m routes) in
+  for r = 1 to k do
+    refill m ~words r;
+    match how with
+    | `One_plan -> M.exchange m (Lazy.force once)
+    | `Fresh_plans -> M.exchange m (M.plan m routes)
+    | `Reference -> reference_exchange m routes
+  done;
+  ( ( m.M.cycles,
+      m.M.comm_cycles,
+      m.M.contention_cycles,
+      m.M.words_moved,
+      Option.map F.ledger fault ),
+    Array.map
+      (fun node ->
+        Array.map Int64.bits_of_float (Nsc_sim.Node.dump_array node ~plane:1 ~base:0 ~len:words))
+      m.M.nodes )
+
+let exchange_plan_tests =
+  List.map
+    (fun (name, faults) ->
+      qcheck ~count:60
+        (name ^ ": one plan exchanged k times equals k fresh plans and the reference")
+        phase_gen
+        (fun case ->
+          let one = run_phase ~faults case `One_plan in
+          one = run_phase ~faults case `Fresh_plans && one = run_phase ~faults case `Reference))
+    [ ("clean", None);
+      ("transient-link with retry exhaustion", Some "transient-link:p=0.5:retries=2") ]
+
+let suite = suite @ [ ("fault:exchange-plan", exchange_plan_tests) ]

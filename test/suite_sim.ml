@@ -356,12 +356,14 @@ let multinode_tests =
     case "exchange moves data and charges the router" (fun () ->
         let m = Multinode.create ~dim:2 params in
         let payload = [| 1.0; 2.0; 3.0 |] in
-        Multinode.exchange m [ ({ Multinode.src = 0; dst = 1; words = 3 }, (payload, 0, 100)) ];
+        Multinode.exchange m
+          (staged_plan m [ ({ Multinode.src = 0; dst = 1; words = 3 }, (payload, 0, 100)) ]);
         check_float "arrived" 2.0 (Node.read_plane (Multinode.node m 1) ~plane:0 ~addr:101);
         check_bool "charged" true (m.Multinode.comm_cycles > 0));
     case "self-messages are free and do not move data" (fun () ->
         let m = Multinode.create ~dim:1 params in
-        Multinode.exchange m [ ({ Multinode.src = 0; dst = 0; words = 3 }, ([| 9.0 |], 0, 0)) ];
+        Multinode.exchange m
+          (staged_plan m [ ({ Multinode.src = 0; dst = 0; words = 3 }, ([| 9.0 |], 0, 0)) ]);
         check_int "free" 0 m.Multinode.comm_cycles);
     case "gflops aggregates across nodes" (fun () ->
         let m = Multinode.create ~dim:2 params in
@@ -439,21 +441,6 @@ let suite = suite @ [ ("sim:cache", cache_tests) ]
    multinode domain fan-out *)
 let plan_tests =
   [
-    case "sequencer compiles each instruction once and hits the cache after"
-      (fun () ->
-        let prog, _ = vecadd_program ~n:8 () in
-        let prog =
-          Program.set_control prog
-            [ Program.Repeat { count = 5; body = [ Program.Exec 1 ] }; Program.Halt ]
-        in
-        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
-        let node = Node.create params in
-        let c0 = Kernel.compile_count () and h0 = Kernel.cache_hit_count () in
-        (match Sequencer.run node c with
-        | Ok o -> check_int "five" 5 o.Sequencer.stats.Sequencer.instructions_executed
-        | Error e -> Alcotest.fail e);
-        check_int "one compile" 1 (Kernel.compile_count () - c0);
-        check_int "four hits" 4 (Kernel.cache_hit_count () - h0));
     case "timing analysis runs exactly once per compiled kernel" (fun () ->
         let prog, _ = vecadd_program ~n:8 () in
         let prog =
@@ -687,8 +674,9 @@ let async_exchange_tests =
     case "same-pair messages coalesce into one amortised transfer" (fun () ->
         let m = Multinode.create ~dim:2 params in
         Multinode.exchange m
-          [ ({ Multinode.src = 0; dst = 3; words = 16 }, (Array.make 16 1.0, 0, 0));
-            ({ Multinode.src = 0; dst = 3; words = 16 }, (Array.make 16 2.0, 0, 64)) ];
+          (staged_plan m
+             [ ({ Multinode.src = 0; dst = 3; words = 16 }, (Array.make 16 1.0, 0, 0));
+               ({ Multinode.src = 0; dst = 3; words = 16 }, (Array.make 16 2.0, 0, 64)) ]);
         (* one routed transfer of the summed words — the second message's
            hop latency is amortised away, so the pair is cheaper than two
            serialised transfers and leaves no serialisation surplus *)
@@ -703,8 +691,9 @@ let async_exchange_tests =
     case "distinct destinations still serialise on their shared source" (fun () ->
         let m = Multinode.create ~dim:2 params in
         Multinode.exchange m
-          [ ({ Multinode.src = 0; dst = 1; words = 8 }, (Array.make 8 1.0, 0, 0));
-            ({ Multinode.src = 0; dst = 2; words = 8 }, (Array.make 8 2.0, 0, 0)) ];
+          (staged_plan m
+             [ ({ Multinode.src = 0; dst = 1; words = 8 }, (Array.make 8 1.0, 0, 0));
+               ({ Multinode.src = 0; dst = 2; words = 8 }, (Array.make 8 2.0, 0, 0)) ]);
         let c = Router.transfer_cycles params ~src:0 ~dst:1 ~words:8 in
         check_int "phase serialises" (2 * c) m.Multinode.comm_cycles;
         check_int "surplus booked on the machine" c m.Multinode.contention_cycles);
@@ -712,7 +701,8 @@ let async_exchange_tests =
         let cost_of () =
           let m = Multinode.create ~dim:2 params in
           Multinode.exchange m
-            [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ];
+            (staged_plan m
+               [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ]);
           m.Multinode.comm_cycles
         in
         let cost = cost_of () in
@@ -720,7 +710,8 @@ let async_exchange_tests =
         let m = Multinode.create ~dim:2 params in
         let h =
           Multinode.exchange_start m
-            [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ]
+            (staged_plan m
+               [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ])
         in
         check_float "payload landed at post time" 5.0
           (Node.read_plane (Multinode.node m 1) ~plane:0 ~addr:0);
@@ -734,7 +725,8 @@ let async_exchange_tests =
         let m2 = Multinode.create ~dim:2 params in
         let h2 =
           Multinode.exchange_start m2
-            [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ]
+            (staged_plan m2
+               [ ({ Multinode.src = 0; dst = 1; words = 64 }, (Array.make 64 5.0, 0, 0)) ])
         in
         Multinode.exchange_finish ~overlapped_cycles:(cost / 2) m2 h2;
         check_int "visible remainder" (cost - (cost / 2)) m2.Multinode.comm_cycles;
@@ -743,9 +735,10 @@ let async_exchange_tests =
         let go start =
           let m = Multinode.create ~dim:3 params in
           let msgs =
-            [ ({ Multinode.src = 0; dst = 5; words = 32 }, (Array.make 32 1.5, 0, 0));
-              ({ Multinode.src = 3; dst = 0; words = 16 }, (Array.make 16 2.5, 1, 8));
-              ({ Multinode.src = 0; dst = 5; words = 32 }, (Array.make 32 3.5, 0, 40)) ]
+            staged_plan m
+              [ ({ Multinode.src = 0; dst = 5; words = 32 }, (Array.make 32 1.5, 0, 0));
+                ({ Multinode.src = 3; dst = 0; words = 16 }, (Array.make 16 2.5, 1, 8));
+                ({ Multinode.src = 0; dst = 5; words = 32 }, (Array.make 32 3.5, 0, 40)) ]
           in
           if start then Multinode.exchange_finish m (Multinode.exchange_start m msgs)
           else Multinode.exchange m msgs;
@@ -760,7 +753,8 @@ let async_exchange_tests =
         let m = Multinode.create ~dim:1 params in
         let h =
           Multinode.exchange_start m
-            [ ({ Multinode.src = 0; dst = 1; words = 4 }, (Array.make 4 1.0, 0, 0)) ]
+            (staged_plan m
+               [ ({ Multinode.src = 0; dst = 1; words = 4 }, (Array.make 4 1.0, 0, 0)) ])
         in
         Multinode.exchange_finish m h;
         Alcotest.check_raises "second completion rejected"
@@ -1284,22 +1278,23 @@ let warm_path_tests =
           Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured [] |> List.sort compare
         in
         o.Sequencer.last_values <> [] && compare o.Sequencer.last_values expected = 0);
-    case "a warm exec of the n=9 iteration body allocates under 600 minor words"
+    case "a warm exec of the n=9 iteration body allocates under 320 minor words"
       (fun () ->
-        (* 426 words on OCaml 5.1: two dispatches, the capture arrays and
-           the outcome; a hashtable capture or per-instruction value lists
-           more than double it *)
+        (* 292 words on OCaml 5.1: two dispatches, a fresh scratch and the
+           outcome with its last_values list; per-dispatch slot arrays,
+           recording closures and event lists took it to 426 *)
         let node, run, body, _ = n9_body () in
         for _ = 1 to 2 do
           ignore (Sequencer.exec node ~run body)
         done;
         let words = minor_words (fun () -> Sequencer.exec node ~run body) in
-        if words >= 600.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
-    case "a warm 8-node iteration allocates under 6,500 minor words" (fun () ->
+        if words >= 320.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
+    case "a warm 8-node iteration allocates under 500 minor words" (fun () ->
         (* one more iteration of the same solve: the sweep on every node,
-           the halo exchange and the all-reduce (4,905 words on OCaml 5.1;
-           13.5k with fresh face arrays, list-returning dispatches and a
-           hashtable capture) *)
+           the halo exchange and the all-reduce (435 words on OCaml 5.1:
+           eight warm exec_intos and the compute step's per-node pairs;
+           4,905 with payload arrays, a per-exchange coalescing table, a
+           fresh outcome per node and a copying all-reduce) *)
         let solve iters =
           minor_words (fun () ->
               Result.get_ok
@@ -1307,12 +1302,13 @@ let warm_path_tests =
         in
         ignore (solve 2);
         let words = solve 4 -. solve 3 in
-        if words >= 6_500.0 then
+        if words >= 500.0 then
           Alcotest.failf "one warm iteration allocated %.0f minor words" words);
     case "a warm n=9 solve through a persistent run allocates under 50k minor words"
       (fun () ->
-        (* 24.7k words on OCaml 5.1: a fresh node, the 289 dispatches and
-           the result; rebuilding, checking, encoding and decoding the
+        (* 11.8k words on OCaml 5.1: a fresh node, the 289 dispatches and
+           the result (24.7k before pooled slot arrays and closure-free
+           dispatch); rebuilding, checking, encoding and decoding the
            program on every call took 86.4k *)
         let prob = Nsc_apps.Poisson.manufactured 9 in
         let run = Run.make () in
@@ -1325,6 +1321,18 @@ let warm_path_tests =
         let words = minor_words solve in
         if words >= 50_000.0 then
           Alcotest.failf "a warm solve allocated %.0f minor words" words);
+    case "a warm exec_into of the n=9 iteration body allocates under 64 minor words"
+      (fun () ->
+        (* 48 words on OCaml 5.1: each dispatch's engine result and its
+           last-values array, the two events' list cells and the [Some run]
+           of the call; the scratch is the caller's *)
+        let node, run, body, _ = n9_body () in
+        let s = Sequencer.scratch body in
+        for _ = 1 to 2 do
+          ignore (Sequencer.exec_into node ~run body s)
+        done;
+        let words = minor_words (fun () -> Sequencer.exec_into node ~run body s) in
+        if words >= 64.0 then Alcotest.failf "a warm exec_into allocated %.0f minor words" words);
   ]
 
 let suite = suite @ [ ("sim:warm-path", warm_path_tests) ]

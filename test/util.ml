@@ -62,3 +62,19 @@ let pipeline_with kind =
     Build.fail_on_error (Pipeline.place_als params pl ~kind ~pos:(Geometry.point 20 4) ())
   in
   (pl, icon)
+
+(* A compiled exchange delivering each [(msg, (payload, plane, base))]:
+   every payload is first written to its source node, at its own
+   address in a staging region of the same plane (the plane's upper
+   half), and routed from there to [base]. *)
+let staged_plan m msgs =
+  let module M = Nsc_sim.Multinode in
+  let next = ref (params.Params.memory_plane_words / 2) in
+  M.plan m
+    (List.map
+       (fun ((msg : M.message), (payload, plane, base)) ->
+         let at = !next in
+         next := at + Array.length payload;
+         Nsc_sim.Node.load_array (M.node m msg.M.src) ~plane ~base:at payload;
+         { M.msg; src_plane = plane; src_base = at; dst_plane = plane; dst_base = base })
+       msgs)
