@@ -177,14 +177,12 @@ let c3_node_rate () =
 (* C4: hypercube weak scaling toward the 40 GFLOPS machine             *)
 (* ------------------------------------------------------------------ *)
 
-let c4_scaling ~domains () =
+let c4_scaling () =
   section "C4" "hypercube weak scaling (slab-decomposed Jacobi)";
-  if domains > 1 then
-    row "(per-node simulation fanned across %d OCaml domains)\n" domains;
   let series n iters =
     row "per-node slab %dx%dx%d:\n" n n n;
     row "%6s  %8s  %11s  %8s\n" "nodes" "GFLOPS" "efficiency" "comm %";
-    match Parallel.scaling params ~domains ~n ~iters ~dims:[ 0; 1; 2; 3; 4; 5; 6 ] with
+    match Parallel.scaling params ~n ~iters ~dims:[ 0; 1; 2; 3; 4; 5; 6 ] with
     | Error e -> failwith e
     | Ok pts ->
         List.iter
@@ -285,17 +283,17 @@ let write_scaling_svg path (points : Parallel.point list) =
   Buffer.output_buffer oc b;
   close_out oc
 
-let scaling_campaign ~domains () =
+let scaling_campaign () =
   section "SCALING" "asynchronous halo exchange: overlap and the 1024-node campaign";
   let module F = Nsc_fault.Fault in
   let n = 5 and iters = 2 in
   let run ?(overlap = false) dim =
-    match Parallel.run params ~domains ~overlap ~n ~iters ~dim with
+    match Parallel.run params ~overlap ~n ~iters ~dim with
     | Error e -> failwith ("SCALING: " ^ e)
     | Ok pt -> pt
   in
   let field ?(overlap = false) ?run dim =
-    match Parallel.run_field params ~domains ~overlap ?run ~n ~iters ~dim with
+    match Parallel.run_field params ~overlap ?run ~n ~iters ~dim with
     | Error e -> failwith ("SCALING: " ^ e)
     | Ok f -> f
   in
@@ -339,7 +337,7 @@ let scaling_campaign ~domains () =
   row "%6s  %8s  %11s  %8s  %9s  %11s\n" "nodes" "GFLOPS" "efficiency" "comm %"
     "overlap %" "cycles/iter";
   let campaign =
-    match Parallel.scaling params ~domains ~overlap:true ~n ~iters ~dims with
+    match Parallel.scaling params ~overlap:true ~n ~iters ~dims with
     | Error e -> failwith ("SCALING: " ^ e)
     | Ok pts -> pts
   in
@@ -840,31 +838,14 @@ let write_bench_json path members =
   output_string oc "}\n";
   close_out oc
 
-(* --domains N fans per-node simulation of the scaling experiments across
-   OCaml domains (default 1 — fully sequential, bit-identical results). *)
-let domains_of_argv () =
-  let d = ref 1 in
-  let argv = Sys.argv in
-  Array.iteri
-    (fun i a ->
-      if a = "--domains" && i + 1 < Array.length argv then
-        match int_of_string_opt argv.(i + 1) with
-        | Some n when n >= 1 -> d := n
-        | _ ->
-            prerr_endline ("bench: bad --domains value " ^ argv.(i + 1));
-            exit 2)
-    argv;
-  !d
-
 let () =
-  let domains = domains_of_argv () in
   let t0 = Unix.gettimeofday () in
   fig1_datapath ();
   let jacobi = fig2_jacobi () in
   let layouts = c2_contention () in
   let rates = c3_node_rate () in
-  c4_scaling ~domains ();
-  let scaling = scaling_campaign ~domains () in
+  c4_scaling ();
+  let scaling = scaling_campaign () in
   c5_microcode ();
   c6_authoring ();
   c7_checker ();

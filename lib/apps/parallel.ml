@@ -129,18 +129,17 @@ let rec first_error (scratches : Sequencer.scratch array) id =
     | Some e -> Error (Printf.sprintf "node %d: %s" id e)
     | None -> first_error scratches (id + 1)
 
-(** One machine step of a prepared program: every node executes it into
-    its own scratch, [scratches.(id)] for node [id] (fanned across
-    [domains], bit-identical to the sequential run), and the machine
-    advances by the slowest node.  Every node executes under [run].
-    Returns the error of the first node, in node order, whose run
+(** One machine step of a prepared program: every node, in node order,
+    executes it into its own scratch, [scratches.(id)] for node [id], and
+    the machine advances by the slowest node.  Every node executes under
+    [run].  Returns the error of the first node, in node order, whose run
     failed. *)
-let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prepared)
+let exec_step ~run (machine : Multinode.t) (prog : Sequencer.prepared)
     (scratches : Sequencer.scratch array) : (unit, string) result =
   if Array.length scratches <> Multinode.n_nodes machine then
     invalid_arg "Parallel.exec_step: one scratch per node";
   let run = Some run in
-  Multinode.compute_step ~domains machine (fun id node ->
+  Multinode.compute_step machine (fun id node ->
       let s = scratches.(id) in
       match Sequencer.exec_into node ?run prog s with
       | Ok () -> (s.Sequencer.cycles, s.Sequencer.flops)
@@ -151,11 +150,10 @@ let exec_step ?(domains = 1) ~run (machine : Multinode.t) (prog : Sequencer.prep
    holds its forcing and mask and has run instruction 1; the iteration
    body (instructions 2 and 3) shares the set-up's one decoded program,
    whose kernels, compiled on the first node, serve every node (they do
-   not depend on the node, and a prepared program is safe to share
-   across domains); one run — one fault model — serves every node, and
-   the machine costs its messages under the same model.  Everything an
-   iteration writes is owned here, so a warm iteration allocates next to
-   nothing. *)
+   not depend on the node); one run — one fault model — serves every
+   node, and the machine costs its messages under the same model.
+   Everything an iteration writes is owned here, so a warm iteration
+   allocates next to nothing. *)
 type rig = {
   machine : Multinode.t;
   b : Jacobi.build;
@@ -169,7 +167,7 @@ type rig = {
   replicas : Multinode.copy array;  (** the on-node halo replication *)
 }
 
-let set_up ~domains ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) result =
+let set_up ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) result =
   let nodes = Multinode.n_nodes machine in
   let kb = Knowledge.make_exn p in
   let grid = local_grid ~n ~nz_local:n in
@@ -202,7 +200,7 @@ let set_up ~domains ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, 
         (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))
     machine.Multinode.nodes;
   let scratches = Array.init nodes (fun _ -> Sequencer.scratch prog) in
-  let* () = exec_step ~domains ~run machine setup scratches in
+  let* () = exec_step ~run machine setup scratches in
   Multinode.reset_counters machine;
   Ok
     {
@@ -218,18 +216,14 @@ let set_up ~domains ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, 
       replicas = halo_replicas machine b grid;
     }
 
-(* Set up the machine under [run] (default: clean) and hand the rig to
-   [f]; the machine's worker domains are joined however [f] ends, so a
-   runner leaves no domain parked behind it. *)
-let with_rig ~domains ?run (p : Params.t) ~n ~dim f =
+(* Set up the machine under [run] (default: clean) and hand the rig to [f]. *)
+let with_rig ?run (p : Params.t) ~n ~dim f =
   let run = match run with Some r -> r | None -> Run.make () in
   let machine = Multinode.create ~dim ?fault:run.Run.fault p in
-  Fun.protect
-    ~finally:(fun () -> Multinode.shutdown machine)
-    (fun () -> Result.bind (set_up ~domains ~run machine p ~n ~dim) f)
+  Result.bind (set_up ~run machine p ~n ~dim) f
 
 (* One iteration's local sweep and refresh on every node. *)
-let sweep ~domains r = exec_step ~domains ~run:r.run r.machine r.iter r.scratches
+let sweep r = exec_step ~run:r.run r.machine r.iter r.scratches
 
 (* One iteration's halo exchange and the on-node replication of the
    refreshed layers; with [overlap] the exchange is posted in flight and
@@ -268,19 +262,17 @@ let point_of (machine : Multinode.t) ~iters =
 (** Run [iters] Jacobi iterations of an n x n x (n·P) problem on a
     [dim]-dimensional hypercube (P = 2^dim nodes), returning the scaling
     measurements.  The per-node slab thickness is [n], so this is weak
-    scaling: the global problem grows with the machine.  [domains] fans
-    the per-node simulation across OCaml domains (results are
-    bit-identical to the sequential run).  [overlap] posts each
-    iteration's halo exchange asynchronously and completes it only after
-    the next sweep, crediting the sweep's interior-layer cycles as
+    scaling: the global problem grows with the machine.  [overlap] posts
+    each iteration's halo exchange asynchronously and completes it only
+    after the next sweep, crediting the sweep's interior-layer cycles as
     overlapped compute — machine time per step becomes
     [max (compute, comm)] instead of [compute + comm], with residuals
     and delivered payloads bit-identical to the synchronous schedule.
     [run] carries the fault model the nodes and the machine's messages
     inject from (default: clean). *)
-let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters ~dim :
+let run_machine ?(overlap = false) ?run (p : Params.t) ~n ~iters ~dim :
     (point * Multinode.t * Jacobi.build * Grid.t, string) result =
-  with_rig ~domains ?run p ~n ~dim @@ fun r ->
+  with_rig ?run p ~n ~dim @@ fun r ->
   let machine = r.machine in
   (* iterate: sweep + refresh, then halo exchange — posted in flight
      and completed behind the next sweep when [overlap] is on *)
@@ -288,7 +280,7 @@ let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters 
     if i = iters then Ok pending
     else begin
       let before = machine.Multinode.cycles in
-      let* _ = sweep ~domains r in
+      let* _ = sweep r in
       Option.iter
         (Multinode.exchange_finish
            ~overlapped_cycles:
@@ -304,16 +296,16 @@ let run_machine ?(domains = 1) ?(overlap = false) ?run (p : Params.t) ~n ~iters 
   Ok (point_of machine ~iters, machine, r.b, r.grid)
 
 (** Run and return just the scaling point. *)
-let run ?domains ?overlap ?run (p : Params.t) ~n ~iters ~dim : (point, string) result =
-  Result.map (fun (pt, _, _, _) -> pt) (run_machine ?domains ?overlap ?run p ~n ~iters ~dim)
+let run ?overlap ?run (p : Params.t) ~n ~iters ~dim : (point, string) result =
+  Result.map (fun (pt, _, _, _) -> pt) (run_machine ?overlap ?run p ~n ~iters ~dim)
 
 (** Run and assemble the global field (interior z-layers of every node's
     centred u copy, in rank order) — used to verify that the decomposed
     iteration equals the single-machine iteration, and that the
     overlapped schedule is bit-identical to the synchronous one. *)
-let run_field ?domains ?overlap ?run (p : Params.t) ~n ~iters ~dim :
+let run_field ?overlap ?run (p : Params.t) ~n ~iters ~dim :
     (float array, string) result =
-  match run_machine ?domains ?overlap ?run p ~n ~iters ~dim with
+  match run_machine ?overlap ?run p ~n ~iters ~dim with
   | Error e -> Error e
   | Ok (_, machine, b, grid) ->
       let nodes = Multinode.n_nodes machine in
@@ -327,12 +319,12 @@ let run_field ?domains ?overlap ?run (p : Params.t) ~n ~iters ~dim :
 (** Weak-scaling sweep over hypercube dimensions, with efficiency relative
     to the single-node machine.  [overlap] runs every point with the
     asynchronous interleaved exchange. *)
-let scaling ?domains ?overlap ?run:r (p : Params.t) ~n ~iters ~dims :
+let scaling ?overlap ?run:r (p : Params.t) ~n ~iters ~dims :
     (point list, string) result =
   let rec go acc base = function
     | [] -> Ok (List.rev acc)
     | dim :: rest -> (
-        match run ?domains ?overlap ?run:r p ~n ~iters ~dim with
+        match run ?overlap ?run:r p ~n ~iters ~dim with
         | Error e -> Error e
         | Ok pt ->
             let base = match base with None -> Some pt.gflops | s -> s in
@@ -388,17 +380,14 @@ type solve_outcome = {
     and stops when the global maximum change falls to [tol].  A node
     whose run fails fails the solve with that node's error.  [run] as
     for {!run_machine}. *)
-let solve ?(domains = 1) ?run (p : Params.t) ~n ~tol ~max_iters ~dim :
+let solve ?run (p : Params.t) ~n ~tol ~max_iters ~dim :
     (solve_outcome, string) result =
-  with_rig ~domains ?run p ~n ~dim @@ fun r ->
+  with_rig ?run p ~n ~dim @@ fun r ->
   let machine = r.machine in
-  (* one machine step per iteration: [exec_step] accumulates the counters
-     in node order after the fan-in, so a domain-parallel run is
-     bit-identical to a sequential one *)
   let rec iterate iterations global =
     if not (iterations < max_iters && global > tol) then Ok (iterations, global)
     else
-      match sweep ~domains r with
+      match sweep r with
       | Error e -> Error e
       | Ok () ->
           ignore (exchange_halos ~overlap:false r);

@@ -30,35 +30,29 @@ val layer_base : Grid.t -> k:int -> int
     overlap an in-flight halo exchange ((nz - 2) / nz of the slab's
     layers read no halo). *)
 val interior_credit : nz_local:int -> int -> int
-(** One machine step of a prepared program: every node executes it into
-    its own scratch, [scratches.(id)] for node [id] (fanned across
-    [domains], bit-identical to the sequential run), and the machine
-    advances by the slowest node.  Every node executes under [run].
-    Returns [Error "node I: ..."] for the first node, in node order,
-    whose run failed.  Raises [Invalid_argument] unless there is one
+(** One machine step of a prepared program: every node, in node order,
+    executes it into its own scratch, [scratches.(id)] for node [id], and
+    the machine advances by the slowest node.  Every node executes under
+    [run].  Returns [Error "node I: ..."] for the first node, in node
+    order, whose run failed.  Raises [Invalid_argument] unless there is one
     scratch per node. *)
 val exec_step :
-  ?domains:int ->
   run:Nsc_sim.Run.t ->
   Nsc_sim.Multinode.t ->
   Nsc_sim.Sequencer.prepared ->
   Nsc_sim.Sequencer.scratch array ->
   (unit, string) result
-(** [domains] (on every runner below) fans per-node simulation across
-    OCaml domains; results are bit-identical to the sequential run.
-    [overlap] posts each iteration's halo exchange asynchronously and
-    completes it behind the next sweep's interior layers — machine time
-    per step becomes [max (compute, comm)] — with residuals and
-    delivered payloads bit-identical to the synchronous schedule.  Each
-    runner decodes its program once, compiles each of its kernels once
+(** Every runner below runs its nodes in node order on the calling
+    domain.  [overlap] posts each iteration's halo exchange
+    asynchronously and completes it behind the next sweep's interior
+    layers — machine time per step becomes [max (compute, comm)] — with
+    residuals and delivered payloads bit-identical to the synchronous
+    schedule.  Each runner decodes its program once, compiles each of its kernels once
     for all nodes, and shares one run — its fault model — across all
     nodes, and the machine costs its messages under the same model
     ([run]'s default: clean); a node whose run fails fails the runner
-    with that node's error.  A runner joins the machine's worker domains
-    before it returns, so the machine {!run_machine} returns has none
-    parked. *)
+    with that node's error. *)
 val run_machine :
-  ?domains:int ->
   ?overlap:bool ->
   ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
@@ -70,7 +64,6 @@ val run_machine :
   result
 (** Fixed-iteration weak-scaling run; returns the scaling point. *)
 val run :
-  ?domains:int ->
   ?overlap:bool ->
   ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
@@ -79,7 +72,6 @@ val run :
     the decomposition against a single-machine iteration (and the
     overlapped schedule against the synchronous one). *)
 val run_field :
-  ?domains:int ->
   ?overlap:bool ->
   ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
@@ -87,7 +79,6 @@ val run_field :
 (** Weak-scaling sweep over hypercube dimensions, efficiency relative to
     one node. *)
 val scaling :
-  ?domains:int ->
   ?overlap:bool ->
   ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
@@ -105,7 +96,6 @@ type solve_outcome = {
 (** Iterate to global convergence: local sweeps, halo exchange, and an
     all-reduced residual check per iteration. *)
 val solve :
-  ?domains:int ->
   ?run:Nsc_sim.Run.t ->
   Nsc_arch.Params.t ->
   n:int ->

@@ -6,7 +6,10 @@
     engine, multi-node exchange and checkpointed solvers consult the
     run's model at their injection points, and a clean run carries
     [None].  Models share no state, so faulted runs may proceed on
-    several domains at once.
+    several domains at once.  One model's stream is not synchronised:
+    it is drawn by one domain at a time (a multi-node run draws every
+    node's faults on the caller's domain, in node order), which is what
+    makes a seeded schedule repeat exactly.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered; {!outstanding} reports the difference and

@@ -10,10 +10,11 @@
       run, held in a {!ctx} record.
 
     The {e ambient} context is domain-local ({!current}/{!with_ctx});
-    the process starts in {!default}.  Worker domains spawned by the
-    simulator's pools inherit the caller's context (the pool captures it
-    when a job is published).  Instrumentation sites call {!bump} and
-    {!tracing}, which target the ambient context.
+    the process starts in {!default}.  The simulator spawns no domains:
+    a machine steps its nodes on the caller's domain, and the serve
+    daemon's worker domains scope each job with {!with_ctx}.
+    Instrumentation sites call {!bump} and {!tracing}, which target the
+    ambient context.
 
     A counter is either {e gated} (it counts only into an enabled
     context) or {e always-on} (it also keeps a process-wide total that
@@ -154,7 +155,7 @@ type event = {
 }
 
 (* One histogram's state: atomic bucket counts plus running count, sum
-   and exact min/max, so concurrent observers (pool worker domains) need
+   and exact min/max, so concurrent observers (serve worker domains) need
    no lock. *)
 type hstate = {
   buckets : int Atomic.t array;

@@ -40,8 +40,9 @@ val current : unit -> ctx
 
 val with_ctx : ctx -> (unit -> 'a) -> 'a
 (** [with_ctx ctx f] runs [f] with [ctx] ambient, restoring the previous
-    context afterwards (also on exceptions).  Worker domains in the
-    simulator's pools inherit the context ambient at job submission. *)
+    context afterwards (also on exceptions).  The simulator spawns no
+    domains, so a scoped run, multi-node ones included, books into
+    [ctx]. *)
 
 (** {1 The switch and the simulated clock} *)
 

@@ -37,111 +37,6 @@ let c_coalesced =
   Metrics.counter ~name:"comm.coalesced_messages" ~units:"messages"
     ~desc:"messages folded into a shared (src, dst) routed transfer"
 
-(* --- the persistent domain pool ----------------------------------------- *)
-
-(* A machine-lifetime pool of worker domains, so a solve that runs
-   hundreds of compute steps pays domain spawn/join once, not per step.
-   Workers park on a condition variable between steps; a step publishes a
-   job and an epoch under the mutex, wakes the workers, runs its own
-   stripe on the calling domain, then waits for the fan-in.  The mutex
-   acquire/release around each step gives the happens-before edges that
-   make the workers' result writes visible to the caller. *)
-type pool = {
-  size : int;  (** worker domains, excluding the calling domain *)
-  mu : Mutex.t;
-  work : Condition.t;  (** signalled when a job is published or on shutdown *)
-  idle : Condition.t;  (** signalled when the last worker finishes a job *)
-  mutable job : (int -> unit) option;  (** workers call [job w], [w] in 1..size *)
-  mutable epoch : int;
-  mutable pending : int;
-  mutable stop : bool;
-  mutable error : exn option;  (** first exception raised by a worker *)
-  mutable workers : unit Domain.t list;
-}
-
-(* Pools whose workers are still parked; drained by [at_exit] so the
-   runtime never shuts down under a blocked domain. *)
-let live_pools : pool list ref = ref []
-let live_mu = Mutex.create ()
-
-let pool_shutdown (p : pool) =
-  Mutex.protect p.mu (fun () ->
-      p.stop <- true;
-      Condition.broadcast p.work);
-  List.iter Domain.join p.workers;
-  p.workers <- [];
-  Mutex.protect live_mu (fun () ->
-      live_pools := List.filter (fun q -> q != p) !live_pools)
-
-let () = at_exit (fun () -> List.iter pool_shutdown !live_pools)
-
-let rec pool_worker (p : pool) w seen =
-  Mutex.lock p.mu;
-  while (not p.stop) && p.epoch = seen do
-    Condition.wait p.work p.mu
-  done;
-  if p.stop then Mutex.unlock p.mu
-  else begin
-    let epoch = p.epoch in
-    let job = Option.value ~default:(fun _ -> ()) p.job in
-    Mutex.unlock p.mu;
-    (try job w
-     with exn ->
-       Mutex.protect p.mu (fun () -> if p.error = None then p.error <- Some exn));
-    Mutex.protect p.mu (fun () ->
-        p.pending <- p.pending - 1;
-        if p.pending = 0 then Condition.broadcast p.idle);
-    pool_worker p w epoch
-  end
-
-let pool_create size =
-  let p =
-    {
-      size;
-      mu = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      job = None;
-      epoch = 0;
-      pending = 0;
-      stop = false;
-      error = None;
-      workers = [];
-    }
-  in
-  p.workers <- List.init size (fun w -> Domain.spawn (fun () -> pool_worker p (w + 1) 0));
-  Mutex.protect live_mu (fun () -> live_pools := p :: !live_pools);
-  p
-
-(* Run one job across the pool: workers take stripes 1..size while the
-   calling domain takes stripe 0, and the call returns only after every
-   worker has finished.  Exceptions (the caller's own stripe first, then
-   the first worker failure) are re-raised after the fan-in so the pool
-   stays consistent. *)
-let pool_run (p : pool) (job : int -> unit) =
-  (* Worker domains park between jobs, so their domain-local ambient
-     metric context is whatever the last job left; re-point them at the
-     caller's context for this job, so an instrumented parallel step
-     lands its counters where a sequential one would. *)
-  let ctx = Metrics.current () in
-  let job w = Metrics.with_ctx ctx (fun () -> job w) in
-  Mutex.protect p.mu (fun () ->
-      p.job <- Some job;
-      p.error <- None;
-      p.pending <- p.size;
-      p.epoch <- p.epoch + 1;
-      Condition.broadcast p.work);
-  let caller_error = (try job 0; None with exn -> Some exn) in
-  Mutex.lock p.mu;
-  while p.pending > 0 do
-    Condition.wait p.idle p.mu
-  done;
-  p.job <- None;
-  let worker_error = p.error in
-  Mutex.unlock p.mu;
-  (match caller_error with Some exn -> raise exn | None -> ());
-  match worker_error with Some exn -> raise exn | None -> ()
-
 type t = {
   params : Params.t;
   dim : int;
@@ -152,7 +47,6 @@ type t = {
   mutable overlap_cycles : int; (** exchange cycles hidden behind compute *)
   mutable contention_cycles : int;  (** serialisation surplus on shared sources *)
   mutable words_moved : int;
-  mutable pool : pool option;   (** persistent worker domains, grown on demand *)
   fault : Fault.t option;       (** the run's fault model, costing every message *)
 }
 
@@ -173,29 +67,8 @@ let create ?(dim : int option) ?fault (p : Params.t) =
     overlap_cycles = 0;
     contention_cycles = 0;
     words_moved = 0;
-    pool = None;
     fault;
   }
-
-(** Join and release the machine's worker domains (no-op without a pool);
-    a later parallel step recreates the pool on demand. *)
-let shutdown t =
-  match t.pool with
-  | None -> ()
-  | Some p ->
-      pool_shutdown p;
-      t.pool <- None
-
-(* The machine's pool, created on first use and grown (by replacement)
-   when a step asks for more workers than it was built with. *)
-let ensure_pool t ~workers =
-  match t.pool with
-  | Some p when p.size >= workers -> p
-  | prev ->
-      (match prev with Some p -> pool_shutdown p | None -> ());
-      let p = pool_create workers in
-      t.pool <- Some p;
-      p
 
 let n_nodes t = Array.length t.nodes
 
@@ -203,54 +76,23 @@ let node t i =
   if i < 0 || i >= n_nodes t then invalid_arg "Multinode.node";
   t.nodes.(i)
 
-(** Apply [f] to every node and collect the results in node order,
-    optionally fanning the calls across [domains] OCaml domains drawn
-    from the machine's persistent pool.  Node 0 runs first on the
-    calling domain, seeding a pre-sized result buffer (no option boxing,
-    no unwrap); stripes then cover the remaining nodes, each slot
-    written exactly once by the stripe owning it.  [domains <= 1] (the
-    default) runs sequentially. *)
-let parallel_iter ?(domains = 1) t (f : int -> Node.t -> 'a) : 'a array =
-  let n = Array.length t.nodes in
-  if domains <= 1 || n <= 1 then Array.init n (fun i -> f i t.nodes.(i))
-  else begin
-    let d = min domains n in
-    let r0 = f 0 t.nodes.(0) in
-    let results = Array.make n r0 in
-    let p = ensure_pool t ~workers:(d - 1) in
-    (* a reused pool may be larger than this step needs: stripes beyond
-       [d] would double-assign node owners, so excess workers idle *)
-    pool_run p (fun w ->
-        if w < d then begin
-          let i = ref (if w = 0 then d else w) in
-          while !i < n do
-            results.(!i) <- f !i t.nodes.(!i);
-            i := !i + d
-          done
-        end);
-    results
-  end
-
 (** Run one synchronous compute step: [f] produces per-node (cycles, flops)
     — typically from {!Sequencer.run} on each node — and the machine
-    advances by the slowest node's cycles.  [domains] fans the per-node
-    work across OCaml domains; counters are accumulated in node order
-    after the fan-in, so results are identical to a sequential step. *)
-let compute_step ?domains t (f : int -> Node.t -> int * int) =
-  let ts = if Metrics.tracing () then Metrics.now (Metrics.current ()) else 0 in
-  let per_node = parallel_iter ?domains t f in
+    advances by the slowest node's cycles.  Nodes run in node order on
+    the calling domain. *)
+let compute_step t (f : int -> Node.t -> int * int) =
+  let tracing = Metrics.tracing () in
+  let ctx = Metrics.current () in
+  let ts = if tracing then Metrics.now ctx else 0 in
   let worst = ref 0 in
-  for i = 0 to Array.length per_node - 1 do
-    let cycles, flops = per_node.(i) in
+  for node = 0 to Array.length t.nodes - 1 do
+    let cycles, flops = f node t.nodes.(node) in
     t.flops <- t.flops + flops;
-    if cycles > !worst then worst := cycles
+    if cycles > !worst then worst := cycles;
+    if tracing then Metrics.attribute_node ctx ~node ~cycles ~flops
   done;
   t.cycles <- t.cycles + !worst;
-  if Metrics.tracing () then begin
-    let ctx = Metrics.current () in
-    Array.iteri
-      (fun node (cycles, flops) -> Metrics.attribute_node ctx ~node ~cycles ~flops)
-      per_node;
+  if tracing then begin
     Metrics.add ctx c_steps 1;
     Metrics.span ctx ~tid:machine_tid ~cat:"machine" ~name:"compute_step" ~ts
       ~dur:!worst

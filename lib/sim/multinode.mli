@@ -8,13 +8,6 @@
     follows {!Nsc_arch.Router.transfer_cycles}.  Compute across nodes is
     synchronous-parallel: a step's cycle cost is the maximum over nodes. *)
 
-(** A machine-lifetime pool of worker domains: created on the first
-    parallel step, parked on a condition variable between steps, grown
-    on demand, and joined by {!shutdown} (or automatically at program
-    exit) — so a solve running hundreds of compute steps pays domain
-    spawn/join once, not per step. *)
-type pool
-
 (** The machine: per-node state plus whole-machine accounting. *)
 type t = {
   params : Nsc_arch.Params.t;
@@ -26,7 +19,6 @@ type t = {
   mutable overlap_cycles : int; (** exchange cycles hidden behind compute *)
   mutable contention_cycles : int;  (** serialisation surplus on shared sources *)
   mutable words_moved : int;    (** payload words exchanged between nodes *)
-  mutable pool : pool option;   (** persistent worker domains, on demand *)
   fault : Nsc_fault.Fault.t option;
       (** the run's fault model: every message runs the recovery ladder
           against it and books its ledger ([None]: a clean machine) *)
@@ -43,34 +35,11 @@ val n_nodes : t -> int
 (** The node with identifier [i]; raises on an out-of-range id. *)
 val node : t -> int -> Node.t
 
-(** Apply [f] to every node, collecting results in node order;
-    [domains > 1] fans the calls across the machine's persistent domain
-    pool.
-
-    Determinism: nodes are disjoint state (each has its own planes and
-    caches), so [f i] reads and writes only node [i]; every result slot
-    is written exactly once, by the unique stripe owning index [i]; and
-    the caller reads the results only after the pool's fan-in barrier,
-    whose mutex hand-off orders all worker writes before the read.
-    Scheduling can therefore change the order in which nodes compute,
-    but never any node's inputs or outputs — the returned array is
-    bit-identical to a sequential run.  The one shared mutable input is
-    a fault model the nodes' runs share, whose seeded draw stream is
-    consumed in scheduling order: keep [domains = 1] when a reproducible
-    fault schedule matters. *)
-val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
-
-(** Join and release the machine's pooled worker domains (no-op if no
-    parallel step ran).  Safe to call repeatedly; a later parallel step
-    transparently recreates the pool.  Pools still live at program exit
-    are shut down automatically. *)
-val shutdown : t -> unit
-
-(** One synchronous compute step: [f] yields per-node (cycles, flops);
-    the machine advances by the slowest node.  [domains] fans per-node
-    work across OCaml domains with bit-identical results. *)
-val compute_step :
-  ?domains:int -> t -> (int -> Node.t -> int * int) -> unit
+(** One synchronous compute step: [f] yields per-node (cycles, flops)
+    and the machine advances by the slowest node.  Nodes run in node
+    order on the calling domain, so a fault model the nodes' runs share
+    is drawn in node order and a seeded schedule repeats exactly. *)
+val compute_step : t -> (int -> Node.t -> int * int) -> unit
 
 (** One message of a communication phase. *)
 type message = {

@@ -501,19 +501,55 @@ let serializer_tests =
 
 let async_fault_tests =
   [
-    qcheck ~count:8 "overlapped exchange matches synchronous under transient faults"
-      QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 4))
-      (fun (seed, dim) ->
-        (* the async schedule must consume the seeded draw stream in the
-           same order as the sync one: same fields, same recovery ledger *)
-        let go overlap =
-          with_model ~seed "transient-link:p=0.2:retries=2" (fun m ->
-              ( Result.get_ok
-                  (Nsc_apps.Parallel.run_field ~overlap ~run:(run_of m) params ~n:5 ~iters:2
-                     ~dim),
-                F.ledger m ))
+    qcheck ~count:20
+      "overlapped exchange matches synchronous, and repeats, under link and node-local faults"
+      QCheck2.Gen.(
+        quad (int_range 0 1000) (int_range 0 4)
+          (list_repeat 3 (opt (oneofl [ 0.05; 0.2 ])))
+          (oneofl [ "0.1"; "0.2" ]))
+      (fun (seed, dim, node_ps, link_p) ->
+        (* transient link faults mixed with any of the node-local kinds *)
+        let spec =
+          String.concat ","
+            (("transient-link:p=" ^ link_p ^ ":retries=2")
+            :: List.filter_map
+                 (fun (kind, p) -> Option.map (Printf.sprintf "%s:p=%g" kind) p)
+                 (List.combine [ "fu-fault"; "dma-stall"; "mem-corrupt" ] node_ps))
         in
-        go false = go true);
+        (* every node's centre plane word by word (a NaN an injected fault
+           latched equals itself), the ledger and the machine's cycles *)
+        let go overlap =
+          with_model ~seed spec (fun m ->
+              match
+                Nsc_apps.Parallel.run_machine ~overlap ~run:(run_of m) params ~n:5 ~iters:2
+                  ~dim
+              with
+              | Error e -> Error e
+              | Ok (_, machine, b, grid) ->
+                  let plane = b.Nsc_apps.Jacobi.layout.Nsc_apps.Jacobi.center in
+                  let len = Nsc_apps.Grid.padded_words grid in
+                  Ok
+                    ( Array.map
+                        (fun node ->
+                          Array.map Int64.bits_of_float
+                            (Nsc_sim.Node.dump_array node ~plane ~base:0 ~len))
+                        machine.Nsc_sim.Multinode.nodes,
+                      F.ledger m,
+                      machine.Nsc_sim.Multinode.cycles,
+                      machine.Nsc_sim.Multinode.overlap_cycles ))
+        in
+        (* the async schedule consumes the seeded draw stream in the sync
+           order and hides, never adds, exchange cycles; a second run of
+           the same seed and spec repeats the first exactly *)
+        let sync = go false and async = go true in
+        sync = go false
+        && async = go true
+        &&
+        match (sync, async) with
+        | Ok (f, l, cycles, 0), Ok (f', l', cycles', hidden) ->
+            f = f' && l = l' && cycles = cycles' + hidden
+        | Error e, Error e' -> e = e'
+        | _ -> false);
     case "exchange_finish resolves a detoured message's bookkeeping" (fun () ->
         with_model "dead-link:0-1" (fun f ->
             let m = Nsc_sim.Multinode.create ~dim:2 ~fault:f params in
