@@ -595,8 +595,10 @@ let inject_cmd =
     let kb = kb_of_subset subset in
     let _, c, fresh_node = prepare kb path loads in
     let fspec = parse_faults_or_die spec in
+    (* decoded once; both runs share its instructions and kernels *)
+    let prog = ok_or_exit (Nsc_sim.Sequencer.prepare c) in
     let run_once ?run () =
-      (ok_or_exit (Nsc_sim.Sequencer.run (fresh_node ()) ?run c)).Nsc_sim.Sequencer.stats
+      (ok_or_exit (Nsc_sim.Sequencer.exec (fresh_node ()) ?run prog)).Nsc_sim.Sequencer.stats
     in
     (* reference run on a perfect machine, then the same program under
        the seeded fault model on a fresh node *)

@@ -52,148 +52,96 @@ type build = {
   layout : layout;
 }
 
-let fail_on_error = Builder.fail_on_error
-let mem_to_pad = Builder.mem_to_pad
-let pad_to_mem = Builder.pad_to_mem
-let als_of_icon = Builder.als_of_icon
-
-(* The sweep pipeline shared by both strategies: reads u copies from
-   [src_l] planes, writes the update to [dst] (var [dst_var], one or more
-   planes), accumulates the max change.  Returns the residual unit. *)
-let build_sweep (p : Params.t) (grid : Grid.t) (l : layout) ~index ~label
-    ~(dsts : (int * string) list) : Pipeline.t * Resource.fu_id =
+(* The stencil head, on two placed triplets: [t0] sums the four x and y
+   neighbours of u, and [t1] adds the two z neighbours and subtracts g,
+   so [t1]'s last unit yields Σ neighbours − g.  Red-black's half sweeps
+   share it. *)
+let stencil_head pl (grid : Grid.t) (l : layout) ~t0 ~t1 =
   let off1, offy, offz = Grid.offsets grid in
   let pad = Grid.pad grid in
-  let pl = Pipeline.empty ~label index in
-  let pl = Pipeline.with_vector_length pl (Grid.points grid) in
-  let t0, pl = fail_on_error (Pipeline.place_als p pl ~kind:Als.Triplet ~pos:(Geometry.point 16 2) ()) in
-  let t1, pl = fail_on_error (Pipeline.place_als p pl ~kind:Als.Triplet ~pos:(Geometry.point 34 2) ()) in
-  let d0, pl = fail_on_error (Pipeline.place_als p pl ~kind:Als.Doublet ~pos:(Geometry.point 52 2) ()) in
-  let t2, pl = fail_on_error (Pipeline.place_als p pl ~kind:Als.Triplet ~pos:(Geometry.point 52 14) ()) in
-  (* neighbour sums: t0 then t1 chain *)
-  let pl = mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad - off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad + off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad - offy) ~icon:t0 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad + offy) ~icon:t0 ~pad:(Icon.In_pad (2, Resource.B)) () in
-  let pl = Pipeline.set_config pl ~id:t0 ~slot:0 (Fu_config.make ~a:Fu_config.From_switch ~b:Fu_config.From_switch Opcode.Fadd) in
-  let pl = Pipeline.set_config pl ~id:t0 ~slot:1 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fadd) in
-  let pl = Pipeline.set_config pl ~id:t0 ~slot:2 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fadd) in
-  let pl =
-    let _, pl =
-      Pipeline.add_connection pl
-        ~src:(Connection.Pad { icon = t0; pad = Icon.Out_pad 2 })
-        ~dst:(Connection.Pad { icon = t1; pad = Icon.In_pad (0, Resource.A) })
-        ()
-    in
-    pl
-  in
-  let pl = mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad - offz) ~icon:t1 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad + offz) ~icon:t1 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = mem_to_pad pl ~plane:l.g ~var:"g" ~offset:pad ~icon:t1 ~pad:(Icon.In_pad (2, Resource.B)) () in
-  let pl = Pipeline.set_config pl ~id:t1 ~slot:0 (Fu_config.make ~a:Fu_config.From_switch ~b:Fu_config.From_switch Opcode.Fadd) in
-  let pl = Pipeline.set_config pl ~id:t1 ~slot:1 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fadd) in
-  let pl = Pipeline.set_config pl ~id:t1 ~slot:2 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fsub) in
+  let pl = Build.mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad - off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad + off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad - offy) ~icon:t0 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad + offy) ~icon:t0 ~pad:(Icon.In_pad (2, Resource.B)) () in
+  let pl = Build.config pl ~icon:t0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:t0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:t0 ~slot:2 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  let pl = Build.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:t1 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad - offz) ~icon:t1 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad + offz) ~icon:t1 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.g ~var:"g" ~offset:pad ~icon:t1 ~pad:(Icon.In_pad (2, Resource.B)) () in
+  let pl = Build.config pl ~icon:t1 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:t1 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  Build.config pl ~icon:t1 ~slot:2 ~a:From_chain ~b:From_switch Opcode.Fsub
+
+(* The sweep: reads u copies from [l]'s planes, writes the update to
+   every (plane, var) of [dsts], and accumulates the max change.
+   Returns the residual unit. *)
+let build_sweep (p : Params.t) (grid : Grid.t) (l : layout) ~index ~label
+    ~(dsts : (int * string) list) : Pipeline.t * Resource.fu_id =
+  let pad = Grid.pad grid in
+  let pl = Pipeline.with_vector_length (Pipeline.empty ~label index) (Grid.points grid) in
+  let t0, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:16 ~y:2 in
+  let t1, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:34 ~y:2 in
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:52 ~y:2 in
+  let t2, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:52 ~y:14 in
+  let pl = stencil_head pl grid l ~t0 ~t1 in
   (* scale by 1/6 and mask *)
-  let pl =
-    let _, pl =
-      Pipeline.add_connection pl
-        ~src:(Connection.Pad { icon = t1; pad = Icon.Out_pad 2 })
-        ~dst:(Connection.Pad { icon = d0; pad = Icon.In_pad (0, Resource.A) })
-        ()
-    in
-    pl
-  in
-  let pl = mem_to_pad pl ~plane:l.mask ~var:"mask" ~offset:pad ~icon:d0 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Pipeline.set_config pl ~id:d0 ~slot:0 (Fu_config.make ~a:Fu_config.From_switch ~b:(Fu_config.From_constant (1.0 /. 6.0)) Opcode.Fmul) in
-  let pl = Pipeline.set_config pl ~id:d0 ~slot:1 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fmul) in
+  let pl = Build.pad_to_pad pl ~from_icon:t1 ~from_pad:(Icon.Out_pad 2) ~to_icon:d0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:l.mask ~var:"mask" ~offset:pad ~icon:d0 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:(From_constant (1.0 /. 6.0)) Opcode.Fmul in
+  let pl = Build.config pl ~icon:d0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fmul in
   (* write the update; a pass singlet extends the fanout when the update
      must reach several destination planes *)
   let pl =
     match dsts with
-    | [ (plane, var) ] -> pad_to_mem pl ~icon:d0 ~pad:(Icon.Out_pad 1) ~plane ~var ~offset:pad ()
+    | [ (plane, var) ] -> Build.pad_to_mem pl ~icon:d0 ~pad:(Icon.Out_pad 1) ~plane ~var ~offset:pad ()
     | dsts ->
-        let s0, pl =
-          fail_on_error
-            (Pipeline.place_als p pl ~kind:Als.Singlet ~pos:(Geometry.point 70 2) ())
-        in
-        let pl =
-          let _, pl =
-            Pipeline.add_connection pl
-              ~src:(Connection.Pad { icon = d0; pad = Icon.Out_pad 1 })
-              ~dst:(Connection.Pad { icon = s0; pad = Icon.In_pad (0, Resource.A) })
-              ()
-          in
-          pl
-        in
-        let pl = Pipeline.set_config pl ~id:s0 ~slot:0 (Fu_config.make ~a:Fu_config.From_switch Opcode.Pass) in
+        let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:70 ~y:2 in
+        let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:s0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+        let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch Opcode.Pass in
         List.fold_left
           (fun pl (plane, var) ->
-            pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad ())
+            Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad ())
           pl dsts
   in
   (* residual: max of mask·|unew − u| through a feedback loop.  Masking
      keeps frozen points (boundaries, and halo layers in a multi-node
      slab) out of the convergence measure. *)
-  let pl =
-    let _, pl =
-      Pipeline.add_connection pl
-        ~src:(Connection.Pad { icon = d0; pad = Icon.Out_pad 1 })
-        ~dst:(Connection.Pad { icon = t2; pad = Icon.In_pad (0, Resource.A) })
-        ()
-    in
-    pl
-  in
-  let pl = mem_to_pad pl ~plane:l.center ~var:(u_var l.center) ~offset:pad ~icon:t2 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = mem_to_pad pl ~plane:l.mask ~var:"mask" ~offset:pad ~icon:t2 ~pad:(Icon.In_pad (2, Resource.B)) () in
-  let pl = Pipeline.set_config pl ~id:t2 ~slot:0 (Fu_config.make ~a:Fu_config.From_switch ~b:Fu_config.From_switch Opcode.Fsub) in
-  let pl = Pipeline.set_config pl ~id:t2 ~slot:1 (Fu_config.make ~a:Fu_config.From_chain Opcode.Fabs) in
-  let pl = Pipeline.set_config pl ~id:t2 ~slot:2 (Fu_config.make ~a:Fu_config.From_chain ~b:Fu_config.From_switch Opcode.Fmul) in
-  let d1, pl =
-    fail_on_error (Pipeline.place_als p pl ~kind:Als.Doublet ~bypass:Als.Keep_tail ~pos:(Geometry.point 70 14) ())
-  in
-  let pl =
-    let _, pl =
-      Pipeline.add_connection pl
-        ~src:(Connection.Pad { icon = t2; pad = Icon.Out_pad 2 })
-        ~dst:(Connection.Pad { icon = d1; pad = Icon.In_pad (1, Resource.A) })
-        ()
-    in
-    pl
-  in
-  let pl = Pipeline.set_config pl ~id:d1 ~slot:1 (Fu_config.make ~a:Fu_config.From_switch ~b:(Fu_config.From_feedback 1) Opcode.Max) in
-  (pl, { Resource.als = als_of_icon pl d1; slot = 1 })
+  let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:t2 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:l.center ~var:(u_var l.center) ~offset:pad ~icon:t2 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.mask ~var:"mask" ~offset:pad ~icon:t2 ~pad:(Icon.In_pad (2, Resource.B)) () in
+  let pl = Build.config pl ~icon:t2 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fsub in
+  let pl = Build.config pl ~icon:t2 ~slot:1 ~a:From_chain Opcode.Fabs in
+  let pl = Build.config pl ~icon:t2 ~slot:2 ~a:From_chain ~b:From_switch Opcode.Fmul in
+  let d1, pl = Build.place ~bypass:Als.Keep_tail pl ~params:p ~kind:Als.Doublet ~x:70 ~y:14 in
+  let pl = Build.pad_to_pad pl ~from_icon:t2 ~from_pad:(Icon.Out_pad 2) ~to_icon:d1 ~to_pad:(Icon.In_pad (1, Resource.A)) in
+  let pl = Build.config pl ~icon:d1 ~slot:1 ~a:From_switch ~b:(From_feedback 1) Opcode.Max in
+  (pl, { Resource.als = Build.als_of_icon pl d1; slot = 1 })
 
-(* The one-shot setup instruction: g = h² · f over the padded field. *)
+(* The one-shot setup instruction: g = h² · f over the padded field.
+   Red-black runs it too. *)
 let build_setup (p : Params.t) (grid : Grid.t) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"setup: g = h^2 * f" index in
   let pl = Pipeline.with_vector_length pl (Grid.padded_words grid) in
-  let s0, pl =
-    fail_on_error (Pipeline.place_als p pl ~kind:Als.Singlet ~pos:(Geometry.point 30 6) ())
-  in
-  let pl = mem_to_pad pl ~plane:l.f ~var:"f" ~offset:0 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
+  let pl = Build.mem_to_pad pl ~plane:l.f ~var:"f" ~offset:0 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
   let h2 = grid.Grid.h *. grid.Grid.h in
-  let pl =
-    Pipeline.set_config pl ~id:s0 ~slot:0
-      (Fu_config.make ~a:Fu_config.From_switch ~b:(Fu_config.From_constant h2) Opcode.Fmul)
-  in
-  pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.g ~var:"g" ~offset:0 ()
+  let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch ~b:(From_constant h2) Opcode.Fmul in
+  Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.g ~var:"g" ~offset:0 ()
 
-(* The refresh instruction: copy unew over every plane holding u. *)
+(* The refresh instruction: copy unew over every plane holding u.
+   Red-black runs it after each half sweep. *)
 let build_refresh (p : Params.t) (grid : Grid.t) (l : layout) ~index : Pipeline.t =
   let pad = Grid.pad grid in
   let pl = Pipeline.empty ~label:"refresh u copies" index in
   let pl = Pipeline.with_vector_length pl (Grid.points grid) in
   List.fold_left
     (fun pl plane ->
-      let s, pl =
-        fail_on_error
-          (Pipeline.place_als p pl ~kind:Als.Singlet
-             ~pos:(Geometry.point (12 + (18 * (plane mod 4))) 6)
-             ())
-      in
-      let pl = mem_to_pad pl ~plane:l.unew ~var:"unew" ~offset:pad ~icon:s ~pad:(Icon.In_pad (0, Resource.A)) () in
-      let pl = Pipeline.set_config pl ~id:s ~slot:0 (Fu_config.make ~a:Fu_config.From_switch Opcode.Pass) in
-      pad_to_mem pl ~icon:s ~pad:(Icon.Out_pad 0) ~plane ~var:(u_var plane) ~offset:pad ())
+      let s, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:(12 + (18 * (plane mod 4))) ~y:6 in
+      let pl = Build.mem_to_pad pl ~plane:l.unew ~var:"unew" ~offset:pad ~icon:s ~pad:(Icon.In_pad (0, Resource.A)) () in
+      let pl = Build.config pl ~icon:s ~slot:0 ~a:From_switch Opcode.Pass in
+      Build.pad_to_mem pl ~icon:s ~pad:(Icon.Out_pad 0) ~plane ~var:(u_var plane) ~offset:pad ())
     pl (u_planes l)
 
 (** Build the complete visual program.
@@ -205,92 +153,52 @@ let build_refresh (p : Params.t) (grid : Grid.t) (l : layout) ~index : Pipeline.
 let build (kb : Knowledge.t) ?(layout = distributed) ?(strategy = `Refresh)
     (grid : Grid.t) ~tol ~max_iters : build =
   let p = Knowledge.params kb in
-  let words = Grid.padded_words grid in
-  let prog = Program.empty "jacobi3d" in
-  let declare prog (name, plane) =
-    match Program.declare prog { Program.name; plane; base = 0; length = words } with
-    | Ok prog -> prog
-    | Error e -> failwith e
+  let l = layout in
+  let u_vars l = List.map (fun plane -> (u_var plane, plane)) (u_planes l) in
+  (* the sweeps, with the variables they add to the layout's and the
+     residual unit the loop watches *)
+  let mirror_vars, body, residual_unit =
+    match strategy with
+    | `Refresh ->
+        let sweep, residual_unit =
+          build_sweep p grid l ~index:2 ~label:"jacobi sweep (eq. 1)" ~dsts:[ (l.unew, "unew") ]
+        in
+        ([], [ sweep; build_refresh p grid l ~index:3 ], residual_unit)
+    | `Ping_pong ->
+        (* mirror copies on planes 8..: same geometry as the primary set *)
+        let mirror_of plane = 8 + Option.get (List.find_index (( = ) plane) (u_planes l)) in
+        let mirror =
+          { l with sx = mirror_of l.sx; sy = mirror_of l.sy; sz = mirror_of l.sz; center = mirror_of l.center }
+        in
+        let copies set = List.map (fun plane -> (plane, u_var plane)) (u_planes set) in
+        let sweep_ab, _ = build_sweep p grid l ~index:2 ~label:"jacobi sweep A->B" ~dsts:(copies mirror) in
+        let sweep_ba, residual_unit =
+          build_sweep p grid mirror ~index:3 ~label:"jacobi sweep B->A" ~dsts:(copies l)
+        in
+        (u_vars mirror, [ sweep_ab; sweep_ba ], residual_unit)
   in
-  let base_vars =
-    List.map (fun plane -> (u_var plane, plane)) (u_planes layout)
-    @ [ ("g", layout.g); ("mask", layout.mask); ("unew", layout.unew); ("f", layout.f) ]
+  let vars = u_vars l @ [ ("g", l.g); ("mask", l.mask); ("unew", l.unew); ("f", l.f) ] in
+  let prog =
+    Build.declare_all (Program.empty "jacobi3d")
+      (match mirror_vars with [] -> vars | m -> vars @ m)
+      ~length:(Grid.padded_words grid)
   in
-  match strategy with
-  | `Refresh ->
-      let prog = List.fold_left declare prog base_vars in
-      let setup = build_setup p grid layout ~index:1 in
-      let sweep, residual_unit =
-        build_sweep p grid layout ~index:2 ~label:"jacobi sweep (eq. 1)"
-          ~dsts:[ (layout.unew, "unew") ]
-      in
-      let refresh = build_refresh p grid layout ~index:3 in
-      let prog = { prog with Program.pipelines = [ setup; sweep; refresh ] } in
-      let prog =
-        Program.set_control prog
-          [
-            Program.Exec 1;
-            Program.While
-              {
-                condition =
-                  { Interrupt.unit_watched = residual_unit; relation = Interrupt.Rgt; threshold = tol };
-                max_iterations = max_iters;
-                body = [ Program.Exec 2; Program.Exec 3 ];
-              };
-            Program.Halt;
-          ]
-      in
-      let prog = Balance.balance_program kb prog in
-      { program = prog; residual_unit; layout }
-  | `Ping_pong ->
-      (* mirror copies on planes 8..: same geometry as the primary set *)
-      let mirror_of =
-        let next = ref 8 in
-        let tbl = Hashtbl.create 4 in
-        List.iter
-          (fun plane ->
-            Hashtbl.replace tbl plane !next;
-            incr next)
-          (u_planes layout);
-        fun plane -> Hashtbl.find tbl plane
-      in
-      let mirror =
-        {
-          layout with
-          sx = mirror_of layout.sx;
-          sy = mirror_of layout.sy;
-          sz = mirror_of layout.sz;
-          center = mirror_of layout.center;
-        }
-      in
-      let mirror_vars = List.map (fun plane -> (u_var plane, plane)) (u_planes mirror) in
-      let prog = List.fold_left declare prog (base_vars @ mirror_vars) in
-      let setup = build_setup p grid layout ~index:1 in
-      let dsts_b = List.map (fun plane -> (plane, u_var plane)) (u_planes mirror) in
-      let dsts_a = List.map (fun plane -> (plane, u_var plane)) (u_planes layout) in
-      let sweep_ab, _ =
-        build_sweep p grid layout ~index:2 ~label:"jacobi sweep A->B" ~dsts:dsts_b
-      in
-      let sweep_ba, residual_unit =
-        build_sweep p grid mirror ~index:3 ~label:"jacobi sweep B->A" ~dsts:dsts_a
-      in
-      let prog = { prog with Program.pipelines = [ setup; sweep_ab; sweep_ba ] } in
-      let prog =
-        Program.set_control prog
-          [
-            Program.Exec 1;
-            Program.While
-              {
-                condition =
-                  { Interrupt.unit_watched = residual_unit; relation = Interrupt.Rgt; threshold = tol };
-                max_iterations = max_iters;
-                body = [ Program.Exec 2; Program.Exec 3 ];
-              };
-            Program.Halt;
-          ]
-      in
-      let prog = Balance.balance_program kb prog in
-      { program = prog; residual_unit; layout }
+  let prog = { prog with Program.pipelines = build_setup p grid l ~index:1 :: body } in
+  let prog =
+    Program.set_control prog
+      [
+        Program.Exec 1;
+        Program.While
+          {
+            condition =
+              { Interrupt.unit_watched = residual_unit; relation = Interrupt.Rgt; threshold = tol };
+            max_iterations = max_iters;
+            body = [ Program.Exec 2; Program.Exec 3 ];
+          };
+        Program.Halt;
+      ]
+  in
+  { program = Balance.balance_program kb prog; residual_unit; layout = l }
 
 (** Load a problem's fields into a node per the build's layout (u starts at
     zero everywhere, which the padded fields already are). *)
@@ -328,11 +236,16 @@ let program_key p l strategy (grid : Grid.t) ~tol ~max_iters =
 
 (* Build, check, encode and decode the program: a program table miss. *)
 let prepare kb ~layout ~strategy grid ~tol ~max_iters =
-  let b = build kb ~layout ~strategy grid ~tol ~max_iters in
-  match Nsc_microcode.Codegen.compile kb b.program with
-  | Error ds ->
-      Error (Diagnostic.error_summary ds)
-  | Ok compiled -> Nsc_sim.Sequencer.prepare compiled
+  Nsc_sim.Sequencer.of_program kb (build kb ~layout ~strategy grid ~tol ~max_iters).program
+
+(* The two phases of a [`Refresh] program for a caller that drives the
+   sweep loop itself: the setup instruction, and one sweep with its
+   refresh.  Each shares [prog]'s instructions and their kernels. *)
+let setup_phase (prog : Nsc_sim.Sequencer.prepared) =
+  { prog with Nsc_sim.Kernel.control = [ Program.Exec 1; Program.Halt ] }
+
+let sweep_phase (prog : Nsc_sim.Sequencer.prepared) =
+  { prog with Nsc_sim.Kernel.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ] }
 
 (* The unit the convergence loop watches: the residual unit of {!build}. *)
 let rec watched = function
@@ -445,22 +358,15 @@ type ft_outcome = {
 let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?run
     (prob : Poisson.problem) ~tol ~max_iters : (ft_outcome, string) result =
   let b = build kb ?layout ~strategy:`Refresh prob.Poisson.grid ~tol ~max_iters in
-  match Nsc_microcode.Codegen.compile kb b.program with
-  | Error ds ->
-      Error (Diagnostic.error_summary ds)
-  | Ok compiled -> (
+  (* decoded once for the whole solve *)
+  match Nsc_sim.Sequencer.of_program kb b.program with
+  | Error e -> Error e
+  | Ok prog -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load node b prob;
       let run = match run with Some r -> r | None -> Nsc_sim.Run.make () in
       let fault = run.Nsc_sim.Run.fault in
-      (* decoded once for the whole solve; the two phases share its
-         instructions and kernels *)
-      let ( let* ) = Result.bind in
-      let* prog = Nsc_sim.Sequencer.prepare compiled in
-      let c_setup = { prog with Nsc_sim.Kernel.control = [ Program.Exec 1; Program.Halt ] } in
-      let c_sweep =
-        { prog with Nsc_sim.Kernel.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ] }
-      in
+      let c_setup = setup_phase prog and c_sweep = sweep_phase prog in
       (* accumulated run accounting across setup and every sweep attempt
          (redone sweeps included: the machine did that work) *)
       let instructions = ref 0 and cycles = ref 0 and flops = ref 0 in

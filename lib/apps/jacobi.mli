@@ -40,46 +40,36 @@ type build = {
   residual_unit : Nsc_arch.Resource.fu_id;
   layout : layout;
 }
-val fail_on_error : ('a, string) result -> 'a
-val mem_to_pad :
-  Nsc_diagram.Pipeline.t ->
-  plane:Nsc_arch.Resource.plane_id ->
-  var:string ->
-  offset:int ->
-  ?stride:int ->
-  icon:Nsc_diagram.Icon.id ->
-  pad:Nsc_diagram.Icon.pad -> unit -> Nsc_diagram.Pipeline.t
-val pad_to_mem :
-  Nsc_diagram.Pipeline.t ->
-  icon:Nsc_diagram.Icon.id ->
-  pad:Nsc_diagram.Icon.pad ->
-  plane:Nsc_arch.Resource.plane_id ->
-  var:string -> offset:int -> ?stride:int -> unit -> Nsc_diagram.Pipeline.t
-val als_of_icon :
-  Nsc_diagram.Pipeline.t -> Nsc_diagram.Icon.id -> Nsc_arch.Resource.als_id
 (** Build the complete visual program for Equation 1: setup (g = h²f),
     the sweep with its running-max residual, and — under [`Refresh] —
     the copy-back instruction; [`Ping_pong] mirrors the sweep instead.
     Streams are auto-balanced. *)
-val build_sweep :
-  Nsc_arch.Params.t ->
-  Grid.t ->
-  layout ->
-  index:int ->
-  label:string ->
-  dsts:(int * string) list ->
-  Nsc_diagram.Pipeline.t * Nsc_arch.Resource.fu_id
-val build_setup :
-  Nsc_arch.Params.t ->
-  Grid.t -> layout -> index:int -> Nsc_diagram.Pipeline.t
-val build_refresh :
-  Nsc_arch.Params.t ->
-  Grid.t -> layout -> index:int -> Nsc_diagram.Pipeline.t
 val build :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->
   ?strategy:[< `Ping_pong | `Refresh > `Refresh ] ->
   Grid.t -> tol:float -> max_iters:int -> build
+
+(** {2 Pieces red-black draws with}
+
+    Red-black's half sweeps open with the same stencil head, and its
+    program runs the same setup and refresh instructions. *)
+
+(** Wire the stencil head onto two placed triplets [t0] and [t1]: u's
+    six neighbours from [layout]'s planes, summed, minus g, out of [t1]'s
+    last unit. *)
+val stencil_head :
+  Nsc_diagram.Pipeline.t ->
+  Grid.t -> layout -> t0:Nsc_diagram.Icon.id -> t1:Nsc_diagram.Icon.id -> Nsc_diagram.Pipeline.t
+
+(** The setup instruction: g = h²·f over the padded field. *)
+val build_setup :
+  Nsc_arch.Params.t -> Grid.t -> layout -> index:int -> Nsc_diagram.Pipeline.t
+
+(** The refresh instruction: unew copied over every plane holding u. *)
+val build_refresh :
+  Nsc_arch.Params.t -> Grid.t -> layout -> index:int -> Nsc_diagram.Pipeline.t
+
 val load : Nsc_sim.Node.t -> build -> Poisson.problem -> unit
 val solution : Nsc_sim.Node.t -> build -> Grid.t -> float array
 type outcome = {
@@ -116,6 +106,13 @@ val solve :
     with [Nsc_guard.Guard.Budget.Deadline_exceeded].  [plan_cache] and
     [kernel_cache] are nscbench compatibility, as on
     {!Nsc_sim.Sequencer.run} — delete when nscbench moves to [Run.t]. *)
+
+(** The two phases of a prepared [`Refresh] program, for a caller that
+    drives the sweep loop itself ({!solve_ft}, {!Parallel}): the setup
+    instruction alone, and one sweep with its refresh.  Each shares the
+    program's instructions and their kernels. *)
+val setup_phase : Nsc_sim.Sequencer.prepared -> Nsc_sim.Sequencer.prepared
+val sweep_phase : Nsc_sim.Sequencer.prepared -> Nsc_sim.Sequencer.prepared
 
 type ft_outcome = {
   outcome : outcome;

@@ -80,25 +80,25 @@ let build_smoother (p : Params.t) ~index ~label ~vlen ~(ua : int * string)
     ~(out : int * string) : Pipeline.t =
   let pl = Pipeline.empty ~label index in
   let pl = Pipeline.with_vector_length pl vlen in
-  let t0, pl = Builder.place pl ~params:p ~kind:Als.Triplet ~x:14 ~y:2 in
-  let d0, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:34 ~y:2 in
-  let s0, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:52 ~y:2 in
+  let t0, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:14 ~y:2 in
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:34 ~y:2 in
+  let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:52 ~y:2 in
   let plane_ua, var_ua = ua and plane_uc, var_uc = uc in
   let plane_g, var_g = g and plane_m, var_m = mask and plane_o, var_o = out in
-  let pl = Builder.mem_to_pad pl ~plane:plane_ua ~var:var_ua ~offset:(pad1 - 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:plane_ua ~var:var_ua ~offset:(pad1 + 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:plane_g ~var:var_g ~offset:pad1 ~icon:t0 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.config pl ~icon:t0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fsub in
-  let pl = Builder.config pl ~icon:t0 ~slot:2 ~a:Builder.chain ~b:(Builder.const (omega /. 2.0)) Opcode.Fmul in
-  let pl = Builder.mem_to_pad pl ~plane:plane_uc ~var:var_uc ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.config pl ~icon:d0 ~slot:0 ~a:Builder.sw ~b:(Builder.const (1.0 -. omega)) Opcode.Fmul in
-  let pl = Builder.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:d0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
-  let pl = Builder.config pl ~icon:d0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:s0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
-  let pl = Builder.mem_to_pad pl ~plane:plane_m ~var:var_m ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.config pl ~icon:s0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fmul in
-  Builder.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:plane_o ~var:var_o ~offset:pad1 ()
+  let pl = Build.mem_to_pad pl ~plane:plane_ua ~var:var_ua ~offset:(pad1 - 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:plane_ua ~var:var_ua ~offset:(pad1 + 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:plane_g ~var:var_g ~offset:pad1 ~icon:t0 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.config pl ~icon:t0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:t0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fsub in
+  let pl = Build.config pl ~icon:t0 ~slot:2 ~a:From_chain ~b:(From_constant (omega /. 2.0)) Opcode.Fmul in
+  let pl = Build.mem_to_pad pl ~plane:plane_uc ~var:var_uc ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:(From_constant (1.0 -. omega)) Opcode.Fmul in
+  let pl = Build.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:d0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
+  let pl = Build.config pl ~icon:d0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:s0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:plane_m ~var:var_m ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fmul in
+  Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:plane_o ~var:var_o ~offset:pad1 ()
 
 (* Copy [src] over each plane in [dsts]. *)
 let build_refresh (p : Params.t) ~index ~label ~vlen ~(src : int * string)
@@ -108,10 +108,10 @@ let build_refresh (p : Params.t) ~index ~label ~vlen ~(src : int * string)
   let pl = Pipeline.with_vector_length pl vlen in
   List.fold_left
     (fun pl (i, (plane, var)) ->
-      let s, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:(12 + (18 * i)) ~y:6 in
-      let pl = Builder.mem_to_pad pl ~plane:plane_s ~var:var_s ~offset:pad1 ~icon:s ~pad:(Icon.In_pad (0, Resource.A)) () in
-      let pl = Builder.config pl ~icon:s ~slot:0 ~a:Builder.sw Opcode.Pass in
-      Builder.pad_to_mem pl ~icon:s ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad1 ())
+      let s, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:(12 + (18 * i)) ~y:6 in
+      let pl = Build.mem_to_pad pl ~plane:plane_s ~var:var_s ~offset:pad1 ~icon:s ~pad:(Icon.In_pad (0, Resource.A)) () in
+      let pl = Build.config pl ~icon:s ~slot:0 ~a:From_switch Opcode.Pass in
+      Build.pad_to_mem pl ~icon:s ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad1 ())
     pl
     (List.mapi (fun i d -> (i, d)) dsts)
 
@@ -119,39 +119,39 @@ let build_refresh (p : Params.t) ~index ~label ~vlen ~(src : int * string)
 let build_residual (p : Params.t) (g : grid1) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"fine residual" index in
   let pl = Pipeline.with_vector_length pl g.n in
-  let d0, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:12 ~y:12 in
-  let t0, pl = Builder.place pl ~params:p ~kind:Als.Triplet ~x:12 ~y:2 in
-  let d1, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:34 ~y:2 in
-  let pl = Builder.mem_to_pad pl ~plane:l.u_c ~var:"u_c" ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.config pl ~icon:d0 ~slot:0 ~a:Builder.sw ~b:(Builder.const 2.0) Opcode.Fmul in
-  let pl = Builder.mem_to_pad pl ~plane:l.u_a ~var:"u_a" ~offset:(pad1 - 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.u_a ~var:"u_a" ~offset:(pad1 + 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.config pl ~icon:t0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 0) ~to_icon:t0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
-  let pl = Builder.config pl ~icon:t0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fsub in
-  let pl = Builder.config pl ~icon:t0 ~slot:2 ~a:Builder.chain ~b:(Builder.const (1.0 /. (g.h *. g.h))) Opcode.Fmul in
-  let pl = Builder.mem_to_pad pl ~plane:l.f ~var:"f" ~offset:pad1 ~icon:d1 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:d1 ~to_pad:(Icon.In_pad (0, Resource.B)) in
-  let pl = Builder.config pl ~icon:d1 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fsub in
-  let pl = Builder.mem_to_pad pl ~plane:l.mask_f ~var:"mask_f" ~offset:pad1 ~icon:d1 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.config pl ~icon:d1 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fmul in
-  Builder.pad_to_mem pl ~icon:d1 ~pad:(Icon.Out_pad 1) ~plane:l.r ~var:"r" ~offset:pad1 ()
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:12 ~y:12 in
+  let t0, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:12 ~y:2 in
+  let d1, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:34 ~y:2 in
+  let pl = Build.mem_to_pad pl ~plane:l.u_c ~var:"u_c" ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:(From_constant 2.0) Opcode.Fmul in
+  let pl = Build.mem_to_pad pl ~plane:l.u_a ~var:"u_a" ~offset:(pad1 - 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.u_a ~var:"u_a" ~offset:(pad1 + 1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.config pl ~icon:t0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 0) ~to_icon:t0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
+  let pl = Build.config pl ~icon:t0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fsub in
+  let pl = Build.config pl ~icon:t0 ~slot:2 ~a:From_chain ~b:(From_constant (1.0 /. (g.h *. g.h))) Opcode.Fmul in
+  let pl = Build.mem_to_pad pl ~plane:l.f ~var:"f" ~offset:pad1 ~icon:d1 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:d1 ~to_pad:(Icon.In_pad (0, Resource.B)) in
+  let pl = Build.config pl ~icon:d1 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fsub in
+  let pl = Build.mem_to_pad pl ~plane:l.mask_f ~var:"mask_f" ~offset:pad1 ~icon:d1 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.config pl ~icon:d1 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fmul in
+  Build.pad_to_mem pl ~icon:d1 ~pad:(Icon.Out_pad 1) ~plane:l.r ~var:"r" ~offset:pad1 ()
 
 (* Full-weighting restriction: rc[j] = (r[2j-1] + 2 r[2j] + r[2j+1]) / 4. *)
 let build_restrict (p : Params.t) (gc : grid1) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"restrict residual (full weighting)" index in
   let pl = Pipeline.with_vector_length pl gc.n in
-  let d0, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:12 ~y:12 in
-  let t0, pl = Builder.place pl ~params:p ~kind:Als.Triplet ~x:12 ~y:2 in
-  let pl = Builder.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:pad1 ~stride:2 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.config pl ~icon:d0 ~slot:0 ~a:Builder.sw ~b:(Builder.const 2.0) Opcode.Fmul in
-  let pl = Builder.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:(pad1 - 1) ~stride:2 ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:(pad1 + 1) ~stride:2 ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.config pl ~icon:t0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 0) ~to_icon:t0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
-  let pl = Builder.config pl ~icon:t0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t0 ~slot:2 ~a:Builder.chain ~b:(Builder.const 0.25) Opcode.Fmul in
-  Builder.pad_to_mem pl ~icon:t0 ~pad:(Icon.Out_pad 2) ~plane:l.rc ~var:"rc" ~offset:pad1 ()
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:12 ~y:12 in
+  let t0, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:12 ~y:2 in
+  let pl = Build.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:pad1 ~stride:2 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:(From_constant 2.0) Opcode.Fmul in
+  let pl = Build.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:(pad1 - 1) ~stride:2 ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.r ~var:"r" ~offset:(pad1 + 1) ~stride:2 ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.config pl ~icon:t0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 0) ~to_icon:t0 ~to_pad:(Icon.In_pad (1, Resource.B)) in
+  let pl = Build.config pl ~icon:t0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:t0 ~slot:2 ~a:From_chain ~b:(From_constant 0.25) Opcode.Fmul in
+  Build.pad_to_mem pl ~icon:t0 ~pad:(Icon.Out_pad 2) ~plane:l.rc ~var:"rc" ~offset:pad1 ()
 
 (* gc = h_c² · rc, and zeroing the coarse error copies. *)
 let build_scale (p : Params.t) ~index ~label ~vlen ~const:k ~(src : int * string)
@@ -159,12 +159,12 @@ let build_scale (p : Params.t) ~index ~label ~vlen ~const:k ~(src : int * string
   let plane_s, var_s = src in
   let pl = Pipeline.empty ~label index in
   let pl = Pipeline.with_vector_length pl vlen in
-  let s0, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
-  let pl = Builder.mem_to_pad pl ~plane:plane_s ~var:var_s ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.config pl ~icon:s0 ~slot:0 ~a:Builder.sw ~b:(Builder.const k) Opcode.Fmul in
+  let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
+  let pl = Build.mem_to_pad pl ~plane:plane_s ~var:var_s ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch ~b:(From_constant k) Opcode.Fmul in
   List.fold_left
     (fun pl (plane, var) ->
-      Builder.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad1 ())
+      Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane ~var ~offset:pad1 ())
     pl dsts
 
 (* Prolongation: even fine points copy the coarse value; odd fine points
@@ -172,30 +172,30 @@ let build_scale (p : Params.t) ~index ~label ~vlen ~const:k ~(src : int * string
 let build_prolong_even (p : Params.t) (gc : grid1) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"prolong (even points)" index in
   let pl = Pipeline.with_vector_length pl gc.n in
-  let s0, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
-  let pl = Builder.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.config pl ~icon:s0 ~slot:0 ~a:Builder.sw Opcode.Pass in
-  Builder.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.cf ~var:"cf" ~offset:pad1 ~stride:2 ()
+  let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
+  let pl = Build.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch Opcode.Pass in
+  Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.cf ~var:"cf" ~offset:pad1 ~stride:2 ()
 
 let build_prolong_odd (p : Params.t) (gc : grid1) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"prolong (odd points)" index in
   let pl = Pipeline.with_vector_length pl (gc.n - 1) in
-  let d0, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:30 ~y:2 in
-  let pl = Builder.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:(pad1 + 1) ~icon:d0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.config pl ~icon:d0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:d0 ~slot:1 ~a:Builder.chain ~b:(Builder.const 0.5) Opcode.Fmul in
-  Builder.pad_to_mem pl ~icon:d0 ~pad:(Icon.Out_pad 1) ~plane:l.cf ~var:"cf" ~offset:(pad1 + 1) ~stride:2 ()
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:30 ~y:2 in
+  let pl = Build.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:pad1 ~icon:d0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.e_c ~var:"e_c" ~offset:(pad1 + 1) ~icon:d0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  let pl = Build.config pl ~icon:d0 ~slot:1 ~a:From_chain ~b:(From_constant 0.5) Opcode.Fmul in
+  Build.pad_to_mem pl ~icon:d0 ~pad:(Icon.Out_pad 1) ~plane:l.cf ~var:"cf" ~offset:(pad1 + 1) ~stride:2 ()
 
 (* Correction: unew = u + cf. *)
 let build_correct (p : Params.t) (g : grid1) (l : layout) ~index : Pipeline.t =
   let pl = Pipeline.empty ~label:"apply coarse correction" index in
   let pl = Pipeline.with_vector_length pl g.n in
-  let s0, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
-  let pl = Builder.mem_to_pad pl ~plane:l.u_c ~var:"u_c" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.cf ~var:"cf" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.config pl ~icon:s0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  Builder.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.unew ~var:"unew" ~offset:pad1 ()
+  let s0, pl = Build.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
+  let pl = Build.mem_to_pad pl ~plane:l.u_c ~var:"u_c" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.cf ~var:"cf" ~offset:pad1 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.config pl ~icon:s0 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fadd in
+  Build.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:l.unew ~var:"unew" ~offset:pad1 ()
 
 type build = { program : Program.t; layout : layout; fine : grid1; coarse : grid1 }
 
@@ -208,13 +208,13 @@ let build (kb : Knowledge.t) ?(layout = default_layout) (g : grid1) ~cycles ~nu1
   let l = layout in
   let prog = Program.empty "multigrid-two-grid" in
   let prog =
-    Builder.declare_all prog
+    Build.declare_all prog
       [ ("u_a", l.u_a); ("u_c", l.u_c); ("unew", l.unew); ("g_f", l.g_f);
         ("mask_f", l.mask_f); ("r", l.r); ("cf", l.cf); ("f", l.f) ]
       ~length:(words1 g)
   in
   let prog =
-    Builder.declare_all prog
+    Build.declare_all prog
       [ ("rc", l.rc); ("e_a", l.e_a); ("e_c", l.e_c); ("enew", l.enew);
         ("g_c", l.g_c); ("mask_c", l.mask_c) ]
       ~length:(words1 gc)
@@ -364,15 +364,14 @@ type outcome = { u : float array; stats : Nsc_sim.Sequencer.stats }
 let solve (kb : Knowledge.t) ?run (prob : host_problem) ~cycles ~nu1 ~nu2 ~nu_coarse :
     (outcome, string) result =
   let b = build kb prob.grid ~cycles ~nu1 ~nu2 ~nu_coarse in
-  match Nsc_microcode.Codegen.compile kb b.program with
-  | Error ds ->
-      Error (Diagnostic.error_summary ds)
-  | Ok compiled -> (
+  match Nsc_sim.Sequencer.of_program kb b.program with
+  | Error e -> Error e
+  | Ok prog -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       Nsc_sim.Node.load_array node ~plane:b.layout.f ~base:0 prob.f;
       Nsc_sim.Node.load_array node ~plane:b.layout.mask_f ~base:0 (mask1 b.fine);
       Nsc_sim.Node.load_array node ~plane:b.layout.mask_c ~base:0 (mask1 b.coarse);
-      match Nsc_sim.Sequencer.run node ?run compiled with
+      match Nsc_sim.Sequencer.exec node ?run prog with
       | Error e -> Error e
       | Ok outcome ->
           Ok

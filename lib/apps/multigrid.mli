@@ -41,48 +41,16 @@ type layout = {
   f : int;
 }
 val default_layout : layout
-(** The twelve-instruction two-grid program: setup, smoothing, residual,
-    full-weighting restriction, coarse setup/zero/smooth, linear
-    prolongation (even and odd points), correction — each phase a fresh
-    pipeline configuration. *)
-val build_smoother :
-  Nsc_arch.Params.t ->
-  index:int ->
-  label:string ->
-  vlen:int ->
-  ua:int * string ->
-  uc:int * string ->
-  g:int * string ->
-  mask:int * string -> out:int * string -> Nsc_diagram.Pipeline.t
-val build_refresh :
-  Nsc_arch.Params.t ->
-  index:int ->
-  label:string ->
-  vlen:int ->
-  src:int * string -> dsts:(int * string) list -> Nsc_diagram.Pipeline.t
-val build_residual :
-  Nsc_arch.Params.t -> grid1 -> layout -> index:int -> Nsc_diagram.Pipeline.t
-val build_restrict :
-  Nsc_arch.Params.t -> grid1 -> layout -> index:int -> Nsc_diagram.Pipeline.t
-val build_scale :
-  Nsc_arch.Params.t ->
-  index:int ->
-  label:string ->
-  vlen:int ->
-  const:float ->
-  src:int * string -> dsts:(int * string) list -> Nsc_diagram.Pipeline.t
-val build_prolong_even :
-  Nsc_arch.Params.t -> grid1 -> layout -> index:int -> Nsc_diagram.Pipeline.t
-val build_prolong_odd :
-  Nsc_arch.Params.t -> grid1 -> layout -> index:int -> Nsc_diagram.Pipeline.t
-val build_correct :
-  Nsc_arch.Params.t -> grid1 -> layout -> index:int -> Nsc_diagram.Pipeline.t
 type build = {
   program : Nsc_diagram.Program.t;
   layout : layout;
   fine : grid1;
   coarse : grid1;
 }
+(** The twelve-instruction two-grid program: setup, smoothing, residual,
+    full-weighting restriction, coarse setup/zero/smooth, linear
+    prolongation (even and odd points), correction — each phase a fresh
+    pipeline configuration. *)
 val build :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->

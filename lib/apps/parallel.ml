@@ -172,15 +172,9 @@ let set_up ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) r
   let kb = Knowledge.make_exn p in
   let grid = local_grid ~n ~nz_local:n in
   let b = Jacobi.build kb grid ~tol:0.0 ~max_iters:1 in
-  let* compiled =
-    Result.map_error Nsc_checker.Diagnostic.error_summary
-      (Nsc_microcode.Codegen.compile kb b.Jacobi.program)
-  in
   (* decoded once; the two phases share its instructions and kernels *)
-  let* prog = Sequencer.prepare compiled in
-  let open Nsc_diagram in
-  let setup = { prog with Kernel.control = [ Program.Exec 1; Program.Halt ] } in
-  let iter = { prog with Kernel.control = [ Program.Exec 2; Program.Exec 3; Program.Halt ] } in
+  let* prog = Sequencer.of_program kb b.Jacobi.program in
+  let setup = Jacobi.setup_phase prog and iter = Jacobi.sweep_phase prog in
   (* per-node problem data: a smooth forcing that spans slabs *)
   let pi = 4.0 *. atan 1.0 in
   let global_nz = n * nodes in
@@ -216,11 +210,20 @@ let set_up ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) r
       replicas = halo_replicas machine b grid;
     }
 
-(* Set up the machine under [run] (default: clean) and hand the rig to [f]. *)
+(* Set up the machine under [run] (default: clean) and hand the rig to [f].
+   A model that would corrupt memory is refused: no node sweep draws it
+   (only {!Jacobi.solve_ft}'s checkpointed loop does), so the run would
+   book nothing and look clean. *)
 let with_rig ?run (p : Params.t) ~n ~dim f =
   let run = match run with Some r -> r | None -> Run.make () in
-  let machine = Multinode.create ~dim ?fault:run.Run.fault p in
-  Result.bind (set_up ~run machine p ~n ~dim) f
+  match run.Run.fault with
+  | Some m when (Nsc_fault.Fault.spec m).Nsc_fault.Fault.mem_corrupt_p > 0.0 ->
+      Error
+        "mem-corrupt is not injected on the multinode machine (only the \
+         checkpointed single-node solve draws it)"
+  | _ ->
+      let machine = Multinode.create ~dim ?fault:run.Run.fault p in
+      Result.bind (set_up ~run machine p ~n ~dim) f
 
 (* One iteration's local sweep and refresh on every node. *)
 let sweep r = exec_step ~run:r.run r.machine r.iter r.scratches

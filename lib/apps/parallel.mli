@@ -51,7 +51,9 @@ val exec_step :
     for all nodes, and shares one run — its fault model — across all
     nodes, and the machine costs its messages under the same model
     ([run]'s default: clean); a node whose run fails fails the runner
-    with that node's error. *)
+    with that node's error.  A model with a [mem-corrupt] clause is
+    refused with [Error]: no node sweep draws it (only
+    {!Jacobi.solve_ft} does), so the run would look clean. *)
 val run_machine :
   ?overlap:bool ->
   ?run:Nsc_sim.Run.t ->

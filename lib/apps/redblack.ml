@@ -30,8 +30,11 @@ type layout = {
 let default_layout =
   { sx = 0; sy = 1; sz = 2; center = 6; g = 3; mask_red = 5; mask_black = 9; unew = 4; f = 7 }
 
-let u_planes l = List.sort_uniq compare [ l.sx; l.sy; l.sz; l.center ]
-let u_var plane = Printf.sprintf "u%d" plane
+(* The planes red-black shares with Jacobi's pieces (its stencil head,
+   setup and refresh), as a Jacobi layout; those pieces read no mask. *)
+let as_jacobi (l : layout) =
+  { Jacobi.sx = l.sx; sy = l.sy; sz = l.sz; center = l.center; g = l.g; mask = l.mask_red;
+    unew = l.unew; f = l.f }
 
 (** Colour masks: interior points of one parity of i+j+k.  [omega] scales
     the mask, turning the blend unew = u + mask·(jacobi−u) into
@@ -47,72 +50,33 @@ let colour_mask ?(omega = 1.0) grid ~red =
    half sweep is max |mask · (jacobi(u) − u)|. *)
 let build_half (p : Params.t) (grid : Grid.t) (l : layout) ~index ~label ~mask_plane
     ~mask_var : Pipeline.t * Resource.fu_id =
-  let off1, offy, offz = Grid.offsets grid in
   let pad = Grid.pad grid in
-  let pl = Pipeline.empty ~label index in
-  let pl = Pipeline.with_vector_length pl (Grid.points grid) in
-  let t0 = ref 0 and t1 = ref 0 and d0 = ref 0 and d1 = ref 0 and t2 = ref 0 in
-  let pl =
-    let i, pl = Builder.place pl ~params:p ~kind:Als.Triplet ~x:14 ~y:2 in
-    t0 := i;
-    let i, pl = Builder.place pl ~params:p ~kind:Als.Triplet ~x:32 ~y:2 in
-    t1 := i;
-    let i, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:50 ~y:2 in
-    d0 := i;
-    let i, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:50 ~y:12 in
-    d1 := i;
-    let i, pl = Builder.place pl ~params:p ~kind:Als.Doublet ~x:68 ~y:2 in
-    t2 := i;
-    pl
-  in
-  let t0 = !t0 and t1 = !t1 and d0 = !d0 and d1 = !d1 and t2 = !t2 in
-  (* neighbour sum, minus g — same head as the Jacobi sweep *)
-  let pl = Builder.mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad - off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.sx ~var:(u_var l.sx) ~offset:(pad + off1) ~icon:t0 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad - offy) ~icon:t0 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.sy ~var:(u_var l.sy) ~offset:(pad + offy) ~icon:t0 ~pad:(Icon.In_pad (2, Resource.B)) () in
-  let pl = Builder.config pl ~icon:t0 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t0 ~slot:2 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.pad_to_pad pl ~from_icon:t0 ~from_pad:(Icon.Out_pad 2) ~to_icon:t1 ~to_pad:(Icon.In_pad (0, Resource.A)) in
-  let pl = Builder.mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad - offz) ~icon:t1 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.sz ~var:(u_var l.sz) ~offset:(pad + offz) ~icon:t1 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.g ~var:"g" ~offset:pad ~icon:t1 ~pad:(Icon.In_pad (2, Resource.B)) () in
-  let pl = Builder.config pl ~icon:t1 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t1 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.config pl ~icon:t1 ~slot:2 ~a:Builder.chain ~b:Builder.sw Opcode.Fsub in
+  let pl = Pipeline.with_vector_length (Pipeline.empty ~label index) (Grid.points grid) in
+  let t0, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:14 ~y:2 in
+  let t1, pl = Build.place pl ~params:p ~kind:Als.Triplet ~x:32 ~y:2 in
+  let d0, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:50 ~y:2 in
+  let d1, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:50 ~y:12 in
+  let t2, pl = Build.place pl ~params:p ~kind:Als.Doublet ~x:68 ~y:2 in
+  (* neighbour sum, minus g — the Jacobi sweep's head *)
+  let pl = Jacobi.stencil_head pl grid (as_jacobi l) ~t0 ~t1 in
+  let center = Jacobi.u_var l.center in
   (* d0: jacobi value, then delta = jacobi − u *)
-  let pl = Builder.pad_to_pad pl ~from_icon:t1 ~from_pad:(Icon.Out_pad 2) ~to_icon:d0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
-  let pl = Builder.mem_to_pad pl ~plane:l.center ~var:(u_var l.center) ~offset:pad ~icon:d0 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.config pl ~icon:d0 ~slot:0 ~a:Builder.sw ~b:(Builder.const (1.0 /. 6.0)) Opcode.Fmul in
-  let pl = Builder.config pl ~icon:d0 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fsub in
+  let pl = Build.pad_to_pad pl ~from_icon:t1 ~from_pad:(Icon.Out_pad 2) ~to_icon:d0 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:l.center ~var:center ~offset:pad ~icon:d0 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.config pl ~icon:d0 ~slot:0 ~a:From_switch ~b:(From_constant (1.0 /. 6.0)) Opcode.Fmul in
+  let pl = Build.config pl ~icon:d0 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fsub in
   (* d1: masked delta, then unew = u + masked delta *)
-  let pl = Builder.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:d1 ~to_pad:(Icon.In_pad (0, Resource.A)) in
-  let pl = Builder.mem_to_pad pl ~plane:mask_plane ~var:mask_var ~offset:pad ~icon:d1 ~pad:(Icon.In_pad (0, Resource.B)) () in
-  let pl = Builder.mem_to_pad pl ~plane:l.center ~var:(u_var l.center) ~offset:pad ~icon:d1 ~pad:(Icon.In_pad (1, Resource.B)) () in
-  let pl = Builder.config pl ~icon:d1 ~slot:0 ~a:Builder.sw ~b:Builder.sw Opcode.Fmul in
-  let pl = Builder.config pl ~icon:d1 ~slot:1 ~a:Builder.chain ~b:Builder.sw Opcode.Fadd in
-  let pl = Builder.pad_to_mem pl ~icon:d1 ~pad:(Icon.Out_pad 1) ~plane:l.unew ~var:"unew" ~offset:pad () in
+  let pl = Build.pad_to_pad pl ~from_icon:d0 ~from_pad:(Icon.Out_pad 1) ~to_icon:d1 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.mem_to_pad pl ~plane:mask_plane ~var:mask_var ~offset:pad ~icon:d1 ~pad:(Icon.In_pad (0, Resource.B)) () in
+  let pl = Build.mem_to_pad pl ~plane:l.center ~var:center ~offset:pad ~icon:d1 ~pad:(Icon.In_pad (1, Resource.B)) () in
+  let pl = Build.config pl ~icon:d1 ~slot:0 ~a:From_switch ~b:From_switch Opcode.Fmul in
+  let pl = Build.config pl ~icon:d1 ~slot:1 ~a:From_chain ~b:From_switch Opcode.Fadd in
+  let pl = Build.pad_to_mem pl ~icon:d1 ~pad:(Icon.Out_pad 1) ~plane:l.unew ~var:"unew" ~offset:pad () in
   (* residual: running max of |masked delta| *)
-  let pl = Builder.pad_to_pad pl ~from_icon:d1 ~from_pad:(Icon.Out_pad 0) ~to_icon:t2 ~to_pad:(Icon.In_pad (0, Resource.A)) in
-  let pl = Builder.config pl ~icon:t2 ~slot:0 ~a:Builder.sw Opcode.Fabs in
-  let pl = Builder.config pl ~icon:t2 ~slot:1 ~a:Builder.chain ~b:(Builder.feedback 1) Opcode.Max in
-  (pl, { Resource.als = Builder.als_of_icon pl t2; slot = 1 })
-
-(* Refresh: copy unew over the u copies (shared shape with Jacobi). *)
-let build_refresh (p : Params.t) (grid : Grid.t) (l : layout) ~index =
-  let pad = Grid.pad grid in
-  let pl = Pipeline.empty ~label:"refresh u copies" index in
-  let pl = Pipeline.with_vector_length pl (Grid.points grid) in
-  List.fold_left
-    (fun pl plane ->
-      let s, pl =
-        Builder.place pl ~params:p ~kind:Als.Singlet ~x:(12 + (18 * (plane mod 4))) ~y:6
-      in
-      let pl = Builder.mem_to_pad pl ~plane:l.unew ~var:"unew" ~offset:pad ~icon:s ~pad:(Icon.In_pad (0, Resource.A)) () in
-      let pl = Builder.config pl ~icon:s ~slot:0 ~a:Builder.sw Opcode.Pass in
-      Builder.pad_to_mem pl ~icon:s ~pad:(Icon.Out_pad 0) ~plane ~var:(u_var plane) ~offset:pad ())
-    pl (u_planes l)
+  let pl = Build.pad_to_pad pl ~from_icon:d1 ~from_pad:(Icon.Out_pad 0) ~to_icon:t2 ~to_pad:(Icon.In_pad (0, Resource.A)) in
+  let pl = Build.config pl ~icon:t2 ~slot:0 ~a:From_switch Opcode.Fabs in
+  let pl = Build.config pl ~icon:t2 ~slot:1 ~a:From_chain ~b:(From_feedback 1) Opcode.Max in
+  (pl, { Resource.als = Build.als_of_icon pl t2; slot = 1 })
 
 type build = {
   program : Program.t;
@@ -126,39 +90,25 @@ type build = {
 let build (kb : Knowledge.t) ?(layout = default_layout) (grid : Grid.t) ~tol ~max_iters :
     build =
   let p = Knowledge.params kb in
-  let words = Grid.padded_words grid in
-  let prog = Program.empty "redblack3d" in
-  let vars =
-    List.map (fun plane -> (u_var plane, plane)) (u_planes layout)
-    @ [
-        ("g", layout.g);
-        ("mask_red", layout.mask_red);
-        ("mask_black", layout.mask_black);
-        ("unew", layout.unew);
-        ("f", layout.f);
-      ]
+  let jl = as_jacobi layout in
+  let prog =
+    Build.declare_all (Program.empty "redblack3d")
+      (List.map (fun plane -> (Jacobi.u_var plane, plane)) (Jacobi.u_planes jl)
+      @ [ ("g", layout.g); ("mask_red", layout.mask_red); ("mask_black", layout.mask_black);
+          ("unew", layout.unew); ("f", layout.f) ])
+      ~length:(Grid.padded_words grid)
   in
-  let prog = Builder.declare_all prog vars ~length:words in
-  (* setup g = h²·f, reusing the Jacobi setup shape *)
-  let setup =
-    let pl = Pipeline.empty ~label:"setup: g = h^2 * f" 1 in
-    let pl = Pipeline.with_vector_length pl words in
-    let s0, pl = Builder.place pl ~params:p ~kind:Als.Singlet ~x:30 ~y:6 in
-    let pl = Builder.mem_to_pad pl ~plane:layout.f ~var:"f" ~offset:0 ~icon:s0 ~pad:(Icon.In_pad (0, Resource.A)) () in
-    let h2 = grid.Grid.h *. grid.Grid.h in
-    let pl = Builder.config pl ~icon:s0 ~slot:0 ~a:Builder.sw ~b:(Builder.const h2) Opcode.Fmul in
-    Builder.pad_to_mem pl ~icon:s0 ~pad:(Icon.Out_pad 0) ~plane:layout.g ~var:"g" ~offset:0 ()
-  in
+  let setup = Jacobi.build_setup p grid jl ~index:1 in
   let red, _ =
     build_half p grid layout ~index:2 ~label:"red half-sweep" ~mask_plane:layout.mask_red
       ~mask_var:"mask_red"
   in
-  let refresh1 = build_refresh p grid layout ~index:3 in
+  let refresh1 = Jacobi.build_refresh p grid jl ~index:3 in
   let black, residual_unit =
     build_half p grid layout ~index:4 ~label:"black half-sweep"
       ~mask_plane:layout.mask_black ~mask_var:"mask_black"
   in
-  let refresh2 = build_refresh p grid layout ~index:5 in
+  let refresh2 = Jacobi.build_refresh p grid jl ~index:5 in
   let prog = { prog with Program.pipelines = [ setup; red; refresh1; black; refresh2 ] } in
   let prog =
     Program.set_control prog
@@ -240,13 +190,12 @@ type outcome = {
 let solve (kb : Knowledge.t) ?layout ?omega ?run (prob : Poisson.problem) ~tol ~max_iters :
     (outcome, string) result =
   let b = build kb ?layout prob.Poisson.grid ~tol ~max_iters in
-  match Nsc_microcode.Codegen.compile kb b.program with
-  | Error ds ->
-      Error (Diagnostic.error_summary ds)
-  | Ok compiled -> (
+  match Nsc_sim.Sequencer.of_program kb b.program with
+  | Error e -> Error e
+  | Ok prog -> (
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load ?omega node b prob;
-      match Nsc_sim.Sequencer.run node ?run compiled with
+      match Nsc_sim.Sequencer.exec node ?run prog with
       | Error e -> Error e
       | Ok outcome ->
           let stats = outcome.Nsc_sim.Sequencer.stats in

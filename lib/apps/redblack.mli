@@ -24,20 +24,7 @@ type layout = {
   f : int;
 }
 val default_layout : layout
-val u_planes : layout -> int list
-val u_var : int -> string
 val colour_mask : ?omega:float -> Grid.t -> red:bool -> float array
-val build_half :
-  Nsc_arch.Params.t ->
-  Grid.t ->
-  layout ->
-  index:int ->
-  label:string ->
-  mask_plane:Nsc_arch.Resource.plane_id ->
-  mask_var:string -> Nsc_diagram.Pipeline.t * Nsc_arch.Resource.fu_id
-val build_refresh :
-  Nsc_arch.Params.t ->
-  Grid.t -> layout -> index:int -> Nsc_diagram.Pipeline.t
 type build = {
   program : Nsc_diagram.Program.t;
   residual_unit : Nsc_arch.Resource.fu_id;

@@ -41,7 +41,7 @@ let pad_to_pad pl ~from_icon ~from_pad ~to_icon ~to_pad =
 let als_of_icon pl icon =
   match Pipeline.icon_kind pl icon with
   | Some (Icon.Als_icon { als; _ }) -> als
-  | _ -> invalid_arg "Builder.als_of_icon: not an ALS icon"
+  | _ -> invalid_arg "Build.als_of_icon: not an ALS icon"
 
 (** Declare a list of (name, plane) variables, all of [length] words. *)
 let declare_all prog vars ~length =
@@ -52,16 +52,12 @@ let declare_all prog vars ~length =
       | Error e -> failwith e)
     prog vars
 
-(** Place an ALS icon of a kind, failing loudly when the machine is out of
-    that kind. *)
-let place pl ~params ~kind ~x ~y =
-  fail_on_error (Pipeline.place_als params pl ~kind ~pos:(Geometry.point x y) ())
+(** Place an ALS icon of a kind (with a doublet's [bypass], default
+    none), failing loudly when the machine is out of that kind. *)
+let place ?bypass pl ~params ~kind ~x ~y =
+  fail_on_error (Pipeline.place_als params pl ~kind ?bypass ~pos:(Geometry.point x y) ())
 
-(** Shorthand configuration setters. *)
-let config pl ~icon ~slot ?(a = Fu_config.Unbound) ?(b = Fu_config.Unbound) op =
-  Pipeline.set_config pl ~id:icon ~slot (Fu_config.make ~a ~b op)
-
-let sw = Fu_config.From_switch
-let chain = Fu_config.From_chain
-let const c = Fu_config.From_constant c
-let feedback n = Fu_config.From_feedback n
+(** Pick a unit's opcode and operand sources.  The bindings are passed on
+    as given, so a caller's static [Some] is never rebuilt. *)
+let config pl ~icon ~slot ?a ?b op =
+  Pipeline.set_config pl ~id:icon ~slot (Fu_config.make ?a ?b op)

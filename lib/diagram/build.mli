@@ -34,6 +34,7 @@ val declare_all :
   (string * Nsc_arch.Resource.plane_id) list ->
   length:int -> Program.t
 val place :
+  ?bypass:Nsc_arch.Als.bypass ->
   Pipeline.t ->
   params:Nsc_arch.Params.t ->
   kind:Nsc_arch.Als.kind ->
@@ -45,7 +46,3 @@ val config :
   ?a:Fu_config.input_binding ->
   ?b:Fu_config.input_binding ->
   Nsc_arch.Opcode.t -> Pipeline.t
-val sw : Fu_config.input_binding
-val chain : Fu_config.input_binding
-val const : float -> Fu_config.input_binding
-val feedback : int -> Fu_config.input_binding

@@ -235,6 +235,8 @@ let make ~seed spec =
   let ledger = Array.init (List.length !cells) (fun _ -> Atomic.make 0) in
   { spec; rng = Prng.create ~seed; dead; ledger }
 
+let spec m = m.spec
+
 let bump m c n =
   if n > 0 then begin
     ignore (Atomic.fetch_and_add m.ledger.(c.slot) n);

@@ -48,6 +48,9 @@ type t
 (** A fresh model with a zero ledger. *)
 val make : seed:int -> spec -> t
 
+(** The specification the model was made from. *)
+val spec : t -> spec
+
 (** A uniform draw in [0, bound) from the model's stream. *)
 val rand : t -> int -> int
 

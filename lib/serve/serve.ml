@@ -207,14 +207,11 @@ let exec_workload t ~engine ~degraded ~run (job : Protocol.job) :
           in
           Error (Printf.sprintf "compile: %s%s" e.Nsc_lang.Compile.message where)
       | Ok c -> (
-          match Nsc_microcode.Codegen.compile t.kb c.Nsc_lang.Compile.program with
-          | Error ds ->
-              Error (Nsc_checker.Diagnostic.error_summary ds)
-          | Ok compiled -> (
+          match Nsc_sim.Sequencer.of_program t.kb c.Nsc_lang.Compile.program with
+          | Error e -> Error e
+          | Ok prog -> (
               let node = Nsc_sim.Node.create (Knowledge.params t.kb) in
-              match
-                Nsc_sim.Sequencer.run node ~engine ~run compiled
-              with
+              match Nsc_sim.Sequencer.exec node ~engine ~run prog with
               | Error e -> Error e
               | Ok o ->
                   let st = o.Nsc_sim.Sequencer.stats in

@@ -101,6 +101,14 @@ let prepare ?(from_microcode = true) (c : Codegen.compiled) : (prepared, string)
         params = p;
       }
 
+(** Check, encode and decode a visual program: the one road from a
+    builder's program to a prepared one.  A program the checker rejects
+    is [Error] with its error summary. *)
+let of_program kb program =
+  match Codegen.compile kb program with
+  | Error ds -> Error (Nsc_checker.Diagnostic.error_summary ds)
+  | Ok compiled -> prepare compiled
+
 (* Caller-owned run state: the dense capture arrays and the counters one
    execution accumulates, reset at its start.  See sequencer.mli. *)
 type scratch = {

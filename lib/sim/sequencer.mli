@@ -48,6 +48,14 @@ type prepared = Kernel.prepared
 val prepare :
   ?from_microcode:bool -> Nsc_microcode.Codegen.compiled -> (prepared, string) result
 
+(** Check, encode and decode a visual program ({!Nsc_microcode.Codegen.compile},
+    then {!prepare}): the one road from a builder's program to a prepared
+    one.  A program the checker rejects is [Error] with
+    {!Nsc_checker.Diagnostic.error_summary} of its diagnostics; a word
+    that fails to decode, as for {!prepare}. *)
+val of_program :
+  Nsc_arch.Knowledge.t -> Nsc_diagram.Program.t -> (prepared, string) result
+
 (** Caller-owned run state for {!exec_into}: the captured scalars, dense
     by global unit index ({!Nsc_arch.Resource.fu_global_index}), and the
     counters of one execution.  {!exec_into} resets it at its start, so

@@ -451,6 +451,27 @@ let hypercube_solve_tests =
         in
         check_float "cycles unchanged" plain.Parallel.point.Parallel.cycles_per_iter
           o.Parallel.point.Parallel.cycles_per_iter);
+    case "every runner refuses a fault model that corrupts memory" (fun () ->
+        (* no node sweep draws mem-corrupt, so such a run would book FU
+           faults and no corruption and pass for clean *)
+        let module Fault = Nsc_fault.Fault in
+        let fault =
+          Fault.make ~seed:7 (Result.get_ok (Fault.parse "mem-corrupt:p=0.5,fu-fault:p=0.2"))
+        in
+        let run = Nsc_sim.Run.make ~fault () in
+        let refused what = function
+          | Ok _ -> Alcotest.failf "%s ran under mem-corrupt" what
+          | Error e ->
+              check_string what
+                "mem-corrupt is not injected on the multinode machine (only the \
+                 checkpointed single-node solve draws it)"
+                e
+        in
+        refused "run_machine" (Parallel.run_machine ~run params ~n:5 ~iters:4 ~dim:2);
+        refused "run_field" (Parallel.run_field ~run params ~n:5 ~iters:4 ~dim:2);
+        refused "scaling" (Parallel.scaling ~run params ~n:5 ~iters:4 ~dims:[ 0; 2 ]);
+        refused "solve" (Parallel.solve ~run params ~n:5 ~tol:1e-4 ~max_iters:4 ~dim:2);
+        check_int "nothing drawn" 0 (List.fold_left (fun n (_, v) -> n + v) 0 (Fault.ledger fault)));
   ]
 
 let suite = suite @ [ ("apps:hypercube-solve", hypercube_solve_tests) ]
@@ -593,3 +614,71 @@ let program_table_tests =
   ]
 
 let suite = suite @ [ ("apps:program-table", program_table_tests) ]
+
+(* appended: every builder's program, pinned byte for byte.  Each digest
+   is the MD5 of [Serialize.to_string] of the program the builder draws —
+   icons, positions, configurations, wires, declarations and control —
+   so a refactor of the drawing code that moves one byte fails here.
+   Re-record only for a deliberate change to a program. *)
+let program_digest p = Digest.to_hex (Digest.string (Nsc_diagram.Serialize.to_string p))
+
+let pin what want p = check_string what want (program_digest p)
+
+let parallel_local_grid = Parallel.local_grid ~n:9 ~nz_local:9
+let parallel_local_build () = Jacobi.build kb parallel_local_grid ~tol:0.0 ~max_iters:1
+let multigrid_grid = Multigrid.grid1 17
+
+let multigrid_build ~cycles ~nu_coarse =
+  Multigrid.build kb multigrid_grid ~cycles ~nu1:2 ~nu2:2 ~nu_coarse
+
+(* Minor words one warm call of [f] allocates (two calls first). *)
+let warm_minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  let r = f () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity r);
+  words
+
+let builder_tests =
+  [
+    case "Jacobi programs are byte-identical for every strategy, layout and size"
+      (fun () ->
+        List.iter
+          (fun (n, ln, layout, sn, strategy, want) ->
+            let b = Jacobi.build kb ~layout ~strategy (Grid.cube n) ~tol:1e-6 ~max_iters:1000 in
+            pin (Printf.sprintf "n=%d %s %s" n ln sn) want b.Jacobi.program)
+          [ (5, "distributed", Jacobi.distributed, "refresh", `Refresh, "dd1e885f477b269006e7d6d765e7b0cd");
+            (5, "distributed", Jacobi.distributed, "ping-pong", `Ping_pong, "699f0dfd56045f0b9ce69e97330c23d2");
+            (5, "packed", Jacobi.packed, "refresh", `Refresh, "0e9126c0fc26e811df7d5e56af99c18a");
+            (5, "packed", Jacobi.packed, "ping-pong", `Ping_pong, "a54e6260e87f9fd52cf13ffee41ff4bd");
+            (9, "distributed", Jacobi.distributed, "refresh", `Refresh, "21c0d47aabe5cacadd19a31ae7f8570f");
+            (9, "distributed", Jacobi.distributed, "ping-pong", `Ping_pong, "1d82ae1e3398d57ae77d93b7a2f712ac");
+            (9, "packed", Jacobi.packed, "refresh", `Refresh, "b582430ae1d6ab0e173a249057c4ba2a");
+            (9, "packed", Jacobi.packed, "ping-pong", `Ping_pong, "6ae9f31d78dfd002d267844e1e7d9068") ]);
+    case "Parallel's n=9 local program is byte-identical" (fun () ->
+        pin "slab program" "388aa270bb1d32b915271b0b4ea70b10" (parallel_local_build ()).Jacobi.program);
+    case "the red-black program is byte-identical" (fun () ->
+        pin "n=9" "8c7e94f4b69502f4c9167f1b89b195bb"
+          (Redblack.build kb (Grid.cube 9) ~tol:1e-6 ~max_iters:1000).Redblack.program);
+    case "multigrid programs are byte-identical" (fun () ->
+        pin "n=17, two cycles" "19e5d2660c44a8c9e2e6113388839b42"
+          (multigrid_build ~cycles:2 ~nu_coarse:20).Multigrid.program;
+        pin "n=17, compile-cold shape" "e42433e9bf58ad471c59cd0dab830457"
+          (multigrid_build ~cycles:1 ~nu_coarse:40).Multigrid.program);
+    case "a warm Jacobi build of Parallel's n=9 slab allocates at most 13,413 minor words"
+      (fun () ->
+        (* 13,413 words on OCaml 5.1; a drawing helper that unboxes an
+           optional binding and boxes it again costs 116 more *)
+        let words = warm_minor_words parallel_local_build in
+        if words > 13_413.0 then Alcotest.failf "the build allocated %.0f minor words" words);
+    case "a warm n=17 multigrid build allocates at most 25,615 minor words" (fun () ->
+        (* 25,615 words on OCaml 5.1; 25,877 when every operand binding
+           was unboxed and boxed again on its way to the unit's
+           configuration *)
+        let words = warm_minor_words (fun () -> multigrid_build ~cycles:1 ~nu_coarse:40) in
+        if words > 25_615.0 then Alcotest.failf "the build allocated %.0f minor words" words);
+  ]
+
+let suite = suite @ [ ("apps:builders", builder_tests) ]

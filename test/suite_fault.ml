@@ -505,16 +505,17 @@ let async_fault_tests =
       "overlapped exchange matches synchronous, and repeats, under link and node-local faults"
       QCheck2.Gen.(
         quad (int_range 0 1000) (int_range 0 4)
-          (list_repeat 3 (opt (oneofl [ 0.05; 0.2 ])))
+          (list_repeat 2 (opt (oneofl [ 0.05; 0.2 ])))
           (oneofl [ "0.1"; "0.2" ]))
       (fun (seed, dim, node_ps, link_p) ->
-        (* transient link faults mixed with any of the node-local kinds *)
+        (* transient link faults mixed with any of the node-local kinds a
+           node sweep draws (the machine refuses mem-corrupt) *)
         let spec =
           String.concat ","
             (("transient-link:p=" ^ link_p ^ ":retries=2")
             :: List.filter_map
                  (fun (kind, p) -> Option.map (Printf.sprintf "%s:p=%g" kind) p)
-                 (List.combine [ "fu-fault"; "dma-stall"; "mem-corrupt" ] node_ps))
+                 (List.combine [ "fu-fault"; "dma-stall" ] node_ps))
         in
         (* every node's centre plane word by word (a NaN an injected fault
            latched equals itself), the ledger and the machine's cycles *)
