@@ -266,8 +266,10 @@ let fault_seed_arg =
          ~doc:"Seed of the deterministic fault schedule (default 1); the same \
                seed and spec reproduce the same faults.")
 
+(* A malformed spec, or one asking for a fault no CLI run draws, exits 2
+   before anything runs. *)
 let parse_faults_or_die spec =
-  match Fault.parse spec with
+  match Result.bind (Fault.parse spec) Fault.refuse_mem_corrupt with
   | Ok s -> s
   | Error e ->
       prerr_endline ("bad --faults: " ^ e);
@@ -939,6 +941,7 @@ let scale_cmd =
              ~doc:"Seed of the fault model --faults runs under (default 7).")
   in
   let run dim n iters faults seed =
+    let model = Option.map (fun s -> (s, parse_faults_or_die s)) faults in
     let p = Knowledge.params Knowledge.default in
     let point overlap =
       match Parallel.run p ~overlap ~n ~iters ~dim with
@@ -994,12 +997,9 @@ let scale_cmd =
         (async.Parallel.overlap_ratio > 0.0);
     check "async residuals bit-identical to sync (clean)"
       (bits_equal (field false) (field true));
-    (match faults with
+    (match model with
     | None -> ()
-    | Some str ->
-        let spec =
-          match Fault.parse str with Ok s -> s | Error e -> failwith e
-        in
+    | Some (str, spec) ->
         check
           (Printf.sprintf "async matches sync under %s" str)
           (bits_equal (field ~model:spec false) (field ~model:spec true)));

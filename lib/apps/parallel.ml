@@ -211,17 +211,15 @@ let set_up ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) r
     }
 
 (* Set up the machine under [run] (default: clean) and hand the rig to [f].
-   A model that would corrupt memory is refused: no node sweep draws it
-   (only {!Jacobi.solve_ft}'s checkpointed loop does), so the run would
-   book nothing and look clean. *)
+   A model that would corrupt memory is refused
+   ({!Nsc_fault.Fault.refuse_mem_corrupt}): no node sweep draws it, so the
+   run would book nothing and look clean. *)
 let with_rig ?run (p : Params.t) ~n ~dim f =
   let run = match run with Some r -> r | None -> Run.make () in
-  match run.Run.fault with
-  | Some m when (Nsc_fault.Fault.spec m).Nsc_fault.Fault.mem_corrupt_p > 0.0 ->
-      Error
-        "mem-corrupt is not injected on the multinode machine (only the \
-         checkpointed single-node solve draws it)"
-  | _ ->
+  let module Fault = Nsc_fault.Fault in
+  match Option.map (fun m -> Fault.refuse_mem_corrupt (Fault.spec m)) run.Run.fault with
+  | Some (Error e) -> Error e
+  | None | Some (Ok _) ->
       let machine = Multinode.create ~dim ?fault:run.Run.fault p in
       Result.bind (set_up ~run machine p ~n ~dim) f
 

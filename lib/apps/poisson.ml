@@ -29,17 +29,6 @@ let manufactured n =
   in
   { grid; f; mask = Grid.interior_mask grid; exact = Some exact }
 
-(** A problem with a concentrated source at the cube centre — the kind of
-    driving term a CFD pressure solve produces. *)
-let point_source n =
-  let grid = Grid.cube n in
-  let ci = n / 2 in
-  let f =
-    Grid.field_of grid (fun ~i ~j ~k ->
-        if i = ci && j = ci && k = ci then 1.0 /. (grid.Grid.h ** 3.0) else 0.0)
-  in
-  { grid; f; mask = Grid.interior_mask grid; exact = None }
-
 (** One host (reference) Jacobi sweep per Equation 1 of the paper:
     unew = (u[i±1] + u[j±1] + u[k±1] - h² f) / 6, interior only.
     Returns the maximum pointwise change — the residual convergence check. *)

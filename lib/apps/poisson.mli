@@ -18,7 +18,6 @@ val pi : float
 (** The manufactured-solution problem: u* = sin πx · sin πy · sin πz,
     f = −3π²u*, so solves can be validated against a known answer. *)
 val manufactured : int -> problem
-val point_source : int -> problem
 (** One reference Jacobi sweep per the paper's Equation 1; returns the
     max pointwise change (the residual convergence check). *)
 val host_sweep : problem -> u:float array -> unew:float array -> float

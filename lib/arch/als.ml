@@ -15,12 +15,6 @@ let kind_to_string = function
   | Doublet -> "doublet"
   | Triplet -> "triplet"
 
-let kind_of_string = function
-  | "singlet" -> Some Singlet
-  | "doublet" -> Some Doublet
-  | "triplet" -> Some Triplet
-  | _ -> None
-
 (** Kind of ALS [a] under parameters [p] (singlets first, then doublets,
     then triplets — the convention fixed in {!Resource}). *)
 let kind_of (p : Params.t) (a : Resource.als_id) : kind =

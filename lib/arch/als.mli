@@ -18,7 +18,6 @@ val compare_kind : kind -> kind -> int
 val kind_size : kind -> int
 val kind_to_string : kind -> string
 (** Kind of an ALS id under the singlets-doublets-triplets numbering. *)
-val kind_of_string : string -> kind option
 val kind_of : Params.t -> Resource.als_id -> kind
 (** ALS ids of a given kind. *)
 val ids_of_kind : Params.t -> kind -> Resource.als_id list

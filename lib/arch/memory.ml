@@ -12,8 +12,6 @@
 type extent = { plane : Resource.plane_id; lo : int; hi : int }
 [@@deriving show { with_path = false }, eq]
 
-let extent_words e = e.hi - e.lo
-
 let extents_overlap a b =
   a.plane = b.plane && a.lo < b.hi && b.lo < a.hi
 

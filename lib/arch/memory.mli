@@ -17,7 +17,6 @@ val pp_extent :
   extent -> unit
 val show_extent : extent -> string
 val equal_extent : extent -> extent -> bool
-val extent_words : extent -> int
 val extents_overlap : extent -> extent -> bool
 val validate_extent : Params.t -> extent -> string list
 val strided_extent :

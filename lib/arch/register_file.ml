@@ -18,8 +18,6 @@ type usage = {
 }
 [@@deriving show { with_path = false }, eq]
 
-let no_usage = { constants = []; delay_a = 0; delay_b = 0 }
-
 (** Registers consumed by a usage: one per constant plus the two queues. *)
 let registers_used u = List.length u.constants + u.delay_a + u.delay_b
 

@@ -21,7 +21,6 @@ val pp_usage :
   Format.formatter -> usage -> unit
 val show_usage : usage -> string
 val equal_usage : usage -> usage -> bool
-val no_usage : usage
 val registers_used : usage -> int
 val validate : Params.t -> usage -> string list
 type queue = { depth : int; buf : float array; mutable head : int; }

@@ -54,9 +54,6 @@ let sink_to_string = function
 let pp_source ppf s = Fmt.string ppf (source_to_string s)
 let pp_sink ppf s = Fmt.string ppf (sink_to_string s)
 
-(** Kind of ALS an [als_id] denotes under parameters [p]. *)
-let als_kind_counts (p : Params.t) = (p.n_singlets, p.n_doublets, p.n_triplets)
-
 (** Number of functional-unit slots in ALS [a] under parameters [p]. *)
 let als_size (p : Params.t) (a : als_id) =
   if a < 0 then invalid_arg "Resource.als_size: negative ALS id"

@@ -69,7 +69,6 @@ val source_to_string : source -> string
 val sink_to_string : sink -> string
 val pp_source : Format.formatter -> source -> unit
 val pp_sink : Format.formatter -> sink -> unit
-val als_kind_counts : Params.t -> int * int * int
 (** Number of functional-unit slots in an ALS (1, 2 or 3). *)
 val als_size : Params.t -> als_id -> int
 val fu_valid : Params.t -> fu_id -> bool

@@ -53,8 +53,6 @@ let consumed_bindings t =
 
 let binding_of_port t = function Resource.A -> t.a | Resource.B -> t.b
 
-let delay_of_port t = function Resource.A -> t.delay_a | Resource.B -> t.delay_b
-
 (** Register-file usage implied by a configuration (constants occupy one
     register each; delay and feedback queues occupy their depth). *)
 let register_file_usage t : Register_file.usage =

@@ -43,6 +43,5 @@ val make :
 val is_programmed : t -> bool
 val consumed_bindings : t -> (Nsc_arch.Resource.port * input_binding) list
 val binding_of_port : t -> Nsc_arch.Resource.port -> input_binding
-val delay_of_port : t -> Nsc_arch.Resource.port -> int
 val register_file_usage : t -> Nsc_arch.Register_file.usage
 val to_string : t -> string

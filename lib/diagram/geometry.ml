@@ -23,9 +23,6 @@ let origin r = { x = r.ox; y = r.oy }
 (** Point containment, inclusive of all edges. *)
 let contains r p = p.x >= r.ox && p.x <= r.ox + r.w && p.y >= r.oy && p.y <= r.oy + r.h
 
-let intersects a b =
-  a.ox <= b.ox + b.w && b.ox <= a.ox + a.w && a.oy <= b.oy + b.h && b.oy <= a.oy + a.h
-
 let translate r d = { r with ox = r.ox + d.x; oy = r.oy + d.y }
 let center r = { x = r.ox + (r.w / 2); y = r.oy + (r.h / 2) }
 

@@ -25,7 +25,6 @@ val compare_rect : rect -> rect -> int
 val rect : int -> int -> int -> int -> rect
 val origin : rect -> point
 val contains : rect -> point -> bool
-val intersects : rect -> rect -> bool
 val translate : rect -> point -> rect
 val center : rect -> point
 val dist2 : point -> point -> int

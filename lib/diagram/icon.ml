@@ -45,11 +45,6 @@ let fu_gap = 1
 
 let als_of_kind = function Als_icon { als; _ } -> Some als | Memory_icon _ | Cache_icon _ | Shift_delay_icon _ -> None
 
-(** Number of functional-unit slots the icon carries. *)
-let slot_count (p : Params.t) = function
-  | Als_icon { als; _ } -> Resource.als_size p als
-  | Memory_icon _ | Cache_icon _ | Shift_delay_icon _ -> 0
-
 let make (p : Params.t) ~id ~kind ~pos =
   let n =
     match kind with
@@ -57,12 +52,6 @@ let make (p : Params.t) ~id ~kind ~pos =
     | Memory_icon _ | Cache_icon _ | Shift_delay_icon _ -> 0
   in
   { id; kind; pos; configs = Array.make n Fu_config.idle }
-
-(** Functional unit denoted by slot [slot] of an ALS icon. *)
-let fu_of_slot icon slot : Resource.fu_id option =
-  match icon.kind with
-  | Als_icon { als; _ } -> Some { Resource.als; slot }
-  | Memory_icon _ | Cache_icon _ | Shift_delay_icon _ -> None
 
 (** Active slots of the icon under its bypass configuration. *)
 let active_slots (p : Params.t) icon =

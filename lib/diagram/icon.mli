@@ -56,11 +56,9 @@ val fu_box_w : int
 val fu_box_h : int
 val fu_gap : int
 val als_of_kind : kind -> Nsc_arch.Resource.als_id option
-val slot_count : Nsc_arch.Params.t -> kind -> int
 val make :
   Nsc_arch.Params.t ->
   id:id -> kind:kind -> pos:Geometry.point -> t
-val fu_of_slot : t -> int -> Nsc_arch.Resource.fu_id option
 val active_slots : Nsc_arch.Params.t -> t -> int list
 val size : Nsc_arch.Params.t -> t -> int * int
 val bounding_box : Nsc_arch.Params.t -> t -> Geometry.rect

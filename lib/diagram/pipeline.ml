@@ -141,16 +141,9 @@ let remove_connection t id =
     connections = List.filter (fun c -> c.Connection.id <> id) t.connections;
   }
 
-let find_connection t id =
-  List.find_opt (fun c -> c.Connection.id = id) t.connections
-
 (** Connections whose consuming end is [e]. *)
 let connections_into t e =
   List.filter (fun c -> Connection.equal_endpoint c.Connection.dst e) t.connections
-
-(** Connections whose producing end is [e]. *)
-let connections_from t e =
-  List.filter (fun c -> Connection.equal_endpoint c.Connection.src e) t.connections
 
 (** All pads of all icons with absolute positions — the hit-testing universe
     for the editor's mouse clicks. *)

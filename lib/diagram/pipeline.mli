@@ -74,11 +74,7 @@ val add_connection :
   dst:Connection.endpoint ->
   ?spec:Dma_spec.t -> unit -> Connection.id * t
 val remove_connection : t -> Connection.id -> t
-val find_connection :
-  t -> Connection.id -> Connection.t option
 val connections_into :
-  t -> Connection.endpoint -> Connection.t list
-val connections_from :
   t -> Connection.endpoint -> Connection.t list
 (** All pads with absolute positions — the editor's hit-testing
     universe. *)

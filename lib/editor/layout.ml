@@ -91,8 +91,6 @@ let button_at p =
     (fun (b, _) -> if Geometry.contains (button_rect b) p then Some b else None)
     buttons
 
-let label_of b = List.assoc b buttons
-
 (** Convert window coordinates to drawing-area coordinates and back.  The
     pipeline diagram's icon positions are stored in drawing-area
     coordinates so that panel layout changes never disturb saved

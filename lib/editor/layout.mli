@@ -44,7 +44,6 @@ val buttons : (button * string) list
 val button_h : int
 val button_rect : button -> Nsc_diagram.Geometry.rect
 val button_at : Nsc_diagram.Geometry.point -> button option
-val label_of : button -> string
 val to_drawing : Nsc_diagram.Geometry.point -> Nsc_diagram.Geometry.point
 val of_drawing : Nsc_diagram.Geometry.point -> Nsc_diagram.Geometry.point
 val in_drawing : Nsc_diagram.Geometry.point -> bool

@@ -145,6 +145,16 @@ let spec_to_string s =
   in
   if clauses = [] then "none" else String.concat "," clauses
 
+(** [Error] for a spec with a [mem-corrupt] clause: only the checkpointed
+    single-node solve draws it, so any other run would inject nothing
+    and report a clean ledger. *)
+let refuse_mem_corrupt s =
+  if s.mem_corrupt_p > 0.0 then
+    Error
+      "mem-corrupt is not injected on the multinode machine (only the \
+       checkpointed single-node solve draws it)"
+  else Ok s
+
 (* --- the ledger --------------------------------------------------------- *)
 
 (* One [fault.*] counter per ledger entry.  The values live in the model

@@ -41,6 +41,13 @@ val parse : string -> (spec, string) result
 
 val spec_to_string : spec -> string
 
+(** The one refusal of a [mem-corrupt] clause, for every runner but
+    [Jacobi.solve_ft], the only one that draws it: [Error] with the
+    message when [mem_corrupt_p > 0], so a run that would inject nothing
+    and report a clean ledger is refused before it starts; otherwise
+    [Ok] of the spec. *)
+val refuse_mem_corrupt : spec -> (spec, string) result
+
 (** {1 Model lifecycle} *)
 
 type t

@@ -186,8 +186,8 @@ type ctx = {
                                     folded into the bench's disabled-path
                                     overhead projection *)
   ring_mu : Mutex.t;
-  mutable capacity : int;
-  mutable ring : event option array;
+  capacity : int;
+  ring : event option array;
   mutable ring_total : int;
   attr_mu : Mutex.t;
   attr : (string * string, attr_cell) Hashtbl.t;  (* (instr, unit) *)
@@ -478,13 +478,6 @@ let node_attribution ctx =
 let total_observations ctx = Atomic.get ctx.observations
 
 (* --- the span ring ------------------------------------------------------ *)
-
-let set_capacity ctx n =
-  if n < 1 then invalid_arg "Metrics.set_capacity";
-  Mutex.protect ctx.ring_mu (fun () ->
-      ctx.capacity <- n;
-      ctx.ring <- Array.make n None;
-      ctx.ring_total <- 0)
 
 let record ctx ev =
   Mutex.protect ctx.ring_mu (fun () ->

@@ -231,9 +231,6 @@ val instant :
   unit ->
   unit
 
-val set_capacity : ctx -> int -> unit
-(** Resize the ring, clearing it.  Raises [Invalid_argument] on [n < 1]. *)
-
 val events : ctx -> event list
 (** Resident events, oldest first. *)
 

@@ -136,7 +136,7 @@ let parse_submit obj =
     | None -> None
     | Some spec -> (
         (* validate the spec at admission, not at dispatch *)
-        match Fault.parse spec with
+        match Result.bind (Fault.parse spec) Fault.refuse_mem_corrupt with
         | Ok _ -> Some spec
         | Error e -> bad ~rid "bad-request" ("bad faults spec: " ^ e))
   in

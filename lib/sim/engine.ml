@@ -672,10 +672,10 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
   note_run ~kind:"kernel" sem r;
   r
 
-(** Execute a compiled {!Kernel.t}: buffers drawn from the domain-local
-    {!Kernel.acquire} pool (no per-run allocation once warm), read
-    streams gathered with Bigarray-direct bulk transfers, a blocked
-    element loop through compile-time-specialised {!Kernel.step}s — one
+(** Execute a compiled {!Kernel.t}: a working set drawn from the
+    domain-local {!Kernel.acquire_slots} pool (no per-run allocation
+    once warm), read streams gathered with Bigarray-direct bulk
+    transfers, a blocked element loop through compile-time-specialised {!Kernel.step}s — one
     native call per unit per block, with the non-finite trap pre-scan
     fused into the compute pass — and one bulk transfer per write sink.
     Kernels without a fused body fall back to the general evaluator with
@@ -689,8 +689,9 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
         ~analysis:kn.Kernel.analysis ?run kn.Kernel.sem
   | Some b ->
       let bufs = Kernel.acquire_slots b in
-      (* a budget poll may unwind mid-body; the pooled buffers must go
-         back either way or a deadline-killed job would leak the pool *)
+      (* a budget poll may unwind mid-body; the working set must go
+         back either way, or a deadline-killed job would leave its shape
+         taken and every later run of it allocating afresh *)
       match exec_body node ~record_trace ~run kn b bufs with
       | r ->
           Kernel.release_slots b bufs;

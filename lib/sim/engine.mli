@@ -79,11 +79,12 @@ val run_general :
   ?analysis:Nsc_checker.Timing.t ->
   ?run:Run.t -> Nsc_diagram.Semantic.t -> result
 
-(** Execute a fused {!Kernel.t}, the single fast path: buffers drawn from
-    the domain-local {!Kernel.acquire} pool, read streams gathered with
-    Bigarray-direct bulk transfers, a blocked element loop through
-    compile-time-specialised {!Kernel.step}s (one native call per unit
-    per block, no opcode dispatch in the hot path) with the non-finite
+(** Execute a fused {!Kernel.t}, the single fast path: a working set
+    drawn from the domain-local {!Kernel.acquire_slots} pool, read
+    streams gathered with Bigarray-direct bulk transfers, a blocked
+    element loop through compile-time-specialised {!Kernel.step}s (one
+    native call per unit per block, no opcode dispatch in the hot path)
+    with the non-finite
     trap pre-scan fused into the compute pass, and one bulk transfer per
     write sink.  Kernels without
     a fused body fall back to the general evaluator.  Memory, values,
@@ -91,8 +92,8 @@ val run_general :
     {!run_general}, clean and under seeded faults (property-tested).
     The run's budget is polled at every kernel block boundary, so a wall
     deadline or a cancellation unwinds with
-    [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction (pooled
-    buffers are released on the way out). *)
+    [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction (the
+    working set is released on the way out). *)
 val run_kernel :
   Node.t ->
   ?record_trace:bool ->

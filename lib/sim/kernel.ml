@@ -24,9 +24,10 @@
       transfer, directly into the pooled buffer;
     - each write stream is flushed with one bulk
       {!Nsc_arch.Memory.write_strided_from} per sink;
-    - stream and output buffers are drawn from a domain-local free-list
-      pool ({!acquire}/{!release}), so a cached kernel replayed across a
-      solve allocates nothing in its hot path.
+    - stream and output buffers come as one working set per body shape
+      from a domain-local pool ({!acquire_slots}/{!release_slots}), so a
+      cached kernel replayed across a solve allocates nothing in its hot
+      path.
 
     The fused body exists when the diagram is aligned and acyclic with
     DMA-fed shift/delay units (the checked, production case).  Other
@@ -63,11 +64,11 @@ let c_fallbacks =
 
 let c_pool_hits =
   Metrics.always_counter ~name:"kernel.pool_hits" ~units:"buffers"
-    ~desc:"execution buffers reused from the domain-local pool"
+    ~desc:"execution buffers from the domain's set for the body's shape"
 
 let c_pool_misses =
   Metrics.always_counter ~name:"kernel.pool_misses" ~units:"buffers"
-    ~desc:"execution buffers freshly allocated (pool empty for the length)"
+    ~desc:"execution buffers freshly allocated (no free set for the body's shape)"
 
 let compile_count () = Metrics.total c_compiles
 let cache_hit_count () = Metrics.total c_cache_hits
@@ -165,146 +166,51 @@ type t = {
 
 (* --- the domain-local buffer pool --------------------------------------- *)
 
-(* Free lists of released buffers keyed by length, one pool per domain so
-   acquire/release are lock-free even when a cached kernel executes on
-   several domains at once.  Each free list is a fixed-capacity stack, so
-   a warm acquire or release allocates nothing.  Released buffers come
+(* One working set per body shape, one table per domain so a cached
+   kernel may execute on several domains at once without a lock.  An
+   instruction's configuration fixes its slot count, static prefix and
+   buffer length, so a kernel replayed across a solve draws the same set
+   every dispatch and a warm dispatch allocates nothing.  A set comes
    back dirty: the executor zeroes exactly the pad and slack regions it
    relies on, which is what lets reuse skip the full memset a fresh
-   allocation pays. *)
+   allocation pays.  [free] is [[||]] while its set is drawn. *)
+type shelf = { mutable free : buf array }
 
-(* A generous bound: one kernel draws a few dozen buffers of a single
-   length; beyond the bound, releases fall to the GC. *)
-let max_pooled_per_len = 128
-
-type free_list = { stack : buf array; mutable depth : int }
-
-let pool_key : (int, free_list) Hashtbl.t Domain.DLS.key =
+let sets_key : (int, shelf) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let no_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
+(* The shape as one int: buffer length, static-prefix length and slot
+   count, 16 bits for each count ([compile_body] checks they fit).  Two
+   bodies of one slot count and length still differ in which slots are
+   static, so a set keyed without [stream_base] would hand one kernel's
+   constant buffer to another as a stream slot. *)
+let shape (b : body) = (b.blen lsl 32) lor (b.stream_base lsl 16) lor b.n_buffers
 
-let free_list len =
-  let pool = Domain.DLS.get pool_key in
-  match Hashtbl.find pool len with
-  | l -> l
-  | exception Not_found ->
-      let l = { stack = Array.make max_pooled_per_len no_buf; depth = 0 } in
-      Hashtbl.replace pool len l;
-      l
-
-let fresh len : buf = A1.create Bigarray.float64 Bigarray.c_layout len
-
-(* a popped slot keeps its stale reference until the next push
-   overwrites it: at most [max_pooled_per_len] buffers per length *)
-let pop l =
-  l.depth <- l.depth - 1;
-  Array.unsafe_get l.stack l.depth
-
-let push l b =
-  if l.depth < max_pooled_per_len then begin
-    Array.unsafe_set l.stack l.depth b;
-    l.depth <- l.depth + 1
-  end
-
-(** Draw a buffer of exactly [len] elements from the calling domain's
-    pool, allocating when the free list is empty.  The contents are
-    {e unspecified} — callers must write or zero every element they later
-    read. *)
-let acquire len : buf =
-  let l = free_list len in
-  if l.depth > 0 then begin
-    Metrics.bump c_pool_hits 1;
-    pop l
-  end
-  else begin
-    Metrics.bump c_pool_misses 1;
-    fresh len
-  end
-
-(** Return a buffer to the calling domain's pool for reuse by a later
-    {!acquire} of the same length. *)
-let release (b : buf) = push (free_list (A1.dim b)) b
-
-(** Fill [dst.(from) ..] with buffers of exactly [len] elements through a
-    single free-list lookup — the per-execution bulk form of {!acquire}
-    (a kernel draws all its stream and output buffers at one length). *)
-let acquire_into len (dst : buf array) ~from =
-  let n = Array.length dst - from in
-  if n > 0 then begin
-    let l = free_list len in
-    let hits = min n l.depth in
-    for i = from to from + hits - 1 do
-      dst.(i) <- pop l
-    done;
-    for i = from + hits to Array.length dst - 1 do
-      dst.(i) <- fresh len
-    done;
-    Metrics.bump c_pool_hits hits;
-    Metrics.bump c_pool_misses (n - hits)
-  end
-
-(** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
-    form of {!release}. *)
-let release_from (src : buf array) ~from len =
-  if Array.length src > from then begin
-    let l = free_list len in
-    for i = from to Array.length src - 1 do
-      push l src.(i)
-    done
-  end
-
-(* The slot arrays a body's buffers are drawn into, pooled per domain by
-   slot count as the buffers are by length, so a warm dispatch allocates
-   no [buf array].  A pooled array keeps stale references to the buffers
-   it last held until it is drawn and refilled. *)
-let max_pooled_slots = 8
-
-type slot_list = { arrays : buf array array; mutable count : int }
-
-let slots_key : (int, slot_list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let slot_list n =
-  let pool = Domain.DLS.get slots_key in
-  match Hashtbl.find pool n with
-  | l -> l
-  | exception Not_found ->
-      let l = { arrays = Array.make max_pooled_slots [||]; count = 0 } in
-      Hashtbl.replace pool n l;
-      l
-
-(** A body's slots for one execution, from the calling domain's pools:
-    the static prefix in place, every stream and unit-output slot a
-    pooled buffer ({!acquire_into}). *)
+(** A body's slots for one execution: the calling domain's set for the
+    body's shape with the static prefix blitted in, or a fresh set when
+    the shape has none free.  Books [n_buffers - stream_base] pool hits
+    or misses. *)
 let acquire_slots (b : body) : buf array =
-  let l = slot_list b.n_buffers in
-  let bufs =
-    if l.count > 0 then begin
-      l.count <- l.count - 1;
-      Array.unsafe_get l.arrays l.count
-    end
-    else Array.make b.n_buffers no_buf
-  in
-  Array.blit b.static 0 bufs 0 b.stream_base;
-  acquire_into b.blen bufs ~from:b.stream_base;
-  bufs
+  let n = b.n_buffers - b.stream_base in
+  match Hashtbl.find (Domain.DLS.get sets_key) (shape b) with
+  | { free } as shelf when Array.length free > 0 ->
+      shelf.free <- [||];
+      Array.blit b.static 0 free 0 b.stream_base;
+      Metrics.bump c_pool_hits n;
+      free
+  | _ | (exception Not_found) ->
+      Metrics.bump c_pool_misses n;
+      Array.init b.n_buffers (fun i ->
+          if i < b.stream_base then b.static.(i)
+          else A1.create Bigarray.float64 Bigarray.c_layout b.blen)
 
-(** Return slots drawn by {!acquire_slots}, and their buffers, to the
-    calling domain's pools. *)
+(** Return slots drawn by {!acquire_slots} as the free set of the body's
+    shape. *)
 let release_slots (b : body) (bufs : buf array) =
-  release_from bufs ~from:b.stream_base b.blen;
-  let l = slot_list b.n_buffers in
-  if l.count < max_pooled_slots then begin
-    Array.unsafe_set l.arrays l.count bufs;
-    l.count <- l.count + 1
-  end
-
-(** Buffers of length [len] in the calling domain's free list. *)
-let pooled len =
-  match Hashtbl.find_opt (Domain.DLS.get pool_key) len with
-  | Some l -> l.depth
-  | None -> 0
+  let sets = Domain.DLS.get sets_key in
+  match Hashtbl.find sets (shape b) with
+  | shelf -> shelf.free <- bufs
+  | exception Not_found -> Hashtbl.add sets (shape b) { free = bufs }
 
 (* --- opcode specialisation ----------------------------------------------- *)
 
@@ -525,6 +431,9 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
     Array.fold_left (fun m (u : kunit) -> max m (max (abs u.a_off) (abs u.b_off))) 0 units
   in
   let blen = pad + max vlen 1 + pad in
+  (* the pool packs the shape into one int ([shape]) *)
+  if unit_base + n_units >= 1 lsl 16 || blen >= 1 lsl 30 then
+    invalid_arg "Kernel.compile: body shape too large for the buffer pool";
   let static = Array.make stream_base (A1.create Bigarray.float64 Bigarray.c_layout 0) in
   let filled v =
     let b = A1.create Bigarray.float64 Bigarray.c_layout blen in

@@ -4,13 +4,13 @@
     pass: it runs the timing analysis, decides whether the fused body
     applies, orders the units topologically and resolves every operand
     binding to a [(buffer, offset)] pair into a uniform pool of padded
-    {!buf} vectors (unboxed [Bigarray.Array1] float64, drawn from a
-    domain-local free-list pool).  Every opcode is resolved {e at compile
-    time} to a native step ({!step}) whose element loop runs in C, so the
-    hot path contains no dispatch; read streams are gathered once per
-    instruction with bulk Bigarray-direct strided transfers and write
-    streams flushed with one bulk transfer per sink.
-    {!Engine.run_kernel} executes kernels block-wise.  Results are
+    {!buf} vectors (unboxed [Bigarray.Array1] float64, drawn as one
+    working set per body shape from a domain-local pool).  Every opcode
+    is resolved {e at compile time} to a native step ({!step}) whose
+    element loop runs in C, so the hot path contains no dispatch; read
+    streams are gathered once per instruction with bulk Bigarray-direct
+    strided transfers and write streams flushed with one bulk transfer
+    per sink.  {!Engine.run_kernel} executes kernels block-wise.  Results are
     bit-identical to the reference evaluator {!Engine.run_general}
     (property-tested). *)
 
@@ -106,57 +106,37 @@ type t = {
     the cached analysis.  Raises [Invalid_argument] if an operand window
     [[pad + off, pad + off + vlen)] falls outside the buffer length: the
     native steps check no bounds, so this is checked once per compile
-    instead. *)
+    instead.  Also raises it for a body of [2^16] slots or a buffer of
+    [2^30] elements, beyond what the pool's shape key packs. *)
 val compile :
   Nsc_arch.Params.t -> ?honor_timing:bool -> Nsc_diagram.Semantic.t -> t
 
 (** {2 The buffer pool}
 
-    Domain-local free lists keyed by buffer length, each a fixed-capacity
-    stack of at most {!max_pooled_per_len} buffers: a cached kernel
-    replayed across a solve allocates nothing in its hot path, and
-    neither does the pool itself once a length has been seen.  Buffers
-    come back {e dirty} — callers must write or zero every element they
-    later read (the executor zeroes exactly the pad and slack regions). *)
+    One working set per body shape (slot count, static-prefix length
+    and buffer length) in a domain-local table: an instruction's
+    configuration fixes its shape, so a cached kernel replayed across a
+    solve draws the same set each dispatch and a warm dispatch allocates
+    nothing.  Sets come back {e dirty} — callers must write or zero every
+    element they later read (the executor zeroes exactly the pad and
+    slack regions). *)
 
-(** Draw a buffer of [len] elements from the calling domain's pool,
-    allocating only when the free list for that length is empty. *)
-val acquire : int -> buf
-
-(** Return a buffer for reuse by a later {!acquire} of the same length. *)
-val release : buf -> unit
-
-(** Fill [dst.(from) ..] with buffers of exactly [len] elements through a
-    single free-list lookup — the bulk form of {!acquire} the executor
-    uses, since a kernel draws all its working buffers at one length. *)
-val acquire_into : int -> buf array -> from:int -> unit
-
-(** Return [src.(from) ..] (all of length [len]) to the pool: the bulk
-    form of {!release}. *)
-val release_from : buf array -> from:int -> int -> unit
-
-(** A body's slots for one execution ([n_buffers] of them), from the
-    calling domain's pools: the static prefix in place and every stream
-    and unit-output slot a pooled buffer.  The slot array itself is
-    pooled by slot count, so a warm execution allocates nothing. *)
+(** A body's slots for one execution ([n_buffers] of them): the calling
+    domain's set for the body's shape with the static prefix blitted in,
+    or a freshly allocated set when that shape has none free. *)
 val acquire_slots : body -> buf array
 
-(** Return slots drawn by {!acquire_slots}, and their buffers, to the
-    calling domain's pools. *)
+(** Return slots drawn by {!acquire_slots} as the free set of the
+    body's shape. *)
 val release_slots : body -> buf array -> unit
-
-(** Bound on each length's free list; releases beyond it fall to the GC. *)
-val max_pooled_per_len : int
-
-(** Buffers of length [len] currently in the calling domain's free list. *)
-val pooled : int -> int
 
 (** {2 Counters}
 
     [kernel.compiles], [kernel.cache_hits], [kernel.pool_hits] and
     [kernel.pool_misses] are always-on: process-wide totals that count
-    whether or not a metric context is enabled.  Pool accounting: an
-    acquire served from a free list is a hit, a fresh allocation a miss. *)
+    whether or not a metric context is enabled.  Pool accounting: each
+    {!acquire_slots} books its [n_buffers - stream_base] buffers as hits
+    when the shape's set was free and as misses when it allocated. *)
 
 val compile_count : unit -> int
 val cache_hit_count : unit -> int

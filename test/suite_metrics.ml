@@ -239,8 +239,8 @@ let nonzero_counters ctx =
   |> List.filter (fun (n, _) ->
          not
            (String.starts_with ~prefix:"test." n
-           (* pool hits/misses depend on which domain's buffer free list
-              happens to be warm, not on the run being measured *)
+           (* pool hits/misses depend on which domain's working sets
+              happen to be warm, not on the run being measured *)
            || String.starts_with ~prefix:"kernel.pool_" n))
 
 let exec_percentiles ctx =

@@ -207,6 +207,23 @@ let protocol_tests =
             check_bool ("retired engine " ^ name ^ " is rejected") true
               (Protocol.engine_of_string name = None))
           [ "kernel-v2"; "plan"; "legacy" ]);
+    case "a submit asking for mem-corrupt is refused at admission" (fun () ->
+        (* no served workload draws it, so the job would report a clean
+           ledger; a well-formed spec around the clause changes nothing *)
+        List.iter
+          (fun spec ->
+            let o =
+              expect_error ~code:"bad-request"
+                (Printf.sprintf
+                   {|{"op":"submit","id":"mc","faults":%S,"workload":{"kind":"jacobi","n":5}}|}
+                   spec)
+            in
+            check_string "id echoed" "mc" (Option.value ~default:"?" (str o "id"));
+            check_string "detail"
+              "bad faults spec: mem-corrupt is not injected on the multinode machine \
+               (only the checkpointed single-node solve draws it)"
+              (Option.value ~default:"?" (str o "detail")))
+          [ "mem-corrupt:p=0.9"; "transient-link:p=0.05,mem-corrupt:p=0.1" ]);
   ]
 
 (* --- job execution --------------------------------------------------- *)

@@ -870,21 +870,12 @@ let kernel_v3_tests =
             (Result.get_ok (Nsc_apps.Jacobi.solve kb prob ~tol:1e-4 ~max_iters:200))
         in
         go ();
-        (* the first solve populated the free lists for every buffer
-           length this program uses; a repeat must allocate nothing *)
+        (* the first solve left a free set for every body shape this
+           program dispatches; a repeat must allocate nothing *)
         let h0 = Kernel.pool_hit_count () and m0 = Kernel.pool_miss_count () in
         go ();
         check_bool "hits advanced" true (Kernel.pool_hit_count () > h0);
         check_int "no new allocations" 0 (Kernel.pool_miss_count () - m0));
-    case "zero-length buffers cycle through the pool" (fun () ->
-        let b0 = Kernel.acquire 0 in
-        check_int "empty" 0 (Bigarray.Array1.dim b0);
-        Kernel.release b0;
-        let h0 = Kernel.pool_hit_count () in
-        let b1 = Kernel.acquire 0 in
-        check_int "served from the free list" (h0 + 1) (Kernel.pool_hit_count ());
-        check_bool "the same buffer comes back" true (b1 == b0);
-        Kernel.release b1);
     case "dirty pooled buffers never leak into a later run" (fun () ->
         let b, kn = jacobi_kernel ~index:2 in
         let prob = Nsc_apps.Poisson.manufactured 5 in
@@ -901,21 +892,17 @@ let kernel_v3_tests =
             r.Engine.events )
         in
         let r1 = go () in
-        (* poison the free lists: every buffer the kernel will draw comes
+        (* poison the body's set: every buffer the kernel will draw comes
            back full of NaN, so any missed pad scrub or stale element
            read trips the trap scan and changes the observation *)
         (match kn.Kernel.body with
         | None -> Alcotest.fail "expected a fused body"
         | Some body ->
-            let dirty =
-              List.init body.Kernel.n_buffers (fun _ ->
-                  Kernel.acquire body.Kernel.blen)
-            in
-            List.iter
-              (fun buf ->
-                Bigarray.Array1.fill buf nan;
-                Kernel.release buf)
-              dirty);
+            let set = Kernel.acquire_slots body in
+            for i = body.Kernel.stream_base to body.Kernel.n_buffers - 1 do
+              Bigarray.Array1.fill set.(i) nan
+            done;
+            Kernel.release_slots body set);
         check_bool "bit-identical after pool poisoning" true (go () = r1));
     case "equal constants are interned into one static slot" (fun () ->
         let pl, icon = pipeline_with Als.Singlet in
@@ -1148,8 +1135,8 @@ let prepared_tests =
 
 let suite = suite @ [ ("sim:prepared", prepared_tests) ]
 
-(* appended: the warm dispatch path — the pool's fixed-capacity free
-   lists, the dense scalar capture, and the minor words a warm iteration
+(* appended: the warm dispatch path — the pool's per-shape working
+   sets, the dense scalar capture, and the minor words a warm iteration
    allocates *)
 
 (* The n=9 Jacobi program's iteration body (instructions 2 and 3),
@@ -1182,10 +1169,7 @@ let warm_path_tests =
         let node, run, _, c = n9_body () in
         let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index:2) in
         let kn = Kernel.compile params sem in
-        let blen = (Option.get kn.Kernel.body).Kernel.blen in
         ignore (Engine.run_kernel node ~run kn);
-        let depth = Kernel.pooled blen in
-        check_bool "the warm run left buffers pooled" true (depth > 0);
         let cancelled = Nsc_guard.Guard.Budget.create () in
         Nsc_guard.Guard.Budget.cancel cancelled;
         let expired = Nsc_guard.Guard.Budget.create ~deadline_ms:1e-6 () in
@@ -1195,23 +1179,12 @@ let warm_path_tests =
             (match Engine.run_kernel node ~run:(Run.make ~budget ()) kn with
             | _ -> Alcotest.failf "%s: the body ran to completion" name
             | exception Nsc_guard.Guard.Budget.Deadline_exceeded _ -> ());
-            check_int (name ^ ": pool depth after the unwind") depth (Kernel.pooled blen))
+            (* a set the unwind kept would leave the shape taken *)
+            let m0 = Kernel.pool_miss_count () in
+            ignore (Engine.run_kernel node ~run kn);
+            check_int (name ^ ": pool misses in a run after the unwind") 0
+              (Kernel.pool_miss_count () - m0))
           [ ("cancellation", cancelled); ("wall deadline", expired) ]);
-    case "max_pooled_per_len bounds each free list" (fun () ->
-        (* a length no kernel uses, so the free list starts empty *)
-        let len = 7919 in
-        let bufs = Array.init (Kernel.max_pooled_per_len + 5) (fun _ -> Kernel.acquire len) in
-        Array.iter Kernel.release bufs;
-        check_int "release stops at the bound" Kernel.max_pooled_per_len (Kernel.pooled len);
-        let again = Array.make (Kernel.max_pooled_per_len + 5) bufs.(0) in
-        let h0 = Kernel.pool_hit_count () and m0 = Kernel.pool_miss_count () in
-        Kernel.acquire_into len again ~from:0;
-        check_int "hits drain the list" Kernel.max_pooled_per_len (Kernel.pool_hit_count () - h0);
-        check_int "the rest are fresh" 5 (Kernel.pool_miss_count () - m0);
-        check_int "empty" 0 (Kernel.pooled len);
-        Kernel.release_from again ~from:0 len;
-        check_int "bulk release stops at the bound too" Kernel.max_pooled_per_len
-          (Kernel.pooled len));
     qcheck ~count:24
       "last_values equals a hashtable of every dispatch's values, sorted, on both engines"
       QCheck2.Gen.(triple bool bool (int_range 0 1000))
@@ -1285,6 +1258,62 @@ let warm_path_tests =
         done;
         let words = minor_words (fun () -> Sequencer.exec_into node ~run body s) in
         if words >= 64.0 then Alcotest.failf "a warm exec_into allocated %.0f minor words" words);
+    case "bodies alike but for their static prefix draw separate working sets"
+      (fun () ->
+        (* compile-cold's traffic: 4 slots of one length, with a static
+           prefix of the zero buffer alone (x + y) and of the zero buffer
+           and one constant (x * 2.5); a set shared by the two would hand
+           the constant's buffer to x + y as its first stream slot *)
+        let add =
+          Kernel.compile params (fst (semantic_of_program (fst (vecadd_program ())) 1))
+        in
+        let scale =
+          let pl, icon = pipeline_with Als.Singlet in
+          let pl = Pipeline.with_vector_length pl 16 in
+          let pl =
+            Build.mem_to_pad pl ~plane:0 ~var:"" ~offset:0 ~icon
+              ~pad:(Icon.In_pad (0, Resource.A)) ()
+          in
+          let pl =
+            Build.pad_to_mem pl ~icon ~pad:(Icon.Out_pad 0) ~plane:3 ~var:"" ~offset:0 ()
+          in
+          let pl =
+            Pipeline.set_config pl ~id:icon ~slot:0
+              (Fu_config.make ~a:Fu_config.From_switch ~b:(Fu_config.From_constant 2.5)
+                 Opcode.Fmul)
+          in
+          Kernel.compile params (fst (Semantic.of_pipeline params ~lookup:(fun _ -> Some 0) pl))
+        in
+        let a = Option.get add.Kernel.body and b = Option.get scale.Kernel.body in
+        check_int "one slot count" a.Kernel.n_buffers b.Kernel.n_buffers;
+        check_int "one buffer length" a.Kernel.blen b.Kernel.blen;
+        check_int "x + y: zero only" 1 a.Kernel.stream_base;
+        check_int "x * 2.5: zero and the constant" 2 b.Kernel.stream_base;
+        let node = Node.create params in
+        Node.load_array node ~plane:0 ~base:0 (Array.init 16 (fun i -> float_of_int (i + 1)));
+        Node.load_array node ~plane:1 ~base:0 (Array.init 16 (fun i -> 0.5 *. float_of_int i));
+        let observe (r : Engine.result) =
+          ( Engine.last_values r,
+            Node.dump_array node ~plane:2 ~base:0 ~len:16,
+            Node.dump_array node ~plane:3 ~base:0 ~len:16,
+            r.Engine.events )
+        in
+        for round = 1 to 3 do
+          List.iter
+            (fun (name, kn) ->
+              let fused = observe (Engine.run_kernel node kn) in
+              let reference = observe (Engine.run_general node kn.Kernel.sem) in
+              check_bool (Printf.sprintf "round %d, %s: bit-identical to the reference" round name)
+                true
+                (compare fused reference = 0))
+            [ ("x + y", add); ("x * 2.5", scale) ]
+        done;
+        (* a drawn set is taken: a second draw of its shape is fresh *)
+        let first = Kernel.acquire_slots a in
+        let second = Kernel.acquire_slots a in
+        check_bool "a drawn set is not handed out twice" true (first != second);
+        Kernel.release_slots a second;
+        Kernel.release_slots a first);
   ]
 
 let suite = suite @ [ ("sim:warm-path", warm_path_tests) ]
