@@ -79,20 +79,30 @@ let copy_vec (v : vec) : vec =
   A1.blit v c;
   c
 
-(* placeholder for a lazily-bound page ref: the walk always rebinds before
-   the first access (page keys are non-negative, the sentinel key is not) *)
+(* the empty vector: a placeholder for a lazily-bound page ref (the walk
+   always rebinds before the first access; page keys are non-negative,
+   the sentinel key is not), and {!read_window}'s untouched page *)
 let no_page : vec = A1.create Bigarray.float64 Bigarray.c_layout 0
+
+(* The page table, keyed by page number: a non-negative int is its own
+   hash, so a lookup makes no call to the generic hash or compare. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
 
 type store = {
   words : int;
   page_words : int;
-  pages : (int, vec) Hashtbl.t;
+  pages : vec Pages.t;
   parity_bad : (int, unit) Hashtbl.t;
 }
 
 let make_store ?(page_words = 4096) words =
   if words <= 0 then invalid_arg "Memory.make_store";
-  { words; page_words; pages = Hashtbl.create 64; parity_bad = Hashtbl.create 4 }
+  { words; page_words; pages = Pages.create 64; parity_bad = Hashtbl.create 4 }
 
 let check_addr st addr =
   if addr < 0 || addr >= st.words then
@@ -101,17 +111,17 @@ let check_addr st addr =
 let read st addr =
   check_addr st addr;
   Metrics.bump c_reads 1;
-  match Hashtbl.find_opt st.pages (addr / st.page_words) with
+  match Pages.find_opt st.pages (addr / st.page_words) with
   | None -> 0.0
   | Some page -> A1.get page (addr mod st.page_words)
 
 let page_for st key =
-  match Hashtbl.find st.pages key with
+  match Pages.find st.pages key with
   | page -> page
   | exception Not_found ->
       let page = A1.create Bigarray.float64 Bigarray.c_layout st.page_words in
       A1.fill page 0.0;
-      Hashtbl.add st.pages key page;
+      Pages.add st.pages key page;
       Metrics.bump c_pages 1;
       page
 
@@ -170,7 +180,7 @@ let read_strided_to st ~base ~stride (out : float array) =
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Hashtbl.find st.pages (addr / st.page_words) with
+        (match Pages.find st.pages (addr / st.page_words) with
         | page ->
             for j = 0 to n - 1 do
               Array.unsafe_set out (!i + j) (A1.unsafe_get page (off + j))
@@ -186,7 +196,7 @@ let read_strided_to st ~base ~stride (out : float array) =
         let k = addr / st.page_words in
         if k <> !key then begin
           key := k;
-          page := Hashtbl.find_opt st.pages k
+          page := Pages.find_opt st.pages k
         end;
         out.(i) <-
           (match !page with Some pg -> A1.get pg (addr mod st.page_words) | None -> 0.0)
@@ -264,7 +274,7 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Hashtbl.find st.pages (addr / st.page_words) with
+        (match Pages.find st.pages (addr / st.page_words) with
         | page -> Native.unsafe_blit page off dst (pos + !i) n
         | exception Not_found -> Native.unsafe_zero dst (pos + !i) n);
         i := !i + n
@@ -277,7 +287,7 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
         let k = addr / st.page_words in
         if k <> !key then begin
           key := k;
-          page := Hashtbl.find_opt st.pages k
+          page := Pages.find_opt st.pages k
         end;
         A1.unsafe_set dst (pos + i)
           (match !page with
@@ -286,6 +296,19 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
       done
     end
   end
+
+(** The page holding the [count] words from [base] (stride 1), to be
+    read in place at offset [base mod page_words]: the zero-copy
+    counterpart of {!read_strided_into}, with the same range check and
+    the same [mem.reads] booking.  An untouched page reads as
+    {!no_page} (length 0), whose words are all 0.0.  The caller makes
+    sure the window lies inside one page. *)
+let read_window st ~base ~count =
+  check_strided st ~base ~stride:1 ~count;
+  if count > 0 then Metrics.bump c_reads count;
+  match Pages.find st.pages (base / st.page_words) with
+  | page -> page
+  | exception Not_found -> no_page
 
 (** Write [src.{pos} .. src.{pos + count - 1}] to the words starting at
     [base] with step [stride]: {!write_strided} without the intermediate
@@ -354,7 +377,7 @@ let copy_words ~(src : store) ~src_base ~(dst : store) ~dst_base ~count =
       let so = sa mod src.page_words and doff = da mod dst.page_words in
       let n = min (min (src.page_words - so) (dst.page_words - doff)) (count - !i) in
       let dpage = page_for dst (da / dst.page_words) in
-      (match Hashtbl.find src.pages (sa / src.page_words) with
+      (match Pages.find src.pages (sa / src.page_words) with
       | spage -> Native.unsafe_blit spage so dpage doff n
       | exception Not_found -> Native.unsafe_zero dpage doff n);
       i := !i + n
@@ -364,14 +387,14 @@ let copy_words ~(src : store) ~src_base ~(dst : store) ~dst_base ~count =
 (** Number of pages ever materialised (for footprint reporting).  Each
     page spans [page_words] words: this counts resident pages, not
     distinct written words — see {!touched_words}. *)
-let touched_pages st = Hashtbl.length st.pages
+let touched_pages st = Pages.length st.pages
 
 (** Resident footprint in words (materialised pages × page size) — an
     upper bound on the number of distinct words ever written. *)
-let touched_words st = Hashtbl.length st.pages * st.page_words
+let touched_words st = Pages.length st.pages * st.page_words
 
 let clear st =
-  Hashtbl.reset st.pages;
+  Pages.reset st.pages;
   Hashtbl.reset st.parity_bad
 
 (* --- snapshots ----------------------------------------------------------- *)
@@ -390,14 +413,14 @@ let snapshot st =
   {
     s_words = st.words;
     s_page_words = st.page_words;
-    s_pages = Hashtbl.fold (fun k page acc -> (k, copy_vec page) :: acc) st.pages [];
+    s_pages = Pages.fold (fun k page acc -> (k, copy_vec page) :: acc) st.pages [];
     s_parity = Hashtbl.fold (fun addr () acc -> addr :: acc) st.parity_bad [];
   }
 
 let restore st snap =
   if snap.s_words <> st.words || snap.s_page_words <> st.page_words then
     invalid_arg "Memory.restore: snapshot geometry does not match store";
-  Hashtbl.reset st.pages;
-  List.iter (fun (k, page) -> Hashtbl.replace st.pages k (copy_vec page)) snap.s_pages;
+  Pages.reset st.pages;
+  List.iter (fun (k, page) -> Pages.replace st.pages k (copy_vec page)) snap.s_pages;
   Hashtbl.reset st.parity_bad;
   List.iter (fun addr -> Hashtbl.replace st.parity_bad addr ()) snap.s_parity

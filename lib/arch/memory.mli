@@ -28,10 +28,13 @@ val strided_extent :
     data pointer directly. *)
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(** A plane's page table, keyed by page number. *)
+module Pages : Hashtbl.S with type key = int
+
 type store = {
   words : int;
   page_words : int;
-  pages : (int, vec) Hashtbl.t;
+  pages : vec Pages.t;
   parity_bad : (int, unit) Hashtbl.t;
       (** per-word parity/ECC check bits: marked by {!corrupt}, scrubbed
           by a rewrite of the word *)
@@ -70,6 +73,17 @@ val check_vec_range : vec -> pos:int -> count:int -> string -> unit
     destination range (untouched words store 0.0). *)
 val read_strided_into :
   store -> base:int -> stride:int -> count:int -> vec -> pos:int -> unit
+
+(** A vector of length 0: what {!read_window} returns for a page no
+    write has touched. *)
+val no_page : vec
+
+(** The page holding the [count] words from [base] (stride 1), which
+    must lie inside one page, for reading in place at offset
+    [base mod page_words]; {!no_page} when the page is untouched (its
+    words read as 0.0).  Checks the range and books [mem.reads] as
+    {!read_strided_into} does; copies nothing. *)
+val read_window : store -> base:int -> count:int -> vec
 
 (** Bulk strided write of [count] words taken from [src] at [pos]:
     {!write_strided} without the intermediate array. *)

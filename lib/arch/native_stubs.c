@@ -67,8 +67,19 @@ static inline int64_t bits_of(double v)
     return bad != 0;                                                        \
   }
 
+static inline double float_of(int64_t b)
+{
+  double v;
+  memcpy(&v, &b, sizeof v);
+  return v;
+}
+
 /* Float.max and Float.min of OCaml's Stdlib, case for case: a NaN operand
-   wins (the first one tested), and -0.0 orders below +0.0. */
+   wins (the first one tested), and -0.0 orders below +0.0.  Both test
+   [y > x || (y's sign bit clear && x's set)], then pick y or x by which
+   one is a NaN.  There are two forms of each.  The running Max and Min
+   (CARRY_BOUND_STEP below) branch: each result feeds the next element,
+   and predictable branches keep that dependency chain short. */
 static inline int sign_of(double x) { return bits_of(x) < 0; }
 
 static inline double ocaml_max(double x, double y)
@@ -81,6 +92,35 @@ static inline double ocaml_min(double x, double y)
 {
   if (y > x || (!sign_of(y) && sign_of(x))) return y != y ? y : x;
   return x != x ? x : y;
+}
+
+/* The element-wise steps use all-ones/all-zeros masks on the bit
+   patterns instead, so the baseline (SSE2) target vectorizes them too:
+   it has no blend, no 64-bit integer compare and no way to turn a
+   double compare into an integer mask, but it selects between two
+   doubles with and/andnot/or.  MASK(c) selects -0.0 or +0.0 by the
+   double compare c and spreads the sign bit (a logical shift, then a
+   negation); the sign-bit test shifts the same way. */
+static inline int64_t sign_mask(int64_t b) { return -(int64_t) ((uint64_t) b >> 63); }
+#define MASK(c) sign_mask(bits_of((c) ? -0.0 : 0.0))
+
+static inline int64_t ordered_after(double x, double y)
+{
+  return MASK(y > x) | sign_mask(bits_of(x) & ~bits_of(y));
+}
+
+static inline double masked_max(double x, double y)
+{
+  int64_t c = ordered_after(x, y), xn = MASK(x != x), yn = MASK(y != y);
+  int64_t m = (c & ~xn) | (~c & yn); /* all ones: the result is y */
+  return float_of((bits_of(y) & m) | (bits_of(x) & ~m));
+}
+
+static inline double masked_min(double x, double y)
+{
+  int64_t c = ordered_after(x, y), xn = MASK(x != x), yn = MASK(y != y);
+  int64_t m = (c & yn) | (~c & ~xn); /* all ones: the result is y */
+  return float_of((bits_of(y) & m) | (bits_of(x) & ~m));
 }
 
 #define OP_PASS_(x, y) (x)
@@ -123,8 +163,8 @@ PINNED_STEP(step_fmul, step_fmul_plain, step_fmul_pinned)
 FLOAT_STEP(step_fdiv, OP_FDIV_(x, y))
 FLOAT_STEP(step_fneg, OP_FNEG_(x, y))
 FLOAT_STEP(step_fabs, OP_FABS_(x, y))
-FLOAT_STEP(step_max, OP_MAX_(x, y))
-FLOAT_STEP(step_min, OP_MIN_(x, y))
+FLOAT_STEP(step_max, masked_max(x, y))
+FLOAT_STEP(step_min, masked_min(x, y))
 
 /* Delay-1 feedback: the self operand's first element is d[-1], the value
    carried in [v]; each result is the next element's self operand.

@@ -146,13 +146,14 @@ let spec_to_string s =
   if clauses = [] then "none" else String.concat "," clauses
 
 (** [Error] for a spec with a [mem-corrupt] clause: only the checkpointed
-    single-node solve draws it, so any other run would inject nothing
-    and report a clean ledger. *)
+    Jacobi solve ([Jacobi.solve_ft]) draws it, so any other run (a
+    program run, an injection campaign, a serve job, a multinode solve)
+    would inject nothing and report a clean ledger. *)
 let refuse_mem_corrupt s =
   if s.mem_corrupt_p > 0.0 then
     Error
-      "mem-corrupt is not injected on the multinode machine (only the \
-       checkpointed single-node solve draws it)"
+      "mem-corrupt is drawn only by the checkpointed Jacobi solve \
+       (Jacobi.solve_ft); this run would inject none"
   else Ok s
 
 (* --- the ledger --------------------------------------------------------- *)

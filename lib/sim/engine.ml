@@ -456,6 +456,33 @@ let gather_stream node ~vlen ~pad ~blen (r : Kernel.read_stream) (buf : Kernel.b
   Native.unsafe_zero buf 0 pad;
   Native.unsafe_zero buf (pad + n) (blen - pad - n)
 
+(* Point stream slot [slot] at the plane page holding the stream's
+   window instead of gathering it, booking the same reads as the gather.
+   Only for a stream the compile marked aliasable ([Kernel.body.alias]):
+   a unit-stride plane stream of at least [vlen] elements that every
+   operand reads at offset 0, so nothing reads the slot outside
+   [bases.(slot), bases.(slot) + vlen).  Returns [false], touching
+   nothing, when the window straddles a page boundary; an untouched page
+   reads through the static zero buffer. *)
+let alias_stream node ~vlen (r : Kernel.read_stream) (set : Kernel.set) slot =
+  let t = r.Kernel.transfer in
+  match t.Dma.channel with
+  | Dma.Cache_chan _ -> false
+  | Dma.Plane plid ->
+      let st = Node.plane node plid in
+      let off = t.Dma.base mod st.Memory.page_words in
+      if off + vlen > st.Memory.page_words then false
+      else begin
+        let page = Memory.read_window st ~base:t.Dma.base ~count:vlen in
+        if page == Memory.no_page then set.Kernel.bufs.(slot) <- set.Kernel.bufs.(0)
+        else begin
+          set.Kernel.bufs.(slot) <- page;
+          set.Kernel.bases.(slot) <- off
+        end;
+        Dma.note_read ~words:vlen;
+        true
+      end
+
 (* Flush [count] elements of a unit's output buffer, starting at [pos],
    to a write sink in one Bigarray-direct bulk transfer. *)
 let write_vec node (t : Dma.transfer) (buf : Kernel.buf) ~pos ~count =
@@ -478,57 +505,63 @@ let write_bulk_arr node (t : Dma.transfer) ~from (vals : float array) =
 
 (* Corrupt the victim latch [(k, e)] and return the value slots the
    drains read from.  Only unit [k]'s latch may change: if [k] is an
-   elided pass-through, its values move into its own buffer before the
-   NaN lands there; if other elided pass-throughs alias [k]'s buffer,
-   each of them moves into its own buffer first.  Runs only under a
-   fault, so the clean path allocates nothing. *)
-let corrupt_latch (b : Kernel.body) (bufs : Kernel.buf array) ~k ~e =
+   elided pass-through, its live values move into its own buffer before
+   the NaN lands there (so the NaN never reaches a stream's buffer, nor
+   the plane page an aliased stream reads in place); if other elided
+   pass-throughs share [k]'s buffer, each of them moves into its own
+   buffer first.  The drains, [last] and the trace read only live
+   elements, so those are all that move.  Runs only under a fault, so
+   the clean path allocates nothing. *)
+let corrupt_latch (b : Kernel.body) (set : Kernel.set) ~k ~e =
+  let bufs = set.Kernel.bufs and bases = set.Kernel.bases in
   let unit_base = b.Kernel.unit_base in
   let val_slot = Array.copy b.Kernel.val_slot in
   let shared = val_slot.(k) in
   let materialise j =
-    A1.blit bufs.(shared) bufs.(unit_base + j);
-    val_slot.(j) <- unit_base + j
+    let own = unit_base + j in
+    Native.unsafe_blit bufs.(shared) bases.(shared) bufs.(own) bases.(own) b.Kernel.vlen;
+    val_slot.(j) <- own
   in
   if shared <> unit_base + k then materialise k
   else Array.iteri (fun j s -> if j <> k && s = shared then materialise j) b.Kernel.val_slot;
-  A1.set bufs.(unit_base + k) (b.Kernel.pad + e) Float.nan;
+  A1.set bufs.(unit_base + k) (bases.(unit_base + k) + e) Float.nan;
   val_slot
 
-(* Execute the fused body on [node] over the slots [bufs]: element 0 of
-   every buffer sits at index [pad]. *)
+(* Execute the fused body on [node] over the working set [set]: element
+   0 of slot [i] sits at index [bases.(i)] of [bufs.(i)] — [pad] for the
+   set's own buffers, the window's offset for a stream read in place. *)
 let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
-    (b : Kernel.body) (bufs : Kernel.buf array) : result =
+    (b : Kernel.body) (set : Kernel.set) : result =
   let sem = kn.Kernel.sem in
   let budget = budget_of run in
+  let bufs = set.Kernel.bufs and bases = set.Kernel.bases in
   let vlen = b.Kernel.vlen in
   let pad = b.Kernel.pad in
   let blen = b.Kernel.blen in
   let units = b.Kernel.units in
   let steps = b.Kernel.steps in
   let n_units = Array.length units in
-  let unit_base = b.Kernel.unit_base in
-  (* gather read streams; scrub the unit output buffers (a unit operand
-     may legitimately read an element its producer has not reached yet —
-     the reference sees 0.0 there, so dirty pool bytes must not leak) *)
+  (* read streams: alias each aliasable window that lies in one page,
+     gather the rest; then scrub what a unit's own feedback reads before
+     its first element (the reference sees 0.0 there, so dirty pool
+     bytes must not leak) *)
   for s = 0 to Array.length b.Kernel.reads - 1 do
-    gather_stream node ~vlen ~pad ~blen b.Kernel.reads.(s) bufs.(b.Kernel.stream_base + s)
+    let r = b.Kernel.reads.(s) and slot = b.Kernel.stream_base + s in
+    let aliasable = s < Sys.int_size - 1 && (b.Kernel.alias lsr s) land 1 = 1 in
+    if not (aliasable && alias_stream node ~vlen r set slot)
+    then gather_stream node ~vlen ~pad ~blen r bufs.(slot)
   done;
   (* every step writes its full live range in order before anything reads
-     it (cross-unit operands are offset 0, self-feedback reads are
-     delays, see [Kernel.compile_body]), so dirty pool bytes can only leak
-     through the pads *)
-  if pad > 0 then begin
-    let tail = pad + vlen in
+     it: cross-unit operands are offset 0, and only a unit's own feedback
+     reads its buffer at an offset, a delay (see [Kernel.compile_body]).
+     So dirty pool bytes could leak only through the leading pad of a
+     unit that reads itself; nothing reads a trailing pad *)
+  if pad > 0 then
     for k = 0 to n_units - 1 do
-      (* an elided pass-through unit's buffer is never read at all *)
-      if Array.unsafe_get b.Kernel.val_slot k = unit_base + k then begin
-        let b = bufs.(unit_base + k) in
-        Native.unsafe_zero b 0 pad;
-        Native.unsafe_zero b tail (blen - pad - vlen)
-      end
-    done
-  end;
+      let u = Array.unsafe_get units k in
+      let out = u.Kernel.out in
+      if u.Kernel.a_buf = out || u.Kernel.b_buf = out then Native.unsafe_zero bufs.(out) 0 pad
+    done;
   (* blocked, unit-major compute through the compile-time-specialised
      steps: one native call per unit per block, no opcode dispatch in
      OCaml.  Each step folds the non-finite trap pre-scan into its own
@@ -541,7 +574,7 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     Nsc_guard.Guard.Budget.poll_opt budget;
     let e1 = min vlen (!e0 + kernel_block) in
     for k = 0 to n_units - 1 do
-      if (Array.unsafe_get steps k) bufs pad !e0 e1 then any_nonfinite := true
+      if (Array.unsafe_get steps k) bufs bases !e0 e1 then any_nonfinite := true
     done;
     e0 := e1
   done;
@@ -554,10 +587,12 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     for e = 0 to vlen - 1 do
       for k = 0 to n_units - 1 do
         let u = units.(k) in
-        let v = A1.get bufs.(Array.unsafe_get b.Kernel.val_slot k) (pad + e) in
+        let vs = Array.unsafe_get b.Kernel.val_slot k in
+        let v = A1.get bufs.(vs) (bases.(vs) + e) in
         if v -. v <> 0.0 then begin
-          let a = A1.get bufs.(u.Kernel.a_buf) (pad + u.Kernel.a_off + e) in
-          let bv = A1.get bufs.(u.Kernel.b_buf) (pad + u.Kernel.b_off + e) in
+          let ab = u.Kernel.a_buf and bb = u.Kernel.b_buf in
+          let a = A1.get bufs.(ab) (bases.(ab) + u.Kernel.a_off + e) in
+          let bv = A1.get bufs.(bb) (bases.(bb) + u.Kernel.b_off + e) in
           match Fu_exec.trapped u.Kernel.op a bv v with
           | Some kind when !n_events < max_recorded_events ->
               events :=
@@ -588,7 +623,7 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
             :: !events;
           incr n_events
         end;
-        corrupt_latch b bufs ~k ~e
+        corrupt_latch b set ~k ~e
   in
   (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
      zero tail when the sink outruns the vector length); direct
@@ -603,7 +638,8 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
       (match w.Kernel.wsrc with
       | Kernel.W_unit k ->
           let n = min count vlen in
-          if n > 0 then write_vec node t bufs.(val_slot.(k)) ~pos:pad ~count:n;
+          let vs = val_slot.(k) in
+          if n > 0 then write_vec node t bufs.(vs) ~pos:bases.(vs) ~count:n;
           if count > n then write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
       | Kernel.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
       | Kernel.W_live { transfer = rt; count = rcount; offset } ->
@@ -632,7 +668,8 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
   let last = Array.make (Array.length order_of_sem) 0.0 in
   if vlen > 0 then
     for i = 0 to Array.length order_of_sem - 1 do
-      last.(i) <- A1.get bufs.(val_slot.(order_of_sem.(i))) (pad + vlen - 1)
+      let vs = val_slot.(order_of_sem.(i)) in
+      last.(i) <- A1.get bufs.(vs) (bases.(vs) + vlen - 1)
     done;
   let cycles = kn.Kernel.cycles + fault_stream_cycles run sem in
   let events =
@@ -647,10 +684,9 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
       let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
       List.iteri
         (fun i (u : Semantic.unit_program) ->
-          let k = b.Kernel.order_of_sem.(i) in
+          let vs = val_slot.(b.Kernel.order_of_sem.(i)) in
           for e = 0 to vlen - 1 do
-            Hashtbl.replace unit_values (u.Semantic.fu, e)
-              (A1.get bufs.(val_slot.(k)) (pad + e))
+            Hashtbl.replace unit_values (u.Semantic.fu, e) (A1.get bufs.(vs) (bases.(vs) + e))
           done)
         sem.Semantic.units;
       Some { unit_values; vlen }
@@ -674,10 +710,12 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
 
 (** Execute a compiled {!Kernel.t}: a working set drawn from the
     domain-local {!Kernel.acquire_slots} pool (no per-run allocation
-    once warm), read streams gathered with Bigarray-direct bulk
-    transfers, a blocked element loop through compile-time-specialised {!Kernel.step}s — one
-    native call per unit per block, with the non-finite trap pre-scan
-    fused into the compute pass — and one bulk transfer per write sink.
+    once warm), read streams read in place from their plane pages where
+    the compile allows it and the window lies in one page and gathered
+    with Bigarray-direct bulk transfers otherwise, a blocked element
+    loop through compile-time-specialised {!Kernel.step}s — one native
+    call per unit per block, with the non-finite trap pre-scan fused
+    into the compute pass — and one bulk transfer per write sink.
     Kernels without a fused body fall back to the general evaluator with
     the kernel's cached analysis.  Values, cycle estimates and interrupt events are
     bit-identical to {!run_general}. *)
@@ -688,17 +726,17 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?run (kn : Kernel.t) :
       run_general node ~record_trace ~honor_timing:kn.Kernel.honor_timing
         ~analysis:kn.Kernel.analysis ?run kn.Kernel.sem
   | Some b ->
-      let bufs = Kernel.acquire_slots b in
+      let set = Kernel.acquire_slots b in
       (* a budget poll may unwind mid-body; the working set must go
          back either way, or a deadline-killed job would leave its shape
          taken and every later run of it allocating afresh *)
-      match exec_body node ~record_trace ~run kn b bufs with
+      match exec_body node ~record_trace ~run kn b set with
       | r ->
-          Kernel.release_slots b bufs;
+          Kernel.release_slots b set;
           r
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          Kernel.release_slots b bufs;
+          Kernel.release_slots b set;
           Printexc.raise_with_backtrace e bt
 
 (** Execute one pipeline instruction.  Compiles a kernel (see

@@ -19,8 +19,12 @@
       block runs the direct float operation and folds the non-finite trap
       scan into the same pass over the output.  The C loops check no
       bounds, so {!compile} checks every operand window once;
-    - each read stream is gathered {e once per instruction} with one bulk
-      {!Nsc_arch.Memory.read_strided_into} (or cache double-buffer)
+    - a read stream whose window lies inside one plane page and which
+      every operand reads at offset 0 is not copied at all: its slot
+      points at the page ({!Nsc_arch.Memory.read_window}), as the NSC's
+      DMA controllers stream a plane straight into the switch; every
+      other read stream is gathered {e once per instruction} with one
+      bulk {!Nsc_arch.Memory.read_strided_into} (or cache double-buffer)
       transfer, directly into the pooled buffer;
     - each write stream is flushed with one bulk
       {!Nsc_arch.Memory.write_strided_from} per sink;
@@ -76,9 +80,10 @@ let pool_hit_count () = Metrics.total c_pool_hits
 let pool_miss_count () = Metrics.total c_pool_misses
 
 (** One lowered functional unit.  [out] is the absolute buffer slot of the
-    unit's output; operands read [buffer.{base + e + off}], so a feedback
-    queue is its own output buffer at a negative offset and a shift/delay
-    is its stream's buffer at the programmed offset. *)
+    unit's output; operands read [buffer.{base + e + off}], [base] being
+    the slot's own base ({!set}), so a feedback queue is its own output
+    buffer at a negative offset and a shift/delay is its stream's buffer
+    at the programmed offset. *)
 type kunit = {
   fu : Resource.fu_id;
   op : Opcode.t;
@@ -89,14 +94,15 @@ type kunit = {
   b_off : int;  (** unary units point [b] at the zero buffer *)
 }
 
-(** One compile-time-specialised unit step.  [step bufs base e0 e1]
-    applies the unit over elements [e0, e1) with element 0 of every
-    engaged buffer at index [base] (i.e. [pad]), through one native call
+(** One compile-time-specialised unit step.  [step bufs bases e0 e1]
+    applies the unit over elements [e0, e1) with element 0 of slot [i] at
+    index [bases.(i)] of [bufs.(i)] (the body's [pad] for an owned
+    buffer, the window's offset for a page), through one native call
     ({!Nsc_arch.Native.step}).  Returns [true] when a value produced was
     not finite — the trap pre-scan fused into the compute pass.  Opcodes
     whose results are finite by construction (compares, integer ops)
     always return [false]. *)
-type step = buf array -> int -> int -> int -> bool
+type step = buf array -> int array -> int -> int -> bool
 
 (** A read stream: its engine's transfer with the element count
     resolved (a descriptor count of 0 means "the vector length"). *)
@@ -125,7 +131,10 @@ type write_stream = { wsrc : write_source; transfer : Dma.transfer; count : int 
     [vlen] live elements, with [pad] at least the largest operand-offset
     magnitude — so out-of-range reads (feedback warm-up, shift/delay ends,
     short streams) land in the padding and read 0.0, exactly the
-    reference evaluator's bounds-checked semantics, without a branch. *)
+    reference evaluator's bounds-checked semantics, without a branch.  A
+    stream slot may instead point at a plane page (bit [s] of [alias]):
+    nothing reads it outside its [vlen] live elements, so it needs no
+    padding. *)
 type body = {
   vlen : int;
   pad : int;
@@ -146,7 +155,13 @@ type body = {
           source (deduplicated when several passes share one source) or
           to a no-op when the source is finite by construction or already
           scanned by its own producer. *)
-  reads : read_stream array;   (** gathered into slots [stream_base + s] *)
+  reads : read_stream array;   (** read through slots [stream_base + s] *)
+  alias : int;
+      (** bit [s] set: stream [s] may be read in place from its plane
+          page — a unit-stride plane stream covering the vector, read by
+          every operand at offset 0, whose window no write stream of the
+          instruction overlaps.  The engine aliases it when the window
+          lies inside one page and gathers it otherwise. *)
   writes : write_stream array;
   order_of_sem : int array;  (** topological position of each unit of [sem.units] *)
   fus : Resource.fu_id array;  (** the units of [sem.units], in that order *)
@@ -166,15 +181,25 @@ type t = {
 
 (* --- the domain-local buffer pool --------------------------------------- *)
 
+(** One working set: [bufs] and [bases] are what a dispatch reads (slot
+    [i]'s element 0 at [bufs.(i).{bases.(i)}]); [own] holds the set's own
+    buffers, which never include a plane page.  Between dispatches
+    [bufs] holds the same buffers as [own] from [stream_base] on. *)
+type set = { bufs : buf array; bases : int array; own : buf array }
+
 (* One working set per body shape, one table per domain so a cached
    kernel may execute on several domains at once without a lock.  An
    instruction's configuration fixes its slot count, static prefix and
    buffer length, so a kernel replayed across a solve draws the same set
    every dispatch and a warm dispatch allocates nothing.  A set comes
-   back dirty: the executor zeroes exactly the pad and slack regions it
-   relies on, which is what lets reuse skip the full memset a fresh
-   allocation pays.  [free] is [[||]] while its set is drawn. *)
-type shelf = { mutable free : buf array }
+   back dirty: the executor zeroes exactly the regions it relies on
+   reading as 0.0 (a gathered stream's pads and slack, the leading pad
+   of a unit that reads its own output), which is what lets reuse skip
+   the full memset a fresh allocation pays.  [free] is [taken] while
+   its set is drawn. *)
+type shelf = { mutable free : set }
+
+let taken = { bufs = [||]; bases = [||]; own = [||] }
 
 let sets_key : (int, shelf) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
@@ -187,30 +212,39 @@ let sets_key : (int, shelf) Hashtbl.t Domain.DLS.key =
 let shape (b : body) = (b.blen lsl 32) lor (b.stream_base lsl 16) lor b.n_buffers
 
 (** A body's slots for one execution: the calling domain's set for the
-    body's shape with the static prefix blitted in, or a fresh set when
-    the shape has none free.  Books [n_buffers - stream_base] pool hits
-    or misses. *)
-let acquire_slots (b : body) : buf array =
+    body's shape with the static prefix blitted in and every base at
+    [pad], or a fresh set when the shape has none free.  Books
+    [n_buffers - stream_base] pool hits or misses. *)
+let acquire_slots (b : body) : set =
   let n = b.n_buffers - b.stream_base in
   match Hashtbl.find (Domain.DLS.get sets_key) (shape b) with
-  | { free } as shelf when Array.length free > 0 ->
-      shelf.free <- [||];
-      Array.blit b.static 0 free 0 b.stream_base;
+  | { free } as shelf when free != taken ->
+      shelf.free <- taken;
+      Array.blit b.static 0 free.bufs 0 b.stream_base;
+      Array.fill free.bases 0 b.n_buffers b.pad;
       Metrics.bump c_pool_hits n;
       free
   | _ | (exception Not_found) ->
       Metrics.bump c_pool_misses n;
-      Array.init b.n_buffers (fun i ->
-          if i < b.stream_base then b.static.(i)
-          else A1.create Bigarray.float64 Bigarray.c_layout b.blen)
+      let own =
+        Array.init b.n_buffers (fun i ->
+            if i < b.stream_base then b.static.(i)
+            else A1.create Bigarray.float64 Bigarray.c_layout b.blen)
+      in
+      { bufs = Array.copy own; bases = Array.make b.n_buffers b.pad; own }
 
-(** Return slots drawn by {!acquire_slots} as the free set of the body's
-    shape. *)
-let release_slots (b : body) (bufs : buf array) =
+(** Return a set drawn by {!acquire_slots} as the free set of the body's
+    shape, first pointing every stream slot a dispatch aliased back at
+    the set's own buffer. *)
+let release_slots (b : body) (set : set) =
+  for i = b.stream_base to b.unit_base - 1 do
+    let own = set.own.(i) in
+    if set.bufs.(i) != own then set.bufs.(i) <- own
+  done;
   let sets = Domain.DLS.get sets_key in
   match Hashtbl.find sets (shape b) with
-  | shelf -> shelf.free <- bufs
-  | exception Not_found -> Hashtbl.add sets (shape b) { free = bufs }
+  | shelf -> shelf.free <- set
+  | exception Not_found -> Hashtbl.add sets (shape b) { free = set }
 
 (* --- opcode specialisation ----------------------------------------------- *)
 
@@ -232,18 +266,18 @@ let specialise (u : kunit) : step =
     else Native.op_code u.op
   in
   let ab = u.a_buf and ao = u.a_off and bb = u.b_buf and bo = u.b_off in
-  fun bufs base e0 e1 ->
-    Native.step op bufs.(out) (base + e0) bufs.(ab) (base + ao + e0) bufs.(bb)
-      (base + bo + e0) (e1 - e0)
+  fun bufs bases e0 e1 ->
+    Native.step op bufs.(out) (bases.(out) + e0) bufs.(ab) (bases.(ab) + ao + e0)
+      bufs.(bb) (bases.(bb) + bo + e0) (e1 - e0)
 
-(* Step of an elided pass-through unit whose source is a gathered stream:
+(* Step of an elided pass-through unit whose source is a stream:
    no store — just the native non-finite scan, so a NaN on the wire still
    triggers the exact-order rescan (which reads the source through
    [val_slot] and attributes the trap to this unit). *)
 let scan_only src : step =
- fun bufs base e0 e1 ->
-  let a = bufs.(src) in
-  Native.step Native.scan a (base + e0) a (base + e0) a (base + e0) (e1 - e0)
+ fun bufs bases e0 e1 ->
+  let a = bufs.(src) and i = bases.(src) + e0 in
+  Native.step Native.scan a i a i a i (e1 - e0)
 
 (* Step of an elided pass-through unit needing no scan either: the source
    is finite by construction (zero or constant), already scanned by its
@@ -399,7 +433,7 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
   (* [i] is the unit's topological position: a feedback delay [n >= 1]
      reads its own output buffer [n] elements back, so a unit never
      reads itself ahead of where it writes and the engine scrubs only
-     the pads of a unit buffer *)
+     the leading pad of a unit buffer that its own feedback reads *)
   let resolve i (fu : Resource.fu_id) port = function
     | Fu_config.Unbound -> (0, 0)
     | Fu_config.From_constant c -> (const_slot c, 0)
@@ -434,13 +468,12 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
   (* the pool packs the shape into one int ([shape]) *)
   if unit_base + n_units >= 1 lsl 16 || blen >= 1 lsl 30 then
     invalid_arg "Kernel.compile: body shape too large for the buffer pool";
-  let static = Array.make stream_base (A1.create Bigarray.float64 Bigarray.c_layout 0) in
   let filled v =
     let b = A1.create Bigarray.float64 Bigarray.c_layout blen in
     A1.fill b v;
     b
   in
-  static.(0) <- filled 0.0;
+  let static = Array.make stream_base (filled 0.0) in
   List.iter (fun (bits, slot) -> static.(slot) <- filled (Int64.float_of_bits bits)) !consts;
   (* pass-through elision: a [Pass] at offset 0 whose output no unit
      reads needs no copy loop.  Sinks, [last_values] and the trap rescan
@@ -519,6 +552,37 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
           (Hashtbl.find_opt route_into snk))
       (Semantic.write_streams sem)
   in
+  let writes = Array.of_list writes in
+  (* in-place reads: a stream aliases its page only if it needs no
+     padding (unit stride over the whole vector, every operand at offset
+     0) and keeps snapshot semantics (no write of this instruction lands
+     in its window).  Plain loops over ints, so the mask costs the
+     compile no allocation. *)
+  let alias = ref 0 in
+  for s = 0 to min (Array.length reads) (Sys.int_size - 1) - 1 do
+    let r = reads.(s) in
+    let t = r.transfer and slot = stream_base + s in
+    match t.Dma.channel with
+    | Dma.Cache_chan _ -> ()
+    | Dma.Plane plane ->
+        let ok = ref (vlen > 0 && t.Dma.stride = 1 && r.count >= vlen) in
+        for k = 0 to n_units - 1 do
+          let u = units.(k) in
+          if (u.a_buf = slot && u.a_off <> 0) || (u.b_buf = slot && u.b_off <> 0) then
+            ok := false
+        done;
+        let lo = t.Dma.base and hi = t.Dma.base + vlen in
+        for j = 0 to Array.length writes - 1 do
+          let w = writes.(j) in
+          let wt = w.transfer in
+          match wt.Dma.channel with
+          | Dma.Plane p when p = plane && w.count > 0 ->
+              let last = wt.Dma.base + (wt.Dma.stride * (w.count - 1)) in
+              if min wt.Dma.base last < hi && lo <= max wt.Dma.base last then ok := false
+          | Dma.Plane _ | Dma.Cache_chan _ -> ()
+        done;
+        if !ok then alias := !alias lor (1 lsl s)
+  done;
   {
     vlen;
     pad;
@@ -531,7 +595,8 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
     steps;
     val_slot;
     reads;
-    writes = Array.of_list writes;
+    alias = !alias;
+    writes;
     order_of_sem;
     fus = Array.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) sem_units;
   }

@@ -7,20 +7,23 @@
     {!buf} vectors (unboxed [Bigarray.Array1] float64, drawn as one
     working set per body shape from a domain-local pool).  Every opcode
     is resolved {e at compile time} to a native step ({!step}) whose
-    element loop runs in C, so the hot path contains no dispatch; read
-    streams are gathered once per instruction with bulk Bigarray-direct
-    strided transfers and write streams flushed with one bulk transfer
-    per sink.  {!Engine.run_kernel} executes kernels block-wise.  Results are
-    bit-identical to the reference evaluator {!Engine.run_general}
-    (property-tested). *)
+    element loop runs in C, so the hot path contains no dispatch.  A read
+    stream the compile marks aliasable ([body.alias]) is read in place
+    from its plane page when its window lies in one page; every other
+    read stream is gathered once per instruction with a bulk
+    Bigarray-direct strided transfer.  Write streams are flushed with one
+    bulk transfer per sink.  {!Engine.run_kernel} executes kernels
+    block-wise.  Results are bit-identical to the reference evaluator
+    {!Engine.run_general} (property-tested). *)
 
 (** Padded executable buffer: unboxed float64, C layout (see
     {!Nsc_arch.Memory.vec}). *)
 type buf = Nsc_arch.Memory.vec
 
 (** One lowered functional unit: opcode plus [(buffer, offset)] operand
-    references.  Operands read [buffer.{base + e + off}]; [out] is the
-    absolute slot of the unit's output buffer. *)
+    references.  Operands read [buffer.{base + e + off}], [base] being the
+    slot's base in the working set ({!set}); [out] is the absolute slot
+    of the unit's output buffer. *)
 type kunit = {
   fu : Nsc_arch.Resource.fu_id;
   op : Nsc_arch.Opcode.t;
@@ -31,12 +34,12 @@ type kunit = {
   b_off : int;  (** unary units point [b] at the zero buffer *)
 }
 
-(** One compile-time-specialised unit step: [step bufs base e0 e1] applies
-    the unit over elements [e0, e1) with element 0 of every buffer at
-    index [base], in one native call ({!Nsc_arch.Native.step}).  Returns
-    [true] when a produced value was not finite (the trap pre-scan, fused
-    into the compute pass). *)
-type step = buf array -> int -> int -> int -> bool
+(** One compile-time-specialised unit step: [step bufs bases e0 e1]
+    applies the unit over elements [e0, e1) with element 0 of slot [i] at
+    index [bases.(i)] of [bufs.(i)], in one native call
+    ({!Nsc_arch.Native.step}).  Returns [true] when a produced value was
+    not finite (the trap pre-scan, fused into the compute pass). *)
+type step = buf array -> int array -> int -> int -> bool
 
 (** A read stream: its engine's transfer with the element count
     resolved (a descriptor count of 0 means "the vector length"). *)
@@ -58,7 +61,9 @@ type write_stream = { wsrc : write_source; transfer : Nsc_arch.Dma.transfer; cou
     read-only prefix (zeros and constant fills) shared by all executions.
     Every buffer carries [pad] zero elements either side of the [vlen]
     live ones, [pad] bounding every operand offset — out-of-range reads
-    land in the padding and stream 0.0, as on the wire. *)
+    land in the padding and stream 0.0, as on the wire.  A stream read in
+    place from its plane page has no padding, and needs none: every
+    operand reads it at offset 0. *)
 type body = {
   vlen : int;
   pad : int;
@@ -76,6 +81,14 @@ type body = {
           is dropped and sinks, [last_values] and the trap rescan read
           the source directly *)
   reads : read_stream array;
+  alias : int;
+      (** bit [s] set: read stream [s] may be read in place from its
+          plane page.  Set at compile time for a plane stream of stride 1
+          and [count >= vlen > 0] that every operand reads at offset 0
+          and whose window (the [vlen] words from its base) no write
+          stream of the instruction overlaps (in-place instructions keep
+          snapshot semantics).  At dispatch the stream aliases only when
+          that window lies inside one page, and is gathered otherwise. *)
   writes : write_stream array;
   order_of_sem : int array;
       (** topological position of each unit of [sem.units], in original
@@ -118,17 +131,27 @@ val compile :
     configuration fixes its shape, so a cached kernel replayed across a
     solve draws the same set each dispatch and a warm dispatch allocates
     nothing.  Sets come back {e dirty} — callers must write or zero every
-    element they later read (the executor zeroes exactly the pad and
-    slack regions). *)
+    element they later read (the executor zeroes exactly the regions it
+    reads as 0.0: a gathered stream's pads and slack, and the leading
+    pad of a unit that reads its own output). *)
 
-(** A body's slots for one execution ([n_buffers] of them): the calling
-    domain's set for the body's shape with the static prefix blitted in,
-    or a freshly allocated set when that shape has none free. *)
-val acquire_slots : body -> buf array
+(** One working set of [n_buffers] slots.  A dispatch reads slot [i]'s
+    element 0 at [bufs.(i).{bases.(i)}]; the executor may point a stream
+    slot of [bufs] at a plane page (base: the window's offset) for the
+    length of a dispatch.  [own] holds the set's own buffers, and never a
+    page; from [stream_base] on, [bufs] holds the same buffers as [own]
+    whenever the set is not drawn. *)
+type set = { bufs : buf array; bases : int array; own : buf array }
 
-(** Return slots drawn by {!acquire_slots} as the free set of the
-    body's shape. *)
-val release_slots : body -> buf array -> unit
+(** A body's set for one execution: the calling domain's set for the
+    body's shape with the static prefix blitted in and every base at
+    [pad], or a freshly allocated set when that shape has none free. *)
+val acquire_slots : body -> set
+
+(** Return a set drawn by {!acquire_slots} as the free set of the body's
+    shape, pointing each stream slot a dispatch aliased back at the
+    set's own buffer. *)
+val release_slots : body -> set -> unit
 
 (** {2 Counters}
 

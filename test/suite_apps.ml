@@ -463,8 +463,8 @@ let hypercube_solve_tests =
           | Ok _ -> Alcotest.failf "%s ran under mem-corrupt" what
           | Error e ->
               check_string what
-                "mem-corrupt is not injected on the multinode machine (only the \
-                 checkpointed single-node solve draws it)"
+                "mem-corrupt is drawn only by the checkpointed Jacobi solve \
+                 (Jacobi.solve_ft); this run would inject none"
                 e
         in
         refused "run_machine" (Parallel.run_machine ~run params ~n:5 ~iters:4 ~dim:2);

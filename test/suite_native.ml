@@ -267,6 +267,36 @@ let delay1_feedback () =
         (other_inputs n))
     [ 0; 1; 2; 3; 7; 8; 9; 16; 17; 256; 258; 259; 263; 729 ]
 
+(* Max and Min decide by masks on the bit patterns, so the baseline
+   loops vectorize too: every ordered pair of signed zeros, infinities,
+   subnormals and NaNs with distinct payloads of both signs (one
+   signaling) against Stdlib's [Float.max] and [Float.min] themselves,
+   starting at every offset up to 3 so each pair lands in the vector
+   body, its epilogue and the scalar remainder. *)
+let max_min_special_cases () =
+  let sv =
+    [| 0.0; -0.0; 1.0; -1.0; Float.infinity; Float.neg_infinity; nan_pos; nan_neg;
+       nan_signaling; 4.9e-324; -4.9e-324 |]
+  in
+  let m = Array.length sv in
+  let xs = Array.init (m * m) (fun i -> sv.(i / m))
+  and ys = Array.init (m * m) (fun i -> sv.(i mod m)) in
+  each_variant @@ fun variant step ->
+  List.iter
+    (fun (op, f) ->
+      for from = 0 to 3 do
+        let n = (m * m) - from in
+        let dst = fill n canary in
+        ignore (step (Native.op_code op) dst 0 (vec_of xs) from (vec_of ys) from n);
+        for i = 0 to n - 1 do
+          let x = xs.(from + i) and y = ys.(from + i) in
+          same_bits
+            (Printf.sprintf "%s %s %h %h from %d" variant (Opcode.mnemonic op) x y from)
+            (f x y) (A1.get dst i)
+        done
+      done)
+    [ (Opcode.Max, Float.max); (Opcode.Min, Float.min) ]
+
 (* From 256 elements up, [Native.step] runs the AVX2 loops on a CPU that
    has AVX2: every tail they can leave after 32-byte vectors (16-byte
    epilogue, scalar remainder) at every source and destination
@@ -309,5 +339,7 @@ let suite =
           delay1_feedback;
         case "every opcode matches Fu_exec at lengths 256-263, where the wide loops run"
           wide_tails;
+        case "Max and Min match Float.max and Float.min on signed zeros and payload NaNs"
+          max_min_special_cases;
       ] );
   ]

@@ -220,8 +220,8 @@ let protocol_tests =
             in
             check_string "id echoed" "mc" (Option.value ~default:"?" (str o "id"));
             check_string "detail"
-              "bad faults spec: mem-corrupt is not injected on the multinode machine \
-               (only the checkpointed single-node solve draws it)"
+              "bad faults spec: mem-corrupt is drawn only by the checkpointed Jacobi \
+               solve (Jacobi.solve_ft); this run would inject none"
               (Option.value ~default:"?" (str o "detail")))
           [ "mem-corrupt:p=0.9"; "transient-link:p=0.05,mem-corrupt:p=0.1" ]);
   ]

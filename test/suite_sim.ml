@@ -900,7 +900,12 @@ let kernel_v3_tests =
         | Some body ->
             let set = Kernel.acquire_slots body in
             for i = body.Kernel.stream_base to body.Kernel.n_buffers - 1 do
-              Bigarray.Array1.fill set.(i) nan
+              (* a drawn set reads its own buffers: a page left behind
+                 by an aliased dispatch would take the poison into plane
+                 memory *)
+              check_bool "the set reads its own buffer" true
+                (set.Kernel.bufs.(i) == set.Kernel.own.(i));
+              Bigarray.Array1.fill set.Kernel.own.(i) nan
             done;
             Kernel.release_slots body set);
         check_bool "bit-identical after pool poisoning" true (go () = r1));
@@ -1202,7 +1207,7 @@ let warm_path_tests =
           Hashtbl.fold (fun fu v acc -> (fu, v) :: acc) captured [] |> List.sort compare
         in
         o.Sequencer.last_values <> [] && compare o.Sequencer.last_values expected = 0);
-    case "a warm exec of the n=9 iteration body allocates under 320 minor words"
+    case "a warm exec of the n=9 iteration body allocates at most 292 minor words"
       (fun () ->
         (* 292 words on OCaml 5.1: two dispatches, a fresh scratch and the
            outcome with its last_values list; per-dispatch slot arrays,
@@ -1212,8 +1217,8 @@ let warm_path_tests =
           ignore (Sequencer.exec node ~run body)
         done;
         let words = minor_words (fun () -> Sequencer.exec node ~run body) in
-        if words >= 320.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
-    case "a warm 8-node iteration allocates under 430 minor words" (fun () ->
+        if words > 292.0 then Alcotest.failf "a warm exec allocated %.0f minor words" words);
+    case "a warm 8-node iteration allocates at most 419 minor words" (fun () ->
         (* one more iteration of the same solve: the sweep on every node,
            the halo exchange and the all-reduce (419 words on OCaml 5.1:
            eight warm exec_intos and the compute step's per-node pairs;
@@ -1227,7 +1232,7 @@ let warm_path_tests =
         in
         ignore (solve 2);
         let words = solve 4 -. solve 3 in
-        if words >= 430.0 then
+        if words > 419.0 then
           Alcotest.failf "one warm iteration allocated %.0f minor words" words);
     case "a warm n=9 solve through a persistent run allocates under 50k minor words"
       (fun () ->
@@ -1246,7 +1251,7 @@ let warm_path_tests =
         let words = minor_words solve in
         if words >= 50_000.0 then
           Alcotest.failf "a warm solve allocated %.0f minor words" words);
-    case "a warm exec_into of the n=9 iteration body allocates under 64 minor words"
+    case "a warm exec_into of the n=9 iteration body allocates at most 48 minor words"
       (fun () ->
         (* 48 words on OCaml 5.1: each dispatch's engine result and its
            last-values array, the two events' list cells and the [Some run]
@@ -1257,7 +1262,19 @@ let warm_path_tests =
           ignore (Sequencer.exec_into node ~run body s)
         done;
         let words = minor_words (fun () -> Sequencer.exec_into node ~run body s) in
-        if words >= 64.0 then Alcotest.failf "a warm exec_into allocated %.0f minor words" words);
+        if words > 48.0 then Alcotest.failf "a warm exec_into allocated %.0f minor words" words);
+    case "compiling the n=9 sweep allocates at most 3,223 minor words" (fun () ->
+        (* 3,215 words on OCaml 5.1, the timing analysis included; 3,223
+           before the alias mask, whose loops allocate nothing, and before
+           the static prefix lost its placeholder buffer.  Building the
+           mask from records and closures cost 163 more *)
+        let _, _, _, c = n9_body () in
+        let sem = Option.get (Nsc_microcode.Codegen.semantic c ~index:2) in
+        for _ = 1 to 2 do
+          ignore (Kernel.compile params sem)
+        done;
+        let words = minor_words (fun () -> Kernel.compile params sem) in
+        if words > 3223.0 then Alcotest.failf "the compile allocated %.0f minor words" words);
     case "bodies alike but for their static prefix draw separate working sets"
       (fun () ->
         (* compile-cold's traffic: 4 slots of one length, with a static
@@ -1420,3 +1437,330 @@ let feedback_tests =
   ]
 
 let suite = suite @ [ ("sim:feedback", feedback_tests) ]
+
+(* appended: read streams read in place from their plane pages — which
+   streams the compile lets alias, which windows a dispatch aliases, and
+   agreement with the reference evaluator bit for bit, clean and under
+   fu-fault, wherever aliasing could change a value *)
+
+(* Where a singlet's operand comes from: a plane stream at a base, a
+   cache stream, a plane stream through a shift/delay unit, or a
+   constant. *)
+type feed =
+  | Plane_at of int * int
+  | Cache_at of int
+  | Shifted of int * int * Shift_delay.mode
+  | Const of float
+
+(* A one-singlet instruction: [op] over feeds [a] and [b] (b is ignored
+   by a unary opcode), its output written to every [(plane, base)] of
+   [sinks], over [vlen] elements. *)
+let singlet_over ~vlen ~a ?(b = Const 0.0) ~sinks op =
+  let pl, icon = pipeline_with Als.Singlet in
+  let pl = Pipeline.with_vector_length pl vlen in
+  let wire pl port = function
+    | Const c -> (pl, Fu_config.From_constant c)
+    | Plane_at (plane, base) ->
+        ( snd
+            (Pipeline.add_connection pl ~src:(Connection.Direct_memory plane)
+               ~dst:(Connection.Pad { icon; pad = Icon.In_pad (0, port) })
+               ~spec:(Dma_spec.make ~offset:base (Dma_spec.To_plane plane)) ()),
+          Fu_config.From_switch )
+    | Cache_at c ->
+        ( snd
+            (Pipeline.add_connection pl ~src:(Connection.Direct_cache c)
+               ~dst:(Connection.Pad { icon; pad = Icon.In_pad (0, port) })
+               ~spec:(Dma_spec.make (Dma_spec.To_cache c)) ()),
+          Fu_config.From_switch )
+    | Shifted (plane, base, mode) ->
+        let sd, pl =
+          Build.fail_on_error
+            (Pipeline.place_shift_delay params pl ~mode ~pos:(Geometry.point 4 2))
+        in
+        let _, pl =
+          Pipeline.add_connection pl ~src:(Connection.Direct_memory plane)
+            ~dst:(Connection.Pad { icon = sd; pad = Icon.Flow_in })
+            ~spec:(Dma_spec.make ~offset:base (Dma_spec.To_plane plane)) ()
+        in
+        ( Build.pad_to_pad pl ~from_icon:sd ~from_pad:Icon.Flow_out ~to_icon:icon
+            ~to_pad:(Icon.In_pad (0, port)),
+          Fu_config.From_switch )
+  in
+  let pl, a = wire pl Resource.A a in
+  let pl, b = if Opcode.arity op = 2 then wire pl Resource.B b else (pl, Fu_config.Unbound) in
+  let pl = Pipeline.set_config pl ~id:icon ~slot:0 (Fu_config.make ~a ~b op) in
+  let pl =
+    List.fold_left
+      (fun pl (plane, base) ->
+        snd
+          (Pipeline.add_connection pl
+             ~src:(Connection.Pad { icon; pad = Icon.Out_pad 0 })
+             ~dst:(Connection.Direct_memory plane)
+             ~spec:(Dma_spec.make ~offset:base (Dma_spec.To_plane plane)) ()))
+      pl sinks
+  in
+  let sem, issues = Semantic.of_pipeline params pl in
+  if issues <> [] then Alcotest.fail "the test instruction has issues";
+  Kernel.compile params sem
+
+let body_of (kn : Kernel.t) =
+  match kn.Kernel.body with Some b -> b | None -> Alcotest.fail "expected a fused body"
+
+(* The compile's alias mask, one flag per read stream. *)
+let alias_flags kn =
+  let b = body_of kn in
+  List.init (Array.length b.Kernel.reads) (fun s -> (b.Kernel.alias lsr s) land 1 = 1)
+
+(* Dispatch [kn] on [node] and report, per read stream, whether the
+   dispatch gathered it: the own buffers of the shape's pooled set are
+   poisoned with NaN first, and a gather overwrites its buffer's live
+   range while a stream read in place leaves it alone. *)
+let gathered_by_dispatch ?run node kn =
+  let b = body_of kn in
+  let poison = Kernel.acquire_slots b in
+  for i = b.Kernel.stream_base to b.Kernel.n_buffers - 1 do
+    Bigarray.Array1.fill poison.Kernel.own.(i) nan
+  done;
+  Kernel.release_slots b poison;
+  let r = Engine.run_kernel node ?run kn in
+  let set = Kernel.acquire_slots b in
+  check_bool "the dispatch drew the poisoned set" true (set == poison);
+  let gathered =
+    List.init (Array.length b.Kernel.reads) (fun s ->
+        let own = set.Kernel.own.(b.Kernel.stream_base + s) in
+        b.Kernel.vlen > 0 && not (Float.is_nan (Bigarray.Array1.get own b.Kernel.pad)))
+  in
+  Kernel.release_slots b set;
+  (r, gathered)
+
+(* The kernel and the reference evaluator agree bit for bit, on fresh
+   nodes loaded by [load]: last values, cycles, events and the words of
+   every [(plane, base, len)] in [dumps] (sources and sinks alike, so a
+   NaN that reached a plane page shows).  Clean, then under
+   [fu-fault:p=1] with several seeds, so the victim latch lands on every
+   unit and on elements across the vector. *)
+let agree_with_reference name kn ~load ~dumps =
+  let module F = Nsc_fault.Fault in
+  let bits_of_list = List.map (fun (fu, v) -> (fu, Int64.bits_of_float v)) in
+  let observe run exec =
+    let node = Node.create params in
+    load node;
+    let r : Engine.result = exec run node in
+    ( bits_of_list (List.sort compare (Engine.last_values r)),
+      r.Engine.cycles,
+      List.sort compare r.Engine.events,
+      List.map
+        (fun (plane, base, len) ->
+          Array.map Int64.bits_of_float (Node.dump_array node ~plane ~base ~len))
+        dumps )
+  in
+  let fault seed = Run.make ~fault:(F.make ~seed (Result.get_ok (F.parse "fu-fault:p=1"))) () in
+  List.iter
+    (fun (what, run) ->
+      let k = observe (run ()) (fun run node -> Engine.run_kernel node ~run kn) in
+      let g = observe (run ()) (fun run node -> Engine.run_general node ~run kn.Kernel.sem) in
+      check_bool (Printf.sprintf "%s, %s: bit-identical to the reference" name what) true
+        (k = g))
+    (("clean", fun () -> Run.make ())
+    :: List.map
+         (fun seed -> (Printf.sprintf "fu-fault seed %d" seed, fun () -> fault seed))
+         [ 1; 2; 3; 4; 5 ])
+
+let ramp ~from n = Array.init n (fun i -> float_of_int (from + i) +. 0.25)
+
+let alias_tests =
+  [
+    case "an in-place instruction whose sink overlaps its stream gathers it" (fun () ->
+        (* x * 2 written back over x, element for element and half a
+           window behind: a stream read in place would see the
+           instruction's own writes *)
+        List.iter
+          (fun (name, base, sink) ->
+            let kn =
+              singlet_over ~vlen:16 ~a:(Plane_at (0, base)) ~b:(Const 2.0) ~sinks:[ sink ]
+                Opcode.Fmul
+            in
+            check_bool (name ^ ": not aliasable") true (alias_flags kn = [ false ]);
+            let load node = Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 40) in
+            let node = Node.create params in
+            load node;
+            check_bool (name ^ ": gathered") true (snd (gathered_by_dispatch node kn) = [ true ]);
+            agree_with_reference name kn ~load ~dumps:[ (0, 0, 40) ])
+          [ ("over itself", 0, (0, 0)); ("half a window behind", 8, (0, 0));
+            ("on its last word", 15, (0, 0)) ];
+        (* a copy drained to two sinks, one of them over the source: the
+           other sink must still see the values the instruction read *)
+        List.iter
+          (fun (name, sinks) ->
+            let kn = singlet_over ~vlen:16 ~a:(Plane_at (0, 8)) ~sinks Opcode.Pass in
+            check_bool (name ^ ": not aliasable") true (alias_flags kn = [ false ]);
+            agree_with_reference name kn
+              ~load:(fun node -> Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 40))
+              ~dumps:[ (0, 0, 40); (2, 0, 16) ])
+          [ ("a copy over its source first", [ (0, 0); (2, 0) ]);
+            ("a copy over its source last", [ (2, 0); (0, 0) ]) ];
+        (* a sink on the same plane just past the window does not touch it *)
+        let kn =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, 0)) ~b:(Const 2.0) ~sinks:[ (0, 16) ] Opcode.Fmul
+        in
+        check_bool "a sink just past the window: aliasable" true (alias_flags kn = [ true ]);
+        let node = Node.create params in
+        Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 40);
+        check_bool "read in place" true (snd (gathered_by_dispatch node kn) = [ false ]);
+        agree_with_reference "just past the window" kn
+          ~load:(fun node -> Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 40))
+          ~dumps:[ (0, 0, 40) ]);
+    case "a window straddling a page boundary is gathered" (fun () ->
+        let page = 4096 in
+        let kn =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, page - 6)) ~b:(Plane_at (1, page - 1))
+            ~sinks:[ (2, page - 8) ] Opcode.Fsub
+        in
+        check_bool "both aliasable at compile time" true (alias_flags kn = [ true; true ]);
+        let load node =
+          Node.load_array node ~plane:0 ~base:(page - 20) (ramp ~from:3 40);
+          Node.load_array node ~plane:1 ~base:(page - 20) (ramp ~from:(-7) 40)
+        in
+        let node = Node.create params in
+        load node;
+        check_bool "both gathered at dispatch" true
+          (snd (gathered_by_dispatch node kn) = [ true; true ]);
+        (* one window inside a page, one across: each stream decides alone *)
+        let mixed =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, page - 16)) ~b:(Plane_at (1, page - 15))
+            ~sinks:[ (2, page - 8) ] Opcode.Fsub
+        in
+        let node = Node.create params in
+        load node;
+        check_bool "the window ending at the boundary aliases, the one across it gathers" true
+          (snd (gathered_by_dispatch node mixed) = [ false; true ]);
+        List.iter
+          (fun (name, kn) ->
+            agree_with_reference name kn ~load
+              ~dumps:[ (0, page - 20, 40); (1, page - 20, 40); (2, page - 20, 40) ])
+          [ ("across the boundary", kn); ("either side of it", mixed) ]);
+    case "a stream from an untouched page reads zeros in place" (fun () ->
+        let kn =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, 8192 + 3)) ~b:(Plane_at (1, 0))
+            ~sinks:[ (2, 0) ] Opcode.Fadd
+        in
+        let load node = Node.load_array node ~plane:1 ~base:0 (ramp ~from:5 16) in
+        let node = Node.create params in
+        load node;
+        check_bool "read in place, the untouched page too" true
+          (snd (gathered_by_dispatch node kn) = [ false; false ]);
+        check_int "the untouched page stays untouched" 0
+          (Nsc_arch.Memory.touched_pages (Node.plane node 0));
+        agree_with_reference "untouched page" kn ~load ~dumps:[ (0, 8192, 32); (2, 0, 16) ]);
+    case "a stream read through a shift/delay offset is gathered" (fun () ->
+        List.iter
+          (fun mode ->
+            let kn =
+              singlet_over ~vlen:16 ~a:(Shifted (0, 4, mode)) ~b:(Const 1.5)
+                ~sinks:[ (2, 0) ] Opcode.Fadd
+            in
+            let name = Shift_delay.show_mode mode in
+            check_bool (name ^ ": not aliasable") true (alias_flags kn = [ false ]);
+            let load node = Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 32) in
+            let node = Node.create params in
+            load node;
+            check_bool (name ^ ": gathered") true (snd (gathered_by_dispatch node kn) = [ true ]);
+            agree_with_reference name kn ~load ~dumps:[ (0, 0, 32); (2, 0, 16) ])
+          [ Shift_delay.Shift 2; Shift_delay.Delay 3 ]);
+    case "a cache-channel stream is gathered" (fun () ->
+        let kn =
+          singlet_over ~vlen:8 ~a:(Cache_at 3) ~b:(Plane_at (1, 0)) ~sinks:[ (2, 0) ] Opcode.Fmul
+        in
+        check_bool "only the plane stream is aliasable" true (alias_flags kn = [ false; true ]);
+        let load node =
+          Node.stage_cache node ~cache:3 ~base:0 (ramp ~from:1 8);
+          Node.load_array node ~plane:1 ~base:0 (ramp ~from:(-3) 8)
+        in
+        let node = Node.create params in
+        load node;
+        check_bool "the cache stream is gathered" true
+          (snd (gathered_by_dispatch node kn) = [ true; false ]);
+        agree_with_reference "cache stream" kn ~load ~dumps:[ (1, 0, 8); (2, 0, 8) ]);
+    case "a fault on an elided pass of a stream read in place never reaches the page"
+      (fun () ->
+        (* the pass is elided onto the stream's slot, which is the plane
+           page itself: the NaN must land in the unit's own buffer *)
+        let kn = singlet_over ~vlen:40 ~a:(Plane_at (0, 0)) ~sinks:[ (2, 0) ] Opcode.Pass in
+        let b = body_of kn in
+        check_bool "the pass is elided onto the stream" true
+          (b.Kernel.val_slot.(0) = b.Kernel.stream_base);
+        let load node = Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 40) in
+        let node = Node.create params in
+        load node;
+        let module F = Nsc_fault.Fault in
+        let run = Run.make ~fault:(F.make ~seed:9 (Result.get_ok (F.parse "fu-fault:p=1"))) () in
+        let r, gathered = gathered_by_dispatch ~run node kn in
+        check_bool "read in place" true (gathered = [ false ]);
+        check_int "the fault traps" 1 (Interrupt.trapped_exceptions r.Engine.events);
+        check_bool "the source page holds no NaN" true
+          (Array.for_all
+             (fun v -> not (Float.is_nan v))
+             (Node.dump_array node ~plane:0 ~base:0 ~len:40));
+        check_bool "the sink holds the one NaN" true
+          (Array.fold_left (fun n v -> if Float.is_nan v then n + 1 else n) 0
+             (Node.dump_array node ~plane:2 ~base:0 ~len:40)
+          = 1);
+        agree_with_reference "elided pass" kn ~load ~dumps:[ (0, 0, 40); (2, 0, 40) ];
+        (* the Jacobi refresh: four passes elided onto one stream read in
+           place, so a fault on one moves the others first *)
+        let j = Nsc_apps.Jacobi.build kb (Nsc_apps.Grid.cube 5) ~tol:1e-4 ~max_iters:50 in
+        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb j.Nsc_apps.Jacobi.program) in
+        let refresh =
+          Kernel.compile params (Option.get (Nsc_microcode.Codegen.semantic c ~index:3))
+        in
+        check_bool "the refresh reads its stream in place" true (alias_flags refresh = [ true ]);
+        let prob = Nsc_apps.Poisson.manufactured 5 in
+        let words = Nsc_apps.Grid.padded_words prob.Nsc_apps.Poisson.grid in
+        agree_with_reference "jacobi refresh" refresh
+          ~load:(fun node ->
+            Nsc_apps.Jacobi.load node j prob;
+            Node.load_array node ~plane:j.Nsc_apps.Jacobi.layout.Nsc_apps.Jacobi.unew ~base:0
+              (Array.init words (fun i -> 0.5 +. float_of_int i)))
+          ~dumps:(List.init 8 (fun plane -> (plane, 0, words))));
+    case "a gathered dispatch after an aliased one of the same shape leaves the page alone"
+      (fun () ->
+        let page = 4096 in
+        let inside =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, 0)) ~b:(Const 3.0) ~sinks:[ (2, 0) ] Opcode.Fmul
+        in
+        let across =
+          singlet_over ~vlen:16 ~a:(Plane_at (0, page - 5)) ~b:(Const 3.0) ~sinks:[ (2, 64) ]
+            Opcode.Fmul
+        in
+        let bi = body_of inside and ba = body_of across in
+        check_bool "one body shape" true
+          ((bi.Kernel.n_buffers, bi.Kernel.stream_base, bi.Kernel.blen)
+          = (ba.Kernel.n_buffers, ba.Kernel.stream_base, ba.Kernel.blen));
+        let load node =
+          Node.load_array node ~plane:0 ~base:0 (ramp ~from:1 16);
+          Node.load_array node ~plane:0 ~base:(page - 8) (ramp ~from:(-50) 16)
+        in
+        let node = Node.create params in
+        load node;
+        let before = Node.dump_array node ~plane:0 ~base:0 ~len:page in
+        check_bool "the first reads in place" true
+          (snd (gathered_by_dispatch node inside) = [ false ]);
+        let m0 = Kernel.pool_miss_count () in
+        let r = Engine.run_kernel node across in
+        check_int "the second reuses the working set" 0 (Kernel.pool_miss_count () - m0);
+        check_bool "the page under the first window is unchanged" true
+          (Node.dump_array node ~plane:0 ~base:0 ~len:page = before);
+        let reference = Node.create params in
+        load reference;
+        ignore (Engine.run_general reference inside.Kernel.sem);
+        let g = Engine.run_general reference across.Kernel.sem in
+        check_bool "last values" true (Engine.last_values r = Engine.last_values g);
+        check_bool "planes 0 and 2" true
+          (List.for_all
+             (fun plane ->
+               Node.dump_array node ~plane ~base:0 ~len:(2 * page)
+               = Node.dump_array reference ~plane ~base:0 ~len:(2 * page))
+             [ 0; 2 ]));
+  ]
+
+let suite = suite @ [ ("sim:alias", alias_tests) ]
