@@ -175,20 +175,21 @@ let set_up ~run (machine : Multinode.t) (p : Params.t) ~n ~dim : (rig, string) r
   (* decoded once; the two phases share its instructions and kernels *)
   let* prog = Sequencer.of_program kb b.Jacobi.program in
   let setup = Jacobi.setup_phase prog and iter = Jacobi.sweep_phase prog in
-  (* per-node problem data: a smooth forcing that spans slabs *)
+  (* per-node problem data: a smooth forcing that spans slabs,
+     -3 pi^2 sin(pi x) sin(pi y) sin(pi z), from one sine table per axis
+     and the same left-to-right product as a pointwise evaluation *)
   let pi = 4.0 *. atan 1.0 in
+  let c = -3.0 *. pi *. pi in
   let global_nz = n * nodes in
   let hz rank k = float_of_int ((rank * n) + k) /. float_of_int (global_nz - 1) in
+  let sines len coord = Array.init len (fun i -> sin (pi *. coord i)) in
+  let sx = sines grid.Grid.nx (fun i -> float_of_int i *. grid.Grid.h)
+  and sy = sines grid.Grid.ny (fun j -> float_of_int j *. grid.Grid.h) in
   Array.iteri
     (fun node_id node ->
       let rank = Router.node_to_chain ~dim node_id in
-      let f =
-        Grid.field_of grid (fun ~i ~j ~k ->
-            let x = float_of_int i *. grid.Grid.h
-            and y = float_of_int j *. grid.Grid.h
-            and z = hz rank (k - 1) in
-            -3.0 *. pi *. pi *. sin (pi *. x) *. sin (pi *. y) *. sin (pi *. z))
-      in
+      let sz = sines grid.Grid.nz (fun k -> hz rank (k - 1)) in
+      let f = Grid.field_of grid (fun ~i ~j ~k -> c *. sx.(i) *. sy.(j) *. sz.(k)) in
       Node.load_array node ~plane:b.Jacobi.layout.Jacobi.f ~base:0 f;
       Node.load_array node ~plane:b.Jacobi.layout.Jacobi.mask ~base:0
         (slab_mask grid ~first:(rank = 0) ~last:(rank = nodes - 1)))

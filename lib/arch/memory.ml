@@ -79,30 +79,28 @@ let copy_vec (v : vec) : vec =
   A1.blit v c;
   c
 
-(* the empty vector: a placeholder for a lazily-bound page ref (the walk
-   always rebinds before the first access; page keys are non-negative,
-   the sentinel key is not), and {!read_window}'s untouched page *)
+(* the empty vector: the page table's untouched page, which {!read_window}
+   hands out as such, and a placeholder for a lazily-bound page ref (the
+   walk always rebinds before the first access; page numbers are
+   non-negative, the sentinel is not) *)
 let no_page : vec = A1.create Bigarray.float64 Bigarray.c_layout 0
 
-(* The page table, keyed by page number: a non-negative int is its own
-   hash, so a lookup makes no call to the generic hash or compare. *)
-module Pages = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
+(* The page table is an array indexed by page number, [no_page] where no
+   write has touched the page, and only as long as the pages touched
+   need: a lookup is a bounds test and a load. *)
 type store = {
   words : int;
   page_words : int;
-  pages : vec Pages.t;
+  mutable pages : vec array;
   parity_bad : (int, unit) Hashtbl.t;
 }
 
 let make_store ?(page_words = 4096) words =
-  if words <= 0 then invalid_arg "Memory.make_store";
-  { words; page_words; pages = Pages.create 64; parity_bad = Hashtbl.create 4 }
+  if words <= 0 || page_words <= 0 then invalid_arg "Memory.make_store";
+  { words; page_words; pages = [||]; parity_bad = Hashtbl.create 4 }
+
+(* Page [k] ([k >= 0]), or [no_page]. *)
+let page_at st k = if k < Array.length st.pages then Array.unsafe_get st.pages k else no_page
 
 let check_addr st addr =
   if addr < 0 || addr >= st.words then
@@ -111,19 +109,29 @@ let check_addr st addr =
 let read st addr =
   check_addr st addr;
   Metrics.bump c_reads 1;
-  match Pages.find_opt st.pages (addr / st.page_words) with
-  | None -> 0.0
-  | Some page -> A1.get page (addr mod st.page_words)
+  let page = page_at st (addr / st.page_words) in
+  if page == no_page then 0.0 else A1.get page (addr mod st.page_words)
 
-let page_for st key =
-  match Pages.find st.pages key with
-  | page -> page
-  | exception Not_found ->
-      let page = A1.create Bigarray.float64 Bigarray.c_layout st.page_words in
-      A1.fill page 0.0;
-      Pages.add st.pages key page;
-      Metrics.bump c_pages 1;
-      page
+(* Page [k], materialised (zeroed) by this call if untouched.  The table
+   grows to at least [k + 1] entries, doubling, but never past the
+   plane's last page. *)
+let page_for st k =
+  let page = page_at st k in
+  if page != no_page then page
+  else begin
+    let len = Array.length st.pages in
+    if k >= len then begin
+      let last = (st.words - 1) / st.page_words in
+      let grown = Array.make (min (last + 1) (max (k + 1) (2 * len))) no_page in
+      Array.blit st.pages 0 grown 0 len;
+      st.pages <- grown
+    end;
+    let page = A1.create Bigarray.float64 Bigarray.c_layout st.page_words in
+    A1.fill page 0.0;
+    st.pages.(k) <- page;
+    Metrics.bump c_pages 1;
+    page
+  end
 
 let write st addr v =
   check_addr st addr;
@@ -180,26 +188,25 @@ let read_strided_to st ~base ~stride (out : float array) =
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Pages.find st.pages (addr / st.page_words) with
-        | page ->
-            for j = 0 to n - 1 do
-              Array.unsafe_set out (!i + j) (A1.unsafe_get page (off + j))
-            done
-        | exception Not_found -> Array.fill out !i n 0.0);
+        let page = page_at st (addr / st.page_words) in
+        if page == no_page then Array.fill out !i n 0.0
+        else
+          for j = 0 to n - 1 do
+            Array.unsafe_set out (!i + j) (A1.unsafe_get page (off + j))
+          done;
         i := !i + n
       done
     end
     else begin
-      let key = ref min_int and page = ref None in
+      let key = ref min_int and page = ref no_page in
       for i = 0 to count - 1 do
         let addr = base + (i * stride) in
         let k = addr / st.page_words in
         if k <> !key then begin
           key := k;
-          page := Pages.find_opt st.pages k
+          page := page_at st k
         end;
-        out.(i) <-
-          (match !page with Some pg -> A1.get pg (addr mod st.page_words) | None -> 0.0)
+        out.(i) <- (if !page == no_page then 0.0 else A1.get !page (addr mod st.page_words))
       done
     end
   end
@@ -274,25 +281,23 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
         let addr = base + !i in
         let off = addr mod st.page_words in
         let n = min (st.page_words - off) (count - !i) in
-        (match Pages.find st.pages (addr / st.page_words) with
-        | page -> Native.unsafe_blit page off dst (pos + !i) n
-        | exception Not_found -> Native.unsafe_zero dst (pos + !i) n);
+        let page = page_at st (addr / st.page_words) in
+        if page == no_page then Native.unsafe_zero dst (pos + !i) n
+        else Native.unsafe_blit page off dst (pos + !i) n;
         i := !i + n
       done
     end
     else begin
-      let key = ref min_int and page = ref None in
+      let key = ref min_int and page = ref no_page in
       for i = 0 to count - 1 do
         let addr = base + (i * stride) in
         let k = addr / st.page_words in
         if k <> !key then begin
           key := k;
-          page := Pages.find_opt st.pages k
+          page := page_at st k
         end;
         A1.unsafe_set dst (pos + i)
-          (match !page with
-          | Some pg -> A1.unsafe_get pg (addr mod st.page_words)
-          | None -> 0.0)
+          (if !page == no_page then 0.0 else A1.unsafe_get !page (addr mod st.page_words))
       done
     end
   end
@@ -306,9 +311,7 @@ let read_strided_into st ~base ~stride ~count (dst : vec) ~pos =
 let read_window st ~base ~count =
   check_strided st ~base ~stride:1 ~count;
   if count > 0 then Metrics.bump c_reads count;
-  match Pages.find st.pages (base / st.page_words) with
-  | page -> page
-  | exception Not_found -> no_page
+  page_at st (base / st.page_words)
 
 (** Write [src.{pos} .. src.{pos + count - 1}] to the words starting at
     [base] with step [stride]: {!write_strided} without the intermediate
@@ -377,9 +380,9 @@ let copy_words ~(src : store) ~src_base ~(dst : store) ~dst_base ~count =
       let so = sa mod src.page_words and doff = da mod dst.page_words in
       let n = min (min (src.page_words - so) (dst.page_words - doff)) (count - !i) in
       let dpage = page_for dst (da / dst.page_words) in
-      (match Pages.find src.pages (sa / src.page_words) with
-      | spage -> Native.unsafe_blit spage so dpage doff n
-      | exception Not_found -> Native.unsafe_zero dpage doff n);
+      let spage = page_at src (sa / src.page_words) in
+      if spage == no_page then Native.unsafe_zero dpage doff n
+      else Native.unsafe_blit spage so dpage doff n;
       i := !i + n
     done
   end
@@ -387,14 +390,15 @@ let copy_words ~(src : store) ~src_base ~(dst : store) ~dst_base ~count =
 (** Number of pages ever materialised (for footprint reporting).  Each
     page spans [page_words] words: this counts resident pages, not
     distinct written words — see {!touched_words}. *)
-let touched_pages st = Pages.length st.pages
+let touched_pages st =
+  Array.fold_left (fun n page -> if page == no_page then n else n + 1) 0 st.pages
 
 (** Resident footprint in words (materialised pages × page size) — an
     upper bound on the number of distinct words ever written. *)
-let touched_words st = Pages.length st.pages * st.page_words
+let touched_words st = touched_pages st * st.page_words
 
 let clear st =
-  Pages.reset st.pages;
+  Array.fill st.pages 0 (Array.length st.pages) no_page;
   Hashtbl.reset st.parity_bad
 
 (* --- snapshots ----------------------------------------------------------- *)
@@ -413,14 +417,19 @@ let snapshot st =
   {
     s_words = st.words;
     s_page_words = st.page_words;
-    s_pages = Pages.fold (fun k page acc -> (k, copy_vec page) :: acc) st.pages [];
+    s_pages =
+      (let acc = ref [] in
+       Array.iteri
+         (fun k page -> if page != no_page then acc := (k, copy_vec page) :: !acc)
+         st.pages;
+       !acc);
     s_parity = Hashtbl.fold (fun addr () acc -> addr :: acc) st.parity_bad [];
   }
 
 let restore st snap =
   if snap.s_words <> st.words || snap.s_page_words <> st.page_words then
     invalid_arg "Memory.restore: snapshot geometry does not match store";
-  Pages.reset st.pages;
-  List.iter (fun (k, page) -> Pages.replace st.pages k (copy_vec page)) snap.s_pages;
+  st.pages <- Array.make (List.fold_left (fun n (k, _) -> max n (k + 1)) 0 snap.s_pages) no_page;
+  List.iter (fun (k, page) -> st.pages.(k) <- copy_vec page) snap.s_pages;
   Hashtbl.reset st.parity_bad;
   List.iter (fun addr -> Hashtbl.replace st.parity_bad addr ()) snap.s_parity

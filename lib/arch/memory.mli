@@ -28,13 +28,13 @@ val strided_extent :
     data pointer directly. *)
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** A plane's page table, keyed by page number. *)
-module Pages : Hashtbl.S with type key = int
-
 type store = {
   words : int;
   page_words : int;
-  pages : vec Pages.t;
+  mutable pages : vec array;
+      (** the page table, indexed by page number, {!no_page} where no
+          write has touched the page.  It grows, doubling, to cover the
+          highest page touched, and never past the plane's last page *)
   parity_bad : (int, unit) Hashtbl.t;
       (** per-word parity/ECC check bits: marked by {!corrupt}, scrubbed
           by a rewrite of the word *)
@@ -74,8 +74,8 @@ val check_vec_range : vec -> pos:int -> count:int -> string -> unit
 val read_strided_into :
   store -> base:int -> stride:int -> count:int -> vec -> pos:int -> unit
 
-(** A vector of length 0: what {!read_window} returns for a page no
-    write has touched. *)
+(** A vector of length 0: the page table's entry, and what
+    {!read_window} returns, for a page no write has touched. *)
 val no_page : vec
 
 (** The page holding the [count] words from [base] (stride 1), which

@@ -58,6 +58,15 @@ let feedback_code (op : Opcode.t) ~self_is_a =
   | Opcode.Min, false -> 38
   | _ -> op_code op
 
+(* The folded running Max and Min: codes 39-42, self as [a] then as [b]. *)
+let fold_code (op : Opcode.t) ~self_is_a =
+  match (op, self_is_a) with
+  | Opcode.Max, true -> Some 39
+  | Opcode.Min, true -> Some 40
+  | Opcode.Max, false -> Some 41
+  | Opcode.Min, false -> Some 42
+  | _ -> None
+
 external step :
   (int[@untagged]) ->
   vec ->

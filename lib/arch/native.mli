@@ -30,6 +30,15 @@ val scan : int
     [op_code op]. *)
 val feedback_code : Opcode.t -> self_is_a:bool -> int
 
+(** The step code of a running [Max] or [Min] ([feedback_code]'s case)
+    whose elements nothing reads but its own next element: over a range
+    whose carried value and other operand are all finite it stores only
+    the range's last element, the running extreme, which is bit-identical
+    to [feedback_code]'s; otherwise it runs [feedback_code]'s step over
+    the range, which stores every element.  Either way it returns what
+    that step returns.  [None] for every other opcode. *)
+val fold_code : Opcode.t -> self_is_a:bool -> int option
+
 (** [step op dst di a ai b bi n] sets [dst.{di + i}] to [op a.{ai + i}
     b.{bi + i}] for [i] in [0, n), in increasing [i], exactly as
     [Fu_exec.apply] computes each element ([b] is ignored by unary

@@ -14,7 +14,15 @@
    model emits it.  -ffp-contract=off keeps a*b+c from fusing into an FMA,
    so each operation rounds exactly as OCaml's float operators do.  No
    -march: the step dispatcher is built once per target (WIDE_CLONES
-   below) and the CPU picks one when the program loads. */
+   below) and the CPU picks one when the program loads.
+
+   Every step stores every element of its range, but one family: the
+   folded running Max and Min (FOLD_STEP), for a unit whose elements only
+   its own next element reads, store just the range's last element, the
+   running extreme, from one branch-free pass over order-preserving
+   integer keys.  Bit for bit it is the last element the running step
+   would store; the kernel runs the running step over the whole vector
+   whenever something else needs the other elements. */
 
 #include <math.h>
 #include <stdint.h>
@@ -33,7 +41,8 @@ enum {
   OP_MAX, OP_MIN, OP_SCAN,
   OP_PASS_SA, OP_FADD_SA, OP_FSUB_SA, OP_FMUL_SA, OP_FDIV_SA, OP_FNEG_SA,
   OP_FABS_SA, OP_MAX_SA, OP_MIN_SA,
-  OP_FADD_SB, OP_FSUB_SB, OP_FMUL_SB, OP_FDIV_SB, OP_MAX_SB, OP_MIN_SB
+  OP_FADD_SB, OP_FSUB_SB, OP_FMUL_SB, OP_FDIV_SB, OP_MAX_SB, OP_MIN_SB,
+  OP_MAX_SA_FOLD, OP_MIN_SA_FOLD, OP_MAX_SB_FOLD, OP_MIN_SB_FOLD
 };
 
 #define DATA(v) ((double *) Caml_ba_data_val(v))
@@ -251,6 +260,58 @@ CARRY_BOUND_STEP(carry_min_a, a, b, >, OP_MIN_(v, y))
 CARRY_BOUND_STEP(carry_max_b, b, a, <, OP_MAX_(x, v))
 CARRY_BOUND_STEP(carry_min_b, b, a, >, OP_MIN_(x, v))
 
+/* A running Max (Min) whose elements no one reads but the next block:
+   only its last element, the carry, is stored.  When the carry and every
+   other operand are finite, Float.max (min) is the largest (smallest)
+   value in the order where -0.0 sits below +0.0, and that order is the
+   signed order of ORDER_KEY's integers: a negative double's bits, its
+   magnitude bits flipped, count down as the value does, and every
+   negative key lies below every non-negative one.  The key is its own
+   inverse.  The pass keeps no branch and walks the four quarters of the
+   range side by side, so where the target has a 64-bit compare (AVX2) it
+   vectorizes into four independent chains rather than one that waits on
+   each compare.  A NaN or an infinity anywhere, carry included, reruns
+   the range through the running step above, which stores every element
+   and reports the non-finite result. */
+static inline int64_t order_key(int64_t b) { return b < 0 ? b ^ INT64_MAX : b; }
+
+/* One element into the extreme [acc]; [bad] gathers the finite test. */
+#define FOLD_KEY(acc, y, rel)                                               \
+  do {                                                                      \
+    int64_t k_ = order_key(bits_of(y));                                     \
+    bad |= bits_of((y) - (y));                                              \
+    acc = (k_ rel acc) ? k_ : acc;                                          \
+  } while (0)
+
+#define FOLD_STEP(name, self, other, rel, serial)                           \
+  STEP name(double *d, const double *a, const double *b, intnat n)         \
+  {                                                                         \
+    if (n <= 0) return 0;                                                   \
+    double c = self[0];                                                     \
+    int64_t bad = bits_of(c - c), m = order_key(bits_of(c));                \
+    int64_t m1 = m, m2 = m, m3 = m;                                         \
+    intnat q = n / 4;                                                       \
+    const double *o0 = other, *o1 = o0 + q, *o2 = o1 + q, *o3 = o2 + q;     \
+    for (intnat i = 0; i < q; i++) {                                        \
+      FOLD_KEY(m, o0[i], rel);                                              \
+      FOLD_KEY(m1, o1[i], rel);                                             \
+      FOLD_KEY(m2, o2[i], rel);                                             \
+      FOLD_KEY(m3, o3[i], rel);                                             \
+    }                                                                       \
+    for (intnat i = 4 * q; i < n; i++) FOLD_KEY(m, other[i], rel);          \
+    m = (m1 rel m) ? m1 : m;                                                \
+    m = (m2 rel m) ? m2 : m;                                                \
+    m = (m3 rel m) ? m3 : m;                                                \
+    if (bad) return serial(d, a, b, n);                                     \
+    d[n - 1] = float_of(order_key(m));                                      \
+    return 0;                                                               \
+  }
+
+FOLD_STEP(fold_max_a, a, b, >, carry_max_a)
+FOLD_STEP(fold_min_a, a, b, <, carry_min_a)
+FOLD_STEP(fold_max_b, b, a, >, carry_max_b)
+FOLD_STEP(fold_min_b, b, a, <, carry_min_b)
+
 /* Compares produce 1.0 or 0.0: finite by construction, no scan. */
 #define CMP_STEP(name, rel)                                                 \
   STEP name(double *d, const double *a, const double *b, intnat n)         \
@@ -344,6 +405,10 @@ STEP run_step(intnat op, double *d, const double *x, const double *y, intnat n)
   case OP_FDIV_SB: return carry_fdiv_b(d, x, y, n);
   case OP_MAX_SB: return carry_max_b(d, x, y, n);
   case OP_MIN_SB: return carry_min_b(d, x, y, n);
+  case OP_MAX_SA_FOLD: return fold_max_a(d, x, y, n);
+  case OP_MIN_SA_FOLD: return fold_min_a(d, x, y, n);
+  case OP_MAX_SB_FOLD: return fold_max_b(d, x, y, n);
+  case OP_MIN_SB_FOLD: return fold_min_b(d, x, y, n);
   default: return step_scan(x, n);
   }
 }

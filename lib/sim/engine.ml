@@ -578,6 +578,10 @@ let exec_body (node : Node.t) ~record_trace ~run (kn : Kernel.t)
     done;
     e0 := e1
   done;
+  (* a folded unit holds only its carry: store its other elements for
+     the trap rescan or the trace to read, now, before a fault's latch
+     can corrupt one of its operands *)
+  if b.Kernel.fold <> 0 && (!any_nonfinite || record_trace) then Kernel.materialise b set;
   (* interrupt events, newest first, capped; written out at each site
      rather than through a recording closure, so a clean dispatch
      allocates no event state *)

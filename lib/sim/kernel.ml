@@ -26,6 +26,11 @@
       other read stream is gathered {e once per instruction} with one
       bulk {!Nsc_arch.Memory.read_strided_into} (or cache double-buffer)
       transfer, directly into the pooled buffer;
+    - a delay-1 running [Max] or [Min] whose elements nothing reads but
+      its own next element (the paper's convergence check, Equation 1's
+      min/max feedback loop) is folded: its step stores only the carry
+      at the end of each block, and the engine stores the rest
+      ({!materialise}) only when the trap rescan or the trace reads it;
     - each write stream is flushed with one bulk
       {!Nsc_arch.Memory.write_strided_from} per sink;
     - stream and output buffers come as one working set per body shape
@@ -34,7 +39,8 @@
       path.
 
     The fused body exists when the diagram is aligned and acyclic with
-    DMA-fed shift/delay units (the checked, production case).  Other
+    DMA-fed shift/delay units (the checked, production case), and no
+    operand would read a word the instruction itself wrote.  Other
     instructions compile to a kernel without a body; the engine falls
     back to the general evaluator with the kernel's cached timing
     analysis. *)
@@ -163,6 +169,12 @@ type body = {
           instruction overlaps.  The engine aliases it when the window
           lies inside one page and gathers it otherwise. *)
   writes : write_stream array;
+  fold : int;
+      (** bit [k] set: unit [k] is folded — a delay-1 running [Max] or
+          [Min] that no other unit reads and no write stream drains, so
+          its step stores only each block's last element, the carry
+          ({!Nsc_arch.Native.fold_code}).  {!materialise} computes its
+          other elements for whatever reads them. *)
   order_of_sem : int array;  (** topological position of each unit of [sem.units] *)
   fus : Resource.fu_id array;  (** the units of [sem.units], in that order *)
 }
@@ -184,8 +196,9 @@ type t = {
 (** One working set: [bufs] and [bases] are what a dispatch reads (slot
     [i]'s element 0 at [bufs.(i).{bases.(i)}]); [own] holds the set's own
     buffers, which never include a plane page.  Between dispatches
-    [bufs] holds the same buffers as [own] from [stream_base] on. *)
-type set = { bufs : buf array; bases : int array; own : buf array }
+    [bufs] holds the same buffers as [own] from [stream_base] on.
+    [shelf] is where the set goes back to. *)
+type set = { bufs : buf array; bases : int array; own : buf array; shelf : shelf }
 
 (* One working set per body shape, one table per domain so a cached
    kernel may execute on several domains at once without a lock.  An
@@ -197,12 +210,23 @@ type set = { bufs : buf array; bases : int array; own : buf array }
    of a unit that reads its own output), which is what lets reuse skip
    the full memset a fresh allocation pays.  [free] is [taken] while
    its set is drawn. *)
-type shelf = { mutable free : set }
+and shelf = { mutable free : set }
 
-let taken = { bufs = [||]; bases = [||]; own = [||] }
+let rec taken = { bufs = [||]; bases = [||]; own = [||]; shelf = nowhere }
+and nowhere = { free = taken }
 
-let sets_key : (int, shelf) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* The shelves of one domain, keyed by shape: an int whose three fields
+   are folded together for the bucket, with no call to the generic
+   hash. *)
+module Shapes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 16) lxor (k lsr 32)) land max_int
+end)
+
+let sets_key : shelf Shapes.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Shapes.create 8)
 
 (* The shape as one int: buffer length, static-prefix length and slot
    count, 16 bits for each count ([compile_body] checks they fit).  Two
@@ -217,58 +241,79 @@ let shape (b : body) = (b.blen lsl 32) lor (b.stream_base lsl 16) lor b.n_buffer
     [n_buffers - stream_base] pool hits or misses. *)
 let acquire_slots (b : body) : set =
   let n = b.n_buffers - b.stream_base in
-  match Hashtbl.find (Domain.DLS.get sets_key) (shape b) with
+  let fresh shelf =
+    Metrics.bump c_pool_misses n;
+    let own =
+      Array.init b.n_buffers (fun i ->
+          if i < b.stream_base then b.static.(i)
+          else A1.create Bigarray.float64 Bigarray.c_layout b.blen)
+    in
+    { bufs = Array.copy own; bases = Array.make b.n_buffers b.pad; own; shelf }
+  in
+  let sets = Domain.DLS.get sets_key in
+  match Shapes.find sets (shape b) with
   | { free } as shelf when free != taken ->
       shelf.free <- taken;
       Array.blit b.static 0 free.bufs 0 b.stream_base;
       Array.fill free.bases 0 b.n_buffers b.pad;
       Metrics.bump c_pool_hits n;
       free
-  | _ | (exception Not_found) ->
-      Metrics.bump c_pool_misses n;
-      let own =
-        Array.init b.n_buffers (fun i ->
-            if i < b.stream_base then b.static.(i)
-            else A1.create Bigarray.float64 Bigarray.c_layout b.blen)
-      in
-      { bufs = Array.copy own; bases = Array.make b.n_buffers b.pad; own }
+  | shelf -> fresh shelf
+  | exception Not_found ->
+      let shelf = { free = taken } in
+      Shapes.add sets (shape b) shelf;
+      fresh shelf
 
-(** Return a set drawn by {!acquire_slots} as the free set of the body's
-    shape, first pointing every stream slot a dispatch aliased back at
-    the set's own buffer. *)
+(** Return a set drawn by {!acquire_slots} to its shelf as the free set
+    of its shape, first pointing every stream slot a dispatch aliased
+    back at the set's own buffer. *)
 let release_slots (b : body) (set : set) =
   for i = b.stream_base to b.unit_base - 1 do
     let own = set.own.(i) in
     if set.bufs.(i) != own then set.bufs.(i) <- own
   done;
-  let sets = Domain.DLS.get sets_key in
-  match Hashtbl.find sets (shape b) with
-  | shelf -> shelf.free <- set
-  | exception Not_found -> Hashtbl.add sets (shape b) { free = set }
+  set.shelf.free <- set
 
 (* --- opcode specialisation ----------------------------------------------- *)
 
-(* Bind one unit to its native step.  The opcode resolves to a step code
-   here, once per unit per compile: a float unit whose one operand is its
-   own output at delay 1 gets the step that carries its running value in
-   a register.  The closure only fetches the unit's buffers and hands the
-   element range to C, where the loop applies the operation and folds the
-   non-finite trap pre-scan into the same pass.  The C loop checks no
-   bounds: [compile_body] has checked every operand window against the
-   buffer length. *)
-let specialise (u : kunit) : step =
-  let out = u.out in
-  let op =
-    if u.a_buf = out && u.a_off = -1 && u.b_buf <> out then
-      Native.feedback_code u.op ~self_is_a:true
-    else if u.b_buf = out && u.b_off = -1 && u.a_buf <> out then
-      Native.feedback_code u.op ~self_is_a:false
-    else Native.op_code u.op
-  in
-  let ab = u.a_buf and ao = u.a_off and bb = u.b_buf and bo = u.b_off in
-  fun bufs bases e0 e1 ->
-    Native.step op bufs.(out) (bases.(out) + e0) bufs.(ab) (bases.(ab) + ao + e0)
-      bufs.(bb) (bases.(bb) + bo + e0) (e1 - e0)
+(* A unit whose operand [a] (or [b]) is its own output at delay 1, and
+   whose other operand is not. *)
+let self_is_a (u : kunit) = u.a_buf = u.out && u.a_off = -1 && u.b_buf <> u.out
+let self_is_b (u : kunit) = u.b_buf = u.out && u.b_off = -1 && u.a_buf <> u.out
+
+(* The unit's element-by-element step code: a float unit whose one
+   operand is its own output at delay 1 gets the step that carries its
+   running value in a register. *)
+let step_code (u : kunit) =
+  if self_is_a u then Native.feedback_code u.op ~self_is_a:true
+  else if self_is_b u then Native.feedback_code u.op ~self_is_a:false
+  else Native.op_code u.op
+
+(* Run step [code] of unit [u] over elements [e0, e1).  The C loop checks
+   no bounds: [compile_body] has checked every operand window against
+   the buffer length. *)
+let run_step code (u : kunit) bufs bases e0 e1 =
+  let out = u.out and ab = u.a_buf and bb = u.b_buf in
+  Native.step code bufs.(out) (bases.(out) + e0) bufs.(ab) (bases.(ab) + u.a_off + e0)
+    bufs.(bb) (bases.(bb) + u.b_off + e0) (e1 - e0)
+
+(* Bind one unit to a native step.  The opcode resolves to a step code
+   here, once per unit per compile; the closure only fetches the unit's
+   buffers and hands the element range to C, where the loop applies the
+   operation and folds the non-finite trap pre-scan into the same
+   pass. *)
+let specialise (u : kunit) code : step = fun bufs bases e0 e1 -> run_step code u bufs bases e0 e1
+
+(** Store every element of each folded unit ([body.fold]) over the
+    whole vector: the element-by-element step its fold replaced, run
+    once over [[0, vlen)]. *)
+let materialise (b : body) (set : set) =
+  for k = 0 to Array.length b.units - 1 do
+    if (b.fold lsr k) land 1 = 1 then begin
+      let u = b.units.(k) in
+      ignore (run_step (step_code u) u set.bufs set.bases 0 b.vlen : bool)
+    end
+  done
 
 (* Step of an elided pass-through unit whose source is a stream:
    no store — just the native non-finite scan, so a NaN on the wire still
@@ -307,10 +352,88 @@ let fused_applies (analysis : Timing.t) ~honor_timing (sem : Semantic.t) =
   in
   aligned && analysis.Timing.cyclic = [] && sd_pure
 
+(* Bit [k] of a mask over units; 0 past the width of an int. *)
+let bit k = if k < Sys.int_size - 1 then 1 lsl k else 0
+
+(* Whether operand offset [off] of unit [k], reading stream [r], reads a
+   word of write stream [w] after [w] wrote it; [cone] and [earlier] as
+   in [reads_own_writes]. *)
+let reads_stale ~vlen ~cone ~earlier (w : write_stream) (r : read_stream) k off =
+  earlier land bit k = 0
+  &&
+  let wt = w.transfer and rt = r.transfer in
+  let n = min r.count vlen in
+  let inside = cone land bit k <> 0 in
+  (* in the cone, every read comes before the writes past the vector
+     length *)
+  let upto = if inside then min w.count vlen else w.count in
+  let stale = ref false in
+  for e = 0 to upto - 1 do
+    let d = wt.Dma.base + (e * wt.Dma.stride) - rt.Dma.base in
+    (* the last element of the read stream at that word *)
+    let last =
+      if rt.Dma.stride = 0 then if d = 0 then n - 1 else -1
+      else if d mod rt.Dma.stride <> 0 then -1
+      else
+        let e' = d / rt.Dma.stride in
+        if e' < n then e' else -1
+    in
+    if last >= 0 && ((not inside) || last - off > e) then stale := true
+  done;
+  !stale
+
+(* Whether an operand would read a plane word after the instruction
+   itself wrote it.  The fused body reads every stream before it writes
+   anything, so it would read the old word; the reference evaluator
+   drains write stream after write stream, computing each unit's element
+   when a stream first needs it, and reads the new one.  A unit is first
+   computed by the first write stream whose source reads it at the same
+   element (its cone), at that stream's element, or after every write
+   stream when none does.  A stream's element [e'] is read at element
+   [e' - off] by an operand at offset [off].  So a word written at element
+   [e] of stream [i] is read stale by an operand of unit [k] unless [k]
+   was computed in full by an earlier stream, or [k] is in stream [i]'s
+   cone and reads the word at an element up to [e].  Plain loops over
+   ints: the check allocates nothing; a unit past the width of an int is
+   never taken as computed, which only makes the check stricter. *)
+let reads_own_writes ~vlen ~stream_base ~unit_base (units : kunit array)
+    (reads : read_stream array) (writes : write_stream array) =
+  let n_units = Array.length units in
+  let stale = ref false and earlier = ref 0 in
+  for i = 0 to Array.length writes - 1 do
+    let w = writes.(i) in
+    (* producers precede consumers, so one pass backwards closes the cone *)
+    let cone = ref (match w.wsrc with W_unit k -> bit k | W_live _ | W_zero -> 0) in
+    for j = n_units - 1 downto 0 do
+      if !cone land bit j <> 0 then begin
+        let u = units.(j) in
+        if u.a_buf >= unit_base && u.a_buf <> u.out then cone := !cone lor bit (u.a_buf - unit_base);
+        if u.b_buf >= unit_base && u.b_buf <> u.out then cone := !cone lor bit (u.b_buf - unit_base)
+      end
+    done;
+    for s = 0 to Array.length reads - 1 do
+      let r = reads.(s) and slot = stream_base + s in
+      match (r.transfer.Dma.channel, w.transfer.Dma.channel) with
+      | Dma.Plane rp, Dma.Plane wp when rp = wp ->
+          for k = 0 to n_units - 1 do
+            let u = units.(k) and cone = !cone and earlier = !earlier in
+            if
+              (u.a_buf = slot && reads_stale ~vlen ~cone ~earlier w r k u.a_off)
+              || (u.b_buf = slot && reads_stale ~vlen ~cone ~earlier w r k u.b_off)
+            then stale := true
+          done
+      | (Dma.Plane _ | Dma.Cache_chan _), _ -> ()
+    done;
+    (* a stream as long as the vector computes its cone in full *)
+    if w.count >= vlen then earlier := !earlier lor !cone
+  done;
+  !stale
+
 (* Lower the semantics of an instruction the fused body applies to
    straight to its body: units in topological order, every binding
-   resolved to a [(buffer, offset)] slot. *)
-let compile_body (p : Params.t) (sem : Semantic.t) : body =
+   resolved to a [(buffer, offset)] slot.  [None] for an instruction
+   that would read what it writes ({!reads_own_writes}). *)
+let compile_body (p : Params.t) (sem : Semantic.t) : body option =
   let vlen = sem.Semantic.vector_length in
   let sem_units = Array.of_list sem.Semantic.units in
   let n_units = Array.length sem_units in
@@ -506,7 +629,7 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
       check_window k u.b_off)
     units;
   let val_slot = Array.map (fun (u : kunit) -> u.out) units in
-  let steps = Array.map specialise units in
+  let steps = Array.map (fun u -> specialise u (step_code u)) units in
   let scanned = ref [] in
   Array.iteri
     (fun k (u : kunit) ->
@@ -583,23 +706,54 @@ let compile_body (p : Params.t) (sem : Semantic.t) : body =
         done;
         if !ok then alias := !alias lor (1 lsl s)
   done;
-  {
-    vlen;
-    pad;
-    blen;
-    n_buffers = unit_base + n_units;
-    static;
-    stream_base;
-    unit_base;
-    units;
-    steps;
-    val_slot;
-    reads;
-    alias = !alias;
-    writes;
-    order_of_sem;
-    fus = Array.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) sem_units;
-  }
+  (* folded running extremes: a delay-1 Max or Min whose elements no
+     other unit reads (its own feedback reads only the carry) and no write
+     stream drains.  [last] reads its final element, which the fold
+     stores *)
+  let fold = ref 0 in
+  for k = 0 to min n_units (Sys.int_size - 1) - 1 do
+    let u = units.(k) in
+    let code =
+      if self_is_a u then Native.fold_code u.op ~self_is_a:true
+      else if self_is_b u then Native.fold_code u.op ~self_is_a:false
+      else None
+    in
+    match code with
+    | None -> ()
+    | Some code ->
+        let read = ref false in
+        for j = 0 to n_units - 1 do
+          if j <> k && (units.(j).a_buf = u.out || units.(j).b_buf = u.out) then read := true
+        done;
+        for j = 0 to Array.length writes - 1 do
+          match writes.(j).wsrc with W_unit w when w = k -> read := true | _ -> ()
+        done;
+        if not !read then begin
+          fold := !fold lor (1 lsl k);
+          steps.(k) <- specialise u code
+        end
+  done;
+  if reads_own_writes ~vlen ~stream_base ~unit_base units reads writes then None
+  else
+    Some
+      {
+        vlen;
+        pad;
+        blen;
+        n_buffers = unit_base + n_units;
+        static;
+        stream_base;
+        unit_base;
+        units;
+        steps;
+        val_slot;
+        reads;
+        alias = !alias;
+        writes;
+        fold = !fold;
+        order_of_sem;
+        fus = Array.map (fun (u : Semantic.unit_program) -> u.Semantic.fu) sem_units;
+      }
 
 (** Lower an instruction's semantics to a kernel, running the timing
     analysis exactly once. *)
@@ -607,13 +761,8 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
   Metrics.bump c_compiles 1;
   let analysis = Timing.analyse p sem in
   let vlen = sem.Semantic.vector_length in
-  let body =
-    if fused_applies analysis ~honor_timing sem then Some (compile_body p sem)
-    else begin
-      Metrics.bump c_fallbacks 1;
-      None
-    end
-  in
+  let body = if fused_applies analysis ~honor_timing sem then compile_body p sem else None in
+  if Option.is_none body then Metrics.bump c_fallbacks 1;
   let cycles = Timing.estimated_cycles p sem analysis ~vlen in
   {
     sem;

@@ -11,10 +11,12 @@
     stream the compile marks aliasable ([body.alias]) is read in place
     from its plane page when its window lies in one page; every other
     read stream is gathered once per instruction with a bulk
-    Bigarray-direct strided transfer.  Write streams are flushed with one
-    bulk transfer per sink.  {!Engine.run_kernel} executes kernels
-    block-wise.  Results are bit-identical to the reference evaluator
-    {!Engine.run_general} (property-tested). *)
+    Bigarray-direct strided transfer.  A running [Max] or [Min] that
+    nothing else reads is folded to its carry ([body.fold]).  Write
+    streams are flushed with one bulk transfer per sink.
+    {!Engine.run_kernel} executes kernels block-wise.  Results are
+    bit-identical to the reference evaluator {!Engine.run_general}
+    (property-tested). *)
 
 (** Padded executable buffer: unboxed float64, C layout (see
     {!Nsc_arch.Memory.vec}). *)
@@ -90,6 +92,15 @@ type body = {
           snapshot semantics).  At dispatch the stream aliases only when
           that window lies inside one page, and is gathered otherwise. *)
   writes : write_stream array;
+  fold : int;
+      (** bit [k] set: unit [k] is a folded running extreme — a delay-1
+          [Max] or [Min] ({!Nsc_arch.Native.feedback_code}'s case) that no
+          other unit reads and no write stream drains.  Its step stores
+          only the last element of each block, the carry the next block
+          reads ({!Nsc_arch.Native.fold_code}); [last] reads nothing
+          else.  The engine runs {!materialise} before the trap rescan
+          or the trace reads its other elements, and before a fault's
+          latch can corrupt one of its operands. *)
   order_of_sem : int array;
       (** topological position of each unit of [sem.units], in original
           order *)
@@ -116,7 +127,11 @@ type t = {
     default, is off), the diagram has no combinational cycle and
     every shift/delay unit is fed by DMA; other instructions get a kernel
     without a body, which the engine runs on the general evaluator with
-    the cached analysis.  Raises [Invalid_argument] if an operand window
+    the cached analysis; so does an instruction one of whose operands
+    would read a plane word the instruction itself wrote first (the
+    general evaluator reads the new value, a fused body the old one; the
+    checker rejects such a diagram as a [plane-hazard]).  Raises
+    [Invalid_argument] if an operand window
     [[pad + off, pad + off + vlen)] falls outside the buffer length: the
     native steps check no bounds, so this is checked once per compile
     instead.  Also raises it for a body of [2^16] slots or a buffer of
@@ -141,17 +156,28 @@ val compile :
     length of a dispatch.  [own] holds the set's own buffers, and never a
     page; from [stream_base] on, [bufs] holds the same buffers as [own]
     whenever the set is not drawn. *)
-type set = { bufs : buf array; bases : int array; own : buf array }
+type set = { bufs : buf array; bases : int array; own : buf array; shelf : shelf }
+
+(** Where a set goes back to: the free set of its shape in the domain
+    that drew it. *)
+and shelf
 
 (** A body's set for one execution: the calling domain's set for the
     body's shape with the static prefix blitted in and every base at
     [pad], or a freshly allocated set when that shape has none free. *)
 val acquire_slots : body -> set
 
-(** Return a set drawn by {!acquire_slots} as the free set of the body's
-    shape, pointing each stream slot a dispatch aliased back at the
-    set's own buffer. *)
+(** Return a set drawn by {!acquire_slots} to its shelf as the free set
+    of the body's shape, pointing each stream slot a dispatch aliased
+    back at the set's own buffer.  No lookup: the set knows its shelf. *)
 val release_slots : body -> set -> unit
+
+(** Store every element of each folded unit of the body ([fold]) into
+    the drawn set, running the element-by-element step its fold replaced
+    over the whole vector.  Bit-identical to a dispatch that never
+    folded, provided the unit's operands still hold what the dispatch
+    computed. *)
+val materialise : body -> set -> unit
 
 (** {2 Counters}
 

@@ -366,3 +366,78 @@ let copy_words_tests =
   ]
 
 let suite = suite @ [ ("arch:copy-words", copy_words_tests) ]
+
+(* appended: the page table, an array indexed by page number holding the
+   empty page where no write has touched one *)
+let page_table_tests =
+  [
+    case "a sparse high page grows the table to it and no further" (fun () ->
+        let st = Memory.make_store ~page_words:16 (16 * 1000) in
+        check_int "an empty table" 0 (Array.length st.Memory.pages);
+        Memory.write st ((16 * 700) + 5) 4.5;
+        check_int "one page" 1 (Memory.touched_pages st);
+        check_bool "the table reaches the page" true (Array.length st.Memory.pages > 700);
+        check_float "reads back" 4.5 (Memory.read st ((16 * 700) + 5));
+        check_float "the rest of its page reads zero" 0.0 (Memory.read st (16 * 700));
+        check_float "a lower untouched page reads zero" 0.0 (Memory.read st 3);
+        check_bool "below it, every entry is the empty page" true
+          (Array.for_all (fun p -> p == Memory.no_page) (Array.sub st.Memory.pages 0 700));
+        (* the last page: the table never outgrows the plane *)
+        Memory.write st ((16 * 1000) - 1) 1.0;
+        check_int "the plane's page count bounds the table" 1000 (Array.length st.Memory.pages);
+        check_int "two pages" 2 (Memory.touched_pages st);
+        check_int "touched words" 32 (Memory.touched_words st);
+        check_bool "a bulk read across untouched and touched pages" true
+          (Memory.read_strided st ~base:((16 * 700) - 2) ~stride:1 ~count:10
+          = [| 0.0; 0.0; 0.0; 0.0; 0.0; 0.0; 0.0; 4.5; 0.0; 0.0 |]);
+        check_bool "a strided read past the table's end" true
+          (Memory.read_strided st ~base:5 ~stride:(16 * 350) ~count:3 = [| 0.0; 0.0; 4.5 |]));
+    case "clear leaves every page untouched" (fun () ->
+        let st = Memory.make_store ~page_words:16 256 in
+        Memory.write_strided st ~base:10 ~stride:1 (Array.make 40 2.0);
+        ignore (Memory.corrupt st 12);
+        check_int "four pages" 4 (Memory.touched_pages st);
+        Memory.clear st;
+        check_int "no page" 0 (Memory.touched_pages st);
+        check_bool "no parity mark" true (Memory.parity_errors st = []);
+        check_bool "zeros" true
+          (Memory.read_strided st ~base:0 ~stride:1 ~count:64 = Array.make 64 0.0);
+        check_bool "read_window hands out the empty page" true
+          (Memory.read_window st ~base:16 ~count:8 == Memory.no_page);
+        Memory.write st 200 7.0;
+        check_int "a write after clear materialises one page" 1 (Memory.touched_pages st);
+        check_float "and reads back" 7.0 (Memory.read st 200));
+    case "snapshot and restore across a clear bring back exactly the pages" (fun () ->
+        let st = Memory.make_store ~page_words:16 4096 in
+        Memory.write st 3 1.0;
+        Memory.write st 2000 2.0;
+        ignore (Memory.corrupt st 2000);
+        let snap = Memory.snapshot st in
+        let before = Memory.read_strided st ~base:0 ~stride:1 ~count:4096 in
+        (* the snapshot is a copy: later writes do not reach it *)
+        Memory.write st 2001 5.0;
+        Memory.clear st;
+        Memory.write st 4000 9.0;
+        Memory.restore st snap;
+        check_int "two pages" 2 (Memory.touched_pages st);
+        check_bool "the words" true (Memory.read_strided st ~base:0 ~stride:1 ~count:4096 = before);
+        check_bool "the parity mark" true (Memory.parity_errors st = [ 2000 ]);
+        check_float "a page written after the snapshot reads zero" 0.0 (Memory.read st 4000);
+        (* restoring twice gives two independent copies *)
+        Memory.write st 3 8.0;
+        Memory.restore st snap;
+        check_float "restored again" 1.0 (Memory.read st 3));
+    case "copy_words from an untouched page zeroes its span and materialises no source page"
+      (fun () ->
+        let src = Memory.make_store ~page_words:16 1024 in
+        let dst = Memory.make_store ~page_words:16 1024 in
+        Memory.write src 900 3.0;
+        Memory.write_strided dst ~base:100 ~stride:1 (Array.make 20 6.0);
+        Memory.copy_words ~src ~src_base:40 ~dst ~dst_base:104 ~count:8;
+        check_bool "zeros over the copied span" true
+          (Memory.read_strided dst ~base:100 ~stride:1 ~count:20
+          = Array.init 20 (fun i -> if i >= 4 && i < 12 then 0.0 else 6.0));
+        check_int "the source keeps its one page" 1 (Memory.touched_pages src));
+  ]
+
+let suite = suite @ [ ("arch:page-table", page_table_tests) ]
